@@ -114,7 +114,18 @@ fn scale_config(lambda0: f64, horizon: f64, warmup: f64, drain: f64) -> DesConfi
 
 /// Times one run and returns `(wall seconds, events dispatched)`.
 fn time_run(cfg: DesConfig) -> (f64, u64) {
-    let sim = Simulation::new(cfg).expect("valid");
+    time_sim(Simulation::new(cfg).expect("valid"))
+}
+
+/// Times one run of the forced-full-recompute reference (bit-identical
+/// to the incremental run, O(peers) per event).
+fn time_exact(cfg: DesConfig) -> (f64, u64) {
+    let mut sim = Simulation::new(cfg).expect("valid");
+    sim.force_full_recompute_for_test();
+    time_sim(sim)
+}
+
+fn time_sim(sim: Simulation) -> (f64, u64) {
     let start = Instant::now();
     let outcome = black_box(sim.run());
     (start.elapsed().as_secs_f64(), outcome.events)
@@ -172,9 +183,7 @@ fn bench_des_scale(c: &mut Criterion) {
     if test_mode {
         // Smoke-check the modes on the smallest point; skip the artifact.
         let (lambda0, horizon, warmup, drain) = SCALE_POINTS[0];
-        let mut exact_cfg = scale_config(lambda0, horizon, warmup, drain);
-        exact_cfg.exact_rates = true;
-        let (_, exact_events) = time_run(exact_cfg);
+        let (_, exact_events) = time_exact(scale_config(lambda0, horizon, warmup, drain));
         let (_, incr_events) = time_run(scale_config(lambda0, horizon, warmup, drain));
         assert_eq!(
             exact_events, incr_events,
@@ -200,9 +209,7 @@ fn bench_des_scale(c: &mut Criterion) {
         // The exact baseline (where affordable): bit-identical to the
         // incremental path, so the event counts must match.
         let exact_json = if lambda0 <= EXACT_MAX_LAMBDA0 {
-            let mut exact_cfg = scale_config(lambda0, horizon, warmup, drain);
-            exact_cfg.exact_rates = true;
-            let (exact_s, exact_events) = time_run(exact_cfg);
+            let (exact_s, exact_events) = time_exact(scale_config(lambda0, horizon, warmup, drain));
             assert_eq!(
                 exact_events, incr_events,
                 "modes dispatched different events"

@@ -140,7 +140,6 @@ pub fn run(cfg: &AdaptExpConfig) -> Result<AdaptResult, NumError> {
             warm_start: false,
             order_policy: OrderPolicy::default(),
             record_every: None,
-            exact_rates: false,
             aggregate: false,
             checked: false,
         };

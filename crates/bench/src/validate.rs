@@ -142,7 +142,6 @@ pub fn run(cfg: &ValidateConfig) -> Result<ValidateResult, NumError> {
             warm_start: false,
             order_policy: OrderPolicy::default(),
             record_every: None,
-            exact_rates: false,
             aggregate: false,
             checked: false,
         };

@@ -94,11 +94,7 @@ pub fn run_plan(plan: &ChaosPlan, work_dir: &Path) -> Verdict {
     match outcome {
         Ok(mut v) => violations.append(&mut v),
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
+            let msg = btfluid_harness::panic_message(payload.as_ref());
             violations.push(Violation::new("no-panic", format!("panicked: {msg}")));
         }
     }

@@ -84,7 +84,6 @@ const STRINGLY: &[&str] = &[
 const FLAGS: &[&str] = &[
     "csv",
     "force",
-    "exact",
     "aggregate",
     "checked",
     "smoke",

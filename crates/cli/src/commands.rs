@@ -55,7 +55,7 @@ COMMANDS
   scenario    non-stationary scenario runs (flash crowds, churn, faults)
                 btfluid scenario list
                 btfluid scenario <name> [--scheme SCHEME] [--seed S]
-                  [--smoke | --scale F] [--exact | --aggregate] [--fluid]
+                  [--smoke | --scale F] [--aggregate] [--fluid]
                   [--checked] [--trace FILE] [--sample-every T]
                 crash-safe (single-scheme only):
                   [--checkpoint FILE] [--checkpoint-every N] [--resume]
@@ -75,7 +75,7 @@ COMMANDS
               dispatch, snapshot encode, sink write), calibrated-overhead
               subtracted, rendered as per-phase wall and per-event tables
                 [--scheme S] [--p P] [--horizon H] [--seed S]
-                [--exact | --aggregate] [--trace FILE]
+                [--aggregate] [--trace FILE]
   perf        cross-run performance observatory over committed BENCH_*.json
               and sweep manifests
                 [--bench FILES] [--manifest FILE] [--history FILE]
@@ -91,7 +91,7 @@ COMMANDS
                 [--seed S] [--p P] [--k K] [--horizon H] [--resume]
                 [--retries N] [--workers N] [--event-budget N]
                 [--wall-budget-ms MS] [--checkpoint-every N] [--checked]
-                [--exact] [--inject-panic CELL@EVENT]
+                [--aggregate] [--inject-panic CELL@EVENT]
                 [--workload FILE] replays a recorded arrival trace into
                 every cell (geometry and rates come from the trace;
                 --p/--k/--horizon are ignored; [--bins N] bins the
@@ -104,7 +104,7 @@ COMMANDS
                 btfluid trace fit --in FILE          recover (λ₀, p) by
                   moment matching; prints fitted vs empirical moments
                 btfluid trace replay --in FILE [--scheme S] [--seed S]
-                  [--exact | --aggregate] [--bins N] [--warmup W]
+                  [--aggregate] [--bins N] [--warmup W]
                   [--fluid]  drive the DES with the recorded arrivals
                 btfluid trace info --in FILE         codec header, rate,
                   and class histogram
@@ -497,6 +497,15 @@ fn parse_scheme(s: &str) -> Result<SchemeKind, CliError> {
     }
 }
 
+/// The engine's rate mode: `--aggregate`, else incremental.
+fn rate_mode(opts: &Options) -> RateMode {
+    if opts.has("aggregate") {
+        RateMode::Aggregate
+    } else {
+        RateMode::Incremental
+    }
+}
+
 fn cmd_sim(opts: &Options) -> Result<(), CliError> {
     let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtsd"))?;
     let p = opts.get_f64("p", 0.5)?;
@@ -514,7 +523,6 @@ fn cmd_sim(opts: &Options) -> Result<(), CliError> {
         warm_start: false,
         order_policy: OrderPolicy::default(),
         record_every: None,
-        exact_rates: opts.has("exact"),
         aggregate: opts.has("aggregate"),
         checked: opts.has("checked"),
     };
@@ -590,7 +598,6 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
         warm_start: false,
         order_policy: OrderPolicy::default(),
         record_every: None,
-        exact_rates: opts.has("exact"),
         aggregate: opts.has("aggregate"),
         checked: opts.has("checked"),
     };
@@ -723,14 +730,7 @@ fn cmd_scenario(rest: &[String]) -> Result<(), CliError> {
         program = program.time_scaled(scale);
     }
     let seed = opts.get_u64("seed", 2006)?;
-    let mode = match (opts.has("exact"), opts.has("aggregate")) {
-        (true, true) => {
-            return Err("scenario: --exact and --aggregate are mutually exclusive".into())
-        }
-        (true, false) => RateMode::Exact,
-        (false, true) => RateMode::Aggregate,
-        (false, false) => RateMode::Incremental,
-    };
+    let mode = rate_mode(&opts);
     let crash_safe = opts.get("checkpoint").is_some()
         || opts.get("records").is_some()
         || opts.has("resume")
@@ -790,7 +790,6 @@ fn cmd_scenario(rest: &[String]) -> Result<(), CliError> {
                 ("label", MetaField::Str(label.to_string())),
                 ("seed", MetaField::U64(seed)),
                 ("scale", MetaField::F64(scale)),
-                ("exact_rates", MetaField::Bool(mode == RateMode::Exact)),
                 ("aggregate", MetaField::Bool(mode == RateMode::Aggregate)),
                 ("sample_every", MetaField::F64(sample_every)),
             ]);
@@ -1060,13 +1059,6 @@ fn run_scenario_hybrid(
         )
         .into());
     }
-    if mode == RateMode::Exact {
-        return Err(
-            "scenario: --exact has no fluid counterpart; use --hybrid with the \
-             incremental or --aggregate engine"
-                .into(),
-        );
-    }
     if opts.get("records").is_some() || opts.has("checked") {
         return Err(
             "scenario: --records/--checked are not supported with --hybrid \
@@ -1315,7 +1307,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
             let (cfg, scenario) = match &workload {
                 Some((path, program)) => {
                     let mut cfg = program.des_config(scheme, seed)?;
-                    cfg.exact_rates = opts.has("exact");
                     cfg.aggregate = opts.has("aggregate");
                     cfg.checked = opts.has("checked");
                     (cfg, Some(harness::ScenarioRef::traced(path)))
@@ -1334,7 +1325,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
                         warm_start: false,
                         order_policy: OrderPolicy::default(),
                         record_every: None,
-                        exact_rates: opts.has("exact"),
                         aggregate: opts.has("aggregate"),
                         checked: opts.has("checked"),
                     };
@@ -1437,17 +1427,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
                 report.failed.len()
             ),
         ))
-    }
-}
-
-/// Renders a caught panic payload.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
     }
 }
 
@@ -1600,14 +1579,7 @@ fn trace_replay(opts: &Options) -> Result<(), CliError> {
     let trace = trace_input(opts, "replay")?;
     let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtcd"))?;
     let seed = opts.get_u64("seed", 2006)?;
-    let mode = match (opts.has("exact"), opts.has("aggregate")) {
-        (true, true) => {
-            return Err("trace replay: --exact and --aggregate are mutually exclusive".into())
-        }
-        (true, false) => RateMode::Exact,
-        (false, true) => RateMode::Aggregate,
-        (false, false) => RateMode::Incremental,
-    };
+    let mode = rate_mode(opts);
     let bins = opts.get_usize("bins", 8)?;
     let warmup = opts.get_f64("warmup", trace.horizon() / 4.0)?;
     let program = trace_program(&trace, bins, warmup)?;
@@ -1778,7 +1750,7 @@ fn cmd_repro(rest: &[String]) -> Result<(), CliError> {
             format!(
                 "repro {}: failure reproduced: {}",
                 bundle.cell_id,
-                panic_text(payload)
+                harness::panic_message(payload.as_ref())
             ),
         )),
         Ok(Err(e)) => {
@@ -1972,7 +1944,6 @@ struct TraceSample {
 /// record up to the next `meta` (one engine run).
 struct TraceSegment {
     label: String,
-    exact_rates: bool,
     aggregate: bool,
     samples: Vec<TraceSample>,
     /// `(name, micros, t)` — `t` is the simulated time the span was
@@ -2066,7 +2037,7 @@ impl TraceSegment {
                     c.rate_recomputes
                 ));
             }
-        } else if !self.exact_rates {
+        } else {
             // Self-calibrating rate-cache health check: the marginal
             // recompute cost per event, normalized by the live download
             // pairs it could touch, stays flat over a healthy run (the
@@ -2406,10 +2377,6 @@ fn cmd_inspect(rest: &[String]) -> Result<(), CliError> {
                     .and_then(Json::as_str)
                     .unwrap_or("?")
                     .to_string(),
-                exact_rates: v
-                    .get("exact_rates")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false),
                 aggregate: v.get("aggregate").and_then(Json::as_bool).unwrap_or(false),
                 samples: Vec::new(),
                 spans: Vec::new(),
@@ -2577,7 +2544,7 @@ fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, Stri
             format!("{p}"),
             format!("--seed"),
             format!("{seed}"),
-            format!("--exact"),
+            format!("--checked"),
         ];
         let opts = Options::parse(&argv)
             .map_err(|e| format!("trial {trial}: valid argv rejected: {e}"))?;
@@ -2588,8 +2555,8 @@ fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, Stri
                 "trial {trial}: round-trip drift (p {p} → {p_back}, seed {seed} → {s_back})"
             ));
         }
-        if !opts.has("exact") {
-            return Err(format!("trial {trial}: flag --exact lost in parsing"));
+        if !opts.has("checked") {
+            return Err(format!("trial {trial}: flag --checked lost in parsing"));
         }
     }
     // Token soup: junk must produce typed errors, never a panic or a
@@ -2606,7 +2573,7 @@ fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, Stri
         "-3",
         "0.5,oops",
         "--",
-        "--exact",
+        "--checked",
         "--records",
     ];
     let mut rejected = 0usize;
@@ -3002,7 +2969,6 @@ mod tests {
             .collect();
         let seg = TraceSegment {
             label: "X".into(),
-            exact_rates: false,
             aggregate: false,
             samples: bad_samples,
             spans: Vec::new(),
@@ -3028,7 +2994,6 @@ mod tests {
             .collect();
         let healthy = TraceSegment {
             label: "Y".into(),
-            exact_rates: false,
             aggregate: false,
             samples: healthy_samples,
             spans: Vec::new(),
@@ -3071,7 +3036,6 @@ mod tests {
             .collect();
         let seg = TraceSegment {
             label: "A".into(),
-            exact_rates: false,
             aggregate: true,
             samples: drifting,
             spans: Vec::new(),
@@ -3100,7 +3064,6 @@ mod tests {
             .collect();
         let healthy = TraceSegment {
             label: "B".into(),
-            exact_rates: false,
             aggregate: true,
             samples: flat,
             spans: Vec::new(),
@@ -3127,7 +3090,6 @@ mod tests {
             .collect();
         let leaky = TraceSegment {
             label: "C".into(),
-            exact_rates: false,
             aggregate: true,
             samples: leaking,
             spans: Vec::new(),
@@ -3188,9 +3150,8 @@ mod tests {
         // --scheme is mandatory and must be a scheduled-fluid scheme.
         assert!(dispatch(&base(&[])).is_err());
         assert!(dispatch(&base(&["--scheme", "mfcd"])).is_err());
-        // --exact, --records, --checked, and out-of-range tolerances are
-        // rejected before anything runs.
-        assert!(dispatch(&base(&["--scheme", "mtsd", "--exact"])).is_err());
+        // --records, --checked, and out-of-range tolerances are rejected
+        // before anything runs.
         assert!(dispatch(&base(&["--scheme", "mtsd", "--checked"])).is_err());
         let err = dispatch(&base(&["--scheme", "mtsd", "--hybrid-tol", "3"])).unwrap_err();
         assert_eq!(err.code, EXIT_CONFIG, "{}", err.message);
@@ -3205,7 +3166,6 @@ mod tests {
         let span = |t: f64| ("handoff:des->fluid".to_string(), 10u64, Some(t));
         let segment = |spans: Vec<(String, u64, Option<f64>)>| TraceSegment {
             label: "H".into(),
-            exact_rates: false,
             aggregate: true,
             samples: Vec::new(),
             spans,

@@ -1,6 +1,6 @@
 //! Integration tests against the real `btfluid` binary: the selfcheck
 //! oracle's exit-code contract, and the hard-error behaviour of the arg
-//! parser (unknown flags, unparseable numerics).
+//! parser (unknown flags, retired flags, unparseable numerics).
 
 use std::process::Command;
 
@@ -65,4 +65,26 @@ fn unparseable_numeric_is_a_hard_usage_error() {
     let (code, _stdout, stderr) = run(&["validate", "--seed", "12x"]);
     assert_eq!(code, 1, "stderr:\n{stderr}");
     assert!(stderr.contains("12x"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn retired_exact_flag_is_an_unknown_option() {
+    // The forced-full-recompute mode is a test-only reference now; every
+    // command that once took `--exact` must refuse it as a usage error.
+    let cases: [&[&str]; 5] = [
+        &["sim", "--scheme", "mtsd"],
+        &["profile", "--scheme", "mtsd"],
+        &["scenario", "flash_crowd", "--smoke"],
+        &["sweep", "--manifest", "unused.jsonl"],
+        &["trace", "replay", "--in", "unused.csv"],
+    ];
+    for args in cases {
+        let argv: Vec<&str> = args.iter().copied().chain(["--exact"]).collect();
+        let (code, _stdout, stderr) = run(&argv);
+        assert_eq!(code, 1, "{argv:?}\nstderr:\n{stderr}");
+        assert!(
+            stderr.contains("unknown option --exact"),
+            "{argv:?}\nstderr:\n{stderr}"
+        );
+    }
 }

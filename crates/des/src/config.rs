@@ -158,12 +158,6 @@ pub struct DesConfig {
     /// [`btfluid_numkit::series::TimeSeries`] every this many time units
     /// (`SimOutcome::trajectory`). `None` disables recording.
     pub record_every: Option<f64>,
-    /// Verification mode: force a full aggregate/rate recompute on every
-    /// event (the seed engine's behaviour) instead of the incremental
-    /// dirty-tracking refresh. Both modes produce bit-identical
-    /// trajectories; this one is O(peers) per event and exists so tests
-    /// can assert that equivalence.
-    pub exact_rates: bool,
     /// Opt-in invariant validation: after every event the engine audits
     /// rate finiteness, event-queue/live-count consistency, and incremental
     /// rate-cache agreement with a from-scratch recompute, turning a
@@ -188,8 +182,7 @@ pub struct DesConfig {
     /// replaced by an exponential with the same mean — the class-level
     /// Markov description). Trajectories are **not** bit-identical to the
     /// per-peer path; snapshot/resume stays bit-identical *within* the
-    /// mode. Mutually exclusive with [`DesConfig::exact_rates`] and with
-    /// Adapt (which needs per-peer progress accounting); requires `K ≤ 64`
+    /// mode. Mutually exclusive with Adapt (which needs per-peer progress accounting); requires `K ≤ 64`
     /// (collaborative source sets are tracked as 64-bit file masks).
     pub aggregate: bool,
 }
@@ -211,7 +204,6 @@ impl DesConfig {
             warm_start: false,
             order_policy: OrderPolicy::default(),
             record_every: None,
-            exact_rates: false,
             checked: false,
             aggregate: false,
         })
@@ -286,14 +278,6 @@ impl DesConfig {
             }
         }
         if self.aggregate {
-            if self.exact_rates {
-                return Err(NumError::InvalidInput {
-                    what: "DesConfig",
-                    detail: "aggregate and exact_rates are mutually exclusive \
-                             (aggregate mode has no per-peer rates to recompute)"
-                        .into(),
-                });
-            }
             if self.adapt.is_some() {
                 return Err(NumError::InvalidInput {
                     what: "DesConfig",
@@ -381,9 +365,6 @@ mod tests {
         let mut cfg = DesConfig::paper_small(SchemeKind::Mtsd, 0.5, 1).unwrap();
         cfg.aggregate = true;
         assert!(cfg.validate().is_ok());
-
-        cfg.exact_rates = true;
-        assert!(cfg.validate().is_err(), "aggregate excludes exact_rates");
 
         let mut cfg = DesConfig::paper_small(SchemeKind::Cmfsd { rho: 0.5 }, 0.5, 1).unwrap();
         cfg.aggregate = true;

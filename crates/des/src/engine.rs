@@ -22,12 +22,13 @@
 //!   lists. Population integrals and the recorded trajectory come from
 //!   per-class counters maintained by ±contribution at each touch.
 //!
-//! Setting [`DesConfig::exact_rates`] forces a full aggregate/rate
-//! recompute on every event through the *same* code path (the cache's
-//! `force` flag). Because every recompute re-sums an ordered member list,
-//! a forced recompute of an unchanged aggregate reproduces its bits, so
-//! both modes yield bit-identical trajectories — asserted by the
-//! `equivalence` integration test over all four schemes.
+//! [`Simulation::force_full_recompute_for_test`] forces a full
+//! aggregate/rate recompute on every event through the *same* code path
+//! (the cache's `force` flag). Because every recompute re-sums an ordered
+//! member list, a forced recompute of an unchanged aggregate reproduces its
+//! bits, so the forced run is a bit-identical reference for the incremental
+//! one — asserted by the `equivalence` integration test over all four
+//! schemes.
 
 use crate::adapt::assign_arrival_policy;
 use crate::agg::AggCache;
@@ -189,6 +190,9 @@ pub struct Simulation {
     /// Optional self-profiler (scoped phase timers). Wall-clock only —
     /// excluded from snapshots, observes without perturbing.
     profiler: Option<Profiler>,
+    /// Test reference: recompute every rate on every event (see
+    /// [`Self::force_full_recompute_for_test`]). Excluded from snapshots.
+    full_recompute: bool,
 }
 
 impl Simulation {
@@ -270,6 +274,7 @@ impl Simulation {
             last_delta: 0.0,
             flight: false,
             profiler: None,
+            full_recompute: false,
         };
         if sim.cfg.warm_start {
             sim.populate_from_fluid()?;
@@ -390,6 +395,17 @@ impl Simulation {
             }
         }
         false
+    }
+
+    /// Test reference: from now on, recompute every aggregate and rate on
+    /// every event instead of refreshing only the dirty ones. The result
+    /// is bit-identical to the incremental run by construction; the
+    /// equivalence suites compare against it. O(peers) per event, so
+    /// never called by production paths. Not snapshotted: call it again
+    /// after [`Self::restore`].
+    #[doc(hidden)]
+    pub fn force_full_recompute_for_test(&mut self) {
+        self.full_recompute = true;
     }
 
     /// Forwards a named span timing to the attached probe (no-op without
@@ -603,7 +619,7 @@ impl Simulation {
                 .map(|_| TimeSeries::new(vec!["downloaders", "seeds"]).expect("two channels"));
             self.schedule_arrival();
             // Initial build: everything registered so far is dirty.
-            self.refresh_rates(self.cfg.exact_rates);
+            self.refresh_rates(self.full_recompute);
             if self.hook.is_some() {
                 self.rearm_abort();
             }
@@ -692,8 +708,8 @@ impl Simulation {
             Event::Control => self.handle_control(),
         }
         self.prof_leave(ProfPhase::HookDispatch);
-        // Epochs may rewrite every ρ, so both modes recompute fully.
-        let force = self.cfg.exact_rates || matches!(event, Event::Epoch);
+        // Epochs may rewrite every ρ, so they always recompute fully.
+        let force = self.full_recompute || matches!(event, Event::Epoch);
         self.prof_enter(ProfPhase::RateMaint);
         self.refresh_rates(force);
         self.prof_leave(ProfPhase::RateMaint);
@@ -1042,6 +1058,7 @@ impl Simulation {
             last_delta: snap.last_delta,
             flight: false,
             profiler: None,
+            full_recompute: false,
             cfg,
         };
         if let Some(h) = hook {
@@ -2360,15 +2377,14 @@ mod tests {
     fn exact_mode_matches_incremental_smoke() {
         // The full matrix lives in tests/equivalence.rs; this is the quick
         // in-crate guard.
-        let mut exact = DesConfig::paper_small(SchemeKind::Mtsd, 0.5, 19).unwrap();
-        exact.horizon = 800.0;
-        exact.warmup = 200.0;
-        exact.drain = 800.0;
-        let mut incr = exact.clone();
-        exact.exact_rates = true;
-        incr.exact_rates = false;
-        let a = Simulation::new(exact).unwrap().run();
-        let b = Simulation::new(incr).unwrap().run();
+        let mut cfg = DesConfig::paper_small(SchemeKind::Mtsd, 0.5, 19).unwrap();
+        cfg.horizon = 800.0;
+        cfg.warmup = 200.0;
+        cfg.drain = 800.0;
+        let mut exact = Simulation::new(cfg.clone()).unwrap();
+        exact.force_full_recompute_for_test();
+        let a = exact.run();
+        let b = Simulation::new(cfg).unwrap().run();
         assert_eq!(a.events, b.events);
         assert_eq!(a.records.len(), b.records.len());
         for (ra, rb) in a.records.iter().zip(&b.records) {

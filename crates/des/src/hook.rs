@@ -35,7 +35,7 @@
 //!   updates the rate cache.
 //!
 //! All hook methods must be deterministic functions of `t`: the engine's
-//! reproducibility and `exact_rates` bit-equivalence guarantees extend to
+//! reproducibility and full-recompute bit-equivalence guarantees extend to
 //! scenario runs only because the hook itself carries no hidden state.
 
 use btfluid_workload::requests::FileId;

@@ -16,16 +16,16 @@
 //! reproduces `compute_rates`' accumulation order (peers ascending by slab
 //! index, slots in view order within a peer, the origin publisher first in
 //! every pool). A recompute of an *unchanged* aggregate therefore yields
-//! the identical bit pattern, which is what makes the engine's
-//! `exact_rates` mode (forced full recompute every event) and the default
-//! incremental mode produce bit-identical trajectories: the only
-//! difference between the modes is how much provably-unchanged work is
+//! the identical bit pattern, which is what makes the engine's forced
+//! full recompute every event (the equivalence suites' test reference) and
+//! the incremental refresh produce bit-identical trajectories: the only
+//! difference between the two is how much provably-unchanged work is
 //! redone.
 //!
 //! Change detection is by `f64::to_bits` comparison, and a changed rate
 //! triggers lazy settlement of the affected download
 //! ([`crate::peer::Peer::settle_slot`]) before the new rate is stored, so
-//! progress accrual is exact piecewise-linear integration in both modes.
+//! progress accrual is exact piecewise-linear integration either way.
 //!
 //! ## Dirty propagation
 //!

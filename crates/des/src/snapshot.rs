@@ -6,8 +6,8 @@
 //! included), the free list, pending event registers, observer
 //! accumulators, and the in-progress trajectory. Run → snapshot → restore
 //! → run is bit-identical to an uninterrupted run — the
-//! `snapshot_resume` integration test asserts this across every scheme
-//! and both `exact_rates` modes.
+//! `snapshot_resume` integration test asserts this across every scheme,
+//! for incremental runs and the forced-full-recompute test reference.
 //!
 //! ## What is deliberately *not* serialized
 //!
@@ -311,7 +311,9 @@ pub fn config_digest(cfg: &DesConfig) -> u64 {
         OrderPolicy::RarestFirst => 1,
     });
     w.opt_f64(cfg.record_every);
-    w.bool(cfg.exact_rates);
+    // Placeholder for the retired `exact_rates` flag: always `false`, so
+    // checkpoints and bundles written while the flag existed still match.
+    w.bool(false);
     w.bool(cfg.checked);
     // Folded in only when set, so every pre-aggregate config digests to
     // the same value as before the field existed (old checkpoints of
@@ -1121,9 +1123,21 @@ mod tests {
         other.seed += 1;
         assert_ne!(a, config_digest(&other));
         let mut other = cfg();
-        other.exact_rates = true;
+        other.checked = true;
         assert_ne!(a, config_digest(&other));
         assert_eq!(a, config_digest(&cfg()));
+    }
+
+    #[test]
+    fn config_digest_is_pinned() {
+        // Values written by the engine while `DesConfig` still carried the
+        // rate-mode flag; a change here orphans existing checkpoints and
+        // repro bundles.
+        let base = DesConfig::paper_small(SchemeKind::Mtsd, 0.5, 1).unwrap();
+        assert_eq!(config_digest(&base), 0xba2d_59b0_f673_79ef);
+        let mut agg = base;
+        agg.aggregate = true;
+        assert_eq!(config_digest(&agg), 0xce88_b0b2_c637_170b);
     }
 
     #[test]

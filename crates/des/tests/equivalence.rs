@@ -1,11 +1,12 @@
 //! Bit-exact equivalence between the incremental rate engine and the
-//! forced full-recompute ("exact") verification mode.
+//! forced full-recompute test reference.
 //!
-//! The engine's incremental `RateCache` and the `exact_rates` mode run the
-//! same code path; the only difference is that exact mode recomputes every
-//! aggregate and every rate at every event. Because recomputation re-sums
-//! ordered member lists, an aggregate that did not change reproduces its
-//! bits exactly — so the two modes must produce *identical* trajectories:
+//! The engine's incremental `RateCache` and the reference
+//! (`Simulation::force_full_recompute_for_test`) run the same code path; the
+//! only difference is that the reference recomputes every aggregate and
+//! every rate at every event. Because recomputation re-sums ordered member
+//! lists, an aggregate that did not change reproduces its bits exactly —
+//! so the two must produce *identical* trajectories:
 //! the same events in the same order, the same per-user records bit for
 //! bit, and the same population integrals. This suite asserts that over
 //! all four schemes, with and without Adapt, rarest-first ordering, origin
@@ -14,12 +15,12 @@
 use btfluid_core::adapt::AdaptConfig;
 use btfluid_des::{AdaptSetup, DesConfig, OrderPolicy, SchemeKind, SimOutcome, Simulation};
 
-/// Runs one configuration in both modes and asserts bitwise identity of
+/// Runs one configuration both ways and asserts bitwise identity of
 /// everything `SimOutcome` carries.
-fn assert_equivalent(mut cfg: DesConfig, label: &str) {
-    cfg.exact_rates = true;
-    let exact = Simulation::new(cfg.clone()).expect(label).run();
-    cfg.exact_rates = false;
+fn assert_equivalent(cfg: DesConfig, label: &str) {
+    let mut reference = Simulation::new(cfg.clone()).expect(label);
+    reference.force_full_recompute_for_test();
+    let exact = reference.run();
     let incr = Simulation::new(cfg).expect(label).run();
     assert_outcomes_identical(&exact, &incr, label);
 }

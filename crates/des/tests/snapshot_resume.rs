@@ -4,7 +4,8 @@
 //! A property test cuts a run at a random event index, round-trips the
 //! snapshot through the on-disk byte format, resumes, and compares every
 //! field of the two outcomes by bits — across all four schemes plus
-//! CMFSD+Adapt, in both `exact_rates` modes, with trajectory recording on,
+//! CMFSD+Adapt, incremental and under the forced-full-recompute test
+//! reference, with trajectory recording on,
 //! plus two aggregate-scheduling variants (snapshot format v3): the
 //! bit-identity contract holds *within* each scheduling mode.
 
@@ -17,8 +18,8 @@ use btfluid_des::DesError;
 use proptest::prelude::*;
 
 /// The seven engine configurations the contract must hold for (5 and 6
-/// run under aggregate scheduling, which excludes `exact_rates`).
-fn variant_cfg(variant: usize, exact: bool, seed: u64) -> DesConfig {
+/// run under aggregate scheduling, which has no per-peer rates to force).
+fn variant_cfg(variant: usize, seed: u64) -> DesConfig {
     let scheme = match variant {
         0 | 5 => SchemeKind::Mtsd,
         1 => SchemeKind::Mtcd,
@@ -31,7 +32,6 @@ fn variant_cfg(variant: usize, exact: bool, seed: u64) -> DesConfig {
     cfg.drain = 600.0;
     cfg.record_every = Some(25.0);
     cfg.aggregate = variant >= 5;
-    cfg.exact_rates = exact && !cfg.aggregate;
     if variant == 4 {
         cfg.adapt = Some(AdaptSetup {
             controller: AdaptConfig::default_for_mu(cfg.params.mu()),
@@ -103,15 +103,24 @@ fn assert_bit_identical(a: &SimOutcome, b: &SimOutcome) {
     }
 }
 
+/// Switches a per-peer engine to the forced-full-recompute reference when
+/// `exact` is set (the flag is not snapshotted, so restores re-apply it).
+fn with_mode(mut sim: Simulation, exact: bool) -> Simulation {
+    if exact {
+        sim.force_full_recompute_for_test();
+    }
+    sim
+}
+
 /// Runs to completion straight through.
-fn run_straight(cfg: DesConfig) -> SimOutcome {
-    Simulation::new(cfg).unwrap().run()
+fn run_straight(cfg: DesConfig, exact: bool) -> SimOutcome {
+    with_mode(Simulation::new(cfg).unwrap(), exact).run()
 }
 
 /// Runs `cut` steps, snapshots, round-trips the snapshot through bytes,
 /// restores into a fresh engine, and finishes the run there.
-fn run_interrupted(cfg: DesConfig, cut: usize) -> SimOutcome {
-    let mut sim = Simulation::new(cfg.clone()).unwrap();
+fn run_interrupted(cfg: DesConfig, cut: usize, exact: bool) -> SimOutcome {
+    let mut sim = with_mode(Simulation::new(cfg.clone()).unwrap(), exact);
     let mut alive = true;
     for _ in 0..cut {
         if !sim.step().unwrap() {
@@ -122,7 +131,7 @@ fn run_interrupted(cfg: DesConfig, cut: usize) -> SimOutcome {
     let snap = sim.snapshot();
     drop(sim);
     let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("codec roundtrip");
-    let mut resumed = Simulation::restore(cfg, &snap).expect("restore");
+    let mut resumed = with_mode(Simulation::restore(cfg, &snap).expect("restore"), exact);
     if alive {
         while resumed.step().unwrap() {}
     }
@@ -139,17 +148,18 @@ proptest! {
         cut in 0usize..700,
         seed in 1u64..500,
     ) {
-        let cfg = variant_cfg(variant, exact == 1, seed);
-        let straight = run_straight(cfg.clone());
-        let resumed = run_interrupted(cfg, cut);
+        let cfg = variant_cfg(variant, seed);
+        let exact = exact == 1 && !cfg.aggregate;
+        let straight = run_straight(cfg.clone(), exact);
+        let resumed = run_interrupted(cfg, cut, exact);
         assert_bit_identical(&straight, &resumed);
     }
 }
 
 #[test]
 fn resume_from_disk_file() {
-    let cfg = variant_cfg(3, false, 11);
-    let straight = run_straight(cfg.clone());
+    let cfg = variant_cfg(3, 11);
+    let straight = run_straight(cfg.clone(), false);
 
     let mut sim = Simulation::new(cfg.clone()).unwrap();
     for _ in 0..200 {
@@ -170,21 +180,21 @@ fn resume_from_disk_file() {
 
 #[test]
 fn snapshot_before_first_step_resumes() {
-    let cfg = variant_cfg(0, false, 5);
-    let straight = run_straight(cfg.clone());
-    let resumed = run_interrupted(cfg, 0);
+    let cfg = variant_cfg(0, 5);
+    let straight = run_straight(cfg.clone(), false);
+    let resumed = run_interrupted(cfg, 0, false);
     assert_bit_identical(&straight, &resumed);
 }
 
 #[test]
 fn checked_mode_resume_holds() {
-    let mut cfg = variant_cfg(4, false, 3);
+    let mut cfg = variant_cfg(4, 3);
     cfg.checked = true;
     cfg.horizon = 300.0;
     cfg.warmup = 100.0;
     cfg.drain = 300.0;
     let straight = Simulation::new(cfg.clone()).unwrap().try_run().unwrap();
-    let resumed = run_interrupted(cfg, 150);
+    let resumed = run_interrupted(cfg, 150, false);
     assert_bit_identical(&straight, &resumed);
 }
 
@@ -192,8 +202,8 @@ fn checked_mode_resume_holds() {
 fn aggregate_snapshot_encodes_as_v3_and_resumes_from_disk() {
     // The aggregate analog of a SIGKILL mid-run: snapshot to disk, drop the
     // engine, read the file back cold, and finish in a fresh process image.
-    let cfg = variant_cfg(6, false, 17);
-    let straight = run_straight(cfg.clone());
+    let cfg = variant_cfg(6, 17);
+    let straight = run_straight(cfg.clone(), false);
 
     let mut sim = Simulation::new(cfg.clone()).unwrap();
     for _ in 0..250 {
@@ -220,7 +230,7 @@ fn aggregate_snapshot_encodes_as_v3_and_resumes_from_disk() {
 
 #[test]
 fn per_peer_snapshot_still_encodes_as_v2() {
-    let cfg = variant_cfg(0, false, 17);
+    let cfg = variant_cfg(0, 17);
     let mut sim = Simulation::new(cfg).unwrap();
     for _ in 0..50 {
         assert!(sim.step().unwrap());
@@ -235,19 +245,19 @@ fn per_peer_snapshot_still_encodes_as_v2() {
 
 #[test]
 fn aggregate_checked_mode_resume_holds() {
-    let mut cfg = variant_cfg(5, false, 23);
+    let mut cfg = variant_cfg(5, 23);
     cfg.checked = true;
     cfg.horizon = 300.0;
     cfg.warmup = 100.0;
     cfg.drain = 300.0;
     let straight = Simulation::new(cfg.clone()).unwrap().try_run().unwrap();
-    let resumed = run_interrupted(cfg, 150);
+    let resumed = run_interrupted(cfg, 150, false);
     assert_bit_identical(&straight, &resumed);
 }
 
 #[test]
 fn aggregate_snapshot_refused_for_per_peer_config() {
-    let cfg = variant_cfg(5, false, 29);
+    let cfg = variant_cfg(5, 29);
     let mut sim = Simulation::new(cfg.clone()).unwrap();
     for _ in 0..50 {
         assert!(sim.step().unwrap());
@@ -265,7 +275,7 @@ fn aggregate_snapshot_refused_for_per_peer_config() {
 
 #[test]
 fn mismatched_config_is_refused() {
-    let cfg = variant_cfg(0, false, 9);
+    let cfg = variant_cfg(0, 9);
     let mut sim = Simulation::new(cfg.clone()).unwrap();
     for _ in 0..50 {
         assert!(sim.step().unwrap());
@@ -311,7 +321,7 @@ fn hookless_snapshot_refuses_a_hook() {
             b"flat".to_vec()
         }
     }
-    let cfg = variant_cfg(0, false, 9);
+    let cfg = variant_cfg(0, 9);
     let mut sim = Simulation::new(cfg.clone()).unwrap();
     for _ in 0..50 {
         assert!(sim.step().unwrap());

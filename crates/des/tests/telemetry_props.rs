@@ -1,8 +1,9 @@
 //! The telemetry contracts the rest of the workspace leans on:
 //!
 //! * **Zero perturbation** — a run with a probe attached is bit-identical
-//!   to the same seed without one, in both `exact_rates` modes, across
-//!   every scheme (probes only borrow engine state).
+//!   to the same seed without one, in every rate mode and under the
+//!   forced-full-recompute test reference, across every scheme (probes
+//!   only borrow engine state).
 //! * **Resumable traces** — counters and the sampler phase live inside
 //!   the snapshot, so a run cut at an arbitrary event and resumed emits
 //!   exactly the trace tail the uninterrupted run would have.
@@ -17,45 +18,33 @@ use btfluid_des::observer::SimOutcome;
 use btfluid_des::snapshot::Snapshot;
 use btfluid_des::{
     shared_recorder, Counters, FanoutProbe, FlightKind, FlightRecord, FlightRecorder, MemoryProbe,
-    OwnedSample, Probe, RecorderProbe, Sample,
+    OwnedSample, Probe, RecorderProbe,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
-/// Forwards every observation into a shared [`MemoryProbe`] so the test
-/// can read the telemetry back after the engine consumed the probe box.
-struct Fwd(Arc<Mutex<MemoryProbe>>);
-
-impl Probe for Fwd {
-    fn sample_every(&self) -> f64 {
-        self.0.lock().unwrap().sample_every()
-    }
-    fn on_sample(&mut self, sample: &Sample<'_>) {
-        self.0.lock().unwrap().on_sample(sample);
-    }
-    fn on_span(&mut self, name: &str, micros: u64) {
-        self.0.lock().unwrap().on_span(name, micros);
-    }
-    fn on_finish(&mut self, t: f64, counters: &Counters) {
-        self.0.lock().unwrap().on_finish(t, counters);
-    }
-}
-
+/// A [`MemoryProbe`] the test can read back after the engine consumed the
+/// probe box.
 fn memory_probe(cadence: f64) -> (Arc<Mutex<MemoryProbe>>, Box<dyn Probe>) {
     let shared = Arc::new(Mutex::new(MemoryProbe::new(cadence)));
-    let probe = Box::new(Fwd(Arc::clone(&shared)));
+    let probe = Box::new(Arc::clone(&shared));
     (shared, probe)
 }
 
-/// Rate-maintenance mode axis: 0 = incremental, 1 = exact, 2 = aggregate.
-fn apply_mode(cfg: &mut DesConfig, mode: usize) {
-    cfg.exact_rates = mode == 1;
+/// Rate-maintenance mode axis: 0 = incremental, 1 = forced full
+/// recompute (the test reference), 2 = aggregate.
+fn engine(mut cfg: DesConfig, mode: usize) -> Simulation {
     cfg.aggregate = mode == 2;
+    let mut sim = Simulation::new(cfg).unwrap();
+    if mode == 1 {
+        sim.force_full_recompute_for_test();
+    }
+    sim
 }
 
 /// The five engine configurations the contracts must hold for (kept
 /// shorter than the snapshot-resume suite: every case runs twice).
-fn variant_cfg(variant: usize, exact: bool, seed: u64) -> DesConfig {
+fn variant_cfg(variant: usize, seed: u64) -> DesConfig {
     let scheme = match variant {
         0 => SchemeKind::Mtsd,
         1 => SchemeKind::Mtcd,
@@ -67,7 +56,6 @@ fn variant_cfg(variant: usize, exact: bool, seed: u64) -> DesConfig {
     cfg.warmup = 100.0;
     cfg.drain = 300.0;
     cfg.record_every = Some(25.0);
-    cfg.exact_rates = exact;
     if variant == 4 {
         cfg.adapt = Some(AdaptSetup {
             controller: AdaptConfig::default_for_mu(cfg.params.mu()),
@@ -138,8 +126,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Attaching a sampling probe — with the flight recorder armed — never
-    /// changes the run, in the incremental, exact, and aggregate rate
-    /// modes alike.
+    /// changes the run, in the incremental, forced-full-recompute, and
+    /// aggregate modes alike.
     #[test]
     fn telemetry_never_perturbs_the_run(
         variant in 0usize..5,
@@ -148,13 +136,11 @@ proptest! {
     ) {
         // Aggregate mode rejects Adapt by construction (variant 4).
         prop_assume!(!(mode == 2 && variant == 4));
-        let mut cfg = variant_cfg(variant, false, seed);
-        apply_mode(&mut cfg, mode);
-        let bare = Simulation::new(cfg.clone()).unwrap().run();
+        let cfg = variant_cfg(variant, seed);
+        let bare = engine(cfg.clone(), mode).run();
         let (shared, probe) = memory_probe(7.5);
         let flight = shared_recorder(64);
-        let probed = Simulation::new(cfg)
-            .unwrap()
+        let probed = engine(cfg, mode)
             .with_probe(Box::new(FanoutProbe::new(vec![
                 probe,
                 Box::new(RecorderProbe::new(Arc::clone(&flight))),
@@ -233,7 +219,7 @@ proptest! {
 #[test]
 fn resumed_run_emits_the_same_trace_tail() {
     // The Adapt variant exercises rho/delta in the samples too.
-    let cfg = variant_cfg(4, false, 11);
+    let cfg = variant_cfg(4, 11);
     let (full, probe) = memory_probe(5.0);
     let full_outcome = Simulation::new(cfg.clone())
         .unwrap()
@@ -300,7 +286,7 @@ fn resumed_run_emits_the_same_trace_tail() {
 /// measured window is exactly `horizon - warmup`.
 #[test]
 fn population_window_boundary_exact() {
-    let mut cfg = variant_cfg(4, false, 7);
+    let mut cfg = variant_cfg(4, 7);
     cfg.warmup = 100.0;
     cfg.horizon = 300.0;
     cfg.drain = 300.0;

@@ -334,7 +334,6 @@ pub fn config_to_json(cfg: &DesConfig) -> Json {
             "record_every".into(),
             cfg.record_every.map_or(Json::Null, Json::num_f64),
         ),
-        ("exact_rates".into(), Json::Bool(cfg.exact_rates)),
         ("aggregate".into(), Json::Bool(cfg.aggregate)),
         ("checked".into(), Json::Bool(cfg.checked)),
     ])
@@ -407,7 +406,6 @@ pub fn config_from_json(doc: &Json) -> Result<DesConfig, HarnessError> {
             _ => return Err(bad("order_policy")),
         },
         record_every: opt_f("record_every")?,
-        exact_rates: b("exact_rates")?,
         // Absent in bundles written before aggregate mode existed.
         aggregate: doc
             .get("aggregate")
@@ -441,7 +439,6 @@ mod tests {
             warm_start: false,
             order_policy: OrderPolicy::RarestFirst,
             record_every: Some(25.0),
-            exact_rates: true,
             aggregate: false,
             checked: true,
         }
@@ -457,6 +454,25 @@ mod tests {
             btfluid_des::snapshot::config_digest(&cfg),
             btfluid_des::snapshot::config_digest(&back)
         );
+    }
+
+    #[test]
+    fn legacy_rate_mode_key_is_ignored() {
+        // A `repro.json` as written while configs still carried the
+        // full-recompute flag. That mode was bit-identical to the
+        // incremental one, so the key decodes to the same config as its
+        // absence.
+        let legacy = r#"{"version":1,"cell_id":"mtcd-s42","reason":"injected panic at event 50","scenario":null,"inject_panic_at":50,"config":{"mu":0.02,"eta":0.5,"gamma":0.05,"k":10,"p":0.5,"lambda0":0.25,"scheme":"mtcd","rho":null,"horizon":4000,"warmup":800,"drain":4000,"seed":42,"adapt":null,"origin_seeds":0,"warm_start":false,"order_policy":"random","record_every":null,"exact_rates":true,"aggregate":false,"checked":false}}"#;
+        let current = legacy.replace(r#""exact_rates":true,"#, "");
+        assert_ne!(current, legacy);
+        let decode = |text: &str| ReproBundle::from_json(&Json::parse(text).unwrap()).unwrap();
+        let (old, new) = (decode(legacy), decode(&current));
+        assert_eq!(old.cfg, new.cfg);
+        assert_eq!(
+            old.cfg,
+            DesConfig::paper_small(SchemeKind::Mtcd, 0.5, 42).unwrap()
+        );
+        assert_eq!(old.inject_panic_at, Some(50));
     }
 
     #[test]

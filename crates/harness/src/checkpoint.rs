@@ -660,26 +660,6 @@ mod tests {
         use btfluid_des::MemoryProbe;
         use std::sync::{Arc, Mutex};
 
-        // MemoryProbe is consumed by the engine; share its observations
-        // out through a forwarding probe.
-        #[derive(Default)]
-        struct Shared {
-            spans: Vec<(String, u64)>,
-            finished: Option<btfluid_des::Counters>,
-        }
-        struct Fwd(Arc<Mutex<Shared>>, MemoryProbe);
-        impl Probe for Fwd {
-            fn sample_every(&self) -> f64 {
-                self.1.sample_every()
-            }
-            fn on_span(&mut self, name: &str, micros: u64) {
-                self.0.lock().unwrap().spans.push((name.into(), micros));
-            }
-            fn on_finish(&mut self, _t: f64, counters: &btfluid_des::Counters) {
-                self.0.lock().unwrap().finished = Some(*counters);
-            }
-        }
-
         let path = tmp("probed.snap");
         let _ = std::fs::remove_file(&path);
         let plan = CheckpointPlan {
@@ -687,7 +667,7 @@ mod tests {
             every_events: 64,
             retry: RetryPolicy::immediate(),
         };
-        let shared = Arc::new(Mutex::new(Shared::default()));
+        let shared = Arc::new(Mutex::new(MemoryProbe::new(10.0)));
         let report = drive(
             cfg(11),
             None,
@@ -696,7 +676,7 @@ mod tests {
             &RunLimits::default(),
             None,
             None,
-            Some(Box::new(Fwd(Arc::clone(&shared), MemoryProbe::new(10.0)))),
+            Some(Box::new(Arc::clone(&shared))),
         )
         .unwrap();
         assert_eq!(report.end, RunEnd::Completed);

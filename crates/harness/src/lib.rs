@@ -42,5 +42,6 @@ pub use error::HarnessError;
 pub use manifest::{CellRecord, CellStatus, ManifestWriter};
 pub use shard::{run_shards, ShardOutcome, ShardSpec};
 pub use supervisor::{
-    bundle_path, run_sweep, Budget, CellResult, CellSpec, FailedCell, SupervisorConfig, SweepReport,
+    bundle_path, panic_message, run_sweep, Budget, CellResult, CellSpec, FailedCell,
+    SupervisorConfig, SweepReport,
 };

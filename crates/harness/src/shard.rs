@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn first_engine_error_aborts_the_batch() {
         let mut bad = short(SchemeKind::Mtsd, 5, true);
-        bad.exact_rates = true; // aggregate + exact_rates is rejected
+        bad.horizon = 0.0; // rejected by validation
         let specs = vec![
             ShardSpec {
                 id: "good".into(),

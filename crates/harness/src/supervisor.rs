@@ -20,7 +20,7 @@ use crate::bundle::{ReproBundle, ScenarioRef};
 use crate::checkpoint::{drive, CheckpointPlan, RunEnd, RunLimits};
 use crate::error::HarnessError;
 use crate::manifest::{self, CellRecord, CellStatus, ManifestWriter};
-use btfluid_des::{Counters, DesConfig, Probe, SimOutcome};
+use btfluid_des::{Counters, DesConfig, Probe, ScenarioHook, SimOutcome};
 use btfluid_telemetry::{
     diag, shared_recorder, FanoutProbe, Level, RecorderProbe, SharedRecorder,
     DEFAULT_FLIGHT_CAPACITY,
@@ -413,47 +413,32 @@ fn run_attempt(
         };
         move || {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let hook_factory = match &cell.scenario {
-                    None => None,
-                    Some(sref) => {
-                        // Resolve eagerly so a bad reference is a typed
-                        // error, then rebuild per restore inside drive.
-                        sref.build_hook()?;
-                        Some(sref)
-                    }
-                };
-                match hook_factory {
-                    None => drive(
-                        cell.cfg.clone(),
-                        None,
-                        Some(&plan),
-                        false,
-                        &limits,
-                        Some(&cancel),
-                        Some(&mut |snap: &btfluid_des::Snapshot| {
-                            *last_snap.lock().unwrap() = Some(snap.to_bytes());
-                        }),
-                        Some(Box::new(FanoutProbe::new(vec![
-                            Box::new(CounterCapture(Arc::clone(&captured))),
-                            Box::new(RecorderProbe::new(Arc::clone(&flight))),
-                        ]))),
-                    ),
-                    Some(sref) => drive(
-                        cell.cfg.clone(),
-                        Some(&|| sref.build_hook().expect("reference resolved above")),
-                        Some(&plan),
-                        false,
-                        &limits,
-                        Some(&cancel),
-                        Some(&mut |snap: &btfluid_des::Snapshot| {
-                            *last_snap.lock().unwrap() = Some(snap.to_bytes());
-                        }),
-                        Some(Box::new(FanoutProbe::new(vec![
-                            Box::new(CounterCapture(Arc::clone(&captured))),
-                            Box::new(RecorderProbe::new(Arc::clone(&flight))),
-                        ]))),
-                    ),
+                // Resolve eagerly so a bad reference is a typed error,
+                // then rebuild per restore inside drive.
+                if let Some(sref) = &cell.scenario {
+                    sref.build_hook()?;
                 }
+                let build_hook = || {
+                    let sref = cell.scenario.as_ref().expect("scenario cell");
+                    sref.build_hook().expect("reference resolved above")
+                };
+                let hook_factory: Option<&dyn Fn() -> Box<dyn ScenarioHook>> =
+                    cell.scenario.is_some().then_some(&build_hook);
+                drive(
+                    cell.cfg.clone(),
+                    hook_factory,
+                    Some(&plan),
+                    false,
+                    &limits,
+                    Some(&cancel),
+                    Some(&mut |snap: &btfluid_des::Snapshot| {
+                        *last_snap.lock().unwrap() = Some(snap.to_bytes());
+                    }),
+                    Some(Box::new(FanoutProbe::new(vec![
+                        Box::new(CounterCapture(Arc::clone(&captured))),
+                        Box::new(RecorderProbe::new(Arc::clone(&flight))),
+                    ]))),
+                )
             }));
             // The receiver may have given up (watchdog); ignore send errors.
             let _ = tx.send(run);
@@ -516,7 +501,7 @@ fn parse_failure_t(reason: &str) -> Option<f64> {
 }
 
 /// Renders a panic payload the way `std` would.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

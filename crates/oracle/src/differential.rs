@@ -3,9 +3,10 @@
 //!
 //! Three layers answer "how does a multi-file swarm behave": the closed
 //! forms (`btfluid-core`), the transient ODE (`btfluid-scenario::fluid`)
-//! and the DES (`btfluid-des`, itself in two rate-refresh modes). Any
-//! silent numerical bug in one of them shows up as a disagreement here
-//! without anyone having to know the right answer in advance.
+//! and the DES (`btfluid-des`, checked against its own full-recompute
+//! reference). Any silent numerical bug in one of them shows up as a
+//! disagreement here without anyone having to know the right answer in
+//! advance.
 
 use crate::report::OracleConfig;
 use btfluid_des::{DesConfig, DesError, InvariantKind, SchemeKind, SimOutcome, Simulation};
@@ -37,7 +38,7 @@ fn run(cfg: DesConfig) -> Result<SimOutcome, String> {
         .map_err(|e| e.to_string())
 }
 
-/// The incremental rate cache against the forced full-recompute mode:
+/// The incremental rate cache against the forced full-recompute reference:
 /// both must produce bit-identical user records — any divergence means the
 /// dirty-tracking refresh missed an update.
 pub fn exact_vs_incremental(cfg: &OracleConfig) -> Result<String, String> {
@@ -47,11 +48,10 @@ pub fn exact_vs_incremental(cfg: &OracleConfig) -> Result<String, String> {
     ];
     let mut records = 0usize;
     for (i, &(scheme, p)) in schemes.iter().enumerate() {
-        let mut exact = short(scheme, p, cfg.seed.wrapping_add(i as u64))?;
-        exact.exact_rates = true;
-        let mut incr = exact.clone();
-        incr.exact_rates = false;
-        let a = run(exact)?;
+        let incr = short(scheme, p, cfg.seed.wrapping_add(i as u64))?;
+        let mut reference = Simulation::new(incr.clone()).map_err(|e| e.to_string())?;
+        reference.force_full_recompute_for_test();
+        let a = reference.try_run().map_err(|e| e.to_string())?;
         let b = run(incr)?;
         if a.events != b.events || a.arrivals != b.arrivals || a.records.len() != b.records.len() {
             return Err(format!(
@@ -82,7 +82,7 @@ pub fn exact_vs_incremental(cfg: &OracleConfig) -> Result<String, String> {
         records += a.records.len();
     }
     Ok(format!(
-        "2 schemes × 2 rate modes: {records} user records bit-identical"
+        "2 schemes, full recompute vs incremental: {records} user records bit-identical"
     ))
 }
 

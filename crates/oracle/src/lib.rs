@@ -119,7 +119,7 @@ pub fn registry() -> Vec<Check> {
         },
         Check {
             name: "des-exact-vs-incremental",
-            paper_ref: "engine contract (bit-identical modes)",
+            paper_ref: "engine contract (full recompute ≡ incremental)",
             tier: Tier::Quick,
             run: differential::exact_vs_incremental,
         },

@@ -32,7 +32,7 @@
 //! Determinism: a scenario run is a pure function of `(program, scheme,
 //! seed)`. Scenario randomness draws from its own RNG stream, so attaching
 //! a hook never perturbs the arrival/service draws of the underlying
-//! stationary engine, and the engine's `exact_rates` bit-equivalence
+//! stationary engine, and the engine's full-recompute bit-equivalence
 //! guarantee extends to scenario runs.
 
 #![forbid(unsafe_code)]

@@ -195,7 +195,6 @@ impl ScenarioProgram {
             warm_start: false,
             order_policy: OrderPolicy::default(),
             record_every: Some(self.record_every),
-            exact_rates: false,
             aggregate: false,
             checked: false,
         };

@@ -6,8 +6,8 @@
 //! * [`TraceHook`] implements [`ScenarioHook`] in *replay* mode
 //!   ([`ScenarioHook::replays`]): the engine consumes the recorded
 //!   arrivals by index instead of thinning a stochastic process, so the
-//!   arrival stream is exactly the trace — in all three rate modes
-//!   (incremental, exact, aggregate), since none of them touches the
+//!   arrival stream is exactly the trace — in both rate modes and the
+//!   full-recompute test reference, since none of them touches the
 //!   arrival path. The hook's state bytes encode the full trace, so
 //!   snapshots fingerprint it and a resumed run refuses a different
 //!   trace.

@@ -101,13 +101,9 @@ pub enum RateMode {
     /// Incremental dirty-tracking refresh — the production default.
     #[default]
     Incremental,
-    /// Forced full recompute on every event: O(peers) per event,
-    /// bit-identical to [`RateMode::Incremental`] (the verification
-    /// baseline).
-    Exact,
     /// Class-aggregated completion scheduling: one exponential completion
     /// event per (file, class, band) group, flat per-event cost.
-    /// Distribution-equivalent to the per-peer modes, not bit-identical;
+    /// Distribution-equivalent to the per-peer mode, not bit-identical;
     /// incompatible with Adapt (which needs per-peer progress accounting).
     Aggregate,
 }
@@ -115,7 +111,6 @@ pub enum RateMode {
 impl RateMode {
     /// Applies the mode to an engine configuration.
     pub fn apply(self, cfg: &mut btfluid_des::DesConfig) {
-        cfg.exact_rates = self == RateMode::Exact;
         cfg.aggregate = self == RateMode::Aggregate;
     }
 }
@@ -289,56 +284,65 @@ mod tests {
     }
 
     /// Telemetry probes never perturb hooked runs: with a sampling probe
-    /// attached the outcome is bit-identical to the bare run, in both
-    /// `exact_rates` modes (the des-level proptest covers hookless runs).
+    /// attached the outcome is bit-identical to the bare run, through the
+    /// runner's probed path and under the forced-full-recompute reference
+    /// (the des-level proptest covers hookless runs).
     #[test]
     fn probe_never_perturbs_hooked_runs() {
-        use btfluid_des::{Counters, MemoryProbe, Sample};
+        use btfluid_des::MemoryProbe;
         use std::sync::{Arc, Mutex};
 
-        struct Fwd(Arc<Mutex<MemoryProbe>>);
-        impl Probe for Fwd {
-            fn sample_every(&self) -> f64 {
-                self.0.lock().unwrap().sample_every()
-            }
-            fn on_sample(&mut self, s: &Sample<'_>) {
-                self.0.lock().unwrap().on_sample(s);
-            }
-            fn on_finish(&mut self, t: f64, c: &Counters) {
-                self.0.lock().unwrap().on_finish(t, c);
-            }
-        }
-
         let program = registry::flash_crowd().time_scaled(0.25);
-        for mode in [RateMode::Incremental, RateMode::Exact] {
-            let bare = run_one(&program, SchemeKind::Mtcd, None, "MTCD", 9, mode).expect("bare");
+        let cfg = program.des_config(SchemeKind::Mtcd, 9).expect("config");
+        // The engine built by hand, since the full recompute is not a
+        // runner mode.
+        let full_recompute_run = |probe: Option<Box<dyn Probe>>| {
+            let mut sim = Simulation::with_hook(cfg.clone(), Box::new(program.hook()))
+                .expect("hooked engine");
+            sim.force_full_recompute_for_test();
+            if let Some(probe) = probe {
+                sim.attach_probe(probe);
+            }
+            sim.run()
+        };
+        for full_recompute in [false, true] {
             let shared = Arc::new(Mutex::new(MemoryProbe::new(5.0)));
-            let probed = run_one_probed(
-                &program,
-                SchemeKind::Mtcd,
-                None,
-                "MTCD",
-                9,
-                mode,
-                Some(Box::new(Fwd(Arc::clone(&shared)))),
-            )
-            .expect("probed");
-            assert_eq!(bare.outcome.events, probed.outcome.events);
-            assert_eq!(bare.outcome.arrivals, probed.outcome.arrivals);
-            assert_eq!(bare.outcome.records.len(), probed.outcome.records.len());
-            for (a, b) in bare.outcome.records.iter().zip(&probed.outcome.records) {
+            let probe: Box<dyn Probe> = Box::new(Arc::clone(&shared));
+            let (bare, probed) = if full_recompute {
+                (full_recompute_run(None), full_recompute_run(Some(probe)))
+            } else {
+                let mode = RateMode::Incremental;
+                let bare = run_one(&program, SchemeKind::Mtcd, None, "MTCD", 9, mode);
+                let probed = run_one_probed(
+                    &program,
+                    SchemeKind::Mtcd,
+                    None,
+                    "MTCD",
+                    9,
+                    mode,
+                    Some(probe),
+                );
+                (bare.expect("bare").outcome, probed.expect("probed").outcome)
+            };
+            assert_eq!(bare.events, probed.events);
+            assert_eq!(bare.arrivals, probed.arrivals);
+            assert_eq!(bare.records.len(), probed.records.len());
+            for (a, b) in bare.records.iter().zip(&probed.records) {
                 assert_eq!(a.id, b.id);
                 assert_eq!(a.departure.to_bits(), b.departure.to_bits());
                 assert_eq!(a.download_span.to_bits(), b.download_span.to_bits());
                 assert_eq!(a.online_fluid.to_bits(), b.online_fluid.to_bits());
             }
-            assert_eq!(bare.outcome.aborts.len(), probed.outcome.aborts.len());
+            assert_eq!(bare.aborts.len(), probed.aborts.len());
             assert_eq!(
-                bare.outcome.population.window.to_bits(),
-                probed.outcome.population.window.to_bits()
+                bare.population.window.to_bits(),
+                probed.population.window.to_bits()
             );
             let mem = shared.lock().unwrap();
-            assert!(!mem.samples.is_empty(), "sampler never fired ({mode:?})");
+            assert!(
+                !mem.samples.is_empty(),
+                "sampler never fired (full recompute: {full_recompute})"
+            );
             assert!(mem.finished.is_some(), "on_finish not called");
         }
     }

@@ -1,14 +1,16 @@
 //! Scenario determinism and DES-vs-fluid transient agreement.
 //!
 //! * Same seed + same program ⇒ bit-identical user-record and abort
-//!   streams, in both the incremental and the forced-recompute
-//!   (`exact_rates`) engine modes, for every scheme.
+//!   streams, across reruns and against the engine's forced-full-recompute
+//!   test reference, for every scheme.
 //! * The flash-crowd transient: the DES's time-averaged downloading users
 //!   agree with the schedule-driven MTCD fluid model within the same
 //!   relative tolerance the stationary validation harness uses.
 
-use btfluid_des::SchemeKind;
-use btfluid_scenario::{des_avg_downloaders, fluid_avg_downloaders, registry, runner, RateMode};
+use btfluid_des::{SchemeKind, SimOutcome, Simulation};
+use btfluid_scenario::{
+    des_avg_downloaders, fluid_avg_downloaders, registry, runner, RateMode, ScenarioProgram,
+};
 
 const SCHEMES: [SchemeKind; 4] = [
     SchemeKind::Mtsd,
@@ -20,6 +22,14 @@ const SCHEMES: [SchemeKind; 4] = [
 /// DES-vs-fluid tolerance, matching `bench/validate.rs`.
 const REL_TOL: f64 = 0.12;
 
+/// The program run with every rate recomputed on every event.
+fn full_recompute(program: &ScenarioProgram, scheme: SchemeKind, seed: u64) -> SimOutcome {
+    let cfg = program.des_config(scheme, seed).expect("config");
+    let mut sim = Simulation::with_hook(cfg, Box::new(program.hook())).expect("engine");
+    sim.force_full_recompute_for_test();
+    sim.run()
+}
+
 fn assert_identical(program_name: &str) {
     let program = registry::by_name(program_name)
         .expect("registry name")
@@ -27,32 +37,31 @@ fn assert_identical(program_name: &str) {
     for scheme in SCHEMES {
         let a = runner::run_one(&program, scheme, None, "a", 42, RateMode::Incremental)
             .expect("incremental run");
-        let b =
-            runner::run_one(&program, scheme, None, "b", 42, RateMode::Exact).expect("exact run");
+        let b = full_recompute(&program, scheme, 42);
         let c = runner::run_one(&program, scheme, None, "c", 42, RateMode::Incremental)
             .expect("repeat run");
-        for (label, other) in [("exact_rates", &b), ("repeat", &c)] {
+        for (label, other) in [("full recompute", &b), ("repeat", &c.outcome)] {
             assert_eq!(
                 a.outcome.arrivals,
-                other.outcome.arrivals,
+                other.arrivals,
                 "{program_name}/{}: arrival count differs vs {label}",
                 scheme.name()
             );
             assert_eq!(
                 a.outcome.records,
-                other.outcome.records,
+                other.records,
                 "{program_name}/{}: user records differ vs {label}",
                 scheme.name()
             );
             assert_eq!(
                 a.outcome.aborts,
-                other.outcome.aborts,
+                other.aborts,
                 "{program_name}/{}: abort records differ vs {label}",
                 scheme.name()
             );
             assert_eq!(
                 a.outcome.events,
-                other.outcome.events,
+                other.events,
                 "{program_name}/{}: event count differs vs {label}",
                 scheme.name()
             );
@@ -82,7 +91,7 @@ fn seed_outage_is_deterministic_across_modes() {
 #[test]
 fn abort_storm_is_deterministic_across_modes() {
     // Aborts draw from the scenario stream and mutate the slab; the
-    // exact/incremental equivalence must survive them too.
+    // full-recompute/incremental equivalence must survive them too.
     assert_identical("abort_storm");
 }
 

@@ -1,11 +1,11 @@
 //! Trace replay determinism (DESIGN.md §18): a recorded trace fed
-//! through [`TraceHook`] must drive the DES identically — across the
-//! incremental/exact rate modes (bit-identical), across reruns in every
+//! through [`TraceHook`] must drive the DES identically — against the
+//! forced-full-recompute reference (bit-identical), across reruns in every
 //! mode including aggregate, and across a SIGKILL→resume cut at an
 //! arbitrary event (the snapshot carries the replay cursor).
 
 use btfluid_des::snapshot::{Snapshot, SnapshotError};
-use btfluid_des::{DesError, SchemeKind, SimOutcome, Simulation};
+use btfluid_des::{DesConfig, DesError, SchemeKind, SimOutcome, Simulation};
 use btfluid_numkit::rng::Xoshiro256StarStar;
 use btfluid_scenario::{trace_program, RateMode, TraceHook};
 use btfluid_workload::{ArrivalTrace, CorrelationModel};
@@ -16,14 +16,44 @@ fn trace(seed: u64, horizon: f64) -> ArrivalTrace {
     ArrivalTrace::generate(&m, horizon, &mut rng).unwrap()
 }
 
-fn replay(trace: &ArrivalTrace, scheme: SchemeKind, seed: u64, mode: RateMode) -> SimOutcome {
+/// An engine mode under test: a [`RateMode`], or the incremental engine
+/// switched to its forced-full-recompute test reference.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Rate(RateMode),
+    FullRecompute,
+}
+
+const MODES: [Mode; 3] = [
+    Mode::Rate(RateMode::Incremental),
+    Mode::FullRecompute,
+    Mode::Rate(RateMode::Aggregate),
+];
+
+impl Mode {
+    fn apply(self, cfg: &mut DesConfig) {
+        if let Mode::Rate(mode) = self {
+            mode.apply(cfg);
+        }
+    }
+
+    fn prepare(self, mut sim: Simulation) -> Simulation {
+        if self == Mode::FullRecompute {
+            sim.force_full_recompute_for_test();
+        }
+        sim
+    }
+}
+
+fn replay(trace: &ArrivalTrace, scheme: SchemeKind, seed: u64, mode: Mode) -> SimOutcome {
     let program = trace_program(trace, 8, 100.0).unwrap();
     let mut cfg = program.des_config(scheme, seed).unwrap();
     mode.apply(&mut cfg);
-    Simulation::with_hook(cfg, Box::new(TraceHook::new(trace).unwrap()))
-        .unwrap()
+    mode.prepare(Simulation::with_hook(cfg, Box::new(TraceHook::new(trace).unwrap())).unwrap())
         .run()
 }
+
+const INCREMENTAL: Mode = Mode::Rate(RateMode::Incremental);
 
 fn assert_same_streams(a: &SimOutcome, b: &SimOutcome, label: &str) {
     assert_eq!(a.events, b.events, "{label}: event count differs");
@@ -35,7 +65,7 @@ fn assert_same_streams(a: &SimOutcome, b: &SimOutcome, label: &str) {
 #[test]
 fn replay_consumes_every_in_horizon_arrival() {
     let t = trace(1, 600.0);
-    let out = replay(&t, SchemeKind::Mtcd, 7, RateMode::Incremental);
+    let out = replay(&t, SchemeKind::Mtcd, 7, INCREMENTAL);
     assert_eq!(
         out.arrivals,
         t.len(),
@@ -44,7 +74,7 @@ fn replay_consumes_every_in_horizon_arrival() {
 }
 
 #[test]
-fn incremental_and_exact_replay_are_bit_identical() {
+fn incremental_and_full_recompute_replay_are_bit_identical() {
     let t = trace(2, 600.0);
     for scheme in [
         SchemeKind::Mtsd,
@@ -52,16 +82,16 @@ fn incremental_and_exact_replay_are_bit_identical() {
         SchemeKind::Mfcd,
         SchemeKind::Cmfsd { rho: 0.5 },
     ] {
-        let a = replay(&t, scheme, 42, RateMode::Incremental);
-        let b = replay(&t, scheme, 42, RateMode::Exact);
-        assert_same_streams(&a, &b, &format!("incr-vs-exact/{}", scheme.name()));
+        let a = replay(&t, scheme, 42, INCREMENTAL);
+        let b = replay(&t, scheme, 42, Mode::FullRecompute);
+        assert_same_streams(&a, &b, &format!("incr-vs-full/{}", scheme.name()));
     }
 }
 
 #[test]
 fn every_mode_is_deterministic_across_reruns() {
     let t = trace(3, 600.0);
-    for mode in [RateMode::Incremental, RateMode::Exact, RateMode::Aggregate] {
+    for mode in MODES {
         let a = replay(&t, SchemeKind::Mtcd, 9, mode);
         let b = replay(&t, SchemeKind::Mtcd, 9, mode);
         assert_same_streams(&a, &b, &format!("rerun/{mode:?}"));
@@ -74,8 +104,8 @@ fn different_seeds_same_arrival_stream() {
     // Replay pins the arrival stream to the trace: the service RNG still
     // varies with the seed, but the admitted arrivals cannot.
     let t = trace(4, 600.0);
-    let a = replay(&t, SchemeKind::Mtcd, 1, RateMode::Incremental);
-    let b = replay(&t, SchemeKind::Mtcd, 2, RateMode::Incremental);
+    let a = replay(&t, SchemeKind::Mtcd, 1, INCREMENTAL);
+    let b = replay(&t, SchemeKind::Mtcd, 2, INCREMENTAL);
     assert_eq!(a.arrivals, b.arrivals);
 }
 
@@ -85,15 +115,17 @@ fn mid_replay_snapshot_resumes_bit_identical() {
     // resumed run replays the exact tail of the trace.
     let t = trace(5, 600.0);
     let program = trace_program(&t, 8, 100.0).unwrap();
-    for mode in [RateMode::Incremental, RateMode::Exact, RateMode::Aggregate] {
+    for mode in MODES {
         let mut cfg = program.des_config(SchemeKind::Mtcd, 21).unwrap();
         mode.apply(&mut cfg);
-        let straight = Simulation::with_hook(cfg.clone(), Box::new(TraceHook::new(&t).unwrap()))
-            .unwrap()
-            .run();
+        let hooked = || {
+            mode.prepare(
+                Simulation::with_hook(cfg.clone(), Box::new(TraceHook::new(&t).unwrap())).unwrap(),
+            )
+        };
+        let straight = hooked().run();
         for cut in [0usize, 137, 2500] {
-            let mut sim =
-                Simulation::with_hook(cfg.clone(), Box::new(TraceHook::new(&t).unwrap())).unwrap();
+            let mut sim = hooked();
             let mut alive = true;
             for _ in 0..cut {
                 if !sim.step().unwrap() {
@@ -103,12 +135,14 @@ fn mid_replay_snapshot_resumes_bit_identical() {
             }
             let snap = Snapshot::from_bytes(&sim.snapshot().to_bytes()).expect("codec roundtrip");
             drop(sim);
-            let mut resumed = Simulation::restore_with_hook(
-                cfg.clone(),
-                &snap,
-                Box::new(TraceHook::new(&t).unwrap()),
-            )
-            .expect("restore");
+            let mut resumed = mode.prepare(
+                Simulation::restore_with_hook(
+                    cfg.clone(),
+                    &snap,
+                    Box::new(TraceHook::new(&t).unwrap()),
+                )
+                .expect("restore"),
+            );
             if alive {
                 while resumed.step().unwrap() {}
             }

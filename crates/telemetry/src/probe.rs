@@ -9,6 +9,7 @@
 
 use crate::counters::Counters;
 use crate::flightrec::FlightRecord;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One cadence-point observation of the engine, borrowed from live
 /// engine state (no allocation on the hot path).
@@ -173,6 +174,42 @@ impl Probe for MemoryProbe {
     }
 }
 
+fn locked<P>(probe: &Mutex<P>) -> MutexGuard<'_, P> {
+    probe
+        .lock()
+        .expect("a shared probe's holder panicked mid-callback")
+}
+
+/// A probe shared between the engine, which consumes its probe box, and a
+/// caller that reads the observations back after the run:
+/// `Box::new(Arc::clone(&shared))` forwards every callback to the inner
+/// probe under the lock.
+impl<P: Probe> Probe for Arc<Mutex<P>> {
+    fn sample_every(&self) -> f64 {
+        locked(self).sample_every()
+    }
+
+    fn on_sample(&mut self, sample: &Sample<'_>) {
+        locked(self).on_sample(sample);
+    }
+
+    fn wants_flight(&self) -> bool {
+        locked(self).wants_flight()
+    }
+
+    fn on_flight(&mut self, rec: &FlightRecord) {
+        locked(self).on_flight(rec);
+    }
+
+    fn on_span(&mut self, name: &str, micros: u64) {
+        locked(self).on_span(name, micros);
+    }
+
+    fn on_finish(&mut self, t: f64, counters: &Counters) {
+        locked(self).on_finish(t, counters);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +243,23 @@ mod tests {
         assert_eq!(p.samples[0].downloaders, vec![3, 0]);
         assert_eq!(p.spans, vec![("engine".to_string(), 17)]);
         assert_eq!(p.finished, Some(Counters::default()));
+    }
+
+    #[test]
+    fn shared_probe_forwards_to_the_inner_probe() {
+        let bufs = ([1usize, 2], [0.5f64, 0.0, 1.0]);
+        let shared = Arc::new(Mutex::new(MemoryProbe::new(2.5)));
+        let mut boxed: Box<dyn Probe> = Box::new(Arc::clone(&shared));
+        assert_eq!(boxed.sample_every(), 2.5);
+        assert!(!boxed.wants_flight());
+        boxed.on_sample(&sample(&bufs));
+        boxed.on_span("checkpoint", 3);
+        boxed.on_finish(4.0, &Counters::default());
+        drop(boxed);
+        let mem = shared.lock().unwrap();
+        assert_eq!(mem.samples.len(), 1);
+        assert_eq!(mem.spans, vec![("checkpoint".to_string(), 3)]);
+        assert_eq!(mem.finished, Some(Counters::default()));
     }
 
     #[test]

@@ -335,7 +335,7 @@ mod tests {
             ("scheme", MetaField::Str("MTCD".into())),
             ("seed", MetaField::U64(u64::MAX)),
             ("sample_every", MetaField::F64(5.0)),
-            ("exact_rates", MetaField::Bool(false)),
+            ("aggregate", MetaField::Bool(false)),
         ]);
         let bufs = sample_bufs();
         sink.sample(&sample(&bufs));

@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         warm_start: false,
         order_policy: OrderPolicy::default(),
         record_every: None,
-        exact_rates: false,
         aggregate: false,
         checked: false,
     };

@@ -36,7 +36,6 @@ fn simulated_rho(cheater_fraction: f64, seed: u64) -> f64 {
         warm_start: false,
         order_policy: OrderPolicy::Random,
         record_every: None,
-        exact_rates: false,
         aggregate: false,
         checked: false,
     };

@@ -23,7 +23,6 @@ fn des_cfg(scheme: SchemeKind, p: f64) -> DesConfig {
         warm_start: false,
         order_policy: OrderPolicy::default(),
         record_every: None,
-        exact_rates: false,
         aggregate: false,
         checked: false,
     }
@@ -108,7 +107,6 @@ fn cmfsd_cfg(p: f64, rho: f64) -> DesConfig {
         warm_start: true,
         order_policy: OrderPolicy::default(),
         record_every: None,
-        exact_rates: false,
         aggregate: false,
         checked: false,
     }
