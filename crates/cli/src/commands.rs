@@ -1,4 +1,5 @@
-//! Subcommand dispatch and execution.
+//! Command handlers. Each reads only the flags its entry in
+//! [`crate::table::COMMANDS`] declares.
 
 use crate::args::Options;
 use crate::errors::{CliError, EXIT_CLOBBER, EXIT_INVARIANT, EXIT_SWEEP_FAILED};
@@ -9,7 +10,7 @@ use btfluid_core::adapt::AdaptConfig;
 use btfluid_core::multiclass::{BandwidthClass, MultiClassFluid};
 use btfluid_core::FluidParams;
 use btfluid_des::{
-    estimate_eta, run_single_torrent, ChunkLevelConfig, DesConfig, OrderPolicy, SchemeKind,
+    estimate_eta, run_single_torrent, ChunkLevelConfig, ClassStats, DesConfig, Probe, SchemeKind,
     SimOutcome, Simulation, SingleTorrentConfig, Snapshot,
 };
 use btfluid_harness as harness;
@@ -17,8 +18,8 @@ use btfluid_harness::json::Json;
 use btfluid_hybrid::{HybridConfig, HybridRunner, Regime};
 use btfluid_scenario::{registry, runner, trace_program, RateMode, TraceHook, TraceShaper};
 use btfluid_telemetry::{
-    diag, set_level, shared_recorder, Counters, FanoutProbe, Level, MetaField, Profiler,
-    RecorderProbe, SharedRecorder, SharedSink, SinkProbe, TraceSink, DEFAULT_FLIGHT_CAPACITY,
+    diag, shared_recorder, Counters, FanoutProbe, Level, MetaField, Profiler, RecorderProbe,
+    SharedRecorder, SharedSink, SinkProbe, TraceSink, DEFAULT_FLIGHT_CAPACITY,
     DEFAULT_SAMPLE_EVERY, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION, TRACE_SCHEMA, TRACE_VERSION,
 };
 use btfluid_workload::{fit_model, ArrivalTrace, CorrelationModel};
@@ -26,211 +27,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-
-const USAGE: &str = "\
-btfluid — multiple-file BitTorrent downloading, reproduced (ICPP 2006)
-
-USAGE: btfluid <command> [options]
-
-COMMANDS
-  fig2        Figure 2: MTCD vs MTSD avg online time per file vs correlation
-                [--points N] [--k K]
-  fig3        Figure 3: per-class times at p = 0.1 and p = 1.0  [--k K] [--p LIST]
-  fig4a       Figure 4(a): CMFSD avg online time per file over the (p, ρ) grid
-  fig4b       Figure 4(b): per-class CMFSD vs MFCD at p = 0.9
-  fig4c       Figure 4(c): per-class CMFSD vs MFCD at p = 0.1
-  validate    X3: fluid model vs peer-level simulator
-                [--p P] [--reps N] [--horizon H] [--warmup W] [--seed S]
-  adapt       X4: Adapt under cheaters  [--cheaters LIST] [--p P] [--reps N]
-                [--epoch E] [--horizon H] [--seed S]
-  transient   X5: flash-crowd settling  [--p P] [--crowd N]
-  ablation    X6: parameter elasticities per scheme  [--p P]
-  skew        X8: Zipf popularity skew, MTCD vs MTSD  [--k K]
-  multiclass  X7: heterogeneous bandwidth classes, fluid vs simulation
-                [--classes MU:C:LAMBDA,...] [--seed S]
-  eta         X9: measure the sharing efficiency η at chunk level [--seed S]
-  sim         one raw simulation  --scheme mtsd|mtcd|mfcd|cmfsd[:RHO]
-                [--p P] [--horizon H] [--warmup W] [--seed S]
-                [--origin-seeds N]
-  scenario    non-stationary scenario runs (flash crowds, churn, faults)
-                btfluid scenario list
-                btfluid scenario <name> [--scheme SCHEME] [--seed S]
-                  [--smoke | --scale F] [--aggregate] [--fluid]
-                  [--checked] [--trace FILE] [--sample-every T]
-                crash-safe (single-scheme only):
-                  [--checkpoint FILE] [--checkpoint-every N] [--resume]
-                  [--records FILE]
-                multiscale fluid/DES driver (mtcd|mtsd only):
-                  --hybrid [--hybrid-tol T] (default 0.1; thresholds
-                  hi = ceil(1/T²), lo = hi/2); --checkpoint-every counts
-                  decision boundaries here, not events
-                flight recorder (observe-only ring of recent happenings):
-                  [--flightrec FILE] [--flightrec-cap N] (default 256)
-  inspect     summarize a telemetry trace (counters, anomaly flags,
-              per-class trajectories) or a flight-recorder dump (event
-              mix, last handoff/checkpoint, staleness vs failure time)
-                btfluid inspect <trace.jsonl|flightrec.jsonl> [--csv-out FILE]
-  profile     hot-path self-profiler: one engine run with scoped phase
-              timers (heap ops, rate maintenance, member sampling, hook
-              dispatch, snapshot encode, sink write), calibrated-overhead
-              subtracted, rendered as per-phase wall and per-event tables
-                [--scheme S] [--p P] [--horizon H] [--seed S]
-                [--aggregate] [--trace FILE]
-  perf        cross-run performance observatory over committed BENCH_*.json
-              and sweep manifests
-                [--bench FILES] [--manifest FILE] [--history FILE]
-                [--report FILE] [--md-out FILE] [--record] [--check]
-                [--canary]
-              --record appends today's metrics to the history
-              (PERF_HISTORY.jsonl); --check compares them against the
-              noise band (median ± MAD over history) and exits 4 on a
-              regression; --canary degrades the metrics first and must
-              exit 4 — CI asserts exactly that
-  sweep       supervised replicate sweep with failure quarantine
-                --manifest FILE [--bundles DIR] [--schemes LIST] [--reps N]
-                [--seed S] [--p P] [--k K] [--horizon H] [--resume]
-                [--retries N] [--workers N] [--event-budget N]
-                [--wall-budget-ms MS] [--checkpoint-every N] [--checked]
-                [--aggregate] [--inject-panic CELL@EVENT]
-                [--workload FILE] replays a recorded arrival trace into
-                every cell (geometry and rates come from the trace;
-                --p/--k/--horizon are ignored; [--bins N] bins the
-                empirical rate for the reference schedule)
-  trace       measurement-calibrated workload traces
-              (codec btfluid-trace-arrivals v1, CSV or JSONL)
-                btfluid trace gen --out FILE [--shape flat|diurnal]
-                  [--k K] [--p P] [--lambda0 L] [--horizon H] [--seed S]
-                  [--alpha A] [--leecher-frac F] [--format csv|jsonl]
-                btfluid trace fit --in FILE          recover (λ₀, p) by
-                  moment matching; prints fitted vs empirical moments
-                btfluid trace replay --in FILE [--scheme S] [--seed S]
-                  [--aggregate] [--bins N] [--warmup W]
-                  [--fluid]  drive the DES with the recorded arrivals
-                btfluid trace info --in FILE         codec header, rate,
-                  and class histogram
-  repro       replay a quarantined cell (or chaos plan) from its repro
-              bundle
-                btfluid repro <bundle-dir>
-  chaos       deterministic chaos sweep: seeded random fault plans × I/O
-              fault schedules × kill/resume points, run against the
-              invariant catalog; violations are shrunk to minimal failing
-              plans and written as replayable repro bundles
-                [--seed S] [--cells N] [--bundles DIR] [--expect-fail]
-              exits 4 when any invariant is violated; --expect-fail runs
-              a canary with silently corrupted checkpoints that must be
-              caught (exit 4) — CI asserts exactly that
-  selfcheck   differential self-check oracle: paper-derived invariants,
-              cross-implementation agreement, decoder fuzz
-                [--full] [--seed S] [--expect-fail]
-              --full adds the simulation-heavy checks; --expect-fail seeds
-              a deliberate rate-cache corruption and exits 4 when (and only
-              when) the audit detects it
-  all         every fluid-model figure in sequence
-
-GLOBAL OPTIONS
-  --csv            print CSV instead of an aligned table
-  --out FILE       also write the (CSV) output to FILE
-  --force          overwrite existing --out/--records files
-  --verbose        debug-level stderr diagnostics (includes engine traces)
-  --quiet          errors only on stderr; result output is unaffected
-  --help           this message
-
-OBSERVABILITY
-  --trace FILE streams a versioned JSONL telemetry trace (schema
-  btfluid-trace v1): per-class populations, aggregate rates, Adapt ρ/Δ,
-  and hot-loop counters, sampled every --sample-every simulated time
-  units (default 5). Traces are written atomically (FILE.tmp, renamed on
-  completion) and never mix with result files. 'btfluid inspect' reads
-  them back. All diagnostics go to stderr; --quiet/--verbose set their
-  level globally.
-
-SEEDS
-  Every DES-running command is deterministic under --seed; reruns with the
-  same seed are bit-identical. Defaults: validate 2006, adapt 43, sim 1,
-  eta 11, multiclass 7, scenario 2006, sweep 2006. Fluid-only commands
-  (fig*, transient, ablation, skew) take no seed.
-
-CRASH SAFETY
-  --checkpoint FILE writes an atomic engine snapshot every
-  --checkpoint-every events (default 5000); with --resume a run killed at
-  any instant picks up from the checkpoint and finishes **bit-identical**
-  to an uninterrupted run. A finished run deletes its checkpoint. The
-  sweep command journals finished cells to --manifest (JSONL, append-only)
-  and --resume skips them; a cell that panics or blows its budget is
-  quarantined into a repro bundle under --bundles, replayable with
-  'btfluid repro'. --checked enables per-event engine invariant audits.
-
-EXIT CODES
-  0 success          1 usage or I/O     2 invalid configuration
-  3 solver diverged  4 invariant violated (--checked, chaos)
-  5 snapshot/checkpoint rejected        6 sweep had failures / repro
-  7 refused to overwrite (use --force)    reproduced the recorded failure
-";
-
-/// Runs the command line; `Ok(())` on success.
-pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
-    // The global verbosity flags may appear anywhere on the line; peel
-    // them before any positional/option handling so every command (and
-    // every diag! call below it) shares one threshold.
-    let mut filtered = Vec::with_capacity(argv.len());
-    for arg in argv {
-        match arg.as_str() {
-            "--verbose" => set_level(Level::Debug),
-            "--quiet" => set_level(Level::Error),
-            _ => filtered.push(arg.clone()),
-        }
-    }
-    let argv = filtered;
-    let Some(cmd) = argv.first() else {
-        print!("{USAGE}");
-        return Ok(());
-    };
-    if cmd == "--help" || cmd == "help" || cmd == "-h" {
-        print!("{USAGE}");
-        return Ok(());
-    }
-    // `scenario`, `repro`, `inspect`, and `trace` take a positional
-    // argument before the options.
-    if cmd == "scenario" {
-        return cmd_scenario(&argv[1..]);
-    }
-    if cmd == "repro" {
-        return cmd_repro(&argv[1..]);
-    }
-    if cmd == "inspect" {
-        return cmd_inspect(&argv[1..]);
-    }
-    if cmd == "trace" {
-        return cmd_trace(&argv[1..]);
-    }
-    let opts = Options::parse(&argv[1..])?;
-    if opts.has("help") {
-        print!("{USAGE}");
-        return Ok(());
-    }
-    match cmd.as_str() {
-        "fig2" => cmd_fig2(&opts),
-        "fig3" => cmd_fig3(&opts),
-        "fig4a" => cmd_fig4a(&opts),
-        "fig4b" => cmd_fig4bc(&opts, 0.9),
-        "fig4c" => cmd_fig4bc(&opts, 0.1),
-        "validate" => cmd_validate(&opts),
-        "adapt" => cmd_adapt(&opts),
-        "transient" => cmd_transient(&opts),
-        "ablation" => cmd_ablation(&opts),
-        "multiclass" => cmd_multiclass(&opts),
-        "skew" => cmd_skew(&opts),
-        "eta" => cmd_eta(&opts),
-        "sim" => cmd_sim(&opts),
-        "profile" => cmd_profile(&opts),
-        "perf" => crate::perf::cmd_perf(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "chaos" => cmd_chaos(&opts),
-        "selfcheck" => cmd_selfcheck(&opts),
-        "all" => cmd_all(&opts),
-        other => Err(format!("unknown command '{other}' (try --help)").into()),
-    }
-}
 
 thread_local! {
     /// Paths this invocation already wrote: commands that emit several
@@ -264,7 +60,7 @@ fn emit(table: &Table, opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_fig2(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_fig2(opts: &Options) -> Result<(), CliError> {
     let cfg = fig2::Fig2Config {
         points: opts.get_usize("points", 50)?,
         k: opts.get_usize("k", 10)? as u32,
@@ -274,7 +70,7 @@ fn cmd_fig2(opts: &Options) -> Result<(), CliError> {
     emit(&r.table(), opts)
 }
 
-fn cmd_fig3(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_fig3(opts: &Options) -> Result<(), CliError> {
     let cfg = fig3::Fig3Config {
         k: opts.get_usize("k", 10)? as u32,
         correlations: opts.get_f64_list("p", &[0.1, 1.0])?,
@@ -287,12 +83,12 @@ fn cmd_fig3(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_fig4a(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_fig4a(opts: &Options) -> Result<(), CliError> {
     let r = fig4a::run(&fig4a::Fig4aConfig::default())?;
     emit(&r.table(), opts)
 }
 
-fn cmd_fig4bc(opts: &Options, p: f64) -> Result<(), CliError> {
+pub(crate) fn cmd_fig4bc(opts: &Options, p: f64) -> Result<(), CliError> {
     let cfg = fig4bc::Fig4bcConfig {
         correlations: vec![p],
         ..Default::default()
@@ -304,7 +100,7 @@ fn cmd_fig4bc(opts: &Options, p: f64) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_validate(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_validate(opts: &Options) -> Result<(), CliError> {
     let p = opts.get_f64("p", 0.5)?;
     let cfg = validate::ValidateConfig {
         model: CorrelationModel::new(10, p, 0.25)?,
@@ -324,7 +120,7 @@ fn cmd_validate(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_adapt(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_adapt(opts: &Options) -> Result<(), CliError> {
     let p = opts.get_f64("p", 0.9)?;
     let cfg = adapt_exp::AdaptExpConfig {
         model: CorrelationModel::new(10, p, 0.25)?,
@@ -341,7 +137,7 @@ fn cmd_adapt(opts: &Options) -> Result<(), CliError> {
     emit(&r.table(), opts)
 }
 
-fn cmd_transient(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_transient(opts: &Options) -> Result<(), CliError> {
     let cfg = transient::TransientConfig {
         p: opts.get_f64("p", 0.5)?,
         flash_crowd: opts.get_f64("crowd", 200.0)?,
@@ -355,7 +151,7 @@ fn cmd_transient(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_ablation(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_ablation(opts: &Options) -> Result<(), CliError> {
     let p = opts.get_f64("p", 0.7)?;
     let cfg = ablation::AblationConfig {
         model: CorrelationModel::new(10, p, 1.0)?,
@@ -365,7 +161,7 @@ fn cmd_ablation(opts: &Options) -> Result<(), CliError> {
     emit(&r.table(), opts)
 }
 
-fn cmd_eta(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_eta(opts: &Options) -> Result<(), CliError> {
     let seed = opts.get_u64("seed", 11)?;
     let mut t = Table::new(
         "X9 — chunk-level η: downloader upload utilization and seed byte share",
@@ -393,7 +189,7 @@ fn cmd_eta(opts: &Options) -> Result<(), CliError> {
     emit(&t, opts)
 }
 
-fn cmd_skew(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_skew(opts: &Options) -> Result<(), CliError> {
     let cfg = skew::SkewConfig {
         k: opts.get_usize("k", 10)? as u32,
         ..Default::default()
@@ -402,49 +198,23 @@ fn cmd_skew(opts: &Options) -> Result<(), CliError> {
     emit(&r.table(), opts)
 }
 
+/// `MU:C:LAMBDA,...`, one bandwidth class per comma.
 fn parse_classes(spec: &str) -> Result<Vec<BandwidthClass>, CliError> {
-    let mut classes = Vec::new();
-    for (i, tok) in spec.split(',').enumerate() {
-        let parts: Vec<&str> = tok.trim().split(':').collect();
-        if parts.len() != 3 {
-            return Err(format!("class {i}: expected MU:C:LAMBDA, got '{tok}'").into());
+    let class = |(i, tok): (usize, &str)| -> Result<BandwidthClass, CliError> {
+        let nums: Result<Vec<f64>, _> = tok.trim().split(':').map(str::parse).collect();
+        match nums.as_deref() {
+            Ok(&[mu, c, lambda]) => Ok(BandwidthClass { mu, c, lambda }),
+            _ => Err(format!("class {i}: expected MU:C:LAMBDA numbers, got '{tok}'").into()),
         }
-        classes.push(BandwidthClass {
-            mu: parts[0]
-                .parse()
-                .map_err(|_| format!("class {i}: bad μ '{}'", parts[0]))?,
-            c: parts[1]
-                .parse()
-                .map_err(|_| format!("class {i}: bad c '{}'", parts[1]))?,
-            lambda: parts[2]
-                .parse()
-                .map_err(|_| format!("class {i}: bad λ '{}'", parts[2]))?,
-        });
-    }
-    Ok(classes)
+    };
+    spec.split(',').enumerate().map(class).collect()
 }
 
-fn cmd_multiclass(opts: &Options) -> Result<(), CliError> {
-    let classes = match opts.get("classes") {
-        Some(spec) => parse_classes(spec)?,
-        None => vec![
-            BandwidthClass {
-                mu: 0.005,
-                c: 0.05,
-                lambda: 0.2,
-            },
-            BandwidthClass {
-                mu: 0.02,
-                c: 0.2,
-                lambda: 0.3,
-            },
-            BandwidthClass {
-                mu: 0.08,
-                c: 0.8,
-                lambda: 0.1,
-            },
-        ],
-    };
+pub(crate) fn cmd_multiclass(opts: &Options) -> Result<(), CliError> {
+    let spec = opts
+        .get("classes")
+        .unwrap_or("0.005:0.05:0.2,0.02:0.2:0.3,0.08:0.8:0.1");
+    let classes = parse_classes(spec)?;
     let fluid = MultiClassFluid::new(classes.clone(), 0.5, 0.05)?;
     let ss = fluid.steady_state()?;
     let sim = run_single_torrent(&SingleTorrentConfig {
@@ -506,26 +276,40 @@ fn rate_mode(opts: &Options) -> RateMode {
     }
 }
 
-fn cmd_sim(opts: &Options) -> Result<(), CliError> {
-    let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtsd"))?;
+/// Applies the run flags to an engine configuration: the rate mode, and
+/// `--checked` per-event invariant audits.
+fn apply_run_flags(opts: &Options, cfg: &mut DesConfig) {
+    rate_mode(opts).apply(cfg);
+    cfg.checked = opts.has("checked");
+}
+
+/// The paper-workload engine configuration of `sim`, `profile` and
+/// `sweep`: `--k` files (default 10) at `--p` (default 0.5) until
+/// `--horizon` (warm-up `--warmup`, default a quarter of it), drained one
+/// more horizon, `--origin-seeds` (default 1) and the run flags. A flag
+/// the command does not declare keeps its default.
+fn des_config(
+    opts: &Options,
+    scheme: SchemeKind,
+    seed: u64,
+    horizon: f64,
+) -> Result<DesConfig, CliError> {
     let p = opts.get_f64("p", 0.5)?;
-    let horizon = opts.get_f64("horizon", 4000.0)?;
-    let cfg = DesConfig {
-        params: FluidParams::paper(),
-        model: CorrelationModel::new(10, p, 0.25)?,
-        scheme,
-        horizon,
-        warmup: opts.get_f64("warmup", horizon / 4.0)?,
-        drain: horizon,
-        seed: opts.get_u64("seed", 1)?,
-        adapt: None,
-        origin_seeds: opts.get_usize("origin-seeds", 1)?,
-        warm_start: false,
-        order_policy: OrderPolicy::default(),
-        record_every: None,
-        aggregate: opts.has("aggregate"),
-        checked: opts.has("checked"),
-    };
+    let horizon = opts.get_f64("horizon", horizon)?;
+    let mut cfg = DesConfig::paper_small(scheme, p, seed)?;
+    cfg.model = CorrelationModel::new(opts.get_usize("k", 10)? as u32, p, 0.25)?;
+    cfg.horizon = horizon;
+    cfg.warmup = opts.get_f64("warmup", horizon / 4.0)?;
+    cfg.drain = horizon;
+    cfg.origin_seeds = opts.get_usize("origin-seeds", 1)?;
+    apply_run_flags(opts, &mut cfg);
+    Ok(cfg)
+}
+
+pub(crate) fn cmd_sim(opts: &Options) -> Result<(), CliError> {
+    let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtsd"))?;
+    let cfg = des_config(opts, scheme, opts.get_u64("seed", 1)?, 4000.0)?;
+    let p = cfg.model.p();
     let outcome = Simulation::new(cfg)?.try_run()?;
     let mut t = Table::new(
         format!("simulation — {} (p = {p})", scheme.name()),
@@ -566,63 +350,122 @@ fn write_flight_dump(path: &Path, flight: &SharedRecorder) -> Result<(), CliErro
     Ok(())
 }
 
-/// Best-effort flight dump on an error path, so a typed engine or driver
-/// error still ships its last-N-events story. Never masks the original
-/// error: a dump failure only warns, and an empty ring (the error fired
-/// before any run) writes nothing.
-fn dump_flight_on_error(path: &Path, flight: &SharedRecorder) {
-    if flight.lock().unwrap_or_else(|e| e.into_inner()).is_empty() {
-        return;
+/// The optional observers of one run, shared by `profile`, `scenario` and
+/// `scenario --hybrid`: the `--trace` JSONL sink, sampled every
+/// `--sample-every`, and the `--flightrec` ring of the last
+/// `--flightrec-cap` happenings.
+struct Observers {
+    sink: Option<SharedSink>,
+    sample_every: f64,
+    flight: Option<(SharedRecorder, PathBuf)>,
+}
+
+impl Observers {
+    fn open(opts: &Options) -> Result<Self, CliError> {
+        let sample_every = opts.get_f64("sample-every", DEFAULT_SAMPLE_EVERY)?;
+        if !sample_every.is_finite() || sample_every <= 0.0 {
+            return Err("--sample-every must be positive".into());
+        }
+        let sink = match opts.get("trace") {
+            Some(path) => {
+                check_clobber(path, opts)?;
+                // A kill between the sink's tmp write and its finishing
+                // rename leaves `<trace>.tmp` behind; clear it like
+                // checkpoint tmps.
+                harness::clean_stale_tmp(Path::new(path));
+                Some(TraceSink::create(Path::new(path))?.shared())
+            }
+            None => None,
+        };
+        let flight = match opts.get("flightrec") {
+            Some(path) => {
+                check_clobber(path, opts)?;
+                let cap = opts.get_usize("flightrec-cap", DEFAULT_FLIGHT_CAPACITY)?;
+                if cap == 0 {
+                    return Err("--flightrec-cap must be at least 1".into());
+                }
+                Some((shared_recorder(cap), PathBuf::from(path)))
+            }
+            None => None,
+        };
+        Ok(Self {
+            sink,
+            sample_every,
+            flight,
+        })
     }
-    if let Err(e) = write_flight_dump(path, flight) {
-        diag!(Level::Warn, "flight dump on the error path failed: {e}");
+
+    /// Starts a trace segment (one engine run) with its `meta` record;
+    /// returns the sink for drivers that stream into it themselves.
+    fn segment(&self, meta: &[(&str, MetaField)]) -> Option<&SharedSink> {
+        let sink = self.sink.as_ref()?;
+        sink.lock().unwrap_or_else(|e| e.into_inner()).meta(meta);
+        Some(sink)
+    }
+
+    /// Starts a trace segment and returns the engine probe feeding every
+    /// open observer.
+    fn probe(&self, meta: &[(&str, MetaField)]) -> Option<Box<dyn Probe>> {
+        let mut probes: Vec<Box<dyn Probe>> = Vec::new();
+        if let Some(sink) = self.segment(meta) {
+            probes.push(Box::new(SinkProbe::new(sink.clone(), self.sample_every)));
+        }
+        if let Some((flight, _)) = &self.flight {
+            probes.push(Box::new(RecorderProbe::new(Arc::clone(flight))));
+        }
+        match probes.len() {
+            0 => None,
+            1 => probes.pop(),
+            _ => Some(Box::new(FanoutProbe::new(probes))),
+        }
+    }
+
+    /// Runs `run`; when it fails, the flight ring still ships its last-N
+    /// story. Never masks the original error: a dump failure only warns,
+    /// and an empty ring (the error fired before any run) writes nothing.
+    fn guard<T>(&self, run: impl FnOnce() -> Result<T, CliError>) -> Result<T, CliError> {
+        let result = run();
+        if let (Err(_), Some((flight, path))) = (&result, &self.flight) {
+            if !flight.lock().unwrap_or_else(|e| e.into_inner()).is_empty() {
+                if let Err(e) = write_flight_dump(path, flight) {
+                    diag!(Level::Warn, "flight dump on the error path failed: {e}");
+                }
+            }
+        }
+        result
+    }
+
+    /// Closes the observers: `close` writes the sink's last records before
+    /// the trace is renamed into place, then the flight ring is dumped.
+    fn finish(self, close: impl FnOnce(&mut TraceSink)) -> Result<(), CliError> {
+        if let Some(sink) = self.sink {
+            let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
+            close(&mut guard);
+            let path = guard.finish()?;
+            diag!(Level::Info, "wrote trace {}", path.display());
+        }
+        if let Some((flight, path)) = &self.flight {
+            write_flight_dump(path, flight)?;
+        }
+        Ok(())
     }
 }
 
 /// `btfluid profile` — run one engine configuration with the hierarchical
 /// self-profiler enabled and render the per-phase cost tables.
-fn cmd_profile(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_profile(opts: &Options) -> Result<(), CliError> {
     let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtcd"))?;
-    let p = opts.get_f64("p", 0.5)?;
-    let horizon = opts.get_f64("horizon", 2000.0)?;
-    let cfg = DesConfig {
-        params: FluidParams::paper(),
-        model: CorrelationModel::new(10, p, 0.25)?,
-        scheme,
-        horizon,
-        warmup: opts.get_f64("warmup", horizon / 4.0)?,
-        drain: horizon,
-        seed: opts.get_u64("seed", 1)?,
-        adapt: None,
-        origin_seeds: opts.get_usize("origin-seeds", 1)?,
-        warm_start: false,
-        order_policy: OrderPolicy::default(),
-        record_every: None,
-        aggregate: opts.has("aggregate"),
-        checked: opts.has("checked"),
-    };
-    let sink = match opts.get("trace") {
-        Some(path) => {
-            check_clobber(path, opts)?;
-            harness::clean_stale_tmp(Path::new(path));
-            Some(TraceSink::create(Path::new(path))?.shared())
-        }
-        None => None,
-    };
+    let cfg = des_config(opts, scheme, opts.get_u64("seed", 1)?, 2000.0)?;
+    let (p, seed) = (cfg.model.p(), cfg.seed);
+    let observers = Observers::open(opts)?;
     let mut sim = Simulation::new(cfg)?;
     sim.enable_profiler(Profiler::calibrated());
-    if let Some(sink) = &sink {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).meta(&[
-            (
-                "label",
-                MetaField::Str(format!("profile-{}", scheme.name())),
-            ),
-            ("seed", MetaField::U64(opts.get_u64("seed", 1)?)),
-        ]);
-        sim.attach_probe(Box::new(SinkProbe::new(
-            sink.clone(),
-            opts.get_f64("sample-every", DEFAULT_SAMPLE_EVERY)?,
-        )));
+    let label = format!("profile-{}", scheme.name());
+    if let Some(probe) = observers.probe(&[
+        ("label", MetaField::Str(label)),
+        ("seed", MetaField::U64(seed)),
+    ]) {
+        sim.attach_probe(probe);
     }
     let started = std::time::Instant::now();
     while sim.step()? {}
@@ -631,12 +474,7 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
         .profiler_table()
         .ok_or_else(|| CliError::from("internal: profiler vanished".to_string()))?;
     let outcome = sim.finish();
-    if let Some(sink) = sink {
-        let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
-        guard.profile(&table);
-        let path = guard.finish()?;
-        diag!(Level::Info, "wrote trace {}", path.display());
-    }
+    observers.finish(|sink| sink.profile(&table))?;
 
     let events = table.events.max(1);
     let accounted = table.accounted_ns();
@@ -652,11 +490,8 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
         ],
     );
     for (name, stats) in &table.phases {
-        let pct = if accounted > 0 {
-            100.0 * stats.self_ns as f64 / accounted as f64
-        } else {
-            0.0
-        };
+        // `accounted` sums the `self_ns` column, so it is 0 only when all are.
+        let pct = 100.0 * stats.self_ns as f64 / accounted.max(1) as f64;
         let per_call = if stats.calls > 0 {
             format!("{:.0}", stats.self_ns as f64 / stats.calls as f64)
         } else {
@@ -695,20 +530,10 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
 }
 
 /// `btfluid scenario list` | `btfluid scenario <name> [options]`.
-///
-/// The scenario name is positional, so it is peeled off before the
-/// option parser (which rejects positionals) sees the rest.
-fn cmd_scenario(rest: &[String]) -> Result<(), CliError> {
-    let Some(name) = rest.first() else {
-        return Err(format!(
-            "scenario: missing name (try 'btfluid scenario list'); registry: {}",
-            registry::SCENARIO_NAMES.join(", ")
-        )
-        .into());
-    };
-    let opts = Options::parse(&rest[1..])?;
+pub(crate) fn cmd_scenario(opts: &Options) -> Result<(), CliError> {
+    let name = opts.arg();
     if name == "list" {
-        return scenario_list(&opts);
+        return scenario_list(opts);
     }
     let Some(mut program) = registry::by_name(name) else {
         return Err(format!(
@@ -730,136 +555,66 @@ fn cmd_scenario(rest: &[String]) -> Result<(), CliError> {
         program = program.time_scaled(scale);
     }
     let seed = opts.get_u64("seed", 2006)?;
-    let mode = rate_mode(&opts);
-    let crash_safe = opts.get("checkpoint").is_some()
-        || opts.get("records").is_some()
-        || opts.has("resume")
-        || opts.has("checked");
-
-    let sample_every = opts.get_f64("sample-every", DEFAULT_SAMPLE_EVERY)?;
-    if !sample_every.is_finite() || sample_every <= 0.0 {
-        return Err("scenario: --sample-every must be positive".into());
-    }
-    let sink = match opts.get("trace") {
-        Some(path) => {
-            check_clobber(path, &opts)?;
-            // A kill between the sink's tmp write and its finishing rename
-            // leaves `<trace>.tmp` behind; clear it like checkpoint tmps.
-            harness::clean_stale_tmp(Path::new(path));
-            Some(TraceSink::create(Path::new(path))?.shared())
-        }
-        None => None,
-    };
-
-    // Flight recorder: an observe-only ring of the last-N engine
-    // happenings, dumped as a `flightrec v1` JSONL artifact at the end.
-    let flightrec = opts.get("flightrec").map(PathBuf::from);
-    let flight = match &flightrec {
-        Some(path) => {
-            check_clobber(&path.display().to_string(), &opts)?;
-            let cap = opts.get_usize("flightrec-cap", DEFAULT_FLIGHT_CAPACITY)?;
-            if cap == 0 {
-                return Err("scenario: --flightrec-cap must be at least 1".into());
-            }
-            Some(shared_recorder(cap))
-        }
-        None => None,
-    };
+    let mode = rate_mode(opts);
+    let crash_safe = ["checkpoint", "records", "resume", "checked"]
+        .iter()
+        .any(|f| opts.has(f));
+    let observers = Observers::open(opts)?;
 
     if opts.has("hybrid") {
-        return run_scenario_hybrid(
-            name,
-            &program,
-            seed,
-            scale,
-            mode,
-            &opts,
-            sink,
-            flight.map(|f| (f, flightrec.expect("flight implies a path"))),
-        );
+        return run_scenario_hybrid(&program, seed, scale, opts, observers);
     }
 
     // Each scheme run gets its own meta record (a trace "segment") and a
     // fresh probe streaming into the shared sink, so one file holds the
     // whole line-up and `btfluid inspect` can tell the runs apart.
-    let mut make_probe = |label: &str| -> Option<Box<dyn btfluid_des::Probe>> {
-        let mut probes: Vec<Box<dyn btfluid_des::Probe>> = Vec::new();
-        if let Some(sink) = sink.as_ref() {
-            sink.lock().unwrap_or_else(|e| e.into_inner()).meta(&[
-                ("scenario", MetaField::Str(name.clone())),
-                ("label", MetaField::Str(label.to_string())),
-                ("seed", MetaField::U64(seed)),
-                ("scale", MetaField::F64(scale)),
-                ("aggregate", MetaField::Bool(mode == RateMode::Aggregate)),
-                ("sample_every", MetaField::F64(sample_every)),
-            ]);
-            probes.push(Box::new(SinkProbe::new(sink.clone(), sample_every)));
-        }
-        if let Some(flight) = flight.as_ref() {
-            probes.push(Box::new(RecorderProbe::new(Arc::clone(flight))));
-        }
-        match probes.len() {
-            0 => None,
-            1 => probes.pop(),
-            _ => Some(Box::new(FanoutProbe::new(probes))),
-        }
+    let mut make_probe = |label: &str| {
+        observers.probe(&[
+            ("scenario", MetaField::Str(name.to_string())),
+            ("label", MetaField::Str(label.to_string())),
+            ("seed", MetaField::U64(seed)),
+            ("scale", MetaField::F64(scale)),
+            ("aggregate", MetaField::Bool(mode == RateMode::Aggregate)),
+            ("sample_every", MetaField::F64(observers.sample_every)),
+        ])
     };
 
-    let run_result = (|| -> Result<Vec<runner::ScenarioRun>, CliError> {
-        match opts.get("scheme") {
-            Some(spec) => {
-                let scheme = parse_scheme(spec)?;
-                let probe = make_probe(&scheme.name());
-                if crash_safe {
-                    Ok(vec![run_scenario_resumable(
-                        &program, scheme, seed, mode, &opts, probe,
-                    )?])
-                } else {
-                    Ok(vec![runner::run_one_probed(
-                        &program,
-                        scheme,
-                        None,
-                        &scheme.name(),
-                        seed,
-                        mode,
-                        probe,
-                    )?])
-                }
+    let runs = observers.guard(|| match opts.get("scheme") {
+        Some(spec) => {
+            let scheme = parse_scheme(spec)?;
+            let probe = make_probe(&scheme.name());
+            if crash_safe {
+                Ok(vec![run_scenario_resumable(
+                    &program, scheme, seed, opts, probe,
+                )?])
+            } else {
+                Ok(vec![runner::run_one_probed(
+                    &program,
+                    scheme,
+                    None,
+                    &scheme.name(),
+                    seed,
+                    mode,
+                    probe,
+                )?])
             }
-            None if crash_safe => Err(
-                "scenario: --checkpoint/--records/--resume/--checked need --scheme \
-                 (one engine run, one checkpoint)"
-                    .into(),
-            ),
-            None => Ok(runner::run_all_probed(
-                &program,
-                seed,
-                mode,
-                &mut make_probe,
-            )?),
         }
-    })();
-    let runs = match run_result {
-        Ok(runs) => runs,
-        Err(e) => {
-            // A surfaced DesError still ships its flight story.
-            if let (Some(path), Some(flight)) = (&flightrec, &flight) {
-                dump_flight_on_error(path, flight);
-            }
-            return Err(e);
-        }
-    };
-
-    if let Some(sink) = sink {
-        let path = sink.lock().unwrap_or_else(|e| e.into_inner()).finish()?;
-        diag!(Level::Info, "wrote trace {}", path.display());
-    }
-    if let (Some(path), Some(flight)) = (&flightrec, &flight) {
-        write_flight_dump(path, flight)?;
-    }
+        None if crash_safe => Err(
+            "scenario: --checkpoint/--records/--resume/--checked need --scheme \
+             (one engine run, one checkpoint)"
+                .into(),
+        ),
+        None => Ok(runner::run_all_probed(
+            &program,
+            seed,
+            mode,
+            &mut make_probe,
+        )?),
+    })?;
+    observers.finish(|_| {})?;
 
     if let Some(path) = opts.get("records") {
-        write_records(path, &runs[0].outcome, &opts)?;
+        write_records(path, &runs[0].outcome, opts)?;
     }
 
     diag!(
@@ -868,7 +623,7 @@ fn cmd_scenario(rest: &[String]) -> Result<(), CliError> {
         program.description
     );
     for run in &runs {
-        emit(&scenario_table(name, run), &opts)?;
+        emit(&scenario_table(name, run), opts)?;
         diag!(
             Level::Info,
             "{}: arrivals {}, completed {}, aborted {}, censored {}",
@@ -902,6 +657,22 @@ fn scenario_list(opts: &Options) -> Result<(), CliError> {
     emit(&t, opts)
 }
 
+/// The mean of `time` per requested file over users of every class
+/// (class `i` users request `i + 1` files), or `-` without users.
+fn per_file(classes: &[ClassStats], time: impl Fn(&ClassStats) -> f64) -> String {
+    let mut total = 0.0;
+    let mut files = 0.0;
+    for (idx, c) in classes.iter().enumerate() {
+        total += time(c) * c.count() as f64;
+        files += (idx + 1) as f64 * c.count() as f64;
+    }
+    if files > 0.0 {
+        format!("{:.2}", total / files)
+    } else {
+        "-".into()
+    }
+}
+
 /// Per-phase timeline of one scheme's scenario run.
 fn scenario_table(name: &str, run: &runner::ScenarioRun) -> Table {
     let mut t = Table::new(
@@ -916,25 +687,12 @@ fn scenario_table(name: &str, run: &runner::ScenarioRun) -> Table {
         ],
     );
     for ph in &run.phases {
-        let mut dl = 0.0;
-        let mut files = 0.0;
-        for (idx, c) in ph.classes.iter().enumerate() {
-            dl += c.download.mean() * c.count() as f64;
-            files += (idx + 1) as f64 * c.count() as f64;
-        }
-        let per_file = |v: f64| {
-            if files > 0.0 {
-                format!("{:.2}", v / files)
-            } else {
-                "-".into()
-            }
-        };
         t.push_row(vec![
             ph.name.clone(),
             format!("[{:.0}, {:.0})", ph.start, ph.end),
             format!("{}", ph.completed()),
             format!("{}", ph.aborted),
-            per_file(dl),
+            per_file(&ph.classes, |c| c.download.mean()),
             ph.online_per_file()
                 .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
         ]);
@@ -962,12 +720,22 @@ fn scenario_fluid_comparison(
         RateMode::Incremental,
     )?;
     let des = btfluid_scenario::des_avg_downloaders(&run.outcome);
-    let fluid = btfluid_scenario::fluid_avg_downloaders(&program, 0.5)?;
+    log_fluid_check(&format!("{name}, MTCD, origin seeds off"), des, &program)
+}
+
+/// Logs how far the DES mean of downloading users sits from the
+/// program's scheduled MTCD fluid model.
+fn log_fluid_check(
+    what: &str,
+    des: f64,
+    program: &btfluid_scenario::ScenarioProgram,
+) -> Result<(), CliError> {
+    let fluid = btfluid_scenario::fluid_avg_downloaders(program, 0.5)?;
     let rel = (des - fluid).abs() / fluid.max(1e-9);
     diag!(
         Level::Info,
-        "fluid check ({name}, MTCD, origin seeds off): DES {des:.2} downloading users, \
-         fluid {fluid:.2}, relative error {:.1}%",
+        "fluid check ({what}): DES {des:.2} downloading users, fluid {fluid:.2}, \
+         relative error {:.1}%",
         100.0 * rel
     );
     Ok(())
@@ -979,13 +747,11 @@ fn run_scenario_resumable(
     program: &btfluid_scenario::ScenarioProgram,
     scheme: SchemeKind,
     seed: u64,
-    mode: RateMode,
     opts: &Options,
-    probe: Option<Box<dyn btfluid_des::Probe>>,
+    probe: Option<Box<dyn Probe>>,
 ) -> Result<runner::ScenarioRun, CliError> {
     let mut cfg = program.des_config(scheme, seed)?;
-    mode.apply(&mut cfg);
-    cfg.checked = opts.has("checked");
+    apply_run_flags(opts, &mut cfg);
     cfg.validate()?;
     let plan = harness::CheckpointPlan {
         path: opts.get("checkpoint").map(PathBuf::from),
@@ -1031,27 +797,19 @@ fn run_scenario_resumable(
 /// snapshots (v4); `--checkpoint-every` counts decision boundaries, not
 /// events. Per-class means print with shortest-roundtrip formatting, so
 /// byte-identical `--out` files mean bit-identical runs.
-#[allow(clippy::too_many_arguments)]
 fn run_scenario_hybrid(
-    name: &str,
     program: &btfluid_scenario::ScenarioProgram,
     seed: u64,
     scale: f64,
-    mode: RateMode,
     opts: &Options,
-    sink: Option<SharedSink>,
-    flight: Option<(SharedRecorder, PathBuf)>,
+    observers: Observers,
 ) -> Result<(), CliError> {
-    let scheme = match opts.get("scheme") {
-        Some(spec) => parse_scheme(spec)?,
-        None => {
-            return Err(
-                "scenario: --hybrid needs --scheme mtcd|mtsd (the schemes with \
-                 scheduled fluid models)"
-                    .into(),
-            )
-        }
-    };
+    let name = opts.arg();
+    let aggregate = rate_mode(opts) == RateMode::Aggregate;
+    let spec = opts.get("scheme").ok_or(
+        "scenario: --hybrid needs --scheme mtcd|mtsd (the schemes with scheduled fluid models)",
+    )?;
+    let scheme = parse_scheme(spec)?;
     if !matches!(scheme, SchemeKind::Mtcd | SchemeKind::Mtsd) {
         return Err(format!(
             "scenario: --hybrid supports mtcd and mtsd, not {}",
@@ -1072,7 +830,7 @@ fn run_scenario_hybrid(
         scheme,
         seed,
         tol,
-        aggregate: mode == RateMode::Aggregate,
+        aggregate,
     };
 
     let checkpoint = opts.get("checkpoint").map(PathBuf::from);
@@ -1100,61 +858,42 @@ fn run_scenario_hybrid(
         _ => HybridRunner::new(cfg)?,
     };
 
-    if let Some(sink) = &sink {
-        sink.lock().unwrap_or_else(|e| e.into_inner()).meta(&[
-            ("scenario", MetaField::Str(name.to_string())),
-            ("label", MetaField::Str(format!("hybrid-{}", scheme.name()))),
-            ("seed", MetaField::U64(seed)),
-            ("scale", MetaField::F64(scale)),
-            ("hybrid", MetaField::Bool(true)),
-            ("hybrid_tol", MetaField::F64(tol)),
-            ("aggregate", MetaField::Bool(mode == RateMode::Aggregate)),
-        ]);
+    if let Some(sink) = observers.segment(&[
+        ("scenario", MetaField::Str(name.to_string())),
+        ("label", MetaField::Str(format!("hybrid-{}", scheme.name()))),
+        ("seed", MetaField::U64(seed)),
+        ("scale", MetaField::F64(scale)),
+        ("hybrid", MetaField::Bool(true)),
+        ("hybrid_tol", MetaField::F64(tol)),
+        ("aggregate", MetaField::Bool(aggregate)),
+    ]) {
         runner.attach_sink(sink.clone());
     }
-    if let Some((rec, _)) = &flight {
-        runner.attach_flight(Arc::clone(rec));
+    if let Some((flight, _)) = &observers.flight {
+        runner.attach_flight(Arc::clone(flight));
     }
 
-    let mut since_checkpoint = 0u64;
-    let drive = (|| -> Result<(), CliError> {
+    let mut boundaries = 0u64;
+    observers.guard(|| {
         while runner.step_boundary()? {
-            since_checkpoint += 1;
-            if let Some(path) = &checkpoint {
-                if since_checkpoint >= every {
-                    harness::atomic_write(path, &runner.snapshot())?;
-                    since_checkpoint = 0;
-                }
+            boundaries += 1;
+            if let Some(path) = checkpoint
+                .as_ref()
+                .filter(|_| boundaries.is_multiple_of(every))
+            {
+                harness::atomic_write(path, &runner.snapshot())?;
             }
         }
         Ok(())
-    })();
-    if let Err(e) = drive {
-        // A surfaced HybridError still ships its flight story.
-        if let Some((rec, path)) = &flight {
-            dump_flight_on_error(path, rec);
-        }
-        return Err(e);
-    }
+    })?;
     let outcome = runner.finish();
-
-    if let Some(sink) = sink {
-        let counters = Counters {
-            events_popped: outcome.des_events,
-            ..Default::default()
-        };
-        let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
-        guard.end(outcome.final_t, &counters);
-        let path = guard.finish()?;
-        diag!(Level::Info, "wrote trace {}", path.display());
-    }
-    if let Some((rec, path)) = &flight {
-        write_flight_dump(path, rec)?;
-    }
-    if let Some(path) = &checkpoint {
-        if path.is_file() {
-            fs::remove_file(path)?;
-        }
+    let counters = Counters {
+        events_popped: outcome.des_events,
+        ..Default::default()
+    };
+    observers.finish(|sink| sink.end(outcome.final_t, &counters))?;
+    if let Some(path) = checkpoint.filter(|p| p.is_file()) {
+        fs::remove_file(path)?;
     }
 
     let mut t = Table::new(
@@ -1236,7 +975,20 @@ fn parse_inject(spec: Option<&str>) -> Result<Option<(String, u64)>, CliError> {
 }
 
 /// `btfluid sweep` — supervised replicate sweep with failure quarantine.
-fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
+    // `--workload FILE` makes every cell a trace replay: the recorded
+    // arrivals drive the engine and the reference model/geometry come
+    // from the trace itself (fitted by `trace_program`).
+    if opts.has("workload") {
+        if let Some(flag) = ["p", "k", "horizon"].into_iter().find(|f| opts.has(f)) {
+            return Err(format!(
+                "sweep: --{flag} conflicts with --workload (the trace fixes p, K and the horizon)"
+            )
+            .into());
+        }
+    } else if opts.has("bins") {
+        return Err("sweep: --bins needs --workload (it bins the trace's empirical rate)".into());
+    }
     let Some(manifest) = opts.get("manifest") else {
         return Err("sweep: --manifest FILE is required (the append-only journal)".into());
     };
@@ -1256,28 +1008,14 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
         .map(PathBuf::from)
         .unwrap_or_else(|| manifest_path.with_extension("bundles"));
 
-    let scheme_specs: Vec<String> = match opts.get("schemes") {
-        Some(s) => s.split(',').map(|t| t.trim().to_string()).collect(),
-        None => ["mtsd", "mtcd", "mfcd", "cmfsd:0.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    };
+    let schemes = opts.get("schemes").unwrap_or("mtsd,mtcd,mfcd,cmfsd:0.5");
+    let scheme_specs: Vec<&str> = schemes.split(',').map(str::trim).collect();
     let reps = opts.get_usize("reps", 2)?;
     if reps == 0 {
         return Err("sweep: --reps must be at least 1".into());
     }
     let base_seed = opts.get_u64("seed", 2006)?;
-    let p = opts.get_f64("p", 0.5)?;
-    let k = opts.get_usize("k", 10)? as u32;
-    let horizon = opts.get_f64("horizon", 600.0)?;
-    let warmup = opts.get_f64("warmup", horizon / 4.0)?;
     let inject = parse_inject(opts.get("inject-panic"))?;
-
-    // `--workload FILE` makes every cell a trace replay: the recorded
-    // arrivals drive the engine and the reference model/geometry come
-    // from the trace itself (fitted by `trace_program`), not from
-    // --p/--k/--horizon.
     let workload = match opts.get("workload") {
         None => None,
         Some(path) => {
@@ -1299,7 +1037,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     };
 
     let mut cells = Vec::new();
-    for spec in &scheme_specs {
+    for spec in scheme_specs {
         let scheme = parse_scheme(spec)?;
         for rep in 0..reps {
             let seed = base_seed.wrapping_add(rep as u64);
@@ -1307,29 +1045,10 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
             let (cfg, scenario) = match &workload {
                 Some((path, program)) => {
                     let mut cfg = program.des_config(scheme, seed)?;
-                    cfg.aggregate = opts.has("aggregate");
-                    cfg.checked = opts.has("checked");
+                    apply_run_flags(opts, &mut cfg);
                     (cfg, Some(harness::ScenarioRef::traced(path)))
                 }
-                None => {
-                    let cfg = DesConfig {
-                        params: FluidParams::paper(),
-                        model: CorrelationModel::new(k, p, 0.25)?,
-                        scheme,
-                        horizon,
-                        warmup,
-                        drain: horizon,
-                        seed,
-                        adapt: None,
-                        origin_seeds: 1,
-                        warm_start: false,
-                        order_policy: OrderPolicy::default(),
-                        record_every: None,
-                        aggregate: opts.has("aggregate"),
-                        checked: opts.has("checked"),
-                    };
-                    (cfg, None)
-                }
+                None => (des_config(opts, scheme, seed, 600.0)?, None),
             };
             cfg.validate()?;
             let inject_panic_at = inject
@@ -1345,14 +1064,9 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     }
     let total = cells.len();
 
-    let max_events = match opts.get("event-budget") {
-        None => None,
-        Some(_) => Some(opts.get_u64("event-budget", 0)?),
-    };
-    let max_wall = match opts.get("wall-budget-ms") {
-        None => None,
-        Some(_) => Some(Duration::from_millis(opts.get_u64("wall-budget-ms", 0)?)),
-    };
+    let budget = |name| opts.has(name).then(|| opts.get_u64(name, 0)).transpose();
+    let max_events = budget("event-budget")?;
+    let max_wall = budget("wall-budget-ms")?.map(Duration::from_millis);
     let sup = harness::SupervisorConfig {
         manifest: manifest_path,
         bundle_dir: bundles,
@@ -1430,28 +1144,13 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     }
 }
 
-/// `btfluid trace <gen|fit|replay|info>` — the measurement-calibrated
-/// workload pipeline (DESIGN.md §18): synthesize shaped traces, fit the
-/// stationary model back out of a recording, and replay recordings into
-/// the DES.
-fn cmd_trace(rest: &[String]) -> Result<(), CliError> {
-    let Some(sub) = rest.first() else {
-        return Err("trace: missing subcommand (gen | fit | replay | info)".into());
-    };
-    let opts = Options::parse(&rest[1..])?;
-    if opts.has("help") {
-        print!("{USAGE}");
-        return Ok(());
+/// A two-column `quantity | value` table.
+fn quantity_table<const N: usize>(title: String, rows: [(&str, String); N]) -> Table {
+    let mut t = Table::new(title, vec!["quantity", "value"]);
+    for (quantity, value) in rows {
+        t.push_row(vec![quantity.into(), value]);
     }
-    match sub.as_str() {
-        "gen" => trace_gen(&opts),
-        "fit" => trace_fit(&opts),
-        "replay" => trace_replay(&opts),
-        "info" => trace_info(&opts),
-        other => {
-            Err(format!("trace: unknown subcommand '{other}' (gen | fit | replay | info)").into())
-        }
-    }
+    t
 }
 
 /// Loads the `--in FILE` trace; the codec follows the extension
@@ -1464,7 +1163,7 @@ fn trace_input(opts: &Options, sub: &str) -> Result<ArrivalTrace, CliError> {
 }
 
 /// `btfluid trace gen` — synthesize a trace through [`TraceShaper`].
-fn trace_gen(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn trace_gen(opts: &Options) -> Result<(), CliError> {
     let k = opts.get_usize("k", 10)? as u32;
     let horizon = opts.get_f64("horizon", 2000.0)?;
     let seed = opts.get_u64("seed", 1)?;
@@ -1488,31 +1187,20 @@ fn trace_gen(opts: &Options) -> Result<(), CliError> {
             return Err(format!("trace gen: unknown --shape '{other}' (flat | diurnal)").into())
         }
     };
-    if opts.get("alpha").is_some() {
-        shaper.session_alpha = opts.get_f64("alpha", 0.0)?;
-    }
-    if opts.get("leecher-frac").is_some() {
-        shaper.leecher_fraction = opts.get_f64("leecher-frac", 1.0)?;
-    }
+    shaper.session_alpha = opts.get_f64("alpha", shaper.session_alpha)?;
+    shaper.leecher_fraction = opts.get_f64("leecher-frac", shaper.leecher_fraction)?;
     let mut rng = btfluid_numkit::rng::Xoshiro256StarStar::seed_from_u64(seed);
     let trace = shaper.synthesize(&mut rng)?;
 
     let out = opts.get("out");
-    let format = match opts.get("format") {
-        Some("csv") => "csv",
-        Some("jsonl") => "jsonl",
+    let (format, text) = match opts.get("format") {
+        Some("jsonl") => ("jsonl", trace.to_jsonl()),
+        Some("csv") => ("csv", trace.to_csv()),
         Some(other) => {
             return Err(format!("trace gen: unknown --format '{other}' (csv | jsonl)").into())
         }
-        None => match out {
-            Some(p) if p.ends_with(".jsonl") => "jsonl",
-            _ => "csv",
-        },
-    };
-    let text = if format == "jsonl" {
-        trace.to_jsonl()
-    } else {
-        trace.to_csv()
+        None if out.is_some_and(|p| p.ends_with(".jsonl")) => ("jsonl", trace.to_jsonl()),
+        None => ("csv", trace.to_csv()),
     };
     match out {
         Some(path) => {
@@ -1538,135 +1226,102 @@ fn trace_gen(opts: &Options) -> Result<(), CliError> {
 }
 
 /// `btfluid trace fit` — recover `(λ₀, p)` by moment matching.
-fn trace_fit(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn trace_fit(opts: &Options) -> Result<(), CliError> {
     let trace = trace_input(opts, "fit")?;
     let fit = fit_model(&trace)?;
+    let rows = [
+        ("K (files)", fit.k().to_string(), trace.k().to_string()),
+        (
+            "λ₀ (visitor rate)",
+            format!("{:.6}", fit.lambda0()),
+            "-".into(),
+        ),
+        ("p (correlation)", format!("{:.6}", fit.p()), "-".into()),
+        (
+            "entering rate",
+            format!("{:.6}", fit.entering_rate()),
+            format!("{:.6}", trace.empirical_rate()),
+        ),
+        (
+            "mean files/entrant",
+            format!("{:.4}", fit.mean_files_per_entrant()),
+            format!("{:.4}", trace.mean_files_per_entrant()),
+        ),
+        ("arrivals", "-".into(), trace.len().to_string()),
+    ];
     let mut t = Table::new(
         "trace fit — moment-matched stationary model",
         vec!["quantity", "fitted", "empirical"],
     );
-    t.push_row(vec![
-        "K (files)".into(),
-        fit.k().to_string(),
-        trace.k().to_string(),
-    ]);
-    t.push_row(vec![
-        "λ₀ (visitor rate)".into(),
-        format!("{:.6}", fit.lambda0()),
-        "-".into(),
-    ]);
-    t.push_row(vec![
-        "p (correlation)".into(),
-        format!("{:.6}", fit.p()),
-        "-".into(),
-    ]);
-    t.push_row(vec![
-        "entering rate".into(),
-        format!("{:.6}", fit.entering_rate()),
-        format!("{:.6}", trace.empirical_rate()),
-    ]);
-    t.push_row(vec![
-        "mean files/entrant".into(),
-        format!("{:.4}", fit.mean_files_per_entrant()),
-        format!("{:.4}", trace.mean_files_per_entrant()),
-    ]);
-    t.push_row(vec!["arrivals".into(), "-".into(), trace.len().to_string()]);
+    for (quantity, fitted, empirical) in rows {
+        t.push_row(vec![quantity.into(), fitted, empirical]);
+    }
     emit(&t, opts)
 }
 
 /// `btfluid trace replay` — drive the DES with the recorded arrivals.
-fn trace_replay(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn trace_replay(opts: &Options) -> Result<(), CliError> {
     let trace = trace_input(opts, "replay")?;
     let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtcd"))?;
     let seed = opts.get_u64("seed", 2006)?;
-    let mode = rate_mode(opts);
     let bins = opts.get_usize("bins", 8)?;
     let warmup = opts.get_f64("warmup", trace.horizon() / 4.0)?;
     let program = trace_program(&trace, bins, warmup)?;
     let mut cfg = program.des_config(scheme, seed)?;
-    mode.apply(&mut cfg);
+    apply_run_flags(opts, &mut cfg);
     let outcome = Simulation::with_hook(cfg, Box::new(TraceHook::new(&trace)?))?.run();
 
-    let mut t = Table::new(
-        format!(
-            "trace replay — {} over {} arrivals",
-            scheme.name(),
-            trace.len()
-        ),
-        vec!["quantity", "value"],
+    let online = per_file(&outcome.classes, |c| c.online.mean());
+    let des = btfluid_scenario::des_avg_downloaders(&outcome);
+    let title = format!(
+        "trace replay — {} over {} arrivals",
+        scheme.name(),
+        trace.len()
     );
-    let mut online = 0.0;
-    let mut files = 0.0;
-    for (idx, c) in outcome.classes.iter().enumerate() {
-        online += c.online.mean() * c.count() as f64;
-        files += (idx + 1) as f64 * c.count() as f64;
-    }
-    t.push_row(vec![
-        "arrivals admitted".into(),
-        outcome.arrivals.to_string(),
-    ]);
-    t.push_row(vec!["completed".into(), outcome.records.len().to_string()]);
-    t.push_row(vec!["aborted".into(), outcome.aborts.len().to_string()]);
-    t.push_row(vec!["censored".into(), outcome.censored.to_string()]);
-    t.push_row(vec![
-        "avg online/file".into(),
-        if files > 0.0 {
-            format!("{:.2}", online / files)
-        } else {
-            "-".into()
-        },
-    ]);
-    t.push_row(vec![
-        "avg downloading users".into(),
-        format!("{:.2}", btfluid_scenario::des_avg_downloaders(&outcome)),
-    ]);
-    emit(&t, opts)?;
+    emit(
+        &quantity_table(
+            title,
+            [
+                ("arrivals admitted", outcome.arrivals.to_string()),
+                ("completed", outcome.records.len().to_string()),
+                ("aborted", outcome.aborts.len().to_string()),
+                ("censored", outcome.censored.to_string()),
+                ("avg online/file", online),
+                ("avg downloading users", format!("{des:.2}")),
+            ],
+        ),
+        opts,
+    )?;
 
     if opts.has("fluid") {
         // The schedule adapter replays the binned empirical λ(t) through
         // the MTCD fluid ODE; under MTCD replay the two must agree.
-        let des = btfluid_scenario::des_avg_downloaders(&outcome);
-        let fluid = btfluid_scenario::fluid_avg_downloaders(&program, 0.5)?;
-        let rel = (des - fluid).abs() / fluid.max(1e-9);
-        diag!(
-            Level::Info,
-            "fluid check ({}, trace-driven): DES {des:.2} downloading users, \
-             scheduled fluid {fluid:.2}, relative error {:.1}%",
-            scheme.name(),
-            100.0 * rel
-        );
+        log_fluid_check(&format!("{}, trace-driven", scheme.name()), des, &program)?;
     }
     Ok(())
 }
 
 /// `btfluid trace info` — codec header, moments, and class histogram.
-fn trace_info(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn trace_info(opts: &Options) -> Result<(), CliError> {
     let trace = trace_input(opts, "info")?;
-    let mut t = Table::new(
-        format!(
-            "{} v{} — {}",
-            btfluid_workload::TRACE_FORMAT,
-            btfluid_workload::TRACE_VERSION,
-            opts.get("in").unwrap_or("?")
-        ),
-        vec!["quantity", "value"],
+    let title = format!(
+        "{} v{} — {}",
+        btfluid_workload::TRACE_FORMAT,
+        btfluid_workload::TRACE_VERSION,
+        opts.get("in").unwrap_or("?")
     );
-    t.push_row(vec!["K (files)".into(), trace.k().to_string()]);
-    t.push_row(vec!["horizon".into(), format!("{}", trace.horizon())]);
-    t.push_row(vec!["arrivals".into(), trace.len().to_string()]);
-    t.push_row(vec![
-        "entering rate".into(),
-        format!("{:.6}", trace.empirical_rate()),
-    ]);
-    t.push_row(vec![
-        "total file requests".into(),
-        trace.total_files().to_string(),
-    ]);
-    t.push_row(vec![
-        "mean files/entrant".into(),
-        format!("{:.4}", trace.mean_files_per_entrant()),
-    ]);
-    emit(&t, opts)?;
+    let rows = [
+        ("K (files)", trace.k().to_string()),
+        ("horizon", format!("{}", trace.horizon())),
+        ("arrivals", trace.len().to_string()),
+        ("entering rate", format!("{:.6}", trace.empirical_rate())),
+        ("total file requests", trace.total_files().to_string()),
+        (
+            "mean files/entrant",
+            format!("{:.4}", trace.mean_files_per_entrant()),
+        ),
+    ];
+    emit(&quantity_table(title, rows), opts)?;
     if !trace.is_empty() {
         let counts = trace.class_counts();
         let mut h = Table::new("class histogram", vec!["class", "count", "share"]);
@@ -1685,11 +1340,8 @@ fn trace_info(opts: &Options) -> Result<(), CliError> {
 }
 
 /// `btfluid repro <bundle-dir>` — replay a quarantined cell.
-fn cmd_repro(rest: &[String]) -> Result<(), CliError> {
-    let Some(dir) = rest.first() else {
-        return Err("repro: missing bundle directory (written under a sweep's --bundles)".into());
-    };
-    let _opts = Options::parse(&rest[1..])?;
+pub(crate) fn cmd_repro(opts: &Options) -> Result<(), CliError> {
+    let dir = opts.arg();
     // Chaos bundles (`chaos.json`) replay through the chaos executor;
     // supervisor cell bundles (`repro.json`) through the engine below.
     if btfluid_chaos::ChaosBundle::is_chaos_dir(Path::new(dir)) {
@@ -1786,7 +1438,7 @@ fn chaos_work_dir() -> Result<PathBuf, CliError> {
 /// `btfluid chaos` — the deterministic chaos sweep: generate seeded
 /// random plans, execute each against the invariant catalog, shrink any
 /// violation to a minimal failing plan, and write replayable bundles.
-fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
     let seed = opts.get_u64("seed", 2006)?;
     let cells = opts.get_u64("cells", 100)?;
     let bundles = opts.get("bundles").unwrap_or("chaos-bundles").to_string();
@@ -2005,29 +1657,19 @@ impl TraceSegment {
             // marginal updates-per-event cost is NOT normalized by live
             // download pairs: on a healthy run it is flat on its own, and
             // growth means group invalidation is fanning out.
-            let mut costs = Vec::new();
-            for w in self.samples.windows(2) {
+            let costs = self.samples.windows(2).filter_map(|w| {
                 let de = w[1].events.saturating_sub(w[0].events);
-                let dr = w[1]
+                let du = w[1]
                     .counters
                     .agg_rate_updates
                     .saturating_sub(w[0].counters.agg_rate_updates);
-                if de > 0 {
-                    costs.push(dr as f64 / de as f64);
-                }
-            }
-            let third = costs.len() / 3;
-            if third >= 8 {
-                let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-                let early = mean(&costs[..third]);
-                let late = mean(&costs[costs.len() - third..]);
-                if early > 0.0 && late > 4.0 * early {
-                    out.push(format!(
-                        "{label}: group-rate cost drift (per-event aggregate \
-                         update cost grew {:.1}× over the run in aggregate mode)",
-                        late / early
-                    ));
-                }
+                (de > 0).then(|| du as f64 / de as f64)
+            });
+            if let Some(growth) = cost_growth(costs.collect()) {
+                out.push(format!(
+                    "{label}: group-rate cost drift (per-event aggregate \
+                     update cost grew {growth:.1}× over the run in aggregate mode)"
+                ));
             }
             let c = self.final_counters();
             if c.rate_recomputes > 0 {
@@ -2046,30 +1688,20 @@ impl TraceSegment {
             // more pairs per event than MTSD by an order of magnitude —
             // but a cost that *grows* several-fold over the run's own
             // history means lazy invalidation is degenerating.
-            let mut costs = Vec::new();
-            for w in self.samples.windows(2) {
+            let costs = self.samples.windows(2).filter_map(|w| {
                 let de = w[1].events.saturating_sub(w[0].events);
                 let dr = w[1]
                     .counters
                     .rate_recomputes
                     .saturating_sub(w[0].counters.rate_recomputes);
                 let pairs: u64 = w[1].download_pairs.iter().sum();
-                if de > 0 && pairs > 0 {
-                    costs.push(dr as f64 / de as f64 / pairs as f64);
-                }
-            }
-            let third = costs.len() / 3;
-            if third >= 8 {
-                let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-                let early = mean(&costs[..third]);
-                let late = mean(&costs[costs.len() - third..]);
-                if early > 0.0 && late > 4.0 * early {
-                    out.push(format!(
-                        "{label}: rate-cache cost drift (per-event recompute cost \
-                         grew {:.1}× over the run in incremental mode)",
-                        late / early
-                    ));
-                }
+                (de > 0 && pairs > 0).then(|| dr as f64 / de as f64 / pairs as f64)
+            });
+            if let Some(growth) = cost_growth(costs.collect()) {
+                out.push(format!(
+                    "{label}: rate-cache cost drift (per-event recompute cost \
+                     grew {growth:.1}× over the run in incremental mode)"
+                ));
             }
         }
         if self.samples.len() >= 3 {
@@ -2123,6 +1755,19 @@ impl TraceSegment {
             }
         }
     }
+}
+
+/// How many times the mean per-event cost of a run's last third exceeds
+/// its first third's, when that is more than 4× (at least 8 windows per
+/// third).
+fn cost_growth(costs: Vec<f64>) -> Option<f64> {
+    let third = costs.len() / 3;
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    if third < 8 {
+        return None;
+    }
+    let (early, late) = (mean(&costs[..third]), mean(&costs[costs.len() - third..]));
+    (early > 0.0 && late > 4.0 * early).then(|| late / early)
 }
 
 /// Decodes a trace record's embedded `counters` object (absent fields
@@ -2266,21 +1911,13 @@ fn inspect_flightrec(path: &str, body: &str, opts: &Options) -> Result<(), CliEr
     }
     emit(&t, opts)?;
 
-    const EVENT_NAMES: [&str; 7] = [
-        "end",
-        "arrival",
-        "completion",
-        "seed-expiry",
-        "epoch",
-        "abort",
-        "control",
-    ];
+    // Engine event codes, in `pop` record order.
+    let event_names = "end arrival completion seed-expiry epoch abort control";
     let pops: Vec<String> = pop_codes
         .iter()
         .map(|(code, n)| {
-            let name = EVENT_NAMES
-                .get(usize::try_from(*code).unwrap_or(usize::MAX))
-                .copied()
+            let name = usize::try_from(*code)
+                .map_or(None, |i| event_names.split(' ').nth(i))
                 .unwrap_or("?");
             format!("{name} × {n}")
         })
@@ -2330,18 +1967,15 @@ fn inspect_flightrec(path: &str, body: &str, opts: &Options) -> Result<(), CliEr
 }
 
 /// `btfluid inspect <trace.jsonl>` — summarize a telemetry trace.
-fn cmd_inspect(rest: &[String]) -> Result<(), CliError> {
-    let Some(path) = rest.first() else {
-        return Err("inspect: missing trace path (a scenario --trace JSONL file)".into());
-    };
-    let opts = Options::parse(&rest[1..])?;
+pub(crate) fn cmd_inspect(opts: &Options) -> Result<(), CliError> {
+    let path = opts.arg();
     let body = fs::read_to_string(path)?;
     // A flight-recorder dump leads with its own schema marker; route it
     // to the dedicated summarizer before assuming a telemetry trace.
     if let Some(first) = body.lines().find(|l| !l.trim().is_empty()) {
         if let Ok(head) = Json::parse(first) {
             if head.get("schema").and_then(Json::as_str) == Some(FLIGHTREC_SCHEMA) {
-                return inspect_flightrec(path, &body, &opts);
+                return inspect_flightrec(path, &body, opts);
             }
         }
     }
@@ -2471,7 +2105,7 @@ fn cmd_inspect(rest: &[String]) -> Result<(), CliError> {
             format!("{}", c.snapshots_taken),
         ]);
     }
-    emit(&t, &opts)?;
+    emit(&t, opts)?;
 
     for seg in &segments {
         let mut totals: Vec<(String, u64, u64)> = Vec::new();
@@ -2521,7 +2155,7 @@ fn cmd_inspect(rest: &[String]) -> Result<(), CliError> {
     }
 
     if let Some(csv) = opts.get("csv-out") {
-        check_clobber(csv, &opts)?;
+        check_clobber(csv, opts)?;
         fs::write(csv, trajectories_csv(&segments))?;
         diag!(Level::Info, "wrote {csv}");
     }
@@ -2529,11 +2163,16 @@ fn cmd_inspect(rest: &[String]) -> Result<(), CliError> {
 }
 
 /// The arg parser's own structural fuzz target, registered here because
-/// `args.rs` is CLI-private: random token soup must never panic the
-/// parser, and every accepted line must round-trip through the typed
-/// getters without error.
+/// `args.rs` is CLI-private. It parses against the `sim` entry of the
+/// command table: random token soup must never panic the parser, flags
+/// `sim` does not read must be rejected, and every accepted line must
+/// round-trip through the typed getters without error.
 fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, String> {
     use btfluid_numkit::rng::{RngCore, Xoshiro256StarStar};
+    let sim = crate::table::COMMANDS
+        .iter()
+        .find(|c| c.name == "sim")
+        .expect("sim is in the command table");
     let mut rng = Xoshiro256StarStar::stream(cfg.seed, 9);
     // Exact round-trip: numbers formatted, parsed, and read back.
     for trial in 0..64u64 {
@@ -2546,7 +2185,7 @@ fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, Stri
             format!("{seed}"),
             format!("--checked"),
         ];
-        let opts = Options::parse(&argv)
+        let opts = Options::parse(sim, &argv)
             .map_err(|e| format!("trial {trial}: valid argv rejected: {e}"))?;
         let p_back = opts.get_f64("p", f64::NAN).map_err(|e| e.to_string())?;
         let s_back = opts.get_u64("seed", 0).map_err(|e| e.to_string())?;
@@ -2560,7 +2199,8 @@ fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, Stri
         }
     }
     // Token soup: junk must produce typed errors, never a panic or a
-    // silently-accepted unknown option.
+    // silently-accepted option: unknown ones, and ones other commands own.
+    let foreign = ["frobnicate", "records", "manifest", "hybrid", "trace"];
     let vocab = [
         "--p",
         "--seed",
@@ -2575,6 +2215,9 @@ fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, Stri
         "--",
         "--checked",
         "--records",
+        "--manifest",
+        "--hybrid",
+        "--trace",
     ];
     let mut rejected = 0usize;
     for trial in 0..256u64 {
@@ -2583,15 +2226,20 @@ fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, Stri
             .map(|_| vocab[(rng.next_u64() % vocab.len() as u64) as usize].to_string())
             .collect();
         let verdict =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Options::parse(&argv)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Options::parse(sim, &argv)));
         match verdict {
             Err(_) => return Err(format!("trial {trial}: parser PANICKED on {argv:?}")),
             Ok(Err(_)) => rejected += 1,
             Ok(Ok(opts)) => {
-                if opts.has("frobnicate") {
-                    return Err(format!("trial {trial}: unknown --frobnicate accepted"));
+                if let Some(flag) = foreign.iter().find(|f| opts.has(f)) {
+                    return Err(format!("trial {trial}: sim accepted --{flag}"));
                 }
             }
+        }
+    }
+    for flag in foreign {
+        if Options::parse(sim, &[format!("--{flag}")]).is_ok() {
+            return Err(format!("sim accepted --{flag}, a flag it does not read"));
         }
     }
     Ok(format!(
@@ -2599,7 +2247,7 @@ fn cli_arg_round_trip(cfg: &btfluid_oracle::OracleConfig) -> Result<String, Stri
     ))
 }
 
-fn cmd_selfcheck(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_selfcheck(opts: &Options) -> Result<(), CliError> {
     let cfg = btfluid_oracle::OracleConfig {
         seed: opts.get_u64("seed", 42)?,
         full: opts.has("full"),
@@ -2609,16 +2257,10 @@ fn cmd_selfcheck(opts: &Options) -> Result<(), CliError> {
         // Mutation mode: seed a deliberate rate-cache corruption and
         // demand the audit catch it. Detection maps to the invariant exit
         // code (4); a miss is a usage-class failure of the oracle itself.
-        return match btfluid_oracle::differential::mutation_canary(&cfg) {
-            Ok(detail) => Err(CliError::new(
-                crate::errors::EXIT_INVARIANT,
-                format!("expect-fail: {detail}"),
-            )),
-            Err(detail) => Err(CliError::new(
-                crate::errors::EXIT_USAGE,
-                format!("expect-fail: detection MISSED — {detail}"),
-            )),
-        };
+        return Err(match btfluid_oracle::differential::mutation_canary(&cfg) {
+            Ok(detail) => CliError::new(EXIT_INVARIANT, format!("expect-fail: {detail}")),
+            Err(detail) => CliError::from(format!("expect-fail: detection MISSED — {detail}")),
+        });
     }
 
     let mut report = btfluid_oracle::run_all(&cfg);
@@ -2626,10 +2268,7 @@ fn cmd_selfcheck(opts: &Options) -> Result<(), CliError> {
     let started = std::time::Instant::now();
     let result = cli_arg_round_trip(&cfg);
     let wall_ms = started.elapsed().as_millis() as u64;
-    let (passed, detail) = match result {
-        Ok(d) => (true, d),
-        Err(d) => (false, d),
-    };
+    let (passed, detail) = (result.is_ok(), result.unwrap_or_else(|e| e));
     report.outcomes.push(btfluid_oracle::CheckOutcome {
         name: "cli-arg-round-trip",
         paper_ref: "CLI contract (parse → getters, no panic)",
@@ -2662,22 +2301,21 @@ fn cmd_selfcheck(opts: &Options) -> Result<(), CliError> {
         report.outcomes.len(),
         report.wall_ms
     );
-    if report.outcomes.iter().any(|o| !o.passed) {
-        let failed: Vec<&str> = report
-            .outcomes
-            .iter()
-            .filter(|o| !o.passed)
-            .map(|o| o.name)
-            .collect();
-        return Err(CliError::new(
-            crate::errors::EXIT_INVARIANT,
-            format!("selfcheck failed: {failed:?}"),
-        ));
+    let failed: Vec<&str> = report
+        .outcomes
+        .iter()
+        .filter(|o| !o.passed)
+        .map(|o| o.name)
+        .collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        let msg = format!("selfcheck failed: {failed:?}");
+        Err(CliError::new(EXIT_INVARIANT, msg))
     }
-    Ok(())
 }
 
-fn cmd_all(opts: &Options) -> Result<(), CliError> {
+pub(crate) fn cmd_all(opts: &Options) -> Result<(), CliError> {
     cmd_fig2(opts)?;
     cmd_fig3(opts)?;
     cmd_fig4a(opts)?;
@@ -2692,6 +2330,7 @@ fn cmd_all(opts: &Options) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use crate::errors::EXIT_CONFIG;
+    use crate::table::dispatch;
 
     #[test]
     fn scheme_parsing() {

@@ -1,18 +1,5 @@
-//! CLI failure type: a message plus a documented exit code.
-//!
-//! Exit-code map (also printed by `btfluid --help`):
-//!
-//! | code | class                                                  |
-//! |------|--------------------------------------------------------|
-//! | 0    | success                                                |
-//! | 1    | usage error or I/O failure                             |
-//! | 2    | invalid configuration (rejected before running)        |
-//! | 3    | solver diverged (iterative numeric method failed)      |
-//! | 4    | engine invariant violated (`checked` mode)             |
-//! | 5    | snapshot/checkpoint rejected (corrupt, wrong config)   |
-//! | 6    | sweep finished with quarantined cells, or `repro`      |
-//! |      | reproduced the recorded failure                        |
-//! | 7    | refused to overwrite an existing file (use `--force`)  |
+//! CLI failure type: a message plus a documented exit code. The codes
+//! are the `EXIT_*` constants below; `btfluid --help` prints the map.
 
 use crate::args::ArgError;
 use btfluid_des::{DesError, SnapshotError};

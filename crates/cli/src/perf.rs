@@ -341,32 +341,26 @@ pub fn cmd_perf(opts: &Options) -> Result<(), CliError> {
             .copied()
             .collect();
         let dir = direction(metric);
-        if samples.len() >= MIN_HISTORY {
+        let (median, width) = if samples.len() >= MIN_HISTORY {
             let (med, width) = band(&samples);
-            let regressed = gate
-                && match dir {
-                    Direction::LowerBetter => *value > med + width,
-                    Direction::HigherBetter => *value < med - width,
-                    Direction::Informational => false,
-                };
-            rows.push(Row {
-                metric: metric.clone(),
-                value: *value,
-                median: Some(med),
-                band: Some(width),
-                dir,
-                regressed,
-            });
+            (Some(med), Some(width))
         } else {
-            rows.push(Row {
-                metric: metric.clone(),
-                value: *value,
-                median: None,
-                band: None,
-                dir,
-                regressed: false,
-            });
-        }
+            (None, None)
+        };
+        let regressed = gate
+            && match (dir, median, width) {
+                (Direction::LowerBetter, Some(med), Some(w)) => *value > med + w,
+                (Direction::HigherBetter, Some(med), Some(w)) => *value < med - w,
+                _ => false,
+            };
+        rows.push(Row {
+            metric: metric.clone(),
+            value: *value,
+            median,
+            band: width,
+            dir,
+            regressed,
+        });
     }
 
     let report_path = opts.get("report").unwrap_or("perf-report.json");

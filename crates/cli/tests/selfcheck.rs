@@ -88,3 +88,115 @@ fn retired_exact_flag_is_an_unknown_option() {
         );
     }
 }
+
+#[test]
+fn flags_a_command_does_not_read_are_rejected() {
+    // Each flag below is real, but owned by another command (or, for
+    // sweep, in conflict with --workload). Every line must die as a
+    // usage error naming the command and the flag, before any work.
+    let dir = std::env::temp_dir().join("btfluid_flag_rejection");
+    let manifest = dir.join("m.jsonl");
+    let manifest = manifest.to_str().unwrap();
+    let cases: [(&[&str], &[&str]); 12] = [
+        (
+            &["sim", "--checkpoint", "c.snap", "--resume"],
+            &["sim", "--checkpoint"],
+        ),
+        (&["sim", "--trace", "t.jsonl"], &["sim", "--trace"]),
+        (&["validate", "--aggregate"], &["validate", "--aggregate"]),
+        (&["fig4a", "--points", "5"], &["fig4a", "--points"]),
+        (
+            &["repro", "no-such-bundle", "--seed", "3"],
+            &["repro", "--seed"],
+        ),
+        (
+            &["profile", "--flightrec", "f.jsonl"],
+            &["profile", "--flightrec"],
+        ),
+        (&["chaos", "--csv"], &["chaos", "--csv"]),
+        (&["trace", "gen", "--csv"], &["trace gen", "--csv"]),
+        (
+            &[
+                "sweep",
+                "--workload",
+                "F",
+                "--p",
+                "0.3",
+                "--manifest",
+                manifest,
+            ],
+            &["sweep", "--p conflicts with --workload"],
+        ),
+        (
+            &[
+                "sweep",
+                "--workload",
+                "F",
+                "--k",
+                "4",
+                "--manifest",
+                manifest,
+            ],
+            &["sweep", "--k conflicts with --workload"],
+        ),
+        (
+            &[
+                "sweep",
+                "--workload",
+                "F",
+                "--horizon",
+                "90",
+                "--manifest",
+                manifest,
+            ],
+            &["sweep", "--horizon conflicts with --workload"],
+        ),
+        (
+            &["sweep", "--bins", "4", "--manifest", manifest],
+            &["sweep", "--bins needs --workload"],
+        ),
+    ];
+    for (args, fragments) in cases {
+        let (code, _stdout, stderr) = run(args);
+        assert_eq!(code, 1, "{args:?}\nstderr:\n{stderr}");
+        for fragment in fragments {
+            assert!(
+                stderr.contains(fragment),
+                "{args:?}: no '{fragment}' in\n{stderr}"
+            );
+        }
+    }
+    assert!(!dir.exists(), "a rejected line must not start a sweep");
+}
+
+#[test]
+fn help_answers_before_positional_arguments() {
+    // `--help` exits 0 with the command's own synopsis, whatever
+    // positional argument precedes it.
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["scenario", "--help"],
+            "USAGE: btfluid scenario <NAME|list>",
+        ),
+        (&["trace", "--help"], "USAGE: btfluid trace <subcommand>"),
+        (
+            &["sweep", "--manifest", "m.jsonl", "--help"],
+            "USAGE: btfluid sweep",
+        ),
+        (
+            &["scenario", "flash_crowd", "--help"],
+            "USAGE: btfluid scenario",
+        ),
+        (&["inspect", "--help"], "USAGE: btfluid inspect <TRACE>"),
+        (&["repro", "--help"], "USAGE: btfluid repro <BUNDLE-DIR>"),
+        (
+            &["trace", "replay", "--help"],
+            "USAGE: btfluid trace replay [--in FILE]",
+        ),
+    ];
+    for (args, usage) in cases {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, 0, "{args:?}\nstderr:\n{stderr}");
+        assert!(stdout.starts_with(usage), "{args:?}:\n{stdout}");
+    }
+}

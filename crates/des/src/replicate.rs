@@ -15,12 +15,6 @@ pub struct ReplicationSummary {
     pub online_per_file: Welford,
     /// Same for download time per file.
     pub download_per_file: Welford,
-    /// Per-class per-file online means, one accumulator per class.
-    pub class_online_per_file: Vec<Welford>,
-    /// Per-class per-file download means.
-    pub class_download_per_file: Vec<Welford>,
-    /// Mean final ρ of obedient multi-file peers, per replication.
-    pub obedient_final_rho: Welford,
     /// Total censored users across replications.
     pub censored: usize,
     /// The individual outcomes (for deeper inspection).
@@ -63,9 +57,6 @@ pub fn run_replications(
     let mut merged = ReplicationSummary {
         online_per_file: Welford::new(),
         download_per_file: Welford::new(),
-        class_online_per_file: vec![Welford::new(); cfg.model.k() as usize],
-        class_download_per_file: vec![Welford::new(); cfg.model.k() as usize],
-        obedient_final_rho: Welford::new(),
         censored: 0,
         outcomes: Vec::with_capacity(replications),
     };
@@ -73,26 +64,6 @@ pub fn run_replications(
         let o = outcome?;
         merged.online_per_file.push(o.avg_online_per_file()?);
         merged.download_per_file.push(o.avg_download_per_file()?);
-        for (i, stats) in o.classes.iter().enumerate() {
-            if stats.count() > 0 {
-                let class = (i + 1) as f64;
-                merged.class_online_per_file[i].push(stats.online.mean() / class);
-                merged.class_download_per_file[i].push(stats.download.mean() / class);
-            }
-        }
-        // Obedient multi-file peers' final ρ (Adapt evaluation), weighted
-        // by per-class support.
-        let mut rho_num = 0.0;
-        let mut rho_den = 0.0;
-        for (i, stats) in o.obedient.iter().enumerate() {
-            if i >= 1 && stats.count() > 0 {
-                rho_num += stats.rho.mean() * stats.count() as f64;
-                rho_den += stats.count() as f64;
-            }
-        }
-        if rho_den > 0.0 {
-            merged.obedient_final_rho.push(rho_num / rho_den);
-        }
         merged.censored += o.censored;
         merged.outcomes.push(o);
     }
@@ -128,16 +99,6 @@ mod tests {
         let mean = s.online_per_file.mean();
         assert!((mean - 80.0).abs() < 8.0, "mean = {mean}");
         assert!(s.online_ci95().is_finite());
-    }
-
-    #[test]
-    fn per_class_summaries_populated() {
-        let cfg = small_cfg();
-        let s = run_replications(&cfg, 2, 7).unwrap();
-        // Class 1 always has support at p = 0.4.
-        assert!(s.class_online_per_file[0].count() > 0);
-        let c1 = s.class_online_per_file[0].mean();
-        assert!((c1 - 80.0).abs() < 10.0, "class-1 online/file = {c1}");
     }
 
     #[test]
