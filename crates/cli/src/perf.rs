@@ -15,7 +15,9 @@
 //! * everything else is informational.
 //!
 //! `--check` exits 4 ([`EXIT_INVARIANT`]) on any regression — the CI gate.
-//! `--record` appends the current observation to the history. `--canary`
+//! `--record` appends the current observation to the history, and refuses
+//! (exit 1, nothing appended) an observation bit-equal to the last line:
+//! a copy of a measurement is not a second measurement. `--canary`
 //! degrades every directional metric before checking (lower-better ×1.5,
 //! higher-better ×0.5) and therefore must exit 4: CI asserts that the
 //! gate actually trips. A `perf-report.json` (and optionally a markdown
@@ -210,9 +212,12 @@ fn observe(opts: &Options) -> Result<BTreeMap<String, f64>, CliError> {
     Ok(metrics)
 }
 
+/// One history line: its sequence number and flattened metrics.
+type Observation = (u64, BTreeMap<String, f64>);
+
 /// Loads the per-metric history from the JSONL file (missing file = empty
 /// history — the observatory bootstraps itself).
-fn load_history(path: &str) -> Result<Vec<BTreeMap<String, f64>>, CliError> {
+fn load_history(path: &str) -> Result<Vec<Observation>, CliError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -229,7 +234,8 @@ fn load_history(path: &str) -> Result<Vec<BTreeMap<String, f64>>, CliError> {
         };
         let mut metrics = BTreeMap::new();
         flatten("", obj, &mut metrics);
-        history.push(metrics);
+        let seq = rec.get("seq").and_then(Json::as_u64);
+        history.push((seq.unwrap_or(history.len() as u64 + 1), metrics));
     }
     Ok(history)
 }
@@ -316,6 +322,23 @@ pub fn cmd_perf(opts: &Options) -> Result<(), CliError> {
     let history_path = opts.get("history").unwrap_or("PERF_HISTORY.jsonl");
     let history = load_history(history_path)?;
 
+    if opts.has("record") {
+        if let Some((seq, last)) = history.last() {
+            let bits = |m: &BTreeMap<String, f64>| {
+                m.iter()
+                    .map(|(k, v)| (k.clone(), v.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            if bits(last) == bits(&current) {
+                return Err(format!(
+                    "perf: refusing to record: the observation is bit-equal to \
+                     {history_path} seq {seq}"
+                )
+                .into());
+            }
+        }
+    }
+
     if opts.has("canary") {
         // Degrade every directional metric far outside any honest noise
         // band; a gate that stays green on this data is broken.
@@ -337,7 +360,7 @@ pub fn cmd_perf(opts: &Options) -> Result<(), CliError> {
     for (metric, value) in &current {
         let samples: Vec<f64> = history
             .iter()
-            .filter_map(|h| h.get(metric))
+            .filter_map(|(_, h)| h.get(metric))
             .copied()
             .collect();
         let dir = direction(metric);
@@ -514,6 +537,48 @@ mod tests {
         // Real spread dominates the floor once it is wide enough.
         let (_, width) = band(&[10.0, 14.0, 6.0, 10.0, 11.0, 9.0]);
         assert!(width > 0.5, "{width}");
+    }
+
+    /// Recording the same bench file twice appends once: the second
+    /// `--record` exits 1 naming the duplicate line.
+    #[test]
+    fn record_refuses_a_duplicate_observation() {
+        let dir = std::env::temp_dir().join(format!("btfluid_perf_dup_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let bench = dir.join("BENCH_x.json");
+        std::fs::write(&bench, r#"{"bench":"x","wall_s":1.25,"events":10}"#).unwrap();
+        let history = dir.join("history.jsonl");
+        let path = |p: &std::path::Path| p.to_str().unwrap().to_string();
+        let argv: Vec<String> = vec![
+            "perf".into(),
+            "--bench".into(),
+            path(&bench),
+            "--history".into(),
+            path(&history),
+            "--report".into(),
+            path(&dir.join("report.json")),
+            "--record".into(),
+        ];
+        crate::table::dispatch(&argv).unwrap();
+        let once = std::fs::read_to_string(&history).unwrap();
+        assert_eq!(once.lines().count(), 1);
+
+        let err = crate::table::dispatch(&argv).unwrap_err();
+        assert_eq!(err.code, crate::errors::EXIT_USAGE, "{}", err.message);
+        assert!(err.message.contains("seq 1"), "{}", err.message);
+        assert_eq!(std::fs::read_to_string(&history).unwrap(), once);
+
+        // A changed measurement records as the next line.
+        std::fs::write(&bench, r#"{"bench":"x","wall_s":1.5,"events":10}"#).unwrap();
+        crate::table::dispatch(&argv).unwrap();
+        let twice = std::fs::read_to_string(&history).unwrap();
+        assert_eq!(twice.lines().count(), 2);
+        assert!(
+            twice.lines().nth(1).unwrap().contains("\"seq\":2"),
+            "{twice}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -39,9 +39,16 @@
 //! schedule is exact for the inhomogeneous exponential — one RNG draw per
 //! completion regardless of how many rate changes happen in between
 //! (identical in spirit to the per-peer engine's lazy completion-deadline
-//! correction). A rate increase pushes a fresh stamped heap entry; a
-//! decrease only records the later deadline and lets the engine's pop loop
-//! reinsert lazily.
+//! correction).
+//!
+//! Group deadlines stay out of the engine's per-peer event heap. They live
+//! in a dense per-group array (∞ = disarmed) with a cached argmin, ties to
+//! the lowest group id: arming or moving a deadline earlier is O(1), and
+//! the O(groups) rescan runs only when the current minimum moves later or
+//! is disarmed — and then once, when the engine next asks for the minimum.
+//! The engine compares that minimum with its heap top under the heap's
+//! `(time, rank, peer, slot)` order, groups ranking behind per-peer events
+//! at a tie.
 //!
 //! ## What aggregate mode gives up
 //!
@@ -75,9 +82,8 @@ pub(crate) struct Group {
     pub(crate) acc: f64,
     /// Time the hazard was last settled at.
     pub(crate) anchor: f64,
-    /// Scheduled completion time while armed (`stamp != 0`), else ∞.
-    pub(crate) deadline: f64,
-    /// Queue-entry validity stamp (0 = disarmed).
+    /// Arming stamp (0 = disarmed): a fresh value from the engine's stamp
+    /// sequence whenever the deadline is armed or moves earlier.
     pub(crate) stamp: u64,
 }
 
@@ -110,7 +116,7 @@ enum SrcReg {
 /// peer before mutating it, re-registers it after, and calls
 /// [`AggCache::refresh`] once per event; `refresh` reports every group
 /// whose rate bit-changed (plus groups reset by [`AggCache::on_pop`]) so
-/// the engine can rearm their heap entries.
+/// the engine can re-arm their deadlines (`schedule_group`).
 #[derive(Debug)]
 pub struct AggCache {
     k: usize,
@@ -129,6 +135,13 @@ pub struct AggCache {
     pool_virtual: Vec<f64>,
     /// `2·K²` groups, indexed by [`AggCache::gid`].
     groups: Vec<Group>,
+    /// Scheduled completion time per group while armed, else ∞.
+    deadline: Vec<f64>,
+    /// Cached argmin of `deadline` (lowest id on ties; `None` when every
+    /// group is disarmed), valid unless `min_stale`.
+    min_group: Option<u32>,
+    /// The minimum moved later or was disarmed since the last scan.
+    min_stale: bool,
     /// `(peer, slot) → (group, position)` for member removal.
     arena: SlotArena,
     /// Single-file seed counts per `file·K + class−1`.
@@ -201,6 +214,9 @@ impl AggCache {
             pool_real: vec![0.0; k],
             pool_virtual: vec![0.0; k],
             groups: (0..2 * k * k).map(|_| Group::default()).collect(),
+            deadline: vec![f64::INFINITY; 2 * k * k],
+            min_group: None,
+            min_stale: false,
             arena: SlotArena::new(k),
             n_seed: vec![0; k * k],
             sets: Vec::new(),
@@ -270,24 +286,94 @@ impl AggCache {
         self.groups[g as usize].rate
     }
 
-    /// Queue-entry stamp of a group (0 = disarmed).
+    /// Arming stamp of a group (0 = disarmed).
     pub fn group_stamp(&self, g: u32) -> u64 {
         self.groups[g as usize].stamp
     }
 
     /// Scheduled completion time of an armed group (∞ when disarmed).
     pub fn group_deadline(&self, g: u32) -> f64 {
-        self.groups[g as usize].deadline
+        self.deadline[g as usize]
+    }
+
+    /// The earliest armed group deadline as `(time, group)`, lowest group
+    /// id on a tie; rescans the array first if the cached minimum moved
+    /// later or was disarmed.
+    pub fn next_deadline(&mut self) -> Option<(f64, u32)> {
+        if self.min_stale {
+            self.min_group = self.scan_min();
+            self.min_stale = false;
+        }
+        self.min_group.map(|g| (self.deadline[g as usize], g))
+    }
+
+    /// Fresh argmin over the armed groups (finite deadlines), lowest id on
+    /// a tie.
+    fn scan_min(&self) -> Option<u32> {
+        let mut best: Option<u32> = None;
+        let mut best_t = f64::INFINITY;
+        for (g, &t) in self.deadline.iter().enumerate() {
+            if t < best_t {
+                best_t = t;
+                best = Some(g as u32);
+            }
+        }
+        best
+    }
+
+    /// Sets a group's deadline (∞ disarms it), keeping the cached argmin:
+    /// O(1) unless the current minimum moves later or is disarmed, which
+    /// defers a rescan to the next [`Self::next_deadline`].
+    fn set_deadline(&mut self, g: u32, t: f64) {
+        let old = std::mem::replace(&mut self.deadline[g as usize], t);
+        if self.min_stale {
+            return;
+        }
+        match self.min_group {
+            Some(m) if m == g => {
+                if t > old {
+                    self.min_stale = true;
+                }
+            }
+            Some(m) => {
+                let mt = self.deadline[m as usize];
+                if t < mt || (t == mt && g < m) {
+                    self.min_group = Some(g);
+                }
+            }
+            None => {
+                if t.is_finite() {
+                    self.min_group = Some(g);
+                }
+            }
+        }
+    }
+
+    /// (Re)schedules group `g` after its rate or hazard changed: arms it at
+    /// `anchor + (target − acc)/rate` while it has members and a positive
+    /// rate, else disarms it. A fresh stamp is drawn from `next_stamp`
+    /// whenever the group is newly armed or its deadline moves earlier; a
+    /// later deadline keeps the stamp.
+    pub(crate) fn schedule_group(&mut self, g: u32, next_stamp: &mut u64) {
+        let grp = &mut self.groups[g as usize];
+        let armed = grp.stamp != 0;
+        if grp.rate > 0.0 && !grp.peers.is_empty() {
+            let time = grp.anchor + (grp.target - grp.acc) / grp.rate;
+            if !armed || time < self.deadline[g as usize] {
+                grp.stamp = *next_stamp;
+                *next_stamp += 1;
+            }
+            self.set_deadline(g, time);
+        } else if armed {
+            grp.stamp = 0;
+            self.set_deadline(g, f64::INFINITY);
+        }
     }
 
     /// Hazard state `(target, acc, anchor)` of a group.
     pub fn group_hazard(&self, g: u32) -> (f64, f64, f64) {
         let grp = &self.groups[g as usize];
         (grp.target, grp.acc, grp.anchor)
-    }
-
-    pub(crate) fn group_mut(&mut self, g: u32) -> &mut Group {
-        &mut self.groups[g as usize]
     }
 
     /// Current downloader weight per subtorrent.
@@ -347,8 +433,8 @@ impl AggCache {
         grp.target = target;
         grp.acc = 0.0;
         grp.anchor = 0.0;
-        grp.deadline = f64::INFINITY;
         grp.stamp = 0;
+        self.set_deadline(g, f64::INFINITY);
     }
 
     /// A group's completion was accepted at time `t`: resets the hazard
@@ -360,8 +446,8 @@ impl AggCache {
         grp.target = new_target;
         grp.acc = 0.0;
         grp.anchor = t;
-        grp.deadline = f64::INFINITY;
         grp.stamp = 0;
+        self.set_deadline(g, f64::INFINITY);
         if !self.rearm_flag[g as usize] {
             self.rearm_flag[g as usize] = true;
             self.rearm.push(g);
@@ -894,8 +980,9 @@ impl AggCache {
         grp.target = target;
         grp.acc = acc;
         grp.anchor = anchor;
-        grp.deadline = deadline;
         grp.stamp = stamp;
+        self.deadline[g as usize] = deadline;
+        self.min_stale = true;
     }
 
     /// From-scratch audit: rebuilds a fresh cache from the slab and checks
@@ -999,6 +1086,30 @@ impl AggCache {
         want.sort_unstable();
         if have != want {
             return Err("source-set counts drifted from the slab".into());
+        }
+        self.audit_schedule()
+    }
+
+    /// Scheduling audit: a disarmed group holds no deadline, and the cached
+    /// argmin (unless a rescan is pending) equals a fresh scan over the
+    /// armed groups.
+    fn audit_schedule(&self) -> Result<(), String> {
+        for (g, grp) in self.groups.iter().enumerate() {
+            if grp.stamp == 0 && self.deadline[g] != f64::INFINITY {
+                return Err(format!(
+                    "group {g}: disarmed but holds deadline {}",
+                    self.deadline[g]
+                ));
+            }
+        }
+        if !self.min_stale {
+            let fresh = self.scan_min();
+            if self.min_group != fresh {
+                return Err(format!(
+                    "group argmin drift: cached {:?} vs scanned {fresh:?}",
+                    self.min_group
+                ));
+            }
         }
         Ok(())
     }
@@ -1142,6 +1253,36 @@ mod tests {
         assert_eq!(changed, vec![g]);
         let (target, acc, anchor) = a.group_hazard(g);
         assert_eq!((target, acc, anchor), (1.5, 0.0, 3.0));
+    }
+
+    /// The cached argmin follows arming, earlier and later moves and
+    /// disarming, breaks ties toward the lowest group id, and always agrees
+    /// with a fresh scan once read.
+    #[test]
+    fn group_argmin_tracks_deadline_moves() {
+        let mut a = AggCache::new(2, SchemeKind::Mtcd, &params(), 0);
+        let next = |a: &mut AggCache| {
+            let got = a.next_deadline();
+            assert_eq!(got.map(|(_, g)| g), a.scan_min());
+            got
+        };
+        assert_eq!(next(&mut a), None);
+        a.set_deadline(5, 4.0);
+        a.set_deadline(3, 6.0);
+        assert_eq!(next(&mut a), Some((4.0, 5)));
+        // A tie goes to the lower id, an earlier move takes the minimum.
+        a.set_deadline(3, 4.0);
+        assert_eq!(next(&mut a), Some((4.0, 3)));
+        a.set_deadline(6, 1.0);
+        assert_eq!(next(&mut a), Some((1.0, 6)));
+        // The minimum moving later or disarming forces a rescan.
+        a.set_deadline(6, 9.0);
+        assert_eq!(next(&mut a), Some((4.0, 3)));
+        a.set_deadline(3, f64::INFINITY);
+        assert_eq!(next(&mut a), Some((4.0, 5)));
+        a.set_deadline(5, f64::INFINITY);
+        a.set_deadline(6, f64::INFINITY);
+        assert_eq!(next(&mut a), None);
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //!   recomputed only for subtorrents an event actually touched. Download
 //!   progress is settled lazily ([`Peer::settle_slot`]) exactly when a
 //!   rate changes, so integration stays piecewise-exact.
-//! * **Event selection** uses an [`EventQueue`] (binary heap with
-//!   stamp-based lazy invalidation) instead of scanning; completion
-//!   deadlines are (re)pushed only for downloads whose rate changed.
+//! * **Event selection** uses an [`EventQueue`] (an indexed binary heap
+//!   with one entry per armed per-peer deadline) instead of scanning;
+//!   completion deadlines are re-keyed in place only for downloads whose
+//!   rate changed, and only when they move earlier — a slowdown is
+//!   recorded on the peer and corrected when the entry reaches the top.
+//!   Aggregate group deadlines stay out of the heap, in the group cache's
+//!   dense array with a cached argmin.
 //! * **Peers** live in a slab with a free list: departure leaves a
 //!   tombstone (`Phase::Departed`) whose slot is recycled by a later
-//!   arrival, keeping slab indices stable for heap entries and member
+//!   arrival, keeping slab indices stable for queue keys and member
 //!   lists. Population integrals and the recorded trajectory come from
 //!   per-class counters maintained by ±contribution at each touch.
 //!
@@ -116,10 +120,8 @@ pub struct Simulation {
     /// Scratch buffer for changed-group ids (aggregate mode).
     agg_changed: Vec<u32>,
     queue: EventQueue,
-    /// Monotone stamp source for queue entries (0 means "no entry").
+    /// Monotone source of arming stamps (0 means "disarmed").
     next_stamp: u64,
-    /// Number of live (non-stale) queue entries, for compaction.
-    live: usize,
     /// Finished copies per file among present peers, plus origin seeds
     /// (rarest-first order policy).
     holders: Vec<usize>,
@@ -244,9 +246,8 @@ impl Simulation {
             agg,
             rng_agg,
             agg_changed: Vec::new(),
-            queue: EventQueue::new(),
+            queue: EventQueue::new(k),
             next_stamp: 1,
-            live: 0,
             holders,
             dl_peers: vec![0; k],
             dl_pairs: vec![0; k],
@@ -371,8 +372,8 @@ impl Simulation {
     }
 
     /// Runs the full `checked`-mode invariant audit on demand (rate
-    /// finiteness, queue/live consistency, bitwise rate-cache agreement),
-    /// regardless of [`DesConfig::checked`].
+    /// finiteness, the event queue against the armed stamps, bitwise
+    /// rate-cache agreement), regardless of [`DesConfig::checked`].
     ///
     /// # Errors
     /// Returns [`DesError::Invariant`] describing the first violation.
@@ -1029,9 +1030,8 @@ impl Simulation {
             agg,
             rng_agg,
             agg_changed: Vec::new(),
-            queue: EventQueue::new(),
+            queue: EventQueue::new(k),
             next_stamp: snap.next_stamp,
-            live: 0,
             holders: vec![origin_now; k],
             dl_peers: vec![0; k],
             dl_pairs: vec![0; k],
@@ -1079,8 +1079,8 @@ impl Simulation {
             sim.hook = Some(h);
         }
         // Rebuild the derived structures: cache memberships, population
-        // counters, holder counts, and the event heap (from the per-peer
-        // stamp bookkeeping, preserving stamp values).
+        // counters, holder counts, and the event heap (one entry per armed
+        // per-peer stamp, keyed at its true deadline).
         let n_slab = sim.peers.len();
         sim.cache_grow(n_slab);
         if sim.agg.is_none() {
@@ -1123,39 +1123,27 @@ impl Simulation {
                     ))
                     .into());
                 }
-                sim.queue.push(Entry {
+                sim.queue.schedule(Entry {
                     time: peer.comp_time[s],
                     rank: RANK_COMPLETION,
                     peer: idx as u32,
                     slot: s as u32,
-                    stamp: peer.comp_stamp[s],
                 });
-                sim.live += 1;
             }
             if peer.expiry_stamp != 0 {
-                let mut deadline = f64::INFINITY;
-                for su in peer.seed_until.iter().flatten() {
-                    if su.is_finite() {
-                        deadline = deadline.min(*su);
-                    }
-                }
-                if let Some(da) = peer.depart_at {
-                    deadline = deadline.min(da);
-                }
+                let deadline = peer.expiry_deadline();
                 if !deadline.is_finite() {
                     return Err(SnapshotError::Corrupt(format!(
                         "peer {idx}: armed expiry with no finite deadline"
                     ))
                     .into());
                 }
-                sim.queue.push(Entry {
+                sim.queue.schedule(Entry {
                     time: deadline,
                     rank: RANK_EXPIRY,
                     peer: idx as u32,
                     slot: 0,
-                    stamp: peer.expiry_stamp,
                 });
-                sim.live += 1;
             }
         }
         let t = sim.t;
@@ -1195,6 +1183,13 @@ impl Simulation {
             for (gi, gs) in snap_agg.groups.iter().enumerate() {
                 let g = gi as u32;
                 if gs.stamp == 0 {
+                    if gs.deadline != f64::INFINITY {
+                        return Err(SnapshotError::Corrupt(format!(
+                            "group {g}: disarmed entry carries deadline {}",
+                            gs.deadline
+                        ))
+                        .into());
+                    }
                     continue;
                 }
                 if !gs.deadline.is_finite() {
@@ -1215,14 +1210,6 @@ impl Simulation {
                         ),
                     });
                 }
-                sim.queue.push(Entry {
-                    time: gs.deadline,
-                    rank: RANK_AGG,
-                    peer: g,
-                    slot: 0,
-                    stamp: gs.stamp,
-                });
-                sim.live += 1;
             }
             return Ok(sim);
         }
@@ -1301,9 +1288,9 @@ impl Simulation {
         self.next_trace = self.t + 500.0;
     }
 
-    /// `checked`-mode audit: rate finiteness, queue/live consistency, and
-    /// bitwise agreement of the incremental rate cache with a from-scratch
-    /// recompute. O(peers) per call.
+    /// `checked`-mode audit: rate finiteness, the event queue against the
+    /// armed stamps, and bitwise agreement of the incremental rate cache
+    /// with a from-scratch recompute. O(peers) per call.
     fn validate_invariants(&self) -> Result<(), DesError> {
         let violation = |kind: InvariantKind, detail: String| {
             Err(DesError::Invariant {
@@ -1343,6 +1330,7 @@ impl Simulation {
                 }
             }
         }
+        self.audit_queue(armed)?;
         if let Some(agg) = self.agg.as_ref() {
             // Aggregate mode: completions are armed per group, not per
             // (peer, slot), and the per-peer rate fields must stay at their
@@ -1367,16 +1355,8 @@ impl Simulation {
                     );
                 }
             }
-            armed += (0..agg.n_groups() as u32)
-                .filter(|&g| agg.group_stamp(g) != 0)
-                .count();
-            if armed != self.live {
-                return violation(
-                    InvariantKind::QueueInconsistency,
-                    format!("live counter {} vs {armed} armed stamps", self.live),
-                );
-            }
-            // Group rates and integer aggregates vs. a from-scratch rebuild.
+            // Group rates, integer aggregates and the group argmin vs. a
+            // from-scratch rebuild.
             return agg
                 .audit(&self.peers)
                 .map_err(|detail| DesError::Invariant {
@@ -1384,12 +1364,6 @@ impl Simulation {
                     t: self.t,
                     detail,
                 });
-        }
-        if armed != self.live {
-            return violation(
-                InvariantKind::QueueInconsistency,
-                format!("live counter {} vs {armed} armed stamps", self.live),
-            );
         }
         // Full recompute vs. the incrementally maintained per-peer rates.
         let fresh = compute_rates(
@@ -1430,9 +1404,57 @@ impl Simulation {
         Ok(())
     }
 
+    /// Queue audit: one heap entry per armed per-peer stamp (`armed`), a
+    /// consistent position map, and every key at or before its peer's true
+    /// deadline (`comp_time`, or the expiry minimum).
+    fn audit_queue(&self, armed: usize) -> Result<(), DesError> {
+        let violation = |detail: String| {
+            Err(DesError::Invariant {
+                kind: InvariantKind::QueueInconsistency,
+                t: self.t,
+                detail,
+            })
+        };
+        if self.queue.len() != armed {
+            return violation(format!(
+                "heap holds {} entries vs {armed} armed stamps",
+                self.queue.len()
+            ));
+        }
+        if let Err(detail) = self.queue.check() {
+            return violation(detail);
+        }
+        for e in self.queue.entries() {
+            let p = &self.peers[e.peer as usize];
+            let (stamp, due) = if e.rank == RANK_COMPLETION {
+                let s = e.slot as usize;
+                (
+                    p.comp_stamp.get(s).copied().unwrap_or(0),
+                    p.comp_time.get(s).copied().unwrap_or(f64::NEG_INFINITY),
+                )
+            } else {
+                (p.expiry_stamp, p.expiry_deadline())
+            };
+            if stamp == 0 {
+                return violation(format!(
+                    "entry (rank {}, peer {}, slot {}) for a disarmed key",
+                    e.rank, e.peer, e.slot
+                ));
+            }
+            if !(e.time <= due) {
+                return violation(format!(
+                    "entry (rank {}, peer {}, slot {}) keyed at {} after its deadline {due}",
+                    e.rank, e.peer, e.slot, e.time
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Finds the earliest pending event: arrival and epoch are single
-    /// registers; completions and expiries come from the heap, discarding
-    /// stale entries from its top.
+    /// registers; completions and expiries come from the heap (re-keying a
+    /// lazily slowed completion at the top first), aggregate group
+    /// completions from the group cache's argmin.
     fn next_event(&mut self, end: f64) -> (f64, Event) {
         let mut t_best = end;
         let mut best = Event::End;
@@ -1460,79 +1482,76 @@ impl Simulation {
                 best = Event::Abort;
             }
         }
+        // The heap top, once its key is exact. A key below `t_best` may be
+        // a slowed completion's lower bound: re-key it in place and look
+        // again. A key at or past `t_best` cannot win either way.
+        let mut next: Option<Entry> = None;
         while let Some(e) = self.queue.peek() {
-            if !self.entry_is_live(&e) {
-                self.queue.pop();
-                self.counters.stale_discards += 1;
-                continue;
+            if e.time >= t_best {
+                break;
             }
             if e.rank == RANK_COMPLETION {
-                // A slowdown since the push only recorded the later
-                // deadline; reinsert the entry at its true time.
                 let due = self.peers[e.peer as usize].comp_time[e.slot as usize];
                 if e.time < due {
-                    self.queue.pop();
-                    self.queue.push(Entry { time: due, ..e });
-                    continue;
-                }
-            } else if e.rank == RANK_AGG {
-                // Same lazy-later correction, keyed on the group's hazard
-                // deadline rather than a per-peer comp_time.
-                let due = self
-                    .agg
-                    .as_ref()
-                    .expect("RANK_AGG entry outside aggregate mode")
-                    .group_deadline(e.peer);
-                if e.time < due {
-                    self.queue.pop();
-                    self.queue.push(Entry { time: due, ..e });
+                    self.queue.rekey_top(due);
+                    self.counters.stale_discards += 1;
                     continue;
                 }
             }
-            if e.time < t_best {
-                self.queue.pop();
-                self.counters.events_popped += 1;
-                self.live -= 1;
-                if e.rank == RANK_AGG {
-                    // Aggregate completion: the group's total hazard fired;
-                    // only now decide *which* member finished. Canonical draw
-                    // order — member index first, replacement Exp(1) target
-                    // second — is part of the reproducibility contract.
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.enter(ProfPhase::MemberSample);
-                    }
-                    let agg = self.agg.as_mut().expect("agg entry without cache");
-                    let n = agg.group_len(e.peer);
-                    debug_assert!(n > 0, "armed aggregate group with no members");
-                    let i = self.rng_agg.next_below(n as u64) as usize;
-                    let (p, s) = agg.group_member(e.peer, i);
-                    let target = exp1(&mut self.rng_agg);
-                    agg.on_pop(e.peer, target, e.time);
-                    self.counters.agg_samples += 1;
-                    best = Event::Completion(p as usize, s as usize);
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.leave(ProfPhase::MemberSample);
-                    }
-                } else {
-                    let peer = &mut self.peers[e.peer as usize];
-                    if e.rank == RANK_COMPLETION {
-                        peer.comp_stamp[e.slot as usize] = 0;
-                        best = Event::Completion(e.peer as usize, e.slot as usize);
-                    } else {
-                        peer.expiry_stamp = 0;
-                        best = Event::SeedExpiry(e.peer as usize);
-                    }
-                }
-                t_best = e.time;
-            }
+            next = Some(e);
             break;
+        }
+        if let Some((time, g)) = self.agg.as_mut().and_then(AggCache::next_deadline) {
+            let group = Entry {
+                time,
+                rank: RANK_AGG,
+                peer: g,
+                slot: 0,
+            };
+            if time < t_best && next.is_none_or(|e| group < e) {
+                next = Some(group);
+            }
+        }
+        if let Some(e) = next {
+            self.counters.events_popped += 1;
+            if e.rank == RANK_AGG {
+                // Aggregate completion: the group's total hazard fired;
+                // only now decide *which* member finished. Canonical draw
+                // order — member index first, replacement Exp(1) target
+                // second — is part of the reproducibility contract.
+                if let Some(p) = self.profiler.as_mut() {
+                    p.enter(ProfPhase::MemberSample);
+                }
+                let agg = self.agg.as_mut().expect("group deadline without cache");
+                let n = agg.group_len(e.peer);
+                debug_assert!(n > 0, "armed aggregate group with no members");
+                let i = self.rng_agg.next_below(n as u64) as usize;
+                let (p, s) = agg.group_member(e.peer, i);
+                let target = exp1(&mut self.rng_agg);
+                agg.on_pop(e.peer, target, e.time);
+                self.counters.agg_samples += 1;
+                best = Event::Completion(p as usize, s as usize);
+                if let Some(p) = self.profiler.as_mut() {
+                    p.leave(ProfPhase::MemberSample);
+                }
+            } else {
+                self.queue.pop();
+                let peer = &mut self.peers[e.peer as usize];
+                if e.rank == RANK_COMPLETION {
+                    peer.comp_stamp[e.slot as usize] = 0;
+                    best = Event::Completion(e.peer as usize, e.slot as usize);
+                } else {
+                    peer.expiry_stamp = 0;
+                    best = Event::SeedExpiry(e.peer as usize);
+                }
+            }
+            t_best = e.time;
         }
         (t_best.max(self.t), best)
     }
 
-    /// Runs the cache refresh, then (re)schedules completion deadlines for
-    /// every download whose rate changed and compacts the heap when stale
-    /// entries dominate.
+    /// Runs the cache refresh, then (re)schedules the completion deadline of
+    /// every download whose rate changed.
     fn refresh_rates(&mut self, force: bool) {
         if self.agg.is_some() {
             return self.refresh_rates_agg(force);
@@ -1549,44 +1568,37 @@ impl Simulation {
             if !(peer.rate[si] > 0.0 && peer.remaining[si] > 0.0) {
                 if peer.comp_stamp[si] != 0 {
                     peer.comp_stamp[si] = 0;
-                    self.live -= 1;
+                    self.queue.remove(RANK_COMPLETION, p, s);
                 }
                 continue;
             }
             let time = self.t + peer.remaining[si] / peer.rate[si];
             if peer.comp_stamp[si] != 0 && time >= peer.comp_time[si] {
                 // Deadline unchanged or moved later: record it and let
-                // `next_event` correct the (too early) heap entry lazily —
-                // this skips a heap push for every slowdown, the common
-                // case when an arrival dilutes a subtorrent's pools.
+                // `next_event` re-key the (too early) entry when it reaches
+                // the top — this skips a heap operation for every slowdown,
+                // the common case when an arrival dilutes a subtorrent's
+                // pools.
                 peer.comp_time[si] = time;
                 continue;
             }
-            if peer.comp_stamp[si] == 0 {
-                self.live += 1;
-            }
-            let stamp = self.next_stamp;
+            peer.comp_stamp[si] = self.next_stamp;
             self.next_stamp += 1;
-            peer.comp_stamp[si] = stamp;
             peer.comp_time[si] = time;
-            self.queue.push(Entry {
+            self.queue.advance(Entry {
                 time,
                 rank: RANK_COMPLETION,
                 peer: p,
                 slot: s,
-                stamp,
             });
         }
         changed.clear();
         self.changed_buf = changed;
-        self.compact_queue();
     }
 
     /// Aggregate-mode counterpart of [`Self::refresh_rates`]: refreshes the
     /// class-group cache and (re)arms one hazard deadline per changed group
-    /// instead of one per (peer, slot). The lazy-later trick carries over
-    /// unchanged — a deadline that only moved later is recorded on the group
-    /// and corrected when the stale heap entry surfaces.
+    /// instead of one per (peer, slot), in the cache's own deadline array.
     fn refresh_rates_agg(&mut self, force: bool) {
         let mut changed = std::mem::take(&mut self.agg_changed);
         let agg = self.agg.as_mut().expect("refresh_rates_agg without cache");
@@ -1595,65 +1607,10 @@ impl Simulation {
         self.counters.agg_rate_updates += updates;
         self.counters.rate_clean_hits += clean;
         for &g in &changed {
-            let grp = agg.group_mut(g);
-            let armed = grp.stamp != 0;
-            if grp.rate > 0.0 && !grp.peers.is_empty() {
-                let time = grp.anchor + (grp.target - grp.acc) / grp.rate;
-                if armed && time >= grp.deadline {
-                    grp.deadline = time;
-                    continue;
-                }
-                if !armed {
-                    self.live += 1;
-                }
-                let stamp = self.next_stamp;
-                self.next_stamp += 1;
-                grp.stamp = stamp;
-                grp.deadline = time;
-                self.queue.push(Entry {
-                    time,
-                    rank: RANK_AGG,
-                    peer: g,
-                    slot: 0,
-                    stamp,
-                });
-            } else if armed {
-                grp.stamp = 0;
-                grp.deadline = f64::INFINITY;
-                self.live -= 1;
-            }
+            agg.schedule_group(g, &mut self.next_stamp);
         }
         changed.clear();
         self.agg_changed = changed;
-        self.compact_queue();
-    }
-
-    /// Drops stale entries when they dominate the heap.
-    fn compact_queue(&mut self) {
-        if self.queue.len() > 256 && self.queue.len() > 4 * self.live {
-            for e in self.queue.drain() {
-                if self.entry_is_live(&e) {
-                    self.queue.push(e);
-                }
-            }
-        }
-    }
-
-    /// Whether a heap entry still refers to a pending deadline. Stamps are
-    /// globally unique and zeroed on invalidation, so a stale entry can
-    /// never match — but its slot index may exceed the class of a peer
-    /// that has since recycled the slab position, hence the bounds guard.
-    fn entry_is_live(&self, e: &Entry) -> bool {
-        match e.rank {
-            RANK_AGG => self
-                .agg
-                .as_ref()
-                .is_some_and(|a| a.group_stamp(e.peer) == e.stamp),
-            RANK_COMPLETION => {
-                self.peers[e.peer as usize].comp_stamp.get(e.slot as usize) == Some(&e.stamp)
-            }
-            _ => self.peers[e.peer as usize].expiry_stamp == e.stamp,
-        }
     }
 
     /// Routes a peer registration to the active rate structure.
@@ -1684,7 +1641,8 @@ impl Simulation {
     }
 
     /// Begins a touch: settles the peer's accruals at `t`, zeroes its
-    /// cached rates, invalidates its queue entries, removes its counter
+    /// cached rates, removes its completion entries (its expiry entry stays
+    /// for [`Self::reschedule_expiry`] to move), removes its counter
     /// contributions and cache memberships. Returns whether the peer was
     /// downloading (for the active-time transition in [`Self::touch_end`]).
     fn touch_begin(&mut self, idx: usize) -> bool {
@@ -1697,15 +1655,11 @@ impl Simulation {
             peer.vs_rate[s] = 0.0;
             if peer.comp_stamp[s] != 0 {
                 peer.comp_stamp[s] = 0;
-                self.live -= 1;
+                self.queue.remove(RANK_COMPLETION, idx as u32, s as u32);
             }
         }
         peer.settle_donation(t);
         peer.donation_rate = 0.0;
-        if peer.expiry_stamp != 0 {
-            peer.expiry_stamp = 0;
-            self.live -= 1;
-        }
         let was_downloading = peer.phase == Phase::Downloading;
         self.cache_deregister(idx);
         was_downloading
@@ -1732,35 +1686,28 @@ impl Simulation {
         self.reschedule_expiry(idx);
     }
 
-    /// Pushes a fresh expiry entry at the peer's earliest finite seed or
-    /// departure deadline (its previous entry was invalidated by
-    /// [`Self::touch_begin`]).
+    /// Keys the peer's expiry entry at its earliest finite seed or
+    /// departure deadline, in place (an unchanged time costs nothing), and
+    /// removes it once the peer departs or no finite deadline remains.
     fn reschedule_expiry(&mut self, idx: usize) {
         let peer = &mut self.peers[idx];
-        if peer.phase == Phase::Departed {
-            return;
-        }
-        let mut deadline = f64::INFINITY;
-        for su in peer.seed_until.iter().flatten() {
-            if su.is_finite() {
-                deadline = deadline.min(*su);
-            }
-        }
-        if let Some(da) = peer.depart_at {
-            deadline = deadline.min(da);
-        }
+        let deadline = if peer.phase == Phase::Departed {
+            f64::INFINITY
+        } else {
+            peer.expiry_deadline()
+        };
         if deadline.is_finite() {
-            let stamp = self.next_stamp;
+            peer.expiry_stamp = self.next_stamp;
             self.next_stamp += 1;
-            peer.expiry_stamp = stamp;
-            self.live += 1;
-            self.queue.push(Entry {
+            self.queue.schedule(Entry {
                 time: deadline,
                 rank: RANK_EXPIRY,
                 peer: idx as u32,
                 slot: 0,
-                stamp,
             });
+        } else if peer.expiry_stamp != 0 {
+            peer.expiry_stamp = 0;
+            self.queue.remove(RANK_EXPIRY, idx as u32, 0);
         }
     }
 

@@ -79,16 +79,16 @@ pub struct Peer {
     /// When the current [`Phase::Downloading`] stretch began (feeds
     /// [`Peer::download_time_acc`] on the next phase transition).
     pub active_since: f64,
-    /// Event-queue stamp of the pending completion entry per slot
-    /// (0 = no entry scheduled).
+    /// Arming stamp of the slot's completion (0 = no queue entry). A fresh
+    /// value is drawn whenever the deadline is armed or moves earlier.
     pub comp_stamp: Vec<u64>,
     /// The slot's true completion deadline, meaningful while
     /// [`Peer::comp_stamp`] is non-zero. A rate *decrease* only moves the
-    /// deadline later, so the engine records it here instead of re-pushing
-    /// a heap entry; the stale (too early) entry is corrected at pop time.
+    /// deadline later, so the engine records it here and leaves the queue
+    /// entry's key early; the entry is re-keyed when it reaches the top.
     pub comp_time: Vec<f64>,
-    /// Event-queue stamp of the pending seed-expiry/departure entry
-    /// (0 = none).
+    /// Arming stamp of the seed-expiry/departure deadline (0 = no queue
+    /// entry).
     pub expiry_stamp: u64,
 }
 
@@ -168,6 +168,16 @@ impl Peer {
     /// The user's class: number of requested files.
     pub fn class(&self) -> usize {
         self.files.len()
+    }
+
+    /// The earliest finite seed or departure deadline (∞ when none): the
+    /// time of the peer's expiry event.
+    pub fn expiry_deadline(&self) -> f64 {
+        let seeds = self.seed_until.iter().flatten().copied();
+        seeds
+            .chain(self.depart_at)
+            .filter(|t| t.is_finite())
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Whether slot `i` has finished downloading.

@@ -16,12 +16,15 @@
 //!   one cache refresh, which by the cache's ordered-resummation contract
 //!   must be a bitwise no-op (a non-empty change set means the snapshot
 //!   and the rebuild disagree and restore fails with
-//!   [`crate::DesError::Invariant`]). Heap entries are rebuilt from the
-//!   per-peer `comp_stamp`/`comp_time`/`expiry_stamp` bookkeeping; the
-//!   stamp values are preserved, so future pushes continue the same
-//!   monotone stamp sequence. Stale entries and lazy-later corrections
-//!   are invisible to the dispatched event order (live entries are unique
-//!   per `(time, rank, peer, slot)`), so dropping them is sound.
+//!   [`crate::DesError::Invariant`]). The heap is rebuilt from the
+//!   per-peer `comp_stamp`/`comp_time`/`expiry_stamp` bookkeeping: one
+//!   entry per armed stamp, keyed at its true deadline. A live run may
+//!   hold a slowed completion's key early (a lower bound it re-keys when
+//!   the entry surfaces); the dispatched order depends only on the true
+//!   `(time, rank, peer, slot)` keys, so the exact rebuild is sound. The
+//!   stamp values are preserved, so future arming continues the same
+//!   monotone stamp sequence. Aggregate group deadlines are serialized
+//!   per group and reinstalled into the group cache's deadline array.
 //! * Per-class population counters and rarest-first holder counts: both
 //!   are recomputed from the restored slab.
 //! * The `BTFLUID_DES_TRACE` debug state: stderr tracing is not part of

@@ -108,14 +108,13 @@ fn assert_bit_identical(a: &SimOutcome, b: &SimOutcome) {
 
 /// Deterministic view of a sample: everything except the counters that
 /// legitimately differ across a resume. The `snapshot_*` trio carries
-/// wall-clock microseconds; `stale_discards` and `heap_peak` describe
-/// the queue's physical history, and restore rebuilds the queue compact
-/// from peer state — the stale entries an uninterrupted run would later
-/// pop and discard never exist on the resumed path.
+/// wall-clock microseconds. `stale_discards` counts lazy re-keys at the
+/// heap top, and restore keys every entry at its true deadline, so a
+/// resumed run re-keys less. `heap_peak` stays: the heap holds one entry
+/// per armed deadline, and restore rebuilds the same count.
 fn deterministic_view(s: &OwnedSample) -> OwnedSample {
     let mut s = s.clone();
     s.counters.stale_discards = 0;
-    s.counters.heap_peak = 0;
     s.counters.snapshots_taken = 0;
     s.counters.snapshot_bytes = 0;
     s.counters.snapshot_micros = 0;

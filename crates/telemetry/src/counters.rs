@@ -11,9 +11,15 @@
 pub struct Counters {
     /// Events popped from the queue and dispatched.
     pub events_popped: u64,
-    /// Stale entries discarded by lazy invalidation before dispatch.
+    /// Lazy re-keys at the event-queue top: a completion whose rate slowed
+    /// keeps its early key until it surfaces, then is re-keyed in place at
+    /// its true deadline. (The name predates the indexed queue, which holds
+    /// no stale entries.) Not resume-invariant: restore keys every entry
+    /// exactly, so a resumed run re-keys less.
     pub stale_discards: u64,
-    /// Peak event-queue length observed.
+    /// Peak event-queue length observed: one entry per armed per-peer
+    /// deadline (aggregate group deadlines are not queued), so it depends
+    /// on simulation state alone and survives a resume unchanged.
     pub heap_peak: u64,
     /// Per-download rate recomputations performed by the rate cache
     /// (each is one `recompute_rate` evaluation).

@@ -21,7 +21,8 @@ use std::time::Instant;
 /// codes; names are stable wire strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Calendar maintenance: pops, stale discards, lazy re-ranking.
+    /// Next-event selection: heap pops, lazy re-keys at the heap top, and
+    /// the aggregate group argmin.
     HeapOps,
     /// Rate-cache recomputation (per-peer or aggregate-group).
     RateMaint,
