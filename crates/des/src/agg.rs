@@ -301,24 +301,10 @@ impl AggCache {
     /// later or was disarmed.
     pub fn next_deadline(&mut self) -> Option<(f64, u32)> {
         if self.min_stale {
-            self.min_group = self.scan_min();
+            self.min_group = first_min(&self.deadline);
             self.min_stale = false;
         }
         self.min_group.map(|g| (self.deadline[g as usize], g))
-    }
-
-    /// Fresh argmin over the armed groups (finite deadlines), lowest id on
-    /// a tie.
-    fn scan_min(&self) -> Option<u32> {
-        let mut best: Option<u32> = None;
-        let mut best_t = f64::INFINITY;
-        for (g, &t) in self.deadline.iter().enumerate() {
-            if t < best_t {
-                best_t = t;
-                best = Some(g as u32);
-            }
-        }
-        best
     }
 
     /// Sets a group's deadline (∞ disarms it), keeping the cached argmin:
@@ -586,10 +572,10 @@ impl AggCache {
             SchemeKind::Mtsd => match peer.phase {
                 Phase::Downloading => {
                     let slot = peer.current_slot();
-                    self.add_member(peer.files[slot] as usize, class, 0, idx, slot);
+                    self.add_member(peer.slots[slot].file as usize, class, 0, idx, slot);
                 }
                 Phase::SeedingFile(slot) => {
-                    self.add_seed(idx, peer.files[slot] as usize, class);
+                    self.add_seed(idx, peer.slots[slot].file as usize, class);
                 }
                 Phase::SeedingAll | Phase::Departed => {}
             },
@@ -599,16 +585,16 @@ impl AggCache {
                 }
                 for slot in 0..class {
                     if !peer.finished(slot) {
-                        self.add_member(peer.files[slot] as usize, class, 0, idx, slot);
-                    } else if peer.seed_until[slot].is_some() {
-                        self.add_seed(idx, peer.files[slot] as usize, class);
+                        self.add_member(peer.slots[slot].file as usize, class, 0, idx, slot);
+                    } else if peer.slots[slot].seed_until.is_some() {
+                        self.add_seed(idx, peer.slots[slot].file as usize, class);
                     }
                 }
             }
             SchemeKind::Cmfsd { .. } => match peer.phase {
                 Phase::Downloading => {
                     let slot = peer.current_slot();
-                    let f = peer.files[slot] as usize;
+                    let f = peer.slots[slot].file as usize;
                     if peer.done_count() >= 1 {
                         debug_assert_eq!(
                             peer.rho.to_bits(),
@@ -619,7 +605,7 @@ impl AggCache {
                         if self.virt_bw > 0.0 {
                             let mut mask = 0u64;
                             for s in peer.finished_slots() {
-                                mask |= 1 << peer.files[s];
+                                mask |= 1 << peer.slots[s].file;
                             }
                             self.add_set(idx, mask, true);
                         }
@@ -629,7 +615,7 @@ impl AggCache {
                 }
                 Phase::SeedingAll => {
                     let mut mask = 0u64;
-                    for &f in &peer.files {
+                    for f in peer.files() {
                         mask |= 1 << f;
                     }
                     self.add_set(idx, mask, false);
@@ -1102,8 +1088,10 @@ impl AggCache {
                 ));
             }
         }
+        // Checked against the plain loop, not `first_min`, so a fault in
+        // the fast scan cannot hide behind itself.
         if !self.min_stale {
-            let fresh = self.scan_min();
+            let fresh = first_min_naive(&self.deadline);
             if self.min_group != fresh {
                 return Err(format!(
                     "group argmin drift: cached {:?} vs scanned {fresh:?}",
@@ -1115,10 +1103,59 @@ impl AggCache {
     }
 }
 
+/// Lanes of the minimum pass in [`first_min`]: one AVX-512 register, or
+/// two to four narrower ones.
+const MIN_LANES: usize = 8;
+
+/// Index of the first entry holding the minimum of `xs`, or `None` when no
+/// entry is below ∞ — the same answer as [`first_min_naive`].
+///
+/// Two passes instead of one compare-and-branch loop. The first takes a
+/// lane-wise minimum over [`MIN_LANES`]-wide chunks; its select has no
+/// data-dependent branch, so it vectorises, and it costs the same whether
+/// or not the minimum moves. The second finds the first index equal to that
+/// minimum, which is the lowest id among ties. NaN never wins either pass
+/// (`<` and `==` are false for it), as in the naive loop.
+fn first_min(xs: &[f64]) -> Option<u32> {
+    let mut lanes = [f64::INFINITY; MIN_LANES];
+    let chunks = xs.chunks_exact(MIN_LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            *m = if x < *m { x } else { *m };
+        }
+    }
+    for (m, &x) in lanes.iter_mut().zip(tail) {
+        *m = if x < *m { x } else { *m };
+    }
+    let min = lanes
+        .iter()
+        .fold(f64::INFINITY, |a, &x| if x < a { x } else { a });
+    if min == f64::INFINITY {
+        return None;
+    }
+    xs.iter().position(|&x| x == min).map(|i| i as u32)
+}
+
+/// The reference for [`first_min`]: one compare-and-branch pass keeping the
+/// first strict minimum below ∞.
+fn first_min_naive(xs: &[f64]) -> Option<u32> {
+    let mut best = None;
+    let mut best_t = f64::INFINITY;
+    for (i, &t) in xs.iter().enumerate() {
+        if t < best_t {
+            best_t = t;
+            best = Some(i as u32);
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use btfluid_workload::requests::FileId;
+    use proptest::prelude::*;
 
     fn params() -> FluidParams {
         FluidParams::new(1.0, 0.8, 1.0 / 20.0).unwrap()
@@ -1195,8 +1232,8 @@ mod tests {
         let mut p = downloader(k, vec![0, 2]);
         p.rho = 0.25;
         // First file finished, cursor on the second.
-        p.remaining[0] = 0.0;
-        p.completed_at[0] = Some(1.0);
+        p.slots[0].remaining = 0.0;
+        p.slots[0].completed_at = Some(1.0);
         p.cursor = 1;
         let peers = vec![p];
         a.grow(1);
@@ -1263,7 +1300,7 @@ mod tests {
         let mut a = AggCache::new(2, SchemeKind::Mtcd, &params(), 0);
         let next = |a: &mut AggCache| {
             let got = a.next_deadline();
-            assert_eq!(got.map(|(_, g)| g), a.scan_min());
+            assert_eq!(got.map(|(_, g)| g), first_min_naive(&a.deadline));
             got
         };
         assert_eq!(next(&mut a), None);
@@ -1301,5 +1338,48 @@ mod tests {
         a.register(0, &peers);
         assert_eq!(a.sets.len(), 1, "tombstone must be reused, not duplicated");
         assert_eq!(a.sets[0].n_real, 1);
+    }
+
+    /// Group-count shaped arrays: `2·K²` for K = 1..12, so 18 and 50 leave
+    /// a remainder after the lanes.
+    fn deadline_arrays() -> impl Strategy<Value = Vec<f64>> {
+        (1usize..=12).prop_flat_map(|k| {
+            // Half the entries disarmed; a small value set makes exact ties
+            // common.
+            let entry = prop_oneof![
+                Just(f64::INFINITY),
+                Just(f64::INFINITY),
+                (0u8..6).prop_map(|v| f64::from(v) * 0.5),
+                -1e3f64..=1e3,
+            ];
+            proptest::collection::vec(entry, 2 * k * k)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn first_min_matches_the_naive_loop(xs in deadline_arrays()) {
+            prop_assert_eq!(first_min(&xs), first_min_naive(&xs));
+        }
+    }
+
+    #[test]
+    fn first_min_edge_cases() {
+        for k in 1..=12 {
+            let n = 2 * k * k;
+            let mut xs = vec![f64::INFINITY; n];
+            assert_eq!(first_min(&xs), None, "all disarmed, n = {n}");
+            // A tie anywhere, including in the tail, goes to the lower id.
+            xs[n - 1] = 2.0;
+            assert_eq!(first_min(&xs), Some(n as u32 - 1));
+            xs[n / 2] = 2.0;
+            assert_eq!(first_min(&xs), Some(n as u32 / 2));
+            xs[0] = 2.0;
+            assert_eq!(first_min(&xs), Some(0));
+            xs[n - 1] = -1.0;
+            assert_eq!(first_min(&xs), Some(n as u32 - 1));
+        }
     }
 }

@@ -285,7 +285,7 @@ impl Simulation {
                 sim.add_counters(idx);
                 for s in 0..sim.peers[idx].class() {
                     if sim.peers[idx].finished(s) {
-                        sim.holders[sim.peers[idx].files[s] as usize] += 1;
+                        sim.holders[sim.peers[idx].slots[s].file as usize] += 1;
                     }
                 }
                 sim.reschedule_expiry(idx);
@@ -533,13 +533,13 @@ impl Simulation {
                     let mut peer = self.make_warm_peer(i, k);
                     // Stages 1..j−1 finished; stage j has uniform residual.
                     for pos in 0..j - 1 {
-                        let slot = peer.order[pos];
-                        peer.remaining[slot] = 0.0;
-                        peer.completed_at[slot] = Some(0.0);
+                        let slot = peer.order(pos);
+                        peer.slots[slot].remaining = 0.0;
+                        peer.slots[slot].completed_at = Some(0.0);
                     }
                     peer.cursor = j - 1;
-                    let slot = peer.order[peer.cursor];
-                    peer.remaining[slot] = self.rng_service.next_f64_open();
+                    let slot = peer.order(peer.cursor);
+                    peer.slots[slot].remaining = self.rng_service.next_f64_open();
                     self.peers.push(peer);
                 }
             }
@@ -548,8 +548,8 @@ impl Simulation {
             for _ in 0..n {
                 let mut peer = self.make_warm_peer(i, k);
                 for slot in 0..i {
-                    peer.remaining[slot] = 0.0;
-                    peer.completed_at[slot] = Some(0.0);
+                    peer.slots[slot].remaining = 0.0;
+                    peer.slots[slot].completed_at = Some(0.0);
                 }
                 peer.cursor = i;
                 peer.phase = Phase::SeedingAll;
@@ -761,9 +761,9 @@ impl Simulation {
             if p.phase != Phase::Departed && p.arrival >= warmup {
                 self.outcome.censored += 1;
                 let remaining = p
-                    .remaining
+                    .slots
                     .iter()
-                    .cloned()
+                    .map(|s| s.remaining)
                     .filter(|&r| r > 0.0)
                     .fold(0.0, f64::max);
                 self.outcome.inflight.push(crate::observer::InflightInfo {
@@ -815,8 +815,8 @@ impl Simulation {
     ///
     /// # Errors
     /// Rejects simulations that have already started or hold peers, and
-    /// peers whose file ids fall outside `0..K` or whose parallel vectors
-    /// disagree with the file count.
+    /// peers whose file ids fall outside `0..K` or whose download order
+    /// names a slot they do not have.
     pub fn inject_peers(&mut self, mut incoming: Vec<Peer>) -> Result<(), NumError> {
         if self.started || !self.peers.is_empty() {
             return Err(NumError::InvalidInput {
@@ -826,16 +826,17 @@ impl Simulation {
         }
         let k = self.cfg.model.k() as usize;
         for peer in &mut incoming {
-            let n = peer.files.len();
+            let n = peer.class();
             let shape_ok = n >= 1
-                && peer.remaining.len() == n
-                && peer.order.len() == n
-                && peer.seed_until.len() == n
-                && peer.files.iter().all(|&f| (f as usize) < k);
+                && peer
+                    .slots
+                    .iter()
+                    .all(|s| (s.file as usize) < k && (s.order as usize) < n);
             if !shape_ok {
+                let files: Vec<FileId> = peer.files().collect();
                 return Err(NumError::InvalidInput {
                     what: "Simulation::inject_peers",
-                    detail: format!("malformed injected peer (files {:?}, K {k})", peer.files),
+                    detail: format!("malformed injected peer (files {files:?}, K {k})"),
                 });
             }
             peer.id = self.user_counter;
@@ -848,7 +849,7 @@ impl Simulation {
             self.add_counters(idx);
             for s in 0..self.peers[idx].class() {
                 if self.peers[idx].finished(s) {
-                    self.holders[self.peers[idx].files[s] as usize] += 1;
+                    self.holders[self.peers[idx].slots[s].file as usize] += 1;
                 }
             }
             self.reschedule_expiry(idx);
@@ -1090,7 +1091,7 @@ impl Simulation {
         for idx in 0..sim.peers.len() {
             if sim.peers[idx].phase == Phase::Departed {
                 let p = &sim.peers[idx];
-                if p.expiry_stamp != 0 || p.comp_stamp.iter().any(|&s| s != 0) {
+                if p.expiry_stamp != 0 || p.slots.iter().any(|s| s.comp_stamp != 0) {
                     return Err(SnapshotError::Corrupt(format!(
                         "departed peer {idx} still holds an armed stamp"
                     ))
@@ -1102,29 +1103,29 @@ impl Simulation {
             sim.add_counters(idx);
             for s in 0..sim.peers[idx].class() {
                 if sim.peers[idx].finished(s) {
-                    sim.holders[sim.peers[idx].files[s] as usize] += 1;
+                    sim.holders[sim.peers[idx].slots[s].file as usize] += 1;
                 }
             }
             let peer = &sim.peers[idx];
-            if aggregate && peer.comp_stamp.iter().any(|&s| s != 0) {
+            if aggregate && peer.slots.iter().any(|s| s.comp_stamp != 0) {
                 return Err(SnapshotError::Corrupt(format!(
                     "peer {idx}: per-peer completion armed in an aggregate snapshot"
                 ))
                 .into());
             }
             for s in 0..peer.class() {
-                if peer.comp_stamp[s] == 0 {
+                if peer.slots[s].comp_stamp == 0 {
                     continue;
                 }
-                if !peer.comp_time[s].is_finite() {
+                if !peer.slots[s].comp_time.is_finite() {
                     return Err(SnapshotError::Corrupt(format!(
                         "peer {idx} slot {s}: armed completion at {}",
-                        peer.comp_time[s]
+                        peer.slots[s].comp_time
                     ))
                     .into());
                 }
                 sim.queue.schedule(Entry {
-                    time: peer.comp_time[s],
+                    time: peer.slots[s].comp_time,
                     rank: RANK_COMPLETION,
                     peer: idx as u32,
                     slot: s as u32,
@@ -1264,7 +1265,7 @@ impl Simulation {
         let k = self.cfg.model.k() as usize;
         let mut demand = vec![0usize; k];
         for d in &snapshot.downloads {
-            demand[self.peers[d.peer_idx].files[d.slot] as usize] += 1;
+            demand[self.peers[d.peer_idx].slots[d.slot].file as usize] += 1;
         }
         let mut holders = vec![0usize; k];
         for p in &self.peers {
@@ -1272,7 +1273,7 @@ impl Simulation {
                 continue;
             }
             for s in p.finished_slots() {
-                holders[p.files[s] as usize] += 1;
+                holders[p.slots[s].file as usize] += 1;
             }
         }
         diag!(
@@ -1303,7 +1304,7 @@ impl Simulation {
         for (idx, p) in self.peers.iter().enumerate() {
             if p.phase == Phase::Departed {
                 // Tombstones must hold no armed deadlines.
-                if p.expiry_stamp != 0 || p.comp_stamp.iter().any(|&s| s != 0) {
+                if p.expiry_stamp != 0 || p.slots.iter().any(|s| s.comp_stamp != 0) {
                     return violation(
                         InvariantKind::QueueInconsistency,
                         format!("departed peer {idx} still holds an armed stamp"),
@@ -1311,13 +1312,13 @@ impl Simulation {
                 }
                 continue;
             }
-            armed += p.comp_stamp.iter().filter(|&&s| s != 0).count();
+            armed += p.slots.iter().filter(|s| s.comp_stamp != 0).count();
             armed += usize::from(p.expiry_stamp != 0);
             for s in 0..p.class() {
                 let checks = [
-                    ("rate", p.rate[s]),
-                    ("vs_rate", p.vs_rate[s]),
-                    ("remaining", p.remaining[s]),
+                    ("rate", p.slots[s].rate),
+                    ("vs_rate", p.slots[s].vs_rate),
+                    ("remaining", p.slots[s].remaining),
                     ("donation_rate", p.donation_rate),
                 ];
                 for (what, v) in checks {
@@ -1339,14 +1340,13 @@ impl Simulation {
                 if p.phase == Phase::Departed {
                     continue;
                 }
-                if p.comp_stamp.iter().any(|&s| s != 0) {
+                if p.slots.iter().any(|s| s.comp_stamp != 0) {
                     return violation(
                         InvariantKind::QueueInconsistency,
                         format!("peer {idx}: per-peer completion armed in aggregate mode"),
                     );
                 }
-                if p.rate.iter().any(|&r| r != 0.0)
-                    || p.vs_rate.iter().any(|&r| r != 0.0)
+                if p.slots.iter().any(|s| s.rate != 0.0 || s.vs_rate != 0.0)
                     || p.donation_rate != 0.0
                 {
                     return violation(
@@ -1374,15 +1374,13 @@ impl Simulation {
             self.origin_now,
         );
         for d in &fresh.downloads {
-            let p = &self.peers[d.peer_idx];
-            if p.rate[d.slot].to_bits() != d.rate.to_bits()
-                || p.vs_rate[d.slot].to_bits() != d.vs_rate.to_bits()
-            {
+            let s = &self.peers[d.peer_idx].slots[d.slot];
+            if s.rate.to_bits() != d.rate.to_bits() || s.vs_rate.to_bits() != d.vs_rate.to_bits() {
                 return violation(
                     InvariantKind::RateCacheDrift,
                     format!(
                         "peer {} slot {}: cached ({}, {}) vs fresh ({}, {})",
-                        d.peer_idx, d.slot, p.rate[d.slot], p.vs_rate[d.slot], d.rate, d.vs_rate
+                        d.peer_idx, d.slot, s.rate, s.vs_rate, d.rate, d.vs_rate
                     ),
                 );
             }
@@ -1429,8 +1427,8 @@ impl Simulation {
             let (stamp, due) = if e.rank == RANK_COMPLETION {
                 let s = e.slot as usize;
                 (
-                    p.comp_stamp.get(s).copied().unwrap_or(0),
-                    p.comp_time.get(s).copied().unwrap_or(f64::NEG_INFINITY),
+                    p.slots.get(s).map_or(0, |x| x.comp_stamp),
+                    p.slots.get(s).map_or(f64::NEG_INFINITY, |x| x.comp_time),
                 )
             } else {
                 (p.expiry_stamp, p.expiry_deadline())
@@ -1491,7 +1489,7 @@ impl Simulation {
                 break;
             }
             if e.rank == RANK_COMPLETION {
-                let due = self.peers[e.peer as usize].comp_time[e.slot as usize];
+                let due = self.peers[e.peer as usize].slots[e.slot as usize].comp_time;
                 if e.time < due {
                     self.queue.rekey_top(due);
                     self.counters.stale_discards += 1;
@@ -1538,7 +1536,7 @@ impl Simulation {
                 self.queue.pop();
                 let peer = &mut self.peers[e.peer as usize];
                 if e.rank == RANK_COMPLETION {
-                    peer.comp_stamp[e.slot as usize] = 0;
+                    peer.slots[e.slot as usize].comp_stamp = 0;
                     best = Event::Completion(e.peer as usize, e.slot as usize);
                 } else {
                     peer.expiry_stamp = 0;
@@ -1564,27 +1562,27 @@ impl Simulation {
         self.counters.rate_clean_hits += clean;
         for &(p, s) in &changed {
             let (pi, si) = (p as usize, s as usize);
-            let peer = &mut self.peers[pi];
-            if !(peer.rate[si] > 0.0 && peer.remaining[si] > 0.0) {
-                if peer.comp_stamp[si] != 0 {
-                    peer.comp_stamp[si] = 0;
+            let slot = &mut self.peers[pi].slots[si];
+            if !(slot.rate > 0.0 && slot.remaining > 0.0) {
+                if slot.comp_stamp != 0 {
+                    slot.comp_stamp = 0;
                     self.queue.remove(RANK_COMPLETION, p, s);
                 }
                 continue;
             }
-            let time = self.t + peer.remaining[si] / peer.rate[si];
-            if peer.comp_stamp[si] != 0 && time >= peer.comp_time[si] {
+            let time = self.t + slot.remaining / slot.rate;
+            if slot.comp_stamp != 0 && time >= slot.comp_time {
                 // Deadline unchanged or moved later: record it and let
                 // `next_event` re-key the (too early) entry when it reaches
                 // the top — this skips a heap operation for every slowdown,
                 // the common case when an arrival dilutes a subtorrent's
                 // pools.
-                peer.comp_time[si] = time;
+                slot.comp_time = time;
                 continue;
             }
-            peer.comp_stamp[si] = self.next_stamp;
+            slot.comp_stamp = self.next_stamp;
             self.next_stamp += 1;
-            peer.comp_time[si] = time;
+            slot.comp_time = time;
             self.queue.advance(Entry {
                 time,
                 rank: RANK_COMPLETION,
@@ -1651,10 +1649,11 @@ impl Simulation {
         let peer = &mut self.peers[idx];
         for s in 0..peer.class() {
             peer.settle_slot(s, t);
-            peer.rate[s] = 0.0;
-            peer.vs_rate[s] = 0.0;
-            if peer.comp_stamp[s] != 0 {
-                peer.comp_stamp[s] = 0;
+            let slot = &mut peer.slots[s];
+            slot.rate = 0.0;
+            slot.vs_rate = 0.0;
+            if slot.comp_stamp != 0 {
+                slot.comp_stamp = 0;
                 self.queue.remove(RANK_COMPLETION, idx as u32, s as u32);
             }
         }
@@ -1728,7 +1727,7 @@ impl Simulation {
         } else {
             (0, 0, 0)
         };
-        let lingering = peer.seed_until.iter().flatten().count();
+        let lingering = peer.slots.iter().filter(|s| s.seed_until.is_some()).count();
         let seeds = match peer.phase {
             Phase::SeedingFile(_) => 1,
             Phase::SeedingAll => {
@@ -1897,7 +1896,14 @@ impl Simulation {
         debug_assert!((ta - self.t).abs() < 1e-9);
         // Random download order (sequential schemes).
         let order = random_order(&mut self.rng_service, files.len());
-        let mut peer = Peer::new(self.user_counter, self.t, files, order, 1.0);
+        // The tombstone `alloc_peer` is about to recycle lends its slot
+        // buffer, so a recycling arrival allocates no slot storage.
+        let buf = self
+            .free
+            .last()
+            .map(|&idx| std::mem::take(&mut self.peers[idx].slots))
+            .unwrap_or_default();
+        let mut peer = Peer::in_buffer(buf, self.user_counter, self.t, &files, &order, 1.0);
         self.user_counter += 1;
         assign_arrival_policy(
             &mut peer,
@@ -1930,7 +1936,7 @@ impl Simulation {
         let mut best: Vec<usize> = Vec::new();
         let mut best_count = usize::MAX;
         for pos in peer.cursor..peer.class() {
-            let f = peer.files[peer.order[pos]] as usize;
+            let f = peer.slots[peer.order(pos)].file as usize;
             match self.holders[f].cmp(&best_count) {
                 std::cmp::Ordering::Less => {
                     best_count = self.holders[f];
@@ -1943,32 +1949,32 @@ impl Simulation {
         }
         let pick = best[self.rng_service.next_below(best.len() as u64) as usize];
         let cursor = peer.cursor;
-        peer.order.swap(cursor, pick);
+        peer.swap_order(cursor, pick);
     }
 
     fn handle_completion(&mut self, idx: usize, slot: usize) {
         let was = self.touch_begin(idx);
         let t = self.t;
         {
-            let peer = &mut self.peers[idx];
-            peer.remaining[slot] = 0.0;
-            peer.completed_at[slot] = Some(t);
+            let s = &mut self.peers[idx].slots[slot];
+            s.remaining = 0.0;
+            s.completed_at = Some(t);
         }
         // Holder count first, so rarest-first sees the fresh copy.
-        self.holders[self.peers[idx].files[slot] as usize] += 1;
+        self.holders[self.peers[idx].slots[slot].file as usize] += 1;
         match self.cfg.scheme {
             SchemeKind::Mtsd => {
                 let dur = self.gamma.sample(&mut self.rng_service);
                 let peer = &mut self.peers[idx];
-                peer.seed_duration[slot] = dur;
-                peer.seed_until[slot] = Some(t + dur);
+                peer.slots[slot].seed_duration = dur;
+                peer.slots[slot].seed_until = Some(t + dur);
                 peer.phase = Phase::SeedingFile(slot);
             }
             SchemeKind::Mtcd => {
                 let dur = self.gamma.sample(&mut self.rng_service);
                 let peer = &mut self.peers[idx];
-                peer.seed_duration[slot] = dur;
-                peer.seed_until[slot] = Some(t + dur);
+                peer.slots[slot].seed_duration = dur;
+                peer.slots[slot].seed_until = Some(t + dur);
                 if peer.all_done() {
                     peer.phase = Phase::SeedingAll;
                 }
@@ -1976,7 +1982,7 @@ impl Simulation {
             SchemeKind::Mfcd => {
                 // Virtual seed persists until the user departs as a whole.
                 let peer = &mut self.peers[idx];
-                peer.seed_until[slot] = Some(f64::INFINITY);
+                peer.slots[slot].seed_until = Some(f64::INFINITY);
                 if peer.all_done() {
                     let dur = self.gamma.sample(&mut self.rng_service);
                     self.peers[idx].depart_at = Some(t + dur);
@@ -2011,8 +2017,8 @@ impl Simulation {
                 {
                     let peer = &mut self.peers[idx];
                     if let Phase::SeedingFile(slot) = peer.phase {
-                        if peer.seed_until[slot].is_some_and(|su| su <= t + 1e-9) {
-                            peer.seed_until[slot] = None;
+                        if peer.slots[slot].seed_until.is_some_and(|su| su <= t + 1e-9) {
+                            peer.slots[slot].seed_until = None;
                             peer.cursor += 1;
                             if peer.cursor < peer.class() {
                                 peer.phase = Phase::Downloading;
@@ -2030,11 +2036,11 @@ impl Simulation {
             SchemeKind::Mtcd => {
                 let peer = &mut self.peers[idx];
                 for slot in 0..peer.class() {
-                    if peer.seed_until[slot].is_some_and(|su| su <= t + 1e-9) {
-                        peer.seed_until[slot] = None;
+                    if peer.slots[slot].seed_until.is_some_and(|su| su <= t + 1e-9) {
+                        peer.slots[slot].seed_until = None;
                     }
                 }
-                if peer.all_done() && peer.seed_until.iter().all(Option::is_none) {
+                if peer.all_done() && peer.slots.iter().all(|s| s.seed_until.is_none()) {
                     departed = true;
                 }
             }
@@ -2205,7 +2211,7 @@ impl Simulation {
         };
         for s in 0..self.peers[idx].class() {
             if self.peers[idx].finished(s) {
-                self.holders[self.peers[idx].files[s] as usize] -= 1;
+                self.holders[self.peers[idx].slots[s].file as usize] -= 1;
             }
         }
         self.outcome.aborts.push(record);
@@ -2226,10 +2232,12 @@ impl Simulation {
                 SchemeKind::Mtcd => {
                     // Per-virtual-peer mean: (completion − arrival) + own
                     // seed duration, averaged over the user's torrents.
-                    let sum: f64 = (0..peer.class())
+                    let sum: f64 = peer
+                        .slots
+                        .iter()
                         .map(|s| {
-                            peer.completed_at[s].expect("departed ⇒ all complete") - peer.arrival
-                                + peer.seed_duration[s]
+                            s.completed_at.expect("departed ⇒ all complete") - peer.arrival
+                                + s.seed_duration
                         })
                         .sum();
                     sum / peer.class() as f64
@@ -2249,7 +2257,7 @@ impl Simulation {
         }
         for s in 0..self.peers[idx].class() {
             if self.peers[idx].finished(s) {
-                self.holders[self.peers[idx].files[s] as usize] -= 1;
+                self.holders[self.peers[idx].slots[s].file as usize] -= 1;
             }
         }
         if counted {

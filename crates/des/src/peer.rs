@@ -1,4 +1,11 @@
 //! The simulated peer: request set, per-file progress, lifecycle phase.
+//!
+//! A [`Peer`] keeps everything it tracks per requested file in one
+//! `Vec<Slot>` ([`Peer::slots`]), its only heap allocation. The engine's
+//! slab recycles departed peers' entries, and an arrival into a recycled
+//! entry reuses the old buffer (`Peer::in_buffer`), so in steady state
+//! arrivals allocate no slot storage. Group back-references for aggregate
+//! scheduling live outside the peer, in the flat [`SlotArena`].
 
 use btfluid_core::adapt::AdaptController;
 use btfluid_workload::requests::FileId;
@@ -19,34 +26,68 @@ pub enum Phase {
     Departed,
 }
 
+/// Per-file state of one requested file (a *slot*).
+///
+/// A peer keeps all of its slots in one `Vec<Slot>`, so touching a peer's
+/// progress, rates and deadlines walks one contiguous block instead of a
+/// pointer per field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Slot {
+    /// The requested file.
+    pub file: FileId,
+    /// Entry at this *position* of the sequential download order (the
+    /// slot downloaded at this position); read it through [`Peer::order`].
+    /// Stored here so the permutation shares the slots' allocation.
+    pub(crate) order: u32,
+    /// Remaining work, `1.0 → 0.0`.
+    pub remaining: f64,
+    /// Completion time.
+    pub completed_at: Option<f64>,
+    /// Seed expiry (MTSD: the one being seeded; MTCD: each virtual seed's
+    /// own deadline).
+    pub seed_until: Option<f64>,
+    /// Pre-sampled seed duration (recorded for the fluid-metric online
+    /// time).
+    pub seed_duration: f64,
+    /// Cached service rate, maintained by the engine's rate cache (zero
+    /// while inactive).
+    pub rate: f64,
+    /// Virtual-seed portion of [`Slot::rate`].
+    pub vs_rate: f64,
+    /// Last time progress was folded into [`Slot::remaining`] and
+    /// [`Peer::received_vs`] (lazy settlement).
+    pub settled_at: f64,
+    /// Arming stamp of the completion (0 = no queue entry). A fresh value
+    /// is drawn whenever the deadline is armed or moves earlier.
+    pub comp_stamp: u64,
+    /// The true completion deadline, meaningful while
+    /// [`Slot::comp_stamp`] is non-zero. A rate *decrease* only moves the
+    /// deadline later, so the engine records it here and leaves the queue
+    /// entry's key early; the entry is re-keyed when it reaches the top.
+    pub comp_time: f64,
+}
+
 /// One simulated user/peer.
 ///
 /// Field semantics vary slightly per scheme (documented inline); the engine
-/// interprets them via [`crate::config::SchemeKind`].
-#[derive(Debug, Clone)]
+/// interprets them via [`crate::config::SchemeKind`]. Everything kept per
+/// requested file lives in [`Peer::slots`], the peer's only heap
+/// allocation; a peer that arrives into a departed tombstone's slab entry
+/// reuses that buffer (`Peer::in_buffer`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Peer {
     /// Unique id (monotone arrival counter).
     pub id: u64,
     /// Arrival time.
     pub arrival: f64,
-    /// Requested files (non-empty, sorted).
-    pub files: Vec<FileId>,
-    /// Remaining work per file slot, `1.0 → 0.0`.
-    pub remaining: Vec<f64>,
-    /// Completion time per slot.
-    pub completed_at: Vec<Option<f64>>,
-    /// Sequential download order: a permutation of slot indices.
-    pub order: Vec<usize>,
-    /// Position in [`Peer::order`] (sequential schemes).
+    /// Per-file state, one entry per requested file (non-empty, files
+    /// sorted). Also carries the sequential download order
+    /// ([`Peer::order`]).
+    pub slots: Vec<Slot>,
+    /// Position in the download order (sequential schemes).
     pub cursor: usize,
     /// Current phase.
     pub phase: Phase,
-    /// Per-slot seed expiry (MTSD: the one being seeded; MTCD: each virtual
-    /// seed's own deadline).
-    pub seed_until: Vec<Option<f64>>,
-    /// Pre-sampled seed durations per slot (recorded for the fluid-metric
-    /// online time).
-    pub seed_duration: Vec<f64>,
     /// Whole-user departure time (CMFSD/MFCD real-seed phase end).
     pub depart_at: Option<f64>,
     /// CMFSD: individual bandwidth allocation ratio ρ.
@@ -63,14 +104,6 @@ pub struct Peer {
     pub received_vs: f64,
     /// Accumulated wall-clock time with at least one active download.
     pub download_time_acc: f64,
-    /// Cached service rate per slot, maintained by the engine's rate cache
-    /// (zero for inactive slots).
-    pub rate: Vec<f64>,
-    /// Virtual-seed portion of [`Peer::rate`] per slot.
-    pub vs_rate: Vec<f64>,
-    /// Last time each slot's progress was folded into
-    /// [`Peer::remaining`]/[`Peer::received_vs`] (lazy settlement).
-    pub settled_at: Vec<f64>,
     /// Bandwidth currently donated through this peer's virtual seed and
     /// consumed by someone (zero outside CMFSD).
     pub donation_rate: f64,
@@ -79,36 +112,54 @@ pub struct Peer {
     /// When the current [`Phase::Downloading`] stretch began (feeds
     /// [`Peer::download_time_acc`] on the next phase transition).
     pub active_since: f64,
-    /// Arming stamp of the slot's completion (0 = no queue entry). A fresh
-    /// value is drawn whenever the deadline is armed or moves earlier.
-    pub comp_stamp: Vec<u64>,
-    /// The slot's true completion deadline, meaningful while
-    /// [`Peer::comp_stamp`] is non-zero. A rate *decrease* only moves the
-    /// deadline later, so the engine records it here and leaves the queue
-    /// entry's key early; the entry is re-keyed when it reaches the top.
-    pub comp_time: Vec<f64>,
     /// Arming stamp of the seed-expiry/departure deadline (0 = no queue
     /// entry).
     pub expiry_stamp: u64,
 }
 
 impl Peer {
-    /// Creates a freshly arrived peer.
+    /// Creates a freshly arrived peer requesting `files` (sorted), to be
+    /// downloaded in `order` (a permutation of slot indices) by sequential
+    /// schemes.
     pub fn new(id: u64, arrival: f64, files: Vec<FileId>, order: Vec<usize>, rho: f64) -> Self {
-        let n = files.len();
-        debug_assert!(n > 0, "peers always request at least one file");
-        debug_assert_eq!(order.len(), n);
+        Self::in_buffer(Vec::new(), id, arrival, &files, &order, rho)
+    }
+
+    /// [`Peer::new`] built in `buf`'s storage: its contents are discarded
+    /// and its capacity reused, so a peer built on a departed peer's buffer
+    /// allocates nothing unless its class is larger.
+    pub(crate) fn in_buffer(
+        mut buf: Vec<Slot>,
+        id: u64,
+        arrival: f64,
+        files: &[FileId],
+        order: &[usize],
+        rho: f64,
+    ) -> Self {
+        debug_assert!(!files.is_empty(), "peers always request at least one file");
+        debug_assert_eq!(order.len(), files.len());
+        buf.clear();
+        // Exact: `extend` alone would round a small class up to 4 slots.
+        buf.reserve_exact(files.len());
+        buf.extend(files.iter().zip(order).map(|(&file, &o)| Slot {
+            file,
+            order: o as u32,
+            remaining: 1.0,
+            completed_at: None,
+            seed_until: None,
+            seed_duration: 0.0,
+            rate: 0.0,
+            vs_rate: 0.0,
+            settled_at: arrival,
+            comp_stamp: 0,
+            comp_time: f64::INFINITY,
+        }));
         Self {
             id,
             arrival,
-            files,
-            remaining: vec![1.0; n],
-            completed_at: vec![None; n],
-            order,
+            slots: buf,
             cursor: 0,
             phase: Phase::Downloading,
-            seed_until: vec![None; n],
-            seed_duration: vec![0.0; n],
             depart_at: None,
             rho,
             cheater: false,
@@ -116,20 +167,15 @@ impl Peer {
             donated: 0.0,
             received_vs: 0.0,
             download_time_acc: 0.0,
-            rate: vec![0.0; n],
-            vs_rate: vec![0.0; n],
-            settled_at: vec![arrival; n],
             donation_rate: 0.0,
             donation_since: arrival,
             active_since: arrival,
-            comp_stamp: vec![0; n],
-            comp_time: vec![f64::INFINITY; n],
             expiry_stamp: 0,
         }
     }
 
     /// Folds the interval since the slot's last settlement into
-    /// [`Peer::remaining`] and [`Peer::received_vs`] at the cached rates,
+    /// [`Slot::remaining`] and [`Peer::received_vs`] at the cached rates,
     /// then re-anchors the slot at `t`.
     ///
     /// Safe to call on inactive slots (their cached rate is zero).
@@ -142,17 +188,18 @@ impl Peer {
     /// no holder count, no record. Pinning to the smallest positive value
     /// keeps the slot alive for the completion event that is due now.
     pub fn settle_slot(&mut self, slot: usize, t: f64) {
-        let dt = t - self.settled_at[slot];
+        let s = &mut self.slots[slot];
+        let dt = t - s.settled_at;
         if dt > 0.0 {
-            let left = self.remaining[slot] - self.rate[slot] * dt;
-            self.remaining[slot] = if left > 0.0 || !(self.rate[slot] > 0.0) {
+            let left = s.remaining - s.rate * dt;
+            s.remaining = if left > 0.0 || !(s.rate > 0.0) {
                 left.max(0.0)
             } else {
                 f64::MIN_POSITIVE
             };
-            self.received_vs += self.vs_rate[slot] * dt;
+            self.received_vs += s.vs_rate * dt;
         }
-        self.settled_at[slot] = t;
+        s.settled_at = t;
     }
 
     /// Folds the interval since the last donation settlement into
@@ -167,13 +214,29 @@ impl Peer {
 
     /// The user's class: number of requested files.
     pub fn class(&self) -> usize {
-        self.files.len()
+        self.slots.len()
+    }
+
+    /// The requested files, in slot order.
+    pub fn files(&self) -> impl ExactSizeIterator<Item = FileId> + '_ {
+        self.slots.iter().map(|s| s.file)
+    }
+
+    /// The slot downloaded at position `pos` of the sequential order.
+    pub fn order(&self, pos: usize) -> usize {
+        self.slots[pos].order as usize
+    }
+
+    /// Swaps positions `a` and `b` of the sequential download order.
+    pub fn swap_order(&mut self, a: usize, b: usize) {
+        let oa = self.slots[a].order;
+        self.slots[a].order = std::mem::replace(&mut self.slots[b].order, oa);
     }
 
     /// The earliest finite seed or departure deadline (∞ when none): the
     /// time of the peer's expiry event.
     pub fn expiry_deadline(&self) -> f64 {
-        let seeds = self.seed_until.iter().flatten().copied();
+        let seeds = self.slots.iter().filter_map(|s| s.seed_until);
         seeds
             .chain(self.depart_at)
             .filter(|t| t.is_finite())
@@ -182,12 +245,12 @@ impl Peer {
 
     /// Whether slot `i` has finished downloading.
     pub fn finished(&self, slot: usize) -> bool {
-        self.remaining[slot] <= 0.0
+        self.slots[slot].remaining <= 0.0
     }
 
     /// Number of finished files.
     pub fn done_count(&self) -> usize {
-        self.remaining.iter().filter(|&&r| r <= 0.0).count()
+        self.slots.iter().filter(|s| s.remaining <= 0.0).count()
     }
 
     /// Whether every requested file is finished.
@@ -202,12 +265,12 @@ impl Peer {
     /// be in a seeding phase).
     pub fn current_slot(&self) -> usize {
         assert!(
-            self.cursor < self.order.len(),
+            self.cursor < self.class(),
             "cursor {} past the end for peer {}",
             self.cursor,
             self.id
         );
-        self.order[self.cursor]
+        self.order(self.cursor)
     }
 
     /// Time of the last file completion, if all are done.
@@ -215,9 +278,9 @@ impl Peer {
         if !self.all_done() {
             return None;
         }
-        self.completed_at
+        self.slots
             .iter()
-            .map(|c| c.expect("all slots completed"))
+            .map(|s| s.completed_at.expect("all slots completed"))
             .fold(None, |acc: Option<f64>, t| {
                 Some(acc.map_or(t, |a| a.max(t)))
             })
@@ -336,16 +399,16 @@ mod tests {
     #[test]
     fn progress_and_completion_tracking() {
         let mut p = peer3();
-        p.remaining[1] = 0.0;
-        p.completed_at[1] = Some(42.0);
+        p.slots[1].remaining = 0.0;
+        p.slots[1].completed_at = Some(42.0);
         assert!(p.finished(1));
         assert_eq!(p.done_count(), 1);
         assert_eq!(p.finished_slots(), vec![1]);
         assert!(!p.all_done());
-        p.remaining[0] = 0.0;
-        p.completed_at[0] = Some(50.0);
-        p.remaining[2] = 0.0;
-        p.completed_at[2] = Some(47.0);
+        p.slots[0].remaining = 0.0;
+        p.slots[0].completed_at = Some(50.0);
+        p.slots[2].remaining = 0.0;
+        p.slots[2].completed_at = Some(47.0);
         assert!(p.all_done());
         assert_eq!(p.last_completion(), Some(50.0));
     }
@@ -358,6 +421,49 @@ mod tests {
         assert_eq!(p.current_slot(), 0);
         p.cursor = 2;
         assert_eq!(p.current_slot(), 2);
+    }
+
+    #[test]
+    fn swap_order_permutes_positions() {
+        let mut p = peer3();
+        p.swap_order(0, 2);
+        assert_eq!(
+            (0..3).map(|pos| p.order(pos)).collect::<Vec<_>>(),
+            [2, 0, 1]
+        );
+        assert_eq!(p.files().collect::<Vec<_>>(), [2, 5, 9], "files stay put");
+    }
+
+    #[test]
+    fn peer_in_recycled_buffer_equals_new_peer() {
+        // A departed class-5 peer's buffer, every field dirty.
+        let mut old = Peer::new(1, 3.0, vec![0, 1, 3, 4, 8], vec![4, 3, 2, 1, 0], 0.9);
+        for (i, s) in old.slots.iter_mut().enumerate() {
+            s.remaining = 0.0;
+            s.completed_at = Some(i as f64);
+            s.seed_until = Some(99.0);
+            s.seed_duration = 7.5;
+            s.rate = 0.25;
+            s.vs_rate = 0.125;
+            s.settled_at = 42.0;
+            s.comp_stamp = 17 + i as u64;
+            s.comp_time = 3.5;
+        }
+        old.slots.reserve(16);
+        let buf = std::mem::take(&mut old.slots);
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        assert!(cap > 5);
+
+        let reused = Peer::in_buffer(buf, 7, 10.0, &[2, 5, 9], &[1, 0, 2], 0.3);
+        let fresh = peer3();
+        assert_eq!(fresh.slots.capacity(), 3, "a new peer's buffer is exact");
+        assert_eq!(reused.slots.as_ptr(), ptr, "the buffer is reused");
+        assert_eq!(reused.slots.capacity(), cap);
+        assert_eq!(reused.slots.len(), 3);
+        for (a, b) in reused.slots.iter().zip(&fresh.slots) {
+            assert_eq!(a, b);
+        }
+        assert_eq!(reused, fresh);
     }
 
     #[test]

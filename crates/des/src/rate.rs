@@ -97,7 +97,7 @@ fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
             }
             Phase::SeedingFile(slot) => {
                 v.seeds.push(SeedSource {
-                    files: vec![peer.files[slot] as usize],
+                    files: vec![peer.slots[slot].file as usize],
                     bandwidth: mu,
                     is_virtual: false,
                 });
@@ -112,12 +112,12 @@ fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
             for slot in 0..peer.class() {
                 if !peer.finished(slot) {
                     v.active.push((slot, share, 1.0 / class));
-                } else if peer.seed_until[slot].is_some() {
+                } else if peer.slots[slot].seed_until.is_some() {
                     // Finished slot: this virtual peer seeds its own
                     // torrent (MTCD: until its deadline; MFCD: until the
                     // user departs).
                     v.seeds.push(SeedSource {
-                        files: vec![peer.files[slot] as usize],
+                        files: vec![peer.slots[slot].file as usize],
                         bandwidth: share,
                         is_virtual: false,
                     });
@@ -137,7 +137,7 @@ fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
                         let files = peer
                             .finished_slots()
                             .into_iter()
-                            .map(|s| peer.files[s] as usize)
+                            .map(|s| peer.slots[s].file as usize)
                             .collect();
                         v.seeds.push(SeedSource {
                             files,
@@ -152,7 +152,7 @@ fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
             Phase::SeedingAll => {
                 // Real seed: μ over all its files, demand-aware.
                 v.seeds.push(SeedSource {
-                    files: peer.files.iter().map(|&f| f as usize).collect(),
+                    files: peer.files().map(usize::from).collect(),
                     bandwidth: mu,
                     is_virtual: false,
                 });
@@ -187,7 +187,7 @@ pub fn compute_rates(
     for peer in peers {
         let v = view(peer, scheme, params);
         for &(slot, _u, w) in &v.active {
-            weight[peer.files[slot] as usize] += w;
+            weight[peer.slots[slot].file as usize] += w;
         }
         views.push(v);
     }
@@ -245,7 +245,7 @@ pub fn compute_rates(
     // Pass 3: per-download rates.
     for (peer_idx, (peer, v)) in peers.iter().zip(&views).enumerate() {
         for &(slot, u, w) in &v.active {
-            let f = peer.files[slot] as usize;
+            let f = peer.slots[slot].file as usize;
             let share = if weight[f] > 0.0 { w / weight[f] } else { 0.0 };
             let from_real = share * pool_real[f];
             let from_virtual = share * pool_virtual[f];
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn mtsd_seed_feeds_downloader() {
         let mut seeder = peer(0, vec![3]);
-        seeder.remaining[0] = 0.0;
+        seeder.slots[0].remaining = 0.0;
         seeder.phase = Phase::SeedingFile(0);
         let downloader = peer(1, vec![3]);
         let peers = vec![seeder, downloader];
@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn mtsd_seed_in_other_torrent_does_not_help() {
         let mut seeder = peer(0, vec![4]);
-        seeder.remaining[0] = 0.0;
+        seeder.slots[0].remaining = 0.0;
         seeder.phase = Phase::SeedingFile(0);
         let downloader = peer(1, vec![3]);
         let peers = vec![seeder, downloader];
@@ -326,8 +326,8 @@ mod tests {
         // A seed with μ/2 serves torrent 0; two downloaders compete: one of
         // class 1 (weight 1) and one of class 4 (weight 1/4).
         let mut seeder = peer(0, vec![0, 5]);
-        seeder.remaining[0] = 0.0;
-        seeder.seed_until[0] = Some(100.0);
+        seeder.slots[0].remaining = 0.0;
+        seeder.slots[0].seed_until = Some(100.0);
         let d1 = peer(1, vec![0]);
         let d4 = peer(2, vec![0, 1, 2, 3]);
         let peers = vec![seeder, d1, d4];
@@ -360,8 +360,10 @@ mod tests {
         // An MTCD virtual seed of torrent 0 idles when torrent 0 has no
         // downloaders — it cannot redirect to torrent 5.
         let mut seeder = peer(0, vec![0, 5]);
-        seeder.remaining = vec![0.0, 0.0];
-        seeder.seed_until = vec![Some(100.0), None];
+        for s in &mut seeder.slots {
+            s.remaining = 0.0;
+        }
+        seeder.slots[0].seed_until = Some(100.0);
         seeder.phase = Phase::SeedingAll;
         let other = peer(1, vec![5]);
         let peers = vec![seeder, other];
@@ -392,8 +394,8 @@ mod tests {
         // only serve file 2, where peer B downloads.
         let mut a = peer(0, vec![2, 7]);
         a.rho = 0.25;
-        a.remaining[0] = 0.0;
-        a.completed_at[0] = Some(1.0);
+        a.slots[0].remaining = 0.0;
+        a.slots[0].completed_at = Some(1.0);
         a.cursor = 1;
         let b = peer(1, vec![2]);
         let peers = vec![a, b];
@@ -415,10 +417,10 @@ mod tests {
         // has one — the donated bandwidth splits 2:1 by weight.
         let mut a = peer(0, vec![2, 7, 9]);
         a.rho = 0.0;
-        a.remaining[0] = 0.0;
-        a.remaining[1] = 0.0;
-        a.completed_at[0] = Some(1.0);
-        a.completed_at[1] = Some(2.0);
+        a.slots[0].remaining = 0.0;
+        a.slots[1].remaining = 0.0;
+        a.slots[0].completed_at = Some(1.0);
+        a.slots[1].completed_at = Some(2.0);
         a.cursor = 2;
         let b = peer(1, vec![2]);
         let c = peer(2, vec![2]);
@@ -440,8 +442,8 @@ mod tests {
         // accounting sees no donation.
         let mut a = peer(0, vec![2, 7]);
         a.rho = 0.0;
-        a.remaining[0] = 0.0;
-        a.completed_at[0] = Some(1.0);
+        a.slots[0].remaining = 0.0;
+        a.slots[0].completed_at = Some(1.0);
         a.cursor = 1;
         let peers = vec![a];
         let snap = compute_rates(&peers, SchemeKind::Cmfsd { rho: 0.0 }, &params(), 10, 0);
@@ -451,8 +453,10 @@ mod tests {
     #[test]
     fn cmfsd_real_seed_demand_aware_over_its_files() {
         let mut s = peer(0, vec![2, 7]);
-        s.remaining = vec![0.0, 0.0];
-        s.completed_at = vec![Some(1.0), Some(2.0)];
+        s.slots[0].remaining = 0.0;
+        s.slots[1].remaining = 0.0;
+        s.slots[0].completed_at = Some(1.0);
+        s.slots[1].completed_at = Some(2.0);
         s.phase = Phase::SeedingAll;
         let b = peer(1, vec![2]);
         let peers = vec![s, b];
@@ -468,8 +472,8 @@ mod tests {
         // Sum of downloader rates in a subtorrent equals η·Σ uploads + pools.
         let mut a = peer(0, vec![0, 1, 2]);
         a.rho = 0.4;
-        a.remaining[0] = 0.0;
-        a.completed_at[0] = Some(1.0);
+        a.slots[0].remaining = 0.0;
+        a.slots[0].completed_at = Some(1.0);
         a.cursor = 1;
         let b = peer(1, vec![1]);
         let c = peer(2, vec![1, 2]);
@@ -498,9 +502,9 @@ mod tests {
     #[test]
     fn mfcd_finished_slots_keep_seeding_until_departure() {
         let mut p = peer(0, vec![0, 1]);
-        p.remaining[0] = 0.0;
-        p.completed_at[0] = Some(5.0);
-        p.seed_until[0] = Some(f64::INFINITY); // engine sets departure later
+        p.slots[0].remaining = 0.0;
+        p.slots[0].completed_at = Some(5.0);
+        p.slots[0].seed_until = Some(f64::INFINITY); // engine sets departure later
         let q = peer(1, vec![0]);
         let peers = vec![p, q];
         let snap = compute_rates(&peers, SchemeKind::Mfcd, &params(), 10, 0);

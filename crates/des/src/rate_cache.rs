@@ -333,11 +333,11 @@ impl RateCache {
                 Phase::Downloading => {
                     let slot = peer.current_slot();
                     reg.active
-                        .push((slot as u32, peer.files[slot] as u32, mu, 1.0));
+                        .push((slot as u32, peer.slots[slot].file as u32, mu, 1.0));
                 }
                 Phase::SeedingFile(slot) => {
                     reg.sources.push(PeerSource {
-                        files: vec![peer.files[slot] as usize],
+                        files: vec![peer.slots[slot].file as usize],
                         bandwidth: mu,
                         is_virtual: false,
                     });
@@ -351,11 +351,15 @@ impl RateCache {
                 let share = mu / class;
                 for slot in 0..peer.class() {
                     if !peer.finished(slot) {
-                        reg.active
-                            .push((slot as u32, peer.files[slot] as u32, share, 1.0 / class));
-                    } else if peer.seed_until[slot].is_some() {
+                        reg.active.push((
+                            slot as u32,
+                            peer.slots[slot].file as u32,
+                            share,
+                            1.0 / class,
+                        ));
+                    } else if peer.slots[slot].seed_until.is_some() {
                         reg.sources.push(PeerSource {
-                            files: vec![peer.files[slot] as usize],
+                            files: vec![peer.slots[slot].file as usize],
                             bandwidth: share,
                             is_virtual: false,
                         });
@@ -368,13 +372,13 @@ impl RateCache {
                     if peer.done_count() >= 1 {
                         let rho = peer.rho;
                         reg.active
-                            .push((slot as u32, peer.files[slot] as u32, rho * mu, 1.0));
+                            .push((slot as u32, peer.slots[slot].file as u32, rho * mu, 1.0));
                         let donated = (1.0 - rho) * mu;
                         if donated > 0.0 {
                             let files = peer
                                 .finished_slots()
                                 .into_iter()
-                                .map(|s| peer.files[s] as usize)
+                                .map(|s| peer.slots[s].file as usize)
                                 .collect();
                             reg.sources.push(PeerSource {
                                 files,
@@ -384,12 +388,12 @@ impl RateCache {
                         }
                     } else {
                         reg.active
-                            .push((slot as u32, peer.files[slot] as u32, mu, 1.0));
+                            .push((slot as u32, peer.slots[slot].file as u32, mu, 1.0));
                     }
                 }
                 Phase::SeedingAll => {
                     reg.sources.push(PeerSource {
-                        files: peer.files.iter().map(|&f| f as usize).collect(),
+                        files: peer.files().map(usize::from).collect(),
                         bandwidth: mu,
                         is_virtual: false,
                     });
@@ -668,12 +672,12 @@ impl RateCache {
         let rate = self.eta * u + from_real + from_virtual;
         let peer = &mut peers[p as usize];
         let s = slot as usize;
-        if rate.to_bits() != peer.rate[s].to_bits()
-            || from_virtual.to_bits() != peer.vs_rate[s].to_bits()
+        if rate.to_bits() != peer.slots[s].rate.to_bits()
+            || from_virtual.to_bits() != peer.slots[s].vs_rate.to_bits()
         {
             peer.settle_slot(s, t);
-            peer.rate[s] = rate;
-            peer.vs_rate[s] = from_virtual;
+            peer.slots[s].rate = rate;
+            peer.slots[s].vs_rate = from_virtual;
             changed.push((p, slot));
         }
     }
@@ -709,8 +713,8 @@ impl RateCache {
                 snap.downloads.push(ActiveDownload {
                     peer_idx: idx,
                     slot: s,
-                    rate: peers[idx].rate[s],
-                    vs_rate: peers[idx].vs_rate[s],
+                    rate: peers[idx].slots[s].rate,
+                    vs_rate: peers[idx].slots[s].vs_rate,
                 });
             }
             snap.donations[idx] = peers[idx].donation_rate;

@@ -748,21 +748,23 @@ impl Snapshot {
 
 fn encode_peer(w: &mut W, p: &Peer) {
     debug_assert!(p.adapt.is_none(), "controllers travel in adapt_states");
-    let n = p.files.len();
+    // Per-slot state is written field by field, each field for every slot
+    // in turn (the layout predates `Vec<Slot>` and is kept byte for byte).
+    let slots = &p.slots;
     w.u64(p.id);
     w.f64(p.arrival);
-    w.u64(n as u64);
-    for &f in &p.files {
-        w.u32(u32::from(f));
+    w.u64(slots.len() as u64);
+    for s in slots {
+        w.u32(u32::from(s.file));
     }
-    for &x in &p.remaining {
-        w.f64(x);
+    for s in slots {
+        w.f64(s.remaining);
     }
-    for &c in &p.completed_at {
-        w.opt_f64(c);
+    for s in slots {
+        w.opt_f64(s.completed_at);
     }
-    for &o in &p.order {
-        w.u64(o as u64);
+    for pos in 0..slots.len() {
+        w.u64(p.order(pos) as u64);
     }
     w.u64(p.cursor as u64);
     match p.phase {
@@ -774,11 +776,11 @@ fn encode_peer(w: &mut W, p: &Peer) {
         Phase::SeedingAll => w.u8(2),
         Phase::Departed => w.u8(3),
     }
-    for &s in &p.seed_until {
-        w.opt_f64(s);
+    for s in slots {
+        w.opt_f64(s.seed_until);
     }
-    for &d in &p.seed_duration {
-        w.f64(d);
+    for s in slots {
+        w.f64(s.seed_duration);
     }
     w.opt_f64(p.depart_at);
     w.f64(p.rho);
@@ -786,23 +788,23 @@ fn encode_peer(w: &mut W, p: &Peer) {
     w.f64(p.donated);
     w.f64(p.received_vs);
     w.f64(p.download_time_acc);
-    for &x in &p.rate {
-        w.f64(x);
+    for s in slots {
+        w.f64(s.rate);
     }
-    for &x in &p.vs_rate {
-        w.f64(x);
+    for s in slots {
+        w.f64(s.vs_rate);
     }
-    for &x in &p.settled_at {
-        w.f64(x);
+    for s in slots {
+        w.f64(s.settled_at);
     }
     w.f64(p.donation_rate);
     w.f64(p.donation_since);
     w.f64(p.active_since);
-    for &s in &p.comp_stamp {
-        w.u64(s);
+    for s in slots {
+        w.u64(s.comp_stamp);
     }
-    for &ct in &p.comp_time {
-        w.f64(ct);
+    for s in slots {
+        w.f64(s.comp_time);
     }
     w.u64(p.expiry_stamp);
 }
@@ -822,20 +824,26 @@ fn decode_peer(r: &mut R) -> Result<Peer, SnapshotError> {
                 .map_err(|_| SnapshotError::Corrupt(format!("file id {f} overflows")))?,
         );
     }
-    let remaining: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let completed_at: Vec<Option<f64>> = (0..n).map(|_| r.opt_f64()).collect::<Result<_, _>>()?;
-    let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        let o = r.u64()? as usize;
-        if o >= n {
+    // Every field below is overwritten from the stream, column by column
+    // in the order `encode_peer` writes them.
+    let mut p = Peer::new(id, arrival, files, (0..n).collect(), 0.0);
+    for s in &mut p.slots {
+        s.remaining = r.f64()?;
+    }
+    for s in &mut p.slots {
+        s.completed_at = r.opt_f64()?;
+    }
+    for s in &mut p.slots {
+        let o = r.u64()?;
+        if o >= n as u64 {
             return Err(SnapshotError::Corrupt(format!(
                 "order entry {o} out of range for class {n}"
             )));
         }
-        order.push(o);
+        s.order = o as u32;
     }
-    let cursor = r.u64()? as usize;
-    let phase = match r.u8()? {
+    p.cursor = r.u64()? as usize;
+    p.phase = match r.u8()? {
         0 => Phase::Downloading,
         1 => {
             let slot = r.u64()? as usize;
@@ -850,56 +858,44 @@ fn decode_peer(r: &mut R) -> Result<Peer, SnapshotError> {
         3 => Phase::Departed,
         b => return Err(SnapshotError::Corrupt(format!("bad phase tag {b}"))),
     };
-    let seed_until: Vec<Option<f64>> = (0..n).map(|_| r.opt_f64()).collect::<Result<_, _>>()?;
-    let seed_duration: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let depart_at = r.opt_f64()?;
-    let rho = r.f64()?;
-    let cheater = r.bool()?;
-    let donated = r.f64()?;
-    let received_vs = r.f64()?;
-    let download_time_acc = r.f64()?;
-    let rate: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let vs_rate: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let settled_at: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let donation_rate = r.f64()?;
-    let donation_since = r.f64()?;
-    let active_since = r.f64()?;
-    let comp_stamp: Vec<u64> = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    let comp_time: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let expiry_stamp = r.u64()?;
-    if cursor > n {
+    for s in &mut p.slots {
+        s.seed_until = r.opt_f64()?;
+    }
+    for s in &mut p.slots {
+        s.seed_duration = r.f64()?;
+    }
+    p.depart_at = r.opt_f64()?;
+    p.rho = r.f64()?;
+    p.cheater = r.bool()?;
+    p.donated = r.f64()?;
+    p.received_vs = r.f64()?;
+    p.download_time_acc = r.f64()?;
+    for s in &mut p.slots {
+        s.rate = r.f64()?;
+    }
+    for s in &mut p.slots {
+        s.vs_rate = r.f64()?;
+    }
+    for s in &mut p.slots {
+        s.settled_at = r.f64()?;
+    }
+    p.donation_rate = r.f64()?;
+    p.donation_since = r.f64()?;
+    p.active_since = r.f64()?;
+    for s in &mut p.slots {
+        s.comp_stamp = r.u64()?;
+    }
+    for s in &mut p.slots {
+        s.comp_time = r.f64()?;
+    }
+    p.expiry_stamp = r.u64()?;
+    if p.cursor > n {
         return Err(SnapshotError::Corrupt(format!(
-            "cursor {cursor} out of range for class {n}"
+            "cursor {} out of range for class {n}",
+            p.cursor
         )));
     }
-    Ok(Peer {
-        id,
-        arrival,
-        files,
-        remaining,
-        completed_at,
-        order,
-        cursor,
-        phase,
-        seed_until,
-        seed_duration,
-        depart_at,
-        rho,
-        cheater,
-        adapt: None,
-        donated,
-        received_vs,
-        download_time_acc,
-        rate,
-        vs_rate,
-        settled_at,
-        donation_rate,
-        donation_since,
-        active_since,
-        comp_stamp,
-        comp_time,
-        expiry_stamp,
-    })
+    Ok(p)
 }
 
 fn encode_welford(w: &mut W, s: &Welford) {

@@ -38,17 +38,17 @@ fn rand_peer(id: u64) -> impl Strategy<Value = Peer> {
             let mut p = Peer::new(id, 0.0, files, order, RHO);
             if seeding_all {
                 for s in 0..n {
-                    p.remaining[s] = 0.0;
-                    p.completed_at[s] = Some(1.0);
+                    p.slots[s].remaining = 0.0;
+                    p.slots[s].completed_at = Some(1.0);
                 }
                 p.cursor = n;
                 p.phase = Phase::SeedingAll;
             } else {
                 let done = progress.min(n - 1);
                 for s in 0..done {
-                    let slot = p.order[s];
-                    p.remaining[slot] = 0.0;
-                    p.completed_at[slot] = Some(1.0);
+                    let slot = p.order(s);
+                    p.slots[slot].remaining = 0.0;
+                    p.slots[slot].completed_at = Some(1.0);
                 }
                 p.cursor = done;
             }
@@ -98,7 +98,7 @@ fn expected_members(
             SchemeKind::Mtsd => {
                 if p.phase == Phase::Downloading {
                     let slot = p.current_slot();
-                    m.entry((p.files[slot] as usize, class, 0))
+                    m.entry((p.slots[slot].file as usize, class, 0))
                         .or_default()
                         .insert((idx as u32, slot as u32));
                 }
@@ -107,7 +107,7 @@ fn expected_members(
                 if p.phase != Phase::Departed {
                     for slot in 0..class {
                         if !p.finished(slot) {
-                            m.entry((p.files[slot] as usize, class, 0))
+                            m.entry((p.slots[slot].file as usize, class, 0))
                                 .or_default()
                                 .insert((idx as u32, slot as u32));
                         }
@@ -118,7 +118,7 @@ fn expected_members(
                 if p.phase == Phase::Downloading {
                     let slot = p.current_slot();
                     let band = u8::from(p.done_count() >= 1);
-                    m.entry((p.files[slot] as usize, class, band))
+                    m.entry((p.slots[slot].file as usize, class, band))
                         .or_default()
                         .insert((idx as u32, slot as u32));
                 }
@@ -148,7 +148,7 @@ proptest! {
                     SchemeKind::Cmfsd { .. } => u8::from(p.done_count() >= 1),
                     _ => 0,
                 };
-                let g = a.gid(p.files[d.slot] as usize, p.class(), band);
+                let g = a.gid(p.slots[d.slot].file as usize, p.class(), band);
                 sums[g as usize] += d.rate;
             }
             for g in 0..a.n_groups() as u32 {
@@ -224,8 +224,8 @@ proptest! {
                         // Seed transition: finish the current file.
                         a.deregister(idx, &peers);
                         let slot = peers[idx].current_slot();
-                        peers[idx].remaining[slot] = 0.0;
-                        peers[idx].completed_at[slot] = Some(2.0);
+                        peers[idx].slots[slot].remaining = 0.0;
+                        peers[idx].slots[slot].completed_at = Some(2.0);
                         peers[idx].cursor += 1;
                         if peers[idx].cursor >= peers[idx].class() {
                             peers[idx].phase = Phase::SeedingAll;

@@ -115,17 +115,17 @@ fn cmfsd_peer(id: u64) -> impl Strategy<Value = Peer> {
             let mut p = Peer::new(id, 0.0, files, order, rho);
             if seeding_all {
                 for s in 0..n {
-                    p.remaining[s] = 0.0;
-                    p.completed_at[s] = Some(1.0);
+                    p.slots[s].remaining = 0.0;
+                    p.slots[s].completed_at = Some(1.0);
                 }
                 p.cursor = n;
                 p.phase = Phase::SeedingAll;
             } else {
                 let done = progress.min(n - 1);
                 for s in 0..done {
-                    let slot = p.order[s];
-                    p.remaining[slot] = 0.0;
-                    p.completed_at[slot] = Some(1.0);
+                    let slot = p.order(s);
+                    p.slots[slot].remaining = 0.0;
+                    p.slots[slot].completed_at = Some(1.0);
                 }
                 p.cursor = done;
             }
@@ -232,8 +232,8 @@ proptest! {
             }
             cache.deregister(idx, &peers);
             let slot = peers[idx].current_slot();
-            peers[idx].remaining[slot] = 0.0;
-            peers[idx].completed_at[slot] = Some(2.0);
+            peers[idx].slots[slot].remaining = 0.0;
+            peers[idx].slots[slot].completed_at = Some(2.0);
             peers[idx].cursor += 1;
             if peers[idx].cursor >= peers[idx].class() {
                 peers[idx].phase = Phase::SeedingAll;
@@ -260,7 +260,7 @@ proptest! {
             let mut sum_u = [0.0f64; K];
             for d in &snap.downloads {
                 let p = &peers[d.peer_idx];
-                let f = p.files[d.slot] as usize;
+                let f = p.slots[d.slot].file as usize;
                 sum_rate[f] += d.rate;
                 sum_u[f] += member_u(scheme, p, mu);
             }

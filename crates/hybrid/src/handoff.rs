@@ -133,7 +133,7 @@ impl FluidModel {
                     if p.phase == Phase::Downloading {
                         state[class - 1] += (class - p.done_count()) as f64 / k;
                     }
-                    let lingering = p.seed_until.iter().flatten().count();
+                    let lingering = p.slots.iter().filter(|s| s.seed_until.is_some()).count();
                     state[m.k() + class - 1] += lingering as f64 / k;
                 }
             }
@@ -187,7 +187,7 @@ impl FluidModel {
                         let order = random_order(rng, class);
                         let mut p = Peer::new(0, -1.0, files, order, 1.0);
                         for slot in 0..class {
-                            p.remaining[slot] = rng.next_f64_open();
+                            p.slots[slot].remaining = rng.next_f64_open();
                         }
                         realized[class - 1] += class as f64 / k as f64;
                         peers.push(p);
@@ -200,11 +200,11 @@ impl FluidModel {
                         let order = random_order(rng, class);
                         let mut p = Peer::new(0, -1.0, files, order, 1.0);
                         for slot in 0..class {
-                            p.remaining[slot] = 0.0;
-                            p.completed_at[slot] = Some(0.0);
+                            p.slots[slot].remaining = 0.0;
+                            p.slots[slot].completed_at = Some(0.0);
                             let dur = gamma.sample(rng);
-                            p.seed_until[slot] = Some(dur);
-                            p.seed_duration[slot] = dur;
+                            p.slots[slot].seed_until = Some(dur);
+                            p.slots[slot].seed_duration = dur;
                         }
                         p.cursor = class;
                         p.phase = Phase::SeedingAll;
@@ -227,13 +227,13 @@ impl FluidModel {
                             let order = random_order(rng, class);
                             let mut p = Peer::new(0, -1.0, files, order, 1.0);
                             for pos in 0..stage - 1 {
-                                let slot = p.order[pos];
-                                p.remaining[slot] = 0.0;
-                                p.completed_at[slot] = Some(0.0);
+                                let slot = p.order(pos);
+                                p.slots[slot].remaining = 0.0;
+                                p.slots[slot].completed_at = Some(0.0);
                             }
                             p.cursor = stage - 1;
-                            let slot = p.order[p.cursor];
-                            p.remaining[slot] = rng.next_f64_open();
+                            let slot = p.order(p.cursor);
+                            p.slots[slot].remaining = rng.next_f64_open();
                             realized[idx] += 1.0;
                             peers.push(p);
                         }
@@ -245,15 +245,15 @@ impl FluidModel {
                             let order = random_order(rng, class);
                             let mut p = Peer::new(0, -1.0, files, order, 1.0);
                             for pos in 0..stage {
-                                let slot = p.order[pos];
-                                p.remaining[slot] = 0.0;
-                                p.completed_at[slot] = Some(0.0);
+                                let slot = p.order(pos);
+                                p.slots[slot].remaining = 0.0;
+                                p.slots[slot].completed_at = Some(0.0);
                             }
                             p.cursor = stage - 1;
-                            let slot = p.order[p.cursor];
+                            let slot = p.order(p.cursor);
                             let dur = gamma.sample(rng);
-                            p.seed_until[slot] = Some(dur);
-                            p.seed_duration[slot] = dur;
+                            p.slots[slot].seed_until = Some(dur);
+                            p.slots[slot].seed_duration = dur;
                             p.phase = Phase::SeedingFile(slot);
                             realized[half + idx] += 1.0;
                             peers.push(p);
