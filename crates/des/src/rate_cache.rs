@@ -27,6 +27,17 @@
 //! ([`crate::peer::Peer::settle_slot`]) before the new rate is stored, so
 //! progress accrual is exact piecewise-linear integration either way.
 //!
+//! ## Source table
+//!
+//! Seed sources live in one slab (`SourceTable`): bandwidth, owner,
+//! kind, a cached `demand` (the left-to-right sum of its files' weights,
+//! exactly as `compute_rates` sums it) and its files in a shared arena.
+//! Each file keeps two lists of `(sid, bandwidth)` entries sorted by
+//! `(peer, ord)`, one for real and one for virtual sources. Each pool is
+//! its own accumulator, so splitting the lists keeps both summation
+//! orders; the pool pass costs one multiply, one divide and one add per
+//! membership.
+//!
 //! ## Dirty propagation
 //!
 //! * A membership change on subtorrent `f` marks `weight[f]` dirty.
@@ -35,12 +46,18 @@
 //!   demand-aware split changed), and — when a demand-aware origin
 //!   publisher exists (MFCD/CMFSD) — every pool (the global demand
 //!   changed).
+//! * A source's demand is computed when it is registered (after the
+//!   weight pass of the next refresh) and recomputed only by the walk over
+//!   the bit-changed weights above, which visits every source serving a
+//!   changed file. A source none of whose files changed weight bits keeps
+//!   its cached demand, which equals a fresh sum bit for bit.
 //! * Download rates are recomputed for every member of a subtorrent whose
 //!   weight or pools bit-changed, plus every active slot of a peer touched
 //!   this round (its TFT upload `u` can change with no weight change,
 //!   e.g. a CMFSD peer finishing its first file at unchanged weight 1).
 //! * Donation rates are recomputed for touched peers and for owners of
-//!   sources serving a pool-dirty file.
+//!   virtual sources whose demand was recomputed (a donation counts only
+//!   while its source's demand is positive).
 
 use crate::config::SchemeKind;
 use crate::peer::{Peer, Phase};
@@ -58,20 +75,102 @@ struct Member {
     w: f64,
 }
 
-/// Reference to one seed source in a subtorrent's source list:
-/// `reg[peer].sources[ord]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct SourceRef {
-    peer: u32,
-    ord: u32,
+/// One seed source in a subtorrent's real or virtual source list.
+#[derive(Debug, Clone, Copy)]
+struct SourceEntry {
+    /// Sort key `(owner peer, ordinal within the owner)` as
+    /// `peer << 32 | ord`.
+    key: u64,
+    /// Index into the [`SourceTable`].
+    sid: u32,
+    bandwidth: f64,
 }
 
-/// A seed capacity source owned by one peer.
-#[derive(Debug, Clone)]
-struct PeerSource {
-    files: Vec<usize>,
+fn source_key(peer: usize, ord: usize) -> u64 {
+    ((peer as u64) << 32) | ord as u64
+}
+
+/// Per-source metadata in the [`SourceTable`].
+#[derive(Debug, Clone, Copy)]
+struct Source {
     bandwidth: f64,
+    owner: u32,
     is_virtual: bool,
+    /// The source's files: `files[start..start + len]`, room for `cap`.
+    start: u32,
+    len: u32,
+    cap: u32,
+    /// Refresh round in which `demand` was last computed.
+    round: u64,
+}
+
+/// Slab of registered seed sources. Released ids are reused LIFO, and a
+/// reused id keeps its arena range when the new file set fits.
+#[derive(Debug, Default)]
+struct SourceTable {
+    meta: Vec<Source>,
+    /// Σ weight over the source's files, in file order.
+    demand: Vec<f64>,
+    files: Vec<u32>,
+    free: Vec<u32>,
+    /// Staging buffer for the file set being allocated.
+    staging: Vec<u32>,
+}
+
+impl SourceTable {
+    /// Stores a source serving `files` (in view order) and returns its id.
+    fn alloc(
+        &mut self,
+        owner: usize,
+        bandwidth: f64,
+        is_virtual: bool,
+        files: impl IntoIterator<Item = usize>,
+    ) -> u32 {
+        self.staging.clear();
+        self.staging.extend(files.into_iter().map(|f| f as u32));
+        let len = self.staging.len() as u32;
+        let sid = match self.free.pop() {
+            Some(sid) => sid,
+            None => {
+                self.meta.push(Source {
+                    bandwidth: 0.0,
+                    owner: 0,
+                    is_virtual: false,
+                    start: 0,
+                    len: 0,
+                    cap: 0,
+                    round: 0,
+                });
+                self.demand.push(0.0);
+                (self.meta.len() - 1) as u32
+            }
+        };
+        let src = &mut self.meta[sid as usize];
+        if src.cap < len {
+            src.start = self.files.len() as u32;
+            src.cap = len.next_power_of_two();
+            self.files.resize(self.files.len() + src.cap as usize, 0);
+        }
+        src.bandwidth = bandwidth;
+        src.owner = owner as u32;
+        src.is_virtual = is_virtual;
+        src.len = len;
+        let start = src.start as usize;
+        self.files[start..start + len as usize].copy_from_slice(&self.staging);
+        sid
+    }
+
+    fn files(&self, sid: u32) -> &[u32] {
+        let src = &self.meta[sid as usize];
+        &self.files[src.start as usize..(src.start + src.len) as usize]
+    }
+
+    /// Recomputes and caches the source's demand for refresh `round`.
+    fn refresh_demand(&mut self, sid: u32, weight: &[f64], round: u64) {
+        let d: f64 = self.files(sid).iter().map(|&g| weight[g as usize]).sum();
+        self.demand[sid as usize] = d;
+        self.meta[sid as usize].round = round;
+    }
 }
 
 /// What one peer currently has registered in the cache.
@@ -79,9 +178,43 @@ struct PeerSource {
 struct PeerReg {
     /// Active downloads `(slot, file, u, w)` in view order.
     active: Vec<(u32, u32, f64, f64)>,
-    /// Seed sources in view order.
-    sources: Vec<PeerSource>,
+    /// Seed source ids in view order (the index is the source's `ord`).
+    sources: Vec<u32>,
     registered: bool,
+}
+
+/// One subtorrent's aggregates as pass 4 reads them.
+#[derive(Debug, Clone, Copy)]
+struct FileAgg {
+    eta: f64,
+    weight: f64,
+    pool_real: f64,
+    pool_virtual: f64,
+}
+
+impl FileAgg {
+    /// Recomputes one download's rate with the exact float expression of
+    /// `compute_rates`; on a bit change settles the slot and stores it.
+    fn update(&self, peers: &mut [Peer], t: f64, m: Member, changed: &mut Vec<(u32, u32)>) {
+        let share = if self.weight > 0.0 {
+            m.w / self.weight
+        } else {
+            0.0
+        };
+        let from_real = share * self.pool_real;
+        let from_virtual = share * self.pool_virtual;
+        let rate = self.eta * m.u + from_real + from_virtual;
+        let peer = &mut peers[m.peer as usize];
+        let s = m.slot as usize;
+        if rate.to_bits() != peer.slots[s].rate.to_bits()
+            || from_virtual.to_bits() != peer.slots[s].vs_rate.to_bits()
+        {
+            peer.settle_slot(s, t);
+            peer.slots[s].rate = rate;
+            peer.slots[s].vs_rate = from_virtual;
+            changed.push((m.peer, m.slot));
+        }
+    }
 }
 
 /// Incrementally maintained per-subtorrent rate aggregates.
@@ -108,9 +241,16 @@ pub struct RateCache {
     pool_virtual: Vec<f64>,
     /// Per file: downloader members sorted by (peer, slot).
     downloaders: Vec<Vec<Member>>,
-    /// Per file: seed sources serving it, sorted by (peer, ord).
-    sources: Vec<Vec<SourceRef>>,
+    /// Per file: real seed sources serving it, sorted by (peer, ord).
+    src_real: Vec<Vec<SourceEntry>>,
+    /// Per file: virtual seed sources serving it, sorted by (peer, ord).
+    src_virtual: Vec<Vec<SourceEntry>>,
+    table: SourceTable,
     reg: Vec<PeerReg>,
+    /// Refresh counter stamping recomputed demands.
+    round: u64,
+    /// Sources registered since the last refresh (their demand is stale).
+    fresh: Vec<u32>,
     // Dirty tracking (list + flag pairs so marking is O(1) amortized).
     dirty_w: Vec<usize>,
     dirty_w_flag: Vec<bool>,
@@ -155,8 +295,12 @@ impl RateCache {
             pool_real: vec![0.0; k],
             pool_virtual: vec![0.0; k],
             downloaders: vec![Vec::new(); k],
-            sources: vec![Vec::new(); k],
+            src_real: vec![Vec::new(); k],
+            src_virtual: vec![Vec::new(); k],
+            table: SourceTable::default(),
             reg: Vec::new(),
+            round: 0,
+            fresh: Vec::new(),
             dirty_w: Vec::new(),
             dirty_w_flag: vec![false; k],
             dirty_p: Vec::new(),
@@ -246,7 +390,7 @@ impl RateCache {
     /// engine settles the peer before calling this.
     pub fn deregister(&mut self, idx: usize, _peers: &[Peer]) {
         self.mark_touched(idx);
-        let reg = std::mem::take(&mut self.reg[idx]);
+        let mut reg = std::mem::take(&mut self.reg[idx]);
         for &(slot, file, _u, _w) in &reg.active {
             let f = file as usize;
             let list = &mut self.downloaders[f];
@@ -256,27 +400,25 @@ impl RateCache {
             list.remove(pos);
             self.mark_w(f);
         }
-        for (ord, src) in reg.sources.iter().enumerate() {
-            let sref = SourceRef {
-                peer: idx as u32,
-                ord: ord as u32,
-            };
-            for &f in &src.files {
-                let list = &mut self.sources[f];
+        for (ord, &sid) in reg.sources.iter().enumerate() {
+            let key = source_key(idx, ord);
+            let is_virtual = self.table.meta[sid as usize].is_virtual;
+            for i in 0..self.table.files(sid).len() {
+                let g = self.table.files(sid)[i] as usize;
+                let list = self.source_list(g, is_virtual);
                 let pos = list
-                    .binary_search(&sref)
+                    .binary_search_by_key(&key, |e| e.key)
                     .expect("deregistering a source that was never inserted");
                 list.remove(pos);
-                self.mark_p(f);
+                self.mark_p(g);
             }
+            self.table.free.push(sid);
         }
         // reg[idx] is left empty (registered = false) until re-registered.
-        let slot = &mut self.reg[idx];
-        slot.active = reg.active;
-        slot.active.clear();
-        slot.sources = reg.sources;
-        slot.sources.clear();
-        slot.registered = false;
+        reg.active.clear();
+        reg.sources.clear();
+        reg.registered = false;
+        self.reg[idx] = reg;
     }
 
     /// Computes the peer's current memberships (mirroring
@@ -288,7 +430,7 @@ impl RateCache {
         debug_assert!(!self.reg[idx].registered, "double registration");
         let mut reg = std::mem::take(&mut self.reg[idx]);
         reg.registered = true;
-        self.fill_membership(peer, &mut reg);
+        self.fill_membership(idx, peer, &mut reg);
         for &(slot, file, u, w) in &reg.active {
             let f = file as usize;
             let list = &mut self.downloaders[f];
@@ -306,26 +448,47 @@ impl RateCache {
             );
             self.mark_w(f);
         }
-        for (ord, src) in reg.sources.iter().enumerate() {
-            let sref = SourceRef {
-                peer: idx as u32,
-                ord: ord as u32,
-            };
-            for &f in &src.files {
-                let list = &mut self.sources[f];
+        for (ord, &sid) in reg.sources.iter().enumerate() {
+            let key = source_key(idx, ord);
+            let Source {
+                bandwidth,
+                is_virtual,
+                ..
+            } = self.table.meta[sid as usize];
+            for i in 0..self.table.files(sid).len() {
+                let g = self.table.files(sid)[i] as usize;
+                let list = self.source_list(g, is_virtual);
                 let pos = list
-                    .binary_search(&sref)
+                    .binary_search_by_key(&key, |e| e.key)
                     .expect_err("duplicate source membership");
-                list.insert(pos, sref);
-                self.mark_p(f);
+                list.insert(
+                    pos,
+                    SourceEntry {
+                        key,
+                        sid,
+                        bandwidth,
+                    },
+                );
+                self.mark_p(g);
             }
+            self.fresh.push(sid);
         }
         self.reg[idx] = reg;
     }
 
+    /// File `g`'s real or virtual source list.
+    fn source_list(&mut self, g: usize, is_virtual: bool) -> &mut Vec<SourceEntry> {
+        if is_virtual {
+            &mut self.src_virtual[g]
+        } else {
+            &mut self.src_real[g]
+        }
+    }
+
     /// Mirrors `crate::rate::view`: what the peer contributes under the
-    /// configured scheme, in the same order.
-    fn fill_membership(&self, peer: &Peer, reg: &mut PeerReg) {
+    /// configured scheme, in the same order. Sources are allocated in the
+    /// table; their list entries are inserted by the caller.
+    fn fill_membership(&mut self, idx: usize, peer: &Peer, reg: &mut PeerReg) {
         let mu = self.mu;
         let class = peer.class() as f64;
         match self.scheme {
@@ -336,11 +499,8 @@ impl RateCache {
                         .push((slot as u32, peer.slots[slot].file as u32, mu, 1.0));
                 }
                 Phase::SeedingFile(slot) => {
-                    reg.sources.push(PeerSource {
-                        files: vec![peer.slots[slot].file as usize],
-                        bandwidth: mu,
-                        is_virtual: false,
-                    });
+                    let file = peer.slots[slot].file as usize;
+                    reg.sources.push(self.table.alloc(idx, mu, false, [file]));
                 }
                 Phase::SeedingAll | Phase::Departed => {}
             },
@@ -350,19 +510,13 @@ impl RateCache {
                 }
                 let share = mu / class;
                 for slot in 0..peer.class() {
+                    let file = peer.slots[slot].file as usize;
                     if !peer.finished(slot) {
-                        reg.active.push((
-                            slot as u32,
-                            peer.slots[slot].file as u32,
-                            share,
-                            1.0 / class,
-                        ));
+                        reg.active
+                            .push((slot as u32, file as u32, share, 1.0 / class));
                     } else if peer.slots[slot].seed_until.is_some() {
-                        reg.sources.push(PeerSource {
-                            files: vec![peer.slots[slot].file as usize],
-                            bandwidth: share,
-                            is_virtual: false,
-                        });
+                        reg.sources
+                            .push(self.table.alloc(idx, share, false, [file]));
                     }
                 }
             }
@@ -375,16 +529,11 @@ impl RateCache {
                             .push((slot as u32, peer.slots[slot].file as u32, rho * mu, 1.0));
                         let donated = (1.0 - rho) * mu;
                         if donated > 0.0 {
-                            let files = peer
-                                .finished_slots()
-                                .into_iter()
-                                .map(|s| peer.slots[s].file as usize)
-                                .collect();
-                            reg.sources.push(PeerSource {
-                                files,
-                                bandwidth: donated,
-                                is_virtual: true,
-                            });
+                            let files = (0..peer.class())
+                                .filter(|&s| peer.finished(s))
+                                .map(|s| peer.slots[s].file as usize);
+                            reg.sources
+                                .push(self.table.alloc(idx, donated, true, files));
                         }
                     } else {
                         reg.active
@@ -392,11 +541,8 @@ impl RateCache {
                     }
                 }
                 Phase::SeedingAll => {
-                    reg.sources.push(PeerSource {
-                        files: peer.files().map(usize::from).collect(),
-                        bandwidth: mu,
-                        is_virtual: false,
-                    });
+                    let files = peer.files().map(usize::from);
+                    reg.sources.push(self.table.alloc(idx, mu, false, files));
                 }
                 Phase::SeedingFile(_) | Phase::Departed => {}
             },
@@ -408,9 +554,9 @@ impl RateCache {
     /// new value is stored on the peer.
     ///
     /// With `force` the full recompute path of the seed engine is
-    /// replayed: every weight, pool, and rate is recomputed (and, by the
-    /// ordered-resummation argument in the module docs, every unchanged
-    /// one reproduces its cached bits). `changed` receives the
+    /// replayed: every weight, demand, pool, and rate is recomputed (and,
+    /// by the ordered-resummation argument in the module docs, every
+    /// unchanged one reproduces its cached bits). `changed` receives the
     /// `(peer, slot)` of every download whose rate changed, for completion
     /// rescheduling.
     pub fn refresh(
@@ -425,6 +571,8 @@ impl RateCache {
             self.stat_clean += 1;
             return;
         }
+        self.round += 1;
+        let round = self.round;
 
         // Pass 1: weights. `wc` collects the bit-changed files.
         self.wc.clear();
@@ -439,6 +587,19 @@ impl RateCache {
             }
             self.dirty_w = dirty;
         }
+
+        // Demands of sources registered this round, now that the weights
+        // are final (under `force`, of every source).
+        if force {
+            for sid in 0..self.table.meta.len() as u32 {
+                self.table.refresh_demand(sid, &self.weight, round);
+            }
+        } else {
+            for &sid in &self.fresh {
+                self.table.refresh_demand(sid, &self.weight, round);
+            }
+        }
+        self.fresh.clear();
 
         // Pass 2: the pool-dirty set `pd`.
         self.pd.clear();
@@ -456,18 +617,7 @@ impl RateCache {
             let wc = std::mem::take(&mut self.wc);
             for &f in &wc {
                 self.mark_pd(f);
-                // Sources serving a weight-changed file redistribute their
-                // bandwidth over all their files.
-                for i in 0..self.sources[f].len() {
-                    let sref = self.sources[f][i];
-                    for j in 0..self.reg[sref.peer as usize].sources[sref.ord as usize]
-                        .files
-                        .len()
-                    {
-                        let g = self.reg[sref.peer as usize].sources[sref.ord as usize].files[j];
-                        self.mark_pd(g);
-                    }
-                }
+                self.walk_sources(f, round);
             }
             if self.origin_demand_aware && self.origin_bw > 0.0 && !wc.is_empty() {
                 for f in 0..self.k {
@@ -477,48 +627,35 @@ impl RateCache {
             self.wc = wc;
         }
 
-        // Pass 3: pools, collecting donation owners along the way.
-        self.owners.clear();
-        for i in 0..self.touched.len() {
-            let p = self.touched[i];
-            self.mark_owner(p);
-        }
-        for i in 0..self.pd.len() {
-            let f = self.pd[i];
+        // Pass 3: pools, from the cached source demands.
+        let total_weight: f64 = if self.origin_demand_aware && self.origin_bw > 0.0 {
+            self.weight.iter().sum()
+        } else {
+            0.0
+        };
+        let demand = &self.table.demand;
+        for &f in &self.pd {
+            let wf = self.weight[f];
             let mut pr = 0.0;
             let mut pv = 0.0;
             if self.origin_bw > 0.0 {
                 if self.origin_demand_aware {
-                    let demand: f64 = self.weight.iter().sum();
-                    if demand > 0.0 && self.weight[f] > 0.0 {
-                        pr += self.origin_bw * self.weight[f] / demand;
+                    if total_weight > 0.0 && wf > 0.0 {
+                        pr += self.origin_bw * wf / total_weight;
                     }
                 } else {
                     pr += self.origin_bw;
                 }
             }
-            for j in 0..self.sources[f].len() {
-                let sref = self.sources[f][j];
-                let src = &self.reg[sref.peer as usize].sources[sref.ord as usize];
-                if src.is_virtual {
-                    // Inline owner marking: `src` pins `self.reg` borrowed.
-                    let p = sref.peer as usize;
-                    if !self.owner_flag[p] {
-                        self.owner_flag[p] = true;
-                        self.owners.push(p);
-                    }
+            // A positive weight makes every serving source's demand
+            // positive (it is a sum of non-negative weights including
+            // `wf`), so no per-source guard is needed.
+            if wf > 0.0 {
+                for e in &self.src_real[f] {
+                    pr += e.bandwidth * wf / demand[e.sid as usize];
                 }
-                let demand: f64 = src.files.iter().map(|&g| self.weight[g]).sum();
-                if demand <= 0.0 {
-                    continue;
-                }
-                if self.weight[f] > 0.0 {
-                    let share = src.bandwidth * self.weight[f] / demand;
-                    if src.is_virtual {
-                        pv += share;
-                    } else {
-                        pr += share;
-                    }
+                for e in &self.src_virtual[f] {
+                    pv += e.bandwidth * wf / demand[e.sid as usize];
                 }
             }
             if pr.to_bits() != self.pool_real[f].to_bits()
@@ -553,39 +690,45 @@ impl RateCache {
             }
         }
         let mut recomputed = 0u64;
-        for i in 0..self.rate_files.len() {
-            let f = self.rate_files[i];
-            recomputed += self.downloaders[f].len() as u64;
-            for j in 0..self.downloaders[f].len() {
-                let m = self.downloaders[f][j];
-                self.recompute_rate(peers, t, m.peer, m.slot, f, m.u, m.w, changed);
+        for &f in &self.rate_files {
+            let agg = self.file_agg(f);
+            let members = &self.downloaders[f];
+            recomputed += members.len() as u64;
+            for &m in members {
+                agg.update(peers, t, m, changed);
             }
         }
-        for i in 0..self.touched.len() {
-            let p = self.touched[i];
-            recomputed += self.reg[p].active.len() as u64;
-            for j in 0..self.reg[p].active.len() {
-                let (slot, file, u, w) = self.reg[p].active[j];
-                self.recompute_rate(peers, t, p as u32, slot, file as usize, u, w, changed);
+        for &p in &self.touched {
+            let active = &self.reg[p].active;
+            recomputed += active.len() as u64;
+            for &(slot, file, u, w) in active {
+                let m = Member {
+                    peer: p as u32,
+                    slot,
+                    u,
+                    w,
+                };
+                self.file_agg(file as usize).update(peers, t, m, changed);
             }
         }
         self.stat_recomputes += recomputed;
 
-        // Pass 5: donation rates for owners.
+        // Pass 5: donation rates for touched peers and the owners the
+        // source walk marked.
         if force {
             for p in 0..self.reg.len() {
                 self.mark_owner(p);
             }
         }
-        for i in 0..self.owners.len() {
-            let p = self.owners[i];
+        for i in 0..self.touched.len() {
+            let p = self.touched[i];
+            self.mark_owner(p);
+        }
+        for &p in &self.owners {
             let mut dr = 0.0;
-            for src in &self.reg[p].sources {
-                if !src.is_virtual {
-                    continue;
-                }
-                let demand: f64 = src.files.iter().map(|&g| self.weight[g]).sum();
-                if demand > 0.0 {
+            for &sid in &self.reg[p].sources {
+                let src = &self.table.meta[sid as usize];
+                if src.is_virtual && self.table.demand[sid as usize] > 0.0 {
                     dr += src.bandwidth;
                 }
             }
@@ -624,6 +767,56 @@ impl RateCache {
         self.wc.clear();
     }
 
+    /// Visits the sources serving weight-changed file `f` in `(peer, ord)`
+    /// order, merging the real and virtual lists. A source not yet seen
+    /// this round gets a fresh demand, marks its virtual owner for the
+    /// donation pass, and marks every file it serves pool-dirty. A source
+    /// already seen this round (registered, or reached through another
+    /// changed file) has nothing left to mark.
+    fn walk_sources(&mut self, f: usize, round: u64) {
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let real = self.src_real[f].get(i);
+            let virt = self.src_virtual[f].get(j);
+            let sid = match (real, virt) {
+                (Some(a), Some(b)) if a.key < b.key => {
+                    i += 1;
+                    a.sid
+                }
+                (_, Some(b)) => {
+                    j += 1;
+                    b.sid
+                }
+                (Some(a), None) => {
+                    i += 1;
+                    a.sid
+                }
+                (None, None) => break,
+            };
+            let src = self.table.meta[sid as usize];
+            if src.round == round {
+                continue;
+            }
+            self.table.refresh_demand(sid, &self.weight, round);
+            if src.is_virtual {
+                self.mark_owner(src.owner as usize);
+            }
+            for g in src.start..src.start + src.len {
+                let g = self.table.files[g as usize] as usize;
+                self.mark_pd(g);
+            }
+        }
+    }
+
+    fn file_agg(&self, f: usize) -> FileAgg {
+        FileAgg {
+            eta: self.eta,
+            weight: self.weight[f],
+            pool_real: self.pool_real[f],
+            pool_virtual: self.pool_virtual[f],
+        }
+    }
+
     fn mark_pd(&mut self, f: usize) {
         if !self.pd_flag[f] {
             self.pd_flag[f] = true;
@@ -645,40 +838,6 @@ impl RateCache {
         if s.to_bits() != self.weight[f].to_bits() {
             self.weight[f] = s;
             self.wc.push(f);
-        }
-    }
-
-    /// Recomputes one download's rate with the exact float expression of
-    /// `compute_rates`; on a bit change settles the slot and stores it.
-    #[allow(clippy::too_many_arguments)]
-    fn recompute_rate(
-        &self,
-        peers: &mut [Peer],
-        t: f64,
-        p: u32,
-        slot: u32,
-        f: usize,
-        u: f64,
-        w: f64,
-        changed: &mut Vec<(u32, u32)>,
-    ) {
-        let share = if self.weight[f] > 0.0 {
-            w / self.weight[f]
-        } else {
-            0.0
-        };
-        let from_real = share * self.pool_real[f];
-        let from_virtual = share * self.pool_virtual[f];
-        let rate = self.eta * u + from_real + from_virtual;
-        let peer = &mut peers[p as usize];
-        let s = slot as usize;
-        if rate.to_bits() != peer.slots[s].rate.to_bits()
-            || from_virtual.to_bits() != peer.slots[s].vs_rate.to_bits()
-        {
-            peer.settle_slot(s, t);
-            peer.slots[s].rate = rate;
-            peer.slots[s].vs_rate = from_virtual;
-            changed.push((p, slot));
         }
     }
 

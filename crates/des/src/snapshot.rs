@@ -432,8 +432,16 @@ impl Snapshot {
         self.outcome.events
     }
 
-    /// Encodes to the versioned, checksummed byte format.
+    /// Encodes to the versioned, checksummed byte format:
+    /// [`Self::seal`] of [`Self::encode_body`].
     pub fn to_bytes(&self) -> Vec<u8> {
+        Self::seal(self.encode_body())
+    }
+
+    /// Encodes everything but the trailing checksum. A caller that keeps
+    /// snapshots around and writes few of them (the sweep supervisor)
+    /// stores the body and pays for the checksum only at write time.
+    pub fn encode_body(&self) -> Vec<u8> {
         let mut w = W::default();
         w.buf.extend_from_slice(MAGIC);
         w.u32(if self.agg.is_some() {
@@ -532,9 +540,15 @@ impl Snapshot {
                 }
             }
         }
-        let checksum = fnv1a(&w.buf);
-        w.u64(checksum);
         w.buf
+    }
+
+    /// Appends the FNV-1a checksum to a body from [`Self::encode_body`],
+    /// giving exactly the bytes of [`Self::to_bytes`].
+    pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
+        let checksum = fnv1a(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        body
     }
 
     /// Decodes and validates the byte format (magic, version, checksum,
@@ -1071,6 +1085,15 @@ mod tests {
         assert_eq!(bytes, back.to_bytes());
         assert_eq!(snap.sim_time(), back.sim_time());
         assert_eq!(snap.events(), back.events());
+    }
+
+    #[test]
+    fn sealed_body_is_the_byte_format() {
+        let snap = mid_run_snapshot();
+        let sealed = Snapshot::seal(snap.encode_body());
+        assert_eq!(sealed, snap.to_bytes());
+        let back = Snapshot::from_bytes(&sealed).unwrap();
+        assert_eq!(back.to_bytes(), sealed);
     }
 
     #[test]

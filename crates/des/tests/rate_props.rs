@@ -133,6 +133,22 @@ fn cmfsd_peer(id: u64) -> impl Strategy<Value = Peer> {
         })
 }
 
+/// A CMFSD peer that has finished its first `done` files (in slot order):
+/// a real seed when that is all of them, a partial seed otherwise.
+fn cmfsd_finished(id: u64, files: Vec<u16>, done: usize, rho: f64) -> Peer {
+    let n = files.len();
+    let mut p = Peer::new(id, 0.0, files, (0..n).collect(), rho);
+    for s in 0..done {
+        p.slots[s].remaining = 0.0;
+        p.slots[s].completed_at = Some(1.0);
+    }
+    p.cursor = done;
+    if done == n {
+        p.phase = Phase::SeedingAll;
+    }
+    p
+}
+
 fn population() -> impl Strategy<Value = Vec<Peer>> {
     prop::collection::vec(any::<u64>(), 1..20).prop_flat_map(|ids| {
         ids.into_iter()
@@ -241,6 +257,44 @@ proptest! {
             cache.register(idx, &peers);
             cache.refresh(&mut peers, 0.0, false, &mut changed);
             changed.clear();
+            assert_matches_full(&cache, &peers, scheme, &params, origin)?;
+        }
+    }
+
+    #[test]
+    fn cache_recycles_sources_within_one_refresh(
+        peers in population(),
+        kept in prop::collection::btree_set(0u16..K as u16, 1..=K),
+        rho in 0.0f64..1.0,
+    ) {
+        // One refresh round that retires a real seed, registers a partial
+        // seed whose virtual source reuses the retired source's table slot
+        // with a different file set, and re-registers a real seed whose
+        // files kept their weights. The recycled slot must get a fresh
+        // demand and the re-registered one an equal demand.
+        let params = FluidParams::paper();
+        let scheme = SchemeKind::Cmfsd { rho: 0.5 };
+        for origin in [0, 2] {
+            let mut peers = peers.clone();
+            let retired = peers.len();
+            let kept_idx = retired + 1;
+            peers.push(cmfsd_finished(retired as u64, vec![0, 1, 2], 3, 1.0));
+            let kept: Vec<u16> = kept.iter().copied().collect();
+            let n_kept = kept.len();
+            peers.push(cmfsd_finished(kept_idx as u64, kept, n_kept, 1.0));
+            let mut cache = build_incrementally(&mut peers, scheme, &params, origin);
+
+            cache.deregister(retired, &peers);
+            peers[retired].phase = Phase::Departed;
+            cache.register(retired, &peers);
+            let partial = peers.len();
+            peers.push(cmfsd_finished(partial as u64, vec![3, 4, 5], 2, rho));
+            cache.grow(peers.len());
+            cache.register(partial, &peers);
+            cache.deregister(kept_idx, &peers);
+            cache.register(kept_idx, &peers);
+            let mut changed = Vec::new();
+            cache.refresh(&mut peers, 0.0, false, &mut changed);
             assert_matches_full(&cache, &peers, scheme, &params, origin)?;
         }
     }

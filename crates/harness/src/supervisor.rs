@@ -20,11 +20,12 @@ use crate::bundle::{ReproBundle, ScenarioRef};
 use crate::checkpoint::{drive, CheckpointPlan, RunEnd, RunLimits};
 use crate::error::HarnessError;
 use crate::manifest::{self, CellRecord, CellStatus, ManifestWriter};
-use btfluid_des::{Counters, DesConfig, Probe, ScenarioHook, SimOutcome};
+use btfluid_des::{Counters, DesConfig, Probe, ScenarioHook, SimOutcome, Snapshot};
 use btfluid_telemetry::{
     diag, shared_recorder, FanoutProbe, Level, RecorderProbe, SharedRecorder,
     DEFAULT_FLIGHT_CAPACITY,
 };
+use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -312,6 +313,8 @@ fn supervise_cell(
 ) -> (CellRecord, Result<CellResult, FailedCell>) {
     let attempts_allowed = 1 + sup.max_retries;
     let mut attempt = 0u32;
+    // The last snapshot's unsealed body: only a quarantine writes it out,
+    // so the checksum is added then.
     let last_snap: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
     loop {
         attempt += 1;
@@ -351,7 +354,7 @@ fn supervise_cell(
                     cfg: cell.cfg.clone(),
                     scenario: cell.scenario.clone(),
                     inject_panic_at: cell.inject_panic_at,
-                    checkpoint: last_snap.lock().unwrap().clone(),
+                    checkpoint: last_snap.lock().unwrap().take().map(Snapshot::seal),
                     flight: flight_dump,
                 };
                 if let Err(e) = bundle.write(&bundle_dir) {
@@ -413,14 +416,19 @@ fn run_attempt(
         };
         move || {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // Resolve eagerly so a bad reference is a typed error,
-                // then rebuild per restore inside drive.
-                if let Some(sref) = &cell.scenario {
-                    sref.build_hook()?;
-                }
+                // Resolve eagerly so a bad reference is a typed error. The
+                // fresh start takes this hook; any later call rebuilds it.
+                let first = Cell::new(
+                    cell.scenario
+                        .as_ref()
+                        .map(ScenarioRef::build_hook)
+                        .transpose()?,
+                );
                 let build_hook = || {
-                    let sref = cell.scenario.as_ref().expect("scenario cell");
-                    sref.build_hook().expect("reference resolved above")
+                    first.take().unwrap_or_else(|| {
+                        let sref = cell.scenario.as_ref().expect("scenario cell");
+                        sref.build_hook().expect("reference resolved above")
+                    })
                 };
                 let hook_factory: Option<&dyn Fn() -> Box<dyn ScenarioHook>> =
                     cell.scenario.is_some().then_some(&build_hook);
@@ -431,8 +439,8 @@ fn run_attempt(
                     false,
                     &limits,
                     Some(&cancel),
-                    Some(&mut |snap: &btfluid_des::Snapshot| {
-                        *last_snap.lock().unwrap() = Some(snap.to_bytes());
+                    Some(&mut |snap: &Snapshot| {
+                        *last_snap.lock().unwrap() = Some(snap.encode_body());
                     }),
                     Some(Box::new(FanoutProbe::new(vec![
                         Box::new(CounterCapture(Arc::clone(&captured))),
