@@ -8,7 +8,6 @@
 mod args;
 mod commands;
 mod errors;
-mod perf;
 mod table;
 
 use btfluid_telemetry::{diag, Level};

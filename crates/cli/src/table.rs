@@ -140,16 +140,6 @@ pub static COMMANDS: &[Command] = &[
                of one engine run, calibrated timer overhead subtracted",
     },
     Command {
-        name: "perf", arg: Arg::None, run: crate::perf::cmd_perf,
-        flags: &[text("bench", "FILES"), text("manifest", "FILE"), text("history", "FILE"),
-                 text("report", "FILE"), text("md-out", "FILE"), bare("record"),
-                 bare("check"), bare("canary")],
-        help: "cross-run performance observatory over BENCH_*.json and manifests\n\
-               --record appends to the history (PERF_HISTORY.jsonl); --check exits 4\n\
-               outside the median ± MAD noise band; --canary degrades the metrics\n\
-               first and must exit 4",
-    },
-    Command {
         name: "sweep", arg: Arg::None, run: cmd_sweep,
         flags: &[text("manifest", "FILE"), text("bundles", "DIR"), text("schemes", "LIST"),
                  int("reps"), int("seed"), num("p"), int("k"), num("horizon"), num("warmup"),

@@ -1,6 +1,7 @@
 //! Integration tests against the real `btfluid` binary: the selfcheck
 //! oracle's exit-code contract, and the hard-error behaviour of the arg
-//! parser (unknown flags, retired flags, unparseable numerics).
+//! parser (unknown flags, retired flags and commands, unparseable
+//! numerics).
 
 use std::process::Command;
 
@@ -85,6 +86,20 @@ fn retired_exact_flag_is_an_unknown_option() {
         assert!(
             stderr.contains("unknown option --exact"),
             "{argv:?}\nstderr:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn retired_perf_command_is_an_unknown_command() {
+    // The benchmark package is the one performance measure; the old
+    // `perf` observatory is gone, with every one of its flags.
+    for args in [&["perf"][..], &["perf", "--check"], &["perf", "--help"]] {
+        let (code, _stdout, stderr) = run(args);
+        assert_eq!(code, 1, "{args:?}\nstderr:\n{stderr}");
+        assert!(
+            stderr.contains("unknown command 'perf'"),
+            "{args:?}\nstderr:\n{stderr}"
         );
     }
 }

@@ -7,7 +7,8 @@ use btfluid_core::FluidParams;
 use btfluid_des::config::SchemeKind;
 use btfluid_des::peer::{Peer, Phase};
 use btfluid_des::rate::compute_rates;
-use btfluid_des::AggCache;
+use btfluid_des::{AggCache, DesConfig, Simulation};
+use btfluid_workload::CorrelationModel;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -262,4 +263,44 @@ proptest! {
             }
         }
     }
+}
+
+/// Runs the MTSD scaling point the `des` bench times at `lambda0` (one
+/// origin seed, seed 7) in aggregate mode; returns `(rate_recomputes,
+/// agg_rate_updates per dispatched event)`.
+fn agg_scale_point(lambda0: f64, horizon: f64, warmup: f64, drain: f64) -> (u64, f64) {
+    let mut cfg = DesConfig::paper_small(SchemeKind::Mtsd, 0.5, 7).expect("valid");
+    cfg.model = CorrelationModel::new(10, 0.5, lambda0).expect("valid");
+    cfg.horizon = horizon;
+    cfg.warmup = warmup;
+    cfg.drain = drain;
+    cfg.origin_seeds = 1;
+    cfg.aggregate = true;
+    let mut sim = Simulation::new(cfg).expect("valid");
+    while sim.step().expect("step") {}
+    let events = sim.events();
+    assert!(events > 0, "λ₀ = {lambda0}: no events");
+    let c = sim.counters();
+    (c.rate_recomputes, c.agg_rate_updates as f64 / events as f64)
+}
+
+/// The work behind the bench's aggregate flatness guard, as counts: the
+/// aggregate engine never evaluates a per-download rate, and its
+/// group-rate updates per event stay within 2× from λ₀ = 32 to λ₀ = 512
+/// while the arrival rate grows 16×.
+#[test]
+fn aggregate_rate_work_per_event_is_flat_in_swarm_size() {
+    let (recomputes_32, per_event_32) = agg_scale_point(32.0, 150.0, 40.0, 80.0);
+    let (recomputes_512, per_event_512) = agg_scale_point(512.0, 40.0, 10.0, 20.0);
+    assert_eq!(recomputes_32, 0, "per-download rates evaluated at λ₀ = 32");
+    assert_eq!(
+        recomputes_512, 0,
+        "per-download rates evaluated at λ₀ = 512"
+    );
+    let ratio = per_event_512 / per_event_32;
+    assert!(
+        (0.5..=2.0).contains(&ratio),
+        "group-rate updates per event went {per_event_32:.1} → {per_event_512:.1} \
+         between λ₀ = 32 and λ₀ = 512 (claim is within 2×)"
+    );
 }

@@ -410,7 +410,8 @@ pub fn des_vs_closed_form_mtsd(cfg: &OracleConfig) -> Result<String, String> {
 /// wherever the class population reaches the CLT regime the tolerance
 /// model assumes (mean ≥ 1/tol², the same bound that sets the switching
 /// threshold — below it a single DES realization legitimately fluctuates
-/// by more than `tol`), and so must the totals.
+/// by more than `tol`), and so must the totals. The hybrid must also
+/// dispatch at most a tenth of the pure DES's events.
 pub fn hybrid_vs_des(cfg: &OracleConfig) -> Result<String, String> {
     use btfluid_hybrid::{HybridConfig, HybridRunner};
 
@@ -473,6 +474,16 @@ pub fn hybrid_vs_des(cfg: &OracleConfig) -> Result<String, String> {
             return Err(format!(
                 "{} total: hybrid {hy_total:.1} vs DES {des_total:.1} (rel {rel_total:.3} > {TOL})",
                 scheme.name()
+            ));
+        }
+        // The hybrid's win is event count: above the fluid threshold the
+        // ODE replaces the event stream.
+        if hybrid.des_events * 10 > outcome.events {
+            return Err(format!(
+                "{}: hybrid dispatched {} DES events vs {} pure (claim is ≤ 1/10)",
+                scheme.name(),
+                hybrid.des_events,
+                outcome.events
             ));
         }
         evidence.push(format!(
