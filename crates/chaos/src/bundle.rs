@@ -5,7 +5,7 @@
 
 use crate::exec::Violation;
 use crate::plan::ChaosPlan;
-use btfluid_harness::json::Json;
+use btfluid_telemetry::json::Json;
 use std::path::Path;
 
 /// Bundle format version; bumped on incompatible `chaos.json` changes.

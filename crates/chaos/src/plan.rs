@@ -17,10 +17,10 @@
 //! is exact and the plan replays bit-identically.
 
 use btfluid_des::SchemeKind;
-use btfluid_harness::json::Json;
 use btfluid_numkit::rng::{RngCore, SplitMix64};
 use btfluid_scenario::ScenarioProgram;
 use btfluid_telemetry::faults::{FaultKind, FaultRule, FaultScript, FaultSite};
+use btfluid_telemetry::json::Json;
 
 /// Rule count that outlives any run: "this fault is permanent".
 pub const PERMANENT: u64 = u64::MAX;

@@ -14,13 +14,12 @@ use btfluid_des::{
     SimOutcome, Simulation, SingleTorrentConfig, Snapshot,
 };
 use btfluid_harness as harness;
-use btfluid_harness::json::Json;
 use btfluid_hybrid::{HybridConfig, HybridRunner, Regime};
 use btfluid_scenario::{registry, runner, trace_program, RateMode, TraceHook, TraceShaper};
 use btfluid_telemetry::{
-    diag, shared_recorder, Counters, FanoutProbe, Level, MetaField, Profiler, RecorderProbe,
-    SharedRecorder, SharedSink, SinkProbe, TraceSink, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_SAMPLE_EVERY, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION, TRACE_SCHEMA, TRACE_VERSION,
+    diag, read_trace, shared_recorder, Counters, DumpRecord, FanoutProbe, FlightDump, Level,
+    MetaField, Profiler, RecorderProbe, SharedRecorder, SharedSink, SinkProbe, TraceRun, TraceSink,
+    DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_EVERY, FLIGHTREC_VERSION, TRACE_VERSION,
 };
 use btfluid_workload::{fit_model, ArrivalTrace, CorrelationModel};
 use std::fs;
@@ -1580,179 +1579,154 @@ fn repro_chaos(dir: &Path) -> Result<(), CliError> {
     ))
 }
 
-/// One `sample` record from a trace, decoded.
-struct TraceSample {
-    t: f64,
-    events: u64,
-    downloaders: Vec<u64>,
-    download_pairs: Vec<u64>,
-    seed_pairs: Vec<u64>,
-    rho_mean: Option<f64>,
-    delta_mean: Option<f64>,
-    counters: Counters,
+/// A run's label as `inspect` shows it.
+fn run_label(run: &TraceRun) -> &str {
+    run.label.as_deref().unwrap_or("?")
 }
 
-/// One trace segment: a `meta` record plus every `sample`/`span`/`end`
-/// record up to the next `meta` (one engine run).
-struct TraceSegment {
-    label: String,
-    aggregate: bool,
-    samples: Vec<TraceSample>,
-    /// `(name, micros, t)` — `t` is the simulated time the span was
-    /// emitted at (present on hybrid handoff spans, absent on plain ones).
-    spans: Vec<(String, u64, Option<f64>)>,
-    end: Option<(f64, Counters)>,
+/// A trace clock, with a non-finite one (written as `null`) as NaN so it
+/// fails every ordering check.
+fn clock(t: Option<f64>) -> f64 {
+    t.unwrap_or(f64::NAN)
 }
 
-impl TraceSegment {
-    /// The run's closing counters: the end record's, or the last
-    /// sample's for a truncated trace.
-    fn final_counters(&self) -> Counters {
-        self.end
-            .as_ref()
-            .map(|(_, c)| *c)
-            .or_else(|| self.samples.last().map(|s| s.counters))
-            .unwrap_or_default()
-    }
+/// Simulated times of hybrid regime switches, in trace order (the driver
+/// emits one timestamped `handoff:*` span per switch).
+fn handoff_times(run: &TraceRun) -> Vec<f64> {
+    run.spans
+        .iter()
+        .filter(|s| s.name.starts_with("handoff:"))
+        .filter_map(|s| s.t)
+        .collect()
+}
 
-    /// Simulated times of hybrid regime switches, in trace order (the
-    /// driver emits one timestamped `handoff:*` span per switch).
-    fn handoff_times(&self) -> Vec<f64> {
-        self.spans
-            .iter()
-            .filter(|(name, _, _)| name.starts_with("handoff:"))
-            .filter_map(|(_, _, t)| *t)
-            .collect()
+/// Appends human-readable anomaly descriptions for one traced run.
+fn detect_anomalies(run: &TraceRun, out: &mut Vec<String>) {
+    let label = run_label(run);
+    if run.end.is_none() {
+        out.push(format!(
+            "{label}: truncated trace (no end record — the run did not finish)"
+        ));
     }
-
-    /// Appends human-readable anomaly descriptions for this segment.
-    fn detect_anomalies(&self, out: &mut Vec<String>) {
-        let label = &self.label;
-        if self.end.is_none() {
+    let mut ts: Vec<f64> = run.samples.iter().map(|s| clock(s.t)).collect();
+    if let Some((t, _)) = run.end {
+        ts.push(clock(t));
+    }
+    // A NaN timestamp compares as `None` and counts as non-monotone.
+    let ordered = |w: &[f64]| {
+        matches!(
+            w[0].partial_cmp(&w[1]),
+            Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
+        )
+    };
+    if ts.windows(2).any(|w| !ordered(w)) {
+        out.push(format!("{label}: non-monotone clock across samples"));
+    }
+    if run.aggregate {
+        // Aggregate-mode cost health: per-peer rate recomputes are
+        // structurally absent (the whole point of the mode), so the
+        // incremental heuristic below would see zero recomputes and
+        // report nothing even on a degenerating run. The right counter
+        // here is `agg_rate_updates` — group-rate refreshes per event.
+        // The group count is O(K²), independent of the swarm, so the
+        // marginal updates-per-event cost is NOT normalized by live
+        // download pairs: on a healthy run it is flat on its own, and
+        // growth means group invalidation is fanning out.
+        let costs = run.samples.windows(2).filter_map(|w| {
+            let de = w[1].events.saturating_sub(w[0].events);
+            let du = w[1]
+                .counters
+                .agg_rate_updates
+                .saturating_sub(w[0].counters.agg_rate_updates);
+            (de > 0).then(|| du as f64 / de as f64)
+        });
+        if let Some(growth) = cost_growth(costs.collect()) {
             out.push(format!(
-                "{label}: truncated trace (no end record — the run did not finish)"
+                "{label}: group-rate cost drift (per-event aggregate \
+                 update cost grew {growth:.1}× over the run in aggregate mode)"
             ));
         }
-        let mut ts: Vec<f64> = self.samples.iter().map(|s| s.t).collect();
-        if let Some((t, _)) = self.end {
-            ts.push(t);
+        let c = run.final_counters();
+        if c.rate_recomputes > 0 {
+            out.push(format!(
+                "{label}: {} per-peer rate recomputes in aggregate mode \
+                 (the per-peer cache should be idle)",
+                c.rate_recomputes
+            ));
         }
-        // A NaN timestamp compares as `None` and counts as non-monotone.
-        let ordered = |w: &[f64]| {
-            matches!(
-                w[0].partial_cmp(&w[1]),
-                Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-            )
-        };
-        if ts.windows(2).any(|w| !ordered(w)) {
-            out.push(format!("{label}: non-monotone clock across samples"));
+    } else {
+        // Self-calibrating rate-cache health check: the marginal
+        // recompute cost per event, normalized by the live download
+        // pairs it could touch, stays flat over a healthy run (the
+        // dirty set tracks the event, not the swarm). Absolute
+        // thresholds don't work here — MFCD legitimately recomputes
+        // more pairs per event than MTSD by an order of magnitude —
+        // but a cost that *grows* several-fold over the run's own
+        // history means lazy invalidation is degenerating.
+        let costs = run.samples.windows(2).filter_map(|w| {
+            let de = w[1].events.saturating_sub(w[0].events);
+            let dr = w[1]
+                .counters
+                .rate_recomputes
+                .saturating_sub(w[0].counters.rate_recomputes);
+            let pairs: u64 = w[1].download_pairs.iter().sum();
+            (de > 0 && pairs > 0).then(|| dr as f64 / de as f64 / pairs as f64)
+        });
+        if let Some(growth) = cost_growth(costs.collect()) {
+            out.push(format!(
+                "{label}: rate-cache cost drift (per-event recompute cost \
+                 grew {growth:.1}× over the run in incremental mode)"
+            ));
         }
-        if self.aggregate {
-            // Aggregate-mode cost health: per-peer rate recomputes are
-            // structurally absent (the whole point of the mode), so the
-            // incremental heuristic below would see zero recomputes and
-            // report nothing even on a degenerating run. The right counter
-            // here is `agg_rate_updates` — group-rate refreshes per event.
-            // The group count is O(K²), independent of the swarm, so the
-            // marginal updates-per-event cost is NOT normalized by live
-            // download pairs: on a healthy run it is flat on its own, and
-            // growth means group invalidation is fanning out.
-            let costs = self.samples.windows(2).filter_map(|w| {
-                let de = w[1].events.saturating_sub(w[0].events);
-                let du = w[1]
-                    .counters
-                    .agg_rate_updates
-                    .saturating_sub(w[0].counters.agg_rate_updates);
-                (de > 0).then(|| du as f64 / de as f64)
-            });
-            if let Some(growth) = cost_growth(costs.collect()) {
-                out.push(format!(
-                    "{label}: group-rate cost drift (per-event aggregate \
-                     update cost grew {growth:.1}× over the run in aggregate mode)"
-                ));
-            }
-            let c = self.final_counters();
-            if c.rate_recomputes > 0 {
-                out.push(format!(
-                    "{label}: {} per-peer rate recomputes in aggregate mode \
-                     (the per-peer cache should be idle)",
-                    c.rate_recomputes
-                ));
-            }
-        } else {
-            // Self-calibrating rate-cache health check: the marginal
-            // recompute cost per event, normalized by the live download
-            // pairs it could touch, stays flat over a healthy run (the
-            // dirty set tracks the event, not the swarm). Absolute
-            // thresholds don't work here — MFCD legitimately recomputes
-            // more pairs per event than MTSD by an order of magnitude —
-            // but a cost that *grows* several-fold over the run's own
-            // history means lazy invalidation is degenerating.
-            let costs = self.samples.windows(2).filter_map(|w| {
-                let de = w[1].events.saturating_sub(w[0].events);
-                let dr = w[1]
-                    .counters
-                    .rate_recomputes
-                    .saturating_sub(w[0].counters.rate_recomputes);
-                let pairs: u64 = w[1].download_pairs.iter().sum();
-                (de > 0 && pairs > 0).then(|| dr as f64 / de as f64 / pairs as f64)
-            });
-            if let Some(growth) = cost_growth(costs.collect()) {
-                out.push(format!(
-                    "{label}: rate-cache cost drift (per-event recompute cost \
-                     grew {growth:.1}× over the run in incremental mode)"
-                ));
-            }
-        }
-        if self.samples.len() >= 3 {
-            // A class whose users are *present* most of the run but never
-            // form a single seeding pair never completes a download —
-            // starvation. (A class with zero downloaders throughout simply
-            // had no arrivals; that is a workload fact, not an anomaly.)
-            let k = self
+    }
+    if run.samples.len() >= 3 {
+        // A class whose users are *present* most of the run but never
+        // form a single seeding pair never completes a download —
+        // starvation. (A class with zero downloaders throughout simply
+        // had no arrivals; that is a workload fact, not an anomaly.)
+        let k = run
+            .samples
+            .iter()
+            .map(|s| s.downloaders.len())
+            .max()
+            .unwrap_or(0);
+        let n = run.samples.len();
+        for class in 0..k {
+            let present = run
                 .samples
                 .iter()
-                .map(|s| s.downloaders.len())
-                .max()
-                .unwrap_or(0);
-            let n = self.samples.len();
-            for class in 0..k {
-                let present = self
-                    .samples
-                    .iter()
-                    .filter(|s| s.downloaders.get(class).copied().unwrap_or(0) > 0)
-                    .count();
-                let ever_seeded = self
-                    .samples
-                    .iter()
-                    .any(|s| s.seed_pairs.get(class).copied().unwrap_or(0) > 0);
-                if present * 2 >= n && !ever_seeded {
-                    out.push(format!(
-                        "{label}: class {} starved (downloaders in {present} of \
-                         {n} samples but no seed pair ever formed)",
-                        class + 1
-                    ));
-                }
-            }
-        }
-        // Hybrid regime thrash: the hysteresis band exists precisely so
-        // that switches are rare, so the yardstick is the run's own
-        // median dwell between switches. Four consecutive switches packed
-        // inside one median dwell means the driver is flip-flopping —
-        // burning handoff cost without either engine settling.
-        let switches = self.handoff_times();
-        if switches.len() >= 4 {
-            let mut dwells: Vec<f64> = switches.windows(2).map(|w| w[1] - w[0]).collect();
-            dwells.sort_by(f64::total_cmp);
-            let median = dwells[dwells.len() / 2];
-            if let Some(w) = switches.windows(4).find(|w| w[3] - w[0] <= median) {
+                .filter(|s| s.downloaders.get(class).copied().unwrap_or(0) > 0)
+                .count();
+            let ever_seeded = run
+                .samples
+                .iter()
+                .any(|s| s.seed_pairs.get(class).copied().unwrap_or(0) > 0);
+            if present * 2 >= n && !ever_seeded {
                 out.push(format!(
-                    "{label}: hybrid regime thrash (4 switches within {:.3} time \
-                     units at t = {:.1}; median dwell {median:.3})",
-                    w[3] - w[0],
-                    w[0]
+                    "{label}: class {} starved (downloaders in {present} of \
+                     {n} samples but no seed pair ever formed)",
+                    class + 1
                 ));
             }
+        }
+    }
+    // Hybrid regime thrash: the hysteresis band exists precisely so
+    // that switches are rare, so the yardstick is the run's own
+    // median dwell between switches. Four consecutive switches packed
+    // inside one median dwell means the driver is flip-flopping —
+    // burning handoff cost without either engine settling.
+    let switches = handoff_times(run);
+    if switches.len() >= 4 {
+        let mut dwells: Vec<f64> = switches.windows(2).map(|w| w[1] - w[0]).collect();
+        dwells.sort_by(f64::total_cmp);
+        let median = dwells[dwells.len() / 2];
+        if let Some(w) = switches.windows(4).find(|w| w[3] - w[0] <= median) {
+            out.push(format!(
+                "{label}: hybrid regime thrash (4 switches within {:.3} time \
+                 units at t = {:.1}; median dwell {median:.3})",
+                w[3] - w[0],
+                w[0]
+            ));
         }
     }
 }
@@ -1770,34 +1744,9 @@ fn cost_growth(costs: Vec<f64>) -> Option<f64> {
     (early > 0.0 && late > 4.0 * early).then(|| late / early)
 }
 
-/// Decodes a trace record's embedded `counters` object (absent fields
-/// read as zero, tolerating older traces).
-fn trace_counters(v: Option<&Json>) -> Counters {
-    let g = |k: &str| v.and_then(|c| c.get(k)).and_then(Json::as_u64).unwrap_or(0);
-    Counters {
-        events_popped: g("events_popped"),
-        stale_discards: g("stale_discards"),
-        heap_peak: g("heap_peak"),
-        rate_recomputes: g("rate_recomputes"),
-        rate_clean_hits: g("rate_clean_hits"),
-        snapshots_taken: g("snapshots_taken"),
-        snapshot_bytes: g("snapshot_bytes"),
-        snapshot_micros: g("snapshot_micros"),
-        agg_rate_updates: g("agg_rate_updates"),
-        agg_samples: g("agg_samples"),
-    }
-}
-
-/// Decodes a JSON array of non-negative integers.
-fn trace_u64_arr(v: Option<&Json>) -> Vec<u64> {
-    v.and_then(Json::as_arr)
-        .map(|xs| xs.iter().map(|x| x.as_u64().unwrap_or(0)).collect())
-        .unwrap_or_default()
-}
-
 /// Per-class trajectory export: one CSV row per sample, classes padded
 /// to the widest segment.
-fn trajectories_csv(segments: &[TraceSegment]) -> String {
+fn trajectories_csv(segments: &[TraceRun]) -> String {
     let k = segments
         .iter()
         .flat_map(|seg| seg.samples.iter())
@@ -1817,8 +1766,8 @@ fn trajectories_csv(segments: &[TraceSegment]) -> String {
         for s in &seg.samples {
             out.push_str(&format!(
                 "{},{},{},{},{}",
-                seg.label,
-                s.t,
+                run_label(seg),
+                clock(s.t),
                 s.events,
                 opt(s.rho_mean),
                 opt(s.delta_mean)
@@ -1844,69 +1793,56 @@ fn trajectories_csv(segments: &[TraceSegment]) -> String {
 /// Summarizes a `flightrec v1` dump: record mix, last handoff, last
 /// checkpoint, and a staleness flag when the newest record predates the
 /// failure time stamped into the meta line.
-fn inspect_flightrec(path: &str, body: &str, opts: &Options) -> Result<(), CliError> {
-    let mut lines = body.lines().filter(|l| !l.trim().is_empty());
-    let meta = Json::parse(lines.next().expect("caller checked the meta line"))
-        .map_err(|e| format!("inspect: {path}:1: {e}"))?;
-    let version = meta.get("version").and_then(Json::as_u64).unwrap_or(0);
-    if version != u64::from(FLIGHTREC_VERSION) {
+fn inspect_flightrec(path: &str, dump: &FlightDump, opts: &Options) -> Result<(), CliError> {
+    if dump.version != u64::from(FLIGHTREC_VERSION) {
         diag!(
             Level::Warn,
-            "inspect: {path}: flightrec version {version}; this build reads \
-             v{FLIGHTREC_VERSION}"
+            "inspect: {path}: flightrec version {}; this build reads \
+             v{FLIGHTREC_VERSION}",
+            dump.version
         );
     }
-    let capacity = meta.get("capacity").and_then(Json::as_u64).unwrap_or(0);
-    let total = meta.get("total").and_then(Json::as_u64).unwrap_or(0);
-    let dropped = meta.get("dropped").and_then(Json::as_u64).unwrap_or(0);
-    let failure_t = meta.get("failure_t").and_then(Json::as_f64);
 
-    // (kind, count, last t, last events, last a, last b) per record kind,
-    // in first-seen order; the dump is oldest-first so "last" is newest.
-    let mut mix: Vec<(String, u64, f64, u64, u64, u64)> = Vec::new();
+    // (kind, count, last record) per record kind, in first-seen order;
+    // the dump is oldest-first so "last" is newest.
+    let mut mix: Vec<(&str, u64, &DumpRecord)> = Vec::new();
     let mut newest_t = f64::NEG_INFINITY;
     let mut pop_codes: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    let mut records = 0u64;
-    for (idx, line) in lines.enumerate() {
-        let v = Json::parse(line).map_err(|e| format!("inspect: {path}:{}: {e}", idx + 2))?;
-        let Some(k) = v.get("k").and_then(Json::as_str).map(str::to_string) else {
-            return Err(format!("inspect: {path}:{}: record without 'k'", idx + 2).into());
-        };
-        let t = v.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN);
-        let ev = v.get("ev").and_then(Json::as_u64).unwrap_or(0);
-        let a = v.get("a").and_then(Json::as_u64).unwrap_or(0);
-        let b = v.get("b").and_then(Json::as_u64).unwrap_or(0);
-        records += 1;
-        if t.is_finite() && t > newest_t {
+    for rec in &dump.records {
+        if let Some(t) = rec.t.filter(|&t| t.is_finite() && t > newest_t) {
             newest_t = t;
         }
-        if k == "pop" {
-            *pop_codes.entry(a).or_insert(0) += 1;
+        if rec.kind == "pop" {
+            *pop_codes.entry(rec.a).or_insert(0) += 1;
         }
-        match mix.iter_mut().find(|row| row.0 == k) {
+        match mix.iter_mut().find(|row| row.0 == rec.kind) {
             Some(row) => {
                 row.1 += 1;
-                (row.2, row.3, row.4, row.5) = (t, ev, a, b);
+                row.2 = rec;
             }
-            None => mix.push((k, 1, t, ev, a, b)),
+            None => mix.push((&rec.kind, 1, rec)),
         }
     }
 
     let mut t = Table::new(
         format!(
-            "flight recording {path} — {records} of {total} record(s) \
-             retained (capacity {capacity}, dropped {dropped})"
+            "flight recording {path} — {} of {} record(s) \
+             retained (capacity {}, dropped {})",
+            dump.records.len(),
+            dump.total,
+            dump.capacity,
+            dump.dropped
         ),
         vec!["kind", "count", "last t", "last events", "last a", "last b"],
     );
-    for (k, n, last_t, last_ev, a, b) in &mix {
+    for (k, n, last) in &mix {
         t.push_row(vec![
-            k.clone(),
+            k.to_string(),
             format!("{n}"),
-            format!("{last_t:.3}"),
-            format!("{last_ev}"),
-            format!("{a}"),
-            format!("{b}"),
+            format!("{:.3}", clock(last.t)),
+            format!("{}", last.events),
+            format!("{}", last.a),
+            format!("{}", last.b),
         ]);
     }
     emit(&t, opts)?;
@@ -1925,29 +1861,29 @@ fn inspect_flightrec(path: &str, body: &str, opts: &Options) -> Result<(), CliEr
     if !pops.is_empty() {
         diag!(Level::Info, "event mix: {}", pops.join(", "));
     }
-    if let Some(row) = mix.iter().find(|row| row.0 == "handoff") {
+    if let Some((_, _, last)) = mix.iter().find(|row| row.0 == "handoff") {
         diag!(
             Level::Info,
             "last handoff: t = {:.3}, {} (population {})",
-            row.2,
-            if row.4 == 0 {
+            clock(last.t),
+            if last.a == 0 {
                 "DES -> fluid"
             } else {
                 "fluid -> DES"
             },
-            row.5
+            last.b
         );
     }
-    if let Some(row) = mix.iter().find(|row| row.0 == "checkpoint") {
+    if let Some((_, _, last)) = mix.iter().find(|row| row.0 == "checkpoint") {
         diag!(
             Level::Info,
             "last checkpoint: t = {:.3} at {} events ({} snapshot bytes)",
-            row.2,
-            row.3,
-            row.4
+            clock(last.t),
+            last.events,
+            last.a
         );
     }
-    if let Some(ft) = failure_t {
+    if let Some(ft) = dump.failure_t {
         // `failure_t` is parsed from a message formatted at 3 decimals,
         // so allow half an ulp of that rounding before calling it stale.
         if newest_t.is_finite() && newest_t < ft - 5e-4 {
@@ -1972,108 +1908,41 @@ pub(crate) fn cmd_inspect(opts: &Options) -> Result<(), CliError> {
     let body = fs::read_to_string(path)?;
     // A flight-recorder dump leads with its own schema marker; route it
     // to the dedicated summarizer before assuming a telemetry trace.
-    if let Some(first) = body.lines().find(|l| !l.trim().is_empty()) {
-        if let Ok(head) = Json::parse(first) {
-            if head.get("schema").and_then(Json::as_str) == Some(FLIGHTREC_SCHEMA) {
-                return inspect_flightrec(path, &body, opts);
-            }
-        }
+    let located = |e: String| format!("inspect: {path}:{e}");
+    if let Some(dump) = FlightDump::read(&body).map_err(located)? {
+        return inspect_flightrec(path, &dump, opts);
     }
-    let mut segments: Vec<TraceSegment> = Vec::new();
-    for (idx, line) in body.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = Json::parse(line).map_err(|e| format!("inspect: {path}:{}: {e}", idx + 1))?;
-        let Some(kind) = v.get("kind").and_then(Json::as_str).map(str::to_string) else {
-            return Err(format!("inspect: {path}:{}: record without a kind", idx + 1).into());
-        };
-        if kind == "meta" {
-            let schema = v.get("schema").and_then(Json::as_str).unwrap_or("?");
-            if schema != TRACE_SCHEMA {
-                return Err(format!(
-                    "inspect: {path}:{}: schema '{schema}' is not '{TRACE_SCHEMA}'",
-                    idx + 1
-                )
-                .into());
-            }
-            let version = v.get("version").and_then(Json::as_u64).unwrap_or(0);
-            if version != u64::from(TRACE_VERSION) {
-                diag!(
-                    Level::Warn,
-                    "inspect: {path}: trace version {version}; this build reads v{TRACE_VERSION}"
-                );
-            }
-            segments.push(TraceSegment {
-                label: v
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                aggregate: v.get("aggregate").and_then(Json::as_bool).unwrap_or(false),
-                samples: Vec::new(),
-                spans: Vec::new(),
-                end: None,
-            });
-            continue;
-        }
-        let Some(seg) = segments.last_mut() else {
-            return Err(format!(
-                "inspect: {path}:{}: '{kind}' record before any meta — not a btfluid trace?",
-                idx + 1
-            )
-            .into());
-        };
-        match kind.as_str() {
-            "sample" => seg.samples.push(TraceSample {
-                t: v.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                events: v.get("events").and_then(Json::as_u64).unwrap_or(0),
-                downloaders: trace_u64_arr(v.get("downloaders")),
-                download_pairs: trace_u64_arr(v.get("download_pairs")),
-                seed_pairs: trace_u64_arr(v.get("seed_pairs")),
-                rho_mean: v.get("rho_mean").and_then(Json::as_f64),
-                delta_mean: v.get("delta_mean").and_then(Json::as_f64),
-                counters: trace_counters(v.get("counters")),
-            }),
-            "span" => seg.spans.push((
-                v.get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                v.get("micros").and_then(Json::as_u64).unwrap_or(0),
-                v.get("t").and_then(Json::as_f64),
-            )),
-            "end" => {
-                seg.end = Some((
-                    v.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                    trace_counters(v.get("counters")),
-                ))
-            }
-            "profile" => {
-                let events = v.get("events").and_then(Json::as_u64).unwrap_or(0).max(1);
-                for ph in v.get("phases").and_then(Json::as_arr).unwrap_or(&[]) {
-                    let name = ph.get("name").and_then(Json::as_str).unwrap_or("?");
-                    let calls = ph.get("calls").and_then(Json::as_u64).unwrap_or(0);
-                    let self_ns = ph.get("self_ns").and_then(Json::as_u64).unwrap_or(0);
-                    diag!(
-                        Level::Info,
-                        "{}: profile {name}: {calls} call(s), self {:.3} ms, {:.0} ns/event",
-                        seg.label,
-                        self_ns as f64 / 1e6,
-                        self_ns as f64 / events as f64
-                    );
-                }
-            }
-            other => diag!(
-                Level::Warn,
-                "inspect: {path}:{}: unknown record kind '{other}' (skipped)",
-                idx + 1
-            ),
-        }
-    }
+    let segments = read_trace(&body).map_err(located)?;
     if segments.is_empty() {
         return Err(format!("inspect: {path}: no meta records — not a btfluid trace").into());
+    }
+    for seg in &segments {
+        if seg.version != u64::from(TRACE_VERSION) {
+            diag!(
+                Level::Warn,
+                "inspect: {path}: trace version {}; this build reads v{TRACE_VERSION}",
+                seg.version
+            );
+        }
+        for (line, kind) in &seg.skipped {
+            diag!(
+                Level::Warn,
+                "inspect: {path}:{line}: unknown record kind '{kind}' (skipped)"
+            );
+        }
+        for profile in &seg.profiles {
+            let events = profile.events.max(1);
+            for (name, stats) in &profile.phases {
+                diag!(
+                    Level::Info,
+                    "{}: profile {name}: {} call(s), self {:.3} ms, {:.0} ns/event",
+                    run_label(seg),
+                    stats.calls,
+                    stats.self_ns as f64 / 1e6,
+                    stats.self_ns as f64 / events as f64
+                );
+            }
+        }
     }
 
     let mut t = Table::new(
@@ -2094,7 +1963,7 @@ pub(crate) fn cmd_inspect(opts: &Options) -> Result<(), CliError> {
         let c = seg.final_counters();
         let per_event = c.rate_recomputes as f64 / c.events_popped.max(1) as f64;
         t.push_row(vec![
-            seg.label.clone(),
+            run_label(seg).to_string(),
             format!("{}", seg.samples.len()),
             format!("{}", seg.spans.len()),
             format!("{}", c.events_popped),
@@ -2109,32 +1978,32 @@ pub(crate) fn cmd_inspect(opts: &Options) -> Result<(), CliError> {
 
     for seg in &segments {
         let mut totals: Vec<(String, u64, u64)> = Vec::new();
-        for (name, micros, _) in &seg.spans {
-            match totals.iter_mut().find(|row| &row.0 == name) {
+        for span in &seg.spans {
+            match totals.iter_mut().find(|row| row.0 == span.name) {
                 Some(row) => {
                     row.1 += 1;
-                    row.2 += micros;
+                    row.2 += span.micros;
                 }
-                None => totals.push((name.clone(), 1, *micros)),
+                None => totals.push((span.name.clone(), 1, span.micros)),
             }
         }
         for (name, n, micros) in totals {
             diag!(
                 Level::Info,
                 "{}: span {name}: {n} × totalling {micros} µs",
-                seg.label
+                run_label(seg)
             );
         }
-        let handoffs = seg.handoff_times();
+        let handoffs = handoff_times(seg);
         if !handoffs.is_empty() {
             let to_fluid = seg
                 .spans
                 .iter()
-                .filter(|(name, _, _)| name == "handoff:des->fluid")
+                .filter(|s| s.name == "handoff:des->fluid")
                 .count();
             println!(
                 "{}: {} hybrid handoff(s): {} →fluid, {} →discrete",
-                seg.label,
+                run_label(seg),
                 handoffs.len(),
                 to_fluid,
                 handoffs.len() - to_fluid
@@ -2144,7 +2013,7 @@ pub(crate) fn cmd_inspect(opts: &Options) -> Result<(), CliError> {
 
     let mut anomalies = Vec::new();
     for seg in &segments {
-        seg.detect_anomalies(&mut anomalies);
+        detect_anomalies(seg, &mut anomalies);
     }
     if anomalies.is_empty() {
         println!("no anomalies detected");
@@ -2331,6 +2200,7 @@ mod tests {
     use super::*;
     use crate::errors::EXIT_CONFIG;
     use crate::table::dispatch;
+    use btfluid_telemetry::{TraceSample, TraceSpan};
 
     #[test]
     fn scheme_parsing() {
@@ -2580,17 +2450,16 @@ mod tests {
         // One sample every 5 time units, 10 events per window, class 1
         // present throughout, class 2 present and seeding.
         let sample = |i: u64, recomputes: u64, seed_pairs: Vec<u64>| TraceSample {
-            t: i as f64 * 5.0,
+            t: Some(i as f64 * 5.0),
             events: 10 * (i + 1),
             downloaders: vec![2, 1],
             download_pairs: vec![2, 1],
             seed_pairs,
-            rho_mean: None,
-            delta_mean: None,
             counters: Counters {
                 rate_recomputes: recomputes,
                 ..Default::default()
             },
+            ..Default::default()
         };
 
         let mut recomputes = 0;
@@ -2601,20 +2470,19 @@ mod tests {
                 recomputes += if i < 20 { 10 } else { 500 };
                 let mut s = sample(i, recomputes, vec![0, 1]);
                 if i == 3 {
-                    s.t = 2.0; // clock regression
+                    s.t = Some(2.0); // clock regression
                 }
                 s
             })
             .collect();
-        let seg = TraceSegment {
-            label: "X".into(),
+        let seg = TraceRun {
+            label: Some("X".into()),
             aggregate: false,
             samples: bad_samples,
-            spans: Vec::new(),
-            end: None,
+            ..Default::default()
         };
         let mut out = Vec::new();
-        seg.detect_anomalies(&mut out);
+        detect_anomalies(&seg, &mut out);
         let all = out.join("\n");
         assert!(all.contains("truncated"), "{all}");
         assert!(all.contains("non-monotone"), "{all}");
@@ -2631,15 +2499,15 @@ mod tests {
                 sample(i, recomputes, vec![1, 1])
             })
             .collect();
-        let healthy = TraceSegment {
-            label: "Y".into(),
+        let healthy = TraceRun {
+            label: Some("Y".into()),
             aggregate: false,
             samples: healthy_samples,
-            spans: Vec::new(),
-            end: Some((150.0, Counters::default())),
+            end: Some((Some(150.0), Counters::default())),
+            ..Default::default()
         };
         let mut out = Vec::new();
-        healthy.detect_anomalies(&mut out);
+        detect_anomalies(&healthy, &mut out);
         assert!(out.is_empty(), "healthy trace flagged: {out:?}");
     }
 
@@ -2649,18 +2517,17 @@ mod tests {
     #[test]
     fn inspect_anomaly_heuristics_aggregate() {
         let sample = |i: u64, agg_updates: u64, recomputes: u64| TraceSample {
-            t: i as f64 * 5.0,
+            t: Some(i as f64 * 5.0),
             events: 10 * (i + 1),
             downloaders: vec![2, 1],
             download_pairs: vec![2, 1],
             seed_pairs: vec![1, 1],
-            rho_mean: None,
-            delta_mean: None,
             counters: Counters {
                 agg_rate_updates: agg_updates,
                 rate_recomputes: recomputes,
                 ..Default::default()
             },
+            ..Default::default()
         };
 
         // Flat group-update cost for 20 windows, then a 50× blow-up:
@@ -2673,21 +2540,21 @@ mod tests {
                 sample(i, updates, 0)
             })
             .collect();
-        let seg = TraceSegment {
-            label: "A".into(),
+        let seg = TraceRun {
+            label: Some("A".into()),
             aggregate: true,
             samples: drifting,
-            spans: Vec::new(),
             end: Some((
-                150.0,
+                Some(150.0),
                 Counters {
                     agg_rate_updates: updates,
                     ..Default::default()
                 },
             )),
+            ..Default::default()
         };
         let mut out = Vec::new();
-        seg.detect_anomalies(&mut out);
+        detect_anomalies(&seg, &mut out);
         let all = out.join("\n");
         assert!(all.contains("group-rate cost drift"), "{all}");
         assert!(!all.contains("rate-cache cost drift"), "{all}");
@@ -2701,21 +2568,21 @@ mod tests {
                 sample(i, updates, 0)
             })
             .collect();
-        let healthy = TraceSegment {
-            label: "B".into(),
+        let healthy = TraceRun {
+            label: Some("B".into()),
             aggregate: true,
             samples: flat,
-            spans: Vec::new(),
             end: Some((
-                150.0,
+                Some(150.0),
                 Counters {
                     agg_rate_updates: updates,
                     ..Default::default()
                 },
             )),
+            ..Default::default()
         };
         let mut out = Vec::new();
-        healthy.detect_anomalies(&mut out);
+        detect_anomalies(&healthy, &mut out);
         assert!(out.is_empty(), "healthy aggregate trace flagged: {out:?}");
 
         // A leaking per-peer cache (recomputes > 0 in aggregate mode) is
@@ -2727,22 +2594,22 @@ mod tests {
                 sample(i, updates, 7)
             })
             .collect();
-        let leaky = TraceSegment {
-            label: "C".into(),
+        let leaky = TraceRun {
+            label: Some("C".into()),
             aggregate: true,
             samples: leaking,
-            spans: Vec::new(),
             end: Some((
-                150.0,
+                Some(150.0),
                 Counters {
                     agg_rate_updates: updates,
                     rate_recomputes: 7,
                     ..Default::default()
                 },
             )),
+            ..Default::default()
         };
         let mut out = Vec::new();
-        leaky.detect_anomalies(&mut out);
+        detect_anomalies(&leaky, &mut out);
         let all = out.join("\n");
         assert!(
             all.contains("per-peer rate recomputes in aggregate mode"),
@@ -2802,13 +2669,17 @@ mod tests {
     /// same number of switches is evenly spread.
     #[test]
     fn inspect_hybrid_thrash_heuristic() {
-        let span = |t: f64| ("handoff:des->fluid".to_string(), 10u64, Some(t));
-        let segment = |spans: Vec<(String, u64, Option<f64>)>| TraceSegment {
-            label: "H".into(),
+        let span = |t: f64| TraceSpan {
+            name: "handoff:des->fluid".to_string(),
+            micros: 10,
+            t: Some(t),
+        };
+        let segment = |spans: Vec<TraceSpan>| TraceRun {
+            label: Some("H".into()),
             aggregate: true,
-            samples: Vec::new(),
             spans,
-            end: Some((2000.0, Counters::default())),
+            end: Some((Some(2000.0), Counters::default())),
+            ..Default::default()
         };
 
         // Four switches packed into 1.5 time units amid ~400-unit dwells.
@@ -2823,7 +2694,7 @@ mod tests {
             span(1700.0),
         ]);
         let mut out = Vec::new();
-        thrashing.detect_anomalies(&mut out);
+        detect_anomalies(&thrashing, &mut out);
         assert!(
             out.iter().any(|a| a.contains("regime thrash")),
             "burst not flagged: {out:?}"
@@ -2832,7 +2703,7 @@ mod tests {
         // The same switch count, evenly spaced: healthy.
         let healthy = segment(vec![span(100.0), span(600.0), span(1100.0), span(1600.0)]);
         let mut out = Vec::new();
-        healthy.detect_anomalies(&mut out);
+        detect_anomalies(&healthy, &mut out);
         assert!(out.is_empty(), "even spacing flagged: {out:?}");
     }
 

@@ -9,11 +9,11 @@
 //! failure deterministically or demonstrating it is gone.
 
 use crate::error::{io_err, HarnessError};
-use crate::json::Json;
 use btfluid_core::adapt::AdaptConfig;
 use btfluid_core::FluidParams;
 use btfluid_des::{AdaptSetup, DesConfig, OrderPolicy, ScenarioHook, SchemeKind};
 use btfluid_scenario::registry;
+use btfluid_telemetry::json::Json;
 use btfluid_workload::CorrelationModel;
 use std::path::Path;
 

@@ -29,10 +29,13 @@
 pub mod bundle;
 pub mod checkpoint;
 pub mod error;
-pub mod json;
 pub mod manifest;
 pub mod shard;
 pub mod supervisor;
+
+/// The JSON codec, which lives in `btfluid-telemetry`; re-exported because
+/// the `benchmark/` package imports it as `btfluid_harness::json`.
+pub use btfluid_telemetry::json;
 
 pub use bundle::{config_from_json, config_to_json, load_trace, ReproBundle, ScenarioRef};
 pub use checkpoint::{

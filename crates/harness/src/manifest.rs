@@ -9,9 +9,9 @@
 //! described will simply be re-run.
 
 use crate::error::{io_err, HarnessError};
-use crate::json::Json;
 use btfluid_des::Counters;
 use btfluid_telemetry::faults::{self, FaultSite, WritePlan};
+use btfluid_telemetry::json::Json;
 use btfluid_telemetry::{diag, Level};
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
@@ -75,7 +75,7 @@ impl CellRecord {
             ("wall_ms".into(), Json::num_u64(self.wall_ms)),
         ];
         if let Some(c) = &self.counters {
-            fields.push(("counters".into(), counters_to_json(c)));
+            fields.push(("counters".into(), c.to_json_value()));
         }
         fields.push(("detail".into(), Json::Str(self.detail.clone())));
         Json::Obj(fields)
@@ -89,45 +89,21 @@ impl CellRecord {
             events: v.get("events")?.as_u64()?,
             // Both telemetry fields are optional so journals from before
             // this schema grew them still load under `--resume`.
-            wall_ms: v.get("wall_ms").and_then(Json::as_u64).unwrap_or(0),
-            counters: v.get("counters").and_then(counters_from_json),
+            wall_ms: v.u64_at("wall_ms"),
+            // The counters object is dropped unless it carries every
+            // counter but the last two, which journals from before
+            // aggregate mode lack.
+            counters: v
+                .get("counters")
+                .filter(|c| {
+                    Counters::NAMES[..8]
+                        .iter()
+                        .all(|k| c.get(k).and_then(Json::as_u64).is_some())
+                })
+                .map(Counters::from_json),
             detail: v.get("detail")?.as_str()?.to_string(),
         })
     }
-}
-
-fn counters_to_json(c: &Counters) -> Json {
-    Json::Obj(vec![
-        ("events_popped".into(), Json::num_u64(c.events_popped)),
-        ("stale_discards".into(), Json::num_u64(c.stale_discards)),
-        ("heap_peak".into(), Json::num_u64(c.heap_peak)),
-        ("rate_recomputes".into(), Json::num_u64(c.rate_recomputes)),
-        ("rate_clean_hits".into(), Json::num_u64(c.rate_clean_hits)),
-        ("snapshots_taken".into(), Json::num_u64(c.snapshots_taken)),
-        ("snapshot_bytes".into(), Json::num_u64(c.snapshot_bytes)),
-        ("snapshot_micros".into(), Json::num_u64(c.snapshot_micros)),
-        ("agg_rate_updates".into(), Json::num_u64(c.agg_rate_updates)),
-        ("agg_samples".into(), Json::num_u64(c.agg_samples)),
-    ])
-}
-
-fn counters_from_json(v: &Json) -> Option<Counters> {
-    Some(Counters {
-        events_popped: v.get("events_popped")?.as_u64()?,
-        stale_discards: v.get("stale_discards")?.as_u64()?,
-        heap_peak: v.get("heap_peak")?.as_u64()?,
-        rate_recomputes: v.get("rate_recomputes")?.as_u64()?,
-        rate_clean_hits: v.get("rate_clean_hits")?.as_u64()?,
-        snapshots_taken: v.get("snapshots_taken")?.as_u64()?,
-        snapshot_bytes: v.get("snapshot_bytes")?.as_u64()?,
-        snapshot_micros: v.get("snapshot_micros")?.as_u64()?,
-        // Absent in journals written before aggregate mode existed.
-        agg_rate_updates: v
-            .get("agg_rate_updates")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        agg_samples: v.get("agg_samples").and_then(Json::as_u64).unwrap_or(0),
-    })
 }
 
 /// Loads a journal. A missing file is an empty journal; a torn *final*

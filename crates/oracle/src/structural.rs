@@ -5,11 +5,10 @@
 
 use crate::report::OracleConfig;
 use btfluid_des::{DesConfig, SchemeKind, Simulation};
-use btfluid_harness::json::Json;
 use btfluid_numkit::rng::{RngCore, Xoshiro256StarStar};
 use btfluid_telemetry::{
-    Counters, FlightKind, FlightRecord, FlightRecorder, MetaField, Sample, TraceSink,
-    FLIGHTREC_SCHEMA, FLIGHTREC_VERSION,
+    read_trace, Counters, FlightDump, FlightKind, FlightRecord, FlightRecorder, MetaField, Sample,
+    TraceSink, FLIGHTREC_VERSION,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -75,8 +74,9 @@ pub fn snapshot_fuzz(cfg: &OracleConfig) -> Result<String, String> {
 }
 
 /// Trace JSONL round-trip: a sink fed non-finite samples must emit a file
-/// in which *every* line parses as JSON, the non-finite fields surface as
-/// `null`, and the process-wide downgrade counter advances.
+/// the trace reader accepts whole (every line parses as JSON), the
+/// non-finite fields must read back as absent, and the process-wide
+/// downgrade counter must advance.
 pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
     let dir = std::env::temp_dir().join(format!(
         "btfluid_oracle_trace_{}_{}",
@@ -111,18 +111,13 @@ pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
         sink.end(80.0, &Counters::default());
         let path = sink.finish().map_err(|e| e.to_string())?;
         let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
-        let mut lines = 0usize;
-        let mut null_fields = 0usize;
-        for line in text.lines() {
-            let doc = Json::parse(line).map_err(|e| format!("invalid JSON line: {e}\n{line}"))?;
-            if doc.get("kind").and_then(Json::as_str) == Some("sample")
-                && doc.get("rho_mean") == Some(&Json::Null)
-            {
-                null_fields += 1;
-            }
-            lines += 1;
-        }
-        if null_fields != 8 {
+        let runs = read_trace(&text).map_err(|e| format!("trace line {e}"))?;
+        let [run] = runs.as_slice() else {
+            return Err(format!("expected one run, read {}", runs.len()));
+        };
+        let lines = text.lines().count();
+        let null_fields = run.samples.iter().filter(|s| s.rho_mean.is_none()).count();
+        if null_fields != 8 || run.end.is_none() {
             return Err(format!(
                 "expected 8 null rho_mean fields, found {null_fields}"
             ));
@@ -143,9 +138,9 @@ pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
 }
 
 /// Flight-recorder dump contract: for seeded random record streams and
-/// ring capacities, `dump_string` must emit a meta line whose accounting
-/// fields reconcile (`total = retained + dropped`), every record line
-/// must parse as JSON with a known kind, and the retained records must be
+/// ring capacities, the dump reader must accept what `dump_string` emits,
+/// its meta fields must reconcile (`total = retained + dropped`), every
+/// record must carry a known kind, and the retained records must be
 /// **exactly the last `min(capacity, total)`** of the stream, in order.
 pub fn flightrec_round_trip(cfg: &OracleConfig) -> Result<String, String> {
     let mut rng = Xoshiro256StarStar::stream(cfg.seed, 9);
@@ -177,23 +172,16 @@ pub fn flightrec_round_trip(cfg: &OracleConfig) -> Result<String, String> {
         }
         let failure_t = (trial % 2 == 0).then_some(n as f64);
         let dump = rec.dump_string(failure_t);
-        let mut lines = dump.lines();
-        let meta = Json::parse(lines.next().ok_or("empty dump")?)
-            .map_err(|e| format!("meta line: {e}"))?;
-        if meta.get("schema").and_then(Json::as_str) != Some(FLIGHTREC_SCHEMA)
-            || meta.get("version").and_then(Json::as_u64) != Some(u64::from(FLIGHTREC_VERSION))
-        {
-            return Err(format!("bad schema/version in meta: {dump}"));
+        let read = FlightDump::read(&dump)
+            .map_err(|e| format!("dump line {e}\n{dump}"))?
+            .ok_or_else(|| format!("not a flightrec dump: {dump}"))?;
+        if read.version != u64::from(FLIGHTREC_VERSION) {
+            return Err(format!("bad version in meta: {dump}"));
         }
-        let total = meta.get("total").and_then(Json::as_u64).ok_or("no total")?;
-        let dropped = meta
-            .get("dropped")
-            .and_then(Json::as_u64)
-            .ok_or("no dropped")?;
-        if meta.get("failure_t").is_some() != failure_t.is_some() {
+        if read.failure_t.is_some() != failure_t.is_some() {
             return Err("failure_t presence mismatch".into());
         }
-        let records: Vec<&str> = lines.collect();
+        let (total, dropped, records) = (read.total, read.dropped, &read.records);
         if total != n as u64 || total != records.len() as u64 + dropped {
             return Err(format!(
                 "accounting mismatch: total {total}, retained {}, dropped {dropped} (n = {n})",
@@ -208,15 +196,12 @@ pub fn flightrec_round_trip(cfg: &OracleConfig) -> Result<String, String> {
                 expect.len()
             ));
         }
-        for (line, want) in records.iter().zip(expect) {
-            let doc = Json::parse(line).map_err(|e| format!("record line: {e}\n{line}"))?;
-            let k = doc.get("k").and_then(Json::as_str).ok_or("record sans k")?;
-            if FlightKind::parse(k) != Some(want.kind)
-                || doc.get("ev").and_then(Json::as_u64) != Some(want.events)
-                || doc.get("a").and_then(Json::as_u64) != Some(want.a)
-                || doc.get("b").and_then(Json::as_u64) != Some(want.b)
+        for (got, want) in records.iter().zip(expect) {
+            if FlightKind::parse(&got.kind) != Some(want.kind)
+                || got.t != Some(want.t)
+                || (got.events, got.a, got.b) != (want.events, want.a, want.b)
             {
-                return Err(format!("record mismatch: {line} vs {want:?}"));
+                return Err(format!("record mismatch: {got:?} vs {want:?}"));
             }
             lines_checked += 1;
         }

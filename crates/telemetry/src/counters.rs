@@ -5,6 +5,9 @@
 //! microseconds per event) to keep even when no probe is attached, which
 //! in turn keeps snapshots identical whether or not telemetry is enabled.
 
+use crate::json::Json;
+use std::fmt::Write as _;
+
 /// Cumulative engine counters since the start of the run (they survive
 /// snapshot/restore, so a resumed run continues the same series).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,25 +44,74 @@ pub struct Counters {
 }
 
 impl Counters {
+    /// The counters' wire names, in field order: the one list every JSON
+    /// writer and reader of counters (trace records, the sweep journal)
+    /// keys by.
+    pub const NAMES: [&'static str; 10] = [
+        "events_popped",
+        "stale_discards",
+        "heap_peak",
+        "rate_recomputes",
+        "rate_clean_hits",
+        "snapshots_taken",
+        "snapshot_bytes",
+        "snapshot_micros",
+        "agg_rate_updates",
+        "agg_samples",
+    ];
+
+    fn fields_mut(&mut self) -> [&mut u64; 10] {
+        [
+            &mut self.events_popped,
+            &mut self.stale_discards,
+            &mut self.heap_peak,
+            &mut self.rate_recomputes,
+            &mut self.rate_clean_hits,
+            &mut self.snapshots_taken,
+            &mut self.snapshot_bytes,
+            &mut self.snapshot_micros,
+            &mut self.agg_rate_updates,
+            &mut self.agg_samples,
+        ]
+    }
+
+    /// `(wire name, value)` pairs in [`Self::NAMES`] order.
+    fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut copy = *self;
+        let values = copy.fields_mut().map(|v| *v);
+        Self::NAMES.into_iter().zip(values)
+    }
+
     /// Renders the counters as a JSON object (raw text, no trailing
     /// newline), the exact shape the trace schema embeds.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"events_popped\":{},\"stale_discards\":{},\"heap_peak\":{},\
-             \"rate_recomputes\":{},\"rate_clean_hits\":{},\"snapshots_taken\":{},\
-             \"snapshot_bytes\":{},\"snapshot_micros\":{},\
-             \"agg_rate_updates\":{},\"agg_samples\":{}}}",
-            self.events_popped,
-            self.stale_discards,
-            self.heap_peak,
-            self.rate_recomputes,
-            self.rate_clean_hits,
-            self.snapshots_taken,
-            self.snapshot_bytes,
-            self.snapshot_micros,
-            self.agg_rate_updates,
-            self.agg_samples,
+        let mut out = String::with_capacity(256);
+        for (name, value) in self.named() {
+            out.push(if out.is_empty() { '{' } else { ',' });
+            let _ = write!(out, "\"{name}\":{value}");
+        }
+        out.push('}');
+        out
+    }
+
+    /// The counters as a JSON object value, for writers that build a
+    /// [`Json`] document (the sweep journal).
+    pub fn to_json_value(&self) -> Json {
+        Json::Obj(
+            self.named()
+                .map(|(name, value)| (name.to_string(), Json::num_u64(value)))
+                .collect(),
         )
+    }
+
+    /// Reads counters from a JSON object. A counter that is absent (an
+    /// older writer that predates it) or not a `u64` reads as zero.
+    pub fn from_json(v: &Json) -> Self {
+        let mut c = Self::default();
+        for (name, field) in Self::NAMES.into_iter().zip(c.fields_mut()) {
+            *field = v.u64_at(name);
+        }
+        c
     }
 }
 
@@ -81,6 +133,31 @@ mod tests {
         assert!(s.contains("\"agg_rate_updates\":0"));
         assert!(s.contains("\"agg_samples\":0"));
         assert!(!s.contains(' '), "compact encoding only: {s}");
+    }
+
+    #[test]
+    fn reader_inverts_both_writers() {
+        let c = Counters {
+            events_popped: u64::MAX,
+            stale_discards: 1,
+            heap_peak: 2,
+            rate_recomputes: 3,
+            rate_clean_hits: 4,
+            snapshots_taken: 5,
+            snapshot_bytes: 6,
+            snapshot_micros: 7,
+            agg_rate_updates: 8,
+            agg_samples: 9,
+        };
+        assert_eq!(Counters::from_json(&Json::parse(&c.to_json()).unwrap()), c);
+        assert_eq!(Counters::from_json(&c.to_json_value()), c);
+        assert_eq!(c.to_json_value().to_string(), c.to_json());
+        let old = Json::parse("{\"heap_peak\":3,\"agg_samples\":-1}").unwrap();
+        let read = Counters::from_json(&old);
+        assert_eq!(
+            (read.heap_peak, read.agg_samples, read.events_popped),
+            (3, 0, 0)
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The module also owns the process-wide degradation tally the crash-safe
 //! driver bumps when checkpointing fails (and when it gives up and
 //! disables checkpointing) — the same pattern as
-//! [`crate::jsonw::non_finite_null_count`].
+//! [`crate::json::non_finite_null_count`].
 
 use crate::flightrec::{FlightKind, FlightRecord, SharedRecorder};
 use std::io;

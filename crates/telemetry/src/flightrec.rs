@@ -17,9 +17,10 @@
 //! (and, when known, the failure time), then one compact line per
 //! surviving record. The dump answers "what were the last N things the
 //! engine did" without anyone having had to enable tracing in advance.
+//! [`FlightDump::read`] is the format's one reader.
 
 use crate::counters::Counters;
-use crate::jsonw;
+use crate::json::{self, Json};
 use crate::probe::Probe;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -117,7 +118,7 @@ impl FlightRecord {
         out.push_str("{\"k\":\"");
         out.push_str(self.kind.name());
         out.push_str("\",\"t\":");
-        jsonw::push_f64(&mut out, self.t);
+        json::push_f64(&mut out, self.t);
         let _ = write!(
             out,
             ",\"ev\":{},\"a\":{},\"b\":{}}}",
@@ -208,7 +209,7 @@ impl FlightRecorder {
         );
         if let Some(t) = failure_t {
             out.push_str(",\"failure_t\":");
-            jsonw::push_f64(&mut out, t);
+            json::push_f64(&mut out, t);
         }
         out.push_str("}\n");
         for rec in self.iter() {
@@ -310,6 +311,81 @@ impl Probe for FanoutProbe {
     }
 }
 
+/// One dump record as read back, its kind kept as written so a newer
+/// writer's kinds survive (see [`FlightKind::parse`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct DumpRecord {
+    /// Wire name of the kind (`"pop"`, `"rate"`, …).
+    pub kind: String,
+    /// Simulated time; `None` when written as `null` (non-finite).
+    pub t: Option<f64>,
+    /// Engine event count at the record point.
+    pub events: u64,
+    /// First kind-specific payload.
+    pub a: u64,
+    /// Second kind-specific payload.
+    pub b: u64,
+}
+
+/// A `flightrec` dump as read back: the meta line's fields (zero when an
+/// older writer omitted one) and the records, oldest first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlightDump {
+    /// Dump format version (compare with [`FLIGHTREC_VERSION`]).
+    pub version: u64,
+    /// Ring capacity of the recorder that wrote the dump.
+    pub capacity: u64,
+    /// Records ever offered to the ring.
+    pub total: u64,
+    /// Records overwritten before the dump.
+    pub dropped: u64,
+    /// Simulated failure time, when the writer knew it.
+    pub failure_t: Option<f64>,
+    /// The retained records, oldest first.
+    pub records: Vec<DumpRecord>,
+}
+
+impl FlightDump {
+    /// Reads a dump written by [`FlightRecorder::dump_string`]; blank
+    /// lines are ignored. `Ok(None)` when the first line is not a
+    /// `flightrec` meta line, i.e. the text is not a dump at all.
+    ///
+    /// # Errors
+    /// `"<line>: <detail>"`, numbering non-blank lines from 1, for a
+    /// record line that is not JSON or has no `k`.
+    pub fn read(text: &str) -> Result<Option<Self>, String> {
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let meta = lines.next().and_then(|first| Json::parse(first).ok());
+        let Some(meta) = meta.filter(|m| m.str_at("schema") == Some(FLIGHTREC_SCHEMA)) else {
+            return Ok(None);
+        };
+        let records = (2..)
+            .zip(lines)
+            .map(|(lineno, line)| {
+                let v = Json::parse(line).map_err(|e| format!("{lineno}: {e}"))?;
+                let kind = v
+                    .str_at("k")
+                    .ok_or_else(|| format!("{lineno}: record without 'k'"))?;
+                Ok(DumpRecord {
+                    kind: kind.to_string(),
+                    t: v.f64_at("t"),
+                    events: v.u64_at("ev"),
+                    a: v.u64_at("a"),
+                    b: v.u64_at("b"),
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Some(Self {
+            version: meta.u64_at("version"),
+            capacity: meta.u64_at("capacity"),
+            total: meta.u64_at("total"),
+            dropped: meta.u64_at("dropped"),
+            failure_t: meta.f64_at("failure_t"),
+            records,
+        }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +438,64 @@ mod tests {
         assert!(lines[0].contains("\"failure_t\":7.25"));
         assert!(lines[1].contains("\"ev\":2"));
         assert!(lines[2].contains("\"ev\":3"));
+    }
+
+    #[test]
+    fn dump_reader_returns_the_last_window() {
+        for (capacity, n) in [(4, 0), (4, 3), (4, 4), (4, 11), (1, 5)] {
+            let mut r = FlightRecorder::new(capacity);
+            let stream: Vec<FlightRecord> = (0..n)
+                .map(|i| FlightRecord {
+                    kind: [FlightKind::Handoff, FlightKind::FaultConsult][i as usize % 2],
+                    b: u64::MAX - i,
+                    t: if i == 2 { f64::NAN } else { i as f64 * 0.1 },
+                    ..rec(i)
+                })
+                .collect();
+            stream.iter().for_each(|&x| r.record(x));
+            let failure_t = (n % 2 == 1).then_some(0.3);
+            let dump = FlightDump::read(&r.dump_string(failure_t))
+                .unwrap()
+                .unwrap();
+            assert_eq!(dump.version, u64::from(FLIGHTREC_VERSION));
+            assert_eq!((dump.capacity, dump.total), (capacity as u64, n));
+            assert_eq!(dump.failure_t, failure_t);
+            let kept = n.min(capacity as u64) as usize;
+            assert_eq!(dump.dropped, n - kept as u64);
+            let want = &stream[stream.len() - kept..];
+            assert_eq!(dump.records.len(), want.len());
+            for (got, want) in dump.records.iter().zip(want) {
+                assert_eq!(FlightKind::parse(&got.kind), Some(want.kind));
+                assert_eq!(got.t, Some(want.t).filter(|t| t.is_finite()));
+                assert_eq!((got.events, got.a, got.b), (want.events, want.a, want.b));
+            }
+        }
+    }
+
+    #[test]
+    fn dump_reader_keeps_unknown_kinds_and_locates_errors() {
+        let text =
+            "{\"schema\":\"flightrec\",\"version\":1}\n\n{\"k\":\"warp\",\"t\":1,\"ev\":2}\n";
+        let dump = FlightDump::read(text).unwrap().unwrap();
+        assert_eq!(dump.records[0].kind, "warp");
+        assert_eq!((dump.capacity, dump.records[0].a), (0, 0));
+        for other in [
+            "",
+            "\n{\"schema\":\"btfluid-trace\"}",
+            "not json\n{\"k\":1}",
+        ] {
+            assert_eq!(FlightDump::read(other), Ok(None), "{other:?}");
+        }
+        for (bad, prefix) in [
+            (
+                "{\"schema\":\"flightrec\"}\n{\"t\":1}",
+                "2: record without 'k'",
+            ),
+            ("{\"schema\":\"flightrec\"}\n\n{\"k\":\"pop\"}\nnope", "3: "),
+        ] {
+            let err = FlightDump::read(bad).unwrap_err();
+            assert!(err.starts_with(prefix), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! # btfluid-telemetry
 //!
 //! Observability substrate for the btfluid workspace: engine probes,
-//! hot-loop counters, a versioned JSONL trace sink, and the `diag!`
-//! leveled stderr diagnostics macro.
+//! hot-loop counters, a versioned JSONL trace sink, the flight recorder,
+//! and the `diag!` leveled stderr diagnostics macro. It also holds the
+//! workspace's one JSON codec, [`json`], and each record format's one
+//! reader beside its writer: [`read_trace`] for traces,
+//! [`FlightDump::read`] for flight dumps, [`Counters::from_json`] for
+//! the counters both embed.
 //!
-//! The crate sits *below* `btfluid-des` in the dependency graph (the
-//! engine calls into it), so it carries no simulator types — probes see
-//! plain slices and scalars through [`Sample`]. Three invariants the rest
-//! of the workspace relies on:
+//! The crate depends on nothing and sits *below* `btfluid-des` and
+//! `btfluid-workload` in the dependency graph (the engine calls into it),
+//! so it carries no simulator types — probes see plain slices and scalars
+//! through [`Sample`]. Three invariants the rest of the workspace relies
+//! on:
 //!
 //! * **Zero perturbation**: a probe only *observes*. Nothing here feeds
 //!   back into the engine's RNG streams, event order, or float
@@ -27,7 +32,7 @@ pub mod counters;
 pub mod diag;
 pub mod faults;
 pub mod flightrec;
-pub mod jsonw;
+pub mod json;
 pub mod probe;
 pub mod profiler;
 pub mod sink;
@@ -36,13 +41,16 @@ pub use counters::Counters;
 pub use diag::{enabled, level, set_level, Level};
 pub use faults::{FaultKind, FaultRule, FaultScript, FaultSite};
 pub use flightrec::{
-    shared_recorder, FanoutProbe, FlightKind, FlightRecord, FlightRecorder, RecorderProbe,
-    SharedRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION,
+    shared_recorder, DumpRecord, FanoutProbe, FlightDump, FlightKind, FlightRecord, FlightRecorder,
+    RecorderProbe, SharedRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION,
 };
-pub use jsonw::{non_finite_null_count, note_non_finite_null};
+pub use json::non_finite_null_count;
 pub use probe::{MemoryProbe, NoopProbe, OwnedSample, Probe, Sample};
 pub use profiler::{Phase, PhaseStats, ProfileTable, Profiler, PHASES};
-pub use sink::{MetaField, SharedSink, SinkProbe, TraceSink, TRACE_SCHEMA, TRACE_VERSION};
+pub use sink::{
+    read_trace, MetaField, SharedSink, SinkProbe, TraceProfile, TraceRun, TraceSample, TraceSink,
+    TraceSpan, TRACE_SCHEMA, TRACE_VERSION,
+};
 
 /// Default sampling cadence (simulated time units) for trace-producing
 /// probes when the caller does not choose one.

@@ -12,10 +12,15 @@
 //! [`TraceSink::finish`], so a crash leaves either no trace or a
 //! complete one — a lingering `.tmp` always means "this run did not
 //! finish".
+//!
+//! [`read_trace`] is the schema's one reader: it decodes a trace file
+//! back into typed [`TraceRun`]s for `btfluid inspect`, the self-check
+//! oracle and the tests.
 
 use crate::counters::Counters;
-use crate::jsonw;
+use crate::json::{self, Json};
 use crate::probe::{Probe, Sample};
+use crate::profiler::PhaseStats;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -116,11 +121,11 @@ impl TraceSink {
         );
         for (key, value) in fields {
             s.push(',');
-            jsonw::push_str_lit(&mut s, key);
+            json::push_str_lit(&mut s, key);
             s.push(':');
             match value {
-                MetaField::Str(x) => jsonw::push_str_lit(&mut s, x),
-                MetaField::F64(x) => jsonw::push_f64(&mut s, *x),
+                MetaField::Str(x) => json::push_str_lit(&mut s, x),
+                MetaField::F64(x) => json::push_f64(&mut s, *x),
                 MetaField::U64(x) => {
                     let _ = write!(s, "{x}");
                 }
@@ -137,24 +142,24 @@ impl TraceSink {
     pub fn sample(&mut self, sample: &Sample<'_>) {
         let mut s = String::with_capacity(256);
         s.push_str("{\"kind\":\"sample\",\"t\":");
-        jsonw::push_f64(&mut s, sample.t);
+        json::push_f64(&mut s, sample.t);
         let _ = write!(s, ",\"events\":{}", sample.events);
         s.push_str(",\"downloaders\":");
-        jsonw::push_usize_arr(&mut s, sample.downloaders);
+        json::push_usize_arr(&mut s, sample.downloaders);
         s.push_str(",\"download_pairs\":");
-        jsonw::push_usize_arr(&mut s, sample.download_pairs);
+        json::push_usize_arr(&mut s, sample.download_pairs);
         s.push_str(",\"seed_pairs\":");
-        jsonw::push_usize_arr(&mut s, sample.seed_pairs);
+        json::push_usize_arr(&mut s, sample.seed_pairs);
         s.push_str(",\"weight\":");
-        jsonw::push_f64_arr(&mut s, sample.weight);
+        json::push_f64_arr(&mut s, sample.weight);
         s.push_str(",\"pool_real\":");
-        jsonw::push_f64_arr(&mut s, sample.pool_real);
+        json::push_f64_arr(&mut s, sample.pool_real);
         s.push_str(",\"pool_virtual\":");
-        jsonw::push_f64_arr(&mut s, sample.pool_virtual);
+        json::push_f64_arr(&mut s, sample.pool_virtual);
         s.push_str(",\"rho_mean\":");
-        jsonw::push_f64(&mut s, sample.rho_mean);
+        json::push_f64(&mut s, sample.rho_mean);
         s.push_str(",\"delta_mean\":");
-        jsonw::push_f64(&mut s, sample.delta_mean);
+        json::push_f64(&mut s, sample.delta_mean);
         let _ = write!(s, ",\"counters\":{}}}", sample.counters.to_json());
         self.write_line(&s);
     }
@@ -163,7 +168,7 @@ impl TraceSink {
     pub fn span(&mut self, name: &str, micros: u64) {
         let mut s = String::with_capacity(64);
         s.push_str("{\"kind\":\"span\",\"name\":");
-        jsonw::push_str_lit(&mut s, name);
+        json::push_str_lit(&mut s, name);
         let _ = write!(s, ",\"micros\":{micros}}}");
         self.write_line(&s);
     }
@@ -178,9 +183,9 @@ impl TraceSink {
     pub fn span_at(&mut self, name: &str, micros: u64, t: f64) {
         let mut s = String::with_capacity(80);
         s.push_str("{\"kind\":\"span\",\"name\":");
-        jsonw::push_str_lit(&mut s, name);
+        json::push_str_lit(&mut s, name);
         let _ = write!(s, ",\"micros\":{micros},\"t\":");
-        jsonw::push_f64(&mut s, t);
+        json::push_f64(&mut s, t);
         s.push('}');
         self.write_line(&s);
     }
@@ -213,7 +218,7 @@ impl TraceSink {
     pub fn end(&mut self, t: f64, counters: &Counters) {
         let mut s = String::with_capacity(128);
         s.push_str("{\"kind\":\"end\",\"t\":");
-        jsonw::push_f64(&mut s, t);
+        json::push_f64(&mut s, t);
         let _ = write!(s, ",\"counters\":{}}}", counters.to_json());
         self.write_line(&s);
     }
@@ -294,6 +299,181 @@ impl Probe for SinkProbe {
     fn on_finish(&mut self, t: f64, counters: &Counters) {
         self.lock().end(t, counters);
     }
+}
+
+/// One `sample` record as read back, field for field as in [`Sample`].
+/// Floats JSON cannot carry (NaN, ±∞) were written as `null` and read back
+/// as `None`; fields an older writer omitted read as zero or empty.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TraceSample {
+    /// Simulated time of the sample.
+    pub t: Option<f64>,
+    /// Events dispatched so far.
+    pub events: u64,
+    /// Per-class downloading users.
+    pub downloaders: Vec<u64>,
+    /// Per-class active (peer, file) downloads.
+    pub download_pairs: Vec<u64>,
+    /// Per-class (peer, file) seeding pairs.
+    pub seed_pairs: Vec<u64>,
+    /// Per-subtorrent downloader weight.
+    pub weight: Vec<Option<f64>>,
+    /// Per-subtorrent real-seed pool.
+    pub pool_real: Vec<Option<f64>>,
+    /// Per-subtorrent virtual-seed pool.
+    pub pool_virtual: Vec<Option<f64>>,
+    /// Mean individual ρ.
+    pub rho_mean: Option<f64>,
+    /// Mean Adapt Δ at the latest epoch.
+    pub delta_mean: Option<f64>,
+    /// Cumulative counters.
+    pub counters: Counters,
+}
+
+/// One `span` record as read back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceSpan {
+    /// Span name.
+    pub name: String,
+    /// Wall-clock duration.
+    pub micros: u64,
+    /// Simulated time of a [`TraceSink::span_at`] span; `None` on others.
+    pub t: Option<f64>,
+}
+
+/// One `profile` record as read back ([`TraceSink::profile`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceProfile {
+    /// Engine events the run dispatched.
+    pub events: u64,
+    /// Calibrated per-pair timer overhead that was subtracted, in ns.
+    pub pair_overhead_ns: u64,
+    /// `(phase name, stats)` in written order.
+    pub phases: Vec<(String, PhaseStats)>,
+}
+
+/// One engine run of a trace: a `meta` record and every record up to the
+/// next `meta`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TraceRun {
+    /// The meta record's schema version.
+    pub version: u64,
+    /// The meta record's `label`, when written.
+    pub label: Option<String>,
+    /// The meta record's `aggregate` flag.
+    pub aggregate: bool,
+    /// Sample records, in order.
+    pub samples: Vec<TraceSample>,
+    /// Span records, in order.
+    pub spans: Vec<TraceSpan>,
+    /// Profile records, in order.
+    pub profiles: Vec<TraceProfile>,
+    /// The end record's clock and counters (`None`: the run did not finish).
+    pub end: Option<(Option<f64>, Counters)>,
+    /// `(line, kind)` of records of kinds this build does not know.
+    pub skipped: Vec<(usize, String)>,
+}
+
+impl TraceRun {
+    /// The run's closing counters: the end record's, or the last
+    /// sample's for a truncated trace.
+    pub fn final_counters(&self) -> Counters {
+        self.end
+            .map(|(_, c)| c)
+            .or_else(|| self.samples.last().map(|s| s.counters))
+            .unwrap_or_default()
+    }
+}
+
+/// Reads a `btfluid-trace` JSONL file into its runs, one per `meta`
+/// record (none for text without one). Blank lines are ignored, unknown
+/// record kinds are skipped into [`TraceRun::skipped`], and the schema
+/// version is reported, not checked.
+///
+/// # Errors
+/// `"<line>: <detail>"` for a line that is not JSON, a record without a
+/// `kind`, a meta record of another schema, or a record before any meta.
+pub fn read_trace(text: &str) -> Result<Vec<TraceRun>, String> {
+    let mut runs: Vec<TraceRun> = Vec::new();
+    for (lineno, line) in (1..)
+        .zip(text.lines())
+        .filter(|(_, l)| !l.trim().is_empty())
+    {
+        let v = Json::parse(line.trim()).map_err(|e| format!("{lineno}: {e}"))?;
+        let kind = v.str_at("kind");
+        let kind = kind.ok_or_else(|| format!("{lineno}: record without a kind"))?;
+        let u64s = |key| {
+            v.arr_at(key)
+                .iter()
+                .map(|x| x.as_u64().unwrap_or(0))
+                .collect()
+        };
+        let f64s = |key| v.arr_at(key).iter().map(Json::as_f64).collect();
+        let counters = || {
+            v.get("counters")
+                .map(Counters::from_json)
+                .unwrap_or_default()
+        };
+        if kind == "meta" {
+            let schema = v.str_at("schema").unwrap_or("?");
+            if schema != TRACE_SCHEMA {
+                return Err(format!(
+                    "{lineno}: schema '{schema}' is not '{TRACE_SCHEMA}'"
+                ));
+            }
+            runs.push(TraceRun {
+                version: v.u64_at("version"),
+                label: v.str_at("label").map(str::to_string),
+                aggregate: v.get("aggregate").and_then(Json::as_bool).unwrap_or(false),
+                ..TraceRun::default()
+            });
+            continue;
+        }
+        let Some(run) = runs.last_mut() else {
+            return Err(format!(
+                "{lineno}: '{kind}' record before any meta — not a btfluid trace?"
+            ));
+        };
+        match kind {
+            "sample" => run.samples.push(TraceSample {
+                t: v.f64_at("t"),
+                events: v.u64_at("events"),
+                downloaders: u64s("downloaders"),
+                download_pairs: u64s("download_pairs"),
+                seed_pairs: u64s("seed_pairs"),
+                weight: f64s("weight"),
+                pool_real: f64s("pool_real"),
+                pool_virtual: f64s("pool_virtual"),
+                rho_mean: v.f64_at("rho_mean"),
+                delta_mean: v.f64_at("delta_mean"),
+                counters: counters(),
+            }),
+            "span" => run.spans.push(TraceSpan {
+                name: v.str_at("name").unwrap_or("?").into(),
+                micros: v.u64_at("micros"),
+                t: v.f64_at("t"),
+            }),
+            "profile" => run.profiles.push(TraceProfile {
+                events: v.u64_at("events"),
+                pair_overhead_ns: v.u64_at("pair_overhead_ns"),
+                phases: v
+                    .arr_at("phases")
+                    .iter()
+                    .map(|ph| {
+                        let stats = PhaseStats {
+                            calls: ph.u64_at("calls"),
+                            self_ns: ph.u64_at("self_ns"),
+                            total_ns: ph.u64_at("total_ns"),
+                        };
+                        (ph.str_at("name").unwrap_or("?").to_string(), stats)
+                    })
+                    .collect(),
+            }),
+            "end" => run.end = Some((v.f64_at("t"), counters())),
+            other => run.skipped.push((lineno, other.to_string())),
+        }
+    }
+    Ok(runs)
 }
 
 #[cfg(test)]
@@ -377,6 +557,151 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 2);
         assert!(body.contains("\"kind\":\"end\""));
+    }
+
+    #[test]
+    fn reader_decodes_what_the_sink_wrote() {
+        let path = tmp("read.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut sink = TraceSink::create(&path).unwrap();
+        sink.meta(&[
+            ("label", MetaField::Str("MTCD".into())),
+            ("aggregate", MetaField::Bool(true)),
+        ]);
+        let weight = [f64::INFINITY, 0.25];
+        let pool = [0.1 + 0.2, f64::NAN];
+        let written = Sample {
+            t: 12.5,
+            events: 7,
+            downloaders: &[3, 0],
+            download_pairs: &[4, 0],
+            seed_pairs: &[1, 2],
+            weight: &weight,
+            pool_real: &pool,
+            pool_virtual: &[0.0, -0.0],
+            rho_mean: f64::NAN,
+            delta_mean: f64::NEG_INFINITY,
+            counters: Counters {
+                heap_peak: 9,
+                ..Counters::default()
+            },
+        };
+        sink.sample(&written);
+        sink.span("engine", 1234);
+        sink.span_at("handoff:des->fluid", 17, 500.25);
+        let table = crate::profiler::ProfileTable {
+            phases: vec![
+                (
+                    "heap_ops",
+                    PhaseStats {
+                        calls: 3,
+                        self_ns: 40,
+                        total_ns: 55,
+                    },
+                ),
+                (
+                    "rate_maint",
+                    PhaseStats {
+                        calls: 2,
+                        self_ns: 0,
+                        total_ns: u64::MAX,
+                    },
+                ),
+            ],
+            events: 11,
+            pair_overhead_ns: 80,
+        };
+        sink.profile(&table);
+        let end = Counters {
+            events_popped: u64::MAX,
+            agg_samples: 5,
+            ..Counters::default()
+        };
+        sink.end(f64::INFINITY, &end);
+        sink.finish().unwrap();
+
+        let runs = read_trace(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(runs.len(), 1);
+        let run = &runs[0];
+        assert_eq!(run.version, u64::from(TRACE_VERSION));
+        assert_eq!(run.label.as_deref(), Some("MTCD"));
+        assert!(run.aggregate);
+        assert_eq!(
+            run.samples,
+            vec![TraceSample {
+                t: Some(12.5),
+                events: 7,
+                downloaders: vec![3, 0],
+                download_pairs: vec![4, 0],
+                seed_pairs: vec![1, 2],
+                weight: vec![None, Some(0.25)],
+                pool_real: vec![Some(0.1 + 0.2), None],
+                pool_virtual: vec![Some(0.0), Some(-0.0)],
+                rho_mean: None,
+                delta_mean: None,
+                counters: written.counters,
+            }]
+        );
+        let spans: Vec<(&str, u64, Option<f64>)> = run
+            .spans
+            .iter()
+            .map(|s| (s.name.as_str(), s.micros, s.t))
+            .collect();
+        assert_eq!(
+            spans,
+            vec![
+                ("engine", 1234, None),
+                ("handoff:des->fluid", 17, Some(500.25))
+            ]
+        );
+        let phases: Vec<(&str, PhaseStats)> = table.phases.clone();
+        assert_eq!(run.profiles.len(), 1);
+        assert_eq!(run.profiles[0].events, 11);
+        assert_eq!(run.profiles[0].pair_overhead_ns, 80);
+        let read: Vec<(&str, PhaseStats)> = run.profiles[0]
+            .phases
+            .iter()
+            .map(|(n, s)| (n.as_str(), *s))
+            .collect();
+        assert_eq!(read, phases);
+        assert_eq!(run.end, Some((None, end)));
+        assert_eq!(run.final_counters(), end);
+        assert!(run.skipped.is_empty());
+    }
+
+    #[test]
+    fn reader_splits_runs_and_locates_errors() {
+        let text = "{\"schema\":\"btfluid-trace\",\"version\":1,\"kind\":\"meta\"}\n\
+                    {\"kind\":\"sample\",\"t\":1,\"counters\":{\"heap_peak\":4}}\n\
+                    \n\
+                    {\"kind\":\"warp\"}\n\
+                    {\"schema\":\"btfluid-trace\",\"version\":2,\"kind\":\"meta\",\"label\":\"B\"}\n";
+        let runs = read_trace(text).unwrap();
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].skipped, vec![(4, "warp".to_string())]);
+        assert_eq!(runs[0].end, None);
+        assert_eq!(
+            runs[0].final_counters().heap_peak,
+            4,
+            "truncated: last sample's"
+        );
+        assert_eq!((runs[1].version, runs[1].label.as_deref()), (2, Some("B")));
+        assert!(read_trace("").unwrap().is_empty());
+        for (bad, line) in [
+            ("{\"kind\":\"sample\"}", "1: "),
+            ("{\"schema\":\"x\",\"kind\":\"meta\"}", "1: schema"),
+            (
+                "{\"schema\":\"btfluid-trace\",\"kind\":\"meta\"}\n{}",
+                "2: record without",
+            ),
+            (
+                "{\"schema\":\"btfluid-trace\",\"kind\":\"meta\"}\n\n{",
+                "3: ",
+            ),
+        ] {
+            let err = read_trace(bad).unwrap_err();
+            assert!(err.starts_with(line), "{bad:?}: {err}");
+        }
     }
 
     #[test]

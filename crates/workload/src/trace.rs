@@ -33,6 +33,11 @@
 //! {"t":1.25,"files":[7]}
 //! ```
 //!
+//! The importer reads each line with the workspace's one JSON parser
+//! (`btfluid_telemetry::json`, depth-bounded) and then holds it to the
+//! exporter's shape: exact keys in order, digits-only integers, no
+//! escapes.
+//!
 //! Both exporters render `f64`s with Rust's shortest-round-trip `Display`,
 //! so `from_csv(to_csv(t)) == t` holds *bit-exactly* for every finite
 //! time. Both importers validate everything the constructor validates —
@@ -54,12 +59,16 @@ use crate::requests::{FileId, RequestSampler};
 use btfluid_numkit::rng::RngCore;
 use btfluid_numkit::roots::{bisect, RootOptions};
 use btfluid_numkit::NumError;
+use btfluid_telemetry::json::Json;
 
 /// Format name carried by the codec headers.
 pub const TRACE_FORMAT: &str = "btfluid-trace-arrivals";
 
 /// Codec version this build emits and accepts.
 pub const TRACE_VERSION: u32 = 1;
+
+/// Error context of the JSONL importer.
+const JSONL: &str = "ArrivalTrace::from_jsonl";
 
 /// One entering user.
 #[derive(Debug, Clone, PartialEq)]
@@ -400,29 +409,58 @@ impl ArrivalTrace {
         out
     }
 
-    /// Parses the v1 JSONL form. The scanner tolerates ASCII whitespace
-    /// between tokens but requires the canonical key order the exporter
-    /// emits; everything else — record count, numeric ranges, trace
-    /// invariants — is validated exactly as in [`Self::from_csv`].
+    /// Parses the v1 JSONL form, one line at a time through the shared
+    /// JSON parser (so JSON whitespace between tokens is fine), but
+    /// requires the exporter's exact keys in its order, digits-only
+    /// integer tokens, and unescaped strings; everything else — record
+    /// count, numeric ranges, trace invariants — is validated exactly as
+    /// in [`Self::from_csv`].
     ///
     /// # Errors
     /// Returns [`NumError::InvalidInput`] with the offending 1-based line
     /// number on any malformed input. Never panics.
     pub fn from_jsonl(text: &str) -> Result<Self, NumError> {
-        const WHAT: &str = "ArrivalTrace::from_jsonl";
         let mut lines = text.lines();
         let header = lines
             .next()
-            .ok_or_else(|| invalid(WHAT, "empty input (missing header object)".into()))?;
-        let (k, horizon, n) = parse_jsonl_header(header)?;
+            .ok_or_else(|| invalid(JSONL, "empty input (missing header object)".into()))?;
+        let [format, version, k, horizon, n] =
+            jsonl_object(header, 1, ["format", "version", "k", "horizon", "n"])?;
+        if format.as_str() != Some(TRACE_FORMAT) {
+            let detail = format!("line 1: unrecognized format {format}");
+            return Err(invalid(JSONL, detail));
+        }
+        let version: u32 = jsonl_num(&version, "version", 1, parse_decimal)?;
+        if version != TRACE_VERSION {
+            let detail = format!(
+                "line 1: unsupported trace version {version} (this build reads v{TRACE_VERSION})"
+            );
+            return Err(invalid(JSONL, detail));
+        }
+        let float = |tok: &str| tok.parse().ok();
+        let k: u32 = jsonl_num(&k, "k", 1, parse_decimal)?;
+        let horizon: f64 = jsonl_num(&horizon, "horizon", 1, float)?;
+        let n: usize = jsonl_num(&n, "n", 1, parse_decimal)?;
         let mut arrivals = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let lineno = i + 2;
-            arrivals.push(parse_jsonl_record(line, lineno)?);
+        for (lineno, line) in (2..).zip(lines) {
+            let [t, files] = jsonl_object(line, lineno, ["t", "files"])?;
+            let ids = files.as_arr().ok_or_else(|| {
+                invalid(
+                    JSONL,
+                    format!("line {lineno}: files {files} is not an array"),
+                )
+            })?;
+            arrivals.push(Arrival {
+                time: jsonl_num(&t, "t", lineno, float)?,
+                files: ids
+                    .iter()
+                    .map(|id| jsonl_num(id, "file id", lineno, parse_decimal))
+                    .collect::<Result<_, _>>()?,
+            });
         }
         if arrivals.len() != n {
             return Err(invalid(
-                WHAT,
+                JSONL,
                 format!("header declares n={n} records, found {}", arrivals.len()),
             ));
         }
@@ -484,157 +522,44 @@ fn parse_csv_header(line: &str) -> Result<(u32, f64, usize), NumError> {
     Ok((k, horizon, n))
 }
 
-/// A minimal cursor over one JSONL line: literal tokens and numbers, with
-/// optional ASCII whitespace between them. `btfluid-workload` sits below
-/// the harness crate, so the codec carries its own scanner instead of a
-/// JSON dependency.
-struct Scan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Parses one JSONL line as an object whose keys are exactly `keys`, in
+/// that order, and returns their values. As in the CSV form, nothing in
+/// the v1 JSONL form needs escaping and no escape is permitted, so every
+/// key and the format name match the exporter's bytes exactly.
+fn jsonl_object<const N: usize>(
+    line: &str,
     lineno: usize,
-    what: &'static str,
+    keys: [&str; N],
+) -> Result<[Json; N], NumError> {
+    let fail = |detail: String| invalid(JSONL, format!("line {lineno}: {detail}"));
+    if line.contains('\\') {
+        return Err(fail("escape sequences are not part of the format".into()));
+    }
+    let members = match Json::parse(line).map_err(fail)? {
+        Json::Obj(members) if members.iter().map(|(k, _)| k.as_str()).eq(keys) => members,
+        _ => {
+            return Err(fail(format!(
+                "expected an object with keys {keys:?}, in order"
+            )))
+        }
+    };
+    let values: Vec<Json> = members.into_iter().map(|(_, v)| v).collect();
+    Ok(values.try_into().expect("the key check fixed the length"))
 }
 
-impl<'a> Scan<'a> {
-    fn new(line: &'a str, lineno: usize, what: &'static str) -> Self {
-        Self {
-            bytes: line.as_bytes(),
-            pos: 0,
-            lineno,
-            what,
-        }
-    }
-
-    fn err(&self, detail: &str) -> NumError {
-        invalid(self.what, format!("line {}: {detail}", self.lineno))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    /// Consumes the exact token `tok` (after optional whitespace).
-    fn lit(&mut self, tok: &str) -> Result<(), NumError> {
-        self.skip_ws();
-        let end = self.pos + tok.len();
-        if self.bytes.get(self.pos..end) == Some(tok.as_bytes()) {
-            self.pos = end;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {tok:?} at byte {}", self.pos)))
-        }
-    }
-
-    /// Peeks whether the next non-whitespace byte equals `b`.
-    fn peek(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&b)
-    }
-
-    /// Scans one JSON number token and returns its text.
-    fn number_token(&mut self) -> Result<&'a str, NumError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err(&format!("expected a number at byte {start}")));
-        }
-        // The scanned range is ASCII by construction.
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII digits slice is valid UTF-8"))
-    }
-
-    fn num_f64(&mut self) -> Result<f64, NumError> {
-        let tok = self.number_token()?;
-        tok.parse()
-            .map_err(|_| self.err(&format!("unparseable number {tok:?}")))
-    }
-
-    fn num_decimal<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, NumError> {
-        let tok = self.number_token()?;
-        parse_decimal(tok).ok_or_else(|| self.err(&format!("unparseable {name} {tok:?}")))
-    }
-
-    fn end(&mut self) -> Result<(), NumError> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(self.err("trailing bytes after the closing '}'"))
-        }
-    }
-}
-
-/// Parses the JSONL header object.
-fn parse_jsonl_header(line: &str) -> Result<(u32, f64, usize), NumError> {
-    let mut s = Scan::new(line, 1, "ArrivalTrace::from_jsonl");
-    s.lit("{")?;
-    s.lit("\"format\"")?;
-    s.lit(":")?;
-    s.lit(&format!("\"{TRACE_FORMAT}\""))?;
-    s.lit(",")?;
-    s.lit("\"version\"")?;
-    s.lit(":")?;
-    let version: u32 = s.num_decimal("version")?;
-    if version != TRACE_VERSION {
-        return Err(s.err(&format!(
-            "unsupported trace version {version} (this build reads v{TRACE_VERSION})"
-        )));
-    }
-    s.lit(",")?;
-    s.lit("\"k\"")?;
-    s.lit(":")?;
-    let k: u32 = s.num_decimal("k")?;
-    s.lit(",")?;
-    s.lit("\"horizon\"")?;
-    s.lit(":")?;
-    let horizon = s.num_f64()?;
-    s.lit(",")?;
-    s.lit("\"n\"")?;
-    s.lit(":")?;
-    let n: usize = s.num_decimal("n")?;
-    s.lit("}")?;
-    s.end()?;
-    Ok((k, horizon, n))
-}
-
-/// Parses one `{"t":…,"files":[…]}` record.
-fn parse_jsonl_record(line: &str, lineno: usize) -> Result<Arrival, NumError> {
-    let mut s = Scan::new(line, lineno, "ArrivalTrace::from_jsonl");
-    s.lit("{")?;
-    s.lit("\"t\"")?;
-    s.lit(":")?;
-    let time = s.num_f64()?;
-    s.lit(",")?;
-    s.lit("\"files\"")?;
-    s.lit(":")?;
-    s.lit("[")?;
-    let mut files = Vec::new();
-    if !s.peek(b']') {
-        loop {
-            files.push(s.num_decimal::<FileId>("file id")?);
-            if !s.peek(b',') {
-                break;
-            }
-            s.lit(",")?;
-        }
-    }
-    s.lit("]")?;
-    s.lit("}")?;
-    s.end()?;
-    Ok(Arrival { time, files })
+/// A JSONL number, its raw token read by `parse` (the CSV form's
+/// digits-only [`parse_decimal`] for integers).
+fn jsonl_num<T>(
+    v: &Json,
+    name: &str,
+    lineno: usize,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, NumError> {
+    let parsed = match v {
+        Json::Num(tok) => parse(tok),
+        _ => None,
+    };
+    parsed.ok_or_else(|| invalid(JSONL, format!("line {lineno}: unparseable {name} {v}")))
 }
 
 /// Mean files per entrant under the correlation model:
@@ -949,6 +874,44 @@ mod tests {
                 "accepted malformed JSONL {case:?}"
             );
         }
+    }
+
+    #[test]
+    fn jsonl_header_keys_are_exact() {
+        let ok = "{\"format\":\"btfluid-trace-arrivals\",\"version\":1,\"k\":3,\"horizon\":10,\"n\":0}\n";
+        assert!(ArrivalTrace::from_jsonl(ok).is_ok());
+        let cases: &[&str] = &[
+            // reordered keys
+            "{\"version\":1,\"format\":\"btfluid-trace-arrivals\",\"k\":3,\"horizon\":10,\"n\":0}\n",
+            // an extra key
+            "{\"format\":\"btfluid-trace-arrivals\",\"version\":1,\"k\":3,\"horizon\":10,\"n\":0,\"x\":1}\n",
+            // a duplicate key
+            "{\"format\":\"btfluid-trace-arrivals\",\"version\":1,\"k\":3,\"k\":3,\"horizon\":10,\"n\":0}\n",
+            // an escaped spelling of the format name
+            "{\"format\":\"btfluid-trace-\\u0061rrivals\",\"version\":1,\"k\":3,\"horizon\":10,\"n\":0}\n",
+        ];
+        for case in cases {
+            let err = ArrivalTrace::from_jsonl(case).expect_err(case).to_string();
+            assert!(err.contains("line 1:"), "{err}");
+        }
+        let record = |r: &str| format!("{}{r}\n", ok.replace("\"n\":0", "\"n\":1"));
+        assert!(ArrivalTrace::from_jsonl(&record("{\"t\":1.5,\"files\":[0,2]}")).is_ok());
+        for r in [
+            "{\"files\":[0],\"t\":1.5}",
+            "{\"t\":1.5,\"files\":[0],\"files\":[0]}",
+            "{\"t\":1.5,\"files\":[+0]}",
+            "{\"t\":1.5,\"files\":[1.0]}",
+            "{\"t\":.5,\"files\":[0]}",
+            "{\"t\":1.5,\"files\":[[0]]}",
+        ] {
+            let err = ArrivalTrace::from_jsonl(&record(r))
+                .expect_err(r)
+                .to_string();
+            assert!(err.contains("line 2:"), "{r}: {err}");
+        }
+        // The depth bound keeps hostile nesting a typed error.
+        let deep = record(&format!("{{\"t\":1.5,\"files\":{}", "[".repeat(100_000)));
+        assert!(ArrivalTrace::from_jsonl(&deep).is_err());
     }
 
     // ---- fitting ----
