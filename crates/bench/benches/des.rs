@@ -11,7 +11,7 @@
 //! telemetry overhead guards need repeated reps and run only in full mode.
 
 use btfluid_bench::validate::{run as validate, ValidateConfig};
-use btfluid_des::{DesConfig, SchemeKind, Simulation};
+use btfluid_des::{DesConfig, SchemeKind, Simulation, Snapshot};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -251,13 +251,14 @@ fn check_agg_scaling(speedup_at_128: f64, flatness: f64) {
 /// End-to-end wall clocks on a shared machine are too noisy to resolve a
 /// percent-level effect (repeated identical runs here spread ±15%), so
 /// the cadence overhead is derived from the directly-measured
-/// per-checkpoint cost: `snapshot() + write_file()` timed at the *end* of
-/// a finished run, where the accumulated statistics make the snapshot
-/// largest — an upper bound for every earlier checkpoint.
+/// per-checkpoint cost: `snapshot_body()`, `seal()` and
+/// `write_file_bytes()` timed at the *end* of a finished run, where the
+/// accumulated statistics make the snapshot largest — an upper bound for
+/// every earlier checkpoint.
 fn bench_checkpoint_overhead(_c: &mut Criterion) {
     let test_mode = std::env::args().any(|a| a == "--test");
     // Non-test mode runs a long horizon: checkpoint cost is a fixed price
-    // per snapshot (clone + serialize + atomic write), so the percentage
+    // per snapshot (serialize + checksum + atomic write), so the percentage
     // is only meaningful on a run long enough to amortize a coarse cadence.
     let (lambda0, horizon, warmup, drain) = if test_mode {
         SCALE_POINTS[0]
@@ -310,10 +311,10 @@ fn bench_checkpoint_overhead(_c: &mut Criterion) {
     let mut snap_bytes = 0;
     for _ in 0..reps.max(3) {
         let start = Instant::now();
-        let snap = sim.snapshot();
-        snap.write_file(&cp).expect("write checkpoint");
+        let bytes = Snapshot::seal(sim.snapshot_body());
+        Snapshot::write_file_bytes(&cp, &bytes).expect("write checkpoint");
         ckpt_s = ckpt_s.min(start.elapsed().as_secs_f64());
-        snap_bytes = snap.to_bytes().len();
+        snap_bytes = bytes.len();
     }
 
     // One end-to-end coarse run for the record (noisy; not the guard).

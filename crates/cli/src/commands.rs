@@ -793,7 +793,7 @@ fn run_scenario_resumable(
 /// the DES takes over for small/critical windows (DESIGN.md §15).
 ///
 /// Honors `--checkpoint`/`--checkpoint-every`/`--resume` with hybrid
-/// snapshots (v4); `--checkpoint-every` counts decision boundaries, not
+/// snapshots; `--checkpoint-every` counts decision boundaries, not
 /// events. Per-class means print with shortest-roundtrip formatting, so
 /// byte-identical `--out` files mean bit-identical runs.
 fn run_scenario_hybrid(
@@ -836,7 +836,7 @@ fn run_scenario_hybrid(
     let every = opts.get_u64("checkpoint-every", 8)?.max(1);
     // Same discipline as the engine driver: a leftover `.tmp` from a kill
     // mid-rename is never a valid resume source — remove it so the resume
-    // below reads only the committed hybrid v4 checkpoint.
+    // below reads only the committed hybrid checkpoint.
     if let Some(path) = &checkpoint {
         harness::clean_stale_tmp(path);
     }

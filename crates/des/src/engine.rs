@@ -44,7 +44,7 @@ use crate::observer::{AbortRecord, SimOutcome, UserRecord};
 use crate::peer::{Peer, Phase};
 use crate::rate::compute_rates;
 use crate::rate_cache::RateCache;
-use crate::snapshot::{self, Snapshot, SnapshotError};
+use crate::snapshot::{self, Snapshot, SnapshotError, Writer};
 use btfluid_numkit::dist::Exponential;
 use btfluid_numkit::rng::{RngCore, Xoshiro256StarStar};
 use btfluid_numkit::series::TimeSeries;
@@ -857,63 +857,93 @@ impl Simulation {
         Ok(())
     }
 
-    /// Captures the run's full mutable state between steps.
+    /// Encodes the run's full mutable state between steps: the snapshot
+    /// body, which [`Snapshot::seal`] turns into the file format.
     ///
+    /// This is the one snapshot encoder. It reads the live engine and
+    /// writes the layout [`Snapshot::from_body`] reads, field for field.
     /// Restoring the snapshot (into a fresh process, after a crash, …) and
     /// stepping on is bit-identical to never having stopped — see
     /// [`crate::snapshot`] for the contract and what is rebuilt rather than
     /// serialized.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut peers = self.peers.clone();
-        let adapt_states = peers
-            .iter_mut()
-            .map(|p| p.adapt.take().map(|c| c.raw_state()))
-            .collect();
-        let agg = self.agg.as_ref().map(|a| snapshot::AggSnap {
-            rng_agg: self.rng_agg.state(),
-            groups: (0..a.n_groups() as u32)
-                .map(|g| {
-                    let (target, acc, anchor) = a.group_hazard(g);
-                    snapshot::GroupSnap {
-                        target,
-                        acc,
-                        anchor,
-                        deadline: a.group_deadline(g),
-                        stamp: a.group_stamp(g),
-                        members: (0..a.group_len(g)).map(|i| a.group_member(g, i)).collect(),
-                    }
-                })
-                .collect(),
-        });
-        Snapshot {
-            config_digest: snapshot::config_digest(&self.cfg),
-            hook_fp: snapshot::hook_fingerprint(self.hook.as_deref()),
-            t: self.t,
-            started: self.started,
-            rng_states: [
-                self.rng_arrivals.state(),
-                self.rng_service.state(),
-                self.rng_scenario.state(),
-            ],
-            user_counter: self.user_counter,
-            next_stamp: self.next_stamp,
-            arrival_clock: self.arrival_clock,
-            origin_now: self.origin_now as u64,
-            next_arrival: self.next_arrival.clone(),
-            next_epoch: self.next_epoch,
-            next_abort: self.next_abort,
-            next_control: self.next_control,
-            free: self.free.iter().map(|&i| i as u64).collect(),
-            peers,
-            adapt_states,
-            outcome: self.outcome.clone(),
-            trajectory: self.trajectory.clone(),
-            next_record: self.next_record,
-            counters: self.counters,
-            next_sample: self.next_sample,
-            last_delta: self.last_delta,
-            agg,
+    pub fn snapshot_body(&self) -> Vec<u8> {
+        // A generous size estimate, so the encoder and the checksum that
+        // `Snapshot::seal` appends seldom grow the buffer.
+        let slots: usize = self.peers.iter().map(Peer::class).sum();
+        let capacity = 256 + self.peers.len() * 128 + slots * 96 + self.outcome.records.len() * 64;
+        let mut w = Writer::with_header(snapshot::SNAPSHOT_VERSION, capacity);
+        w.u64(snapshot::config_digest(&self.cfg));
+        w.u64(snapshot::hook_fingerprint(self.hook.as_deref()));
+        w.f64(self.t);
+        w.bool(self.started);
+        for rng in [&self.rng_arrivals, &self.rng_service, &self.rng_scenario] {
+            for word in rng.state() {
+                w.u64(word);
+            }
         }
+        w.u64(self.user_counter);
+        w.u64(self.next_stamp);
+        w.f64(self.arrival_clock);
+        w.u64(self.origin_now as u64);
+        match &self.next_arrival {
+            None => w.u8(0),
+            Some((t, files)) => {
+                w.u8(1);
+                w.f64(*t);
+                w.u64(files.len() as u64);
+                for &f in files {
+                    w.u32(u32::from(f));
+                }
+            }
+        }
+        w.opt_f64(self.next_epoch);
+        w.opt_f64(self.next_abort);
+        w.opt_f64(self.next_control);
+        w.u64(self.free.len() as u64);
+        for &i in &self.free {
+            w.u64(i as u64);
+        }
+        w.u64(self.peers.len() as u64);
+        for p in &self.peers {
+            snapshot::encode_peer(&mut w, p);
+        }
+        snapshot::encode_outcome(&mut w, &self.outcome);
+        snapshot::encode_trajectory(&mut w, self.trajectory.as_ref());
+        w.f64(self.next_record);
+        for v in self.counters.values() {
+            w.u64(v);
+        }
+        w.f64(self.next_sample);
+        w.f64(self.last_delta);
+        w.bool(self.agg.is_some());
+        if let Some(a) = &self.agg {
+            for word in self.rng_agg.state() {
+                w.u64(word);
+            }
+            w.u64(a.n_groups() as u64);
+            for g in 0..a.n_groups() as u32 {
+                let (target, acc, anchor) = a.group_hazard(g);
+                w.f64(target);
+                w.f64(acc);
+                w.f64(anchor);
+                w.f64(a.group_deadline(g));
+                w.u64(a.group_stamp(g));
+                w.u64(a.group_len(g) as u64);
+                for i in 0..a.group_len(g) {
+                    let (peer, slot) = a.group_member(g, i);
+                    w.u32(peer);
+                    w.u32(slot);
+                }
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// The decoded form of [`Self::snapshot_body`]: what
+    /// [`Self::restore`] takes. Paths that only write or store the bytes
+    /// call [`Self::snapshot_body`] directly.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot::from_body(&self.snapshot_body()).expect("the engine encodes a valid snapshot")
     }
 
     /// Reconstructs a suspended hookless run from a snapshot.

@@ -1,13 +1,15 @@
 //! Versioned, checksummed engine snapshots for crash-safe runs.
 //!
-//! A [`Snapshot`] captures every bit of mutable state a suspended
+//! A snapshot captures every bit of mutable state a suspended
 //! [`crate::engine::Simulation`] needs to continue *exactly* where it
-//! stopped: the three RNG stream states, the peer slab (tombstones
-//! included), the free list, pending event registers, observer
-//! accumulators, and the in-progress trajectory. Run → snapshot → restore
-//! → run is bit-identical to an uninterrupted run — the
-//! `snapshot_resume` integration test asserts this across every scheme,
-//! for incremental runs and the forced-full-recompute test reference.
+//! stopped: the RNG stream states, the peer slab (tombstones included),
+//! the free list, pending event registers, observer accumulators, the
+//! in-progress trajectory and, in aggregate mode, the group hazard state.
+//! Run → snapshot → restore → run is bit-identical to an uninterrupted
+//! run — the `snapshot_resume` integration test asserts this across every
+//! scheme, for both rate modes and the forced-full-recompute test
+//! reference. The one encoder, [`crate::engine::Simulation::snapshot_body`],
+//! reads the live engine; [`Snapshot`] is the decoded form only.
 //!
 //! ## What is deliberately *not* serialized
 //!
@@ -38,28 +40,34 @@
 //! ## On-disk format
 //!
 //! ```text
-//! magic "BTFS" | version u32 | payload | fnv1a-64 checksum
+//! magic "BTFS" | version u32 | payload | checksum u64
 //! ```
 //!
 //! Little-endian throughout; floats are stored as raw IEEE-754 bits so
-//! NaN/∞ round-trip exactly. The payload embeds a digest of the full
-//! [`DesConfig`] and a fingerprint of the attached hook's
+//! NaN/∞ round-trip exactly. Each peer is written in one pass: its
+//! scalars, then every slot's fields together. The payload ends in a flag
+//! byte that says whether the aggregate section follows; restore checks
+//! it against the config's rate mode. The payload also embeds a digest of
+//! the full [`DesConfig`] and a fingerprint of the attached hook's
 //! [`crate::ScenarioHook::hook_state`]; restore refuses a snapshot whose
 //! digests do not match the offered config/hook
 //! ([`SnapshotError::ConfigMismatch`] / [`SnapshotError::HookMismatch`]).
+//! The [`checksum`] steps over `u64` words (see its docs); the digests
+//! keep byte-wise FNV-1a, so their values stay pinned.
 //!
 //! **Compatibility policy**: the version is bumped whenever the payload
-//! layout or any serialized semantic changes; old versions are rejected
-//! ([`SnapshotError::UnsupportedVersion`]) rather than migrated —
-//! checkpoints are short-lived crash-recovery artifacts, not archives.
-//! [`Snapshot::write_file`] writes a sibling temp file and renames it
-//! into place, so a crash mid-write never corrupts the previous
-//! checkpoint.
+//! layout, the checksum, or any serialized semantic changes; old versions
+//! are rejected ([`SnapshotError::UnsupportedVersion`]) rather than
+//! migrated — checkpoints are short-lived crash-recovery artifacts, not
+//! archives. The hybrid driver's envelope shares the magic, so its version
+//! must differ from [`SNAPSHOT_VERSION`]. [`Snapshot::write_file_bytes`]
+//! writes a sibling temp file and renames it into place, so a crash
+//! mid-write never corrupts the previous checkpoint.
 
 use crate::config::{DesConfig, OrderPolicy, SchemeKind};
 use crate::hook::ScenarioHook;
 use crate::observer::{AbortRecord, ClassStats, PopulationStats, SimOutcome, UserRecord};
-use crate::peer::{Peer, Phase};
+use crate::peer::{Peer, Phase, Slot};
 use btfluid_numkit::series::TimeSeries;
 use btfluid_numkit::stats::Welford;
 use btfluid_telemetry::Counters;
@@ -67,27 +75,21 @@ use btfluid_workload::requests::FileId;
 use std::fmt;
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"BTFS";
-/// Snapshot format version of per-peer-scheduling runs (see the module
-/// docs for the policy). v2 added the telemetry counters and sampler
-/// phase (`next_sample`, `last_delta`) so resumed runs emit the same
-/// trace tail as uninterrupted ones.
-pub const SNAPSHOT_VERSION: u32 = 2;
-/// Snapshot format version of aggregate-scheduling runs: the v2 payload
-/// followed by the aggregate section (sampling RNG state, the two
-/// aggregate counters, and per-group hazard state plus member order).
-/// Per-peer snapshots still encode as v2, byte-identical to previous
-/// builds; the bump only applies where the extra section is present.
-pub const SNAPSHOT_VERSION_AGG: u32 = 3;
+/// Leading bytes of every snapshot file, engine and hybrid alike.
+pub const MAGIC: &[u8; 4] = b"BTFS";
+/// Snapshot format version, for both rate modes (see the module docs for
+/// the policy). Versions 2–4 were earlier engine and hybrid formats and
+/// are not reused.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be encoded, decoded, or applied.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotError {
     /// The file does not start with the `BTFS` magic.
     BadMagic,
-    /// The file's format version is not [`SNAPSHOT_VERSION`].
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion(u32),
-    /// The trailing FNV-1a checksum does not match the content.
+    /// The trailing checksum does not match the content.
     ChecksumMismatch,
     /// The offered [`DesConfig`] does not digest to the value embedded in
     /// the snapshot.
@@ -109,8 +111,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "snapshot: not a btfluid snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion(v) => write!(
                 f,
-                "snapshot: unsupported format version {v} (this build reads \
-                 {SNAPSHOT_VERSION} and {SNAPSHOT_VERSION_AGG})"
+                "snapshot: unsupported format version {v} (this build reads {SNAPSHOT_VERSION})"
             ),
             SnapshotError::ChecksumMismatch => write!(f, "snapshot: checksum mismatch"),
             SnapshotError::ConfigMismatch => write!(
@@ -129,50 +130,107 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+fn corrupt(detail: impl Into<String>) -> SnapshotError {
+    SnapshotError::Corrupt(detail.into())
+}
+
 // ---------------------------------------------------------------------------
-// FNV-1a 64 (checksums and digests; no external deps).
+// FNV-1a 64: byte-wise for the pinned digests, word-wise for the checksum.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// The snapshot checksum: FNV-1a over little-endian `u64` words, then the
+/// tail bytes one at a time. Each step xors in one word and multiplies by
+/// an odd constant, a bijection, so any change confined to one word or
+/// one tail byte always changes the result.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(FNV_OFFSET, |h, w| {
+        (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(FNV_PRIME)
+    });
+    tail.iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// Verifies a sealed file (magic, length, trailing [`checksum`]) and
+/// returns its body: everything but the checksum.
+///
+/// # Errors
+/// [`SnapshotError::BadMagic`], [`SnapshotError::ChecksumMismatch`], or
+/// [`SnapshotError::Corrupt`] for a file too short to hold a header.
+pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
+    if bytes.len() < MAGIC.len() + 4 + 8 {
+        return Err(corrupt("file too short"));
     }
-    h
+    if &bytes[..4] != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let (body, sum) = bytes.split_at(bytes.len() - 8);
+    if checksum(body) != u64::from_le_bytes(sum.try_into().unwrap()) {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    Ok(body)
 }
 
 // ---------------------------------------------------------------------------
 // Little-endian writer/reader primitives.
 
+/// Little-endian byte writer of the snapshot formats.
 #[derive(Default)]
-struct W {
+pub struct Writer {
     buf: Vec<u8>,
 }
 
-impl W {
-    fn u8(&mut self, v: u8) {
+impl Writer {
+    /// A writer holding the magic and `version`, with room for `capacity`
+    /// bytes.
+    pub fn with_header(version: u32, capacity: usize) -> Self {
+        let mut w = Self {
+            buf: Vec::with_capacity(capacity),
+        };
+        w.buf.extend_from_slice(MAGIC);
+        w.u32(version);
+        w
+    }
+    /// The bytes written so far.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+    /// Writes a byte.
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn bool(&mut self, v: bool) {
+    /// Writes a bool as one byte, 0 or 1.
+    pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
-    fn u32(&mut self, v: u32) {
+    /// Writes a `u32`.
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
+    /// Writes a `u64`.
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
+    /// Writes an `f64` as its raw bits.
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+    /// A length-prefixed byte string.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.u64(b.len() as u64);
+        self.buf.extend_from_slice(b);
     }
-    fn opt_f64(&mut self, v: Option<f64>) {
+    /// Writes a tag byte, then the value if present.
+    pub fn opt_f64(&mut self, v: Option<f64>) {
         match v {
             None => self.u8(0),
             Some(x) => {
@@ -181,7 +239,8 @@ impl W {
             }
         }
     }
-    fn f64s(&mut self, xs: &[f64]) {
+    /// A length-prefixed float array.
+    pub fn f64s(&mut self, xs: &[f64]) {
         self.u64(xs.len() as u64);
         for &x in xs {
             self.f64(x);
@@ -189,80 +248,96 @@ impl W {
     }
 }
 
-struct R<'a> {
+/// Little-endian byte reader of the snapshot formats: every read is
+/// bounds-checked and fails with [`SnapshotError::Corrupt`].
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> R<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
+    }
+    /// Checks the magic and returns the format version.
+    pub fn header(&mut self) -> Result<u32, SnapshotError> {
+        if self.take(MAGIC.len())? != MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        self.u32()
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| SnapshotError::Corrupt("truncated payload".into()))?;
+            .ok_or_else(|| corrupt("truncated payload"))?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
+    /// Reads a byte.
+    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
+    /// Reads a bool written by [`Writer::bool`].
+    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            b => Err(SnapshotError::Corrupt(format!("bad bool byte {b}"))),
+            b => Err(corrupt(format!("bad bool byte {b}"))),
         }
     }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
+    /// Reads a `u32`.
+    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
+    /// Reads a `u64`.
+    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
+    /// Reads an `f64` from its raw bits.
+    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.u64()?))
     }
     /// Reads a length prefix, refusing counts that cannot possibly fit in
     /// the remaining bytes at `per` bytes each (corrupt-length guard).
-    fn len(&mut self, per: usize) -> Result<usize, SnapshotError> {
+    pub fn len(&mut self, per: usize) -> Result<usize, SnapshotError> {
         let n = self.u64()?;
         let room = (self.buf.len() - self.pos) / per.max(1);
-        if n as usize > room {
-            return Err(SnapshotError::Corrupt(format!(
-                "length {n} exceeds remaining payload"
-            )));
+        if n > room as u64 {
+            return Err(corrupt(format!("length {n} exceeds remaining payload")));
         }
         Ok(n as usize)
     }
-    fn str(&mut self) -> Result<String, SnapshotError> {
+    /// A length-prefixed byte string from [`Writer::bytes`].
+    pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Corrupt("non-UTF-8 string".into()))
+        self.take(n)
     }
-    fn opt_f64(&mut self) -> Result<Option<f64>, SnapshotError> {
+    fn str(&mut self) -> Result<String, SnapshotError> {
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| corrupt("non-UTF-8 string"))
+    }
+    /// Reads a value written by [`Writer::opt_f64`].
+    pub fn opt_f64(&mut self) -> Result<Option<f64>, SnapshotError> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.f64()?)),
-            b => Err(SnapshotError::Corrupt(format!("bad option tag {b}"))),
+            b => Err(corrupt(format!("bad option tag {b}"))),
         }
     }
-    fn f64s(&mut self) -> Result<Vec<f64>, SnapshotError> {
+    /// Reads a float array written by [`Writer::f64s`].
+    pub fn f64s(&mut self) -> Result<Vec<f64>, SnapshotError> {
         let n = self.len(8)?;
         (0..n).map(|_| self.f64()).collect()
     }
-    fn done(&self) -> Result<(), SnapshotError> {
+    /// Fails unless every byte has been read.
+    pub fn done(&self) -> Result<(), SnapshotError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
-            Err(SnapshotError::Corrupt(
-                "trailing bytes after payload".into(),
-            ))
+            Err(corrupt("trailing bytes after payload"))
         }
     }
 }
@@ -274,7 +349,7 @@ impl<'a> R<'a> {
 /// encoding. *Every* field participates — resuming is only defined for
 /// the exact configuration the snapshot was taken under.
 pub fn config_digest(cfg: &DesConfig) -> u64 {
-    let mut w = W::default();
+    let mut w = Writer::default();
     w.f64(cfg.params.mu());
     w.f64(cfg.params.eta());
     w.f64(cfg.params.gamma());
@@ -319,8 +394,7 @@ pub fn config_digest(cfg: &DesConfig) -> u64 {
     w.bool(false);
     w.bool(cfg.checked);
     // Folded in only when set, so every pre-aggregate config digests to
-    // the same value as before the field existed (old checkpoints of
-    // per-peer runs stay restorable).
+    // the same value as before the field existed.
     if cfg.aggregate {
         w.u8(0xA6);
     }
@@ -343,17 +417,20 @@ pub fn hook_fingerprint(hook: Option<&dyn ScenarioHook>) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The snapshot itself.
+// The decoded snapshot.
 
-/// A suspended simulation's full mutable state (see the module docs).
+/// A suspended simulation's full mutable state (see the module docs), as
+/// decoded from the bytes [`crate::engine::Simulation::snapshot_body`]
+/// wrote.
 ///
-/// Produced by [`crate::engine::Simulation::snapshot`]; consumed by
-/// [`crate::engine::Simulation::restore`] /
-/// [`crate::engine::Simulation::restore_with_hook`]. Serializable via
-/// [`Snapshot::to_bytes`] / [`Snapshot::from_bytes`] and the atomic
-/// file helpers.
+/// Consumed by [`crate::engine::Simulation::restore`] /
+/// [`crate::engine::Simulation::restore_with_hook`]. It keeps the body it
+/// was decoded from, so [`Snapshot::to_bytes`] and the file helpers give
+/// back exactly the bytes that were read.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
+    /// The unsealed bytes this snapshot was decoded from.
+    body: Vec<u8>,
     pub(crate) config_digest: u64,
     pub(crate) hook_fp: u64,
     pub(crate) t: f64,
@@ -373,9 +450,9 @@ pub struct Snapshot {
     /// controllers live in [`Snapshot::adapt_states`] so decoding does not
     /// need a config.
     pub(crate) peers: Vec<Peer>,
-    /// Parallel to `peers`: `(rho, above, below)` of each peer's Adapt
-    /// controller, if it has one.
-    pub(crate) adapt_states: Vec<Option<(f64, u32, u32)>>,
+    /// Parallel to `peers`: each peer's Adapt controller state, if it has
+    /// one.
+    pub(crate) adapt_states: Vec<Option<AdaptState>>,
     /// Observer accumulators (without `inflight`/`trajectory`, which are
     /// only populated by `finish`).
     pub(crate) outcome: SimOutcome,
@@ -390,12 +467,15 @@ pub struct Snapshot {
     /// Mean Adapt Δ observed at the most recent epoch (telemetry only).
     pub(crate) last_delta: f64,
     /// Aggregate-scheduling section, present exactly when the run uses
-    /// aggregate mode (and then the file encodes as
-    /// [`SNAPSHOT_VERSION_AGG`]).
+    /// aggregate mode.
     pub(crate) agg: Option<AggSnap>,
 }
 
-/// Aggregate-mode extension: everything the group cache cannot rebuild
+/// An Adapt controller's `(rho, above, below)`, as
+/// [`btfluid_core::adapt::AdaptController::raw_state`] gives it.
+pub(crate) type AdaptState = (f64, u32, u32);
+
+/// Aggregate-mode section: everything the group cache cannot rebuild
 /// from the peer slab. Group *rates* and the integer aggregates are
 /// recomputed at restore (and verified against the armed deadlines); the
 /// hazard state and the member-list order are not derivable — the order
@@ -432,146 +512,44 @@ impl Snapshot {
         self.outcome.events
     }
 
-    /// Encodes to the versioned, checksummed byte format:
-    /// [`Self::seal`] of [`Self::encode_body`].
+    /// The versioned, checksummed byte format: [`Self::seal`] of the body
+    /// this snapshot was decoded from.
     pub fn to_bytes(&self) -> Vec<u8> {
-        Self::seal(self.encode_body())
+        Self::seal(self.body.clone())
     }
 
-    /// Encodes everything but the trailing checksum. A caller that keeps
-    /// snapshots around and writes few of them (the sweep supervisor)
-    /// stores the body and pays for the checksum only at write time.
-    pub fn encode_body(&self) -> Vec<u8> {
-        let mut w = W::default();
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(if self.agg.is_some() {
-            SNAPSHOT_VERSION_AGG
-        } else {
-            SNAPSHOT_VERSION
-        });
-        w.u64(self.config_digest);
-        w.u64(self.hook_fp);
-        w.f64(self.t);
-        w.bool(self.started);
-        for s in &self.rng_states {
-            for &word in s {
-                w.u64(word);
-            }
-        }
-        w.u64(self.user_counter);
-        w.u64(self.next_stamp);
-        w.f64(self.arrival_clock);
-        w.u64(self.origin_now);
-        match &self.next_arrival {
-            None => w.u8(0),
-            Some((t, files)) => {
-                w.u8(1);
-                w.f64(*t);
-                w.u64(files.len() as u64);
-                for &f in files {
-                    w.u32(u32::from(f));
-                }
-            }
-        }
-        w.opt_f64(self.next_epoch);
-        w.opt_f64(self.next_abort);
-        w.opt_f64(self.next_control);
-        w.u64(self.free.len() as u64);
-        for &i in &self.free {
-            w.u64(i);
-        }
-        w.u64(self.peers.len() as u64);
-        for p in &self.peers {
-            encode_peer(&mut w, p);
-        }
-        debug_assert_eq!(self.adapt_states.len(), self.peers.len());
-        for st in &self.adapt_states {
-            match st {
-                None => w.u8(0),
-                Some((rho, above, below)) => {
-                    w.u8(1);
-                    w.f64(*rho);
-                    w.u32(*above);
-                    w.u32(*below);
-                }
-            }
-        }
-        encode_outcome(&mut w, &self.outcome);
-        match &self.trajectory {
-            None => w.u8(0),
-            Some(series) => {
-                w.u8(1);
-                w.u64(series.names().len() as u64);
-                for name in series.names() {
-                    w.str(name);
-                }
-                w.f64s(series.times());
-                w.f64s(series.raw_values());
-            }
-        }
-        w.f64(self.next_record);
-        w.u64(self.counters.events_popped);
-        w.u64(self.counters.stale_discards);
-        w.u64(self.counters.heap_peak);
-        w.u64(self.counters.rate_recomputes);
-        w.u64(self.counters.rate_clean_hits);
-        w.u64(self.counters.snapshots_taken);
-        w.u64(self.counters.snapshot_bytes);
-        w.u64(self.counters.snapshot_micros);
-        w.f64(self.next_sample);
-        w.f64(self.last_delta);
-        if let Some(agg) = &self.agg {
-            for &word in &agg.rng_agg {
-                w.u64(word);
-            }
-            w.u64(self.counters.agg_rate_updates);
-            w.u64(self.counters.agg_samples);
-            w.u64(agg.groups.len() as u64);
-            for g in &agg.groups {
-                w.f64(g.target);
-                w.f64(g.acc);
-                w.f64(g.anchor);
-                w.f64(g.deadline);
-                w.u64(g.stamp);
-                w.u64(g.members.len() as u64);
-                for &(p, s) in &g.members {
-                    w.u32(p);
-                    w.u32(s);
-                }
-            }
-        }
-        w.buf
-    }
-
-    /// Appends the FNV-1a checksum to a body from [`Self::encode_body`],
-    /// giving exactly the bytes of [`Self::to_bytes`].
+    /// Appends the [`checksum`] to a body from
+    /// [`crate::engine::Simulation::snapshot_body`], giving the file
+    /// format. A caller that keeps snapshots around and writes few of them
+    /// (the sweep supervisor) stores the body and pays for the checksum
+    /// only at write time.
     pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
-        let checksum = fnv1a(&body);
-        body.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
         body
     }
 
-    /// Decodes and validates the byte format (magic, version, checksum,
+    /// Decodes and validates the byte format (magic, checksum, version,
     /// structural consistency).
     ///
     /// # Errors
     /// Any [`SnapshotError`] variant except the mismatch ones, which are
     /// checked at restore time against the offered config/hook.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < MAGIC.len() + 4 + 8 {
-            return Err(SnapshotError::Corrupt("file too short".into()));
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mut r = R::new(&body[4..]);
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_AGG {
+        Self::from_body(unseal(bytes)?)
+    }
+
+    /// Decodes an unsealed body (the file format minus its checksum), as
+    /// [`Self::from_bytes`] does after verifying the checksum. Callers
+    /// that embed a body in a format with its own checksum (the hybrid
+    /// envelope) decode it here.
+    ///
+    /// # Errors
+    /// As [`Self::from_bytes`], less the checksum.
+    pub fn from_body(body: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = Reader::new(body);
+        let version = r.header()?;
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let config_digest = r.u64()?;
@@ -579,10 +557,8 @@ impl Snapshot {
         let t = r.f64()?;
         let started = r.bool()?;
         let mut rng_states = [[0u64; 4]; 3];
-        for s in &mut rng_states {
-            for word in s.iter_mut() {
-                *word = r.u64()?;
-            }
+        for word in rng_states.iter_mut().flatten() {
+            *word = r.u64()?;
         }
         let user_counter = r.u64()?;
         let next_stamp = r.u64()?;
@@ -593,16 +569,12 @@ impl Snapshot {
             1 => {
                 let ta = r.f64()?;
                 let n = r.len(4)?;
-                let mut files = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let f = r.u32()?;
-                    let f = FileId::try_from(f)
-                        .map_err(|_| SnapshotError::Corrupt(format!("file id {f} overflows")))?;
-                    files.push(f);
-                }
+                let files: Vec<FileId> = (0..n)
+                    .map(|_| decode_file(&mut r))
+                    .collect::<Result<_, _>>()?;
                 Some((ta, files))
             }
-            b => return Err(SnapshotError::Corrupt(format!("bad option tag {b}"))),
+            b => return Err(corrupt(format!("bad option tag {b}"))),
         };
         let next_epoch = r.opt_f64()?;
         let next_abort = r.opt_f64()?;
@@ -611,74 +583,44 @@ impl Snapshot {
         let free: Vec<u64> = (0..n_free).map(|_| r.u64()).collect::<Result<_, _>>()?;
         let n_peers = r.len(1)?;
         let mut peers = Vec::with_capacity(n_peers);
-        for _ in 0..n_peers {
-            peers.push(decode_peer(&mut r)?);
-        }
         let mut adapt_states = Vec::with_capacity(n_peers);
         for _ in 0..n_peers {
-            adapt_states.push(match r.u8()? {
-                0 => None,
-                1 => Some((r.f64()?, r.u32()?, r.u32()?)),
-                b => return Err(SnapshotError::Corrupt(format!("bad option tag {b}"))),
-            });
+            let (p, adapt) = decode_peer(&mut r)?;
+            peers.push(p);
+            adapt_states.push(adapt);
         }
         let outcome = decode_outcome(&mut r)?;
-        let trajectory = match r.u8()? {
-            0 => None,
-            1 => {
-                let n_names = r.len(8)?;
-                let names: Vec<String> = (0..n_names).map(|_| r.str()).collect::<Result<_, _>>()?;
-                let times = r.f64s()?;
-                let values = r.f64s()?;
-                Some(
-                    TimeSeries::from_raw(names, times, values)
-                        .map_err(|e| SnapshotError::Corrupt(format!("trajectory: {e}")))?,
-                )
-            }
-            b => return Err(SnapshotError::Corrupt(format!("bad option tag {b}"))),
-        };
+        let trajectory = decode_trajectory(&mut r)?;
         let next_record = r.f64()?;
-        let mut counters = Counters {
-            events_popped: r.u64()?,
-            stale_discards: r.u64()?,
-            heap_peak: r.u64()?,
-            rate_recomputes: r.u64()?,
-            rate_clean_hits: r.u64()?,
-            snapshots_taken: r.u64()?,
-            snapshot_bytes: r.u64()?,
-            snapshot_micros: r.u64()?,
-            ..Counters::default()
-        };
+        let mut counters = Counters::default();
+        for v in counters.fields_mut() {
+            *v = r.u64()?;
+        }
         let next_sample = r.f64()?;
         let last_delta = r.f64()?;
-        let agg = if version == SNAPSHOT_VERSION_AGG {
+        let agg = if r.bool()? {
             let mut rng_agg = [0u64; 4];
             for word in &mut rng_agg {
                 *word = r.u64()?;
             }
-            counters.agg_rate_updates = r.u64()?;
-            counters.agg_samples = r.u64()?;
             let n_groups = r.len(6 * 8)?;
-            let mut groups = Vec::with_capacity(n_groups);
-            for _ in 0..n_groups {
-                let target = r.f64()?;
-                let acc = r.f64()?;
-                let anchor = r.f64()?;
-                let deadline = r.f64()?;
-                let stamp = r.u64()?;
-                let n_members = r.len(8)?;
-                let members = (0..n_members)
-                    .map(|_| Ok((r.u32()?, r.u32()?)))
-                    .collect::<Result<_, SnapshotError>>()?;
-                groups.push(GroupSnap {
-                    target,
-                    acc,
-                    anchor,
-                    deadline,
-                    stamp,
-                    members,
-                });
-            }
+            let groups = (0..n_groups)
+                .map(|_| {
+                    Ok(GroupSnap {
+                        target: r.f64()?,
+                        acc: r.f64()?,
+                        anchor: r.f64()?,
+                        deadline: r.f64()?,
+                        stamp: r.u64()?,
+                        members: {
+                            let n = r.len(8)?;
+                            (0..n)
+                                .map(|_| Ok((r.u32()?, r.u32()?)))
+                                .collect::<Result<_, SnapshotError>>()?
+                        },
+                    })
+                })
+                .collect::<Result<_, SnapshotError>>()?;
             Some(AggSnap { rng_agg, groups })
         } else {
             None
@@ -687,12 +629,24 @@ impl Snapshot {
         for &i in &free {
             let ok = (i as usize) < peers.len() && peers[i as usize].phase == Phase::Departed;
             if !ok {
-                return Err(SnapshotError::Corrupt(format!(
+                return Err(corrupt(format!(
                     "free-list entry {i} does not point at a tombstone"
                 )));
             }
         }
+        // Restore indexes per-file tables by these ids.
+        let k = outcome.k();
+        let pending = next_arrival.iter().flat_map(|(_, fs)| fs.iter().copied());
+        let out_of_range = peers
+            .iter()
+            .flat_map(Peer::files)
+            .chain(pending)
+            .find(|&f| usize::from(f) >= k);
+        if let Some(f) = out_of_range {
+            return Err(corrupt(format!("file id {f} out of range for K = {k}")));
+        }
         Ok(Self {
+            body: body.to_vec(),
             config_digest,
             hook_fp,
             t,
@@ -719,9 +673,7 @@ impl Snapshot {
         })
     }
 
-    /// Writes the snapshot atomically: encodes to a sibling `.tmp` file,
-    /// then renames it over `path`. A crash mid-write leaves the previous
-    /// checkpoint (if any) intact.
+    /// Writes the snapshot atomically (see [`Self::write_file_bytes`]).
     ///
     /// # Errors
     /// [`SnapshotError::Io`] on filesystem failures.
@@ -729,10 +681,9 @@ impl Snapshot {
         Self::write_file_bytes(path, &self.to_bytes())
     }
 
-    /// Atomically writes already-encoded snapshot bytes (from
-    /// [`Snapshot::to_bytes`]) — same temp-file-and-rename discipline as
-    /// [`Snapshot::write_file`], for callers that also need the encoded
-    /// length (e.g. telemetry byte accounting) without encoding twice.
+    /// Atomically writes sealed snapshot bytes: writes a sibling `.tmp`
+    /// file, then renames it over `path`. A crash mid-write leaves the
+    /// previous checkpoint (if any) intact.
     ///
     /// # Errors
     /// [`SnapshotError::Io`] on filesystem failures.
@@ -758,28 +709,23 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Component codecs.
+// Component codecs. The encoders are called by
+// `Simulation::snapshot_body`, which writes the top-level layout that
+// `Snapshot::from_body` reads.
 
-fn encode_peer(w: &mut W, p: &Peer) {
-    debug_assert!(p.adapt.is_none(), "controllers travel in adapt_states");
-    // Per-slot state is written field by field, each field for every slot
-    // in turn (the layout predates `Vec<Slot>` and is kept byte for byte).
-    let slots = &p.slots;
+fn decode_file(r: &mut Reader) -> Result<FileId, SnapshotError> {
+    let f = r.u32()?;
+    FileId::try_from(f).map_err(|_| corrupt(format!("file id {f} overflows")))
+}
+
+/// Bytes of one encoded slot with both options absent (length guard).
+const SLOT_MIN_BYTES: usize = 4 + 4 + 8 + 1 + 1 + 8 * 7;
+
+/// Writes one peer in one pass: its scalars, its Adapt controller state,
+/// then each slot's fields together.
+pub(crate) fn encode_peer(w: &mut Writer, p: &Peer) {
     w.u64(p.id);
     w.f64(p.arrival);
-    w.u64(slots.len() as u64);
-    for s in slots {
-        w.u32(u32::from(s.file));
-    }
-    for s in slots {
-        w.f64(s.remaining);
-    }
-    for s in slots {
-        w.opt_f64(s.completed_at);
-    }
-    for pos in 0..slots.len() {
-        w.u64(p.order(pos) as u64);
-    }
     w.u64(p.cursor as u64);
     match p.phase {
         Phase::Downloading => w.u8(0),
@@ -790,129 +736,166 @@ fn encode_peer(w: &mut W, p: &Peer) {
         Phase::SeedingAll => w.u8(2),
         Phase::Departed => w.u8(3),
     }
-    for s in slots {
-        w.opt_f64(s.seed_until);
-    }
-    for s in slots {
-        w.f64(s.seed_duration);
-    }
     w.opt_f64(p.depart_at);
     w.f64(p.rho);
     w.bool(p.cheater);
+    match p.adapt.as_ref().map(|c| c.raw_state()) {
+        None => w.u8(0),
+        Some((rho, above, below)) => {
+            w.u8(1);
+            w.f64(rho);
+            w.u32(above);
+            w.u32(below);
+        }
+    }
     w.f64(p.donated);
     w.f64(p.received_vs);
     w.f64(p.download_time_acc);
-    for s in slots {
-        w.f64(s.rate);
-    }
-    for s in slots {
-        w.f64(s.vs_rate);
-    }
-    for s in slots {
-        w.f64(s.settled_at);
-    }
     w.f64(p.donation_rate);
     w.f64(p.donation_since);
     w.f64(p.active_since);
-    for s in slots {
+    w.u64(p.expiry_stamp);
+    w.u64(p.slots.len() as u64);
+    for s in &p.slots {
+        w.u32(u32::from(s.file));
+        w.u32(s.order);
+        w.f64(s.remaining);
+        w.opt_f64(s.completed_at);
+        w.opt_f64(s.seed_until);
+        w.f64(s.seed_duration);
+        w.f64(s.rate);
+        w.f64(s.vs_rate);
+        w.f64(s.settled_at);
         w.u64(s.comp_stamp);
-    }
-    for s in slots {
         w.f64(s.comp_time);
     }
-    w.u64(p.expiry_stamp);
 }
 
-fn decode_peer(r: &mut R) -> Result<Peer, SnapshotError> {
+/// Reads one peer written by [`encode_peer`], with its Adapt controller
+/// state split out (restoring a controller needs the config).
+fn decode_peer(r: &mut Reader) -> Result<(Peer, Option<AdaptState>), SnapshotError> {
     let id = r.u64()?;
     let arrival = r.f64()?;
-    let n = r.len(4)?;
-    if n == 0 {
-        return Err(SnapshotError::Corrupt("peer with empty request set".into()));
-    }
-    let mut files = Vec::with_capacity(n);
-    for _ in 0..n {
-        let f = r.u32()?;
-        files.push(
-            FileId::try_from(f)
-                .map_err(|_| SnapshotError::Corrupt(format!("file id {f} overflows")))?,
-        );
-    }
-    // Every field below is overwritten from the stream, column by column
-    // in the order `encode_peer` writes them.
-    let mut p = Peer::new(id, arrival, files, (0..n).collect(), 0.0);
-    for s in &mut p.slots {
-        s.remaining = r.f64()?;
-    }
-    for s in &mut p.slots {
-        s.completed_at = r.opt_f64()?;
-    }
-    for s in &mut p.slots {
-        let o = r.u64()?;
-        if o >= n as u64 {
-            return Err(SnapshotError::Corrupt(format!(
-                "order entry {o} out of range for class {n}"
-            )));
-        }
-        s.order = o as u32;
-    }
-    p.cursor = r.u64()? as usize;
-    p.phase = match r.u8()? {
+    let cursor = r.u64()? as usize;
+    let phase = match r.u8()? {
         0 => Phase::Downloading,
-        1 => {
-            let slot = r.u64()? as usize;
-            if slot >= n {
-                return Err(SnapshotError::Corrupt(format!(
-                    "seeding slot {slot} out of range for class {n}"
-                )));
-            }
-            Phase::SeedingFile(slot)
-        }
+        1 => Phase::SeedingFile(r.u64()? as usize),
         2 => Phase::SeedingAll,
         3 => Phase::Departed,
-        b => return Err(SnapshotError::Corrupt(format!("bad phase tag {b}"))),
+        b => return Err(corrupt(format!("bad phase tag {b}"))),
     };
-    for s in &mut p.slots {
-        s.seed_until = r.opt_f64()?;
+    let depart_at = r.opt_f64()?;
+    let rho = r.f64()?;
+    let cheater = r.bool()?;
+    let adapt = match r.u8()? {
+        0 => None,
+        1 => Some((r.f64()?, r.u32()?, r.u32()?)),
+        b => return Err(corrupt(format!("bad option tag {b}"))),
+    };
+    let donated = r.f64()?;
+    let received_vs = r.f64()?;
+    let download_time_acc = r.f64()?;
+    let donation_rate = r.f64()?;
+    let donation_since = r.f64()?;
+    let active_since = r.f64()?;
+    let expiry_stamp = r.u64()?;
+    let n = r.len(SLOT_MIN_BYTES)?;
+    if n == 0 {
+        return Err(corrupt("peer with empty request set"));
     }
-    for s in &mut p.slots {
-        s.seed_duration = r.f64()?;
+    // The download order must be a permutation of the slot indices.
+    let mut placed = vec![false; n];
+    let mut slots = Vec::with_capacity(n);
+    for _ in 0..n {
+        let file = decode_file(r)?;
+        let order = r.u32()?;
+        match placed.get_mut(order as usize) {
+            Some(seen @ false) => *seen = true,
+            _ => {
+                return Err(corrupt(format!(
+                    "download order entry {order} repeats or is out of range for class {n}"
+                )))
+            }
+        }
+        slots.push(Slot {
+            file,
+            order,
+            remaining: r.f64()?,
+            completed_at: r.opt_f64()?,
+            seed_until: r.opt_f64()?,
+            seed_duration: r.f64()?,
+            rate: r.f64()?,
+            vs_rate: r.f64()?,
+            settled_at: r.f64()?,
+            comp_stamp: r.u64()?,
+            comp_time: r.f64()?,
+        });
     }
-    p.depart_at = r.opt_f64()?;
-    p.rho = r.f64()?;
-    p.cheater = r.bool()?;
-    p.donated = r.f64()?;
-    p.received_vs = r.f64()?;
-    p.download_time_acc = r.f64()?;
-    for s in &mut p.slots {
-        s.rate = r.f64()?;
-    }
-    for s in &mut p.slots {
-        s.vs_rate = r.f64()?;
-    }
-    for s in &mut p.slots {
-        s.settled_at = r.f64()?;
-    }
-    p.donation_rate = r.f64()?;
-    p.donation_since = r.f64()?;
-    p.active_since = r.f64()?;
-    for s in &mut p.slots {
-        s.comp_stamp = r.u64()?;
-    }
-    for s in &mut p.slots {
-        s.comp_time = r.f64()?;
-    }
-    p.expiry_stamp = r.u64()?;
-    if p.cursor > n {
-        return Err(SnapshotError::Corrupt(format!(
-            "cursor {} out of range for class {n}",
-            p.cursor
+    if cursor > n {
+        return Err(corrupt(format!(
+            "cursor {cursor} out of range for class {n}"
         )));
     }
-    Ok(p)
+    if let Phase::SeedingFile(slot) = phase {
+        if slot >= n {
+            return Err(corrupt(format!(
+                "seeding slot {slot} out of range for class {n}"
+            )));
+        }
+    }
+    let peer = Peer {
+        id,
+        arrival,
+        slots,
+        cursor,
+        phase,
+        depart_at,
+        rho,
+        cheater,
+        adapt: None,
+        donated,
+        received_vs,
+        download_time_acc,
+        donation_rate,
+        donation_since,
+        active_since,
+        expiry_stamp,
+    };
+    Ok((peer, adapt))
 }
 
-fn encode_welford(w: &mut W, s: &Welford) {
+pub(crate) fn encode_trajectory(w: &mut Writer, trajectory: Option<&TimeSeries>) {
+    match trajectory {
+        None => w.u8(0),
+        Some(series) => {
+            w.u8(1);
+            w.u64(series.names().len() as u64);
+            for name in series.names() {
+                w.bytes(name.as_bytes());
+            }
+            w.f64s(series.times());
+            w.f64s(series.raw_values());
+        }
+    }
+}
+
+fn decode_trajectory(r: &mut Reader) -> Result<Option<TimeSeries>, SnapshotError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => {
+            let n_names = r.len(8)?;
+            let names: Vec<String> = (0..n_names).map(|_| r.str()).collect::<Result<_, _>>()?;
+            let times = r.f64s()?;
+            let values = r.f64s()?;
+            TimeSeries::from_raw(names, times, values)
+                .map(Some)
+                .map_err(|e| corrupt(format!("trajectory: {e}")))
+        }
+        b => Err(corrupt(format!("bad option tag {b}"))),
+    }
+}
+
+fn encode_welford(w: &mut Writer, s: &Welford) {
     let (n, mean, m2, min, max) = s.raw_parts();
     w.u64(n);
     w.f64(mean);
@@ -921,7 +904,7 @@ fn encode_welford(w: &mut W, s: &Welford) {
     w.f64(max);
 }
 
-fn decode_welford(r: &mut R) -> Result<Welford, SnapshotError> {
+fn decode_welford(r: &mut Reader) -> Result<Welford, SnapshotError> {
     let n = r.u64()?;
     let mean = r.f64()?;
     let m2 = r.f64()?;
@@ -930,7 +913,7 @@ fn decode_welford(r: &mut R) -> Result<Welford, SnapshotError> {
     Ok(Welford::from_raw_parts(n, mean, m2, min, max))
 }
 
-fn encode_class_stats(w: &mut W, cs: &[ClassStats]) {
+fn encode_class_stats(w: &mut Writer, cs: &[ClassStats]) {
     w.u64(cs.len() as u64);
     for c in cs {
         encode_welford(w, &c.download);
@@ -939,7 +922,7 @@ fn encode_class_stats(w: &mut W, cs: &[ClassStats]) {
     }
 }
 
-fn decode_class_stats(r: &mut R) -> Result<Vec<ClassStats>, SnapshotError> {
+fn decode_class_stats(r: &mut Reader) -> Result<Vec<ClassStats>, SnapshotError> {
     let n = r.len(5 * 8)?;
     (0..n)
         .map(|_| {
@@ -952,7 +935,7 @@ fn decode_class_stats(r: &mut R) -> Result<Vec<ClassStats>, SnapshotError> {
         .collect()
 }
 
-fn encode_outcome(w: &mut W, o: &SimOutcome) {
+pub(crate) fn encode_outcome(w: &mut Writer, o: &SimOutcome) {
     debug_assert!(
         o.inflight.is_empty() && o.trajectory.is_none() && o.censored == 0,
         "snapshots are taken mid-run, before finish() populates these"
@@ -987,7 +970,7 @@ fn encode_outcome(w: &mut W, o: &SimOutcome) {
     w.u64(o.events);
 }
 
-fn decode_outcome(r: &mut R) -> Result<SimOutcome, SnapshotError> {
+fn decode_outcome(r: &mut Reader) -> Result<SimOutcome, SnapshotError> {
     let classes = decode_class_stats(r)?;
     let obedient = decode_class_stats(r)?;
     let cheaters = decode_class_stats(r)?;
@@ -1067,31 +1050,60 @@ mod tests {
         cfg
     }
 
-    fn mid_run_snapshot() -> Snapshot {
+    fn mid_run_sim() -> Simulation {
         let mut sim = Simulation::new(cfg()).unwrap();
         for _ in 0..500 {
             if !sim.step().unwrap() {
                 break;
             }
         }
-        sim.snapshot()
+        sim
     }
 
+    fn mid_run_snapshot() -> Snapshot {
+        mid_run_sim().snapshot()
+    }
+
+    /// Decode, restore, re-snapshot: the restored engine writes the bytes
+    /// it was restored from, in both rate modes and at several cuts.
     #[test]
     fn roundtrip_is_identical_bytes() {
-        let snap = mid_run_snapshot();
-        let bytes = snap.to_bytes();
-        let back = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(bytes, back.to_bytes());
-        assert_eq!(snap.sim_time(), back.sim_time());
-        assert_eq!(snap.events(), back.events());
+        let variants = [
+            (SchemeKind::Mtcd, true),
+            (SchemeKind::Mfcd, true),
+            (SchemeKind::Cmfsd { rho: 0.5 }, false),
+            (SchemeKind::Mtsd, false),
+        ];
+        for (scheme, aggregate) in variants {
+            for cut in [0, 300, 3_000] {
+                let mut cfg = cfg();
+                cfg.scheme = scheme;
+                cfg.aggregate = aggregate;
+                cfg.horizon = 2_000.0;
+                let mut sim = Simulation::new(cfg.clone()).unwrap();
+                for _ in 0..cut {
+                    assert!(sim.step().unwrap(), "{scheme:?}: run ended before {cut}");
+                }
+                let body = sim.snapshot_body();
+                let bytes = Snapshot::seal(body.clone());
+                let snap = Snapshot::from_bytes(&bytes).unwrap();
+                assert_eq!(snap.to_bytes(), bytes);
+                assert_eq!(snap.events(), sim.events());
+                let restored = Simulation::restore(cfg, &snap).unwrap();
+                assert!(
+                    restored.snapshot_body() == body,
+                    "{scheme:?} aggregate={aggregate} cut={cut}: re-snapshot differs"
+                );
+            }
+        }
     }
 
     #[test]
     fn sealed_body_is_the_byte_format() {
-        let snap = mid_run_snapshot();
-        let sealed = Snapshot::seal(snap.encode_body());
-        assert_eq!(sealed, snap.to_bytes());
+        let sim = mid_run_sim();
+        let sealed = Snapshot::seal(sim.snapshot_body());
+        assert_eq!(sealed, sim.snapshot().to_bytes());
+        assert_eq!(unseal(&sealed).unwrap(), &sealed[..sealed.len() - 8]);
         let back = Snapshot::from_bytes(&sealed).unwrap();
         assert_eq!(back.to_bytes(), sealed);
     }
@@ -1106,15 +1118,43 @@ mod tests {
         );
     }
 
+    /// Every bit of the first and last 64 bytes — the header, the body's
+    /// tail bytes past its last whole word, and the checksum itself.
     #[test]
     fn flipped_bit_fails_checksum() {
-        let mut bytes = mid_run_snapshot().to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        assert_eq!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::ChecksumMismatch
-        );
+        let bytes = mid_run_snapshot().to_bytes();
+        let body_len = bytes.len() - 8;
+        assert_ne!(body_len % 8, 0, "the body should end in tail bytes");
+        let edges = (0..64).chain(bytes.len() - 64..bytes.len());
+        for at in edges {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                let expect = if at < MAGIC.len() {
+                    SnapshotError::BadMagic
+                } else {
+                    SnapshotError::ChecksumMismatch
+                };
+                assert_eq!(
+                    Snapshot::from_bytes(&flipped).unwrap_err(),
+                    expect,
+                    "byte {at} bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_folds_words_then_tail_bytes() {
+        let bytes: Vec<u8> = (0u8..11).collect();
+        let word = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        let mut h = (FNV_OFFSET ^ word).wrapping_mul(FNV_PRIME);
+        for &b in &bytes[8..] {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        assert_eq!(checksum(&bytes), h);
+        assert_eq!(checksum(&[]), FNV_OFFSET);
+        assert_eq!(checksum(&bytes[8..]), fnv1a(&bytes[8..]));
     }
 
     #[test]
@@ -1125,17 +1165,71 @@ mod tests {
 
     #[test]
     fn unsupported_version_rejected() {
-        let snap = mid_run_snapshot();
-        let mut bytes = snap.to_bytes();
-        // Version sits right after the magic; bump it and re-checksum.
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let len = bytes.len();
-        let sum = fnv1a(&bytes[..len - 8]);
-        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion(99)
-        );
+        // Version sits right after the magic; change it and re-seal. The
+        // retired per-peer (2), aggregate (3) and hybrid (4) versions are
+        // refused like any other.
+        for version in [2, 3, 4, 99] {
+            let mut body = mid_run_sim().snapshot_body();
+            body[4..8].copy_from_slice(&u32::to_le_bytes(version));
+            assert_eq!(
+                Snapshot::from_bytes(&Snapshot::seal(body)).unwrap_err(),
+                SnapshotError::UnsupportedVersion(version)
+            );
+        }
+    }
+
+    /// Rewrites one live multi-file peer of a mid-run snapshot in place
+    /// (same encoded length), re-seals, and returns the decode verdict.
+    fn decode_with_peer_rewritten(edit: impl Fn(&mut Peer)) -> Result<Snapshot, SnapshotError> {
+        let mut body = mid_run_sim().snapshot_body();
+        let snap = Snapshot::from_body(&body).unwrap();
+        let peer = snap
+            .peers
+            .iter()
+            .find(|p| p.class() >= 2 && p.phase != Phase::Departed)
+            .expect("a live multi-file peer");
+        let encoded = |p: &Peer| {
+            let mut w = Writer::default();
+            encode_peer(&mut w, p);
+            w.into_bytes()
+        };
+        let good = encoded(peer);
+        let mut edited = peer.clone();
+        edit(&mut edited);
+        let bad = encoded(&edited);
+        let at = body
+            .windows(good.len())
+            .position(|w| w == good.as_slice())
+            .expect("the peer's bytes occur in the body");
+        body[at..at + bad.len()].copy_from_slice(&bad);
+        Snapshot::from_bytes(&Snapshot::seal(body))
+    }
+
+    fn expect_corrupt(verdict: Result<Snapshot, SnapshotError>, what: &str) {
+        match verdict {
+            Err(SnapshotError::Corrupt(d)) => assert!(d.contains(what), "{d}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|s| s.events())),
+        }
+    }
+
+    /// A download order that repeats a slot is refused at decode, not left
+    /// for restore to misreport as rate-cache drift.
+    #[test]
+    fn non_permutation_order_is_corrupt() {
+        let verdict = decode_with_peer_rewritten(|p| {
+            for s in &mut p.slots {
+                s.order = 0;
+            }
+        });
+        expect_corrupt(verdict, "download order");
+    }
+
+    /// A file id past K is refused at decode; restore would index its
+    /// per-file tables with it and panic.
+    #[test]
+    fn out_of_range_file_id_is_corrupt() {
+        let verdict = decode_with_peer_rewritten(|p| p.slots[0].file = 200);
+        expect_corrupt(verdict, "file id 200");
     }
 
     #[test]

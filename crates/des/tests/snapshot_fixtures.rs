@@ -1,12 +1,12 @@
 //! Checked-in snapshots pin the on-disk byte layout.
 //!
 //! Each fixture under `tests/fixtures/` was written mid-run by an earlier
-//! build. The current build must decode it, re-encode it to the same
-//! bytes, produce the same bytes itself when it cuts the same run at the
-//! same step, and resume it to the outcome of an uninterrupted run. A
-//! change to the in-memory peer or group layout that leaks into the format
-//! fails here, even when the in-build round trip of `snapshot_resume`
-//! still holds.
+//! build. The current build must decode it, restore an engine from it and
+//! snapshot that engine back to the same bytes, produce the same bytes
+//! itself when it cuts the same run at the same step, and resume it to the
+//! outcome of an uninterrupted run. A change to the in-memory peer or group
+//! layout that leaks into the format fails here, even when the in-build
+//! round trip of `snapshot_resume` still holds.
 //!
 //! Regenerate (only on a deliberate format change, with a version bump):
 //! `cargo test -p btfluid-des --test snapshot_fixtures -- --ignored`.
@@ -57,13 +57,13 @@ fn path(f: &Fixture) -> PathBuf {
         .join(f.file)
 }
 
-/// The snapshot of `f`'s run after `f.cut` steps.
-fn cut_snapshot(f: &Fixture) -> Snapshot {
+/// The sealed snapshot of `f`'s run after `f.cut` steps.
+fn cut_snapshot(f: &Fixture) -> Vec<u8> {
     let mut sim = Simulation::new(cfg(f)).unwrap();
     for _ in 0..f.cut {
         assert!(sim.step().unwrap(), "{}: run ended before the cut", f.file);
     }
-    sim.snapshot()
+    Snapshot::seal(sim.snapshot_body())
 }
 
 fn fixture_bytes(f: &Fixture) -> Vec<u8> {
@@ -77,7 +77,12 @@ fn fixtures_decode_and_reencode_to_the_same_bytes() {
         assert!(bytes.len() < 64 * 1024, "{}: {} bytes", f.file, bytes.len());
         let snap = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.events(), f.cut as u64, "{}", f.file);
-        assert!(snap.to_bytes() == bytes, "{}: re-encode differs", f.file);
+        let restored = Simulation::restore(cfg(f), &snap).unwrap();
+        assert!(
+            Snapshot::seal(restored.snapshot_body()) == bytes,
+            "{}: re-snapshot after restore differs",
+            f.file
+        );
     }
 }
 
@@ -85,7 +90,7 @@ fn fixtures_decode_and_reencode_to_the_same_bytes() {
 fn this_build_writes_the_fixture_bytes() {
     for f in &FIXTURES {
         assert!(
-            cut_snapshot(f).to_bytes() == fixture_bytes(f),
+            cut_snapshot(f) == fixture_bytes(f),
             "{}: snapshot bytes moved",
             f.file
         );
@@ -116,6 +121,6 @@ fn write_fixtures() {
     for f in &FIXTURES {
         let p = path(f);
         std::fs::create_dir_all(p.parent().unwrap()).unwrap();
-        cut_snapshot(f).write_file(&p).unwrap();
+        Snapshot::write_file_bytes(&p, &cut_snapshot(f)).unwrap();
     }
 }

@@ -13,7 +13,7 @@ use btfluid_core::adapt::AdaptConfig;
 use btfluid_des::config::{AdaptSetup, DesConfig, OrderPolicy, SchemeKind};
 use btfluid_des::engine::Simulation;
 use btfluid_des::observer::SimOutcome;
-use btfluid_des::snapshot::{Snapshot, SnapshotError};
+use btfluid_des::snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
 use btfluid_des::DesError;
 use proptest::prelude::*;
 
@@ -199,7 +199,7 @@ fn checked_mode_resume_holds() {
 }
 
 #[test]
-fn aggregate_snapshot_encodes_as_v3_and_resumes_from_disk() {
+fn aggregate_snapshot_resumes_from_disk() {
     // The aggregate analog of a SIGKILL mid-run: snapshot to disk, drop the
     // engine, read the file back cold, and finish in a fresh process image.
     let cfg = variant_cfg(6, 17);
@@ -210,11 +210,6 @@ fn aggregate_snapshot_encodes_as_v3_and_resumes_from_disk() {
         assert!(sim.step().unwrap());
     }
     let bytes = sim.snapshot().to_bytes();
-    assert_eq!(
-        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        3,
-        "aggregate snapshots carry format version 3"
-    );
     let dir = std::env::temp_dir().join(format!("btfs-agg-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mid.snap");
@@ -229,18 +224,20 @@ fn aggregate_snapshot_encodes_as_v3_and_resumes_from_disk() {
 }
 
 #[test]
-fn per_peer_snapshot_still_encodes_as_v2() {
-    let cfg = variant_cfg(0, 17);
-    let mut sim = Simulation::new(cfg).unwrap();
-    for _ in 0..50 {
-        assert!(sim.step().unwrap());
+fn both_rate_modes_encode_one_version() {
+    // Variant 0 schedules per peer, variant 6 in aggregate.
+    for variant in [0, 6] {
+        let mut sim = Simulation::new(variant_cfg(variant, 17)).unwrap();
+        for _ in 0..50 {
+            assert!(sim.step().unwrap());
+        }
+        let bytes = sim.snapshot().to_bytes();
+        assert_eq!(
+            u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
+            SNAPSHOT_VERSION,
+            "variant {variant}"
+        );
     }
-    let bytes = sim.snapshot().to_bytes();
-    assert_eq!(
-        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        2,
-        "per-peer snapshots keep format version 2"
-    );
 }
 
 #[test]

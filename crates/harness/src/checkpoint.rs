@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 /// rename over the destination. A kill at any instant leaves either the
 /// old file or the new one, never a torn write — the same discipline the
 /// engine snapshot codec uses, exposed for byte formats the harness does
-/// not own (the hybrid engine's snapshot v4, result bundles, …).
+/// not own (hybrid snapshots, result bundles, …).
 ///
 /// Both steps pass through the chaos injection seam
 /// ([`btfluid_telemetry::faults`]) under the checkpoint sites, so a
@@ -73,7 +73,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// Removes a leftover `<path>.tmp` from a write interrupted between the
-/// temp-file write and the rename (checkpoints, traces, hybrid v4
+/// temp-file write and the rename (checkpoints, traces, hybrid
 /// snapshots — every atomic writer in the workspace uses the same
 /// discipline). Returns whether a stale file was actually removed.
 ///
@@ -245,6 +245,9 @@ pub struct RunReport {
     pub degraded: bool,
 }
 
+/// Receives the unsealed body of each snapshot [`drive`] takes.
+pub type SnapshotObserver<'a> = &'a mut dyn FnMut(&[u8]);
+
 /// Runs `cfg` under the plan and limits.
 ///
 /// `hooks` supplies the scenario hook: called once for a fresh start or a
@@ -253,6 +256,10 @@ pub struct RunReport {
 /// from that checkpoint; otherwise it starts fresh. On a non-`Completed`
 /// end a final checkpoint is written (when a path is configured) so the
 /// next invocation loses no work.
+///
+/// `on_snapshot` sees the unsealed body ([`Simulation::snapshot_body`]) of
+/// every snapshot the driver takes; each is encoded once, whether it goes
+/// to the observer, to disk, or both.
 ///
 /// `probe` attaches a telemetry probe to the engine. The driver feeds it
 /// `checkpoint` spans and per-checkpoint byte/time accounting (via
@@ -277,7 +284,7 @@ pub fn drive(
     resume: bool,
     limits: &RunLimits,
     cancel: Option<&AtomicBool>,
-    mut on_snapshot: Option<&mut dyn FnMut(&Snapshot)>,
+    mut on_snapshot: Option<SnapshotObserver<'_>>,
     probe: Option<Box<dyn Probe>>,
 ) -> Result<RunReport, HarnessError> {
     if let Some(plan) = plan {
@@ -331,25 +338,25 @@ pub fn drive(
     // `degrade_after` consecutive failed cycles the driver gives up on
     // disk entirely and lets the run finish on in-memory state.
     let take_snapshot = |sim: &mut Simulation,
-                         on_snapshot: &mut Option<&mut dyn FnMut(&Snapshot)>,
+                         on_snapshot: &mut Option<SnapshotObserver<'_>>,
                          checkpoint_failures: &mut u64,
                          consecutive_failures: &mut u32,
                          degraded: &mut bool| {
         let started = Instant::now();
-        let snap = sim.snapshot();
+        let body = sim.snapshot_body();
         let mut encode_ns = started.elapsed().as_nanos() as u64;
         if let Some(cb) = on_snapshot.as_mut() {
-            cb(&snap);
+            cb(&body);
         }
         if *degraded {
             return false;
         }
         if let Some(path) = checkpoint_path {
-            let encode_started = Instant::now();
-            let bytes = snap.to_bytes();
-            encode_ns += encode_started.elapsed().as_nanos() as u64;
+            let seal_started = Instant::now();
+            let bytes = Snapshot::seal(body);
+            encode_ns += seal_started.elapsed().as_nanos() as u64;
             sim.profiler_add(ProfPhase::SnapshotEncode, encode_ns);
-            let salt = snap.events() ^ 0x5eed_c0de;
+            let salt = sim.events() ^ 0x5eed_c0de;
             match retry.write_cycle(path, &bytes, salt) {
                 Ok(()) => {
                     *consecutive_failures = 0;
@@ -366,7 +373,7 @@ pub fn drive(
                     diag!(
                         Level::Warn,
                         "checkpoint cycle at event {} failed after {} attempt(s): {e}; run continues",
-                        snap.events(),
+                        sim.events(),
                         retry.max_attempts.max(1)
                     );
                     if *consecutive_failures >= retry.degrade_after.max(1) {
@@ -599,9 +606,9 @@ mod tests {
             every_events: 100,
             retry: RetryPolicy::immediate(),
         };
-        let mut observe = |snap: &Snapshot| {
+        let mut observe = |body: &[u8]| {
             seen += 1;
-            last_events = snap.events();
+            last_events = Snapshot::from_body(body).unwrap().events();
         };
         let report = drive(
             cfg(7),

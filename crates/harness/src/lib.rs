@@ -39,7 +39,8 @@ pub use btfluid_telemetry::json;
 
 pub use bundle::{config_from_json, config_to_json, load_trace, ReproBundle, ScenarioRef};
 pub use checkpoint::{
-    atomic_write, clean_stale_tmp, drive, CheckpointPlan, RetryPolicy, RunEnd, RunLimits, RunReport,
+    atomic_write, clean_stale_tmp, drive, CheckpointPlan, RetryPolicy, RunEnd, RunLimits,
+    RunReport, SnapshotObserver,
 };
 pub use error::HarnessError;
 pub use manifest::{CellRecord, CellStatus, ManifestWriter};

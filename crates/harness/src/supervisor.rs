@@ -439,8 +439,8 @@ fn run_attempt(
                     false,
                     &limits,
                     Some(&cancel),
-                    Some(&mut |snap: &Snapshot| {
-                        *last_snap.lock().unwrap() = Some(snap.encode_body());
+                    Some(&mut |body: &[u8]| {
+                        *last_snap.lock().unwrap() = Some(body.to_vec());
                     }),
                     Some(Box::new(FanoutProbe::new(vec![
                         Box::new(CounterCapture(Arc::clone(&captured))),

@@ -18,7 +18,7 @@
 
 use crate::handoff::{FluidModel, HandoffRecord};
 use crate::policy::{Regime, SwitchPolicy};
-use btfluid_des::{DesConfig, DesError, ScenarioHook, SchemeKind, Simulation};
+use btfluid_des::{DesConfig, DesError, ScenarioHook, SchemeKind, Simulation, SnapshotError};
 use btfluid_numkit::dist::Exponential;
 use btfluid_numkit::rng::{SplitMix64, Xoshiro256StarStar};
 use btfluid_numkit::NumError;
@@ -80,6 +80,13 @@ impl From<NumError> for HybridError {
 impl From<DesError> for HybridError {
     fn from(e: DesError) -> Self {
         Self::Des(e)
+    }
+}
+
+/// The envelope's own decode failures (its reader is the engine codec's).
+impl From<SnapshotError> for HybridError {
+    fn from(e: SnapshotError) -> Self {
+        Self::Snapshot(e.to_string())
     }
 }
 

@@ -20,8 +20,9 @@
 //!   downloading-user integrals accumulated engine-agnostically,
 //!   discrete segments with shifted hooks and derived seeds
 //!   ([`driver`]).
-//! - Snapshot v4 — deterministic checkpoint/resume of the whole hybrid
-//!   state, embedded engine snapshot included ([`snapshot`]).
+//! - Hybrid snapshots — deterministic checkpoint/resume of the whole
+//!   hybrid state, embedded engine snapshot body included, on the
+//!   engine's codec ([`snapshot`]).
 //!
 //! Handoffs are observable as telemetry trace spans
 //! (`handoff:des->fluid` / `handoff:fluid->des`, anchored to simulated

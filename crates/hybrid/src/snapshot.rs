@@ -1,34 +1,32 @@
-//! Snapshot v4: checkpoint/resume for hybrid runs.
+//! Hybrid snapshots: checkpoint/resume for hybrid runs.
 //!
 //! A hybrid checkpoint is taken *between decision boundaries* and captures
 //! everything the driver cannot re-derive from its config: the clock, the
 //! active regime, the fluid state vector or the embedded engine snapshot
-//! (the DES layer's own v2/v3 codec, verbatim), the handoff RNG stream,
-//! the per-class integrals, and the handoff log. Boundaries, policy, and
-//! the fluid model are pure functions of the config and are rebuilt on
-//! restore; a config digest plus an FNV-1a checksum reject mismatched or
-//! torn files with typed errors. Restore-then-run is bit-identical to
+//! body, the handoff RNG stream, the per-class integrals, and the handoff
+//! log. Boundaries, policy, and the fluid model are pure functions of the
+//! config and are rebuilt on restore. Restore-then-run is bit-identical to
 //! never having stopped — the same contract the engine snapshot keeps.
+//!
+//! The envelope is written with the engine's codec
+//! ([`btfluid_des::snapshot`]): the same magic, writer, reader and
+//! checksum, under its own version. The engine's *unsealed* body is
+//! embedded and decoded with [`Snapshot::from_body`], so one checksum
+//! covers the whole file. A config digest rejects a snapshot taken by a
+//! different run; every decode failure is a typed
+//! [`HybridError::Snapshot`].
 
 use crate::driver::{segment_config, HybridConfig, HybridError, HybridRunner, ShiftedHook};
 use crate::handoff::HandoffRecord;
 use crate::policy::Regime;
-use btfluid_des::{Simulation, Snapshot};
+use btfluid_des::snapshot::{self, Reader, Writer};
+use btfluid_des::{Simulation, Snapshot, SnapshotError};
 use btfluid_numkit::rng::Xoshiro256StarStar;
 
-/// Shared magic with the engine codec — the version field disambiguates.
-const MAGIC: &[u8; 4] = b"BTFS";
-/// Hybrid snapshots are version 4 (the engine owns v2/v3).
-pub const HYBRID_SNAPSHOT_VERSION: u32 = 4;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
+/// Hybrid snapshot version. The envelope shares the engine's `BTFS`
+/// magic, so this must differ from [`snapshot::SNAPSHOT_VERSION`].
+pub const HYBRID_SNAPSHOT_VERSION: u32 = 6;
+const _: () = assert!(HYBRID_SNAPSHOT_VERSION != snapshot::SNAPSHOT_VERSION);
 
 /// Digest of everything that parameterizes a run. Debug formatting of the
 /// program is stable, covers every schedule/fault field, and is the same
@@ -39,107 +37,47 @@ fn config_digest(cfg: &HybridConfig) -> u64 {
     bytes.extend_from_slice(&cfg.seed.to_le_bytes());
     bytes.extend_from_slice(&cfg.tol.to_bits().to_le_bytes());
     bytes.push(u8::from(cfg.aggregate));
-    fnv1a(&bytes)
+    snapshot::checksum(&bytes)
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], HybridError> {
-        if self.pos + n > self.buf.len() {
-            return Err(HybridError::Snapshot(format!(
-                "truncated at byte {} (wanted {n} more of {})",
-                self.pos,
-                self.buf.len()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, HybridError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, HybridError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, HybridError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, HybridError> {
-        Ok(f64::from_bits(self.u64()?))
+/// Regimes travel as a bool: discrete or not.
+fn regime_of(discrete: bool) -> Regime {
+    if discrete {
+        Regime::Discrete
+    } else {
+        Regime::Fluid
     }
 }
 
 impl HybridRunner {
     /// Serializes the full driver state (between decision boundaries).
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(MAGIC);
-        push_u32(&mut out, HYBRID_SNAPSHOT_VERSION);
-        push_u64(&mut out, config_digest(self.config()));
-        push_f64(&mut out, self.t);
-        out.push(match self.regime {
-            Regime::Fluid => 0,
-            Regime::Discrete => 1,
-        });
-        push_f64(&mut out, self.seg_t0);
-        push_u64(&mut out, self.seg_seed);
-        push_u64(&mut out, self.segment);
-        push_u64(&mut out, self.next_boundary as u64);
-        for w in self.rng_handoff.state() {
-            push_u64(&mut out, w);
+        let mut w = Writer::with_header(HYBRID_SNAPSHOT_VERSION, 256);
+        w.u64(config_digest(self.config()));
+        w.f64(self.t);
+        w.bool(self.regime == Regime::Discrete);
+        w.f64(self.seg_t0);
+        w.u64(self.seg_seed);
+        w.u64(self.segment);
+        w.u64(self.next_boundary as u64);
+        for word in self.rng_handoff.state() {
+            w.u64(word);
         }
-        push_u64(&mut out, self.des_events);
-        push_u64(&mut out, self.fluid_steps);
-        push_u32(&mut out, self.integrals.len() as u32);
-        for &v in &self.integrals {
-            push_f64(&mut out, v);
-        }
-        push_u32(&mut out, self.fluid.len() as u32);
-        for &v in &self.fluid {
-            push_f64(&mut out, v);
-        }
-        push_u32(&mut out, self.handoffs.len() as u32);
+        w.u64(self.des_events);
+        w.u64(self.fluid_steps);
+        w.f64s(&self.integrals);
+        w.f64s(&self.fluid);
+        w.u64(self.handoffs.len() as u64);
         for h in &self.handoffs {
-            push_f64(&mut out, h.t);
-            out.push(match h.to {
-                Regime::Fluid => 0,
-                Regime::Discrete => 1,
-            });
-            push_f64(&mut out, h.pop);
+            w.f64(h.t);
+            w.bool(h.to == Regime::Discrete);
+            w.f64(h.pop);
         }
-        match &self.sim {
-            Some(sim) => {
-                out.push(1);
-                let engine = sim.snapshot().to_bytes();
-                push_u64(&mut out, engine.len() as u64);
-                out.extend_from_slice(&engine);
-            }
-            None => out.push(0),
+        w.bool(self.sim.is_some());
+        if let Some(sim) = &self.sim {
+            w.bytes(&sim.snapshot_body());
         }
-        let sum = fnv1a(&out);
-        push_u64(&mut out, sum);
-        out
+        Snapshot::seal(w.into_bytes())
     }
 
     /// Rebuilds a runner from `cfg` and a snapshot taken by an identical
@@ -150,92 +88,64 @@ impl HybridRunner {
     /// mismatch, bad magic/version; propagates embedded-engine restore
     /// failures.
     pub fn resume(cfg: HybridConfig, bytes: &[u8]) -> Result<Self, HybridError> {
-        if bytes.len() < 20 {
-            return Err(HybridError::Snapshot("file too short".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(HybridError::Snapshot(
-                "checksum mismatch (torn write?)".into(),
-            ));
-        }
-        let mut r = Reader { buf: body, pos: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(HybridError::Snapshot("bad magic".into()));
-        }
-        let version = r.u32()?;
+        let mut r = Reader::new(snapshot::unseal(bytes)?);
+        let version = r.header()?;
         if version != HYBRID_SNAPSHOT_VERSION {
             return Err(HybridError::Snapshot(format!(
                 "version {version}, expected {HYBRID_SNAPSHOT_VERSION}"
             )));
         }
-        let digest = r.u64()?;
-        if digest != config_digest(&cfg) {
+        if r.u64()? != config_digest(&cfg) {
             return Err(HybridError::Snapshot(
                 "config digest mismatch (snapshot from a different run)".into(),
             ));
         }
         let mut runner = Self::new(cfg)?;
         runner.t = r.f64()?;
-        runner.regime = match r.u8()? {
-            0 => Regime::Fluid,
-            1 => Regime::Discrete,
-            other => {
-                return Err(HybridError::Snapshot(format!("unknown regime tag {other}")));
-            }
-        };
+        runner.regime = regime_of(r.bool()?);
         runner.seg_t0 = r.f64()?;
         runner.seg_seed = r.u64()?;
         runner.segment = r.u64()?;
         runner.next_boundary = r.u64()? as usize;
         let mut rng_state = [0u64; 4];
-        for w in &mut rng_state {
-            *w = r.u64()?;
+        for word in &mut rng_state {
+            *word = r.u64()?;
         }
         runner.rng_handoff = Xoshiro256StarStar::from_state(rng_state);
         runner.des_events = r.u64()?;
         runner.fluid_steps = r.u64()?;
-        let n_int = r.u32()? as usize;
-        if n_int != runner.integrals.len() {
+        let integrals = r.f64s()?;
+        if integrals.len() != runner.integrals.len() {
             return Err(HybridError::Snapshot(format!(
-                "integral count {n_int} does not match K = {}",
+                "integral count {} does not match K = {}",
+                integrals.len(),
                 runner.integrals.len()
             )));
         }
-        for slot in &mut runner.integrals {
-            *slot = r.f64()?;
-        }
-        let n_fluid = r.u32()? as usize;
-        if n_fluid != runner.fluid.len() {
+        runner.integrals = integrals;
+        let fluid = r.f64s()?;
+        if fluid.len() != runner.fluid.len() {
             return Err(HybridError::Snapshot(format!(
-                "fluid dim {n_fluid} does not match model dim {}",
+                "fluid dim {} does not match model dim {}",
+                fluid.len(),
                 runner.fluid.len()
             )));
         }
-        for slot in &mut runner.fluid {
-            *slot = r.f64()?;
-        }
-        let n_handoffs = r.u32()? as usize;
-        runner.handoffs = Vec::with_capacity(n_handoffs);
-        for _ in 0..n_handoffs {
-            let t = r.f64()?;
-            let to = match r.u8()? {
-                0 => Regime::Fluid,
-                1 => Regime::Discrete,
-                other => {
-                    return Err(HybridError::Snapshot(format!(
-                        "unknown handoff regime tag {other}"
-                    )));
-                }
-            };
-            let pop = r.f64()?;
-            runner.handoffs.push(HandoffRecord { t, to, pop });
-        }
-        if r.u8()? == 1 {
-            let len = r.u64()? as usize;
-            let engine_bytes = r.take(len)?;
-            let snap = Snapshot::from_bytes(engine_bytes)
+        runner.fluid = fluid;
+        let n_handoffs = r.len(17)?;
+        runner.handoffs = (0..n_handoffs)
+            .map(|_| {
+                Ok(HandoffRecord {
+                    t: r.f64()?,
+                    to: regime_of(r.bool()?),
+                    pop: r.f64()?,
+                })
+            })
+            .collect::<Result<_, SnapshotError>>()?;
+        let engine = if r.bool()? { Some(r.bytes()?) } else { None };
+        r.done()?;
+        if let Some(body) = engine {
+            let snap = Snapshot::from_body(body)
                 .map_err(|e| HybridError::Snapshot(format!("embedded engine: {e}")))?;
             let seg_cfg = segment_config(runner.config(), runner.seg_t0, runner.seg_seed)?;
             let hook = Box::new(ShiftedHook::new(

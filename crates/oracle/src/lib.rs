@@ -101,7 +101,7 @@ pub fn registry() -> Vec<Check> {
         },
         Check {
             name: "hybrid-snapshot-fuzz",
-            paper_ref: "hybrid snapshot v4 contract (typed errors, no panic)",
+            paper_ref: "hybrid snapshot contract (typed errors, no panic)",
             tier: Tier::Quick,
             run: structural::hybrid_snapshot_fuzz,
         },

@@ -26,13 +26,14 @@ fn live_snapshot_bytes(seed: u64) -> Result<Vec<u8>, String> {
             break;
         }
     }
-    Ok(sim.snapshot().to_bytes())
+    Ok(btfluid_des::Snapshot::seal(sim.snapshot_body()))
 }
 
 /// Snapshot decoder under fire: random bit flips and truncations of a
 /// genuine snapshot must every time produce a typed [`SnapshotError`] —
-/// no panic (the FNV checksum trails the content, so any mutation is
-/// detectable), and no mutated file may decode as valid.
+/// no panic (the word-wise FNV-1a checksum trails the content, and any
+/// change confined to one word or tail byte changes it), and no mutated
+/// file may decode as valid.
 ///
 /// [`SnapshotError`]: btfluid_des::SnapshotError
 pub fn snapshot_fuzz(cfg: &OracleConfig) -> Result<String, String> {
@@ -212,7 +213,7 @@ pub fn flightrec_round_trip(cfg: &OracleConfig) -> Result<String, String> {
     ))
 }
 
-/// Builds a genuine hybrid snapshot (format v4) by stepping a runner
+/// Builds a genuine hybrid snapshot by stepping a runner
 /// across a couple of regime boundaries of the fast flash-crowd config.
 fn live_hybrid_snapshot_bytes(
     seed: u64,
@@ -237,12 +238,13 @@ fn live_hybrid_snapshot_bytes(
     Ok((cfg, runner.snapshot()))
 }
 
-/// Hybrid snapshot v4 decoder under fire: *every* single-byte corruption
+/// Hybrid snapshot decoder under fire: *every* single-byte corruption
 /// of a valid file (one flipped bit per byte position, plus seeded
 /// truncations) must come back as a typed [`HybridError::Snapshot`] —
 /// never a panic, never an accepted resume, never a different error
-/// class. The v4 format ends in an FNV-1a checksum over the content, so
-/// any one-byte change is detectable.
+/// class. The envelope ends in the engine codec's word-wise FNV-1a
+/// checksum over the whole file, embedded engine body included; each of
+/// its steps is a bijection, so any one-byte change is detectable.
 ///
 /// [`HybridError::Snapshot`]: btfluid_hybrid::HybridError
 pub fn hybrid_snapshot_fuzz(cfg: &OracleConfig) -> Result<String, String> {
@@ -307,7 +309,7 @@ pub fn hybrid_snapshot_fuzz(cfg: &OracleConfig) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "{rejected} mutations of a {}-byte v4 hybrid snapshot rejected as HybridError::Snapshot (stride {stride})",
+        "{rejected} mutations of a {}-byte hybrid snapshot rejected as HybridError::Snapshot (stride {stride})",
         bytes.len()
     ))
 }

@@ -60,7 +60,8 @@ impl Counters {
         "agg_samples",
     ];
 
-    fn fields_mut(&mut self) -> [&mut u64; 10] {
+    /// Mutable references to the counters, in [`Self::NAMES`] order.
+    pub fn fields_mut(&mut self) -> [&mut u64; 10] {
         [
             &mut self.events_popped,
             &mut self.stale_discards,
@@ -75,11 +76,15 @@ impl Counters {
         ]
     }
 
+    /// The counter values, in [`Self::NAMES`] order.
+    pub fn values(&self) -> [u64; 10] {
+        let mut copy = *self;
+        copy.fields_mut().map(|v| *v)
+    }
+
     /// `(wire name, value)` pairs in [`Self::NAMES`] order.
     fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
-        let mut copy = *self;
-        let values = copy.fields_mut().map(|v| *v);
-        Self::NAMES.into_iter().zip(values)
+        Self::NAMES.into_iter().zip(self.values())
     }
 
     /// Renders the counters as a JSON object (raw text, no trailing
