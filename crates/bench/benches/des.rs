@@ -3,18 +3,49 @@
 //! scaling study comparing the forced full-recompute baseline, the
 //! incremental rate engine, and the class-aggregated completion engine.
 //!
-//! Every study prints its numbers and asserts its guards. `--test` (as in
+//! Every study prints its numbers and checks its guards. A guard prints
+//! its measured value beside its bound and records a failure instead of
+//! stopping the bench, so every guard runs; [`report_guards`], the last
+//! bench, then fails once, listing every failed guard. `--test` (as in
 //! `cargo bench -p btfluid-bench --bench des -- --test`) runs each study
 //! once at smoke scale: event-count equalities everywhere, plus the
-//! aggregate (λ₀ = 128, flatness 512/32) and hybrid (λ₀ = 2048) guards on
-//! one-shot timings, and the arithmetic injector bound. The checkpoint and
+//! aggregate flatness (512/32) and hybrid (λ₀ = 2048) guards on one-shot
+//! timings, and the arithmetic injector bound. The checkpoint and
 //! telemetry overhead guards need repeated reps and run only in full mode.
 
 use btfluid_bench::validate::{run as validate, ValidateConfig};
 use btfluid_des::{DesConfig, SchemeKind, Simulation, Snapshot};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Mutex;
 use std::time::Instant;
+
+/// Every failed guard so far, as `name: value (bound)`.
+static FAILED_GUARDS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+/// Checks one guard: prints `value` beside `bound` and records a failure
+/// when `ok` is false.
+fn guard(name: &str, value: f64, bound: &str, ok: bool) {
+    let verdict = if ok { "ok" } else { "FAILED" };
+    println!("guard {name}: {value:.4} (bound {bound}) {verdict}");
+    if !ok {
+        FAILED_GUARDS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(format!("{name}: {value:.4} (bound {bound})"));
+    }
+}
+
+/// The last bench: fails once if any guard failed, listing them all.
+fn report_guards(_c: &mut Criterion) {
+    let failed = FAILED_GUARDS.lock().unwrap_or_else(|e| e.into_inner());
+    assert!(
+        failed.is_empty(),
+        "{} guard(s) failed:\n  {}",
+        failed.len(),
+        failed.join("\n  ")
+    );
+}
 
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("des");
@@ -127,10 +158,13 @@ fn time_agg(lambda0: f64, horizon: f64, warmup: f64, drain: f64) -> (f64, u64) {
 /// order of magnitude slower already at λ₀ = 128 — sampling it ten times
 /// would dominate the bench for no information).
 ///
-/// Two guards make the scaling claims regressions instead of prose (see
-/// [`check_agg_scaling`]). `--test` checks the three modes' event counts
-/// on the smallest point and runs both guards on one-shot timings of the
-/// three points they read (see [`agg_scaling_one_shot`]).
+/// A guard makes the aggregate flatness claim a regression instead of
+/// prose, and the aggregate-over-incremental wall ratio at λ₀ = 128 is
+/// printed beside it (see [`check_agg_scaling`]; the incremental engine's
+/// work per event is a count test in `crates/des/tests/agg_props.rs`).
+/// `--test` checks the three modes' event counts on the smallest point and
+/// runs the guard on one-shot timings of the three points it reads (see
+/// [`agg_scaling_one_shot`]).
 fn bench_des_scale(c: &mut Criterion) {
     let test_mode = std::env::args().any(|a| a == "--test");
 
@@ -208,7 +242,7 @@ fn bench_des_scale(c: &mut Criterion) {
     check_agg_scaling(agg_speedup_at_128, agg_eps_at_512 / agg_eps_at_32);
 }
 
-/// One-shot timings of just the points the aggregate guards read: the
+/// One-shot timings of just the points the aggregate check reads: the
 /// incremental and aggregate engines at λ₀ = 128, and the aggregate
 /// engine at λ₀ = 32 and 512.
 fn agg_scaling_one_shot() {
@@ -222,23 +256,16 @@ fn agg_scaling_one_shot() {
     check_agg_scaling(speedup, flatness);
 }
 
-/// The aggregate engine's scaling claims: ≥ 5× the incremental engine's
-/// ev/s at λ₀ = 128, and a flat per-event cost — ev/s at λ₀ = 512 within
-/// 2× of λ₀ = 32.
+/// The aggregate engine's scaling claim: a flat per-event cost — ev/s at
+/// λ₀ = 512 within 2× of λ₀ = 32. The ev/s ratio over the incremental
+/// engine at λ₀ = 128 is printed for the record, not bounded.
 fn check_agg_scaling(speedup_at_128: f64, flatness: f64) {
-    println!(
-        "des_scale: aggregate speedup at λ₀=128 {speedup_at_128:.1}×, \
-         flatness 512/32 {flatness:.2}"
-    );
-    assert!(
-        speedup_at_128 >= 5.0,
-        "aggregate engine only {speedup_at_128:.2}× over incremental at λ₀ = 128 \
-         (claim is ≥ 5×)"
-    );
-    assert!(
+    println!("des_scale: aggregate/incremental ev/s at λ₀=128 {speedup_at_128:.1}×");
+    guard(
+        "aggregate ev/s flatness 512/32",
+        flatness,
+        "≥ 0.5",
         flatness >= 0.5,
-        "aggregate ev/s fell to {flatness:.2}× between λ₀ = 32 and λ₀ = 512 \
-         (claim is flat within 2×)"
     );
 }
 
@@ -346,13 +373,17 @@ fn bench_checkpoint_overhead(_c: &mut Criterion) {
     }
     // Same code path; anything past noise means the driver grew real
     // per-event work.
-    assert!(
+    guard(
+        "checkpointing-disabled driver overhead %",
+        disabled_pct,
+        "< 25",
         disabled_pct < 25.0,
-        "checkpointing-disabled driver overhead {disabled_pct:.1}% blew the guard"
     );
-    assert!(
+    guard(
+        "coarse checkpointing overhead %",
+        coarse_pct,
+        "< 3",
         coarse_pct < 3.0,
-        "coarse checkpointing overhead {coarse_pct:.2}% blew the 3% guard"
     );
 }
 
@@ -402,9 +433,11 @@ fn bench_injector_overhead(_c: &mut Criterion) {
          (real traffic is per checkpoint write, orders of magnitude rarer)",
         per_consult_s * 1e9
     );
-    assert!(
+    guard(
+        "disarmed-injector overhead bound %",
+        bound_pct,
+        "< 1",
         bound_pct < 1.0,
-        "disarmed-injector overhead bound {bound_pct:.4}% blew the 1% guard"
     );
 }
 
@@ -515,17 +548,23 @@ fn bench_telemetry_overhead(_c: &mut Criterion) {
         // event-count equalities above are the smoke check.
         return;
     }
-    assert!(
+    guard(
+        "no-op probe median overhead %",
+        noop_pct,
+        "< 2",
         noop_pct < 2.0,
-        "no-op probe median overhead {noop_pct:.2}% blew the 2% guard"
     );
-    assert!(
+    guard(
+        "default-cadence tracing median overhead %",
+        sink_pct,
+        "< 10",
         sink_pct < 10.0,
-        "default-cadence tracing median overhead {sink_pct:.2}% blew the 10% guard"
     );
-    assert!(
+    guard(
+        "flight-recorder median overhead %",
+        flight_pct,
+        "< 15",
         flight_pct < 15.0,
-        "flight-recorder median overhead {flight_pct:.2}% blew the 15% guard"
     );
 }
 
@@ -607,19 +646,26 @@ fn bench_hybrid_scale(_c: &mut Criterion) {
             outcome.handoffs.len()
         );
         if lambda0 == 2048.0 {
-            assert!(
-                !outcome.handoffs.is_empty(),
-                "hybrid never left the discrete regime at λ₀ = 2048 — \
-                 the speedup would be vacuous"
+            // Without a handoff the hybrid never left the discrete regime
+            // and the speedup would be vacuous.
+            let handoffs = outcome.handoffs.len();
+            guard(
+                "hybrid handoffs at λ₀=2048",
+                handoffs as f64,
+                "≥ 1",
+                handoffs >= 1,
             );
-            assert!(
+            guard(
+                "hybrid total mean rel. error at λ₀=2048",
+                rel,
+                "≤ 0.1",
                 rel <= TOL,
-                "hybrid total mean off by {rel:.3} (> tol {TOL}) at λ₀ = 2048"
             );
-            assert!(
+            guard(
+                "hybrid speedup over pure aggregate DES at λ₀=2048",
+                speedup,
+                "≥ 3",
                 speedup >= 3.0,
-                "hybrid only {speedup:.2}× over pure aggregate DES at λ₀ = 2048 \
-                 (claim is ≥ 3×)"
             );
         }
     }
@@ -633,6 +679,7 @@ criterion_group!(
     bench_checkpoint_overhead,
     bench_injector_overhead,
     bench_telemetry_overhead,
-    bench_hybrid_scale
+    bench_hybrid_scale,
+    report_guards
 );
 criterion_main!(benches);

@@ -1656,13 +1656,14 @@ fn detect_anomalies(run: &TraceRun, out: &mut Vec<String>) {
         }
     } else {
         // Self-calibrating rate-cache health check: the marginal
-        // recompute cost per event, normalized by the live download
-        // pairs it could touch, stays flat over a healthy run (the
-        // dirty set tracks the event, not the swarm). Absolute
-        // thresholds don't work here — MFCD legitimately recomputes
-        // more pairs per event than MTSD by an order of magnitude —
-        // but a cost that *grows* several-fold over the run's own
-        // history means lazy invalidation is degenerating.
+        // group-rate recompute cost per event, normalized by the live
+        // download pairs, does not grow over a healthy run (the dirty
+        // set tracks the event, and the groups it touches are bounded
+        // by files × classes, not by the swarm). Absolute thresholds
+        // don't work here — MFCD legitimately recomputes more group
+        // rates per event than MTSD by an order of magnitude — but a
+        // cost that *grows* several-fold over the run's own history
+        // means lazy invalidation is degenerating.
         let costs = run.samples.windows(2).filter_map(|w| {
             let de = w[1].events.saturating_sub(w[0].events);
             let dr = w[1]

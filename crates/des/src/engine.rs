@@ -10,16 +10,19 @@
 //!
 //! * **Rates** live in a [`RateCache`]: per-subtorrent aggregates
 //!   (`weight`, `pool_real`, `pool_virtual`) plus ordered member lists,
-//!   recomputed only for subtorrents an event actually touched. Download
-//!   progress is settled lazily ([`Peer::settle_slot`]) exactly when a
-//!   rate changes, so integration stays piecewise-exact.
+//!   recomputed only for subtorrents an event actually touched, and one
+//!   rate per group of downloads with identical `(file, u, w)`. Each group
+//!   keeps a virtual clock settled only when its rate changes; a download
+//!   holds a mark on that clock, so a rate change costs O(1) per group,
+//!   not O(members), and integration stays piecewise-exact.
 //! * **Event selection** uses an [`EventQueue`] (an indexed binary heap
-//!   with one entry per armed per-peer deadline) instead of scanning;
-//!   completion deadlines are re-keyed in place only for downloads whose
-//!   rate changed, and only when they move earlier — a slowdown is
-//!   recorded on the peer and corrected when the entry reaches the top.
-//!   Aggregate group deadlines stay out of the heap, in the group cache's
-//!   dense array with a cached argmin.
+//!   with one entry per rate group with a completion due, keyed by its
+//!   head download, and one per armed expiry) instead of scanning; a
+//!   group's entry is re-keyed in place only when its head or rate
+//!   changed, and only when it moves earlier — a slowdown is recorded on
+//!   the group and corrected when the entry reaches the top. Aggregate
+//!   group deadlines stay out of the heap, in the group cache's dense
+//!   array with a cached argmin.
 //! * **Peers** live in a slab with a free list: departure leaves a
 //!   tombstone (`Phase::Departed`) whose slot is recycled by a later
 //!   arrival, keeping slab indices stable for queue keys and member
@@ -131,7 +134,6 @@ pub struct Simulation {
     seed_pairs: Vec<usize>,
     traj_downloaders: usize,
     traj_seeds: usize,
-    changed_buf: Vec<(u32, u32)>,
     // Scenario-hook state. All of it is inert (`None` / unused) for
     // stationary runs, so the hot path pays only `Option` checks.
     hook: Option<Box<dyn ScenarioHook>>,
@@ -204,65 +206,65 @@ impl Simulation {
     /// Propagates [`DesConfig::validate`] failures.
     pub fn new(cfg: DesConfig) -> Result<Self, NumError> {
         cfg.validate()?;
-        let rng_arrivals = Xoshiro256StarStar::stream(cfg.seed, 0);
-        let rng_service = Xoshiro256StarStar::stream(cfg.seed, 1);
-        let rng_scenario = Xoshiro256StarStar::stream(cfg.seed, 2);
-        let sampler = RequestSampler::new(cfg.model);
-        let gap = Exponential::new(cfg.model.lambda0())?;
-        let gamma = Exponential::new(cfg.params.gamma())?;
-        let k = cfg.model.k() as usize;
-        let next_epoch = cfg.adapt.as_ref().map(|a| a.epoch);
-        let cache = RateCache::new(k, cfg.scheme, &cfg.params, cfg.origin_seeds);
-        let mut rng_agg = Xoshiro256StarStar::stream(cfg.seed, 3);
-        let agg = if cfg.aggregate {
-            let mut a = AggCache::new(k, cfg.scheme, &cfg.params, cfg.origin_seeds);
+        let mut sim = Self::blank(cfg)?;
+        if let Some(a) = sim.agg.as_mut() {
             // Eager Exp(1) target draws for every group: a fixed 2·K²
             // draws at t = 0, so the stream phase is independent of the
             // order groups first become non-empty.
             for g in 0..a.n_groups() as u32 {
-                a.set_initial_target(g, exp1(&mut rng_agg));
+                a.set_initial_target(g, exp1(&mut sim.rng_agg));
             }
-            Some(a)
-        } else {
-            None
-        };
-        let holders = vec![cfg.origin_seeds; k];
-        let origin_now = cfg.origin_seeds;
-        let mut sim = Self {
-            cfg,
-            rng_arrivals,
-            rng_service,
-            sampler,
-            gap,
-            gamma,
+        }
+        if sim.cfg.warm_start {
+            sim.populate_from_fluid()?;
+            sim.adopt_slab();
+            for idx in 0..sim.peers.len() {
+                sim.reschedule_expiry(idx);
+            }
+        }
+        Ok(sim)
+    }
+
+    /// An empty simulation at `t = 0`: every stream seeded from the config,
+    /// no peers, nothing scheduled. [`Self::new`] and [`Self::restore`]
+    /// start from it.
+    fn blank(cfg: DesConfig) -> Result<Self, NumError> {
+        let k = cfg.model.k() as usize;
+        Ok(Self {
+            rng_arrivals: Xoshiro256StarStar::stream(cfg.seed, 0),
+            rng_service: Xoshiro256StarStar::stream(cfg.seed, 1),
+            rng_scenario: Xoshiro256StarStar::stream(cfg.seed, 2),
+            rng_agg: Xoshiro256StarStar::stream(cfg.seed, 3),
+            sampler: RequestSampler::new(cfg.model),
+            gap: Exponential::new(cfg.model.lambda0())?,
+            gamma: Exponential::new(cfg.params.gamma())?,
             t: 0.0,
             peers: Vec::new(),
             free: Vec::new(),
             next_arrival: None,
-            next_epoch,
+            next_epoch: cfg.adapt.as_ref().map(|a| a.epoch),
             user_counter: 0,
             outcome: SimOutcome::new(k),
-            cache,
-            agg,
-            rng_agg,
+            cache: RateCache::new(k, cfg.scheme, &cfg.params, cfg.origin_seeds),
+            agg: cfg
+                .aggregate
+                .then(|| AggCache::new(k, cfg.scheme, &cfg.params, cfg.origin_seeds)),
             agg_changed: Vec::new(),
-            queue: EventQueue::new(k),
+            queue: EventQueue::new(),
             next_stamp: 1,
-            holders,
+            holders: vec![cfg.origin_seeds; k],
             dl_peers: vec![0; k],
             dl_pairs: vec![0; k],
             seed_pairs: vec![0; k],
             traj_downloaders: 0,
             traj_seeds: 0,
-            changed_buf: Vec::new(),
             hook: None,
-            rng_scenario,
             hook_gap: None,
             abort_bound: 0.0,
             arrival_clock: 0.0,
             next_abort: None,
             next_control: None,
-            origin_now,
+            origin_now: cfg.origin_seeds,
             started: false,
             trajectory: None,
             next_record: 0.0,
@@ -276,22 +278,8 @@ impl Simulation {
             flight: false,
             profiler: None,
             full_recompute: false,
-        };
-        if sim.cfg.warm_start {
-            sim.populate_from_fluid()?;
-            sim.cache_grow(sim.peers.len());
-            for idx in 0..sim.peers.len() {
-                sim.cache_register(idx);
-                sim.add_counters(idx);
-                for s in 0..sim.peers[idx].class() {
-                    if sim.peers[idx].finished(s) {
-                        sim.holders[sim.peers[idx].slots[s].file as usize] += 1;
-                    }
-                }
-                sim.reschedule_expiry(idx);
-            }
-        }
-        Ok(sim)
+            cfg,
+        })
     }
 
     /// Builds a simulation with a scenario hook attached.
@@ -318,8 +306,17 @@ impl Simulation {
     /// [`ScenarioHook::arrival_rate_bound`] is not finite and positive or
     /// [`ScenarioHook::abort_rate_bound`] is negative or non-finite.
     pub fn attach_hook(&mut self, hook: Box<dyn ScenarioHook>) -> Result<(), NumError> {
-        let bound = hook.arrival_rate_bound();
-        self.hook_gap = Some(Exponential::new(bound)?);
+        let origin = hook.origin_seeds(0.0);
+        self.next_control = hook.next_boundary(0.0);
+        self.install_hook(hook)?;
+        self.apply_origin(origin);
+        Ok(())
+    }
+
+    /// Validates the hook's majorizing bounds and installs it with its
+    /// candidate gap sampler.
+    fn install_hook(&mut self, hook: Box<dyn ScenarioHook>) -> Result<(), NumError> {
+        self.hook_gap = Some(Exponential::new(hook.arrival_rate_bound())?);
         let abort_bound = hook.abort_rate_bound();
         if !(abort_bound >= 0.0) || !abort_bound.is_finite() {
             return Err(NumError::InvalidInput {
@@ -328,10 +325,7 @@ impl Simulation {
             });
         }
         self.abort_bound = abort_bound;
-        let origin = hook.origin_seeds(0.0);
-        self.next_control = hook.next_boundary(0.0);
         self.hook = Some(hook);
-        self.apply_origin(origin);
         Ok(())
     }
 
@@ -746,14 +740,11 @@ impl Simulation {
         // Settle everyone still alive so censored diagnostics reflect the
         // hard stop.
         let t = self.t;
+        self.cache.settle_remaining(&mut self.peers, t);
         for peer in &mut self.peers {
-            if peer.phase == Phase::Departed {
-                continue;
+            if peer.phase != Phase::Departed {
+                peer.settle_donation(t);
             }
-            for s in 0..peer.class() {
-                peer.settle_slot(s, t);
-            }
-            peer.settle_donation(t);
         }
         // Whatever is still alive is censored (if it would have counted).
         let warmup = self.cfg.warmup;
@@ -794,6 +785,12 @@ impl Simulation {
     /// Live downloading-peer counts per class (index `class − 1`).
     pub fn class_downloaders(&self) -> &[usize] {
         &self.dl_peers
+    }
+
+    /// Occupied rate groups of the incremental engine (0 under aggregate
+    /// mode): the bound on the group rates one event can re-evaluate.
+    pub fn rate_groups(&self) -> usize {
+        self.cache.occupied_groups()
     }
 
     /// The peer slab. Contains departed tombstones — filter on
@@ -843,8 +840,22 @@ impl Simulation {
             self.user_counter += 1;
         }
         self.peers = incoming;
+        self.adopt_slab();
+        for idx in 0..self.peers.len() {
+            self.reschedule_expiry(idx);
+        }
+        Ok(())
+    }
+
+    /// Registers every live peer of a slab filled without touches (warm
+    /// start, injection, restore) with the rate structure and the
+    /// population and holder counters.
+    fn adopt_slab(&mut self) {
         self.cache_grow(self.peers.len());
         for idx in 0..self.peers.len() {
+            if self.peers[idx].phase == Phase::Departed {
+                continue;
+            }
             self.cache_register(idx);
             self.add_counters(idx);
             for s in 0..self.peers[idx].class() {
@@ -852,9 +863,7 @@ impl Simulation {
                     self.holders[self.peers[idx].slots[s].file as usize] += 1;
                 }
             }
-            self.reschedule_expiry(idx);
         }
-        Ok(())
     }
 
     /// Encodes the run's full mutable state between steps: the snapshot
@@ -870,7 +879,7 @@ impl Simulation {
         // A generous size estimate, so the encoder and the checksum that
         // `Snapshot::seal` appends seldom grow the buffer.
         let slots: usize = self.peers.iter().map(Peer::class).sum();
-        let capacity = 256 + self.peers.len() * 128 + slots * 96 + self.outcome.records.len() * 64;
+        let capacity = 256 + self.peers.len() * 128 + slots * 64 + self.outcome.records.len() * 64;
         let mut w = Writer::with_header(snapshot::SNAPSHOT_VERSION, capacity);
         w.u64(snapshot::config_digest(&self.cfg));
         w.u64(snapshot::hook_fingerprint(self.hook.as_deref()));
@@ -916,6 +925,9 @@ impl Simulation {
         w.f64(self.next_sample);
         w.f64(self.last_delta);
         w.bool(self.agg.is_some());
+        if self.agg.is_none() {
+            snapshot::encode_group_clocks(&mut w, &self.cache.group_clocks());
+        }
         if let Some(a) = &self.agg {
             for word in self.rng_agg.state() {
                 w.u64(word);
@@ -1025,157 +1037,64 @@ impl Simulation {
             )
             .into());
         }
-        let rng_agg = match &snap.agg {
-            Some(a) => {
-                if a.rng_agg == [0; 4] {
-                    return Err(SnapshotError::Corrupt("all-zero RNG stream state".into()).into());
-                }
-                Xoshiro256StarStar::from_state(a.rng_agg)
+        let mut sim = Self::blank(cfg)?;
+        let [arrivals, service, scenario] = snap.rng_states;
+        sim.rng_arrivals = Xoshiro256StarStar::from_state(arrivals);
+        sim.rng_service = Xoshiro256StarStar::from_state(service);
+        sim.rng_scenario = Xoshiro256StarStar::from_state(scenario);
+        if let Some(a) = &snap.agg {
+            if a.rng_agg == [0; 4] {
+                return Err(SnapshotError::Corrupt("all-zero RNG stream state".into()).into());
             }
-            // Per-peer runs never draw from this stream; seed it exactly
-            // as a fresh construction would.
-            None => Xoshiro256StarStar::stream(cfg.seed, 3),
-        };
-        let agg = if cfg.aggregate {
-            let mut a = AggCache::new(k, cfg.scheme, &cfg.params, cfg.origin_seeds);
-            a.set_origin_seeds(origin_now);
-            Some(a)
-        } else {
-            None
-        };
-        let mut sim = Self {
-            rng_arrivals: Xoshiro256StarStar::from_state(snap.rng_states[0]),
-            rng_service: Xoshiro256StarStar::from_state(snap.rng_states[1]),
-            rng_scenario: Xoshiro256StarStar::from_state(snap.rng_states[2]),
-            sampler: RequestSampler::new(cfg.model),
-            gap: Exponential::new(cfg.model.lambda0())?,
-            gamma: Exponential::new(cfg.params.gamma())?,
-            t: snap.t,
-            peers,
-            free: snap.free.iter().map(|&i| i as usize).collect(),
-            next_arrival: snap.next_arrival.clone(),
-            next_epoch: snap.next_epoch,
-            user_counter: snap.user_counter,
-            outcome: snap.outcome.clone(),
-            cache: RateCache::new(k, cfg.scheme, &cfg.params, cfg.origin_seeds),
-            agg,
-            rng_agg,
-            agg_changed: Vec::new(),
-            queue: EventQueue::new(k),
-            next_stamp: snap.next_stamp,
-            holders: vec![origin_now; k],
-            dl_peers: vec![0; k],
-            dl_pairs: vec![0; k],
-            seed_pairs: vec![0; k],
-            traj_downloaders: 0,
-            traj_seeds: 0,
-            changed_buf: Vec::new(),
-            hook: None,
-            hook_gap: None,
-            abort_bound: 0.0,
-            arrival_clock: snap.arrival_clock,
-            next_abort: snap.next_abort,
-            next_control: snap.next_control,
-            origin_now,
-            started: snap.started,
-            trajectory: snap.trajectory.clone(),
-            next_record: snap.next_record,
-            trace: std::env::var_os("BTFLUID_DES_TRACE").is_some(),
-            next_trace: snap.t,
-            counters: snap.counters,
-            probe: None,
-            sample_every: 0.0,
-            next_sample: snap.next_sample,
-            last_delta: snap.last_delta,
-            flight: false,
-            profiler: None,
-            full_recompute: false,
-            cfg,
-        };
+            sim.rng_agg = Xoshiro256StarStar::from_state(a.rng_agg);
+        }
+        sim.t = snap.t;
+        sim.next_trace = snap.t;
+        sim.peers = peers;
+        sim.free = snap.free.iter().map(|&i| i as usize).collect();
+        sim.next_arrival = snap.next_arrival.clone();
+        sim.next_epoch = snap.next_epoch;
+        sim.user_counter = snap.user_counter;
+        sim.outcome = snap.outcome.clone();
+        sim.next_stamp = snap.next_stamp;
+        sim.arrival_clock = snap.arrival_clock;
+        sim.next_abort = snap.next_abort;
+        sim.next_control = snap.next_control;
+        sim.started = snap.started;
+        sim.trajectory = snap.trajectory.clone();
+        sim.next_record = snap.next_record;
+        sim.counters = snap.counters;
+        sim.next_sample = snap.next_sample;
+        sim.last_delta = snap.last_delta;
+        // The origin count in force: the snapshot already carries it and
+        // the scheduled control boundary, so a hook is installed without
+        // re-reading either.
+        sim.apply_origin(origin_now);
         if let Some(h) = hook {
-            // attach_hook minus apply_origin/next_boundary: the snapshot
-            // already carries the origin count in force and the scheduled
-            // control boundary.
-            let bound = h.arrival_rate_bound();
-            sim.hook_gap = Some(Exponential::new(bound)?);
-            let abort_bound = h.abort_rate_bound();
-            if !(abort_bound >= 0.0) || !abort_bound.is_finite() {
-                return Err(NumError::InvalidInput {
-                    what: "Simulation::restore_with_hook",
-                    detail: format!("abort_rate_bound must be finite and ≥ 0, got {abort_bound}"),
-                }
-                .into());
-            }
-            sim.abort_bound = abort_bound;
-            sim.hook = Some(h);
+            sim.install_hook(h)?;
         }
-        // Rebuild the derived structures: cache memberships, population
-        // counters, holder counts, and the event heap (one entry per armed
-        // per-peer stamp, keyed at its true deadline).
-        let n_slab = sim.peers.len();
-        sim.cache_grow(n_slab);
-        if sim.agg.is_none() {
-            sim.cache.set_origin_seeds(origin_now);
-        }
-        let aggregate = sim.agg.is_some();
-        for idx in 0..sim.peers.len() {
-            if sim.peers[idx].phase == Phase::Departed {
-                let p = &sim.peers[idx];
-                if p.expiry_stamp != 0 || p.slots.iter().any(|s| s.comp_stamp != 0) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "departed peer {idx} still holds an armed stamp"
-                    ))
-                    .into());
-                }
+        // Rebuild the derived structures (cache memberships, population
+        // and holder counts) and the expiry
+        // entries of the event heap, keyed at their true deadlines.
+        sim.adopt_slab();
+        for (idx, peer) in sim.peers.iter().enumerate() {
+            if peer.phase == Phase::Departed || peer.expiry_stamp == 0 {
                 continue;
             }
-            sim.cache_register(idx);
-            sim.add_counters(idx);
-            for s in 0..sim.peers[idx].class() {
-                if sim.peers[idx].finished(s) {
-                    sim.holders[sim.peers[idx].slots[s].file as usize] += 1;
-                }
-            }
-            let peer = &sim.peers[idx];
-            if aggregate && peer.slots.iter().any(|s| s.comp_stamp != 0) {
+            let deadline = peer.expiry_deadline();
+            if !deadline.is_finite() {
                 return Err(SnapshotError::Corrupt(format!(
-                    "peer {idx}: per-peer completion armed in an aggregate snapshot"
+                    "peer {idx}: armed expiry with no finite deadline"
                 ))
                 .into());
             }
-            for s in 0..peer.class() {
-                if peer.slots[s].comp_stamp == 0 {
-                    continue;
-                }
-                if !peer.slots[s].comp_time.is_finite() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "peer {idx} slot {s}: armed completion at {}",
-                        peer.slots[s].comp_time
-                    ))
-                    .into());
-                }
-                sim.queue.schedule(Entry {
-                    time: peer.slots[s].comp_time,
-                    rank: RANK_COMPLETION,
-                    peer: idx as u32,
-                    slot: s as u32,
-                });
-            }
-            if peer.expiry_stamp != 0 {
-                let deadline = peer.expiry_deadline();
-                if !deadline.is_finite() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "peer {idx}: armed expiry with no finite deadline"
-                    ))
-                    .into());
-                }
-                sim.queue.schedule(Entry {
-                    time: deadline,
-                    rank: RANK_EXPIRY,
-                    peer: idx as u32,
-                    slot: 0,
-                });
-            }
+            sim.queue.schedule(Entry {
+                time: deadline,
+                rank: RANK_EXPIRY,
+                peer: idx as u32,
+                slot: 0,
+                group: 0,
+            });
         }
         let t = sim.t;
         if let Some(snap_agg) = snap.agg.as_ref() {
@@ -1244,25 +1163,30 @@ impl Simulation {
             }
             return Ok(sim);
         }
-        // The rebuild refresh must be a bitwise no-op: every recomputed
-        // rate has to reproduce the serialized value. Anything else means
-        // the snapshot and the cache's resummation contract disagree.
-        let mut changed = Vec::new();
-        sim.cache.refresh(&mut sim.peers, t, false, &mut changed);
+        // Install the serialized clocks, rates and marks over the groups
+        // registration built. The rebuild refresh must then be a bitwise
+        // no-op: every group rate has to reproduce its serialized value.
+        // Anything else means the snapshot and the cache's resummation
+        // contract disagree.
+        sim.cache
+            .install_clocks(&snap.groups)
+            .map_err(SnapshotError::Corrupt)?;
+        let moved = sim.cache.refresh(&mut sim.peers, t, false);
         // The rebuild refresh is restore machinery, not simulated work:
         // drop its cache statistics so a resumed run's counters match an
         // uninterrupted one's.
         let _ = sim.cache.take_stats();
-        if !changed.is_empty() {
+        if moved != 0 {
             return Err(DesError::Invariant {
                 kind: InvariantKind::RateCacheDrift,
                 t,
-                detail: format!(
-                    "restore: {} download rates changed during cache rebuild",
-                    changed.len()
-                ),
+                detail: format!("restore: {moved} group rates changed during cache rebuild"),
             });
         }
+        // Every group with a completion due gets its entry at the exact
+        // deadline; a live run may hold a slowed entry's key early, but the
+        // dispatched order depends only on the true keys.
+        sim.schedule_groups();
         for (idx, (now, was)) in sim.peers.iter().zip(&snap.peers).enumerate() {
             if now.donation_rate.to_bits() != was.donation_rate.to_bits() {
                 return Err(DesError::Invariant {
@@ -1319,9 +1243,10 @@ impl Simulation {
         self.next_trace = self.t + 500.0;
     }
 
-    /// `checked`-mode audit: rate finiteness, the event queue against the
-    /// armed stamps, and bitwise agreement of the incremental rate cache
-    /// with a from-scratch recompute. O(peers) per call.
+    /// `checked`-mode audit: finiteness, the rate groups' structure, the
+    /// event queue against the armed expiries and due groups, and bitwise
+    /// agreement of the group rates with a from-scratch recompute.
+    /// O(peers) per call.
     fn validate_invariants(&self) -> Result<(), DesError> {
         let violation = |kind: InvariantKind, detail: String| {
             Err(DesError::Invariant {
@@ -1334,7 +1259,7 @@ impl Simulation {
         for (idx, p) in self.peers.iter().enumerate() {
             if p.phase == Phase::Departed {
                 // Tombstones must hold no armed deadlines.
-                if p.expiry_stamp != 0 || p.slots.iter().any(|s| s.comp_stamp != 0) {
+                if p.expiry_stamp != 0 {
                     return violation(
                         InvariantKind::QueueInconsistency,
                         format!("departed peer {idx} still holds an armed stamp"),
@@ -1342,12 +1267,9 @@ impl Simulation {
                 }
                 continue;
             }
-            armed += p.slots.iter().filter(|s| s.comp_stamp != 0).count();
             armed += usize::from(p.expiry_stamp != 0);
             for s in 0..p.class() {
                 let checks = [
-                    ("rate", p.slots[s].rate),
-                    ("vs_rate", p.slots[s].vs_rate),
                     ("remaining", p.slots[s].remaining),
                     ("donation_rate", p.donation_rate),
                 ];
@@ -1361,29 +1283,20 @@ impl Simulation {
                 }
             }
         }
-        self.audit_queue(armed)?;
         if let Some(agg) = self.agg.as_ref() {
-            // Aggregate mode: completions are armed per group, not per
-            // (peer, slot), and the per-peer rate fields must stay at their
-            // untouched zeros — the group cache owns all service rates.
-            for (idx, p) in self.peers.iter().enumerate() {
-                if p.phase == Phase::Departed {
-                    continue;
-                }
-                if p.slots.iter().any(|s| s.comp_stamp != 0) {
-                    return violation(
-                        InvariantKind::QueueInconsistency,
-                        format!("peer {idx}: per-peer completion armed in aggregate mode"),
-                    );
-                }
-                if p.slots.iter().any(|s| s.rate != 0.0 || s.vs_rate != 0.0)
-                    || p.donation_rate != 0.0
-                {
-                    return violation(
-                        InvariantKind::RateCacheDrift,
-                        format!("peer {idx}: per-peer rates populated in aggregate mode"),
-                    );
-                }
+            // Aggregate mode: completions are armed per group in the group
+            // cache, never in the heap, and the per-peer donation rates stay
+            // at their untouched zeros.
+            self.audit_queue(armed)?;
+            if let Some(idx) = self
+                .peers
+                .iter()
+                .position(|p| p.phase != Phase::Departed && p.donation_rate != 0.0)
+            {
+                return violation(
+                    InvariantKind::RateCacheDrift,
+                    format!("peer {idx}: per-peer rates populated in aggregate mode"),
+                );
             }
             // Group rates, integer aggregates and the group argmin vs. a
             // from-scratch rebuild.
@@ -1395,7 +1308,11 @@ impl Simulation {
                     detail,
                 });
         }
-        // Full recompute vs. the incrementally maintained per-peer rates.
+        if let Err(detail) = self.cache.audit() {
+            return violation(InvariantKind::RateCacheDrift, detail);
+        }
+        self.audit_queue(armed + self.cache.due_groups())?;
+        // Full recompute vs. the incrementally maintained group rates.
         let fresh = compute_rates(
             &self.peers,
             self.cfg.scheme,
@@ -1404,13 +1321,14 @@ impl Simulation {
             self.origin_now,
         );
         for d in &fresh.downloads {
-            let s = &self.peers[d.peer_idx].slots[d.slot];
-            if s.rate.to_bits() != d.rate.to_bits() || s.vs_rate.to_bits() != d.vs_rate.to_bits() {
+            let cached = self.cache.slot_rate(d.peer_idx, d.slot);
+            let fresh_bits = (d.rate.to_bits(), d.vs_rate.to_bits());
+            if cached.map(|(r, v)| (r.to_bits(), v.to_bits())) != Some(fresh_bits) {
                 return violation(
                     InvariantKind::RateCacheDrift,
                     format!(
-                        "peer {} slot {}: cached ({}, {}) vs fresh ({}, {})",
-                        d.peer_idx, d.slot, s.rate, s.vs_rate, d.rate, d.vs_rate
+                        "peer {} slot {}: cached {cached:?} vs fresh ({}, {})",
+                        d.peer_idx, d.slot, d.rate, d.vs_rate
                     ),
                 );
             }
@@ -1432,9 +1350,10 @@ impl Simulation {
         Ok(())
     }
 
-    /// Queue audit: one heap entry per armed per-peer stamp (`armed`), a
-    /// consistent position map, and every key at or before its peer's true
-    /// deadline (`comp_time`, or the expiry minimum).
+    /// Queue audit: one heap entry per armed key (`armed`: expiries plus
+    /// rate groups with a completion due), a consistent position map, and
+    /// every key at or before its true deadline — a completion keyed by its
+    /// group's current head.
     fn audit_queue(&self, armed: usize) -> Result<(), DesError> {
         let violation = |detail: String| {
             Err(DesError::Invariant {
@@ -1445,7 +1364,7 @@ impl Simulation {
         };
         if self.queue.len() != armed {
             return violation(format!(
-                "heap holds {} entries vs {armed} armed stamps",
+                "heap holds {} entries vs {armed} armed keys",
                 self.queue.len()
             ));
         }
@@ -1453,22 +1372,23 @@ impl Simulation {
             return violation(detail);
         }
         for e in self.queue.entries() {
-            let p = &self.peers[e.peer as usize];
-            let (stamp, due) = if e.rank == RANK_COMPLETION {
-                let s = e.slot as usize;
-                (
-                    p.slots.get(s).map_or(0, |x| x.comp_stamp),
-                    p.slots.get(s).map_or(f64::NEG_INFINITY, |x| x.comp_time),
-                )
+            let due = if e.rank == RANK_COMPLETION {
+                match self.cache.next_completion(e.group) {
+                    Some((due, p, s)) if (p, s) == (e.peer, e.slot) => due,
+                    other => {
+                        return violation(format!(
+                            "group {} entry at ({}, {}) vs its completion {other:?}",
+                            e.group, e.peer, e.slot
+                        ))
+                    }
+                }
             } else {
-                (p.expiry_stamp, p.expiry_deadline())
+                let p = &self.peers[e.peer as usize];
+                if p.expiry_stamp == 0 {
+                    return violation(format!("expiry entry for disarmed peer {}", e.peer));
+                }
+                p.expiry_deadline()
             };
-            if stamp == 0 {
-                return violation(format!(
-                    "entry (rank {}, peer {}, slot {}) for a disarmed key",
-                    e.rank, e.peer, e.slot
-                ));
-            }
             if !(e.time <= due) {
                 return violation(format!(
                     "entry (rank {}, peer {}, slot {}) keyed at {} after its deadline {due}",
@@ -1519,7 +1439,7 @@ impl Simulation {
                 break;
             }
             if e.rank == RANK_COMPLETION {
-                let due = self.peers[e.peer as usize].slots[e.slot as usize].comp_time;
+                let due = self.cache.group_due(e.group);
                 if e.time < due {
                     self.queue.rekey_top(due);
                     self.counters.stale_discards += 1;
@@ -1535,6 +1455,7 @@ impl Simulation {
                 rank: RANK_AGG,
                 peer: g,
                 slot: 0,
+                group: g,
             };
             if time < t_best && next.is_none_or(|e| group < e) {
                 next = Some(group);
@@ -1564,12 +1485,10 @@ impl Simulation {
                 }
             } else {
                 self.queue.pop();
-                let peer = &mut self.peers[e.peer as usize];
                 if e.rank == RANK_COMPLETION {
-                    peer.slots[e.slot as usize].comp_stamp = 0;
                     best = Event::Completion(e.peer as usize, e.slot as usize);
                 } else {
-                    peer.expiry_stamp = 0;
+                    self.peers[e.peer as usize].expiry_stamp = 0;
                     best = Event::SeedExpiry(e.peer as usize);
                 }
             }
@@ -1578,50 +1497,44 @@ impl Simulation {
         (t_best.max(self.t), best)
     }
 
-    /// Runs the cache refresh, then (re)schedules the completion deadline of
-    /// every download whose rate changed.
+    /// Runs the cache refresh, then reschedules the completion of every
+    /// rate group whose head, rate or occupancy changed.
     fn refresh_rates(&mut self, force: bool) {
         if self.agg.is_some() {
             return self.refresh_rates_agg(force);
         }
-        let mut changed = std::mem::take(&mut self.changed_buf);
-        self.cache
-            .refresh(&mut self.peers, self.t, force, &mut changed);
+        self.cache.refresh(&mut self.peers, self.t, force);
         let (recomputes, clean) = self.cache.take_stats();
         self.counters.rate_recomputes += recomputes;
         self.counters.rate_clean_hits += clean;
-        for &(p, s) in &changed {
-            let (pi, si) = (p as usize, s as usize);
-            let slot = &mut self.peers[pi].slots[si];
-            if !(slot.rate > 0.0 && slot.remaining > 0.0) {
-                if slot.comp_stamp != 0 {
-                    slot.comp_stamp = 0;
-                    self.queue.remove(RANK_COMPLETION, p, s);
-                }
+        self.schedule_groups();
+    }
+
+    /// Arms the queue entry of every changed rate group at its head's
+    /// completion, or disarms it when none is due. With the same head a
+    /// later time only lives on the group, and `next_event` re-keys the
+    /// too-early entry when it reaches the top — this skips a heap
+    /// operation for every slowdown, the common case when an arrival
+    /// dilutes a subtorrent's pools.
+    fn schedule_groups(&mut self) {
+        for &g in self.cache.changed_groups() {
+            let Some((time, peer, slot)) = self.cache.next_completion(g) else {
+                self.queue.remove(RANK_COMPLETION, g);
                 continue;
-            }
-            let time = self.t + slot.remaining / slot.rate;
-            if slot.comp_stamp != 0 && time >= slot.comp_time {
-                // Deadline unchanged or moved later: record it and let
-                // `next_event` re-key the (too early) entry when it reaches
-                // the top — this skips a heap operation for every slowdown,
-                // the common case when an arrival dilutes a subtorrent's
-                // pools.
-                slot.comp_time = time;
-                continue;
-            }
-            slot.comp_stamp = self.next_stamp;
-            self.next_stamp += 1;
-            slot.comp_time = time;
-            self.queue.advance(Entry {
+            };
+            let e = Entry {
                 time,
                 rank: RANK_COMPLETION,
-                peer: p,
-                slot: s,
-            });
+                peer,
+                slot,
+                group: g,
+            };
+            match self.queue.get(RANK_COMPLETION, g) {
+                Some(old) if (old.peer, old.slot) == (peer, slot) => self.queue.advance(e),
+                _ => self.queue.schedule(e),
+            }
         }
-        changed.clear();
-        self.changed_buf = changed;
+        self.cache.clear_changed();
     }
 
     /// Aggregate-mode counterpart of [`Self::refresh_rates`]: refreshes the
@@ -1646,7 +1559,7 @@ impl Simulation {
         if let Some(agg) = self.agg.as_mut() {
             agg.register(idx, &self.peers);
         } else {
-            self.cache.register(idx, &self.peers);
+            self.cache.register(idx, &self.peers, self.t);
         }
     }
 
@@ -1655,7 +1568,7 @@ impl Simulation {
         if let Some(agg) = self.agg.as_mut() {
             agg.deregister(idx, &self.peers);
         } else {
-            self.cache.deregister(idx, &self.peers);
+            self.cache.deregister(idx, &mut self.peers, self.t);
         }
     }
 
@@ -1668,25 +1581,16 @@ impl Simulation {
         }
     }
 
-    /// Begins a touch: settles the peer's accruals at `t`, zeroes its
-    /// cached rates, removes its completion entries (its expiry entry stays
-    /// for [`Self::reschedule_expiry`] to move), removes its counter
-    /// contributions and cache memberships. Returns whether the peer was
-    /// downloading (for the active-time transition in [`Self::touch_end`]).
+    /// Begins a touch: removes the peer's counter contributions, settles
+    /// and zeroes its donation, and removes its cache memberships (its
+    /// downloads leave their rate groups with their remaining work; its
+    /// expiry entry stays for [`Self::reschedule_expiry`] to move).
+    /// Returns whether the peer was downloading (for the active-time
+    /// transition in [`Self::touch_end`]).
     fn touch_begin(&mut self, idx: usize) -> bool {
         self.sub_counters(idx);
         let t = self.t;
         let peer = &mut self.peers[idx];
-        for s in 0..peer.class() {
-            peer.settle_slot(s, t);
-            let slot = &mut peer.slots[s];
-            slot.rate = 0.0;
-            slot.vs_rate = 0.0;
-            if slot.comp_stamp != 0 {
-                slot.comp_stamp = 0;
-                self.queue.remove(RANK_COMPLETION, idx as u32, s as u32);
-            }
-        }
         peer.settle_donation(t);
         peer.donation_rate = 0.0;
         let was_downloading = peer.phase == Phase::Downloading;
@@ -1733,10 +1637,11 @@ impl Simulation {
                 rank: RANK_EXPIRY,
                 peer: idx as u32,
                 slot: 0,
+                group: 0,
             });
         } else if peer.expiry_stamp != 0 {
             peer.expiry_stamp = 0;
-            self.queue.remove(RANK_EXPIRY, idx as u32, 0);
+            self.queue.remove(RANK_EXPIRY, idx as u32);
         }
     }
 

@@ -1,23 +1,25 @@
 //! Indexed future-event queue: a binary min-heap holding exactly one entry
-//! per armed per-peer deadline.
+//! per armed rate-group completion and per armed peer expiry.
 //!
 //! The seed engine found the next event by scanning every peer's pending
 //! completion and expiry deadline on every iteration — O(peers) per event.
 //! This queue replaces the scan with a binary heap keyed on event time, so
 //! selection is O(log n).
 //!
-//! Each key — a (peer, slot) completion or a peer's expiry — owns at most
+//! Each key — a rate group's completion or a peer's expiry — owns at most
 //! one entry, and a position map records where it sits in the heap. A
-//! deadline change therefore updates the entry in place ([`EventQueue::schedule`],
-//! [`EventQueue::advance`]) and a departure removes it
+//! group's entry is ordered by its head download `(peer, slot)`, so ties
+//! break exactly as they would with one entry per download. A deadline
+//! change therefore updates the entry in place ([`EventQueue::schedule`],
+//! [`EventQueue::advance`]) and an idle group or a departure removes it
 //! ([`EventQueue::remove`]); nothing superseded is ever left behind to be
 //! discarded at the top.
 //!
-//! The engine keeps one deliberate laziness: when a completion *slows
-//! down* it only records the later deadline on the peer, so the entry's
-//! key becomes a lower bound of the true deadline. When such an entry
-//! reaches the top, the engine re-keys it in place
-//! ([`EventQueue::rekey_top`]) before deciding what fires next. Because
+//! The engine keeps one deliberate laziness: when a group's completion
+//! *slows down* with the same head, it only records the later deadline on
+//! the group, so the entry's key becomes a lower bound of the true
+//! deadline. When such an entry reaches the top, the engine re-keys it in
+//! place ([`EventQueue::rekey_top`]) before deciding what fires next. Because
 //! every key is a lower bound and the top is re-keyed until it is exact,
 //! the dispatched order is the order of the true `(time, rank, peer,
 //! slot)` keys.
@@ -50,11 +52,14 @@ pub struct Entry {
     /// Tie-break rank: [`RANK_COMPLETION`] before [`RANK_EXPIRY`] before
     /// [`RANK_AGG`].
     pub rank: u8,
-    /// Slab index of the peer the event belongs to, or the group id for
-    /// [`RANK_AGG`].
+    /// Slab index of the peer the event belongs to (for a completion, the
+    /// group's head download), or the group id for [`RANK_AGG`].
     pub peer: u32,
     /// Slot index (completions only; 0 otherwise).
     pub slot: u32,
+    /// The rate group that owns a [`RANK_COMPLETION`] entry (its key; 0
+    /// otherwise). Not part of the order.
+    pub group: u32,
 }
 
 impl Eq for Entry {}
@@ -63,7 +68,8 @@ impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Deterministic total order: time, then completions before
         // expiries before groups, then peer/slot so equal-time events pop
-        // in a reproducible sequence regardless of heap internals.
+        // in a reproducible sequence regardless of heap internals. The
+        // group is a key, not an order: one download heads one group.
         self.time
             .total_cmp(&other.time)
             .then_with(|| self.rank.cmp(&other.rank))
@@ -79,28 +85,55 @@ impl PartialOrd for Entry {
 }
 
 /// Indexed min-heap of [`Entry`] values ordered by [`Entry::cmp`], one
-/// entry per `(rank, peer, slot)` key.
-#[derive(Debug)]
+/// entry per key: a group id for completions, a peer for expiries.
+#[derive(Debug, Default)]
 pub struct EventQueue {
     heap: Vec<Entry>,
-    /// Heap position of each completion key, at `peer · stride + slot`.
-    comp_pos: Vec<u32>,
-    /// Heap position of each peer's expiry key, at `peer`.
-    expiry_pos: Vec<u32>,
-    /// Completion slots per peer (the largest class).
-    stride: usize,
+    pos: Positions,
+}
+
+/// The queue's position map: the heap index of each completion key (at
+/// the group id) and of each expiry key (at the peer), [`ABSENT`] when
+/// unarmed.
+#[derive(Debug, Default)]
+struct Positions([Vec<u32>; 2]);
+
+impl Positions {
+    /// Which map holds `e`'s key, and the key.
+    fn key(e: &Entry) -> (usize, usize) {
+        debug_assert!(
+            e.rank != RANK_AGG,
+            "aggregate deadlines do not enter the heap"
+        );
+        if e.rank == RANK_COMPLETION {
+            (0, e.group as usize)
+        } else {
+            (1, e.peer as usize)
+        }
+    }
+
+    fn get(&self, e: &Entry) -> Option<usize> {
+        let (m, i) = Self::key(e);
+        self.0[m]
+            .get(i)
+            .filter(|&&p| p != ABSENT)
+            .map(|&p| p as usize)
+    }
+
+    fn set(&mut self, e: &Entry, pos: u32) {
+        let (m, i) = Self::key(e);
+        let v = &mut self.0[m];
+        if i >= v.len() {
+            v.resize(i + 1, ABSENT);
+        }
+        v[i] = pos;
+    }
 }
 
 impl EventQueue {
-    /// Creates an empty queue for peers with at most `slots` completion
-    /// slots each.
-    pub fn new(slots: usize) -> Self {
-        Self {
-            heap: Vec::new(),
-            comp_pos: Vec::new(),
-            expiry_pos: Vec::new(),
-            stride: slots.max(1),
-        }
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of entries (one per armed key).
@@ -131,18 +164,19 @@ impl EventQueue {
         Some(self.remove_at(0))
     }
 
-    /// Arms `e`'s key at exactly `e.time`: inserts it, or moves the
-    /// existing entry in place, up or down. An unchanged time is free.
+    /// Arms `e`'s key at exactly `e`: inserts it, or replaces the existing
+    /// entry (time and head) in place, moving it up or down. An unchanged
+    /// entry is free.
     pub fn schedule(&mut self, e: Entry) {
-        match self.find(&e) {
+        match self.pos.get(&e) {
             None => self.insert(e),
             Some(i) => {
-                let old = self.heap[i].time;
-                if old.to_bits() == e.time.to_bits() {
+                let old = self.heap[i];
+                if old.time.to_bits() == e.time.to_bits() && old == e {
                     return;
                 }
-                self.heap[i].time = e.time;
-                if e.time < old {
+                self.heap[i] = e;
+                if e < old {
                     self.sift_up(i);
                 } else {
                     self.sift_down(i);
@@ -151,19 +185,25 @@ impl EventQueue {
         }
     }
 
-    /// Arms `e`'s key no later than `e.time`: inserts it, or moves the
-    /// existing entry earlier in place. An entry already keyed at or before
-    /// `e.time` is left alone — its key stays a lower bound.
+    /// Arms `e`'s key no later than `e`: inserts it, or moves the existing
+    /// entry earlier in place. An entry already ordered at or before `e` is
+    /// left alone — its key stays a lower bound.
     pub fn advance(&mut self, e: Entry) {
-        match self.find(&e) {
+        match self.pos.get(&e) {
             None => self.insert(e),
             Some(i) => {
-                if e.time < self.heap[i].time {
-                    self.heap[i].time = e.time;
+                if e < self.heap[i] {
+                    self.heap[i] = e;
                     self.sift_up(i);
                 }
             }
         }
+    }
+
+    /// The entry armed under a key (`id` is the group for completions, the
+    /// peer for expiries).
+    pub(crate) fn get(&self, rank: u8, id: u32) -> Option<Entry> {
+        self.pos.get(&Self::probe(rank, id)).map(|i| self.heap[i])
     }
 
     /// Re-keys the top entry at the later `time` (its true deadline) and
@@ -177,16 +217,23 @@ impl EventQueue {
         self.sift_down(0);
     }
 
-    /// Disarms a key, returning its entry if it had one.
-    pub fn remove(&mut self, rank: u8, peer: u32, slot: u32) -> Option<Entry> {
-        // The probe's time plays no part in the lookup.
-        let key = Entry {
+    /// Disarms a key (`id` as in `Self::get`), returning its entry if it
+    /// had one.
+    pub fn remove(&mut self, rank: u8, id: u32) -> Option<Entry> {
+        self.pos
+            .get(&Self::probe(rank, id))
+            .map(|i| self.remove_at(i))
+    }
+
+    /// A lookup probe for a key; only its key fields are read.
+    fn probe(rank: u8, id: u32) -> Entry {
+        Entry {
             time: 0.0,
             rank,
-            peer,
-            slot,
-        };
-        self.find(&key).map(|i| self.remove_at(i))
+            peer: id,
+            slot: 0,
+            group: id,
+        }
     }
 
     /// Structural audit: the heap order holds and the position map points
@@ -197,7 +244,7 @@ impl EventQueue {
             if i > 0 && *e < self.heap[(i - 1) / 2] {
                 return Err(format!("heap order broken at index {i}"));
             }
-            if self.find(e) != Some(i) {
+            if self.pos.get(e) != Some(i) {
                 return Err(format!(
                     "position map of (rank {}, peer {}, slot {}) does not point at index {i}",
                     e.rank, e.peer, e.slot
@@ -205,9 +252,10 @@ impl EventQueue {
             }
         }
         let mapped = self
-            .comp_pos
+            .pos
+            .0
             .iter()
-            .chain(&self.expiry_pos)
+            .flatten()
             .filter(|&&p| p != ABSENT)
             .count();
         if mapped != self.heap.len() {
@@ -219,101 +267,109 @@ impl EventQueue {
         Ok(())
     }
 
-    fn pos_index(&self, rank: u8, peer: u32, slot: u32) -> usize {
-        debug_assert!(rank != RANK_AGG, "group deadlines do not enter the heap");
-        if rank == RANK_COMPLETION {
-            debug_assert!((slot as usize) < self.stride);
-            peer as usize * self.stride + slot as usize
-        } else {
-            peer as usize
-        }
-    }
-
-    /// Heap index of `e`'s key, if armed.
-    fn find(&self, e: &Entry) -> Option<usize> {
-        let i = self.pos_index(e.rank, e.peer, e.slot);
-        let map = if e.rank == RANK_COMPLETION {
-            &self.comp_pos
-        } else {
-            &self.expiry_pos
-        };
-        map.get(i).filter(|&&p| p != ABSENT).map(|&p| p as usize)
-    }
-
-    fn set_pos(&mut self, e: &Entry, pos: u32) {
-        let i = self.pos_index(e.rank, e.peer, e.slot);
-        let v = if e.rank == RANK_COMPLETION {
-            &mut self.comp_pos
-        } else {
-            &mut self.expiry_pos
-        };
-        if i >= v.len() {
-            v.resize(i + 1, ABSENT);
-        }
-        v[i] = pos;
-    }
-
     fn insert(&mut self, e: Entry) {
         self.heap.push(e);
         self.sift_up(self.heap.len() - 1);
     }
 
     fn remove_at(&mut self, i: usize) -> Entry {
-        let e = self.heap.swap_remove(i);
-        self.set_pos(&e, ABSENT);
-        if i < self.heap.len() {
-            // The former last entry now sits at `i`: it can belong above or
-            // below that position.
-            if i > 0 && self.heap[i] < self.heap[(i - 1) / 2] {
-                self.sift_up(i);
-            } else {
-                self.sift_down(i);
-            }
-        }
+        let pos = &mut self.pos;
+        let e = remove_at(&mut self.heap, i, Entry::lt, &mut |x, p| {
+            pos.set(x, p as u32)
+        });
+        pos.set(&e, ABSENT);
         e
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        let e = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            let p = self.heap[parent];
-            if e >= p {
-                break;
-            }
-            self.heap[i] = p;
-            self.set_pos(&p, i as u32);
-            i = parent;
-        }
-        self.heap[i] = e;
-        self.set_pos(&e, i as u32);
+    fn sift_up(&mut self, i: usize) {
+        let pos = &mut self.pos;
+        sift_up(&mut self.heap, i, Entry::lt, &mut |x, p| {
+            pos.set(x, p as u32)
+        });
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.heap[i];
-        let n = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let c = if right < n && self.heap[right] < self.heap[left] {
-                right
-            } else {
-                left
-            };
-            let child = self.heap[c];
-            if child >= e {
-                break;
-            }
-            self.heap[i] = child;
-            self.set_pos(&child, i as u32);
-            i = c;
-        }
-        self.heap[i] = e;
-        self.set_pos(&e, i as u32);
+    fn sift_down(&mut self, i: usize) {
+        let pos = &mut self.pos;
+        sift_down(&mut self.heap, i, Entry::lt, &mut |x, p| {
+            pos.set(x, p as u32)
+        });
     }
+}
+
+// Binary min-heap primitives, shared with the rate groups' mark heaps
+// (`crate::rate_cache`): `before` orders two entries, and `placed(e, i)`
+// records in the caller's position map that `e` now sits at index `i`.
+
+/// Moves entry `i` up until its parent is not after it.
+pub(crate) fn sift_up<T: Copy>(
+    heap: &mut [T],
+    mut i: usize,
+    before: impl Fn(&T, &T) -> bool,
+    placed: &mut impl FnMut(&T, usize),
+) {
+    let e = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if !before(&e, &heap[parent]) {
+            break;
+        }
+        heap[i] = heap[parent];
+        placed(&heap[i], i);
+        i = parent;
+    }
+    heap[i] = e;
+    placed(&e, i);
+}
+
+/// Moves entry `i` down until no child is before it.
+pub(crate) fn sift_down<T: Copy>(
+    heap: &mut [T],
+    mut i: usize,
+    before: impl Fn(&T, &T) -> bool,
+    placed: &mut impl FnMut(&T, usize),
+) {
+    let e = heap[i];
+    let n = heap.len();
+    loop {
+        let left = 2 * i + 1;
+        if left >= n {
+            break;
+        }
+        let right = left + 1;
+        let c = if right < n && before(&heap[right], &heap[left]) {
+            right
+        } else {
+            left
+        };
+        if !before(&heap[c], &e) {
+            break;
+        }
+        heap[i] = heap[c];
+        placed(&heap[i], i);
+        i = c;
+    }
+    heap[i] = e;
+    placed(&e, i);
+}
+
+/// Removes and returns entry `i`; the caller unmaps it.
+pub(crate) fn remove_at<T: Copy>(
+    heap: &mut Vec<T>,
+    i: usize,
+    before: impl Fn(&T, &T) -> bool,
+    placed: &mut impl FnMut(&T, usize),
+) -> T {
+    let e = heap.swap_remove(i);
+    if i < heap.len() {
+        // The former last entry now sits at `i`: it can belong above or
+        // below that position.
+        if i > 0 && before(&heap[i], &heap[(i - 1) / 2]) {
+            sift_up(heap, i, before, placed);
+        } else {
+            sift_down(heap, i, before, placed);
+        }
+    }
+    e
 }
 
 #[cfg(test)]
@@ -322,18 +378,33 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::{BTreeSet, HashMap};
 
+    /// The key an entry for `(peer, slot)` is armed under in these tests:
+    /// each download heads its own group.
+    fn id(rank: u8, peer: u32, slot: u32) -> u32 {
+        if rank == RANK_COMPLETION {
+            peer * 4 + slot
+        } else {
+            peer
+        }
+    }
+
     fn entry(time: f64, rank: u8, peer: u32, slot: u32) -> Entry {
         Entry {
             time,
             rank,
             peer,
             slot,
+            group: if rank == RANK_COMPLETION {
+                id(rank, peer, slot)
+            } else {
+                0
+            },
         }
     }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new(1);
+        let mut q = EventQueue::new();
         q.schedule(entry(3.0, RANK_EXPIRY, 0, 0));
         q.schedule(entry(1.0, RANK_EXPIRY, 1, 0));
         q.schedule(entry(2.0, RANK_COMPLETION, 2, 0));
@@ -343,7 +414,7 @@ mod tests {
 
     #[test]
     fn ties_break_on_rank_then_peer() {
-        let mut q = EventQueue::new(1);
+        let mut q = EventQueue::new();
         q.schedule(entry(5.0, RANK_EXPIRY, 0, 0));
         q.schedule(entry(5.0, RANK_COMPLETION, 9, 0));
         q.schedule(entry(5.0, RANK_COMPLETION, 3, 0));
@@ -372,7 +443,7 @@ mod tests {
     fn the_same_key_updates_in_place() {
         // One key owns one entry: re-arming it moves that entry instead of
         // adding a second one.
-        let mut q = EventQueue::new(2);
+        let mut q = EventQueue::new();
         q.schedule(entry(4.0, RANK_COMPLETION, 7, 1));
         q.schedule(entry(9.0, RANK_EXPIRY, 3, 0));
         q.advance(entry(2.0, RANK_COMPLETION, 7, 1));
@@ -392,25 +463,48 @@ mod tests {
 
     #[test]
     fn remove_disarms_only_its_key() {
-        let mut q = EventQueue::new(2);
+        let mut q = EventQueue::new();
         for p in 0..6 {
             q.schedule(entry(p as f64, RANK_COMPLETION, p, 0));
             q.schedule(entry(p as f64, RANK_EXPIRY, p, 0));
         }
+        let key = id(RANK_COMPLETION, 3, 0);
         assert_eq!(
-            q.remove(RANK_COMPLETION, 3, 0),
+            q.remove(RANK_COMPLETION, key),
             Some(entry(3.0, RANK_COMPLETION, 3, 0))
         );
-        assert_eq!(q.remove(RANK_COMPLETION, 3, 0), None);
-        assert_eq!(q.remove(RANK_COMPLETION, 3, 1), None);
+        assert_eq!(q.remove(RANK_COMPLETION, key), None);
+        assert_eq!(q.remove(RANK_COMPLETION, id(RANK_COMPLETION, 3, 1)), None);
         assert_eq!(q.len(), 11);
         assert!(q.entries().contains(&entry(3.0, RANK_EXPIRY, 3, 0)));
         q.check().unwrap();
     }
 
     #[test]
+    fn a_group_entry_changes_head_in_place() {
+        // A group's entry is keyed by the group and ordered by its head
+        // download; a new head replaces both the time and the tie-break.
+        let head = |time, peer| Entry {
+            time,
+            rank: RANK_COMPLETION,
+            peer,
+            slot: 0,
+            group: 5,
+        };
+        let mut q = EventQueue::new();
+        q.schedule(head(4.0, 9));
+        q.schedule(entry(4.0, RANK_COMPLETION, 3, 0));
+        assert_eq!(q.peek().unwrap().peer, 3);
+        q.schedule(head(4.0, 1));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.get(RANK_COMPLETION, 5), Some(head(4.0, 1)));
+        assert_eq!(q.pop(), Some(head(4.0, 1)));
+        q.check().unwrap();
+    }
+
+    #[test]
     fn rekey_top_sinks_the_root() {
-        let mut q = EventQueue::new(1);
+        let mut q = EventQueue::new();
         for p in 0..8 {
             q.schedule(entry(p as f64, RANK_EXPIRY, p, 0));
         }
@@ -479,7 +573,7 @@ mod tests {
         /// of the true `(time, rank, peer, slot)` keys.
         #[test]
         fn matches_an_ordered_set_model(ops in prop::collection::vec(op(), 1..200)) {
-            let mut q = EventQueue::new(SLOTS as usize);
+            let mut q = EventQueue::new();
             // True deadline per armed key, and the same keys ordered.
             let mut truth: HashMap<(u8, u32, u32), u32> = HashMap::new();
             let mut model: BTreeSet<(u32, u8, u32, u32)> = BTreeSet::new();
@@ -517,7 +611,7 @@ mod tests {
                     }
                     Op::Cancel(k) => {
                         let (rank, peer, slot) = key(k);
-                        let removed = q.remove(rank, peer, slot);
+                        let removed = q.remove(rank, id(rank, peer, slot));
                         let old = truth.remove(&(rank, peer, slot));
                         prop_assert_eq!(removed.is_some(), old.is_some());
                         if let Some(d) = old {

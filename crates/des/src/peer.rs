@@ -4,14 +4,15 @@
 //! `Vec<Slot>` ([`Peer::slots`]), its only heap allocation. The engine's
 //! slab recycles departed peers' entries, and an arrival into a recycled
 //! entry reuses the old buffer (`Peer::in_buffer`), so in steady state
-//! arrivals allocate no slot storage. Group back-references for aggregate
-//! scheduling live outside the peer, in the flat [`SlotArena`].
+//! arrivals allocate no slot storage. Group back-references (the rate
+//! groups' heap positions, the aggregate groups' member positions) live
+//! outside the peer, in a flat [`SlotArena`] per cache.
 
 use btfluid_core::adapt::AdaptController;
 use btfluid_workload::requests::FileId;
 
 /// Lifecycle phase of a peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase {
     /// Actively downloading (sequential: the file at the cursor;
     /// concurrent: every unfinished file).
@@ -23,14 +24,18 @@ pub enum Phase {
     /// MTCD lingering virtual seeds).
     SeedingAll,
     /// Left the system (record finalized).
+    #[default]
     Departed,
 }
 
 /// Per-file state of one requested file (a *slot*).
 ///
 /// A peer keeps all of its slots in one `Vec<Slot>`, so touching a peer's
-/// progress, rates and deadlines walks one contiguous block instead of a
-/// pointer per field.
+/// progress and deadlines walks one contiguous block instead of a pointer
+/// per field. Service rates and completion deadlines are not per slot:
+/// an active download belongs to a rate group of the engine's rate cache
+/// ([`crate::rate_cache`]), which keeps its progress as a mark on the
+/// group's clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slot {
     /// The requested file.
@@ -39,7 +44,9 @@ pub struct Slot {
     /// slot downloaded at this position); read it through [`Peer::order`].
     /// Stored here so the permutation shares the slots' allocation.
     pub(crate) order: u32,
-    /// Remaining work, `1.0 → 0.0`.
+    /// Remaining work, `1.0 → 0.0`. While the download is active this is
+    /// the value it joined its rate group with; the group clock holds the
+    /// live figure and writes it back when the download leaves.
     pub remaining: f64,
     /// Completion time.
     pub completed_at: Option<f64>,
@@ -49,22 +56,6 @@ pub struct Slot {
     /// Pre-sampled seed duration (recorded for the fluid-metric online
     /// time).
     pub seed_duration: f64,
-    /// Cached service rate, maintained by the engine's rate cache (zero
-    /// while inactive).
-    pub rate: f64,
-    /// Virtual-seed portion of [`Slot::rate`].
-    pub vs_rate: f64,
-    /// Last time progress was folded into [`Slot::remaining`] and
-    /// [`Peer::received_vs`] (lazy settlement).
-    pub settled_at: f64,
-    /// Arming stamp of the completion (0 = no queue entry). A fresh value
-    /// is drawn whenever the deadline is armed or moves earlier.
-    pub comp_stamp: u64,
-    /// The true completion deadline, meaningful while
-    /// [`Slot::comp_stamp`] is non-zero. A rate *decrease* only moves the
-    /// deadline later, so the engine records it here and leaves the queue
-    /// entry's key early; the entry is re-keyed when it reaches the top.
-    pub comp_time: f64,
 }
 
 /// One simulated user/peer.
@@ -73,8 +64,10 @@ pub struct Slot {
 /// interprets them via [`crate::config::SchemeKind`]. Everything kept per
 /// requested file lives in [`Peer::slots`], the peer's only heap
 /// allocation; a peer that arrives into a departed tombstone's slab entry
-/// reuses that buffer (`Peer::in_buffer`).
-#[derive(Debug, Clone, PartialEq)]
+/// reuses that buffer (`Peer::in_buffer`). `Peer::default()` is an empty
+/// tombstone: what a snapshot restores for a departed peer, whose fields
+/// nothing reads again.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Peer {
     /// Unique id (monotone arrival counter).
     pub id: u64,
@@ -148,11 +141,6 @@ impl Peer {
             completed_at: None,
             seed_until: None,
             seed_duration: 0.0,
-            rate: 0.0,
-            vs_rate: 0.0,
-            settled_at: arrival,
-            comp_stamp: 0,
-            comp_time: f64::INFINITY,
         }));
         Self {
             id,
@@ -172,34 +160,6 @@ impl Peer {
             active_since: arrival,
             expiry_stamp: 0,
         }
-    }
-
-    /// Folds the interval since the slot's last settlement into
-    /// [`Slot::remaining`] and [`Peer::received_vs`] at the cached rates,
-    /// then re-anchors the slot at `t`.
-    ///
-    /// Safe to call on inactive slots (their cached rate is zero).
-    ///
-    /// An actively downloading slot never settles all the way to zero:
-    /// only its completion *event* may finish it. A settle can land on the
-    /// deadline to within a ulp (e.g. an arrival tying with the
-    /// completion), and clamping to zero there would mark the slot
-    /// finished without ever dispatching the completion — no seed phase,
-    /// no holder count, no record. Pinning to the smallest positive value
-    /// keeps the slot alive for the completion event that is due now.
-    pub fn settle_slot(&mut self, slot: usize, t: f64) {
-        let s = &mut self.slots[slot];
-        let dt = t - s.settled_at;
-        if dt > 0.0 {
-            let left = s.remaining - s.rate * dt;
-            s.remaining = if left > 0.0 || !(s.rate > 0.0) {
-                left.max(0.0)
-            } else {
-                f64::MIN_POSITIVE
-            };
-            self.received_vs += s.vs_rate * dt;
-        }
-        s.settled_at = t;
     }
 
     /// Folds the interval since the last donation settlement into
@@ -293,12 +253,13 @@ impl Peer {
     }
 }
 
-/// Structure-of-arrays map from `(peer slab index, slot)` to the peer's
-/// position inside an aggregate group's member list.
+/// Structure-of-arrays map from `(peer slab index, slot)` to the
+/// download's position inside its group: an aggregate group's member list
+/// or a rate group's mark heap.
 ///
-/// Aggregate scheduling keeps one member list per (file, class, band)
-/// group and needs O(1) deregistration of an arbitrary `(peer, slot)`
-/// download from its group (the lists use `swap_remove`). Storing the
+/// Both caches need to find an arbitrary `(peer, slot)` download in its
+/// group in O(1) to remove it (aggregate lists use `swap_remove`, mark
+/// heaps re-sift the moved entry). Storing the
 /// back-references on the `Peer` struct would drag two more `Vec`s through
 /// every cache line the hot loop touches; this arena keeps them in two
 /// flat parallel arrays indexed `peer · K + slot`, sized like the slab and
@@ -347,8 +308,12 @@ impl SlotArena {
         self.pos[i] = pos;
     }
 
-    /// Looks up `(group, pos)` for `(peer, slot)`; `None` if unregistered.
+    /// Looks up `(group, pos)` for `(peer, slot)`; `None` if unregistered
+    /// (or `slot` is out of range, as in a corrupt snapshot).
     pub fn get(&self, peer: usize, slot: usize) -> Option<(u32, u32)> {
+        if slot >= self.k {
+            return None;
+        }
         let i = self.flat(peer, slot);
         match self.group.get(i) {
             Some(&g) if g != Self::NONE => Some((g, self.pos[i])),
@@ -443,11 +408,6 @@ mod tests {
             s.completed_at = Some(i as f64);
             s.seed_until = Some(99.0);
             s.seed_duration = 7.5;
-            s.rate = 0.25;
-            s.vs_rate = 0.125;
-            s.settled_at = 42.0;
-            s.comp_stamp = 17 + i as u64;
-            s.comp_time = 3.5;
         }
         old.slots.reserve(16);
         let buf = std::mem::take(&mut old.slots);

@@ -75,6 +75,7 @@ struct SeedSource {
 }
 
 /// What a peer contributes and consumes under the configured scheme.
+#[derive(Default)]
 struct PeerView {
     /// Active downloads: `(slot, tft_upload, weight)`.
     active: Vec<(usize, f64, f64)>,
@@ -82,45 +83,39 @@ struct PeerView {
     seeds: Vec<SeedSource>,
 }
 
-fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
-    let mu = params.mu();
+/// Reads what `peer` contributes under `scheme`, in view order: `active`
+/// receives each download `(slot, tft_upload, weight)` and `seed` each
+/// seed source `(bandwidth, is_virtual, files)`. [`compute_rates`] and
+/// the incremental [`crate::rate_cache::RateCache`] both read peers
+/// through it.
+pub(crate) fn visit(
+    peer: &Peer,
+    scheme: SchemeKind,
+    mu: f64,
+    mut active: impl FnMut(usize, f64, f64),
+    mut seed: impl FnMut(f64, bool, &mut dyn Iterator<Item = usize>),
+) {
     let class = peer.class() as f64;
-    let mut v = PeerView {
-        active: Vec::new(),
-        seeds: Vec::new(),
-    };
+    let file = |slot: usize| peer.slots[slot].file as usize;
     match scheme {
         SchemeKind::Mtsd => match peer.phase {
-            Phase::Downloading => {
-                let slot = peer.current_slot();
-                v.active.push((slot, mu, 1.0));
-            }
-            Phase::SeedingFile(slot) => {
-                v.seeds.push(SeedSource {
-                    files: vec![peer.slots[slot].file as usize],
-                    bandwidth: mu,
-                    is_virtual: false,
-                });
-            }
+            Phase::Downloading => active(peer.current_slot(), mu, 1.0),
+            Phase::SeedingFile(slot) => seed(mu, false, &mut std::iter::once(file(slot))),
             Phase::SeedingAll | Phase::Departed => {}
         },
         SchemeKind::Mtcd | SchemeKind::Mfcd => {
             if peer.phase == Phase::Departed {
-                return v;
+                return;
             }
             let share = mu / class;
             for slot in 0..peer.class() {
                 if !peer.finished(slot) {
-                    v.active.push((slot, share, 1.0 / class));
+                    active(slot, share, 1.0 / class);
                 } else if peer.slots[slot].seed_until.is_some() {
                     // Finished slot: this virtual peer seeds its own
                     // torrent (MTCD: until its deadline; MFCD: until the
                     // user departs).
-                    v.seeds.push(SeedSource {
-                        files: vec![peer.slots[slot].file as usize],
-                        bandwidth: share,
-                        is_virtual: false,
-                    });
+                    seed(share, false, &mut std::iter::once(file(slot)));
                 }
             }
         }
@@ -130,36 +125,38 @@ fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
                 if peer.done_count() >= 1 {
                     // Partial seed: ρμ plays TFT in the current subtorrent,
                     // (1−ρ)μ serves the finished files demand-aware.
-                    let rho = peer.rho;
-                    v.active.push((slot, rho * mu, 1.0));
-                    let donated = (1.0 - rho) * mu;
+                    active(slot, peer.rho * mu, 1.0);
+                    let donated = (1.0 - peer.rho) * mu;
                     if donated > 0.0 {
-                        let files = peer
-                            .finished_slots()
-                            .into_iter()
-                            .map(|s| peer.slots[s].file as usize)
-                            .collect();
-                        v.seeds.push(SeedSource {
-                            files,
-                            bandwidth: donated,
-                            is_virtual: true,
-                        });
+                        let mut files = (0..peer.class()).filter(|&s| peer.finished(s)).map(file);
+                        seed(donated, true, &mut files);
                     }
                 } else {
-                    v.active.push((slot, mu, 1.0));
+                    active(slot, mu, 1.0);
                 }
             }
-            Phase::SeedingAll => {
-                // Real seed: μ over all its files, demand-aware.
-                v.seeds.push(SeedSource {
-                    files: peer.files().map(usize::from).collect(),
-                    bandwidth: mu,
-                    is_virtual: false,
-                });
-            }
+            // Real seed: μ over all its files, demand-aware.
+            Phase::SeedingAll => seed(mu, false, &mut peer.files().map(usize::from)),
             Phase::SeedingFile(_) | Phase::Departed => {}
         },
     }
+}
+
+fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
+    let mut v = PeerView::default();
+    visit(
+        peer,
+        scheme,
+        params.mu(),
+        |slot, u, w| v.active.push((slot, u, w)),
+        |bandwidth, is_virtual, files| {
+            v.seeds.push(SeedSource {
+                files: files.collect(),
+                bandwidth,
+                is_virtual,
+            })
+        },
+    );
     v
 }
 

@@ -1,5 +1,6 @@
 //! Incremental rate maintenance: per-subtorrent aggregates kept up to date
-//! event-by-event instead of rebuilt from scratch.
+//! event-by-event, and one virtual clock per rate group instead of per
+//! download.
 //!
 //! [`crate::rate::compute_rates`] rebuilds `weight`, `pool_real`,
 //! `pool_virtual` and every download rate from the whole population on
@@ -8,7 +9,7 @@
 //! completion, expiry, ρ update) the engine deregisters and re-registers
 //! that one peer, which marks the affected subtorrents dirty; the
 //! subsequent [`RateCache::refresh`] recomputes only dirty aggregates and
-//! the downloads they feed.
+//! the group rates they feed.
 //!
 //! ## Bit-exactness contract
 //!
@@ -22,10 +23,26 @@
 //! difference between the two is how much provably-unchanged work is
 //! redone.
 //!
-//! Change detection is by `f64::to_bits` comparison, and a changed rate
-//! triggers lazy settlement of the affected download
-//! ([`crate::peer::Peer::settle_slot`]) before the new rate is stored, so
-//! progress accrual is exact piecewise-linear integration either way.
+//! ## Groups and virtual clocks
+//!
+//! A download of file `f` with TFT upload `u` and weight `w` receives
+//! `η·u + (w/weight[f])·pool_real[f] + (w/weight[f])·pool_virtual[f]`, so
+//! downloads of one file whose `(u, w)` have identical bits get identical
+//! rate bits. The cache keeps each such set in one *group*: one per file
+//! under MTSD, one per (file, class) under MTCD/MFCD, one per (file, band)
+//! under CMFSD, one per distinct ρ under Adapt. A group evaluates its rate
+//! once, with the exact float expression of `compute_rates`, and keeps two
+//! clocks: `V = ∫ rate dt` and `VS = ∫ vs_rate dt`. Both are settled at
+//! the old rate only when the rate bits change (change detection is by
+//! `f64::to_bits`), so integration stays exact piecewise-linear.
+//!
+//! A download joins its group at *mark* `V + remaining` (and `VS`), and
+//! leaves it with `remaining = mark − V` and `received_vs += VS − vs_mark`.
+//! While it is a member, [`crate::peer::Slot::remaining`] keeps the value
+//! it joined with. The group's next completion is its smallest
+//! `(mark, peer, slot)`, kept in an indexed per-group heap, due at
+//! `anchor + (mark − V)/rate`. A rate change therefore costs O(1) per
+//! group, not O(members).
 //!
 //! ## Source table
 //!
@@ -51,28 +68,126 @@
 //!   the bit-changed weights above, which visits every source serving a
 //!   changed file. A source none of whose files changed weight bits keeps
 //!   its cached demand, which equals a fresh sum bit for bit.
-//! * Download rates are recomputed for every member of a subtorrent whose
-//!   weight or pools bit-changed, plus every active slot of a peer touched
-//!   this round (its TFT upload `u` can change with no weight change,
-//!   e.g. a CMFSD peer finishing its first file at unchanged weight 1).
+//! * Group rates are recomputed for every group of a subtorrent whose
+//!   weight or pools bit-changed, plus every group created since the last
+//!   refresh. A touched peer's downloads left and rejoined their groups,
+//!   so a `u` that changed with no weight change (e.g. a CMFSD peer
+//!   finishing its first file at unchanged weight 1) lands in another
+//!   group.
 //! * Donation rates are recomputed for touched peers and for owners of
 //!   virtual sources whose demand was recomputed (a donation counts only
 //!   while its source's demand is positive).
 
 use crate::config::SchemeKind;
-use crate::peer::{Peer, Phase};
-use crate::rate::{ActiveDownload, RateSnapshot};
+use crate::event_queue::{remove_at, sift_down, sift_up};
+use crate::peer::{Peer, SlotArena};
+use crate::rate::{visit, ActiveDownload, RateSnapshot};
 use btfluid_core::FluidParams;
+use std::collections::HashMap;
 
 /// One downloader membership in a subtorrent's member list.
 #[derive(Debug, Clone, Copy)]
 struct Member {
     peer: u32,
     slot: u32,
-    /// TFT upload bandwidth `u` of this download.
-    u: f64,
     /// Downloader weight `w` of this download.
     w: f64,
+}
+
+/// One download's place in its group: the clock reading at which it
+/// finishes, and the virtual-seed clock reading when it joined.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Mark {
+    pub(crate) mark: f64,
+    pub(crate) vs_mark: f64,
+    pub(crate) peer: u32,
+    pub(crate) slot: u32,
+}
+
+impl Mark {
+    /// The heap order: `(mark, peer, slot)`.
+    fn before(&self, other: &Mark) -> bool {
+        self.mark
+            .total_cmp(&other.mark)
+            .then(self.peer.cmp(&other.peer))
+            .then(self.slot.cmp(&other.slot))
+            .is_lt()
+    }
+}
+
+/// The downloads of one file with bit-identical `(u, w)`: one rate, one
+/// pair of clocks, and a min-heap of marks. A snapshot stores every
+/// occupied group with its members sorted by `(peer, slot)`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Group {
+    pub(crate) file: u32,
+    pub(crate) u: f64,
+    pub(crate) w: f64,
+    pub(crate) rate: f64,
+    pub(crate) vs_rate: f64,
+    /// `V`: per-member work served up to `anchor`.
+    pub(crate) clock: f64,
+    /// `VS`: per-member virtual-seed work served up to `anchor`.
+    pub(crate) vs_clock: f64,
+    /// Time the clocks were last settled.
+    pub(crate) anchor: f64,
+    /// Members, a binary min-heap in [`Mark::before`] order.
+    pub(crate) heap: Vec<Mark>,
+    /// Position in the file's group list.
+    pub(crate) fpos: u32,
+    /// Refresh round of the last rate evaluation (0: never evaluated).
+    pub(crate) round: u64,
+}
+
+impl Group {
+    /// The clocks read at `t`, without settling them.
+    fn clocks_at(&self, t: f64) -> (f64, f64) {
+        let dt = t - self.anchor;
+        if dt > 0.0 {
+            (
+                self.clock + self.rate * dt,
+                self.vs_clock + self.vs_rate * dt,
+            )
+        } else {
+            (self.clock, self.vs_clock)
+        }
+    }
+
+    /// Folds the interval since the last settlement into the clocks at
+    /// the current rate and re-anchors them at `t`.
+    fn settle(&mut self, t: f64) {
+        (self.clock, self.vs_clock) = self.clocks_at(t);
+        self.anchor = t;
+    }
+
+    /// When the head finishes at the current rate (∞ if never).
+    fn head_due(&self) -> f64 {
+        match self.heap.first() {
+            Some(h) if self.rate > 0.0 => self.anchor + (h.mark - self.clock) / self.rate,
+            _ => f64::INFINITY,
+        }
+    }
+}
+
+/// A member's remaining work read off its group clock. An active download
+/// never reads as finished: only its completion event may finish it. A
+/// mark can sit on the clock to within rounding (e.g. an arrival tying
+/// with the completion), and zero there would mark the slot finished
+/// without ever dispatching the completion — no seed phase, no holder
+/// count, no record. The smallest positive value keeps the slot alive for
+/// the completion event that is due now.
+fn remaining_of(m: &Mark, clock: f64) -> f64 {
+    let left = m.mark - clock;
+    if left > 0.0 {
+        left
+    } else {
+        f64::MIN_POSITIVE
+    }
+}
+
+/// Records in the arena that mark `m` sits at position `i` of group `g`.
+fn placed(arena: &mut SlotArena, g: u32) -> impl FnMut(&Mark, usize) + '_ {
+    move |m, i| arena.set(m.peer as usize, m.slot as usize, g, i as u32)
 }
 
 /// One seed source in a subtorrent's real or virtual source list.
@@ -183,51 +298,19 @@ struct PeerReg {
     registered: bool,
 }
 
-/// One subtorrent's aggregates as pass 4 reads them.
-#[derive(Debug, Clone, Copy)]
-struct FileAgg {
-    eta: f64,
-    weight: f64,
-    pool_real: f64,
-    pool_virtual: f64,
-}
-
-impl FileAgg {
-    /// Recomputes one download's rate with the exact float expression of
-    /// `compute_rates`; on a bit change settles the slot and stores it.
-    fn update(&self, peers: &mut [Peer], t: f64, m: Member, changed: &mut Vec<(u32, u32)>) {
-        let share = if self.weight > 0.0 {
-            m.w / self.weight
-        } else {
-            0.0
-        };
-        let from_real = share * self.pool_real;
-        let from_virtual = share * self.pool_virtual;
-        let rate = self.eta * m.u + from_real + from_virtual;
-        let peer = &mut peers[m.peer as usize];
-        let s = m.slot as usize;
-        if rate.to_bits() != peer.slots[s].rate.to_bits()
-            || from_virtual.to_bits() != peer.slots[s].vs_rate.to_bits()
-        {
-            peer.settle_slot(s, t);
-            peer.slots[s].rate = rate;
-            peer.slots[s].vs_rate = from_virtual;
-            changed.push((m.peer, m.slot));
-        }
-    }
-}
-
-/// Incrementally maintained per-subtorrent rate aggregates.
+/// Incrementally maintained per-subtorrent rate aggregates and group
+/// clocks.
 ///
 /// Protocol (driven by the engine around every event):
-/// 1. [`RateCache::deregister`] each peer whose state the event mutates;
+/// 1. [`RateCache::deregister`] each peer whose state the event mutates
+///    (its downloads leave their groups with their remaining work);
 /// 2. mutate the peer;
 /// 3. [`RateCache::register`] it again;
 /// 4. call [`RateCache::refresh`] once, which settles and updates every
-///    download whose rate actually changed.
+///    group whose rate actually changed, then reschedule the
+///    `RateCache::changed_groups` and [`RateCache::clear_changed`].
 #[derive(Debug)]
 pub struct RateCache {
-    k: usize,
     scheme: SchemeKind,
     mu: f64,
     eta: f64,
@@ -247,7 +330,20 @@ pub struct RateCache {
     src_virtual: Vec<Vec<SourceEntry>>,
     table: SourceTable,
     reg: Vec<PeerReg>,
-    /// Refresh counter stamping recomputed demands.
+    /// Group slab; a group with an empty heap is free.
+    groups: Vec<Group>,
+    free_groups: Vec<u32>,
+    /// `(file, u bits, w bits)` → group id, for occupied groups.
+    index: HashMap<(u32, u64, u64), u32>,
+    /// Per file: its occupied groups.
+    file_groups: Vec<Vec<u32>>,
+    /// `(peer, slot)` → `(group, heap position)`.
+    arena: SlotArena,
+    /// Groups whose head, rate or occupancy changed since the engine last
+    /// rescheduled (list + flag).
+    changed: Vec<u32>,
+    changed_flag: Vec<bool>,
+    /// Refresh counter stamping recomputed demands and group rates.
     round: u64,
     /// Sources registered since the last refresh (their demand is stale).
     fresh: Vec<u32>,
@@ -267,7 +363,7 @@ pub struct RateCache {
     owners: Vec<usize>,
     owner_flag: Vec<bool>,
     // Telemetry (drained via `take_stats`, never read by the cache).
-    /// Download-rate recomputations performed since the last drain.
+    /// Group-rate evaluations performed since the last drain.
     stat_recomputes: u64,
     /// Refreshes satisfied by the early return (nothing dirty).
     stat_clean: u64,
@@ -285,7 +381,6 @@ impl RateCache {
             0.0
         };
         RateCache {
-            k,
             scheme,
             mu: params.mu(),
             eta: params.eta(),
@@ -299,6 +394,13 @@ impl RateCache {
             src_virtual: vec![Vec::new(); k],
             table: SourceTable::default(),
             reg: Vec::new(),
+            groups: Vec::new(),
+            free_groups: Vec::new(),
+            index: HashMap::new(),
+            file_groups: vec![Vec::new(); k],
+            arena: SlotArena::new(k),
+            changed: Vec::new(),
+            changed_flag: Vec::new(),
             round: 0,
             fresh: Vec::new(),
             dirty_w: Vec::new(),
@@ -320,7 +422,7 @@ impl RateCache {
     }
 
     /// Drains the telemetry accumulated since the last call:
-    /// `(download-rate recomputations, clean refresh hits)`.
+    /// `(group-rate evaluations, clean refresh hits)`.
     pub fn take_stats(&mut self) -> (u64, u64) {
         let stats = (self.stat_recomputes, self.stat_clean);
         self.stat_recomputes = 0;
@@ -346,7 +448,7 @@ impl RateCache {
             return;
         }
         self.origin_bw = bw;
-        for f in 0..self.k {
+        for f in 0..self.weight.len() {
             self.mark_p(f);
         }
     }
@@ -362,6 +464,7 @@ impl RateCache {
         if self.owner_flag.len() < n {
             self.owner_flag.resize(n, false);
         }
+        self.arena.ensure_peers(n);
     }
 
     fn mark_w(&mut self, f: usize) {
@@ -385,12 +488,21 @@ impl RateCache {
         }
     }
 
+    fn mark_changed(&mut self, g: u32) {
+        if !self.changed_flag[g as usize] {
+            self.changed_flag[g as usize] = true;
+            self.changed.push(g);
+        }
+    }
+
     /// Removes a peer's current memberships from the aggregate structures
-    /// and marks the affected subtorrents dirty. Does not settle — the
-    /// engine settles the peer before calling this.
-    pub fn deregister(&mut self, idx: usize, _peers: &[Peer]) {
+    /// and marks the affected subtorrents dirty. Each download leaves its
+    /// group at `t`: its remaining work and virtual-seed receipts are read
+    /// off the group clocks into the peer.
+    pub fn deregister(&mut self, idx: usize, peers: &mut [Peer], t: f64) {
         self.mark_touched(idx);
         let mut reg = std::mem::take(&mut self.reg[idx]);
+        let peer = &mut peers[idx];
         for &(slot, file, _u, _w) in &reg.active {
             let f = file as usize;
             let list = &mut self.downloaders[f];
@@ -399,6 +511,24 @@ impl RateCache {
                 .expect("deregistering a member that was never inserted");
             list.remove(pos);
             self.mark_w(f);
+            let (g, i) = self
+                .arena
+                .clear(idx, slot as usize)
+                .expect("an active download sits in a group");
+            let grp = &mut self.groups[g as usize];
+            let m = remove_at(
+                &mut grp.heap,
+                i as usize,
+                Mark::before,
+                &mut placed(&mut self.arena, g),
+            );
+            let (clock, vs_clock) = grp.clocks_at(t);
+            peer.slots[slot as usize].remaining = remaining_of(&m, clock);
+            peer.received_vs += vs_clock - m.vs_mark;
+            if grp.heap.is_empty() {
+                self.free_group(g);
+            }
+            self.mark_changed(g);
         }
         for (ord, &sid) in reg.sources.iter().enumerate() {
             let key = source_key(idx, ord);
@@ -421,10 +551,11 @@ impl RateCache {
         self.reg[idx] = reg;
     }
 
-    /// Computes the peer's current memberships (mirroring
-    /// `crate::rate::view`) and inserts them, marking the affected
-    /// subtorrents dirty.
-    pub fn register(&mut self, idx: usize, peers: &[Peer]) {
+    /// Computes the peer's current memberships (read through
+    /// `crate::rate::visit`) and inserts them, marking the affected
+    /// subtorrents dirty. Each download joins its `(file, u, w)` group at
+    /// `t` with mark `V + remaining`.
+    pub fn register(&mut self, idx: usize, peers: &[Peer], t: f64) {
         self.mark_touched(idx);
         let peer = &peers[idx];
         debug_assert!(!self.reg[idx].registered, "double registration");
@@ -442,11 +573,27 @@ impl RateCache {
                 Member {
                     peer: idx as u32,
                     slot,
-                    u,
                     w,
                 },
             );
             self.mark_w(f);
+            let g = self.group_for(file, u, w, t);
+            let grp = &mut self.groups[g as usize];
+            let (clock, vs_clock) = grp.clocks_at(t);
+            grp.heap.push(Mark {
+                mark: clock + peer.slots[slot as usize].remaining,
+                vs_mark: vs_clock,
+                peer: idx as u32,
+                slot,
+            });
+            let last = grp.heap.len() - 1;
+            sift_up(
+                &mut grp.heap,
+                last,
+                Mark::before,
+                &mut placed(&mut self.arena, g),
+            );
+            self.mark_changed(g);
         }
         for (ord, &sid) in reg.sources.iter().enumerate() {
             let key = source_key(idx, ord);
@@ -476,6 +623,48 @@ impl RateCache {
         self.reg[idx] = reg;
     }
 
+    /// The occupied group of `(file, u, w)`, or a new one with both clocks
+    /// at zero from `t` (its rate is set by the next refresh).
+    fn group_for(&mut self, file: u32, u: f64, w: f64, t: f64) -> u32 {
+        let key = (file, u.to_bits(), w.to_bits());
+        if let Some(&g) = self.index.get(&key) {
+            return g;
+        }
+        let g = self.free_groups.pop().unwrap_or_else(|| {
+            self.groups.push(Group::default());
+            self.changed_flag.push(false);
+            (self.groups.len() - 1) as u32
+        });
+        let list = &mut self.file_groups[file as usize];
+        let heap = std::mem::take(&mut self.groups[g as usize].heap);
+        self.groups[g as usize] = Group {
+            file,
+            u,
+            w,
+            anchor: t,
+            fpos: list.len() as u32,
+            heap,
+            ..Group::default()
+        };
+        list.push(g);
+        self.index.insert(key, g);
+        g
+    }
+
+    /// Returns an emptied group to the free list.
+    fn free_group(&mut self, g: u32) {
+        let grp = &self.groups[g as usize];
+        self.index
+            .remove(&(grp.file, grp.u.to_bits(), grp.w.to_bits()));
+        let list = &mut self.file_groups[grp.file as usize];
+        let fpos = grp.fpos as usize;
+        list.swap_remove(fpos);
+        if let Some(&moved) = list.get(fpos) {
+            self.groups[moved as usize].fpos = fpos as u32;
+        }
+        self.free_groups.push(g);
+    }
+
     /// File `g`'s real or virtual source list.
     fn source_list(&mut self, g: usize, is_virtual: bool) -> &mut Vec<SourceEntry> {
         if is_virtual {
@@ -485,99 +674,49 @@ impl RateCache {
         }
     }
 
-    /// Mirrors `crate::rate::view`: what the peer contributes under the
-    /// configured scheme, in the same order. Sources are allocated in the
+    /// What the peer contributes under the configured scheme, read by
+    /// [`crate::rate::visit`] in its order. Sources are allocated in the
     /// table; their list entries are inserted by the caller.
     fn fill_membership(&mut self, idx: usize, peer: &Peer, reg: &mut PeerReg) {
-        let mu = self.mu;
-        let class = peer.class() as f64;
-        match self.scheme {
-            SchemeKind::Mtsd => match peer.phase {
-                Phase::Downloading => {
-                    let slot = peer.current_slot();
-                    reg.active
-                        .push((slot as u32, peer.slots[slot].file as u32, mu, 1.0));
-                }
-                Phase::SeedingFile(slot) => {
-                    let file = peer.slots[slot].file as usize;
-                    reg.sources.push(self.table.alloc(idx, mu, false, [file]));
-                }
-                Phase::SeedingAll | Phase::Departed => {}
+        let table = &mut self.table;
+        visit(
+            peer,
+            self.scheme,
+            self.mu,
+            |slot, u, w| {
+                let file = peer.slots[slot].file as u32;
+                reg.active.push((slot as u32, file, u, w));
             },
-            SchemeKind::Mtcd | SchemeKind::Mfcd => {
-                if peer.phase == Phase::Departed {
-                    return;
-                }
-                let share = mu / class;
-                for slot in 0..peer.class() {
-                    let file = peer.slots[slot].file as usize;
-                    if !peer.finished(slot) {
-                        reg.active
-                            .push((slot as u32, file as u32, share, 1.0 / class));
-                    } else if peer.slots[slot].seed_until.is_some() {
-                        reg.sources
-                            .push(self.table.alloc(idx, share, false, [file]));
-                    }
-                }
-            }
-            SchemeKind::Cmfsd { .. } => match peer.phase {
-                Phase::Downloading => {
-                    let slot = peer.current_slot();
-                    if peer.done_count() >= 1 {
-                        let rho = peer.rho;
-                        reg.active
-                            .push((slot as u32, peer.slots[slot].file as u32, rho * mu, 1.0));
-                        let donated = (1.0 - rho) * mu;
-                        if donated > 0.0 {
-                            let files = (0..peer.class())
-                                .filter(|&s| peer.finished(s))
-                                .map(|s| peer.slots[s].file as usize);
-                            reg.sources
-                                .push(self.table.alloc(idx, donated, true, files));
-                        }
-                    } else {
-                        reg.active
-                            .push((slot as u32, peer.slots[slot].file as u32, mu, 1.0));
-                    }
-                }
-                Phase::SeedingAll => {
-                    let files = peer.files().map(usize::from);
-                    reg.sources.push(self.table.alloc(idx, mu, false, files));
-                }
-                Phase::SeedingFile(_) | Phase::Departed => {}
+            |bandwidth, is_virtual, files| {
+                reg.sources
+                    .push(table.alloc(idx, bandwidth, is_virtual, files));
             },
-        }
+        );
     }
 
-    /// Recomputes dirty aggregates and updates the rates they feed,
-    /// settling every download/donation whose rate bit-changes before the
-    /// new value is stored on the peer.
+    /// Recomputes dirty aggregates and the group rates they feed,
+    /// settling every group clock and donation whose rate bit-changes
+    /// before the new value is stored. Returns how many group rates
+    /// changed bits.
     ///
     /// With `force` the full recompute path of the seed engine is
-    /// replayed: every weight, demand, pool, and rate is recomputed (and,
-    /// by the ordered-resummation argument in the module docs, every
-    /// unchanged one reproduces its cached bits). `changed` receives the
-    /// `(peer, slot)` of every download whose rate changed, for completion
-    /// rescheduling.
-    pub fn refresh(
-        &mut self,
-        peers: &mut [Peer],
-        t: f64,
-        force: bool,
-        changed: &mut Vec<(u32, u32)>,
-    ) {
-        changed.clear();
+    /// replayed: every weight, demand, pool, and group rate is recomputed
+    /// (and, by the ordered-resummation argument in the module docs, every
+    /// unchanged one reproduces its cached bits). Afterwards every
+    /// `Self::changed_groups` entry carries its fresh completion time.
+    pub fn refresh(&mut self, peers: &mut [Peer], t: f64, force: bool) -> usize {
         if !force && self.dirty_w.is_empty() && self.dirty_p.is_empty() && self.touched.is_empty() {
             self.stat_clean += 1;
-            return;
+            return 0;
         }
         self.round += 1;
         let round = self.round;
+        let k = self.weight.len();
 
         // Pass 1: weights. `wc` collects the bit-changed files.
         self.wc.clear();
         if force {
-            for f in 0..self.k {
+            for f in 0..k {
                 self.recompute_weight(f);
             }
         } else {
@@ -604,7 +743,7 @@ impl RateCache {
         // Pass 2: the pool-dirty set `pd`.
         self.pd.clear();
         if force {
-            for f in 0..self.k {
+            for f in 0..k {
                 self.pd_flag[f] = true;
                 self.pd.push(f);
             }
@@ -620,7 +759,7 @@ impl RateCache {
                 self.walk_sources(f, round);
             }
             if self.origin_demand_aware && self.origin_bw > 0.0 && !wc.is_empty() {
-                for f in 0..self.k {
+                for f in 0..k {
                     self.mark_pd(f);
                 }
             }
@@ -670,48 +809,31 @@ impl RateCache {
             }
         }
 
-        // Pass 4: download rates for members of weight- or pool-changed
-        // files plus all active slots of touched peers. Under `force` the
-        // seed engine's full pass is replayed: every rate is recomputed
-        // (unchanged ones are bitwise no-ops and trigger nothing).
+        // Pass 4: group rates of weight- or pool-changed files (every file
+        // under `force`), then of groups created since the last refresh
+        // (changed, never evaluated).
         if force {
-            for f in 0..self.k {
-                if !self.rate_flag[f] {
-                    self.rate_flag[f] = true;
-                    self.rate_files.push(f);
-                }
+            for f in 0..k {
+                self.mark_rate(f);
             }
         }
         for i in 0..self.wc.len() {
-            let f = self.wc[i];
-            if !self.rate_flag[f] {
-                self.rate_flag[f] = true;
-                self.rate_files.push(f);
+            self.mark_rate(self.wc[i]);
+        }
+        let mut moved = 0;
+        for i in 0..self.rate_files.len() {
+            let f = self.rate_files[i];
+            for j in 0..self.file_groups[f].len() {
+                moved += self.update_rate(self.file_groups[f][j], t, round);
             }
         }
-        let mut recomputed = 0u64;
-        for &f in &self.rate_files {
-            let agg = self.file_agg(f);
-            let members = &self.downloaders[f];
-            recomputed += members.len() as u64;
-            for &m in members {
-                agg.update(peers, t, m, changed);
+        for i in 0..self.changed.len() {
+            let g = self.changed[i];
+            let grp = &self.groups[g as usize];
+            if grp.round == 0 && !grp.heap.is_empty() {
+                moved += self.update_rate(g, t, round);
             }
         }
-        for &p in &self.touched {
-            let active = &self.reg[p].active;
-            recomputed += active.len() as u64;
-            for &(slot, file, u, w) in active {
-                let m = Member {
-                    peer: p as u32,
-                    slot,
-                    u,
-                    w,
-                };
-                self.file_agg(file as usize).update(peers, t, m, changed);
-            }
-        }
-        self.stat_recomputes += recomputed;
 
         // Pass 5: donation rates for touched peers and the owners the
         // source walk marked.
@@ -765,6 +887,30 @@ impl RateCache {
         }
         self.owners.clear();
         self.wc.clear();
+        moved
+    }
+
+    /// Evaluates group `g`'s rate with the exact float expression of
+    /// `compute_rates`; on a bit change settles the clocks at the old rate
+    /// and stores the new one. Returns 1 on a change.
+    fn update_rate(&mut self, g: u32, t: f64, round: u64) -> usize {
+        let grp = &mut self.groups[g as usize];
+        grp.round = round;
+        self.stat_recomputes += 1;
+        let f = grp.file as usize;
+        let weight = self.weight[f];
+        let share = if weight > 0.0 { grp.w / weight } else { 0.0 };
+        let from_real = share * self.pool_real[f];
+        let from_virtual = share * self.pool_virtual[f];
+        let rate = self.eta * grp.u + from_real + from_virtual;
+        if rate.to_bits() == grp.rate.to_bits() && from_virtual.to_bits() == grp.vs_rate.to_bits() {
+            return 0;
+        }
+        grp.settle(t);
+        grp.rate = rate;
+        grp.vs_rate = from_virtual;
+        self.mark_changed(g);
+        1
     }
 
     /// Visits the sources serving weight-changed file `f` in `(peer, ord)`
@@ -808,19 +954,17 @@ impl RateCache {
         }
     }
 
-    fn file_agg(&self, f: usize) -> FileAgg {
-        FileAgg {
-            eta: self.eta,
-            weight: self.weight[f],
-            pool_real: self.pool_real[f],
-            pool_virtual: self.pool_virtual[f],
-        }
-    }
-
     fn mark_pd(&mut self, f: usize) {
         if !self.pd_flag[f] {
             self.pd_flag[f] = true;
             self.pd.push(f);
+        }
+    }
+
+    fn mark_rate(&mut self, f: usize) {
+        if !self.rate_flag[f] {
+            self.rate_flag[f] = true;
+            self.rate_files.push(f);
         }
     }
 
@@ -839,6 +983,65 @@ impl RateCache {
             self.weight[f] = s;
             self.wc.push(f);
         }
+    }
+
+    /// Groups whose completion may have moved since the last
+    /// [`Self::clear_changed`] (freed ones included).
+    pub(crate) fn changed_groups(&self) -> &[u32] {
+        &self.changed
+    }
+
+    /// Empties `Self::changed_groups` once the engine has rescheduled
+    /// them.
+    pub fn clear_changed(&mut self) {
+        for &g in &self.changed {
+            self.changed_flag[g as usize] = false;
+        }
+        self.changed.clear();
+    }
+
+    /// Group `g`'s next completion `(time, peer, slot)`: its head at the
+    /// current rate, or `None` when the group is free or stalled.
+    pub(crate) fn next_completion(&self, g: u32) -> Option<(f64, u32, u32)> {
+        let grp = &self.groups[g as usize];
+        let (due, head) = (grp.head_due(), grp.heap.first()?);
+        due.is_finite().then_some((due, head.peer, head.slot))
+    }
+
+    /// Group `g`'s true completion time (∞ when none is due).
+    pub(crate) fn group_due(&self, g: u32) -> f64 {
+        self.groups[g as usize].head_due()
+    }
+
+    /// Number of groups with a completion due (one queue entry each).
+    pub(crate) fn due_groups(&self) -> usize {
+        self.groups
+            .iter()
+            .filter(|g| g.head_due().is_finite())
+            .count()
+    }
+
+    /// Number of occupied rate groups.
+    pub(crate) fn occupied_groups(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Writes every member's remaining work at `t` into its slot (closing
+    /// out a run; the memberships stay).
+    pub(crate) fn settle_remaining(&self, peers: &mut [Peer], t: f64) {
+        for grp in &self.groups {
+            let (clock, _) = grp.clocks_at(t);
+            for m in &grp.heap {
+                peers[m.peer as usize].slots[m.slot as usize].remaining = remaining_of(m, clock);
+            }
+        }
+    }
+
+    /// `(rate, vs_rate)` of download `(peer, slot)`, if it is active.
+    pub(crate) fn slot_rate(&self, peer: usize, slot: usize) -> Option<(f64, f64)> {
+        let (g, _) = self.arena.get(peer, slot)?;
+        let grp = &self.groups[g as usize];
+        Some((grp.rate, grp.vs_rate))
     }
 
     /// Current downloader weight per subtorrent.
@@ -863,21 +1066,154 @@ impl RateCache {
             downloads: Vec::new(),
             donations: vec![0.0; peers.len()],
         };
-        for (idx, reg) in self.reg.iter().enumerate() {
-            if idx >= peers.len() {
-                break;
-            }
+        for (idx, reg) in self.reg.iter().enumerate().take(peers.len()) {
             for &(slot, _f, _u, _w) in &reg.active {
                 let s = slot as usize;
+                let (rate, vs_rate) = self.slot_rate(idx, s).expect("registered download");
                 snap.downloads.push(ActiveDownload {
                     peer_idx: idx,
                     slot: s,
-                    rate: peers[idx].slots[s].rate,
-                    vs_rate: peers[idx].slots[s].vs_rate,
+                    rate,
+                    vs_rate,
                 });
             }
             snap.donations[idx] = peers[idx].donation_rate;
         }
         snap
+    }
+
+    /// Every occupied group, in `(file, u, w)` order with its members
+    /// sorted by `(peer, slot)`: the snapshot encoding, which depends on
+    /// neither group ids nor heap layout.
+    pub(crate) fn group_clocks(&self) -> Vec<Group> {
+        let mut out: Vec<Group> = self
+            .groups
+            .iter()
+            .filter(|g| !g.heap.is_empty())
+            .cloned()
+            .collect();
+        for g in &mut out {
+            g.heap.sort_unstable_by_key(|m| (m.peer, m.slot));
+        }
+        out.sort_unstable_by_key(|g| (g.file, g.u.to_bits(), g.w.to_bits()));
+        out
+    }
+
+    /// Snapshot restore: after every live peer has been re-registered,
+    /// installs the serialized clocks, rates and marks over the groups
+    /// registration built. The records must be strictly increasing in
+    /// `(file, u, w)`, the order [`Self::group_clocks`] writes, so with
+    /// the count check each occupied group is named exactly once; each
+    /// must carry exactly the registered members.
+    ///
+    /// # Errors
+    /// A description of the first record that does not fit.
+    pub(crate) fn install_clocks(&mut self, records: &[Group]) -> Result<(), String> {
+        if records.len() != self.index.len() {
+            return Err(format!(
+                "snapshot carries {} rate groups, the slab registers {}",
+                records.len(),
+                self.index.len()
+            ));
+        }
+        let mut last = None;
+        for r in records {
+            let key = (r.file, r.u.to_bits(), r.w.to_bits());
+            if last >= Some(key) {
+                return Err(format!("rate group {key:?} out of order or repeated"));
+            }
+            last = Some(key);
+            let Some(&g) = self.index.get(&key) else {
+                return Err(format!("no registered download in group {key:?}"));
+            };
+            let grp = &mut self.groups[g as usize];
+            if grp.heap.len() != r.heap.len() {
+                return Err(format!(
+                    "group {key:?}: {} marks for {} registered downloads",
+                    r.heap.len(),
+                    grp.heap.len()
+                ));
+            }
+            grp.rate = r.rate;
+            grp.vs_rate = r.vs_rate;
+            grp.clock = r.clock;
+            grp.vs_clock = r.vs_clock;
+            grp.anchor = r.anchor;
+            // Members come sorted by (peer, slot), so each names a distinct
+            // registered download of this group exactly once.
+            let mut prev = None;
+            for m in &r.heap {
+                let at = self.arena.get(m.peer as usize, m.slot as usize);
+                match at {
+                    Some((at, i))
+                        if at == g
+                            && prev < Some((m.peer, m.slot))
+                            && (grp.heap[i as usize].peer, grp.heap[i as usize].slot)
+                                == (m.peer, m.slot) =>
+                    {
+                        grp.heap[i as usize] = *m;
+                        prev = Some((m.peer, m.slot));
+                    }
+                    _ => {
+                        return Err(format!(
+                            "no download ({}, {}) in group {key:?}",
+                            m.peer, m.slot
+                        ))
+                    }
+                }
+            }
+            for i in (0..grp.heap.len() / 2).rev() {
+                sift_down(
+                    &mut grp.heap,
+                    i,
+                    Mark::before,
+                    &mut placed(&mut self.arena, g),
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Structural audit of the groups: heap order, the arena and the
+    /// group index point at each member and group, finite clocks and
+    /// rates, and one member per active download.
+    ///
+    /// # Errors
+    /// A description of the first inconsistency.
+    pub(crate) fn audit(&self) -> Result<(), String> {
+        let mut members = 0;
+        for (g, grp) in self.groups.iter().enumerate() {
+            if grp.heap.is_empty() {
+                continue;
+            }
+            let key = (grp.file, grp.u.to_bits(), grp.w.to_bits());
+            if self.index.get(&key) != Some(&(g as u32)) {
+                return Err(format!("group {g} missing from the group index"));
+            }
+            for (i, m) in grp.heap.iter().enumerate() {
+                if i > 0 && m.before(&grp.heap[(i - 1) / 2]) {
+                    return Err(format!("group {g}: heap order broken at {i}"));
+                }
+                if self.arena.get(m.peer as usize, m.slot as usize) != Some((g as u32, i as u32)) {
+                    return Err(format!(
+                        "group {g}: arena misplaces ({}, {})",
+                        m.peer, m.slot
+                    ));
+                }
+            }
+            for v in [grp.rate, grp.vs_rate, grp.clock, grp.vs_clock] {
+                if !v.is_finite() || v < 0.0 {
+                    return Err(format!("group {g}: rate or clock {v}"));
+                }
+            }
+            members += grp.heap.len();
+        }
+        let active: usize = self.reg.iter().map(|r| r.active.len()).sum();
+        if members != active {
+            return Err(format!(
+                "{members} group members for {active} active downloads"
+            ));
+        }
+        Ok(())
     }
 }

@@ -4,7 +4,8 @@
 //! [`crate::engine::Simulation`] needs to continue *exactly* where it
 //! stopped: the RNG stream states, the peer slab (tombstones included),
 //! the free list, pending event registers, observer accumulators, the
-//! in-progress trajectory and, in aggregate mode, the group hazard state.
+//! in-progress trajectory, and the rate groups' clocks and marks (in
+//! aggregate mode, the group hazard state).
 //! Run → snapshot → restore → run is bit-identical to an uninterrupted
 //! run — the `snapshot_resume` integration test asserts this across every
 //! scheme, for both rate modes and the forced-full-recompute test
@@ -13,20 +14,24 @@
 //!
 //! ## What is deliberately *not* serialized
 //!
-//! * The [`crate::rate_cache::RateCache`] and the event heap: both are
-//!   derived structures. Restore re-registers every live peer and replays
-//!   one cache refresh, which by the cache's ordered-resummation contract
-//!   must be a bitwise no-op (a non-empty change set means the snapshot
-//!   and the rebuild disagree and restore fails with
-//!   [`crate::DesError::Invariant`]). The heap is rebuilt from the
-//!   per-peer `comp_stamp`/`comp_time`/`expiry_stamp` bookkeeping: one
-//!   entry per armed stamp, keyed at its true deadline. A live run may
-//!   hold a slowed completion's key early (a lower bound it re-keys when
-//!   the entry surfaces); the dispatched order depends only on the true
+//! * The [`crate::rate_cache::RateCache`]'s aggregates and the event heap:
+//!   both are derived. The rate groups' clocks, rates and marks *are*
+//!   serialized (one record per occupied group, in `(file, u, w)` order,
+//!   members by `(peer, slot)`). Restore re-registers every live peer,
+//!   installs those records over the groups registration built, and
+//!   replays one cache refresh, which by the cache's ordered-resummation
+//!   contract must change no group rate (otherwise restore fails with
+//!   [`crate::DesError::Invariant`]). The heap is rebuilt with one entry
+//!   per group with a completion due and per armed `expiry_stamp`, each
+//!   keyed at its true deadline. A live run may hold a slowed
+//!   completion's key early (a lower bound it re-keys when the entry
+//!   surfaces); the dispatched order depends only on the true
 //!   `(time, rank, peer, slot)` keys, so the exact rebuild is sound. The
-//!   stamp values are preserved, so future arming continues the same
+//!   stamp counter is preserved, so future arming continues the same
 //!   monotone stamp sequence. Aggregate group deadlines are serialized
 //!   per group and reinstalled into the group cache's deadline array.
+//! * A tombstone's fields: nothing reads a departed peer again, so only
+//!   its slab place is written, and it is restored empty.
 //! * Per-class population counters and rarest-first holder counts: both
 //!   are recomputed from the restored slab.
 //! * The `BTFLUID_DES_TRACE` debug state: stderr tracing is not part of
@@ -46,8 +51,8 @@
 //! Little-endian throughout; floats are stored as raw IEEE-754 bits so
 //! NaN/∞ round-trip exactly. Each peer is written in one pass: its
 //! scalars, then every slot's fields together. The payload ends in a flag
-//! byte that says whether the aggregate section follows; restore checks
-//! it against the config's rate mode. The payload also embeds a digest of
+//! byte that says which section follows, the rate-group clocks or the
+//! aggregate section; restore checks it against the config's rate mode. The payload also embeds a digest of
 //! the full [`DesConfig`] and a fingerprint of the attached hook's
 //! [`crate::ScenarioHook::hook_state`]; restore refuses a snapshot whose
 //! digests do not match the offered config/hook
@@ -68,6 +73,7 @@ use crate::config::{DesConfig, OrderPolicy, SchemeKind};
 use crate::hook::ScenarioHook;
 use crate::observer::{AbortRecord, ClassStats, PopulationStats, SimOutcome, UserRecord};
 use crate::peer::{Peer, Phase, Slot};
+use crate::rate_cache::{Group, Mark};
 use btfluid_numkit::series::TimeSeries;
 use btfluid_numkit::stats::Welford;
 use btfluid_telemetry::Counters;
@@ -78,9 +84,9 @@ use std::path::Path;
 /// Leading bytes of every snapshot file, engine and hybrid alike.
 pub const MAGIC: &[u8; 4] = b"BTFS";
 /// Snapshot format version, for both rate modes (see the module docs for
-/// the policy). Versions 2–4 were earlier engine and hybrid formats and
-/// are not reused.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// the policy). Versions 2–5 were earlier engine and hybrid formats and 6
+/// is the hybrid envelope's; none is reused.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be encoded, decoded, or applied.
 #[derive(Debug, Clone, PartialEq)]
@@ -469,6 +475,9 @@ pub struct Snapshot {
     /// Aggregate-scheduling section, present exactly when the run uses
     /// aggregate mode.
     pub(crate) agg: Option<AggSnap>,
+    /// The rate groups' clocks and marks (incremental mode; empty under
+    /// aggregate mode).
+    pub(crate) groups: Vec<Group>,
 }
 
 /// An Adapt controller's `(rho, above, below)`, as
@@ -598,7 +607,13 @@ impl Snapshot {
         }
         let next_sample = r.f64()?;
         let last_delta = r.f64()?;
-        let agg = if r.bool()? {
+        let aggregate = r.bool()?;
+        let groups = if aggregate {
+            Vec::new()
+        } else {
+            decode_group_clocks(&mut r)?
+        };
+        let agg = if aggregate {
             let mut rng_agg = [0u64; 4];
             for word in &mut rng_agg {
                 *word = r.u64()?;
@@ -670,6 +685,7 @@ impl Snapshot {
             next_sample,
             last_delta,
             agg,
+            groups,
         })
     }
 
@@ -719,14 +735,11 @@ fn decode_file(r: &mut Reader) -> Result<FileId, SnapshotError> {
 }
 
 /// Bytes of one encoded slot with both options absent (length guard).
-const SLOT_MIN_BYTES: usize = 4 + 4 + 8 + 1 + 1 + 8 * 7;
+const SLOT_MIN_BYTES: usize = 4 + 4 + 8 + 1 + 1 + 8;
 
 /// Writes one peer in one pass: its scalars, its Adapt controller state,
 /// then each slot's fields together.
 pub(crate) fn encode_peer(w: &mut Writer, p: &Peer) {
-    w.u64(p.id);
-    w.f64(p.arrival);
-    w.u64(p.cursor as u64);
     match p.phase {
         Phase::Downloading => w.u8(0),
         Phase::SeedingFile(slot) => {
@@ -734,8 +747,13 @@ pub(crate) fn encode_peer(w: &mut Writer, p: &Peer) {
             w.u64(slot as u64);
         }
         Phase::SeedingAll => w.u8(2),
-        Phase::Departed => w.u8(3),
+        // Nothing reads a tombstone's fields again: only its slab place
+        // is written.
+        Phase::Departed => return w.u8(3),
     }
+    w.u64(p.id);
+    w.f64(p.arrival);
+    w.u64(p.cursor as u64);
     w.opt_f64(p.depart_at);
     w.f64(p.rho);
     w.bool(p.cheater);
@@ -763,27 +781,22 @@ pub(crate) fn encode_peer(w: &mut Writer, p: &Peer) {
         w.opt_f64(s.completed_at);
         w.opt_f64(s.seed_until);
         w.f64(s.seed_duration);
-        w.f64(s.rate);
-        w.f64(s.vs_rate);
-        w.f64(s.settled_at);
-        w.u64(s.comp_stamp);
-        w.f64(s.comp_time);
     }
 }
 
 /// Reads one peer written by [`encode_peer`], with its Adapt controller
 /// state split out (restoring a controller needs the config).
 fn decode_peer(r: &mut Reader) -> Result<(Peer, Option<AdaptState>), SnapshotError> {
-    let id = r.u64()?;
-    let arrival = r.f64()?;
-    let cursor = r.u64()? as usize;
     let phase = match r.u8()? {
         0 => Phase::Downloading,
         1 => Phase::SeedingFile(r.u64()? as usize),
         2 => Phase::SeedingAll,
-        3 => Phase::Departed,
+        3 => return Ok((Peer::default(), None)),
         b => return Err(corrupt(format!("bad phase tag {b}"))),
     };
+    let id = r.u64()?;
+    let arrival = r.f64()?;
+    let cursor = r.u64()? as usize;
     let depart_at = r.opt_f64()?;
     let rho = r.f64()?;
     let cheater = r.bool()?;
@@ -824,11 +837,6 @@ fn decode_peer(r: &mut Reader) -> Result<(Peer, Option<AdaptState>), SnapshotErr
             completed_at: r.opt_f64()?,
             seed_until: r.opt_f64()?,
             seed_duration: r.f64()?,
-            rate: r.f64()?,
-            vs_rate: r.f64()?,
-            settled_at: r.f64()?,
-            comp_stamp: r.u64()?,
-            comp_time: r.f64()?,
         });
     }
     if cursor > n {
@@ -862,6 +870,64 @@ fn decode_peer(r: &mut Reader) -> Result<(Peer, Option<AdaptState>), SnapshotErr
         expiry_stamp,
     };
     Ok((peer, adapt))
+}
+
+/// Bytes of one encoded group with no members (length guard).
+const GROUP_MIN_BYTES: usize = 4 + 8 * 8;
+
+/// Writes the rate groups' clocks and marks, in the order given (the
+/// cache's canonical order, see `RateCache::group_clocks`).
+pub(crate) fn encode_group_clocks(w: &mut Writer, groups: &[Group]) {
+    w.u64(groups.len() as u64);
+    for g in groups {
+        w.u32(g.file);
+        for v in [g.u, g.w, g.rate, g.vs_rate, g.clock, g.vs_clock, g.anchor] {
+            w.f64(v);
+        }
+        w.u64(g.heap.len() as u64);
+        for m in &g.heap {
+            w.u32(m.peer);
+            w.u32(m.slot);
+            w.f64(m.mark);
+            w.f64(m.vs_mark);
+        }
+    }
+}
+
+fn decode_group_clocks(r: &mut Reader) -> Result<Vec<Group>, SnapshotError> {
+    let n = r.len(GROUP_MIN_BYTES)?;
+    (0..n)
+        .map(|_| {
+            let file = r.u32()?;
+            let mut v = [0.0; 7];
+            for x in &mut v {
+                *x = r.f64()?;
+            }
+            let [u, w, rate, vs_rate, clock, vs_clock, anchor] = v;
+            let heap = (0..r.len(24)?)
+                .map(|_| {
+                    Ok(Mark {
+                        peer: r.u32()?,
+                        slot: r.u32()?,
+                        mark: r.f64()?,
+                        vs_mark: r.f64()?,
+                    })
+                })
+                .collect::<Result<_, SnapshotError>>()?;
+            Ok(Group {
+                file,
+                u,
+                w,
+                rate,
+                vs_rate,
+                clock,
+                vs_clock,
+                anchor,
+                heap,
+                ..Group::default()
+            })
+        })
+        .collect()
 }
 
 pub(crate) fn encode_trajectory(w: &mut Writer, trajectory: Option<&TimeSeries>) {
@@ -1040,6 +1106,7 @@ mod tests {
     use super::*;
     use crate::config::DesConfig;
     use crate::engine::Simulation;
+    use crate::DesError;
 
     fn cfg() -> DesConfig {
         let mut cfg = DesConfig::paper_small(SchemeKind::Mtsd, 0.5, 7).unwrap();
@@ -1210,6 +1277,52 @@ mod tests {
             Err(SnapshotError::Corrupt(d)) => assert!(d.contains(what), "{d}"),
             other => panic!("expected Corrupt, got {:?}", other.map(|s| s.events())),
         }
+    }
+
+    /// Group-clock records must name the slab's rate groups and their
+    /// members exactly; restore refuses anything else as corrupt.
+    #[test]
+    fn group_clocks_must_match_the_slab() {
+        let restore = |edit: &dyn Fn(&mut Vec<Mark>)| {
+            let mut snap = mid_run_snapshot();
+            let group = snap
+                .groups
+                .iter_mut()
+                .find(|g| g.heap.len() >= 2)
+                .expect("a rate group with two members");
+            edit(&mut group.heap);
+            match Simulation::restore(cfg(), &snap) {
+                Err(DesError::Snapshot(SnapshotError::Corrupt(d))) => d,
+                other => panic!("expected Corrupt, got {:?}", other.map(|s| s.events())),
+            }
+        };
+        for slot in [1, 10, u32::MAX] {
+            let misplaced = restore(&|h| h[0].slot = h[0].slot.wrapping_add(slot));
+            assert!(misplaced.contains("no download"), "{misplaced}");
+        }
+        let twice = restore(&|h| h[1] = h[0]);
+        assert!(twice.contains("no download"), "{twice}");
+        let short = restore(&|h| {
+            h.pop();
+        });
+        assert!(short.contains("marks for"), "{short}");
+        let records = |edit: &dyn Fn(&mut Vec<Group>)| {
+            let mut snap = mid_run_snapshot();
+            edit(&mut snap.groups);
+            match Simulation::restore(cfg(), &snap) {
+                Err(DesError::Snapshot(SnapshotError::Corrupt(d))) => d,
+                other => panic!("expected Corrupt, got {:?}", other.map(|s| s.events())),
+            }
+        };
+        let missing = records(&|g| {
+            g.pop();
+        });
+        assert!(missing.contains("rate groups"), "{missing}");
+        // Group A named twice and group B never: the count still matches.
+        let repeated = records(&|g| g[1] = g[0].clone());
+        assert!(repeated.contains("out of order or repeated"), "{repeated}");
+        let swapped = records(&|g| g.swap(0, 1));
+        assert!(swapped.contains("out of order or repeated"), "{swapped}");
     }
 
     /// A download order that repeats a slot is refused at decode, not left

@@ -265,18 +265,29 @@ proptest! {
     }
 }
 
-/// Runs the MTSD scaling point the `des` bench times at `lambda0` (one
-/// origin seed, seed 7) in aggregate mode; returns `(rate_recomputes,
-/// agg_rate_updates per dispatched event)`.
-fn agg_scale_point(lambda0: f64, horizon: f64, warmup: f64, drain: f64) -> (u64, f64) {
-    let mut cfg = DesConfig::paper_small(SchemeKind::Mtsd, 0.5, 7).expect("valid");
+/// The scaling point the `des` bench times at `lambda0` (one origin seed,
+/// seed 7): horizon, warm-up and drain shrink as `λ₀` grows so each point
+/// dispatches a comparable number of events.
+fn scale_config(scheme: SchemeKind, lambda0: f64, aggregate: bool) -> DesConfig {
+    let (horizon, warmup, drain) = match lambda0 {
+        32.0 => (150.0, 40.0, 80.0),
+        512.0 => (40.0, 10.0, 20.0),
+        _ => unreachable!("no scaling point at λ₀ = {lambda0}"),
+    };
+    let mut cfg = DesConfig::paper_small(scheme, 0.5, 7).expect("valid");
     cfg.model = CorrelationModel::new(10, 0.5, lambda0).expect("valid");
     cfg.horizon = horizon;
     cfg.warmup = warmup;
     cfg.drain = drain;
     cfg.origin_seeds = 1;
-    cfg.aggregate = true;
-    let mut sim = Simulation::new(cfg).expect("valid");
+    cfg.aggregate = aggregate;
+    cfg
+}
+
+/// Runs the MTSD scaling point at `lambda0` in aggregate mode; returns
+/// `(rate_recomputes, agg_rate_updates per dispatched event)`.
+fn agg_scale_point(lambda0: f64) -> (u64, f64) {
+    let mut sim = Simulation::new(scale_config(SchemeKind::Mtsd, lambda0, true)).expect("valid");
     while sim.step().expect("step") {}
     let events = sim.events();
     assert!(events > 0, "λ₀ = {lambda0}: no events");
@@ -290,8 +301,8 @@ fn agg_scale_point(lambda0: f64, horizon: f64, warmup: f64, drain: f64) -> (u64,
 /// while the arrival rate grows 16×.
 #[test]
 fn aggregate_rate_work_per_event_is_flat_in_swarm_size() {
-    let (recomputes_32, per_event_32) = agg_scale_point(32.0, 150.0, 40.0, 80.0);
-    let (recomputes_512, per_event_512) = agg_scale_point(512.0, 40.0, 10.0, 20.0);
+    let (recomputes_32, per_event_32) = agg_scale_point(32.0);
+    let (recomputes_512, per_event_512) = agg_scale_point(512.0);
     assert_eq!(recomputes_32, 0, "per-download rates evaluated at λ₀ = 32");
     assert_eq!(
         recomputes_512, 0,
@@ -303,4 +314,57 @@ fn aggregate_rate_work_per_event_is_flat_in_swarm_size() {
         "group-rate updates per event went {per_event_32:.1} → {per_event_512:.1} \
          between λ₀ = 32 and λ₀ = 512 (claim is within 2×)"
     );
+}
+
+/// Steps the incremental engine through `scheme`'s scaling point at
+/// `lambda0`, asserting after every event that it evaluated no more group
+/// rates than there are occupied rate groups. Returns `(group-rate
+/// evaluations per event, mean active downloads)`.
+fn incremental_rate_work(scheme: SchemeKind, lambda0: f64) -> (f64, f64) {
+    let mut sim = Simulation::new(scale_config(scheme, lambda0, false)).expect("valid");
+    let mut before = 0;
+    let mut downloads = 0usize;
+    while sim.step().expect("step") {
+        let done = sim.counters().rate_recomputes;
+        assert!(
+            done - before <= sim.rate_groups() as u64,
+            "{} λ₀ = {lambda0}: {} group-rate evaluations with {} occupied groups at t = {}",
+            scheme.name(),
+            done - before,
+            sim.rate_groups(),
+            sim.sim_time()
+        );
+        before = done;
+        downloads += sim.class_downloaders().iter().sum::<usize>();
+    }
+    let events = sim.events() as f64;
+    (before as f64 / events, downloads as f64 / events)
+}
+
+/// Incremental rate work is a count, bounded by occupied groups, not by
+/// the swarm: each event evaluates at most one rate per occupied
+/// `(file, u, w)` group — at most K groups under MTSD, K² under MTCD —
+/// and the evaluations per event stay within 2× from λ₀ = 32 to λ₀ = 512
+/// while the mean downloading swarm grows about threefold (from ~3,300
+/// to ~10,300 peers under MTSD).
+#[test]
+fn incremental_rate_work_per_event_is_bounded_by_groups() {
+    for (scheme, max_groups) in [(SchemeKind::Mtsd, 10.0), (SchemeKind::Mtcd, 100.0)] {
+        let (per_event_32, swarm_32) = incremental_rate_work(scheme, 32.0);
+        let (per_event_512, swarm_512) = incremental_rate_work(scheme, 512.0);
+        println!(
+            "{}: group-rate evaluations per event {per_event_32:.2} (λ₀ = 32, mean swarm \
+             {swarm_32:.0}) → {per_event_512:.2} (λ₀ = 512, mean swarm {swarm_512:.0})",
+            scheme.name()
+        );
+        assert!(per_event_512 <= max_groups && per_event_32 <= max_groups);
+        assert!(swarm_512 >= 2.0 * swarm_32, "the swarm did not grow");
+        let ratio = per_event_512 / per_event_32;
+        assert!(
+            ratio <= 2.0,
+            "{}: evaluations per event went {per_event_32:.2} → {per_event_512:.2} \
+             between λ₀ = 32 and λ₀ = 512 (claim is within 2×)",
+            scheme.name()
+        );
+    }
 }

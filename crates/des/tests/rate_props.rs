@@ -18,7 +18,8 @@ const ALL_SCHEMES: [SchemeKind; 4] = [
 ];
 
 /// The TFT upload a peer dedicates to the file of download `(peer, slot)`
-/// under `scheme` — mirrors `rate::view` / `RateCache::fill_membership`.
+/// under `scheme` — mirrors `rate::visit`, which `compute_rates` and
+/// `RateCache` both read peers through.
 fn member_u(scheme: SchemeKind, peer: &Peer, mu: f64) -> f64 {
     match scheme {
         SchemeKind::Mtsd => mu,
@@ -44,11 +45,10 @@ fn build_incrementally(
 ) -> RateCache {
     let mut cache = RateCache::new(K, scheme, params, origin);
     cache.grow(peers.len());
-    let mut changed = Vec::new();
     for idx in 0..peers.len() {
-        cache.register(idx, peers);
-        cache.refresh(peers, 0.0, false, &mut changed);
-        changed.clear();
+        cache.register(idx, peers, 0.0);
+        cache.refresh(peers, 0.0, false);
+        cache.clear_changed();
     }
     cache
 }
@@ -241,12 +241,11 @@ proptest! {
         let scheme = SchemeKind::Cmfsd { rho: 0.5 };
         let mut peers = peers.clone();
         let mut cache = build_incrementally(&mut peers, scheme, &params, origin);
-        let mut changed = Vec::new();
         for idx in 0..peers.len() {
             if peers[idx].phase != Phase::Downloading {
                 continue;
             }
-            cache.deregister(idx, &peers);
+            cache.deregister(idx, &mut peers, 0.0);
             let slot = peers[idx].current_slot();
             peers[idx].slots[slot].remaining = 0.0;
             peers[idx].slots[slot].completed_at = Some(2.0);
@@ -254,9 +253,9 @@ proptest! {
             if peers[idx].cursor >= peers[idx].class() {
                 peers[idx].phase = Phase::SeedingAll;
             }
-            cache.register(idx, &peers);
-            cache.refresh(&mut peers, 0.0, false, &mut changed);
-            changed.clear();
+            cache.register(idx, &peers, 0.0);
+            cache.refresh(&mut peers, 0.0, false);
+            cache.clear_changed();
             assert_matches_full(&cache, &peers, scheme, &params, origin)?;
         }
     }
@@ -284,17 +283,16 @@ proptest! {
             peers.push(cmfsd_finished(kept_idx as u64, kept, n_kept, 1.0));
             let mut cache = build_incrementally(&mut peers, scheme, &params, origin);
 
-            cache.deregister(retired, &peers);
+            cache.deregister(retired, &mut peers, 0.0);
             peers[retired].phase = Phase::Departed;
-            cache.register(retired, &peers);
+            cache.register(retired, &peers, 0.0);
             let partial = peers.len();
             peers.push(cmfsd_finished(partial as u64, vec![3, 4, 5], 2, rho));
             cache.grow(peers.len());
-            cache.register(partial, &peers);
-            cache.deregister(kept_idx, &peers);
-            cache.register(kept_idx, &peers);
-            let mut changed = Vec::new();
-            cache.refresh(&mut peers, 0.0, false, &mut changed);
+            cache.register(partial, &peers, 0.0);
+            cache.deregister(kept_idx, &mut peers, 0.0);
+            cache.register(kept_idx, &peers, 0.0);
+            cache.refresh(&mut peers, 0.0, false);
             assert_matches_full(&cache, &peers, scheme, &params, origin)?;
         }
     }

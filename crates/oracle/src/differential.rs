@@ -41,7 +41,7 @@ fn run(cfg: DesConfig) -> Result<SimOutcome, String> {
 /// The incremental rate cache against the forced full-recompute reference:
 /// both must produce bit-identical user records — any divergence means the
 /// dirty-tracking refresh missed an update.
-pub fn exact_vs_incremental(cfg: &OracleConfig) -> Result<String, String> {
+pub fn full_vs_incremental(cfg: &OracleConfig) -> Result<String, String> {
     let schemes = [
         (SchemeKind::Mtsd, 0.5),
         (SchemeKind::Cmfsd { rho: 0.3 }, 0.6),

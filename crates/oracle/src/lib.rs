@@ -12,7 +12,7 @@
 //! - **Invariants** ([`invariants`]): metamorphic identities of the
 //!   analytic layers — binomial class-rate mass, MTCD ≡ MFCD, MTSD's
 //!   `p`-invariance, CMFSD's ρ- and K-limits, monotonicity in ρ.
-//! - **Differential** ([`differential`]): exact-vs-incremental DES
+//! - **Differential** ([`differential`]): full-recompute-vs-incremental DES
 //!   bit-equivalence, aggregate-mode determinism and distribution
 //!   equivalence (class means vs the per-peer path and the ODE),
 //!   checked-mode audits, DES vs the fluid ODE and the closed forms, and
@@ -118,10 +118,10 @@ pub fn registry() -> Vec<Check> {
             run: structural::flightrec_round_trip,
         },
         Check {
-            name: "des-exact-vs-incremental",
+            name: "des-full-vs-incremental",
             paper_ref: "engine contract (full recompute ≡ incremental)",
             tier: Tier::Quick,
-            run: differential::exact_vs_incremental,
+            run: differential::full_vs_incremental,
         },
         Check {
             name: "des-checked-audit",

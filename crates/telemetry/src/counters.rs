@@ -24,8 +24,8 @@ pub struct Counters {
     /// deadline (aggregate group deadlines are not queued), so it depends
     /// on simulation state alone and survives a resume unchanged.
     pub heap_peak: u64,
-    /// Per-download rate recomputations performed by the rate cache
-    /// (each is one `recompute_rate` evaluation).
+    /// Group-rate evaluations performed by the incremental rate cache
+    /// (one per rate group of `(file, u, w)`, not per download).
     pub rate_recomputes: u64,
     /// Rate-cache refreshes satisfied without touching any aggregate
     /// (nothing dirty — the incremental fast path).

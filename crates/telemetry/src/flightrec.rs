@@ -40,7 +40,7 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 /// | kind         | `a`                               | `b`                         |
 /// |--------------|-----------------------------------|-----------------------------|
 /// | `pop`        | event-kind code (engine dispatch) | 0                           |
-/// | `rate`       | Δ per-peer rate recomputes        | Δ aggregate group updates   |
+/// | `rate`       | Δ incremental group-rate recomputes | Δ aggregate group updates |
 /// | `resample`   | Δ aggregate member draws          | 0                           |
 /// | `handoff`    | 0 = DES→fluid, 1 = fluid→DES      | population at the membrane  |
 /// | `checkpoint` | snapshot bytes                    | 0                           |
