@@ -15,9 +15,9 @@
 use crate::table::Table;
 use btfluid_core::adapt::AdaptConfig;
 use btfluid_core::FluidParams;
-use btfluid_des::{run_replications, AdaptSetup, DesConfig, OrderPolicy, SchemeKind};
+use btfluid_des::{AdaptSetup, DesConfig, OrderPolicy, SchemeKind};
+use btfluid_harness::{run_batch, HarnessError};
 use btfluid_numkit::stats::Welford;
-use btfluid_numkit::NumError;
 use btfluid_workload::CorrelationModel;
 
 /// Configuration of the Adapt sweep.
@@ -116,40 +116,47 @@ impl AdaptResult {
     }
 }
 
-/// Runs the sweep.
+/// Runs the sweep: `replications` runs per cheater fraction, seeds
+/// `seed + r`.
 ///
 /// # Errors
-/// Propagates configuration and simulation errors.
-pub fn run(cfg: &AdaptExpConfig) -> Result<AdaptResult, NumError> {
+/// Refuses zero replications (an empty batch); propagates configuration
+/// and simulation errors, and fails when a replication records no
+/// completed user.
+pub fn run(cfg: &AdaptExpConfig) -> Result<AdaptResult, HarnessError> {
     let mut points = Vec::with_capacity(cfg.cheater_fractions.len());
     for &frac in &cfg.cheater_fractions {
-        let des_cfg = DesConfig {
-            params: cfg.params,
-            model: cfg.model,
-            scheme: SchemeKind::Cmfsd { rho: 0.0 },
-            horizon: cfg.horizon,
-            warmup: cfg.warmup,
-            drain: cfg.horizon,
-            seed: cfg.seed,
-            adapt: Some(AdaptSetup {
-                controller: cfg.controller,
-                epoch: cfg.epoch,
-                cheater_fraction: frac,
-            }),
-            origin_seeds: 1,
-            warm_start: false,
-            order_policy: OrderPolicy::default(),
-            record_every: None,
-            aggregate: false,
-            checked: false,
-        };
-        let summary = run_replications(&des_cfg, cfg.replications, cfg.seed)?;
+        let cfgs = (0..cfg.replications as u64)
+            .map(|r| DesConfig {
+                params: cfg.params,
+                model: cfg.model,
+                scheme: SchemeKind::Cmfsd { rho: 0.0 },
+                horizon: cfg.horizon,
+                warmup: cfg.warmup,
+                drain: cfg.horizon,
+                seed: cfg.seed.wrapping_add(r),
+                adapt: Some(AdaptSetup {
+                    controller: cfg.controller,
+                    epoch: cfg.epoch,
+                    cheater_fraction: frac,
+                }),
+                origin_seeds: 1,
+                warm_start: false,
+                order_policy: OrderPolicy::default(),
+                record_every: None,
+                aggregate: false,
+                checked: false,
+            })
+            .collect();
+        let runs = run_batch(cfgs)?;
         // Aggregate per-record so classes weight naturally.
         let mut rho = Welford::new();
         let mut obedient_online = Welford::new();
         let mut cheater_online = Welford::new();
         let mut online = Welford::new();
-        for outcome in &summary.outcomes {
+        for (outcome, _) in &runs {
+            // A replication without a completed user fails the sweep.
+            outcome.avg_online_per_file()?;
             for r in &outcome.records {
                 let per_file = r.online_fluid / r.class as f64;
                 online.push(per_file);

@@ -6,8 +6,9 @@
 
 use crate::table::Table;
 use btfluid_core::{evaluate_scheme, FluidParams, Scheme};
-use btfluid_des::{run_replications, DesConfig, OrderPolicy, SchemeKind};
-use btfluid_numkit::NumError;
+use btfluid_des::{DesConfig, OrderPolicy, SchemeKind};
+use btfluid_harness::{run_batch, HarnessError};
+use btfluid_numkit::stats::{Confidence, Welford};
 use btfluid_workload::CorrelationModel;
 
 /// Configuration of the validation experiment.
@@ -121,39 +122,48 @@ fn to_fluid_scheme(kind: SchemeKind) -> Scheme {
     }
 }
 
-/// Runs the validation.
+/// Runs the validation: `replications` runs per scheme, seeds `seed + r`.
 ///
 /// # Errors
-/// Propagates fluid-model and simulation errors.
-pub fn run(cfg: &ValidateConfig) -> Result<ValidateResult, NumError> {
+/// Refuses zero replications (an empty batch); propagates fluid-model and
+/// simulation errors, and fails when a replication records no completed
+/// user (enlarge the horizon).
+pub fn run(cfg: &ValidateConfig) -> Result<ValidateResult, HarnessError> {
     let mut rows = Vec::with_capacity(cfg.schemes.len());
     for &kind in &cfg.schemes {
         let fluid = evaluate_scheme(cfg.params, &cfg.model, to_fluid_scheme(kind))?;
-        let des_cfg = DesConfig {
-            params: cfg.params,
-            model: cfg.model,
-            scheme: kind,
-            horizon: cfg.horizon,
-            warmup: cfg.warmup,
-            drain: cfg.horizon,
-            seed: cfg.seed,
-            adapt: None,
-            origin_seeds: 0,
-            warm_start: false,
-            order_policy: OrderPolicy::default(),
-            record_every: None,
-            aggregate: false,
-            checked: false,
-        };
-        let summary = run_replications(&des_cfg, cfg.replications, cfg.seed)?;
+        let cfgs = (0..cfg.replications as u64)
+            .map(|r| DesConfig {
+                params: cfg.params,
+                model: cfg.model,
+                scheme: kind,
+                horizon: cfg.horizon,
+                warmup: cfg.warmup,
+                drain: cfg.horizon,
+                seed: cfg.seed.wrapping_add(r),
+                adapt: None,
+                origin_seeds: 0,
+                warm_start: false,
+                order_policy: OrderPolicy::default(),
+                record_every: None,
+                aggregate: false,
+                checked: false,
+            })
+            .collect();
+        let (mut online, mut download, mut censored) = (Welford::new(), Welford::new(), 0);
+        for (outcome, _) in run_batch(cfgs)? {
+            online.push(outcome.avg_online_per_file()?);
+            download.push(outcome.avg_download_per_file()?);
+            censored += outcome.censored;
+        }
         rows.push(ValidateRow {
             scheme: kind.name(),
             fluid_online: fluid.avg_online_per_file,
-            sim_online: summary.online_per_file.mean(),
-            sim_online_ci: summary.online_ci95(),
+            sim_online: online.mean(),
+            sim_online_ci: online.ci_half_width(Confidence::P95),
             fluid_download: fluid.avg_download_per_file,
-            sim_download: summary.download_per_file.mean(),
-            censored: summary.censored,
+            sim_download: download.mean(),
+            censored,
         });
     }
     Ok(ValidateResult { rows })

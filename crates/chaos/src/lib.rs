@@ -15,7 +15,7 @@
 //!
 //! * [`plan`] — [`ChaosPlan`] generation and its JSON codec.
 //! * [`exec`] — the executor and invariant catalog ([`Violation`]).
-//! * [`shrink`] — greedy minimization of failing plans.
+//! * [`shrink`](mod@shrink) — greedy minimization of failing plans.
 //! * [`bundle`] — `chaos.json` repro bundles for `btfluid repro`.
 
 #![forbid(unsafe_code)]

@@ -252,17 +252,16 @@ fn parse_scheme(s: &str) -> Result<SchemeKind, CliError> {
         "mtsd" => Ok(SchemeKind::Mtsd),
         "mtcd" => Ok(SchemeKind::Mtcd),
         "mfcd" => Ok(SchemeKind::Mfcd),
-        _ => {
-            if let Some(rho) = s.strip_prefix("cmfsd") {
-                let rho = rho.strip_prefix(':').unwrap_or("0.0");
+        "cmfsd" => Ok(SchemeKind::Cmfsd { rho: 0.0 }),
+        _ => match s.strip_prefix("cmfsd:") {
+            Some(rho) => {
                 let rho: f64 = rho
                     .parse()
                     .map_err(|_| format!("bad CMFSD ρ in '{s}' (use cmfsd:0.3)"))?;
                 Ok(SchemeKind::Cmfsd { rho })
-            } else {
-                Err(format!("unknown scheme '{s}' (mtsd|mtcd|mfcd|cmfsd[:RHO])").into())
             }
-        }
+            None => Err(format!("unknown scheme '{s}' (mtsd|mtcd|mfcd|cmfsd[:RHO])").into()),
+        },
     }
 }
 
@@ -1059,6 +1058,16 @@ pub(crate) fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
                 scenario,
                 inject_panic_at,
             });
+        }
+    }
+    if let Some((cell, _)) = &inject {
+        if !cells.iter().any(|c| &c.id == cell) {
+            let ids: Vec<&str> = cells.iter().map(|c| c.id.as_str()).collect();
+            return Err(format!(
+                "--inject-panic: no cell '{cell}' in this sweep (cells: {})",
+                ids.join(", ")
+            )
+            .into());
         }
     }
     let total = cells.len();
@@ -2199,7 +2208,7 @@ pub(crate) fn cmd_all(opts: &Options) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::errors::EXIT_CONFIG;
+    use crate::errors::{EXIT_CONFIG, EXIT_USAGE};
     use crate::table::dispatch;
     use btfluid_telemetry::{TraceSample, TraceSpan};
 
@@ -2218,6 +2227,11 @@ mod tests {
         );
         assert!(parse_scheme("cmfsd:x").is_err());
         assert!(parse_scheme("ftp").is_err());
+        // Only `cmfsd` and `cmfsd:RHO` name CMFSD.
+        for bad in ["cmfsd0.5", "cmfsd_nonsense"] {
+            let err = parse_scheme(bad).unwrap_err();
+            assert!(err.message.contains("unknown scheme"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -2352,6 +2366,52 @@ mod tests {
             1,
             "the finished cell must not rerun:\n{journal}"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `--inject-panic` must name a cell of the sweep; under `--resume` a
+    /// cell the manifest records as done still counts.
+    #[test]
+    fn inject_panic_naming_no_cell_is_a_usage_error() {
+        let dir = std::env::temp_dir().join("btfluid_cli_inject_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("sweep.jsonl");
+        let sweep = |extra: &[&str]| {
+            let mut argv: Vec<String> = [
+                "sweep",
+                "--manifest",
+                manifest.to_str().unwrap(),
+                "--schemes",
+                "mtsd",
+                "--reps",
+                "1",
+                "--seed",
+                "42",
+                "--horizon",
+                "60",
+                "--csv",
+            ]
+            .map(String::from)
+            .to_vec();
+            argv.extend(extra.iter().map(|a| a.to_string()));
+            dispatch(&argv)
+        };
+
+        let err = sweep(&["--inject-panic", "mtsd-s99@5"]).unwrap_err();
+        assert_eq!(err.code, EXIT_USAGE, "{}", err.message);
+        assert!(err.message.contains("mtsd-s99"), "{}", err.message);
+        assert!(
+            err.message.contains("mtsd-s42"),
+            "lists the cells: {}",
+            err.message
+        );
+        assert!(!manifest.exists(), "a refused sweep runs nothing");
+
+        sweep(&[]).unwrap();
+        sweep(&["--resume", "--inject-panic", "mtsd-s42@5"]).unwrap();
+        let err = sweep(&["--resume", "--inject-panic", "mtsd-s99@5"]).unwrap_err();
+        assert_eq!(err.code, EXIT_USAGE, "{}", err.message);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -51,6 +51,15 @@ fn selfcheck_expect_fail_exits_with_invariant_code() {
 }
 
 #[test]
+fn zero_replications_is_a_config_error() {
+    for cmd in ["validate", "adapt"] {
+        let (code, _stdout, stderr) = run(&[cmd, "--reps", "0"]);
+        assert_eq!(code, 2, "{cmd} --reps 0: stderr:\n{stderr}");
+        assert!(stderr.contains("replication"), "{cmd}: stderr:\n{stderr}");
+    }
+}
+
+#[test]
 fn unknown_flag_is_a_hard_usage_error() {
     let (code, _stdout, stderr) = run(&["fig2", "--frobnicate"]);
     assert_eq!(code, 1, "stderr:\n{stderr}");

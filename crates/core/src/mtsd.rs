@@ -75,7 +75,7 @@ impl Mtsd {
     /// has relaxed to the Qiu–Srikant fixed point (1/60 per time unit with
     /// the paper's parameters).
     ///
-    /// The transient fluid ODE ([`btfluid-scenario`]'s staged MTSD system)
+    /// The transient fluid ODE (`btfluid-scenario`'s staged MTSD system)
     /// must converge to exactly this rate under a constant workload; the
     /// hybrid engine uses it as the reference scale for its tolerance model.
     ///

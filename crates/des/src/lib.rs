@@ -66,7 +66,6 @@ pub mod observer;
 pub mod peer;
 pub mod rate;
 pub mod rate_cache;
-pub mod replicate;
 pub mod single;
 pub mod snapshot;
 
@@ -78,7 +77,6 @@ pub use error::{DesError, InvariantKind};
 pub use hook::ScenarioHook;
 pub use observer::{AbortRecord, ClassStats, PopulationStats, SimOutcome, UserRecord};
 pub use rate_cache::RateCache;
-pub use replicate::{run_replications, ReplicationSummary};
 pub use single::{run_single_torrent, SingleTorrentConfig, SingleTorrentOutcome};
 pub use snapshot::{Snapshot, SnapshotError};
 

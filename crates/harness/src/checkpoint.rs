@@ -12,7 +12,9 @@
 //! means "this run did not finish".
 
 use crate::error::{io_err, HarnessError};
-use btfluid_des::{DesConfig, FlightKind, Probe, ScenarioHook, SimOutcome, Simulation, Snapshot};
+use btfluid_des::{
+    Counters, DesConfig, FlightKind, Probe, ScenarioHook, SimOutcome, Simulation, Snapshot,
+};
 use btfluid_numkit::rng::{RngCore, SplitMix64};
 use btfluid_telemetry::faults::{self, FaultSite, WritePlan};
 use btfluid_telemetry::profiler::Phase as ProfPhase;
@@ -243,6 +245,9 @@ pub struct RunReport {
     /// Whether checkpointing was disabled mid-run after
     /// [`RetryPolicy::degrade_after`] consecutive failed cycles.
     pub degraded: bool,
+    /// The engine's counters where the run stopped: on completion, the
+    /// same values an attached probe's `on_finish` receives.
+    pub counters: Counters,
 }
 
 /// Receives the unsealed body of each snapshot [`drive`] takes.
@@ -429,6 +434,7 @@ pub fn drive(
     if end == RunEnd::Completed {
         let events = sim.events();
         sim.emit_span("engine", drive_start.elapsed().as_micros() as u64);
+        let counters = sim.counters();
         let outcome = sim.finish();
         // A finished run must not leave a checkpoint behind: its presence
         // is the "work remains" signal for `--resume`.
@@ -447,6 +453,7 @@ pub fn drive(
             checkpoints,
             checkpoint_failures,
             degraded,
+            counters,
         });
     }
 
@@ -469,6 +476,7 @@ pub fn drive(
         checkpoints,
         checkpoint_failures,
         degraded,
+        counters: sim.counters(),
     })
 }
 
@@ -700,6 +708,7 @@ mod tests {
             "completed drive emits an engine span"
         );
         let counters = shared.finished.expect("probe sees finish");
+        assert_eq!(report.counters, counters);
         assert_eq!(counters.snapshots_taken, report.checkpoints);
         assert!(counters.snapshot_bytes > 0);
         assert!(counters.events_popped > 0);

@@ -13,9 +13,10 @@
 //!   without sinking the sweep, and completed cells are journaled to an
 //!   append-only JSONL [`manifest`] so a restarted sweep skips exactly
 //!   the finished work.
-//! * [`shard::run_shards`] — a rayon-sharded batch driver: many whole
-//!   runs in parallel with compact in-memory summaries (no journal, no
-//!   checkpoints), for mode-equivalence checks and replication studies.
+//! * [`supervisor::run_batch`] — many whole runs on the same worker pool
+//!   ([`supervisor::pool`]) with no journal and no checkpoints, returning
+//!   each run's outcome and counters in input order; the path for seed
+//!   replications and mode-equivalence checks.
 //! * [`bundle::ReproBundle`] — a quarantined cell's config, seed,
 //!   scenario reference, and last checkpoint, packaged as a directory
 //!   that `btfluid repro <dir>` replays deterministically.
@@ -30,7 +31,6 @@ pub mod bundle;
 pub mod checkpoint;
 pub mod error;
 pub mod manifest;
-pub mod shard;
 pub mod supervisor;
 
 /// The JSON codec, which lives in `btfluid-telemetry`; re-exported because
@@ -44,8 +44,7 @@ pub use checkpoint::{
 };
 pub use error::HarnessError;
 pub use manifest::{CellRecord, CellStatus, ManifestWriter};
-pub use shard::{run_shards, ShardOutcome, ShardSpec};
 pub use supervisor::{
-    bundle_path, panic_message, run_sweep, Budget, CellResult, CellSpec, FailedCell,
-    SupervisorConfig, SweepReport,
+    bundle_path, panic_message, pool, run_batch, run_sweep, Budget, CellResult, CellSpec,
+    FailedCell, SupervisorConfig, SweepReport,
 };

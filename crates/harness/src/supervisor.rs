@@ -15,18 +15,21 @@
 //! finish, so a killed sweep restarted with `resume` skips exactly the
 //! work already done (`failed` cells run again — quarantine is a verdict
 //! about an attempt, not about the configuration).
+//!
+//! Cells run on [`pool`], the crate's one worker pool, which hands results
+//! back in input order. [`run_batch`] runs whole configurations on the
+//! same pool without a journal, checkpoints or retries.
 
 use crate::bundle::{ReproBundle, ScenarioRef};
 use crate::checkpoint::{drive, CheckpointPlan, RunEnd, RunLimits};
 use crate::error::HarnessError;
 use crate::manifest::{self, CellRecord, CellStatus, ManifestWriter};
-use btfluid_des::{Counters, DesConfig, Probe, ScenarioHook, SimOutcome, Snapshot};
+use btfluid_des::{Counters, DesConfig, ScenarioHook, SimOutcome, Snapshot};
 use btfluid_telemetry::{
-    diag, shared_recorder, FanoutProbe, Level, RecorderProbe, SharedRecorder,
-    DEFAULT_FLIGHT_CAPACITY,
+    diag, shared_recorder, Level, RecorderProbe, SharedRecorder, DEFAULT_FLIGHT_CAPACITY,
 };
 use std::cell::Cell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -149,16 +152,6 @@ impl CellResult {
     }
 }
 
-/// Probe that hands the engine's final counters back across the worker
-/// thread boundary (the engine consumes the probe box itself).
-struct CounterCapture(Arc<Mutex<Option<Counters>>>);
-
-impl Probe for CounterCapture {
-    fn on_finish(&mut self, _t: f64, counters: &Counters) {
-        *self.0.lock().unwrap() = Some(*counters);
-    }
-}
-
 /// A quarantined cell.
 #[derive(Debug, Clone)]
 pub struct FailedCell {
@@ -175,11 +168,11 @@ pub struct FailedCell {
 /// The sweep's aggregate result.
 #[derive(Debug)]
 pub struct SweepReport {
-    /// Cells that ran to completion this invocation, in finish order.
+    /// Cells that ran to completion this invocation, in input order.
     pub completed: Vec<CellResult>,
     /// Cell ids skipped because the manifest already records them done.
     pub skipped: Vec<String>,
-    /// Cells quarantined this invocation.
+    /// Cells quarantined this invocation, in input order.
     pub failed: Vec<FailedCell>,
 }
 
@@ -239,70 +232,115 @@ pub fn run_sweep(
     }
     let done = manifest::done_ids(&journal);
 
-    let mut skipped = Vec::new();
-    let mut queue = VecDeque::new();
-    for cell in cells {
-        if done.contains(&cell.id) {
-            skipped.push(cell.id);
-        } else {
-            queue.push_back(cell);
-        }
-    }
+    let (skipped, queue): (Vec<CellSpec>, Vec<CellSpec>) =
+        cells.into_iter().partition(|cell| done.contains(&cell.id));
 
     let writer = Mutex::new(ManifestWriter::open(&sup.manifest)?);
     let total = queue.len();
-    let queue = Mutex::new(queue);
-    let completed = Mutex::new(Vec::new());
-    let failed = Mutex::new(Vec::new());
-    let n_workers = sup.workers.min(queue.lock().unwrap().len()).max(1);
     // Live progress accounting: (cells done, cells failed, engine events).
     let progress = Mutex::new((0usize, 0usize, 0u64));
     let sweep_start = Instant::now();
+    let outcomes = pool(sup.workers, queue, |cell| {
+        let (record, outcome) = supervise_cell(sup, &cell);
+        // Journal first: a crash after the run must not redo it.
+        if let Err(e) = writer.lock().unwrap().append(&record) {
+            diag!(Level::Warn, "warning: journaling {}: {e}", cell.id);
+        }
+        let mut p = progress.lock().unwrap();
+        match &outcome {
+            Ok(result) => {
+                p.0 += 1;
+                p.2 += result.events;
+            }
+            Err(_) => p.1 += 1,
+        }
+        let finished = p.0 + p.1;
+        let elapsed = sweep_start.elapsed().as_secs_f64().max(1e-9);
+        let eta = elapsed / finished as f64 * (total - finished) as f64;
+        diag!(
+            Level::Info,
+            "sweep: {}/{total} cells done, {} failed, {:.0} ev/s, ETA {eta:.0}s",
+            p.0,
+            p.1,
+            p.2 as f64 / elapsed
+        );
+        outcome
+    });
 
+    let mut report = SweepReport {
+        completed: Vec::new(),
+        skipped: skipped.into_iter().map(|cell| cell.id).collect(),
+        failed: Vec::new(),
+    };
+    for outcome in outcomes {
+        match outcome {
+            Ok(result) => report.completed.push(result),
+            Err(fail) => report.failed.push(fail),
+        }
+    }
+    Ok(report)
+}
+
+/// Runs `job` over `items` on `workers` scoped threads (at least one, at
+/// most one per item) that take items in order from a shared queue. The
+/// results come back in input order, whatever order the jobs finish in; a
+/// panicking job panics the caller once every thread has joined.
+pub fn pool<T: Send, R: Send>(
+    workers: usize,
+    items: Vec<T>,
+    job: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let done = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
-        for _ in 0..n_workers {
+        for _ in 0..workers.clamp(1, n.max(1)) {
             scope.spawn(|| loop {
-                let Some(cell) = queue.lock().unwrap().pop_front() else {
+                let Some((i, item)) = queue.lock().unwrap().next() else {
                     return;
                 };
-                let (record, outcome) = supervise_cell(sup, &cell);
-                // Journal first: a crash after the run must not redo it.
-                if let Err(e) = writer.lock().unwrap().append(&record) {
-                    diag!(Level::Warn, "warning: journaling {}: {e}", cell.id);
-                }
-                {
-                    let mut p = progress.lock().unwrap();
-                    match &outcome {
-                        Ok(result) => {
-                            p.0 += 1;
-                            p.2 += result.events;
-                        }
-                        Err(_) => p.1 += 1,
-                    }
-                    let finished = p.0 + p.1;
-                    let elapsed = sweep_start.elapsed().as_secs_f64().max(1e-9);
-                    let eta = elapsed / finished as f64 * (total - finished) as f64;
-                    diag!(
-                        Level::Info,
-                        "sweep: {}/{total} cells done, {} failed, {:.0} ev/s, ETA {eta:.0}s",
-                        p.0,
-                        p.1,
-                        p.2 as f64 / elapsed
-                    );
-                }
-                match outcome {
-                    Ok(result) => completed.lock().unwrap().push(result),
-                    Err(fail) => failed.lock().unwrap().push(fail),
-                }
+                let result = job(item);
+                done.lock().unwrap().push((i, result));
             });
         }
     });
+    let mut done = done.into_inner().unwrap();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
 
-    Ok(SweepReport {
-        completed: completed.into_inner().unwrap(),
-        skipped,
-        failed: failed.into_inner().unwrap(),
+/// Runs each configuration to completion through [`drive`] (no
+/// checkpoints, no limits, no journal) on one [`pool`] worker per
+/// available CPU, and returns each run's outcome and counters in input
+/// order. Seeds are the caller's: build one config per seed.
+///
+/// # Errors
+/// Refuses an empty batch. The first engine error in input order
+/// (construction, or a `checked` invariant violation) is the batch's
+/// error. A panicking run panics the caller.
+pub fn run_batch(cfgs: Vec<DesConfig>) -> Result<Vec<(SimOutcome, Counters)>, HarnessError> {
+    if cfgs.is_empty() {
+        return Err(HarnessError::Config(
+            "a batch needs at least one run (replications must be >= 1)".into(),
+        ));
+    }
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    pool(workers, cfgs, |cfg| {
+        let report = drive(
+            cfg,
+            None,
+            None,
+            false,
+            &RunLimits::default(),
+            None,
+            None,
+            None,
+        )?;
+        let outcome = report.outcome.expect("a run without limits completes");
+        Ok((outcome, report.counters))
     })
+    .into_iter()
+    .collect()
 }
 
 /// Runs one cell through the retry protocol; returns its journal record
@@ -397,12 +435,10 @@ fn run_attempt(
     let cancel = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel();
     let started = Instant::now();
-    let captured: Arc<Mutex<Option<Counters>>> = Arc::new(Mutex::new(None));
     let worker = {
         let cell = cell.clone();
         let cancel = Arc::clone(&cancel);
         let last_snap = Arc::clone(last_snap);
-        let captured = Arc::clone(&captured);
         let flight = Arc::clone(flight);
         let plan = CheckpointPlan {
             path: None,
@@ -442,10 +478,7 @@ fn run_attempt(
                     Some(&mut |body: &[u8]| {
                         *last_snap.lock().unwrap() = Some(body.to_vec());
                     }),
-                    Some(Box::new(FanoutProbe::new(vec![
-                        Box::new(CounterCapture(Arc::clone(&captured))),
-                        Box::new(RecorderProbe::new(Arc::clone(&flight))),
-                    ]))),
+                    Some(Box::new(RecorderProbe::new(Arc::clone(&flight)))),
                 )
             }));
             // The receiver may have given up (watchdog); ignore send errors.
@@ -464,13 +497,12 @@ fn run_attempt(
         Ok(Ok(Ok(report))) => match report.end {
             RunEnd::Completed => {
                 let outcome = report.outcome.expect("completed run has an outcome");
-                let counters = captured.lock().unwrap().take().unwrap_or_default();
                 Attempt::Done(CellResult::from_outcome(
                     &cell.id,
                     report.events,
                     &outcome,
                     started.elapsed().as_secs_f64(),
-                    counters,
+                    report.counters,
                 ))
             }
             RunEnd::EventBudget => Attempt::Fatal(format!(
@@ -666,6 +698,109 @@ mod tests {
             Err(HarnessError::Config(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sweep_reports_cells_in_input_order() {
+        let dir = fresh_dir("order");
+        let mut long = cell("long", 1, None);
+        long.cfg.horizon = 3000.0;
+        long.cfg.drain = 3000.0;
+        let report = run_sweep(&sup(&dir, false), vec![long, cell("short", 2, None)]).unwrap();
+        let ids: Vec<&str> = report.completed.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(ids, ["long", "short"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pool_keeps_input_order_whatever_the_finish_order() {
+        let out = pool(3, (0..8u64).collect(), |i| {
+            std::thread::sleep(Duration::from_millis(8 - i));
+            i * 10
+        });
+        assert_eq!(out, (0..8).map(|i| i * 10).collect::<Vec<_>>());
+        assert!(pool(4, Vec::<u8>::new(), |i| i).is_empty());
+    }
+
+    fn batch_cfg(scheme: SchemeKind, seed: u64, aggregate: bool) -> DesConfig {
+        let mut cfg = DesConfig::paper_small(scheme, 0.5, seed).unwrap();
+        cfg.horizon = 400.0;
+        cfg.warmup = 100.0;
+        cfg.drain = 400.0;
+        cfg.aggregate = aggregate;
+        cfg
+    }
+
+    #[test]
+    fn batch_keeps_input_order_and_each_runs_counters() {
+        let runs = run_batch(vec![
+            batch_cfg(SchemeKind::Mtsd, 11, false),
+            batch_cfg(SchemeKind::Mtsd, 11, true),
+        ])
+        .unwrap();
+        assert_eq!(runs.len(), 2);
+        for (outcome, _) in &runs {
+            assert!(outcome.events > 0 && !outcome.records.is_empty());
+        }
+        // Mode-specific counters land on the right run.
+        assert_eq!(runs[0].1.agg_samples, 0);
+        assert!(runs[1].1.agg_samples > 0);
+        assert_eq!(runs[1].1.rate_recomputes, 0);
+    }
+
+    #[test]
+    fn batch_fails_on_the_first_engine_error_in_input_order() {
+        let mut bad = batch_cfg(SchemeKind::Mtsd, 5, true);
+        bad.horizon = 0.0; // rejected by validation
+        let mut worse = batch_cfg(SchemeKind::Mtsd, 6, true);
+        worse.warmup = -1.0;
+        let good = batch_cfg(SchemeKind::Mtsd, 5, false);
+        let err = run_batch(vec![good, bad, worse]).unwrap_err();
+        assert!(err.to_string().contains("horizon must be"), "{err}");
+        assert!(matches!(run_batch(vec![]), Err(HarnessError::Config(_))));
+    }
+
+    #[test]
+    fn batch_same_seed_is_deterministic_across_threads() {
+        let cfg = batch_cfg(SchemeKind::Cmfsd { rho: 0.4 }, 23, true);
+        let runs = run_batch(vec![cfg; 4]).unwrap();
+        let online = |o: &SimOutcome| o.avg_online_per_file().unwrap().to_bits();
+        for (o, counters) in &runs[1..] {
+            assert_eq!(o.events, runs[0].0.events);
+            assert_eq!(o.records.len(), runs[0].0.records.len());
+            assert_eq!(online(o), online(&runs[0].0));
+            assert_eq!(*counters, runs[0].1);
+        }
+    }
+
+    #[test]
+    fn batch_rerun_with_the_same_seeds_reproduces() {
+        let cfgs = || {
+            (0..2)
+                .map(|i| batch_cfg(SchemeKind::Mtsd, 5 + i, false))
+                .collect::<Vec<_>>()
+        };
+        let a = run_batch(cfgs()).unwrap();
+        let b = run_batch(cfgs()).unwrap();
+        let online = |o: &SimOutcome| o.avg_online_per_file().unwrap().to_bits();
+        for ((oa, ca), (ob, cb)) in a.iter().zip(&b) {
+            assert_eq!(oa.events, ob.events);
+            assert_eq!(online(oa), online(ob));
+            assert_eq!(ca, cb);
+        }
+    }
+
+    #[test]
+    fn batch_distinct_seeds_differ() {
+        let runs = run_batch(vec![
+            batch_cfg(SchemeKind::Mtsd, 1, false),
+            batch_cfg(SchemeKind::Mtsd, 2, false),
+        ])
+        .unwrap();
+        assert_ne!(
+            runs[0].0.avg_online_per_file().unwrap(),
+            runs[1].0.avg_online_per_file().unwrap()
+        );
     }
 
     #[test]

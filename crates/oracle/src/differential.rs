@@ -10,7 +10,7 @@
 
 use crate::report::OracleConfig;
 use btfluid_des::{DesConfig, DesError, InvariantKind, SchemeKind, SimOutcome, Simulation};
-use btfluid_harness::{run_shards, run_sweep, Budget, CellSpec, ShardSpec, SupervisorConfig};
+use btfluid_harness::{run_batch, run_sweep, Budget, CellSpec, SupervisorConfig};
 use btfluid_scenario::{
     des_avg_downloaders, fluid_avg_downloaders, runner, RateMode, ScenarioProgram,
 };
@@ -146,39 +146,37 @@ pub fn aggregate_determinism(cfg: &OracleConfig) -> Result<String, String> {
         cfg.seed.wrapping_add(17),
     )?;
     des.aggregate = true;
-    let shards = run_shards(vec![
-        ShardSpec {
-            id: "a".into(),
-            cfg: des.clone(),
-        },
-        ShardSpec {
-            id: "b".into(),
-            cfg: des,
-        },
-    ])
-    .map_err(|e| e.to_string())?;
-    let (a, b) = (&shards[0], &shards[1]);
+    let runs = run_batch(vec![des.clone(), des]).map_err(|e| e.to_string())?;
+    let ((a, counters), (b, _)) = (&runs[0], &runs[1]);
+    let online = |o: &SimOutcome| o.avg_online_per_file().unwrap_or(f64::NAN);
     if a.events != b.events
-        || a.users != b.users
-        || a.avg_online_per_file.to_bits() != b.avg_online_per_file.to_bits()
+        || a.records.len() != b.records.len()
+        || online(a).to_bits() != online(b).to_bits()
     {
         return Err(format!(
             "same-seed aggregate runs diverged: events {} vs {}, users {} vs {}, online/file {} vs {}",
-            a.events, b.events, a.users, b.users, a.avg_online_per_file, b.avg_online_per_file
+            a.events,
+            b.events,
+            a.records.len(),
+            b.records.len(),
+            online(a),
+            online(b)
         ));
     }
-    if a.counters.agg_samples == 0 {
+    if counters.agg_samples == 0 {
         return Err("aggregate run drew no group samples — mode did not engage".into());
     }
-    if a.counters.rate_recomputes != 0 {
+    if counters.rate_recomputes != 0 {
         return Err(format!(
             "aggregate run performed {} per-peer rate recomputes — per-peer path leaked in",
-            a.counters.rate_recomputes
+            counters.rate_recomputes
         ));
     }
     Ok(format!(
         "2 same-seed aggregate runs bit-identical ({} events, {} users, {} group samples)",
-        a.events, a.users, a.counters.agg_samples
+        a.events,
+        a.records.len(),
+        counters.agg_samples
     ))
 }
 
@@ -195,34 +193,32 @@ pub fn aggregate_vs_incremental_means(cfg: &OracleConfig) -> Result<String, Stri
     ];
     let mut details = Vec::new();
     for (name, scheme, p) in schemes {
-        let mut specs = Vec::new();
+        let mut cfgs = Vec::new();
         for s in 0..SEEDS {
             for aggregate in [false, true] {
                 let mut des = short(scheme, p, cfg.seed.wrapping_add(31 + s))?;
                 des.horizon = 1500.0;
                 des.drain = 1500.0;
                 des.aggregate = aggregate;
-                specs.push(ShardSpec {
-                    id: format!("{name}-{s}-{}", if aggregate { "agg" } else { "incr" }),
-                    cfg: des,
-                });
+                cfgs.push(des);
             }
         }
-        let shards = run_shards(specs).map_err(|e| e.to_string())?;
-        // Pool user-weighted means per mode.
-        let pool = |suffix: &str| -> (f64, usize) {
+        let runs = run_batch(cfgs).map_err(|e| e.to_string())?;
+        // Pool user-weighted means per mode: runs alternate incremental,
+        // aggregate.
+        let pool = |aggregate: bool| -> (f64, usize) {
             let mut online = 0.0;
             let mut users = 0usize;
-            for sh in shards.iter().filter(|sh| sh.id.ends_with(suffix)) {
-                if sh.avg_online_per_file.is_finite() {
-                    online += sh.avg_online_per_file * sh.users as f64;
-                    users += sh.users;
+            for (o, _) in runs.iter().skip(usize::from(aggregate)).step_by(2) {
+                if let Ok(avg) = o.avg_online_per_file() {
+                    online += avg * o.records.len() as f64;
+                    users += o.records.len();
                 }
             }
             (online / users.max(1) as f64, users)
         };
-        let (incr, n_incr) = pool("incr");
-        let (agg, n_agg) = pool("agg");
+        let (incr, n_incr) = pool(false);
+        let (agg, n_agg) = pool(true);
         if n_incr == 0 || n_agg == 0 {
             return Err(format!("{name}: a mode produced no completed users"));
         }
@@ -259,21 +255,14 @@ pub fn aggregate_insensitivity(cfg: &OracleConfig) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
     let mut agg = per.clone();
     agg.aggregate = true;
-    let shards = run_shards(vec![
-        ShardSpec {
-            id: "per-peer".into(),
-            cfg: per,
-        },
-        ShardSpec {
-            id: "aggregate".into(),
-            cfg: agg,
-        },
-    ])
-    .map_err(|e| e.to_string())?;
-    let pairs =
-        |sh: &btfluid_harness::ShardOutcome| -> f64 { sh.class_download_pairs.iter().sum() };
-    let (p, a) = (pairs(&shards[0]), pairs(&shards[1]));
-    if shards[1].counters.agg_samples == 0 {
+    let runs = run_batch(vec![per, agg]).map_err(|e| e.to_string())?;
+    let pairs = |o: &SimOutcome| -> f64 {
+        (1..=o.k())
+            .map(|i| o.population.avg_download_pairs(i))
+            .sum()
+    };
+    let (p, a) = (pairs(&runs[0].0), pairs(&runs[1].0));
+    if runs[1].1.agg_samples == 0 {
         return Err("aggregate cell drew no group samples — mode did not engage".into());
     }
     let rel = (a - p).abs() / p.max(1e-9);
@@ -290,7 +279,7 @@ pub fn aggregate_insensitivity(cfg: &OracleConfig) -> Result<String, String> {
 
 /// DES against the transient fluid ODE on a stationary program: the
 /// time-averaged downloading population must agree within
-/// [`DES_FLUID_REL_TOL`].
+/// `DES_FLUID_REL_TOL` (12%).
 pub fn des_vs_fluid_transient(cfg: &OracleConfig) -> Result<String, String> {
     let program = ScenarioProgram::stationary("oracle-fluid", 0.25, 0.4, 10, 4000.0, 800.0, 4000.0);
     let run = runner::run_one(

@@ -6,8 +6,36 @@
 //! tests deterministic without being vacuous.
 
 use btfluid::core::{evaluate_scheme, FluidParams, Scheme};
-use btfluid::des::{run_replications, DesConfig, OrderPolicy, SchemeKind};
+use btfluid::des::{DesConfig, OrderPolicy, SchemeKind, SimOutcome};
 use btfluid::workload::CorrelationModel;
+use btfluid_harness::run_batch;
+
+/// Runs `reps` replications of `cfg`, seeds `base_seed + r`.
+fn replicate(cfg: &DesConfig, reps: u64, base_seed: u64) -> Vec<SimOutcome> {
+    let cfgs = (0..reps)
+        .map(|r| DesConfig {
+            seed: base_seed.wrapping_add(r),
+            ..cfg.clone()
+        })
+        .collect();
+    run_batch(cfgs)
+        .unwrap()
+        .into_iter()
+        .map(|(o, _)| o)
+        .collect()
+}
+
+/// Mean over replications of each run's online and download time per file.
+fn means(outcomes: &[SimOutcome]) -> (f64, f64) {
+    let n = outcomes.len() as f64;
+    let (online, download) = outcomes.iter().fold((0.0, 0.0), |(on, dl), o| {
+        (
+            on + o.avg_online_per_file().unwrap(),
+            dl + o.avg_download_per_file().unwrap(),
+        )
+    });
+    (online / n, download / n)
+}
 
 fn des_cfg(scheme: SchemeKind, p: f64) -> DesConfig {
     DesConfig {
@@ -35,8 +63,7 @@ fn check(scheme: SchemeKind, fluid_scheme: Scheme, p: f64, tol: f64) {
         fluid_scheme,
     )
     .unwrap();
-    let summary = run_replications(&des_cfg(scheme, p), 3, 777).unwrap();
-    let sim = summary.online_per_file.mean();
+    let (sim, sim_dl) = means(&replicate(&des_cfg(scheme, p), 3, 777));
     let rel = ((sim - fluid.avg_online_per_file) / fluid.avg_online_per_file).abs();
     assert!(
         rel < tol,
@@ -45,7 +72,6 @@ fn check(scheme: SchemeKind, fluid_scheme: Scheme, p: f64, tol: f64) {
         fluid.avg_online_per_file,
         rel * 100.0
     );
-    let sim_dl = summary.download_per_file.mean();
     let rel_dl = ((sim_dl - fluid.avg_download_per_file) / fluid.avg_download_per_file).abs();
     assert!(
         rel_dl < tol,
@@ -78,8 +104,7 @@ fn mfcd_agrees_with_fluid() {
         Scheme::Mfcd,
     )
     .unwrap();
-    let summary = run_replications(&des_cfg(SchemeKind::Mfcd, p), 3, 999).unwrap();
-    let sim = summary.online_per_file.mean();
+    let (sim, _) = means(&replicate(&des_cfg(SchemeKind::Mfcd, p), 3, 999));
     let rel = (sim - fluid.avg_online_per_file) / fluid.avg_online_per_file;
     assert!(
         rel.abs() < 0.15,
@@ -126,14 +151,14 @@ fn cmfsd_agrees_with_fluid_for_positive_rho() {
             Scheme::Cmfsd { rho },
         )
         .unwrap();
-        let summary = run_replications(&cmfsd_cfg(p, rho), 2, 777).unwrap();
-        let counted: usize = summary.outcomes.iter().map(|o| o.records.len()).sum();
+        let outcomes = replicate(&cmfsd_cfg(p, rho), 2, 777);
+        let counted: usize = outcomes.iter().map(|o| o.records.len()).sum();
+        let censored: usize = outcomes.iter().map(|o| o.censored).sum();
         assert!(
-            summary.censored * 20 < counted,
-            "ρ = {rho}: censored {} of {counted} — not stationary",
-            summary.censored
+            censored * 20 < counted,
+            "ρ = {rho}: censored {censored} of {counted} — not stationary"
         );
-        let sim = summary.online_per_file.mean();
+        let (sim, _) = means(&outcomes);
         let rel = ((sim - fluid.avg_online_per_file) / fluid.avg_online_per_file).abs();
         assert!(
             rel < 0.08,
@@ -180,18 +205,10 @@ fn simulated_scheme_ordering_matches_fluid() {
     // online time per file. (ρ = 0.1 rather than the fluid optimum ρ = 0 —
     // see `cmfsd_rho_zero_is_a_singular_point`.)
     let p = 0.9;
-    let collab = run_replications(&cmfsd_cfg(p, 0.1), 2, 5)
-        .unwrap()
-        .online_per_file
-        .mean();
-    let seq = run_replications(&des_cfg(SchemeKind::Mtsd, p), 2, 5)
-        .unwrap()
-        .online_per_file
-        .mean();
-    let conc = run_replications(&des_cfg(SchemeKind::Mfcd, p), 2, 5)
-        .unwrap()
-        .online_per_file
-        .mean();
+    let online = |cfg: &DesConfig| means(&replicate(cfg, 2, 5)).0;
+    let collab = online(&cmfsd_cfg(p, 0.1));
+    let seq = online(&des_cfg(SchemeKind::Mtsd, p));
+    let conc = online(&des_cfg(SchemeKind::Mfcd, p));
     assert!(
         collab < seq && seq < conc,
         "ordering violated: CMFSD(0) {collab:.1}, MTSD {seq:.1}, MFCD {conc:.1}"
