@@ -20,6 +20,7 @@ use crate::handoff::{FluidModel, HandoffRecord};
 use crate::policy::{Regime, SwitchPolicy};
 use btfluid_des::{DesConfig, DesError, ScenarioHook, SchemeKind, Simulation, SnapshotError};
 use btfluid_numkit::dist::Exponential;
+use btfluid_numkit::ode::StepScratch;
 use btfluid_numkit::rng::{SplitMix64, Xoshiro256StarStar};
 use btfluid_numkit::NumError;
 use btfluid_scenario::{registry, ProgramHook, ScenarioProgram};
@@ -205,6 +206,8 @@ pub struct HybridRunner {
     flight: Option<SharedRecorder>,
     fluid_h: f64,
     scratch: Vec<f64>,
+    /// RK4 stage buffers, kept across fluid steps.
+    stages: StepScratch,
 }
 
 impl HybridRunner {
@@ -245,6 +248,7 @@ impl HybridRunner {
             flight: None,
             fluid_h,
             scratch: vec![0.0; k],
+            stages: StepScratch::new(),
         })
     }
 
@@ -361,7 +365,7 @@ impl HybridRunner {
         self.model.class_downloaders(&self.fluid, &mut d_prev);
         while t < target - 1e-12 {
             let h = self.fluid_h.min(target - t);
-            self.model.rk4_step(t, &mut self.fluid, h);
+            self.model.rk4_step(t, &mut self.fluid, h, &mut self.stages);
             self.fluid_steps += 1;
             self.model.class_downloaders(&self.fluid, &mut d_now);
             let lo = t.max(warmup);
@@ -601,6 +605,54 @@ mod tests {
         assert!(out.total_mean() > 100.0, "means: {:?}", out.class_means);
         assert!(out.fluid_steps > 0 && out.des_events > 0);
         assert!((out.final_t - small_cfg(SchemeKind::Mtcd, true).program.horizon).abs() < 1e-9);
+    }
+
+    /// Class means, fluid steps, DES events and switches of `small_cfg`
+    /// runs, pinned so fluid drift shows in the unit tests.
+    #[test]
+    fn small_runs_are_pinned_bit_for_bit() {
+        let pins: [(SchemeKind, bool, [u64; 10]); 2] = [
+            (
+                SchemeKind::Mtcd,
+                true,
+                [
+                    0x4056_4e9f_3cd3_fb9f,
+                    0x4070_ceec_a75d_c7c8,
+                    0x407d_dff1_79af_1243,
+                    0x4081_cc6d_03b7_f4cb,
+                    0x407c_5676_3492_ef47,
+                    0x4070_1731_19fb_7f73,
+                    0x4058_01ad_4fca_1bf7,
+                    0x4036_cd2f_dda9_2c79,
+                    0x4011_7968_7fac_8231,
+                    0x3fcc_dec8_10b1_1055,
+                ],
+            ),
+            (
+                SchemeKind::Mtsd,
+                false,
+                [
+                    0x4056_3981_f72e_efe9,
+                    0x4070_6ed0_ce65_07f6,
+                    0x407c_e755_dca0_14c4,
+                    0x4081_1f9d_e31a_b50e,
+                    0x407b_2df5_5fa2_8808,
+                    0x406e_c93f_1436_227e,
+                    0x4056_f13b_dc15_b22f,
+                    0x4035_cb66_8f92_dfae,
+                    0x4010_9693_e569_8cb1,
+                    0x3fcb_8d76_e956_7022,
+                ],
+            ),
+        ];
+        for (scheme, aggregate, means) in pins {
+            let out = HybridRunner::run(small_cfg(scheme, aggregate)).unwrap();
+            let bits: Vec<u64> = out.class_means.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, means, "{scheme:?} class means");
+            assert_eq!(out.fluid_steps, 608, "{scheme:?} fluid steps");
+            assert_eq!(out.des_events, 133, "{scheme:?} DES events");
+            assert_eq!(out.handoffs.len(), 1, "{scheme:?} switches");
+        }
     }
 
     #[test]

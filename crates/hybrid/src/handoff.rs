@@ -25,7 +25,7 @@ use crate::policy::Regime;
 use btfluid_des::peer::{Peer, Phase};
 use btfluid_des::SchemeKind;
 use btfluid_numkit::dist::Exponential;
-use btfluid_numkit::ode::{FixedStep, OdeSystem, Rk4};
+use btfluid_numkit::ode::{FixedStep, OdeSystem, Rk4, StepScratch};
 use btfluid_numkit::rng::RngCore;
 use btfluid_numkit::NumError;
 use btfluid_scenario::{ScenarioProgram, ScheduledMtcd, ScheduledMtsd};
@@ -87,11 +87,12 @@ impl FluidModel {
         }
     }
 
-    /// Advances `state` from `t` by `h` with one classical RK4 step.
-    pub fn rk4_step(&self, t: f64, state: &mut [f64], h: f64) {
+    /// Advances `state` from `t` by `h` with one classical RK4 step in
+    /// `scratch`'s stage buffers.
+    pub fn rk4_step(&self, t: f64, state: &mut [f64], h: f64, scratch: &mut StepScratch) {
         match self {
-            Self::Mtcd(m) => Rk4.step(m, t, state, h),
-            Self::Mtsd(m) => Rk4.step(m, t, state, h),
+            Self::Mtcd(m) => Rk4.step_with(m, t, state, h, scratch),
+            Self::Mtsd(m) => Rk4.step_with(m, t, state, h, scratch),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Observed integration: record a trajectory into a [`TimeSeries`].
 
-use super::fixed::FixedStep;
+use super::fixed::{FixedStep, StepScratch};
 use super::system::OdeSystem;
 use crate::error::NumError;
 use crate::series::TimeSeries;
@@ -77,6 +77,7 @@ where
 
     let mut series = TimeSeries::new(names)?;
     let mut x = x0.to_vec();
+    let mut scratch = StepScratch::new();
     let mut t = t0;
     series.push(t, &x)?;
     let mut next_obs = match observe {
@@ -85,7 +86,7 @@ where
     };
     while t < t1 {
         let step = h.min(t1 - t);
-        method.step(sys, t, &mut x, step);
+        method.step_with(sys, t, &mut x, step, &mut scratch);
         t += step;
         let record = match observe {
             ObserveEvery::Step => true,

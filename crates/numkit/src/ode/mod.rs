@@ -5,7 +5,8 @@
 //!
 //! * [`OdeSystem`] — the right-hand-side trait every model implements.
 //! * Fixed-step methods: [`Euler`], [`Heun`] (order 2), [`Rk4`] (order 4),
-//!   all through the [`FixedStep`] trait.
+//!   all through the [`FixedStep`] trait, stepping in caller-owned
+//!   [`StepScratch`] stage buffers.
 //! * [`Dopri5`] — adaptive Dormand–Prince 5(4) with PI step-size control,
 //!   the workhorse for stiff-ish multi-class systems.
 //! * [`BackwardEuler`] — L-stable implicit Euler with damped Newton and
@@ -24,7 +25,7 @@ mod system;
 
 pub use dopri5::{Dopri5, Dopri5Options, Dopri5Stats};
 pub use driver::{integrate_observed, ObserveEvery};
-pub use fixed::{Euler, FixedStep, Heun, Rk4};
+pub use fixed::{Euler, FixedStep, Heun, Rk4, StepScratch};
 pub use implicit::{BackwardEuler, ImplicitOptions};
 pub use steady::{steady_state, SteadyOptions, SteadyState};
 pub use system::{LinearSystem, OdeSystem};

@@ -12,7 +12,9 @@ pub trait OdeSystem {
 
     /// Evaluates the right-hand side at `(t, x)`, writing into `dxdt`.
     ///
-    /// `x.len()` and `dxdt.len()` both equal [`OdeSystem::dim`].
+    /// `x.len()` and `dxdt.len()` both equal [`OdeSystem::dim`]. Every
+    /// component of `dxdt` must be written: integrators reuse their stage
+    /// buffers, so `dxdt` may hold an earlier evaluation on entry.
     fn rhs(&self, t: f64, x: &[f64], dxdt: &mut [f64]);
 }
 

@@ -129,6 +129,25 @@ proptest! {
     }
 
     #[test]
+    fn binomial_pmf_row_is_bit_equal_to_the_entries(
+        n in 0u32..=64,
+        p in prop_oneof![
+            Just(0.0f64),
+            Just(1.0f64),
+            Just(1e-300f64),
+            Just(1.0f64 - 1e-16),
+            0.0f64..=1.0,
+        ],
+    ) {
+        let row = btfluid_numkit::special::binomial_pmf_row(n, p).unwrap();
+        prop_assert_eq!(row.len(), n as usize + 1);
+        for (k, v) in (0..=n).zip(&row) {
+            let want = btfluid_numkit::special::binomial_pmf(n, k, p).unwrap();
+            prop_assert_eq!(v.to_bits(), want.to_bits(), "n = {}, k = {}, p = {}", n, k, p);
+        }
+    }
+
+    #[test]
     fn quadrature_linearity(
         a in -5.0f64..5.0,
         b in -5.0f64..5.0,

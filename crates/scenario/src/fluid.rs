@@ -7,15 +7,96 @@
 //! `λⱼⁱ(t) = λ₀(t) · C(K−1, i−1) p(t)^{i−1} (1−p(t))^{K−i} · p(t)`
 //! — the correlation model's per-torrent rates evaluated along the
 //! program's schedules. By symmetry one torrent's trajectory suffices;
-//! system-wide download pairs are `K · Σᵢ xⱼⁱ`.
+//! system-wide download pairs are `K · Σᵢ xⱼⁱ`. [`ScheduledMtsd`] is the
+//! staged per-class counterpart for MTSD.
+//!
+//! **Cost of a right-hand side.** The binomial weights `pmf_{n,p}(0..=n)`
+//! depend on the correlation level only. Each `rhs` call reads `p(t)` and
+//! `λ₀(t)` once. For a `Constant` correlation the weight row is computed
+//! once, on the first read, and reused, so an evaluation is `O(K)` (MTCD)
+//! or `O(K²)` (MTSD) arithmetic with no special function. Any other
+//! correlation shape costs one [`binomial_pmf_row`] per call. Either way
+//! every rate is bit-equal to the per-class formula
+//! `λ₀·binomial_pmf(n, i, p)·…`.
 
 use crate::program::ScenarioProgram;
 use crate::schedule::Schedule;
 use btfluid_core::FluidParams;
 use btfluid_numkit::ode::{integrate_observed, ObserveEvery, OdeSystem, Rk4};
 use btfluid_numkit::series::TimeSeries;
-use btfluid_numkit::special::binomial_pmf;
+use btfluid_numkit::special::binomial_pmf_row;
 use btfluid_numkit::NumError;
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
+/// `λ₀(t)` and the binomial entry weights `pmf_{n,p(t)}(0..=n)` the
+/// scheduled models build their entry rates from.
+#[derive(Debug, Clone)]
+struct EntryWeights {
+    lambda0: Schedule,
+    correlation: Schedule,
+    n: u32,
+    /// The weight row of a `Constant` correlation, filled on the first
+    /// read.
+    constant: OnceLock<Vec<f64>>,
+}
+
+/// The entry-rate factors at one time, for `p(t) > 0`.
+struct Entry<'a> {
+    p: f64,
+    lambda0: f64,
+    weights: Cow<'a, [f64]>,
+}
+
+impl Entry<'_> {
+    /// MTCD's per-torrent rate of the class with `j` other files,
+    /// `λ₀·pmf_{K−1,p}(j)·p`.
+    fn per_torrent(&self, j: usize) -> f64 {
+        self.lambda0 * self.weights[j] * self.p
+    }
+
+    /// MTSD's system-wide rate of class `i`, `λ₀·pmf_{K,p}(i)`.
+    fn class(&self, i: usize) -> f64 {
+        self.lambda0 * self.weights[i]
+    }
+}
+
+impl EntryWeights {
+    fn new(program: &ScenarioProgram, n: u32) -> Self {
+        Self {
+            lambda0: program.lambda0.clone(),
+            correlation: program.correlation.clone(),
+            n,
+            constant: OnceLock::new(),
+        }
+    }
+
+    /// `p(t)` clamped to `[0, 1]`, `λ₀(t)` and the weights at `p(t)`;
+    /// `None` when `p(t) = 0` (no one enters).
+    fn at(&self, t: f64) -> Option<Entry<'_>> {
+        let p = self.correlation.value(t).clamp(0.0, 1.0);
+        if p == 0.0 {
+            return None;
+        }
+        let weights = match self.correlation {
+            Schedule::Constant(_) => {
+                Cow::Borrowed(self.constant.get_or_init(|| self.row(p)).as_slice())
+            }
+            _ => Cow::Owned(self.row(p)),
+        };
+        Some(Entry {
+            p,
+            lambda0: self.lambda0.value(t),
+            weights,
+        })
+    }
+
+    /// The weight row at `p ∈ [0, 1]`.
+    fn row(&self, p: f64) -> Vec<f64> {
+        binomial_pmf_row(self.n, p)
+            .expect("validated schedules are finite, so p(t) clamps into [0, 1]")
+    }
+}
 
 /// The MTCD fluid model of one symmetric torrent with schedule-driven
 /// entry rates. State layout `[x₁..x_K, y₁..y_K]`.
@@ -23,8 +104,8 @@ use btfluid_numkit::NumError;
 pub struct ScheduledMtcd {
     params: FluidParams,
     k: usize,
-    lambda0: Schedule,
-    correlation: Schedule,
+    /// Weights over the `K − 1` other files of a class.
+    entry: EntryWeights,
 }
 
 impl ScheduledMtcd {
@@ -38,8 +119,7 @@ impl ScheduledMtcd {
         Ok(Self {
             params: program.params,
             k: program.k as usize,
-            lambda0: program.lambda0.clone(),
-            correlation: program.correlation.clone(),
+            entry: EntryWeights::new(program, program.k - 1),
         })
     }
 
@@ -50,12 +130,7 @@ impl ScheduledMtcd {
 
     /// Per-torrent entry rate `λⱼⁱ(t)` for class `i` (1-based).
     pub fn lambda_at(&self, t: f64, i: usize) -> f64 {
-        let p = self.correlation.value(t).clamp(0.0, 1.0);
-        if p == 0.0 {
-            return 0.0;
-        }
-        let others = binomial_pmf(self.k as u32 - 1, i as u32 - 1, p).unwrap_or(0.0);
-        self.lambda0.value(t) * others * p
+        self.entry.at(t).map_or(0.0, |e| e.per_torrent(i - 1))
     }
 }
 
@@ -68,6 +143,7 @@ impl OdeSystem for ScheduledMtcd {
         let k = self.k;
         let (mu, eta, gamma) = (self.params.mu(), self.params.eta(), self.params.gamma());
         let (xs, ys) = state.split_at(k);
+        let entry = self.entry.at(t);
 
         // Seed service pool Σₗ (μ/l)·yₗ and downloader share weights xᵢ/i,
         // exactly as in the stationary MTCD rhs.
@@ -89,7 +165,7 @@ impl OdeSystem for ScheduledMtcd {
                 0.0
             };
             let served = tft + from_seeds;
-            d[i] = self.lambda_at(t, i + 1) - served;
+            d[i] = entry.as_ref().map_or(0.0, |e| e.per_torrent(i)) - served;
             d[k + i] = served - gamma * ys[i].max(0.0);
         }
     }
@@ -124,8 +200,8 @@ impl OdeSystem for ScheduledMtcd {
 pub struct ScheduledMtsd {
     params: FluidParams,
     k: usize,
-    lambda0: Schedule,
-    correlation: Schedule,
+    /// Weights over all `K` files.
+    entry: EntryWeights,
 }
 
 impl ScheduledMtsd {
@@ -139,8 +215,7 @@ impl ScheduledMtsd {
         Ok(Self {
             params: program.params,
             k: program.k as usize,
-            lambda0: program.lambda0.clone(),
-            correlation: program.correlation.clone(),
+            entry: EntryWeights::new(program, program.k),
         })
     }
 
@@ -152,11 +227,7 @@ impl ScheduledMtsd {
     /// System-wide class entry rate `λᵢ(t) = λ₀(t)·C(K,i)pⁱ(1−p)^{K−i}`
     /// for class `i` (1-based).
     pub fn class_rate_at(&self, t: f64, i: usize) -> f64 {
-        let p = self.correlation.value(t).clamp(0.0, 1.0);
-        if p == 0.0 {
-            return 0.0;
-        }
-        self.lambda0.value(t) * binomial_pmf(self.k as u32, i as u32, p).unwrap_or(0.0)
+        self.entry.at(t).map_or(0.0, |e| e.class(i))
     }
 
     /// Index of `x_{i,j}` (class `i`, stage `j`, both 1-based) in the
@@ -188,6 +259,7 @@ impl OdeSystem for ScheduledMtsd {
         let half = self.dim() / 2;
         let (mu, eta, gamma) = (self.params.mu(), self.params.eta(), self.params.gamma());
         let (xs, ss) = state.split_at(half);
+        let entry = self.entry.at(t);
 
         let x_tot: f64 = xs.iter().map(|x| x.max(0.0)).sum();
         let s_tot: f64 = ss.iter().map(|s| s.max(0.0)).sum();
@@ -201,7 +273,7 @@ impl OdeSystem for ScheduledMtsd {
             for j in 1..=i {
                 let idx = self.stage_index(i, j);
                 let inflow = if j == 1 {
-                    self.class_rate_at(t, i)
+                    entry.as_ref().map_or(0.0, |e| e.class(i))
                 } else {
                     gamma * ss[idx - 1].max(0.0)
                 };

@@ -1,6 +1,6 @@
 //! The binomial file-correlation model of Section 4.1.
 
-use btfluid_numkit::special::binomial_pmf;
+use btfluid_numkit::special::{binomial_pmf, binomial_pmf_row};
 use btfluid_numkit::NumError;
 
 /// The paper's file-correlation model: `K` files, index visiting rate `λ₀`,
@@ -104,14 +104,22 @@ impl CorrelationModel {
         self.lambda0 * binomial_pmf(self.k - 1, i - 1, self.p).expect("p validated") * self.p
     }
 
-    /// All system-wide class rates `λ₁..λ_K` as a vector (index 0 ↔ class 1).
+    /// All system-wide class rates `λ₁..λ_K` as a vector (index 0 ↔ class 1),
+    /// each bit-equal to [`class_rate`](Self::class_rate), from one pmf row.
     pub fn class_rates(&self) -> Vec<f64> {
-        (1..=self.k).map(|i| self.class_rate(i)).collect()
+        let row = binomial_pmf_row(self.k, self.p).expect("p validated at construction");
+        row[1..].iter().map(|w| self.lambda0 * w).collect()
     }
 
-    /// All per-torrent class rates `λⱼ¹..λⱼᴷ` as a vector (index 0 ↔ class 1).
+    /// All per-torrent class rates `λⱼ¹..λⱼᴷ` as a vector (index 0 ↔ class 1),
+    /// each bit-equal to [`per_torrent_rate`](Self::per_torrent_rate), from
+    /// one pmf row.
     pub fn per_torrent_rates(&self) -> Vec<f64> {
-        (1..=self.k).map(|i| self.per_torrent_rate(i)).collect()
+        if self.p == 0.0 {
+            return vec![0.0; self.k as usize];
+        }
+        let row = binomial_pmf_row(self.k - 1, self.p).expect("p validated");
+        row.iter().map(|w| self.lambda0 * w * self.p).collect()
     }
 
     /// Fraction of visitors who request at least one file,
@@ -176,6 +184,24 @@ mod tests {
         assert!(CorrelationModel::new(10, 0.5, 0.0).is_err());
         assert!(CorrelationModel::new(10, 0.5, f64::NAN).is_err());
         assert!(CorrelationModel::new(1, 0.0, 1.0).is_ok());
+    }
+
+    #[test]
+    fn rate_vectors_are_the_single_entries() {
+        for &p in &[0.0, 1e-300, 0.1, 0.4, 0.9, 1.0 - 1e-16, 1.0] {
+            for k in [1, 2, 10, 40] {
+                let m = CorrelationModel::new(k, p, 2.5).unwrap();
+                let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let single = (1..=k).map(|i| m.class_rate(i)).collect();
+                assert_eq!(bits(m.class_rates()), bits(single), "k = {k}, p = {p}");
+                let single = (1..=k).map(|i| m.per_torrent_rate(i)).collect();
+                assert_eq!(
+                    bits(m.per_torrent_rates()),
+                    bits(single),
+                    "k = {k}, p = {p}"
+                );
+            }
+        }
     }
 
     #[test]
