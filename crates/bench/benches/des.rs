@@ -388,7 +388,7 @@ fn bench_checkpoint_overhead(_c: &mut Criterion) {
 }
 
 /// Fault-injector seam guard: with the injector disarmed (the normal
-/// state), every seam consultation is one relaxed atomic load, and the
+/// state), every seam consultation is one thread-local read, and the
 /// run must stay within 1% of a des_scale run. Shared-machine wall
 /// clocks can't resolve sub-percent effects (repeated identical runs
 /// spread ±15%), so the guard is arithmetic: micro-time the disarmed

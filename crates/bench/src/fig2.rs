@@ -9,7 +9,6 @@ use crate::table::Table;
 use btfluid_core::{evaluate_scheme, FluidParams, Scheme};
 use btfluid_numkit::NumError;
 use btfluid_workload::CorrelationModel;
-use rayon::prelude::*;
 
 /// Configuration of the Figure 2 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +63,7 @@ impl Fig2Result {
     }
 }
 
-/// Runs the sweep (points are independent; computed in parallel).
+/// Runs the sweep.
 ///
 /// # Errors
 /// Propagates model validity errors for any sweep point.
@@ -79,7 +78,7 @@ pub fn run(cfg: &Fig2Config) -> Result<Fig2Result, NumError> {
         .map(|i| i as f64 / cfg.points as f64)
         .collect();
     let points: Result<Vec<Fig2Point>, NumError> = ps
-        .par_iter()
+        .iter()
         .map(|&p| {
             let model = CorrelationModel::new(cfg.k, p, 1.0)?;
             let mtcd = evaluate_scheme(cfg.params, &model, Scheme::Mtcd)?;

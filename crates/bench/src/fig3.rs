@@ -12,7 +12,6 @@ use btfluid_core::mtsd::Mtsd;
 use btfluid_core::FluidParams;
 use btfluid_numkit::NumError;
 use btfluid_workload::CorrelationModel;
-use rayon::prelude::*;
 
 /// Configuration of the Figure 3 evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,10 +89,10 @@ impl Fig3Result {
 /// # Errors
 /// Propagates model validity errors.
 pub fn run(cfg: &Fig3Config) -> Result<Fig3Result, NumError> {
-    // Panels are independent; evaluate them in parallel, order preserved.
+    // Panels are independent; evaluate them in order.
     let panels = cfg
         .correlations
-        .par_iter()
+        .iter()
         .map(|&p| -> Result<Fig3Panel, NumError> {
             let model = CorrelationModel::new(cfg.k, p, 1.0)?;
             let mtcd = Mtcd::new(cfg.params, model.per_torrent_rates())?.class_times()?;

@@ -9,7 +9,6 @@ use crate::table::Table;
 use btfluid_core::{evaluate_scheme, FluidParams, Scheme};
 use btfluid_numkit::NumError;
 use btfluid_workload::CorrelationModel;
-use rayon::prelude::*;
 
 /// Configuration of the Figure 4(a) grid sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +70,7 @@ impl Fig4aResult {
     }
 }
 
-/// Runs the grid (cells are independent; computed in parallel).
+/// Runs the grid.
 ///
 /// # Errors
 /// Propagates model validity errors for any grid cell.
@@ -84,7 +83,7 @@ pub fn run(cfg: &Fig4aConfig) -> Result<Fig4aResult, NumError> {
     }
     let values: Result<Vec<Vec<f64>>, NumError> = cfg
         .ps
-        .par_iter()
+        .iter()
         .map(|&p| {
             let model = CorrelationModel::new(cfg.k, p, 1.0)?;
             cfg.rhos

@@ -13,7 +13,6 @@ use btfluid_core::mfcd::Mfcd;
 use btfluid_core::FluidParams;
 use btfluid_numkit::NumError;
 use btfluid_workload::CorrelationModel;
-use rayon::prelude::*;
 
 /// Configuration of the Figure 4(b)/(c) evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,10 +104,10 @@ impl Fig4bcResult {
 /// # Errors
 /// Propagates model validity errors.
 pub fn run(cfg: &Fig4bcConfig) -> Result<Fig4bcResult, NumError> {
-    // Panels are independent; evaluate them in parallel, order preserved.
+    // Panels are independent; evaluate them in order.
     let panels = cfg
         .correlations
-        .par_iter()
+        .iter()
         .map(|&p| -> Result<Fig4bcPanel, NumError> {
             let model = CorrelationModel::new(cfg.k, p, 1.0)?;
             let eval_cmfsd = |rho: f64| -> Result<(Vec<f64>, Vec<f64>), NumError> {

@@ -16,7 +16,7 @@
 //! | X6  | parameter elasticities (ablation) | [`ablation::run`] |
 //! | X8  | Zipf popularity skew (extension) | [`skew::run`] |
 //!
-//! Parameter sweeps are embarrassingly parallel and run on rayon.
+//! Parameter sweeps are a few fluid solves each and run serially.
 
 #![forbid(unsafe_code)]
 // `!(x > 0.0)` is used deliberately throughout: unlike `x <= 0.0` it also

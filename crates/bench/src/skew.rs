@@ -26,7 +26,6 @@ use btfluid_core::mtsd::Mtsd;
 use btfluid_core::FluidParams;
 use btfluid_numkit::NumError;
 use btfluid_workload::popularity::NonUniformModel;
-use rayon::prelude::*;
 
 /// Configuration of the skew sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,7 +114,7 @@ pub fn run(cfg: &SkewConfig) -> Result<SkewResult, NumError> {
     let mtsd_value = mtsd.download_time()? + cfg.params.seed_residence();
     let points: Result<Vec<SkewPoint>, NumError> = cfg
         .exponents
-        .par_iter()
+        .iter()
         .map(|&s| {
             let model = NonUniformModel::zipf(cfg.k, s, cfg.p_mean, 1.0)?;
             let mut weighted = 0.0;

@@ -20,11 +20,9 @@
 
 use crate::plan::{ChaosMode, ChaosPlan};
 use btfluid_des::SimOutcome;
-use btfluid_harness::{
-    drive, CheckpointPlan, HarnessError, RetryPolicy, RunEnd, RunLimits, RunReport,
-};
+use btfluid_harness::{drive, CheckpointPlan, RetryPolicy, RunEnd, RunLimits};
 use btfluid_hybrid::{HybridConfig, HybridOutcome, HybridRunner};
-use btfluid_telemetry::faults::{self, FaultScript};
+use btfluid_telemetry::faults;
 use btfluid_telemetry::{
     diag, shared_recorder, FanoutProbe, Level, RecorderProbe, SharedRecorder, SinkProbe, TraceSink,
     DEFAULT_FLIGHT_CAPACITY,
@@ -69,19 +67,10 @@ impl Verdict {
     }
 }
 
-/// Disarms the injector (and detaches its flight hook) even if the
-/// executor unwinds.
-struct Disarm;
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        faults::disarm();
-        faults::uninstall_flight();
-    }
-}
-
-/// Runs `plan` in `work_dir` (scratch files are keyed by plan index, so
-/// concurrent *distinct* plans need distinct dirs — the injector is
-/// process-global, so plans must run sequentially anyway).
+/// Runs `plan` in `work_dir`. The plan's fault script is armed only on
+/// the calling thread, so distinct plans may run concurrently; scratch
+/// files are keyed by plan index, so plans sharing an index (a plan and
+/// its shrink candidates) need distinct dirs to run side by side.
 pub fn run_plan(plan: &ChaosPlan, work_dir: &Path) -> Verdict {
     let mut violations = Vec::new();
     let flight = shared_recorder(DEFAULT_FLIGHT_CAPACITY);
@@ -89,8 +78,6 @@ pub fn run_plan(plan: &ChaosPlan, work_dir: &Path) -> Verdict {
         ChaosMode::Des => run_des(plan, work_dir, &flight),
         ChaosMode::Hybrid => run_hybrid(plan, work_dir, &flight),
     }));
-    faults::disarm();
-    faults::uninstall_flight();
     match outcome {
         Ok(mut v) => violations.append(&mut v),
         Err(payload) => {
@@ -157,60 +144,54 @@ fn run_des(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec<Vi
         None => None,
     };
 
-    let _guard = Disarm;
-    faults::arm(plan.script.clone());
-    faults::install_flight(Arc::clone(flight));
     let cplan = ckpt_plan(ckpt.clone());
-    let first_probe: Box<dyn btfluid_des::Probe> = {
-        let mut probes: Vec<Box<dyn btfluid_des::Probe>> =
-            vec![Box::new(RecorderProbe::new(Arc::clone(flight)))];
-        if let Some(s) = sink.clone() {
-            probes.push(Box::new(SinkProbe::new(s, 10.0)));
-        }
-        Box::new(FanoutProbe::new(probes))
-    };
-    let first: Result<RunReport, HarnessError> = drive(
-        cfg.clone(),
-        Some(&hook_factory),
-        Some(&cplan),
-        false,
-        &RunLimits {
-            max_events: plan.kill_at,
-            ..Default::default()
-        },
-        None,
-        None,
-        Some(first_probe),
-    );
-    let chaos = match first {
-        Ok(report) if report.end == RunEnd::Completed => report.outcome,
-        Ok(_) => {
-            // Killed at the budget; tear down and resume from whatever the
-            // faulted checkpointing left behind (possibly nothing — then
-            // the resume leg restarts from scratch, which must still land
-            // on the identical result).
-            match drive(
-                cfg.clone(),
-                Some(&hook_factory),
-                Some(&cplan),
-                true,
-                &RunLimits::default(),
-                None,
-                None,
-                Some(Box::new(RecorderProbe::new(Arc::clone(flight)))),
-            ) {
-                Ok(report) => report.outcome,
-                Err(e) => {
-                    return vec![Violation::new(
-                        "run-completes",
-                        format!("resume leg: {e:?}"),
-                    )]
-                }
+    let armed = || -> Result<Option<SimOutcome>, Violation> {
+        let first_probe: Box<dyn btfluid_des::Probe> = {
+            let mut probes: Vec<Box<dyn btfluid_des::Probe>> =
+                vec![Box::new(RecorderProbe::new(Arc::clone(flight)))];
+            if let Some(s) = sink.clone() {
+                probes.push(Box::new(SinkProbe::new(s, 10.0)));
             }
+            Box::new(FanoutProbe::new(probes))
+        };
+        let first = drive(
+            cfg.clone(),
+            Some(&hook_factory),
+            Some(&cplan),
+            false,
+            &RunLimits {
+                max_events: plan.kill_at,
+                ..Default::default()
+            },
+            None,
+            None,
+            Some(first_probe),
+        )
+        .map_err(|e| Violation::new("run-completes", format!("first leg: {e:?}")))?;
+        if first.end == RunEnd::Completed {
+            return Ok(first.outcome);
         }
-        Err(e) => return vec![Violation::new("run-completes", format!("first leg: {e:?}"))],
+        // Killed at the budget; tear down and resume from whatever the
+        // faulted checkpointing left behind (possibly nothing — then the
+        // resume leg restarts from scratch, which must still land on the
+        // identical result).
+        let resumed = drive(
+            cfg.clone(),
+            Some(&hook_factory),
+            Some(&cplan),
+            true,
+            &RunLimits::default(),
+            None,
+            None,
+            Some(Box::new(RecorderProbe::new(Arc::clone(flight)))),
+        )
+        .map_err(|e| Violation::new("run-completes", format!("resume leg: {e:?}")))?;
+        Ok(resumed.outcome)
     };
-    faults::disarm();
+    let chaos = match faults::scoped(plan.script.clone(), Some(Arc::clone(flight)), armed) {
+        Ok(outcome) => outcome,
+        Err(violation) => return vec![violation],
+    };
     // A trace-site fault surfaces here as a typed, tolerated error: the
     // sink is an observer, so it must not affect the verdict.
     if let Some(sink) = sink {
@@ -291,10 +272,7 @@ fn run_hybrid(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec
 
     let ckpt = work_dir.join(format!("plan-{}.hsnap", plan.index));
     let _ = std::fs::remove_file(&ckpt);
-    let _guard = Disarm;
-    faults::arm(plan.script.clone());
-    faults::install_flight(Arc::clone(flight));
-    let chaos = (|| -> Result<HybridOutcome, String> {
+    let armed = || -> Result<HybridOutcome, String> {
         let mut runner = HybridRunner::new(cfg.clone()).map_err(|e| format!("new: {e:?}"))?;
         runner.attach_flight(Arc::clone(flight));
         let mut boundary = 0u64;
@@ -331,9 +309,8 @@ fn run_hybrid(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec
             }
         }
         Ok(runner.finish())
-    })();
-    faults::disarm();
-    let chaos = match chaos {
+    };
+    let chaos = match faults::scoped(plan.script.clone(), Some(Arc::clone(flight)), armed) {
         Ok(outcome) => outcome,
         Err(detail) => return vec![Violation::new("run-completes", detail)],
     };
@@ -371,18 +348,11 @@ fn check_hybrid(baseline: &HybridOutcome, chaos: &HybridOutcome) -> Vec<Violatio
     violations
 }
 
-/// Arms `script`, runs `f`, and always disarms — the safe wrapper for
-/// callers outside the executor (the CLI's replay path).
-pub fn with_script<T>(script: &FaultScript, f: impl FnOnce() -> T) -> T {
-    let _guard = Disarm;
-    faults::arm(script.clone());
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan;
+    use btfluid_telemetry::FaultScript;
 
     fn work() -> PathBuf {
         let dir = std::env::temp_dir().join(format!("btfs-chaos-exec-{}", std::process::id()));
@@ -390,8 +360,6 @@ mod tests {
         dir
     }
 
-    // One test exercises everything that arms the process-global injector,
-    // so nothing races (the crate's other tests never arm it).
     #[test]
     fn clean_plans_pass_and_the_canary_is_caught() {
         let dir = work();

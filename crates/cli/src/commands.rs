@@ -24,6 +24,7 @@ use btfluid_telemetry::{
 use btfluid_workload::{fit_model, ArrivalTrace, CorrelationModel};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1463,9 +1464,20 @@ pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
         btfluid_chaos::generate(seed, cells)
     };
 
-    let mut failing: Vec<(btfluid_chaos::ChaosPlan, btfluid_chaos::Verdict)> = Vec::new();
-    for (i, plan) in plans.iter().enumerate() {
+    // Each plan arms its fault script on its own worker thread only, so
+    // plans run side by side; verdicts come back in plan order.
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let run = AtomicUsize::new(0);
+    let verdicts = harness::pool(workers, plans.iter().collect(), |plan| {
         let verdict = btfluid_chaos::run_plan(plan, &work);
+        let done = run.fetch_add(1, Ordering::Relaxed) + 1;
+        if done.is_multiple_of(20) {
+            diag!(Level::Info, "chaos: {done}/{} plans run", plans.len());
+        }
+        verdict
+    });
+    let mut failing = Vec::new();
+    for (plan, verdict) in plans.iter().zip(verdicts) {
         if !verdict.clean() {
             diag!(
                 Level::Warn,
@@ -1479,10 +1491,7 @@ pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
                     .collect::<Vec<_>>()
                     .join(", ")
             );
-            failing.push((plan.clone(), verdict));
-        }
-        if (i + 1) % 20 == 0 {
-            diag!(Level::Info, "chaos: {}/{} plans run", i + 1, plans.len());
+            failing.push(plan);
         }
     }
     println!(
@@ -1498,13 +1507,17 @@ pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
     // a full re-run, so keep the tail bounded).
     const MAX_BUNDLES: usize = 4;
     const SHRINK_BUDGET: u32 = 60;
-    for (plan, _) in failing.iter().take(MAX_BUNDLES) {
+    let first = failing.iter().take(MAX_BUNDLES).copied().collect();
+    let shrunk = harness::pool(workers, first, |plan: &btfluid_chaos::ChaosPlan| {
         let (small, evals) = btfluid_chaos::shrink(
             plan,
             |cand| !btfluid_chaos::run_plan(cand, &work).clean(),
             SHRINK_BUDGET,
         );
         let verdict = btfluid_chaos::run_plan(&small, &work);
+        (plan.index, small, evals, verdict)
+    });
+    for (index, small, evals, verdict) in shrunk {
         let bundle = btfluid_chaos::ChaosBundle {
             master_seed: seed,
             plan: small,
@@ -1512,13 +1525,12 @@ pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
             shrink_evals: evals,
             flight: verdict.flight,
         };
-        let dir = Path::new(&bundles).join(format!("plan-{}", plan.index));
+        let dir = Path::new(&bundles).join(format!("plan-{index}"));
         bundle
             .write(&dir)
             .map_err(|e| CliError::new(1, format!("chaos: writing {}: {e}", dir.display())))?;
         println!(
-            "chaos: plan {} shrunk ({} rule(s) left, {} eval(s)) -> {}",
-            plan.index,
+            "chaos: plan {index} shrunk ({} rule(s) left, {} eval(s)) -> {}",
             bundle.plan.script.rules.len(),
             evals,
             dir.display()

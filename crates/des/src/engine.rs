@@ -53,7 +53,7 @@ use btfluid_numkit::rng::{RngCore, Xoshiro256StarStar};
 use btfluid_numkit::series::TimeSeries;
 use btfluid_numkit::NumError;
 use btfluid_telemetry::profiler::{Phase as ProfPhase, ProfileTable, Profiler};
-use btfluid_telemetry::{diag, Counters, FlightKind, FlightRecord, Level, Probe, Sample};
+use btfluid_telemetry::{Counters, FlightKind, FlightRecord, Probe, Sample};
 use btfluid_workload::requests::{random_order, uniform_subset, FileId, RequestSampler};
 
 /// What happens next.
@@ -167,10 +167,6 @@ pub struct Simulation {
     trajectory: Option<TimeSeries>,
     /// Next trajectory sampling time.
     next_record: f64,
-    /// Debug tracing (`BTFLUID_DES_TRACE`); env-derived, excluded from
-    /// snapshots — stderr output is not part of the bit-identity contract.
-    trace: bool,
-    next_trace: f64,
     /// Hot-loop counters, maintained unconditionally (integer increments
     /// only) and snapshotted so resumed runs continue the same series.
     counters: Counters,
@@ -268,8 +264,6 @@ impl Simulation {
             started: false,
             trajectory: None,
             next_record: 0.0,
-            trace: std::env::var_os("BTFLUID_DES_TRACE").is_some(),
-            next_trace: 0.0,
             counters: Counters::default(),
             probe: None,
             sample_every: 0.0,
@@ -332,11 +326,10 @@ impl Simulation {
     /// Attaches an observation probe.
     ///
     /// Probes are engine-local observers, excluded from snapshots and
-    /// config digests the same way the `BTFLUID_DES_TRACE` flag is —
-    /// attach one to a restored simulation to continue a traced run. The
-    /// sampler cadence comes from [`Probe::sample_every`]; on a fresh run
-    /// the first sample fires at `t = 0`, on a restored run at the
-    /// snapshotted phase.
+    /// config digests — attach one to a restored simulation to continue a
+    /// traced run. The sampler cadence comes from [`Probe::sample_every`];
+    /// on a fresh run the first sample fires at `t = 0`, on a restored run
+    /// at the snapshotted phase.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.sample_every = probe.sample_every();
         self.flight = probe.wants_flight();
@@ -634,9 +627,6 @@ impl Simulation {
                     self.next_record += dt;
                 }
             }
-        }
-        if self.trace && self.t >= self.next_trace {
-            self.emit_trace();
         }
         if self.sample_every > 0.0 && self.t >= self.next_sample {
             self.prof_enter(ProfPhase::SinkWrite);
@@ -1049,7 +1039,6 @@ impl Simulation {
             sim.rng_agg = Xoshiro256StarStar::from_state(a.rng_agg);
         }
         sim.t = snap.t;
-        sim.next_trace = snap.t;
         sim.peers = peers;
         sim.free = snap.free.iter().map(|&i| i as usize).collect();
         sim.next_arrival = snap.next_arrival.clone();
@@ -1200,47 +1189,6 @@ impl Simulation {
             }
         }
         Ok(sim)
-    }
-
-    /// One `BTFLUID_DES_TRACE` stderr line (debug aid, not part of any
-    /// bit-identity contract). Routed through `diag!` at [`Level::Debug`],
-    /// so the CLI's `--quiet` silences it even with the env var set.
-    fn emit_trace(&mut self) {
-        let snapshot = compute_rates(
-            &self.peers,
-            self.cfg.scheme,
-            &self.cfg.params,
-            self.cfg.model.k() as usize,
-            self.origin_now,
-        );
-        let total: f64 = snapshot.downloads.iter().map(|d| d.rate).sum();
-        let don: f64 = snapshot.donations.iter().sum();
-        let zero = snapshot.downloads.iter().filter(|d| d.rate <= 0.0).count();
-        let k = self.cfg.model.k() as usize;
-        let mut demand = vec![0usize; k];
-        for d in &snapshot.downloads {
-            demand[self.peers[d.peer_idx].slots[d.slot].file as usize] += 1;
-        }
-        let mut holders = vec![0usize; k];
-        for p in &self.peers {
-            if p.phase == Phase::Departed {
-                continue;
-            }
-            for s in p.finished_slots() {
-                holders[p.slots[s].file as usize] += 1;
-            }
-        }
-        diag!(
-            Level::Debug,
-            "[trace] t={:.0} peers={} downloads={} zero-rate={} total_rate={:.4} donations={:.4} demand={demand:?} holders={holders:?}",
-            self.t,
-            self.peers.len() - self.free.len(),
-            snapshot.downloads.len(),
-            zero,
-            total,
-            don
-        );
-        self.next_trace = self.t + 500.0;
     }
 
     /// `checked`-mode audit: finiteness, the rate groups' structure, the

@@ -34,8 +34,6 @@
 //!   its slab place is written, and it is restored empty.
 //! * Per-class population counters and rarest-first holder counts: both
 //!   are recomputed from the restored slab.
-//! * The `BTFLUID_DES_TRACE` debug state: stderr tracing is not part of
-//!   the bit-identity contract.
 //! * The attached [`btfluid_telemetry::Probe`], which may hold open file
 //!   handles. The telemetry *counters* and the sampler phase
 //!   (`next_sample`, `last_delta`) **are** serialized, so a run resumed

@@ -102,10 +102,9 @@ pub fn clean_stale_tmp(path: &Path) -> bool {
 /// failures, plus the graceful-degradation threshold: after
 /// `degrade_after` *consecutive* failed write cycles (each cycle already
 /// containing `max_attempts` backed-off tries) the driver stops
-/// checkpointing entirely, bumps the process-wide
-/// [`faults::checkpoint_degraded_count`] tally, warns once, and lets the
-/// run finish on the engine's in-memory state — a correct result beats a
-/// dead run.
+/// checkpointing entirely, sets [`RunReport::degraded`], warns once, and
+/// lets the run finish on the engine's in-memory state — a correct result
+/// beats a dead run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Write attempts per checkpoint cycle (≥ 1).
@@ -374,7 +373,6 @@ pub fn drive(
                 Err(e) => {
                     *checkpoint_failures += 1;
                     *consecutive_failures += 1;
-                    faults::note_checkpoint_failure();
                     diag!(
                         Level::Warn,
                         "checkpoint cycle at event {} failed after {} attempt(s): {e}; run continues",
@@ -383,7 +381,6 @@ pub fn drive(
                     );
                     if *consecutive_failures >= retry.degrade_after.max(1) {
                         *degraded = true;
-                        faults::note_checkpoint_degraded();
                         diag!(
                             Level::Warn,
                             "disabling checkpoints after {} consecutive failed cycles; \

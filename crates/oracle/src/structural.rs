@@ -76,8 +76,8 @@ pub fn snapshot_fuzz(cfg: &OracleConfig) -> Result<String, String> {
 
 /// Trace JSONL round-trip: a sink fed non-finite samples must emit a file
 /// the trace reader accepts whole (every line parses as JSON), the
-/// non-finite fields must read back as absent, and the process-wide
-/// downgrade counter must advance.
+/// non-finite fields must read back as absent, and this thread's
+/// downgrade counter must advance by exactly the 16 poisoned fields.
 pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
     let dir = std::env::temp_dir().join(format!(
         "btfluid_oracle_trace_{}_{}",
@@ -124,9 +124,9 @@ pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
             ));
         }
         let after = btfluid_telemetry::non_finite_null_count();
-        if after < before + 16 {
+        if after - before != 16 {
             return Err(format!(
-                "downgrade counter advanced by {} — expected ≥ 16",
+                "downgrade counter advanced by {} — expected 16",
                 after - before
             ));
         }

@@ -2,22 +2,27 @@
 //!
 //! Every durable write path in the workspace (checkpoint temp-file-and-
 //! rename, trace sink, sweep manifest, repro bundles) consults this module
-//! before touching the filesystem. When no script is armed the check is a
-//! single relaxed atomic load, so production runs pay nothing measurable.
-//! When a [`FaultScript`] is armed, faults fire at exact per-site
-//! operation counts: the same script against the same run injects the
-//! same failures at the same instants, which is what makes chaos runs
-//! replayable and shrinkable.
+//! before touching the filesystem. A [`FaultScript`] is armed for the
+//! duration of one closure on one thread by [`scoped`]; writes on any
+//! other thread, and on this one outside the closure, pass through. When
+//! nothing is armed the check is one thread-local read, so production
+//! runs pay nothing measurable. While armed, faults fire at exact
+//! per-site operation counts: the same script against the same run
+//! injects the same failures at the same instants, which is what makes
+//! chaos runs replayable and shrinkable, and lets independent runs arm
+//! their own scripts side by side on a worker pool.
 //!
-//! The module also owns the process-wide degradation tally the crash-safe
-//! driver bumps when checkpointing fails (and when it gives up and
-//! disables checkpointing) — the same pattern as
-//! [`crate::json::non_finite_null_count`].
+//! A run's write paths never spawn threads, so a scope covers every write
+//! the run makes. Threads a run starts do not inherit the scope: the
+//! sweep supervisor's attempt threads run unarmed.
+//!
+//! What faults do to a run is reported by the run itself
+//! (`RunReport::checkpoint_failures` and `RunReport::degraded` in
+//! `btfluid-harness`), not tallied here.
 
 use crate::flightrec::{FlightKind, FlightRecord, SharedRecorder};
+use std::cell::RefCell;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Instrumented write paths. Each site keeps its own operation counter
 /// while a script is armed, so a schedule can say "fail the 3rd
@@ -171,40 +176,11 @@ pub struct FaultScript {
 struct Armed {
     script: FaultScript,
     ops: [u64; FAULT_SITES],
+    flight: Option<SharedRecorder>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static INJECTED: AtomicU64 = AtomicU64::new(0);
-static CKPT_FAILURES: AtomicU64 = AtomicU64::new(0);
-static CKPT_DEGRADED: AtomicU64 = AtomicU64::new(0);
-
-fn state() -> &'static Mutex<Option<Armed>> {
-    static STATE: Mutex<Option<Armed>> = Mutex::new(None);
-    &STATE
-}
-
-fn flight() -> &'static Mutex<Option<SharedRecorder>> {
-    static FLIGHT: Mutex<Option<SharedRecorder>> = Mutex::new(None);
-    &FLIGHT
-}
-
-/// Routes a [`FlightKind::FaultConsult`] record into `rec` for every
-/// injector consult while a script is armed. The hook lives entirely on
-/// the armed path (inside the script mutex), so disarmed runs still pay
-/// only the one relaxed load.
-///
-/// Record payload: `a` = site index, `b` = matched-kind code + 1 (0 when
-/// the consult passed through clean); `t` is `-1.0` because no simulated
-/// clock is in scope at the I/O layer.
-pub fn install_flight(rec: SharedRecorder) {
-    let mut guard = flight().lock().unwrap_or_else(|e| e.into_inner());
-    *guard = Some(rec);
-}
-
-/// Removes the flight-record hook installed by [`install_flight`].
-pub fn uninstall_flight() {
-    let mut guard = flight().lock().unwrap_or_else(|e| e.into_inner());
-    *guard = None;
+thread_local! {
+    static SCOPE: RefCell<Option<Armed>> = const { RefCell::new(None) };
 }
 
 fn kind_code(kind: FaultKind) -> u64 {
@@ -217,86 +193,63 @@ fn kind_code(kind: FaultKind) -> u64 {
     }
 }
 
-/// Arms `script` process-wide, resetting all per-site operation counters.
-/// Replaces any previously armed script.
-pub fn arm(script: FaultScript) {
-    let mut guard = state().lock().unwrap_or_else(|e| e.into_inner());
-    *guard = Some(Armed {
+/// Runs `f` with `script` armed on the calling thread, every per-site
+/// operation counter starting at zero, and returns its result. The scope
+/// that was armed before (normally none) is restored when `f` returns
+/// or unwinds.
+///
+/// With `flight` given, every consult inside the scope also records a
+/// [`FlightKind::FaultConsult`] into it: `a` = site index, `b` = matched
+/// kind code + 1 (0 when the consult passed through clean); `t` is
+/// `-1.0` because no simulated clock is in scope at the I/O layer.
+pub fn scoped<T>(script: FaultScript, flight: Option<SharedRecorder>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Armed>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPE.set(self.0.take());
+        }
+    }
+    let _restore = Restore(SCOPE.replace(Some(Armed {
         script,
         ops: [0; FAULT_SITES],
-    });
-    ENABLED.store(true, Ordering::Release);
+        flight,
+    })));
+    f()
 }
 
-/// Disarms fault injection; all write paths go back to passthrough.
-pub fn disarm() {
-    ENABLED.store(false, Ordering::Release);
-    let mut guard = state().lock().unwrap_or_else(|e| e.into_inner());
-    *guard = None;
-}
-
-/// Whether a script is currently armed (one relaxed load — the fast path
-/// every instrumented write starts with).
+/// Whether a script is armed on this thread — the fast path every
+/// instrumented write starts with.
 pub fn armed() -> bool {
-    ENABLED.load(Ordering::Acquire)
+    SCOPE.with_borrow(Option::is_some)
 }
 
-/// Consults the armed script for `site`, advancing its operation counter.
-/// `None` (always, when disarmed) means "perform the real operation".
+/// Consults this thread's armed script for `site`, advancing its
+/// operation counter. `None` (always, outside [`scoped`]) means "perform
+/// the real operation".
 pub fn intercept(site: FaultSite) -> Option<FaultKind> {
-    if !armed() {
-        return None;
-    }
-    let mut guard = state().lock().unwrap_or_else(|e| e.into_inner());
-    let armed = guard.as_mut()?;
-    let op = armed.ops[site.index()];
-    armed.ops[site.index()] += 1;
-    let kind = armed
-        .script
-        .rules
-        .iter()
-        .find(|r| r.matches(site, op))
-        .map(|r| r.kind);
-    if kind.is_some() {
-        INJECTED.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(rec) = flight().lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
-        rec.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(FlightRecord {
-                t: -1.0,
-                events: 0,
-                kind: FlightKind::FaultConsult,
-                a: site.index() as u64,
-                b: kind.map_or(0, |k| kind_code(k) + 1),
-            });
-    }
-    kind
-}
-
-/// Process-wide count of injected faults (monotone; survives disarm).
-pub fn injected_count() -> u64 {
-    INJECTED.load(Ordering::Relaxed)
-}
-
-/// Records one failed checkpoint write cycle (all retries exhausted).
-pub fn note_checkpoint_failure() {
-    CKPT_FAILURES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Process-wide count of failed checkpoint write cycles.
-pub fn checkpoint_failure_count() -> u64 {
-    CKPT_FAILURES.load(Ordering::Relaxed)
-}
-
-/// Records the driver disabling checkpointing after consecutive failures.
-pub fn note_checkpoint_degraded() {
-    CKPT_DEGRADED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Process-wide count of runs that degraded to checkpoint-free operation.
-pub fn checkpoint_degraded_count() -> u64 {
-    CKPT_DEGRADED.load(Ordering::Relaxed)
+    SCOPE.with_borrow_mut(|scope| {
+        let armed = scope.as_mut()?;
+        let op = armed.ops[site.index()];
+        armed.ops[site.index()] += 1;
+        let kind = armed
+            .script
+            .rules
+            .iter()
+            .find(|r| r.matches(site, op))
+            .map(|r| r.kind);
+        if let Some(rec) = &armed.flight {
+            rec.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .record(FlightRecord {
+                    t: -1.0,
+                    events: 0,
+                    kind: FlightKind::FaultConsult,
+                    a: site.index() as u64,
+                    b: kind.map_or(0, |k| kind_code(k) + 1),
+                });
+        }
+        kind
+    })
 }
 
 /// The outcome an instrumented buffered write should apply.
@@ -329,70 +282,92 @@ pub fn write_plan(site: FaultSite, len: usize) -> WritePlan {
 mod tests {
     use super::*;
 
-    // One test exercises the whole lifecycle: the armed state is process
-    // -global, so concurrent tests poking it would race each other.
+    fn rule(site: FaultSite, kind: FaultKind, from_op: u64, count: u64) -> FaultRule {
+        FaultRule {
+            site,
+            kind,
+            from_op,
+            count,
+        }
+    }
+
     #[test]
     fn scripts_fire_at_exact_ops_and_disarm_restores_passthrough() {
-        disarm();
         assert!(!armed());
         assert_eq!(intercept(FaultSite::CheckpointWrite), None);
-
-        arm(FaultScript {
+        let script = FaultScript {
             rules: vec![
-                FaultRule {
-                    site: FaultSite::CheckpointWrite,
-                    kind: FaultKind::Enospc,
-                    from_op: 1,
-                    count: 2,
-                },
-                FaultRule {
-                    site: FaultSite::TraceFinish,
-                    kind: FaultKind::RenameFail,
-                    from_op: 0,
-                    count: 1,
-                },
+                rule(FaultSite::CheckpointWrite, FaultKind::Enospc, 1, 2),
+                rule(FaultSite::TraceFinish, FaultKind::RenameFail, 0, 1),
             ],
+        };
+        let seen = scoped(script, None, || {
+            assert!(armed());
+            let ckpt: Vec<_> = (0..4)
+                .map(|_| intercept(FaultSite::CheckpointWrite))
+                .collect();
+            let finish: Vec<_> = (0..2).map(|_| intercept(FaultSite::TraceFinish)).collect();
+            (ckpt, finish)
         });
-        let before = injected_count();
         // Op 0 clean, ops 1-2 fail, op 3 clean again.
+        let enospc = Some(FaultKind::Enospc);
+        assert_eq!(seen.0, [None, enospc, enospc, None]);
+        assert_eq!(seen.1, [Some(FaultKind::RenameFail), None]);
+        assert!(!armed());
         assert_eq!(intercept(FaultSite::CheckpointWrite), None);
-        assert_eq!(
-            intercept(FaultSite::CheckpointWrite),
-            Some(FaultKind::Enospc)
-        );
-        assert_eq!(
-            intercept(FaultSite::CheckpointWrite),
-            Some(FaultKind::Enospc)
-        );
-        assert_eq!(intercept(FaultSite::CheckpointWrite), None);
-        // Sites count independently.
-        assert_eq!(
-            intercept(FaultSite::TraceFinish),
-            Some(FaultKind::RenameFail)
-        );
-        assert_eq!(intercept(FaultSite::TraceFinish), None);
-        assert_eq!(injected_count(), before + 3);
+    }
 
-        // Re-arming resets the op counters.
-        arm(FaultScript {
-            rules: vec![FaultRule {
-                site: FaultSite::ManifestAppend,
-                kind: FaultKind::ShortWrite,
-                from_op: 0,
-                count: 1,
-            }],
-        });
-        match write_plan(FaultSite::ManifestAppend, 10) {
-            WritePlan::Short(5, _) => {}
-            other => panic!("expected Short(5, _), got {other:?}"),
+    #[test]
+    fn each_scope_starts_its_counters_at_zero() {
+        let script = FaultScript {
+            rules: vec![rule(FaultSite::ManifestAppend, FaultKind::ShortWrite, 0, 1)],
+        };
+        for _ in 0..2 {
+            scoped(script.clone(), None, || {
+                match write_plan(FaultSite::ManifestAppend, 10) {
+                    WritePlan::Short(5, _) => {}
+                    other => panic!("expected Short(5, _), got {other:?}"),
+                }
+                assert!(matches!(
+                    write_plan(FaultSite::ManifestAppend, 10),
+                    WritePlan::Full
+                ));
+            });
         }
-        assert!(matches!(
-            write_plan(FaultSite::ManifestAppend, 10),
-            WritePlan::Full
-        ));
+    }
 
-        disarm();
-        assert_eq!(intercept(FaultSite::ManifestAppend), None);
+    #[test]
+    fn the_scope_is_cleared_on_unwind_and_other_threads_never_see_it() {
+        let script = FaultScript {
+            rules: vec![rule(FaultSite::BundleWrite, FaultKind::Eio, 0, u64::MAX)],
+        };
+        let unwound = std::panic::catch_unwind(|| {
+            scoped(script.clone(), None, || {
+                let other = std::thread::spawn(|| intercept(FaultSite::BundleWrite));
+                assert_eq!(other.join().unwrap(), None);
+                assert_eq!(intercept(FaultSite::BundleWrite), Some(FaultKind::Eio));
+                panic!("leg failed");
+            })
+        });
+        assert!(unwound.is_err());
+        assert!(!armed());
+        assert_eq!(intercept(FaultSite::BundleWrite), None);
+    }
+
+    #[test]
+    fn consults_are_flight_recorded_with_their_outcome() {
+        let rec = crate::flightrec::shared_recorder(8);
+        let script = FaultScript {
+            rules: vec![rule(FaultSite::TraceWrite, FaultKind::CorruptWrite, 1, 1)],
+        };
+        scoped(script, Some(std::sync::Arc::clone(&rec)), || {
+            intercept(FaultSite::TraceWrite);
+            intercept(FaultSite::TraceWrite);
+        });
+        let ring = rec.lock().unwrap();
+        let seen: Vec<_> = ring.iter().map(|r| (r.kind, r.a, r.b)).collect();
+        let consult = FlightKind::FaultConsult;
+        assert_eq!(seen, [(consult, 2, 0), (consult, 2, 5)]);
     }
 
     #[test]

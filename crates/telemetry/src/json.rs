@@ -16,28 +16,31 @@
 //!   number grammar, so a parsed-and-reprinted document is still JSON.
 //! * Strings escape control characters, quotes, and backslashes.
 //! * JSON has no NaN/∞: non-finite floats encode as `null` and bump the
-//!   process-wide [`non_finite_null_count`].
+//!   calling thread's [`non_finite_null_count`], so a check that encodes
+//!   on one thread reads an exact delta whatever runs beside it.
 //! * Nesting deeper than [`MAX_DEPTH`] is a parse error, so hostile input
 //!   cannot overflow the parser's stack.
 
+use std::cell::Cell;
 use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deepest array/object nesting [`Json::parse`] accepts. Everything
 /// btfluid writes nests a handful of levels; the bound only exists so
 /// that untrusted input fails with an error instead of a stack overflow.
 pub const MAX_DEPTH: usize = 128;
 
-/// Process-wide tally of non-finite floats that were downgraded to JSON
-/// `null` by [`push_f64`] or [`Json::num_f64`]. A non-zero delta across
-/// a run means some result carried NaN/∞ — the self-check oracle and
-/// `inspect` treat that as a data-quality signal rather than silently
-/// losing it.
-static NON_FINITE_NULLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's tally of non-finite floats that were downgraded to
+    /// JSON `null` by [`push_f64`] or [`Json::num_f64`].
+    static NON_FINITE_NULLS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Current value of the non-finite-to-`null` counter.
+/// How many non-finite floats this thread has downgraded to JSON `null`.
+/// A non-zero delta across an encode means some result carried NaN/∞ —
+/// the self-check oracle treats that as a data-quality signal rather than
+/// silently losing it.
 pub fn non_finite_null_count() -> u64 {
-    NON_FINITE_NULLS.load(Ordering::Relaxed)
+    NON_FINITE_NULLS.get()
 }
 
 /// Appends a JSON string literal (quoted, escaped) to `out`.
@@ -60,12 +63,12 @@ pub fn push_str_lit(out: &mut String, s: &str) {
 }
 
 /// Appends an `f64` (shortest-roundtrip; non-finite becomes `null` and
-/// bumps the process-wide [`non_finite_null_count`]).
+/// bumps [`non_finite_null_count`]).
 pub fn push_f64(out: &mut String, x: f64) {
     if x.is_finite() {
         let _ = write!(out, "{x}");
     } else {
-        NON_FINITE_NULLS.fetch_add(1, Ordering::Relaxed);
+        NON_FINITE_NULLS.set(NON_FINITE_NULLS.get() + 1);
         out.push_str("null");
     }
 }
@@ -461,7 +464,7 @@ mod tests {
             assert_eq!(text, "{\"v\":null}");
             assert_eq!(Json::parse(&text).unwrap().get("v"), Some(&Json::Null));
         }
-        assert!(non_finite_null_count() >= before + 3);
+        assert_eq!(non_finite_null_count(), before + 3);
         assert!(Json::num_f64_checked(f64::NAN).is_err());
         assert!(Json::num_f64_checked(1.5).is_ok());
         // The old behavior would have produced these, and they must not parse.

@@ -140,18 +140,28 @@ impl Profiler {
     /// Opens a phase scope. Scopes must strictly nest.
     #[inline]
     pub fn enter(&mut self, phase: Phase) {
-        self.stack.push((phase, Instant::now(), 0));
+        self.enter_at(phase, Instant::now());
     }
 
     /// Closes the innermost scope, which must be `phase`.
     #[inline]
     pub fn leave(&mut self, phase: Phase) {
+        self.leave_at(phase, Instant::now());
+    }
+
+    #[inline]
+    fn enter_at(&mut self, phase: Phase, now: Instant) {
+        self.stack.push((phase, now, 0));
+    }
+
+    #[inline]
+    fn leave_at(&mut self, phase: Phase, now: Instant) {
         let (opened, start, child_ns) = self
             .stack
             .pop()
             .expect("Profiler::leave without matching enter");
         debug_assert_eq!(opened, phase, "mismatched profiler scope");
-        let raw = start.elapsed().as_nanos() as u64;
+        let raw = now.duration_since(start).as_nanos() as u64;
         let stat = &mut self.stats[phase.index()];
         stat.calls += 1;
         stat.total_ns += raw;
@@ -198,37 +208,41 @@ impl Default for Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spin(ns: u64) {
-        let start = Instant::now();
-        while (start.elapsed().as_nanos() as u64) < ns {
-            std::hint::spin_loop();
-        }
-    }
+    use std::time::Duration;
 
     #[test]
     fn nested_child_time_is_subtracted_from_parent_self() {
+        // Synthetic instants: parent opens at 0, child spans 200–600 µs,
+        // parent closes at 700 µs.
+        let base = Instant::now();
+        let at = |us: u64| base + Duration::from_micros(us);
         let mut p = Profiler::new();
-        p.enter(Phase::HeapOps);
-        spin(200_000);
-        p.enter(Phase::MemberSample);
-        spin(400_000);
-        p.leave(Phase::MemberSample);
-        spin(100_000);
-        p.leave(Phase::HeapOps);
+        p.enter_at(Phase::HeapOps, at(0));
+        p.enter_at(Phase::MemberSample, at(200));
+        p.leave_at(Phase::MemberSample, at(600));
+        p.leave_at(Phase::HeapOps, at(700));
 
         let heap = p.stats(Phase::HeapOps);
         let member = p.stats(Phase::MemberSample);
-        assert_eq!(heap.calls, 1);
-        assert_eq!(member.calls, 1);
-        assert!(member.self_ns >= 400_000);
-        assert!(heap.total_ns >= heap.self_ns);
-        assert!(
-            heap.self_ns < heap.total_ns,
-            "child time must come out of parent self-time"
+        assert_eq!(
+            (member.calls, member.self_ns, member.total_ns),
+            (1, 400_000, 400_000)
         );
-        // Parent self ≈ 300µs, well below the ~700µs total.
-        assert!(heap.self_ns < member.self_ns + 200_000);
+        assert_eq!(
+            (heap.calls, heap.self_ns, heap.total_ns),
+            (1, 300_000, 700_000)
+        );
+    }
+
+    #[test]
+    fn pair_overhead_comes_out_of_self_time_only() {
+        let base = Instant::now();
+        let mut p = Profiler::new();
+        p.pair_overhead_ns = 50;
+        p.enter_at(Phase::RateMaint, base);
+        p.leave_at(Phase::RateMaint, base + Duration::from_nanos(1_000));
+        let s = p.stats(Phase::RateMaint);
+        assert_eq!((s.self_ns, s.total_ns), (950, 1_000));
     }
 
     #[test]
