@@ -1437,11 +1437,22 @@ pub(crate) fn cmd_repro(opts: &Options) -> Result<(), CliError> {
     }
 }
 
-/// Scratch directory for chaos executor checkpoints/traces.
-fn chaos_work_dir() -> Result<PathBuf, CliError> {
-    let work = std::env::temp_dir().join(format!("btfluid-chaos-{}", std::process::id()));
-    fs::create_dir_all(&work)?;
-    Ok(work)
+/// Scratch directory for chaos executor checkpoints/traces, removed with
+/// everything in it when the command ends, on success or error.
+struct ChaosWorkDir(PathBuf);
+
+impl ChaosWorkDir {
+    fn create() -> Result<Self, CliError> {
+        let work = std::env::temp_dir().join(format!("btfluid-chaos-{}", std::process::id()));
+        fs::create_dir_all(&work)?;
+        Ok(ChaosWorkDir(work))
+    }
+}
+
+impl Drop for ChaosWorkDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 /// `btfluid chaos` — the deterministic chaos sweep: generate seeded
@@ -1451,7 +1462,8 @@ pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
     let seed = opts.get_u64("seed", 2006)?;
     let cells = opts.get_u64("cells", 100)?;
     let bundles = opts.get("bundles").unwrap_or("chaos-bundles").to_string();
-    let work = chaos_work_dir()?;
+    let scratch = ChaosWorkDir::create()?;
+    let work = scratch.0.as_path();
 
     let plans = if opts.has("expect-fail") {
         diag!(
@@ -1469,7 +1481,7 @@ pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
     let workers = std::thread::available_parallelism().map_or(1, usize::from);
     let run = AtomicUsize::new(0);
     let verdicts = harness::pool(workers, plans.iter().collect(), |plan| {
-        let verdict = btfluid_chaos::run_plan(plan, &work);
+        let verdict = btfluid_chaos::run_plan(plan, work);
         let done = run.fetch_add(1, Ordering::Relaxed) + 1;
         if done.is_multiple_of(20) {
             diag!(Level::Info, "chaos: {done}/{} plans run", plans.len());
@@ -1511,10 +1523,10 @@ pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
     let shrunk = harness::pool(workers, first, |plan: &btfluid_chaos::ChaosPlan| {
         let (small, evals) = btfluid_chaos::shrink(
             plan,
-            |cand| !btfluid_chaos::run_plan(cand, &work).clean(),
+            |cand| !btfluid_chaos::run_plan(cand, work).clean(),
             SHRINK_BUDGET,
         );
-        let verdict = btfluid_chaos::run_plan(&small, &work);
+        let verdict = btfluid_chaos::run_plan(&small, work);
         (plan.index, small, evals, verdict)
     });
     for (index, small, evals, verdict) in shrunk {
@@ -1570,7 +1582,7 @@ fn repro_chaos(dir: &Path) -> Result<(), CliError> {
         bundle.violations.len(),
         bundle.shrink_evals
     );
-    let verdict = btfluid_chaos::run_plan(&bundle.plan, &chaos_work_dir()?);
+    let verdict = btfluid_chaos::run_plan(&bundle.plan, &ChaosWorkDir::create()?.0);
     if verdict.clean() {
         println!(
             "chaos plan {}: ran clean; the recorded violation did not reproduce",

@@ -106,8 +106,12 @@ fn resumed_run_dumps_the_same_flight_tail() {
     loop {
         if checkpoint.is_file() {
             child.kill().expect("kill victim");
-            child.wait().expect("reap victim");
-            killed = true;
+            let status = child.wait().expect("reap victim");
+            // A poll descheduled under load can send the kill after the
+            // victim already finished on its own; only a signal death
+            // leaves a run to resume.
+            killed = status.code().is_none();
+            assert!(killed || status.success(), "victim failed: {status}");
             break;
         }
         if let Some(status) = child.try_wait().expect("poll victim") {

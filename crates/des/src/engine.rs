@@ -777,6 +777,13 @@ impl Simulation {
         &self.dl_peers
     }
 
+    /// Drains the weight, demand and pool terms the incremental rate cache
+    /// summed since the last call, with its live source sets (a work count
+    /// for tests; the run's counters do not see it).
+    pub fn take_rate_terms(&mut self) -> (u64, usize) {
+        self.cache.take_terms()
+    }
+
     /// Occupied rate groups of the incremental engine (0 under aggregate
     /// mode): the bound on the group rates one event can re-evaluate.
     pub fn rate_groups(&self) -> usize {
@@ -903,8 +910,14 @@ impl Simulation {
             w.u64(i as u64);
         }
         w.u64(self.peers.len() as u64);
-        for p in &self.peers {
-            snapshot::encode_peer(&mut w, p);
+        // Active downloads' remaining work is read off the group clocks;
+        // `received_vs` is not, as the group records carry the `vs_mark`s.
+        for (idx, p) in self.peers.iter().enumerate() {
+            snapshot::encode_peer(&mut w, p, |s| {
+                self.cache
+                    .remaining_at(idx, s, self.t)
+                    .unwrap_or(p.slots[s].remaining)
+            });
         }
         snapshot::encode_outcome(&mut w, &self.outcome);
         snapshot::encode_trajectory(&mut w, self.trajectory.as_ref());
@@ -1165,6 +1178,7 @@ impl Simulation {
         // drop its cache statistics so a resumed run's counters match an
         // uninterrupted one's.
         let _ = sim.cache.take_stats();
+        let _ = sim.cache.take_terms();
         if moved != 0 {
             return Err(DesError::Invariant {
                 kind: InvariantKind::RateCacheDrift,
@@ -1217,8 +1231,9 @@ impl Simulation {
             }
             armed += usize::from(p.expiry_stamp != 0);
             for s in 0..p.class() {
+                let remaining = self.cache.remaining_at(idx, s, self.t);
                 let checks = [
-                    ("remaining", p.slots[s].remaining),
+                    ("remaining", remaining.unwrap_or(p.slots[s].remaining)),
                     ("donation_rate", p.donation_rate),
                 ];
                 for (what, v) in checks {
@@ -1466,6 +1481,7 @@ impl Simulation {
     /// dilutes a subtorrent's pools.
     fn schedule_groups(&mut self) {
         for &g in self.cache.changed_groups() {
+            let g = g as u32;
             let Some((time, peer, slot)) = self.cache.next_completion(g) else {
                 self.queue.remove(RANK_COMPLETION, g);
                 continue;
@@ -1507,16 +1523,7 @@ impl Simulation {
         if let Some(agg) = self.agg.as_mut() {
             agg.register(idx, &self.peers);
         } else {
-            self.cache.register(idx, &self.peers, self.t);
-        }
-    }
-
-    /// Routes a peer deregistration to the active rate structure.
-    fn cache_deregister(&mut self, idx: usize) {
-        if let Some(agg) = self.agg.as_mut() {
-            agg.deregister(idx, &self.peers);
-        } else {
-            self.cache.deregister(idx, &mut self.peers, self.t);
+            self.cache.register(idx, &mut self.peers, self.t);
         }
     }
 
@@ -1530,9 +1537,10 @@ impl Simulation {
     }
 
     /// Begins a touch: removes the peer's counter contributions, settles
-    /// and zeroes its donation, and removes its cache memberships (its
-    /// downloads leave their rate groups with their remaining work; its
-    /// expiry entry stays for [`Self::reschedule_expiry`] to move).
+    /// and zeroes its donation, and (aggregate mode) removes its group
+    /// memberships; the incremental cache diffs them in
+    /// [`Self::touch_end`]. Its expiry entry stays for
+    /// [`Self::reschedule_expiry`] to move.
     /// Returns whether the peer was downloading (for the active-time
     /// transition in [`Self::touch_end`]).
     fn touch_begin(&mut self, idx: usize) -> bool {
@@ -1542,17 +1550,21 @@ impl Simulation {
         peer.settle_donation(t);
         peer.donation_rate = 0.0;
         let was_downloading = peer.phase == Phase::Downloading;
-        self.cache_deregister(idx);
+        if let Some(agg) = self.agg.as_mut() {
+            agg.deregister(idx, &self.peers);
+        }
         was_downloading
     }
 
-    /// Ends a touch: re-registers the (mutated) peer, restores its counter
-    /// contributions, tracks the downloading-phase transition for
+    /// Ends a touch: re-registers the (mutated) peer, moving only the
+    /// cache memberships that changed, restores its counter contributions,
+    /// tracks the downloading-phase transition for
     /// [`Peer::download_time_acc`], and reschedules its expiry deadline.
     fn touch_end(&mut self, idx: usize, was_downloading: bool) {
-        // A departed tombstone has no memberships and its slab slot may be
-        // recycled; leave it deregistered.
-        if self.peers[idx].phase != Phase::Departed {
+        // A departed tombstone holds no memberships and its slab slot may
+        // be recycled: the incremental cache drops them in the diff, and
+        // aggregate mode leaves it deregistered.
+        if self.agg.is_none() || self.peers[idx].phase != Phase::Departed {
             self.cache_register(idx);
         }
         self.add_counters(idx);
@@ -1955,6 +1967,7 @@ impl Simulation {
             let was = self.touch_begin(idx);
             {
                 let peer = &mut self.peers[idx];
+                self.cache.settle_received_vs(idx, peer, self.t);
                 if peer.phase == Phase::Downloading && peer.class() >= 2 {
                     if let Some(ctrl) = peer.adapt.as_mut() {
                         // Δ in bandwidth units: give minus take, per unit

@@ -40,6 +40,7 @@
 use crate::config::SchemeKind;
 use crate::peer::{Peer, Phase};
 use btfluid_core::FluidParams;
+use std::collections::BTreeMap;
 
 /// One active (peer, file-slot) download with its current rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,23 +65,6 @@ pub struct RateSnapshot {
     /// actually consumed by someone (parallel to the engine's peer vector;
     /// CMFSD only).
     pub donations: Vec<f64>,
-}
-
-/// A seed capacity source: `bandwidth` spread over `files` (demand-aware
-/// when `files` has several entries).
-struct SeedSource {
-    files: Vec<usize>,
-    bandwidth: f64,
-    is_virtual: bool,
-}
-
-/// What a peer contributes and consumes under the configured scheme.
-#[derive(Default)]
-struct PeerView {
-    /// Active downloads: `(slot, tft_upload, weight)`.
-    active: Vec<(usize, f64, f64)>,
-    /// Seed capacity sources.
-    seeds: Vec<SeedSource>,
 }
 
 /// Reads what `peer` contributes under `scheme`, in view order: `active`
@@ -142,22 +126,38 @@ pub(crate) fn visit(
     }
 }
 
-fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
-    let mut v = PeerView::default();
-    visit(
-        peer,
-        scheme,
-        params.mu(),
-        |slot, u, w| v.active.push((slot, u, w)),
-        |bandwidth, is_virtual, files| {
-            v.seeds.push(SeedSource {
-                files: files.collect(),
-                bandwidth,
-                is_virtual,
-            })
-        },
-    );
-    v
+/// A source set's demand: Σ `weight` over its files, ascending.
+pub(crate) fn demand_of(files: &[u32], weight: &[f64]) -> f64 {
+    files.iter().fold(0.0, |d, &g| d + weight[g as usize])
+}
+
+/// What `n` sources of bandwidth `bw` in one set give a file of weight
+/// `wf` when the set's demand is `demand`.
+pub(crate) fn pool_term(n: u32, bw: f64, wf: f64, demand: f64) -> f64 {
+    (f64::from(n) * bw) * wf / demand
+}
+
+/// The origin publishers' share of a file of weight `wf`: pinned per
+/// torrent, or demand-aware over the total weight `total`.
+pub(crate) fn origin_pool(origin_bw: f64, demand_aware: bool, wf: f64, total: f64) -> f64 {
+    if origin_bw <= 0.0 {
+        0.0
+    } else if !demand_aware {
+        origin_bw
+    } else if total > 0.0 && wf > 0.0 {
+        origin_bw * wf / total
+    } else {
+        0.0
+    }
+}
+
+/// `(rate, vs_rate)` of a download with upload `u` and weight `w` in a
+/// file of weight `wf` and pools `pr`, `pv`.
+pub(crate) fn download_rate(eta: f64, u: f64, w: f64, wf: f64, pr: f64, pv: f64) -> (f64, f64) {
+    let share = if wf > 0.0 { w / wf } else { 0.0 };
+    let from_real = share * pr;
+    let from_virtual = share * pv;
+    (eta * u + from_real + from_virtual, from_virtual)
 }
 
 /// Builds the rate snapshot for the current population.
@@ -167,6 +167,12 @@ fn view(peer: &Peer, scheme: SchemeKind, params: &FluidParams) -> PeerView {
 /// (bandwidth `μ` each, pinned to their torrent); under the multi-file
 /// schemes the single torrent has that many publishers, each splitting `μ`
 /// demand-aware over the `K` subtorrents.
+///
+/// Every aggregate is summed from counts in a canonical order, the one
+/// [`crate::rate_cache::RateCache`] keeps: `weight[f]` is `Σ n·w` over the
+/// file's `(u, w)` rate groups in bit order, and each pool adds, after
+/// the origin share, one `pool_term` per counted source set
+/// `(virtual, bandwidth bits, files)` in key order.
 pub fn compute_rates(
     peers: &[Peer],
     scheme: SchemeKind,
@@ -174,85 +180,73 @@ pub fn compute_rates(
     k: usize,
     origin_seeds: usize,
 ) -> RateSnapshot {
-    let eta = params.eta();
-    let mut weight = vec![0.0; k];
-    let mut pool_real = vec![0.0; k];
-    let mut pool_virtual = vec![0.0; k];
-
-    // Pass 1: build views and downloader weights.
-    let mut views = Vec::with_capacity(peers.len());
-    for peer in peers {
-        let v = view(peer, scheme, params);
-        for &(slot, _u, w) in &v.active {
-            weight[peer.slots[slot].file as usize] += w;
-        }
-        views.push(v);
+    let mut active = Vec::new();
+    let mut groups: BTreeMap<(u32, u64, u64), usize> = BTreeMap::new();
+    let mut sets: BTreeMap<(bool, u64, Vec<u32>), u32> = BTreeMap::new();
+    let mut donors = Vec::new();
+    for (idx, peer) in peers.iter().enumerate() {
+        visit(
+            peer,
+            scheme,
+            params.mu(),
+            |slot, u, w| {
+                let f = peer.slots[slot].file as u32;
+                active.push((idx, slot, f, u, w));
+                *groups.entry((f, u.to_bits(), w.to_bits())).or_default() += 1;
+            },
+            |bw, is_virtual, files| {
+                let files: Vec<u32> = files.map(|f| f as u32).collect();
+                if is_virtual {
+                    donors.push((idx, bw, files.clone()));
+                }
+                *sets.entry((is_virtual, bw.to_bits(), files)).or_default() += 1;
+            },
+        );
     }
-
-    // Pass 2: seed capacity flows where there is demand.
+    let mut weight = vec![0.0; k];
+    for (&(f, _, w), &n) in &groups {
+        weight[f as usize] += n as f64 * f64::from_bits(w);
+    }
+    let demand_aware = matches!(scheme, SchemeKind::Mfcd | SchemeKind::Cmfsd { .. });
+    let origin_bw = origin_seeds as f64 * params.mu();
+    let total: f64 = weight.iter().sum();
+    let mut pool_real: Vec<f64> = (0..k)
+        .map(|f| origin_pool(origin_bw, demand_aware, weight[f], total))
+        .collect();
+    let mut pool_virtual = vec![0.0; k];
+    for ((is_virtual, bw, files), &n) in &sets {
+        let demand = demand_of(files, &weight);
+        let pool = if *is_virtual {
+            &mut pool_virtual
+        } else {
+            &mut pool_real
+        };
+        for &f in files {
+            let wf = weight[f as usize];
+            if wf > 0.0 {
+                pool[f as usize] += pool_term(n, f64::from_bits(*bw), wf, demand);
+            }
+        }
+    }
     let mut snapshot = RateSnapshot {
-        downloads: Vec::new(),
+        downloads: Vec::with_capacity(active.len()),
         donations: vec![0.0; peers.len()],
     };
-    if origin_seeds > 0 {
-        let bw = origin_seeds as f64 * params.mu();
-        match scheme {
-            SchemeKind::Mtsd | SchemeKind::Mtcd => {
-                // One publisher per torrent, pinned.
-                for pool in pool_real.iter_mut() {
-                    *pool += bw;
-                }
-            }
-            SchemeKind::Mfcd | SchemeKind::Cmfsd { .. } => {
-                // One multi-file publisher, demand-aware over subtorrents.
-                let demand: f64 = weight.iter().sum();
-                if demand > 0.0 {
-                    for f in 0..k {
-                        if weight[f] > 0.0 {
-                            pool_real[f] += bw * weight[f] / demand;
-                        }
-                    }
-                }
-            }
+    for (idx, bw, files) in donors {
+        if demand_of(&files, &weight) > 0.0 {
+            snapshot.donations[idx] += bw;
         }
     }
-    for (peer_idx, v) in views.iter().enumerate() {
-        for src in &v.seeds {
-            let demand: f64 = src.files.iter().map(|&f| weight[f]).sum();
-            if demand <= 0.0 {
-                // Nobody to serve: the capacity idles.
-                continue;
-            }
-            for &f in &src.files {
-                if weight[f] > 0.0 {
-                    let share = src.bandwidth * weight[f] / demand;
-                    if src.is_virtual {
-                        pool_virtual[f] += share;
-                    } else {
-                        pool_real[f] += share;
-                    }
-                }
-            }
-            if src.is_virtual {
-                snapshot.donations[peer_idx] += src.bandwidth;
-            }
-        }
-    }
-
-    // Pass 3: per-download rates.
-    for (peer_idx, (peer, v)) in peers.iter().zip(&views).enumerate() {
-        for &(slot, u, w) in &v.active {
-            let f = peer.slots[slot].file as usize;
-            let share = if weight[f] > 0.0 { w / weight[f] } else { 0.0 };
-            let from_real = share * pool_real[f];
-            let from_virtual = share * pool_virtual[f];
-            snapshot.downloads.push(ActiveDownload {
-                peer_idx,
-                slot,
-                rate: eta * u + from_real + from_virtual,
-                vs_rate: from_virtual,
-            });
-        }
+    for (peer_idx, slot, f, u, w) in active {
+        let f = f as usize;
+        let (rate, vs_rate) =
+            download_rate(params.eta(), u, w, weight[f], pool_real[f], pool_virtual[f]);
+        snapshot.downloads.push(ActiveDownload {
+            peer_idx,
+            slot,
+            rate,
+            vs_rate,
+        });
     }
     snapshot
 }

@@ -5,23 +5,25 @@
 //! [`crate::rate::compute_rates`] rebuilds `weight`, `pool_real`,
 //! `pool_virtual` and every download rate from the whole population on
 //! every call — O(peers) per event. [`RateCache`] maintains the same
-//! aggregates incrementally: when a peer's membership changes (arrival,
-//! completion, expiry, ρ update) the engine deregisters and re-registers
-//! that one peer, which marks the affected subtorrents dirty; the
-//! subsequent [`RateCache::refresh`] recomputes only dirty aggregates and
-//! the group rates they feed.
+//! aggregates incrementally: when a peer's state changes (arrival,
+//! completion, expiry, ρ update) the engine re-registers that one peer,
+//! which moves only the memberships that changed and marks the affected
+//! subtorrents dirty; the subsequent [`RateCache::refresh`] recomputes
+//! only dirty aggregates and the group rates they feed.
 //!
 //! ## Bit-exactness contract
 //!
-//! Every aggregate is recomputed by re-summing an ordered member list that
-//! reproduces `compute_rates`' accumulation order (peers ascending by slab
-//! index, slots in view order within a peer, the origin publisher first in
-//! every pool). A recompute of an *unchanged* aggregate therefore yields
-//! the identical bit pattern, which is what makes the engine's forced
-//! full recompute every event (the equivalence suites' test reference) and
-//! the incremental refresh produce bit-identical trajectories: the only
-//! difference between the two is how much provably-unchanged work is
-//! redone.
+//! Every aggregate is a function of counts, summed in a canonical order
+//! that does not depend on history: `weight[f] = Σ n·w` over the file's
+//! occupied `(u, w)` groups in bit order, a set's demand over its files
+//! ascending, and each pool over the file's source sets in key order
+//! (after the origin publishers' share). [`crate::rate::compute_rates`]
+//! sums the same counts in the same order with the same helpers. A
+//! recompute of an *unchanged* aggregate therefore yields the identical bit
+//! pattern, whatever joined and left in between, which is what makes the
+//! engine's forced full recompute every event (the equivalence suites'
+//! test reference), the checked-mode audit and a snapshot restore agree
+//! with the incremental refresh bit for bit.
 //!
 //! ## Groups and virtual clocks
 //!
@@ -37,62 +39,61 @@
 //! `f64::to_bits`), so integration stays exact piecewise-linear.
 //!
 //! A download joins its group at *mark* `V + remaining` (and `VS`), and
-//! leaves it with `remaining = mark − V` and `received_vs += VS − vs_mark`.
-//! While it is a member, [`crate::peer::Slot::remaining`] keeps the value
-//! it joined with. The group's next completion is its smallest
-//! `(mark, peer, slot)`, kept in an indexed per-group heap, due at
+//! keeps that mark for as long as its `(file, u, w)` does not change: a
+//! touch of its peer that leaves the download's group alone (a sibling's
+//! completion or seed expiry under MTCD/MFCD) does not move it. While it
+//! is a member, [`crate::peer::Slot::remaining`] and
+//! [`Peer::received_vs`] keep the values they had when it joined;
+//! `RateCache::remaining_at`, `RateCache::settle_received_vs` and
+//! `settle_remaining` read them through the clocks. When it leaves, its
+//! `remaining = mark − V` and `received_vs += VS − vs_mark` are written
+//! back. The group's next completion is its smallest `(mark, peer,
+//! slot)`, kept in an indexed per-group heap, due at
 //! `anchor + (mark − V)/rate`. A rate change therefore costs O(1) per
 //! group, not O(members).
 //!
 //! ## Source table
 //!
-//! Seed sources live in one slab (`SourceTable`): bandwidth, owner,
-//! kind, a cached `demand` (the left-to-right sum of its files' weights,
-//! exactly as `compute_rates` sums it) and its files in a shared arena.
-//! Each file keeps two lists of `(sid, bandwidth)` entries sorted by
-//! `(peer, ord)`, one for real and one for virtual sources. Each pool is
-//! its own accumulator, so splitting the lists keeps both summation
-//! orders; the pool pass costs one multiply, one divide and one add per
-//! membership.
+//! Seed sources are counted, not listed: a *source set* is keyed by
+//! `(real | virtual, bandwidth bits, files ascending)` and holds how many
+//! sources share that key. An MTSD/MTCD/MFCD seed is a one-file set (one
+//! per file and bandwidth); a CMFSD real or virtual seed is a set over its
+//! finished files, freed when its count drops to zero. Each file keeps its
+//! live sets in key order, and that list is also the index a source looks
+//! its set up in. A set caches its demand, computed once per refresh that
+//! needs it; a pool adds `(n·bw)·weight[f]/demand` per set, so the pool
+//! pass costs one term per set serving the file, however many sources the
+//! set counts. Virtual sets also list their owners, whose donation rate
+//! moves when the set's demand crosses zero.
 //!
 //! ## Dirty propagation
 //!
-//! * A membership change on subtorrent `f` marks `weight[f]` dirty.
-//! * A bit-changed `weight[f]` invalidates: `f`'s own pools, the pools of
-//!   every file served by any source that also serves `f` (their
-//!   demand-aware split changed), and — when a demand-aware origin
-//!   publisher exists (MFCD/CMFSD) — every pool (the global demand
-//!   changed).
-//! * A source's demand is computed when it is registered (after the
-//!   weight pass of the next refresh) and recomputed only by the walk over
-//!   the bit-changed weights above, which visits every source serving a
-//!   changed file. A source none of whose files changed weight bits keeps
-//!   its cached demand, which equals a fresh sum bit for bit.
+//! * A download joining or leaving subtorrent `f` marks `weight[f]` dirty;
+//!   a source set's count change marks the pools of its files dirty.
+//! * A bit-changed `weight[f]` invalidates `f`'s own pools and the demand
+//!   of every set serving `f`. Each such set's demand is recomputed once
+//!   per refresh; only when its bits change are the pools of its files
+//!   marked. When a demand-aware origin publisher exists (MFCD/CMFSD) every
+//!   pool is marked (the global demand changed).
+//! * Sets created since the last refresh get their demand once the weight
+//!   pass is done; a set none of whose files changed weight bits keeps its
+//!   cached demand, which equals a fresh sum bit for bit.
 //! * Group rates are recomputed for every group of a subtorrent whose
 //!   weight or pools bit-changed, plus every group created since the last
-//!   refresh. A touched peer's downloads left and rejoined their groups,
-//!   so a `u` that changed with no weight change (e.g. a CMFSD peer
-//!   finishing its first file at unchanged weight 1) lands in another
-//!   group.
-//! * Donation rates are recomputed for touched peers and for owners of
-//!   virtual sources whose demand was recomputed (a donation counts only
-//!   while its source's demand is positive).
+//!   refresh. A download whose `u` changed with no weight change (e.g. a
+//!   CMFSD peer finishing its first file at unchanged weight 1) moves to
+//!   another group.
+//! * Donation rates are recomputed for touched peers and for the owners
+//!   of virtual sets whose demand crossed zero (a donation counts only
+//!   while its set's demand is positive).
 
 use crate::config::SchemeKind;
 use crate::event_queue::{remove_at, sift_down, sift_up};
 use crate::peer::{Peer, SlotArena};
-use crate::rate::{visit, ActiveDownload, RateSnapshot};
+use crate::rate::{
+    demand_of, download_rate, origin_pool, pool_term, visit, ActiveDownload, RateSnapshot,
+};
 use btfluid_core::FluidParams;
-use std::collections::HashMap;
-
-/// One downloader membership in a subtorrent's member list.
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    peer: u32,
-    slot: u32,
-    /// Downloader weight `w` of this download.
-    w: f64,
-}
 
 /// One download's place in its group: the clock reading at which it
 /// finishes, and the virtual-seed clock reading when it joined.
@@ -133,8 +134,6 @@ pub(crate) struct Group {
     pub(crate) anchor: f64,
     /// Members, a binary min-heap in [`Mark::before`] order.
     pub(crate) heap: Vec<Mark>,
-    /// Position in the file's group list.
-    pub(crate) fpos: u32,
     /// Refresh round of the last rate evaluation (0: never evaluated).
     pub(crate) round: u64,
 }
@@ -190,123 +189,52 @@ fn placed(arena: &mut SlotArena, g: u32) -> impl FnMut(&Mark, usize) + '_ {
     move |m, i| arena.set(m.peer as usize, m.slot as usize, g, i as u32)
 }
 
-/// One seed source in a subtorrent's real or virtual source list.
-#[derive(Debug, Clone, Copy)]
-struct SourceEntry {
-    /// Sort key `(owner peer, ordinal within the owner)` as
-    /// `peer << 32 | ord`.
-    key: u64,
-    /// Index into the [`SourceTable`].
-    sid: u32,
-    bandwidth: f64,
-}
-
-fn source_key(peer: usize, ord: usize) -> u64 {
-    ((peer as u64) << 32) | ord as u64
-}
-
-/// Per-source metadata in the [`SourceTable`].
-#[derive(Debug, Clone, Copy)]
-struct Source {
-    bandwidth: f64,
-    owner: u32,
-    is_virtual: bool,
-    /// The source's files: `files[start..start + len]`, room for `cap`.
-    start: u32,
-    len: u32,
-    cap: u32,
-    /// Refresh round in which `demand` was last computed.
-    round: u64,
-}
-
-/// Slab of registered seed sources. Released ids are reused LIFO, and a
-/// reused id keeps its arena range when the new file set fits.
+/// `count` seed sources of one kind and bandwidth serving exactly `files`.
+/// A set lives while its count is positive; an emptied set is freed.
 #[derive(Debug, Default)]
-struct SourceTable {
-    meta: Vec<Source>,
-    /// Σ weight over the source's files, in file order.
-    demand: Vec<f64>,
+struct SourceSet {
+    is_virtual: bool,
+    bandwidth: f64,
+    /// The files served, ascending.
     files: Vec<u32>,
-    free: Vec<u32>,
-    /// Staging buffer for the file set being allocated.
-    staging: Vec<u32>,
+    count: u32,
+    /// Σ weight over `files`, as of refresh `round`.
+    demand: f64,
+    round: u64,
+    /// The peers owning a virtual source here (empty for real sets): the
+    /// donations that start or stop when the demand crosses zero.
+    owners: Vec<u32>,
 }
 
-impl SourceTable {
-    /// Stores a source serving `files` (in view order) and returns its id.
-    fn alloc(
-        &mut self,
-        owner: usize,
-        bandwidth: f64,
-        is_virtual: bool,
-        files: impl IntoIterator<Item = usize>,
-    ) -> u32 {
-        self.staging.clear();
-        self.staging.extend(files.into_iter().map(|f| f as u32));
-        let len = self.staging.len() as u32;
-        let sid = match self.free.pop() {
-            Some(sid) => sid,
-            None => {
-                self.meta.push(Source {
-                    bandwidth: 0.0,
-                    owner: 0,
-                    is_virtual: false,
-                    start: 0,
-                    len: 0,
-                    cap: 0,
-                    round: 0,
-                });
-                self.demand.push(0.0);
-                (self.meta.len() - 1) as u32
-            }
-        };
-        let src = &mut self.meta[sid as usize];
-        if src.cap < len {
-            src.start = self.files.len() as u32;
-            src.cap = len.next_power_of_two();
-            self.files.resize(self.files.len() + src.cap as usize, 0);
-        }
-        src.bandwidth = bandwidth;
-        src.owner = owner as u32;
-        src.is_virtual = is_virtual;
-        src.len = len;
-        let start = src.start as usize;
-        self.files[start..start + len as usize].copy_from_slice(&self.staging);
-        sid
-    }
-
-    fn files(&self, sid: u32) -> &[u32] {
-        let src = &self.meta[sid as usize];
-        &self.files[src.start as usize..(src.start + src.len) as usize]
-    }
-
-    /// Recomputes and caches the source's demand for refresh `round`.
-    fn refresh_demand(&mut self, sid: u32, weight: &[f64], round: u64) {
-        let d: f64 = self.files(sid).iter().map(|&g| weight[g as usize]).sum();
-        self.demand[sid as usize] = d;
-        self.meta[sid as usize].round = round;
+impl SourceSet {
+    /// The canonical set order: kind (real first), bandwidth bits, files.
+    fn key(&self) -> (bool, u64, &[u32]) {
+        (self.is_virtual, self.bandwidth.to_bits(), &self.files)
     }
 }
+
+/// One source in a peer's view: kind, bandwidth and its files as a range
+/// of the view's file buffer.
+type ViewSource = (bool, f64, usize, usize);
 
 /// What one peer currently has registered in the cache.
 #[derive(Debug, Default)]
 struct PeerReg {
-    /// Active downloads `(slot, file, u, w)` in view order.
+    /// Active downloads `(slot, file, u, w)` in slot order.
     active: Vec<(u32, u32, f64, f64)>,
-    /// Seed source ids in view order (the index is the source's `ord`).
-    sources: Vec<u32>,
-    registered: bool,
+    /// Source memberships `(set, position among the set's owners)` in view
+    /// order (the position is meaningful for virtual sets only).
+    sources: Vec<(u32, u32)>,
 }
 
 /// Incrementally maintained per-subtorrent rate aggregates and group
 /// clocks.
 ///
 /// Protocol (driven by the engine around every event):
-/// 1. [`RateCache::deregister`] each peer whose state the event mutates
-///    (its downloads leave their groups with their remaining work);
-/// 2. mutate the peer;
-/// 3. [`RateCache::register`] it again;
-/// 4. call [`RateCache::refresh`] once, which settles and updates every
+/// 1. mutate a peer, then [`RateCache::register`] it: its memberships are
+///    diffed against what it has registered, and only the downloads and
+///    sources that changed move;
+/// 2. call [`RateCache::refresh`] once, which settles and updates every
 ///    group whose rate actually changed, then reschedule the
 ///    `RateCache::changed_groups` and [`RateCache::clear_changed`].
 #[derive(Debug)]
@@ -322,52 +250,87 @@ pub struct RateCache {
     weight: Vec<f64>,
     pool_real: Vec<f64>,
     pool_virtual: Vec<f64>,
-    /// Per file: downloader members sorted by (peer, slot).
-    downloaders: Vec<Vec<Member>>,
-    /// Per file: real seed sources serving it, sorted by (peer, ord).
-    src_real: Vec<Vec<SourceEntry>>,
-    /// Per file: virtual seed sources serving it, sorted by (peer, ord).
-    src_virtual: Vec<Vec<SourceEntry>>,
-    table: SourceTable,
+    /// Source-set slab; a set with count 0 is free.
+    sets: Vec<SourceSet>,
+    free_sets: Vec<u32>,
+    /// Per file: the live sets serving it, in key order.
+    file_sets: Vec<Vec<u32>>,
     reg: Vec<PeerReg>,
     /// Group slab; a group with an empty heap is free.
     groups: Vec<Group>,
     free_groups: Vec<u32>,
-    /// `(file, u bits, w bits)` → group id, for occupied groups.
-    index: HashMap<(u32, u64, u64), u32>,
-    /// Per file: its occupied groups.
+    /// Per file: its occupied groups in `(u, w)` bit order.
     file_groups: Vec<Vec<u32>>,
     /// `(peer, slot)` → `(group, heap position)`.
     arena: SlotArena,
     /// Groups whose head, rate or occupancy changed since the engine last
-    /// rescheduled (list + flag).
-    changed: Vec<u32>,
-    changed_flag: Vec<bool>,
+    /// rescheduled.
+    changed: Marks,
     /// Refresh counter stamping recomputed demands and group rates.
     round: u64,
-    /// Sources registered since the last refresh (their demand is stale).
+    /// Sets created since the last refresh (their demand is stale).
     fresh: Vec<u32>,
-    // Dirty tracking (list + flag pairs so marking is O(1) amortized).
-    dirty_w: Vec<usize>,
-    dirty_w_flag: Vec<bool>,
-    dirty_p: Vec<usize>,
-    dirty_p_flag: Vec<bool>,
-    touched: Vec<usize>,
-    touched_flag: Vec<bool>,
-    // Scratch reused across refreshes.
+    // Dirty tracking.
+    dirty_w: Marks,
+    dirty_p: Marks,
+    touched: Marks,
+    // Scratch reused across refreshes and registrations.
     wc: Vec<usize>,
-    pd: Vec<usize>,
-    pd_flag: Vec<bool>,
-    rate_files: Vec<usize>,
-    rate_flag: Vec<bool>,
-    owners: Vec<usize>,
-    owner_flag: Vec<bool>,
-    // Telemetry (drained via `take_stats`, never read by the cache).
+    pd: Marks,
+    rate_files: Marks,
+    owners: Marks,
+    view_active: Vec<(u32, u32, f64, f64)>,
+    view_sources: Vec<ViewSource>,
+    view_files: Vec<u32>,
+    view_sets: Vec<(u32, u32)>,
+    // Telemetry, drained by `take_stats`/`take_terms`.
     /// Group-rate evaluations performed since the last drain.
     stat_recomputes: u64,
     /// Refreshes satisfied by the early return (nothing dirty).
     stat_clean: u64,
+    /// Weight, demand and pool terms summed since the last drain.
+    stat_terms: u64,
 }
+
+/// A set of small indices as a list plus membership flags: marking is
+/// O(1), and clearing costs only what was marked.
+#[derive(Debug, Default)]
+struct Marks {
+    list: Vec<usize>,
+    flag: Vec<bool>,
+}
+
+impl Marks {
+    fn with_len(n: usize) -> Self {
+        Marks {
+            list: Vec::new(),
+            flag: vec![false; n],
+        }
+    }
+
+    fn grow(&mut self, n: usize) {
+        if self.flag.len() < n {
+            self.flag.resize(n, false);
+        }
+    }
+
+    fn mark(&mut self, i: usize) {
+        if !self.flag[i] {
+            self.flag[i] = true;
+            self.list.push(i);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &i in &self.list {
+            self.flag[i] = false;
+        }
+        self.list.clear();
+    }
+}
+
+/// No set linked yet (registration scratch).
+const UNLINKED: u32 = u32::MAX;
 
 impl RateCache {
     /// Creates an empty cache for `k` subtorrents.
@@ -375,49 +338,40 @@ impl RateCache {
     /// `origin_seeds` has the same meaning as in
     /// [`crate::rate::compute_rates`].
     pub fn new(k: usize, scheme: SchemeKind, params: &FluidParams, origin_seeds: usize) -> Self {
-        let origin_bw = if origin_seeds > 0 {
-            origin_seeds as f64 * params.mu()
-        } else {
-            0.0
-        };
         RateCache {
             scheme,
             mu: params.mu(),
             eta: params.eta(),
-            origin_bw,
+            origin_bw: origin_seeds as f64 * params.mu(),
             origin_demand_aware: matches!(scheme, SchemeKind::Mfcd | SchemeKind::Cmfsd { .. }),
             weight: vec![0.0; k],
             pool_real: vec![0.0; k],
             pool_virtual: vec![0.0; k],
-            downloaders: vec![Vec::new(); k],
-            src_real: vec![Vec::new(); k],
-            src_virtual: vec![Vec::new(); k],
-            table: SourceTable::default(),
+            sets: Vec::new(),
+            free_sets: Vec::new(),
+            file_sets: vec![Vec::new(); k],
             reg: Vec::new(),
             groups: Vec::new(),
             free_groups: Vec::new(),
-            index: HashMap::new(),
             file_groups: vec![Vec::new(); k],
             arena: SlotArena::new(k),
-            changed: Vec::new(),
-            changed_flag: Vec::new(),
+            changed: Marks::default(),
             round: 0,
             fresh: Vec::new(),
-            dirty_w: Vec::new(),
-            dirty_w_flag: vec![false; k],
-            dirty_p: Vec::new(),
-            dirty_p_flag: vec![false; k],
-            touched: Vec::new(),
-            touched_flag: Vec::new(),
+            dirty_w: Marks::with_len(k),
+            dirty_p: Marks::with_len(k),
+            touched: Marks::default(),
             wc: Vec::new(),
-            pd: Vec::new(),
-            pd_flag: vec![false; k],
-            rate_files: Vec::new(),
-            rate_flag: vec![false; k],
-            owners: Vec::new(),
-            owner_flag: Vec::new(),
+            pd: Marks::with_len(k),
+            rate_files: Marks::with_len(k),
+            owners: Marks::default(),
+            view_active: Vec::new(),
+            view_sources: Vec::new(),
+            view_files: Vec::new(),
+            view_sets: Vec::new(),
             stat_recomputes: 0,
             stat_clean: 0,
+            stat_terms: 0,
         }
     }
 
@@ -430,6 +384,14 @@ impl RateCache {
         stats
     }
 
+    /// Drains the weight, demand and pool terms summed since the last
+    /// call (the work the aggregates cost, as a count), with the number of
+    /// live source sets.
+    pub fn take_terms(&mut self) -> (u64, usize) {
+        let live = self.sets.len() - self.free_sets.len();
+        (std::mem::take(&mut self.stat_terms), live)
+    }
+
     /// Changes the origin-publisher count mid-run (scenario seed crash /
     /// recovery) and marks every pool dirty so the next [`Self::refresh`]
     /// redistributes the new bandwidth.
@@ -439,17 +401,13 @@ impl RateCache {
     /// anyway, and an incremental recompute of an unchanged pool is a
     /// bitwise no-op.
     pub fn set_origin_seeds(&mut self, origin_seeds: usize) {
-        let bw = if origin_seeds > 0 {
-            origin_seeds as f64 * self.mu
-        } else {
-            0.0
-        };
+        let bw = origin_seeds as f64 * self.mu;
         if bw.to_bits() == self.origin_bw.to_bits() {
             return;
         }
         self.origin_bw = bw;
         for f in 0..self.weight.len() {
-            self.mark_p(f);
+            self.dirty_p.mark(f);
         }
     }
 
@@ -458,240 +416,302 @@ impl RateCache {
         while self.reg.len() < n {
             self.reg.push(PeerReg::default());
         }
-        if self.touched_flag.len() < n {
-            self.touched_flag.resize(n, false);
-        }
-        if self.owner_flag.len() < n {
-            self.owner_flag.resize(n, false);
-        }
+        self.touched.grow(n);
+        self.owners.grow(n);
         self.arena.ensure_peers(n);
     }
 
-    fn mark_w(&mut self, f: usize) {
-        if !self.dirty_w_flag[f] {
-            self.dirty_w_flag[f] = true;
-            self.dirty_w.push(f);
-        }
-    }
-
-    fn mark_p(&mut self, f: usize) {
-        if !self.dirty_p_flag[f] {
-            self.dirty_p_flag[f] = true;
-            self.dirty_p.push(f);
-        }
-    }
-
-    fn mark_touched(&mut self, idx: usize) {
-        if !self.touched_flag[idx] {
-            self.touched_flag[idx] = true;
-            self.touched.push(idx);
-        }
-    }
-
-    fn mark_changed(&mut self, g: u32) {
-        if !self.changed_flag[g as usize] {
-            self.changed_flag[g as usize] = true;
-            self.changed.push(g);
-        }
-    }
-
-    /// Removes a peer's current memberships from the aggregate structures
-    /// and marks the affected subtorrents dirty. Each download leaves its
-    /// group at `t`: its remaining work and virtual-seed receipts are read
-    /// off the group clocks into the peer.
-    pub fn deregister(&mut self, idx: usize, peers: &mut [Peer], t: f64) {
-        self.mark_touched(idx);
+    /// Brings the peer's memberships in line with its current state (read
+    /// through `crate::rate::visit`), moving only what changed: a
+    /// download whose `(file, u, w)` group is unchanged keeps its mark, and
+    /// a source whose set is unchanged keeps its unit there. A download
+    /// that leaves reads its remaining work (unless its completion already
+    /// zeroed it) and virtual-seed receipts off its group clocks at `t`; a
+    /// download that joins does so at mark `V + remaining`. A departed
+    /// peer leaves everything.
+    pub fn register(&mut self, idx: usize, peers: &mut [Peer], t: f64) {
+        self.touched.mark(idx);
         let mut reg = std::mem::take(&mut self.reg[idx]);
         let peer = &mut peers[idx];
-        for &(slot, file, _u, _w) in &reg.active {
-            let f = file as usize;
-            let list = &mut self.downloaders[f];
-            let pos = list
-                .binary_search_by_key(&(idx as u32, slot), |m| (m.peer, m.slot))
-                .expect("deregistering a member that was never inserted");
-            list.remove(pos);
-            self.mark_w(f);
-            let (g, i) = self
-                .arena
-                .clear(idx, slot as usize)
-                .expect("an active download sits in a group");
-            let grp = &mut self.groups[g as usize];
-            let m = remove_at(
-                &mut grp.heap,
-                i as usize,
-                Mark::before,
-                &mut placed(&mut self.arena, g),
-            );
-            let (clock, vs_clock) = grp.clocks_at(t);
-            peer.slots[slot as usize].remaining = remaining_of(&m, clock);
-            peer.received_vs += vs_clock - m.vs_mark;
-            if grp.heap.is_empty() {
-                self.free_group(g);
+        self.read_view(peer);
+        let mut view = std::mem::take(&mut self.view_active);
+        let same = |a: &(u32, u32, f64, f64), b: &(u32, u32, f64, f64)| {
+            (a.0, a.1, a.2.to_bits(), a.3.to_bits()) == (b.0, b.1, b.2.to_bits(), b.3.to_bits())
+        };
+        // Both lists are in slot order, so each side finds its match with
+        // one forward cursor into the other.
+        let mut j = 0;
+        for old in &reg.active {
+            while view.get(j).is_some_and(|v| v.0 < old.0) {
+                j += 1;
             }
-            self.mark_changed(g);
-        }
-        for (ord, &sid) in reg.sources.iter().enumerate() {
-            let key = source_key(idx, ord);
-            let is_virtual = self.table.meta[sid as usize].is_virtual;
-            for i in 0..self.table.files(sid).len() {
-                let g = self.table.files(sid)[i] as usize;
-                let list = self.source_list(g, is_virtual);
-                let pos = list
-                    .binary_search_by_key(&key, |e| e.key)
-                    .expect("deregistering a source that was never inserted");
-                list.remove(pos);
-                self.mark_p(g);
+            if !view.get(j).is_some_and(|v| same(v, old)) {
+                self.leave(idx, peer, old.0, t);
             }
-            self.table.free.push(sid);
         }
-        // reg[idx] is left empty (registered = false) until re-registered.
-        reg.active.clear();
-        reg.sources.clear();
-        reg.registered = false;
+        let mut i = 0;
+        for new in &view {
+            while reg.active.get(i).is_some_and(|o| o.0 < new.0) {
+                i += 1;
+            }
+            if !reg.active.get(i).is_some_and(|o| same(o, new)) {
+                self.join(idx, peer, *new, t);
+            }
+        }
+        std::mem::swap(&mut reg.active, &mut view);
+        self.view_active = view;
+
+        // Sources: a registered unit stays where the view has an unclaimed
+        // source with its set's key; the rest leave, then the unclaimed
+        // view sources join.
+        let sources = std::mem::take(&mut self.view_sources);
+        self.view_sets.clear();
+        self.view_sets.resize(sources.len(), (UNLINKED, 0));
+        for &(s, pos) in &reg.sources {
+            let set = &self.sets[s as usize];
+            let hit = sources
+                .iter()
+                .enumerate()
+                .position(|(v, &(kind, bw, a, b))| {
+                    self.view_sets[v].0 == UNLINKED
+                        && set.key() == (kind, bw.to_bits(), &self.view_files[a..b])
+                });
+            match hit {
+                Some(v) => self.view_sets[v] = (s, pos),
+                None => self.leave_set(s, pos),
+            }
+        }
+        for (v, &(kind, bw, a, b)) in sources.iter().enumerate() {
+            if self.view_sets[v].0 == UNLINKED {
+                self.view_sets[v] = self.join_set(idx, kind, bw, a, b);
+            }
+        }
+        std::mem::swap(&mut reg.sources, &mut self.view_sets);
+        self.view_sources = sources;
         self.reg[idx] = reg;
     }
 
-    /// Computes the peer's current memberships (read through
-    /// `crate::rate::visit`) and inserts them, marking the affected
-    /// subtorrents dirty. Each download joins its `(file, u, w)` group at
-    /// `t` with mark `V + remaining`.
-    pub fn register(&mut self, idx: usize, peers: &[Peer], t: f64) {
-        self.mark_touched(idx);
-        let peer = &peers[idx];
-        debug_assert!(!self.reg[idx].registered, "double registration");
-        let mut reg = std::mem::take(&mut self.reg[idx]);
-        reg.registered = true;
-        self.fill_membership(idx, peer, &mut reg);
-        for &(slot, file, u, w) in &reg.active {
-            let f = file as usize;
-            let list = &mut self.downloaders[f];
-            let pos = list
-                .binary_search_by_key(&(idx as u32, slot), |m| (m.peer, m.slot))
-                .expect_err("duplicate downloader membership");
-            list.insert(
-                pos,
-                Member {
-                    peer: idx as u32,
-                    slot,
-                    w,
-                },
-            );
-            self.mark_w(f);
-            let g = self.group_for(file, u, w, t);
-            let grp = &mut self.groups[g as usize];
-            let (clock, vs_clock) = grp.clocks_at(t);
-            grp.heap.push(Mark {
-                mark: clock + peer.slots[slot as usize].remaining,
-                vs_mark: vs_clock,
-                peer: idx as u32,
-                slot,
-            });
-            let last = grp.heap.len() - 1;
-            sift_up(
-                &mut grp.heap,
-                last,
-                Mark::before,
-                &mut placed(&mut self.arena, g),
-            );
-            self.mark_changed(g);
+    /// Reads the peer's downloads and sources into the view scratch.
+    fn read_view(&mut self, peer: &Peer) {
+        self.view_active.clear();
+        self.view_sources.clear();
+        self.view_files.clear();
+        let file = |slot: usize| peer.slots[slot].file as u32;
+        visit(
+            peer,
+            self.scheme,
+            self.mu,
+            |slot, u, w| self.view_active.push((slot as u32, file(slot), u, w)),
+            |bw, is_virtual, set| {
+                let a = self.view_files.len();
+                self.view_files.extend(set.map(|f| f as u32));
+                debug_assert!(self.view_files[a..].is_sorted(), "slots are sorted by file");
+                self.view_sources
+                    .push((is_virtual, bw, a, self.view_files.len()));
+            },
+        );
+    }
+
+    /// Download `(idx, slot)` leaves its group at `t`.
+    fn leave(&mut self, idx: usize, peer: &mut Peer, slot: u32, t: f64) {
+        let (g, i) = self
+            .arena
+            .clear(idx, slot as usize)
+            .expect("an active download sits in a group");
+        let grp = &mut self.groups[g as usize];
+        let m = remove_at(
+            &mut grp.heap,
+            i as usize,
+            Mark::before,
+            &mut placed(&mut self.arena, g),
+        );
+        let (clock, vs_clock) = grp.clocks_at(t);
+        let left = &mut peer.slots[slot as usize].remaining;
+        if *left > 0.0 {
+            *left = remaining_of(&m, clock);
         }
-        for (ord, &sid) in reg.sources.iter().enumerate() {
-            let key = source_key(idx, ord);
-            let Source {
-                bandwidth,
-                is_virtual,
-                ..
-            } = self.table.meta[sid as usize];
-            for i in 0..self.table.files(sid).len() {
-                let g = self.table.files(sid)[i] as usize;
-                let list = self.source_list(g, is_virtual);
-                let pos = list
-                    .binary_search_by_key(&key, |e| e.key)
-                    .expect_err("duplicate source membership");
-                list.insert(
-                    pos,
-                    SourceEntry {
-                        key,
-                        sid,
-                        bandwidth,
-                    },
-                );
-                self.mark_p(g);
+        peer.received_vs += vs_clock - m.vs_mark;
+        let f = grp.file as usize;
+        if grp.heap.is_empty() {
+            self.free_group(g);
+        }
+        self.changed.mark(g as usize);
+        self.dirty_w.mark(f);
+    }
+
+    /// Download `(idx, slot, file, u, w)` joins its group at `t` with mark
+    /// `V + remaining`.
+    fn join(&mut self, idx: usize, peer: &Peer, (slot, file, u, w): (u32, u32, f64, f64), t: f64) {
+        let g = self.group_for(file, u, w, t);
+        let grp = &mut self.groups[g as usize];
+        let (clock, vs_clock) = grp.clocks_at(t);
+        grp.heap.push(Mark {
+            mark: clock + peer.slots[slot as usize].remaining,
+            vs_mark: vs_clock,
+            peer: idx as u32,
+            slot,
+        });
+        let last = grp.heap.len() - 1;
+        sift_up(
+            &mut grp.heap,
+            last,
+            Mark::before,
+            &mut placed(&mut self.arena, g),
+        );
+        self.changed.mark(g as usize);
+        self.dirty_w.mark(file as usize);
+    }
+
+    /// Removes one source unit (owner position `pos`) from set `s`,
+    /// freeing the set when it empties.
+    fn leave_set(&mut self, s: u32, pos: u32) {
+        let set = &mut self.sets[s as usize];
+        set.count -= 1;
+        if set.is_virtual {
+            set.owners.swap_remove(pos as usize);
+            if let Some(&moved) = set.owners.get(pos as usize) {
+                let link = self.reg[moved as usize]
+                    .sources
+                    .iter_mut()
+                    .find(|l| l.0 == s)
+                    .expect("an owner links its set");
+                link.1 = pos;
             }
-            self.fresh.push(sid);
         }
-        self.reg[idx] = reg;
+        let empty = self.sets[s as usize].count == 0;
+        for i in 0..self.sets[s as usize].files.len() {
+            let f = self.sets[s as usize].files[i] as usize;
+            self.dirty_p.mark(f);
+            if empty {
+                let at = self
+                    .set_pos(f, self.sets[s as usize].key())
+                    .expect("a live set is listed");
+                self.file_sets[f].remove(at);
+            }
+        }
+        if empty {
+            self.free_sets.push(s);
+        }
+    }
+
+    /// Adds one source unit of peer `idx` to the set keyed by `kind`, `bw`
+    /// and view files `a..b`, creating the set if needed. Returns the
+    /// membership `(set, owner position)`.
+    fn join_set(&mut self, idx: usize, kind: bool, bw: f64, a: usize, b: usize) -> (u32, u32) {
+        let f0 = self.view_files[a] as usize;
+        let s = match self.set_pos(f0, (kind, bw.to_bits(), &self.view_files[a..b])) {
+            Ok(at) => self.file_sets[f0][at],
+            Err(_) => {
+                let s = self.free_sets.pop().unwrap_or_else(|| {
+                    self.sets.push(SourceSet::default());
+                    (self.sets.len() - 1) as u32
+                });
+                let set = &mut self.sets[s as usize];
+                set.is_virtual = kind;
+                set.bandwidth = bw;
+                set.files.clear();
+                set.files.extend_from_slice(&self.view_files[a..b]);
+                set.owners.clear();
+                for &f in &self.view_files[a..b] {
+                    let f = f as usize;
+                    let at = self.set_pos(f, self.sets[s as usize].key()).unwrap_err();
+                    self.file_sets[f].insert(at, s);
+                }
+                self.fresh.push(s);
+                s
+            }
+        };
+        let set = &mut self.sets[s as usize];
+        set.count += 1;
+        let pos = set.owners.len() as u32;
+        if kind {
+            set.owners.push(idx as u32);
+        }
+        for i in a..b {
+            self.dirty_p.mark(self.view_files[i] as usize);
+        }
+        (s, pos)
+    }
+
+    /// Where the set keyed `key` sits in file `f`'s list (or would).
+    fn set_pos(&self, f: usize, key: (bool, u64, &[u32])) -> Result<usize, usize> {
+        self.file_sets[f].binary_search_by(|&s| self.sets[s as usize].key().cmp(&key))
+    }
+
+    /// Where the group `(u, w)` sits in file `f`'s list (or would).
+    fn group_pos(&self, f: usize, u: f64, w: f64) -> Result<usize, usize> {
+        let key = (u.to_bits(), w.to_bits());
+        self.file_groups[f].binary_search_by_key(&key, |&g| {
+            let grp = &self.groups[g as usize];
+            (grp.u.to_bits(), grp.w.to_bits())
+        })
+    }
+
+    /// The occupied group of `(file, u, w)`, if any.
+    fn group_of(&self, file: u32, u: f64, w: f64) -> Option<u32> {
+        let list = self.file_groups.get(file as usize)?;
+        Some(list[self.group_pos(file as usize, u, w).ok()?])
     }
 
     /// The occupied group of `(file, u, w)`, or a new one with both clocks
     /// at zero from `t` (its rate is set by the next refresh).
     fn group_for(&mut self, file: u32, u: f64, w: f64, t: f64) -> u32 {
-        let key = (file, u.to_bits(), w.to_bits());
-        if let Some(&g) = self.index.get(&key) {
-            return g;
-        }
+        let at = match self.group_pos(file as usize, u, w) {
+            Ok(at) => return self.file_groups[file as usize][at],
+            Err(at) => at,
+        };
         let g = self.free_groups.pop().unwrap_or_else(|| {
             self.groups.push(Group::default());
-            self.changed_flag.push(false);
+            self.changed.flag.push(false);
             (self.groups.len() - 1) as u32
         });
-        let list = &mut self.file_groups[file as usize];
         let heap = std::mem::take(&mut self.groups[g as usize].heap);
         self.groups[g as usize] = Group {
             file,
             u,
             w,
             anchor: t,
-            fpos: list.len() as u32,
             heap,
             ..Group::default()
         };
-        list.push(g);
-        self.index.insert(key, g);
+        self.file_groups[file as usize].insert(at, g);
         g
     }
 
     /// Returns an emptied group to the free list.
     fn free_group(&mut self, g: u32) {
         let grp = &self.groups[g as usize];
-        self.index
-            .remove(&(grp.file, grp.u.to_bits(), grp.w.to_bits()));
-        let list = &mut self.file_groups[grp.file as usize];
-        let fpos = grp.fpos as usize;
-        list.swap_remove(fpos);
-        if let Some(&moved) = list.get(fpos) {
-            self.groups[moved as usize].fpos = fpos as u32;
-        }
+        let f = grp.file as usize;
+        let at = self
+            .group_pos(f, grp.u, grp.w)
+            .expect("an occupied group is listed");
+        self.file_groups[f].remove(at);
         self.free_groups.push(g);
     }
 
-    /// File `g`'s real or virtual source list.
-    fn source_list(&mut self, g: usize, is_virtual: bool) -> &mut Vec<SourceEntry> {
-        if is_virtual {
-            &mut self.src_virtual[g]
-        } else {
-            &mut self.src_real[g]
+    /// Folds the virtual-seed service the peer's downloads received up to
+    /// `t` into [`Peer::received_vs`] and restarts their receipts at `t`.
+    /// Marks stay, so no group membership moves.
+    pub(crate) fn settle_received_vs(&mut self, idx: usize, peer: &mut Peer, t: f64) {
+        for &(slot, ..) in &self.reg[idx].active {
+            let (g, i) = self
+                .arena
+                .get(idx, slot as usize)
+                .expect("an active download sits in a group");
+            let grp = &mut self.groups[g as usize];
+            let (_, vs_clock) = grp.clocks_at(t);
+            let m = &mut grp.heap[i as usize];
+            peer.received_vs += vs_clock - m.vs_mark;
+            m.vs_mark = vs_clock;
         }
     }
 
-    /// What the peer contributes under the configured scheme, read by
-    /// [`crate::rate::visit`] in its order. Sources are allocated in the
-    /// table; their list entries are inserted by the caller.
-    fn fill_membership(&mut self, idx: usize, peer: &Peer, reg: &mut PeerReg) {
-        let table = &mut self.table;
-        visit(
-            peer,
-            self.scheme,
-            self.mu,
-            |slot, u, w| {
-                let file = peer.slots[slot].file as u32;
-                reg.active.push((slot as u32, file, u, w));
-            },
-            |bandwidth, is_virtual, files| {
-                reg.sources
-                    .push(table.alloc(idx, bandwidth, is_virtual, files));
-            },
-        );
+    /// Download `(peer, slot)`'s remaining work at `t`, read off its group
+    /// clock (`None` when it is not active).
+    pub(crate) fn remaining_at(&self, peer: usize, slot: usize, t: f64) -> Option<f64> {
+        let (g, i) = self.arena.get(peer, slot)?;
+        let grp = &self.groups[g as usize];
+        Some(remaining_of(&grp.heap[i as usize], grp.clocks_at(t).0))
     }
 
     /// Recomputes dirty aggregates and the group rates they feed,
@@ -701,11 +721,15 @@ impl RateCache {
     ///
     /// With `force` the full recompute path of the seed engine is
     /// replayed: every weight, demand, pool, and group rate is recomputed
-    /// (and, by the ordered-resummation argument in the module docs, every
+    /// (and, since each is summed from counts in canonical order, every
     /// unchanged one reproduces its cached bits). Afterwards every
     /// `Self::changed_groups` entry carries its fresh completion time.
     pub fn refresh(&mut self, peers: &mut [Peer], t: f64, force: bool) -> usize {
-        if !force && self.dirty_w.is_empty() && self.dirty_p.is_empty() && self.touched.is_empty() {
+        if !force
+            && self.dirty_w.list.is_empty()
+            && self.dirty_p.list.is_empty()
+            && self.touched.list.is_empty()
+        {
             self.stat_clean += 1;
             return 0;
         }
@@ -715,86 +739,68 @@ impl RateCache {
 
         // Pass 1: weights. `wc` collects the bit-changed files.
         self.wc.clear();
+        let dirty = std::mem::take(&mut self.dirty_w);
         if force {
-            for f in 0..k {
-                self.recompute_weight(f);
-            }
+            (0..k).for_each(|f| self.recompute_weight(f));
         } else {
-            let dirty = std::mem::take(&mut self.dirty_w);
-            for &f in &dirty {
-                self.recompute_weight(f);
-            }
-            self.dirty_w = dirty;
+            dirty.list.iter().for_each(|&f| self.recompute_weight(f));
         }
+        self.dirty_w = dirty;
 
-        // Demands of sources registered this round, now that the weights
-        // are final (under `force`, of every source).
+        // Demands of sets created since the last refresh, now that the
+        // weights are final (under `force`, of every live set).
         if force {
-            for sid in 0..self.table.meta.len() as u32 {
-                self.table.refresh_demand(sid, &self.weight, round);
+            for s in 0..self.sets.len() as u32 {
+                if self.sets[s as usize].count > 0 {
+                    self.refresh_demand(s, round);
+                }
             }
-        } else {
-            for &sid in &self.fresh {
-                self.table.refresh_demand(sid, &self.weight, round);
+        }
+        for i in 0..self.fresh.len() {
+            let set = &self.sets[self.fresh[i] as usize];
+            if set.count > 0 && set.round != round {
+                self.refresh_demand(self.fresh[i], round);
             }
         }
         self.fresh.clear();
 
         // Pass 2: the pool-dirty set `pd`.
-        self.pd.clear();
         if force {
-            for f in 0..k {
-                self.pd_flag[f] = true;
-                self.pd.push(f);
-            }
+            (0..k).for_each(|f| self.pd.mark(f));
         } else {
-            let dirty = std::mem::take(&mut self.dirty_p);
-            for &f in &dirty {
-                self.mark_pd(f);
+            for i in 0..self.dirty_p.list.len() {
+                self.pd.mark(self.dirty_p.list[i]);
             }
-            self.dirty_p = dirty;
-            let wc = std::mem::take(&mut self.wc);
-            for &f in &wc {
-                self.mark_pd(f);
-                self.walk_sources(f, round);
+            for i in 0..self.wc.len() {
+                let f = self.wc[i];
+                self.pd.mark(f);
+                self.walk_sets(f, round);
             }
-            if self.origin_demand_aware && self.origin_bw > 0.0 && !wc.is_empty() {
-                for f in 0..k {
-                    self.mark_pd(f);
-                }
+            if self.origin_demand_aware && self.origin_bw > 0.0 && !self.wc.is_empty() {
+                (0..k).for_each(|f| self.pd.mark(f));
             }
-            self.wc = wc;
         }
 
-        // Pass 3: pools, from the cached source demands.
+        // Pass 3: pools, from the sets' counts and cached demands.
         let total_weight: f64 = if self.origin_demand_aware && self.origin_bw > 0.0 {
             self.weight.iter().sum()
         } else {
             0.0
         };
-        let demand = &self.table.demand;
-        for &f in &self.pd {
+        for &f in &self.pd.list {
             let wf = self.weight[f];
-            let mut pr = 0.0;
+            let mut pr = origin_pool(self.origin_bw, self.origin_demand_aware, wf, total_weight);
             let mut pv = 0.0;
-            if self.origin_bw > 0.0 {
-                if self.origin_demand_aware {
-                    if total_weight > 0.0 && wf > 0.0 {
-                        pr += self.origin_bw * wf / total_weight;
-                    }
-                } else {
-                    pr += self.origin_bw;
-                }
-            }
-            // A positive weight makes every serving source's demand
-            // positive (it is a sum of non-negative weights including
-            // `wf`), so no per-source guard is needed.
             if wf > 0.0 {
-                for e in &self.src_real[f] {
-                    pr += e.bandwidth * wf / demand[e.sid as usize];
-                }
-                for e in &self.src_virtual[f] {
-                    pv += e.bandwidth * wf / demand[e.sid as usize];
+                self.stat_terms += self.file_sets[f].len() as u64;
+                for &s in &self.file_sets[f] {
+                    let set = &self.sets[s as usize];
+                    let term = pool_term(set.count, set.bandwidth, wf, set.demand);
+                    if set.is_virtual {
+                        pv += term;
+                    } else {
+                        pr += term;
+                    }
                 }
             }
             if pr.to_bits() != self.pool_real[f].to_bits()
@@ -802,10 +808,7 @@ impl RateCache {
             {
                 self.pool_real[f] = pr;
                 self.pool_virtual[f] = pv;
-                if !self.rate_flag[f] {
-                    self.rate_flag[f] = true;
-                    self.rate_files.push(f);
-                }
+                self.rate_files.mark(f);
             }
         }
 
@@ -813,45 +816,40 @@ impl RateCache {
         // under `force`), then of groups created since the last refresh
         // (changed, never evaluated).
         if force {
-            for f in 0..k {
-                self.mark_rate(f);
-            }
+            (0..k).for_each(|f| self.rate_files.mark(f));
         }
         for i in 0..self.wc.len() {
-            self.mark_rate(self.wc[i]);
+            self.rate_files.mark(self.wc[i]);
         }
         let mut moved = 0;
-        for i in 0..self.rate_files.len() {
-            let f = self.rate_files[i];
+        for i in 0..self.rate_files.list.len() {
+            let f = self.rate_files.list[i];
             for j in 0..self.file_groups[f].len() {
                 moved += self.update_rate(self.file_groups[f][j], t, round);
             }
         }
-        for i in 0..self.changed.len() {
-            let g = self.changed[i];
+        for i in 0..self.changed.list.len() {
+            let g = self.changed.list[i] as u32;
             let grp = &self.groups[g as usize];
             if grp.round == 0 && !grp.heap.is_empty() {
                 moved += self.update_rate(g, t, round);
             }
         }
 
-        // Pass 5: donation rates for touched peers and the owners the
-        // source walk marked.
+        // Pass 5: donation rates for touched peers and the owners of sets
+        // whose demand crossed zero.
         if force {
-            for p in 0..self.reg.len() {
-                self.mark_owner(p);
-            }
+            (0..self.reg.len()).for_each(|p| self.owners.mark(p));
         }
-        for i in 0..self.touched.len() {
-            let p = self.touched[i];
-            self.mark_owner(p);
+        for i in 0..self.touched.list.len() {
+            self.owners.mark(self.touched.list[i]);
         }
-        for &p in &self.owners {
+        for &p in &self.owners.list {
             let mut dr = 0.0;
-            for &sid in &self.reg[p].sources {
-                let src = &self.table.meta[sid as usize];
-                if src.is_virtual && self.table.demand[sid as usize] > 0.0 {
-                    dr += src.bandwidth;
+            for &(s, _) in &self.reg[p].sources {
+                let set = &self.sets[s as usize];
+                if set.is_virtual && set.demand > 0.0 {
+                    dr += set.bandwidth;
                 }
             }
             let peer = &mut peers[p];
@@ -862,30 +860,16 @@ impl RateCache {
         }
 
         // Reset dirty/scratch state for the next round.
-        for &f in &self.dirty_w {
-            self.dirty_w_flag[f] = false;
+        for marks in [
+            &mut self.dirty_w,
+            &mut self.dirty_p,
+            &mut self.touched,
+            &mut self.pd,
+            &mut self.rate_files,
+            &mut self.owners,
+        ] {
+            marks.clear();
         }
-        self.dirty_w.clear();
-        for &f in &self.dirty_p {
-            self.dirty_p_flag[f] = false;
-        }
-        self.dirty_p.clear();
-        for &p in &self.touched {
-            self.touched_flag[p] = false;
-        }
-        self.touched.clear();
-        for &f in &self.pd {
-            self.pd_flag[f] = false;
-        }
-        self.pd.clear();
-        for &f in &self.rate_files {
-            self.rate_flag[f] = false;
-        }
-        self.rate_files.clear();
-        for &p in &self.owners {
-            self.owner_flag[p] = false;
-        }
-        self.owners.clear();
         self.wc.clear();
         moved
     }
@@ -898,87 +882,69 @@ impl RateCache {
         grp.round = round;
         self.stat_recomputes += 1;
         let f = grp.file as usize;
-        let weight = self.weight[f];
-        let share = if weight > 0.0 { grp.w / weight } else { 0.0 };
-        let from_real = share * self.pool_real[f];
-        let from_virtual = share * self.pool_virtual[f];
-        let rate = self.eta * grp.u + from_real + from_virtual;
-        if rate.to_bits() == grp.rate.to_bits() && from_virtual.to_bits() == grp.vs_rate.to_bits() {
+        let (rate, vs_rate) = download_rate(
+            self.eta,
+            grp.u,
+            grp.w,
+            self.weight[f],
+            self.pool_real[f],
+            self.pool_virtual[f],
+        );
+        if rate.to_bits() == grp.rate.to_bits() && vs_rate.to_bits() == grp.vs_rate.to_bits() {
             return 0;
         }
         grp.settle(t);
         grp.rate = rate;
-        grp.vs_rate = from_virtual;
-        self.mark_changed(g);
+        grp.vs_rate = vs_rate;
+        self.changed.mark(g as usize);
         1
     }
 
-    /// Visits the sources serving weight-changed file `f` in `(peer, ord)`
-    /// order, merging the real and virtual lists. A source not yet seen
-    /// this round gets a fresh demand, marks its virtual owner for the
-    /// donation pass, and marks every file it serves pool-dirty. A source
-    /// already seen this round (registered, or reached through another
-    /// changed file) has nothing left to mark.
-    fn walk_sources(&mut self, f: usize, round: u64) {
-        let (mut i, mut j) = (0, 0);
-        loop {
-            let real = self.src_real[f].get(i);
-            let virt = self.src_virtual[f].get(j);
-            let sid = match (real, virt) {
-                (Some(a), Some(b)) if a.key < b.key => {
-                    i += 1;
-                    a.sid
-                }
-                (_, Some(b)) => {
-                    j += 1;
-                    b.sid
-                }
-                (Some(a), None) => {
-                    i += 1;
-                    a.sid
-                }
-                (None, None) => break,
-            };
-            let src = self.table.meta[sid as usize];
-            if src.round == round {
+    /// Recomputes set `s`'s demand for refresh `round`; returns the old
+    /// value.
+    fn refresh_demand(&mut self, s: u32, round: u64) -> f64 {
+        let set = &mut self.sets[s as usize];
+        self.stat_terms += set.files.len() as u64;
+        set.round = round;
+        std::mem::replace(&mut set.demand, demand_of(&set.files, &self.weight))
+    }
+
+    /// Visits the sets serving weight-changed file `f`. A set not yet
+    /// refreshed this round gets a fresh demand; when its bits change,
+    /// every file it serves is marked pool-dirty, and when it crosses zero
+    /// the owners of a virtual set are marked for the donation pass.
+    fn walk_sets(&mut self, f: usize, round: u64) {
+        for i in 0..self.file_sets[f].len() {
+            let s = self.file_sets[f][i];
+            if self.sets[s as usize].round == round {
                 continue;
             }
-            self.table.refresh_demand(sid, &self.weight, round);
-            if src.is_virtual {
-                self.mark_owner(src.owner as usize);
+            let old = self.refresh_demand(s, round);
+            let set = &self.sets[s as usize];
+            if set.demand.to_bits() == old.to_bits() {
+                continue;
             }
-            for g in src.start..src.start + src.len {
-                let g = self.table.files[g as usize] as usize;
-                self.mark_pd(g);
+            for j in 0..set.files.len() {
+                self.pd.mark(self.sets[s as usize].files[j] as usize);
+            }
+            let set = &self.sets[s as usize];
+            if set.is_virtual && (set.demand > 0.0) != (old > 0.0) {
+                for j in 0..set.owners.len() {
+                    self.owners.mark(self.sets[s as usize].owners[j] as usize);
+                }
             }
         }
     }
 
-    fn mark_pd(&mut self, f: usize) {
-        if !self.pd_flag[f] {
-            self.pd_flag[f] = true;
-            self.pd.push(f);
-        }
-    }
-
-    fn mark_rate(&mut self, f: usize) {
-        if !self.rate_flag[f] {
-            self.rate_flag[f] = true;
-            self.rate_files.push(f);
-        }
-    }
-
-    fn mark_owner(&mut self, p: usize) {
-        if !self.owner_flag[p] {
-            self.owner_flag[p] = true;
-            self.owners.push(p);
-        }
-    }
-
-    /// Re-sums `weight[f]` over the ordered member list; records a bit
-    /// change in `wc`.
+    /// Sums `weight[f] = Σ n·w` over the file's groups in `(u, w)` bit
+    /// order; records a bit change in `wc`.
     fn recompute_weight(&mut self, f: usize) {
-        let s: f64 = self.downloaders[f].iter().map(|m| m.w).sum();
+        let groups = &self.file_groups[f];
+        self.stat_terms += groups.len() as u64;
+        let s = groups.iter().fold(0.0, |s, &g| {
+            let grp = &self.groups[g as usize];
+            s + grp.heap.len() as f64 * grp.w
+        });
         if s.to_bits() != self.weight[f].to_bits() {
             self.weight[f] = s;
             self.wc.push(f);
@@ -987,16 +953,13 @@ impl RateCache {
 
     /// Groups whose completion may have moved since the last
     /// [`Self::clear_changed`] (freed ones included).
-    pub(crate) fn changed_groups(&self) -> &[u32] {
-        &self.changed
+    pub(crate) fn changed_groups(&self) -> &[usize] {
+        &self.changed.list
     }
 
     /// Empties `Self::changed_groups` once the engine has rescheduled
     /// them.
     pub fn clear_changed(&mut self) {
-        for &g in &self.changed {
-            self.changed_flag[g as usize] = false;
-        }
         self.changed.clear();
     }
 
@@ -1023,7 +986,7 @@ impl RateCache {
 
     /// Number of occupied rate groups.
     pub(crate) fn occupied_groups(&self) -> usize {
-        self.index.len()
+        self.file_groups.iter().map(Vec::len).sum()
     }
 
     /// Writes every member's remaining work at `t` into its slot (closing
@@ -1086,17 +1049,12 @@ impl RateCache {
     /// sorted by `(peer, slot)`: the snapshot encoding, which depends on
     /// neither group ids nor heap layout.
     pub(crate) fn group_clocks(&self) -> Vec<Group> {
-        let mut out: Vec<Group> = self
-            .groups
-            .iter()
-            .filter(|g| !g.heap.is_empty())
-            .cloned()
-            .collect();
-        for g in &mut out {
-            g.heap.sort_unstable_by_key(|m| (m.peer, m.slot));
-        }
-        out.sort_unstable_by_key(|g| (g.file, g.u.to_bits(), g.w.to_bits()));
-        out
+        let group = |&g: &u32| {
+            let mut grp = self.groups[g as usize].clone();
+            grp.heap.sort_unstable_by_key(|m| (m.peer, m.slot));
+            grp
+        };
+        self.file_groups.iter().flatten().map(group).collect()
     }
 
     /// Snapshot restore: after every live peer has been re-registered,
@@ -1109,11 +1067,11 @@ impl RateCache {
     /// # Errors
     /// A description of the first record that does not fit.
     pub(crate) fn install_clocks(&mut self, records: &[Group]) -> Result<(), String> {
-        if records.len() != self.index.len() {
+        let occupied = self.occupied_groups();
+        if records.len() != occupied {
             return Err(format!(
-                "snapshot carries {} rate groups, the slab registers {}",
-                records.len(),
-                self.index.len()
+                "snapshot carries {} rate groups, the slab registers {occupied}",
+                records.len()
             ));
         }
         let mut last = None;
@@ -1123,7 +1081,7 @@ impl RateCache {
                 return Err(format!("rate group {key:?} out of order or repeated"));
             }
             last = Some(key);
-            let Some(&g) = self.index.get(&key) else {
+            let Some(g) = self.group_of(r.file, r.u, r.w) else {
                 return Err(format!("no registered download in group {key:?}"));
             };
             let grp = &mut self.groups[g as usize];
@@ -1174,9 +1132,10 @@ impl RateCache {
         Ok(())
     }
 
-    /// Structural audit of the groups: heap order, the arena and the
-    /// group index point at each member and group, finite clocks and
-    /// rates, and one member per active download.
+    /// Structural audit of the groups and source sets: heap order, the
+    /// arena and the file lists point at each member and group, finite
+    /// clocks, rates and marks, one member per active download, and one
+    /// set unit (and virtual owner link) per registered source.
     ///
     /// # Errors
     /// A description of the first inconsistency.
@@ -1186,9 +1145,8 @@ impl RateCache {
             if grp.heap.is_empty() {
                 continue;
             }
-            let key = (grp.file, grp.u.to_bits(), grp.w.to_bits());
-            if self.index.get(&key) != Some(&(g as u32)) {
-                return Err(format!("group {g} missing from the group index"));
+            if self.group_of(grp.file, grp.u, grp.w) != Some(g as u32) {
+                return Err(format!("group {g} missing from its file's group list"));
             }
             for (i, m) in grp.heap.iter().enumerate() {
                 if i > 0 && m.before(&grp.heap[(i - 1) / 2]) {
@@ -1199,6 +1157,9 @@ impl RateCache {
                         "group {g}: arena misplaces ({}, {})",
                         m.peer, m.slot
                     ));
+                }
+                if !m.mark.is_finite() || !m.vs_mark.is_finite() {
+                    return Err(format!("group {g}: mark {m:?}"));
                 }
             }
             for v in [grp.rate, grp.vs_rate, grp.clock, grp.vs_clock] {
@@ -1214,6 +1175,33 @@ impl RateCache {
                 "{members} group members for {active} active downloads"
             ));
         }
-        Ok(())
+        let mut units = vec![0u32; self.sets.len()];
+        for (p, reg) in self.reg.iter().enumerate() {
+            for &(s, pos) in &reg.sources {
+                let set = &self.sets[s as usize];
+                units[s as usize] += 1;
+                if set.is_virtual && set.owners.get(pos as usize) != Some(&(p as u32)) {
+                    return Err(format!("peer {p}: virtual set {s} misplaces its owner"));
+                }
+            }
+        }
+        for (f, list) in self.file_sets.iter().enumerate() {
+            for (i, &s) in list.iter().enumerate() {
+                let set = &self.sets[s as usize];
+                if set.count == 0 || !set.files.contains(&(f as u32)) {
+                    return Err(format!("file {f} lists set {s}, which does not serve it"));
+                }
+                if i > 0 && self.sets[list[i - 1] as usize].key() >= set.key() {
+                    return Err(format!("file {f}: set order broken at {i}"));
+                }
+            }
+        }
+        match (0..units.len()).find(|&s| self.sets[s].count != units[s]) {
+            Some(s) => Err(format!(
+                "set {s}: count {} for {} sources",
+                self.sets[s].count, units[s]
+            )),
+            None => Ok(()),
+        }
     }
 }

@@ -82,9 +82,9 @@ use std::path::Path;
 /// Leading bytes of every snapshot file, engine and hybrid alike.
 pub const MAGIC: &[u8; 4] = b"BTFS";
 /// Snapshot format version, for both rate modes (see the module docs for
-/// the policy). Versions 2–5 were earlier engine and hybrid formats and 6
-/// is the hybrid envelope's; none is reused.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// the policy). Versions 2–5 were earlier formats, 6 is the hybrid
+/// envelope's and 7 stored per-member rate sums; none is reused.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Why a snapshot could not be encoded, decoded, or applied.
 #[derive(Debug, Clone, PartialEq)]
@@ -736,8 +736,8 @@ fn decode_file(r: &mut Reader) -> Result<FileId, SnapshotError> {
 const SLOT_MIN_BYTES: usize = 4 + 4 + 8 + 1 + 1 + 8;
 
 /// Writes one peer in one pass: its scalars, its Adapt controller state,
-/// then each slot's fields together.
-pub(crate) fn encode_peer(w: &mut Writer, p: &Peer) {
+/// then each slot's fields together, slot `i` with `remaining(i)`.
+pub(crate) fn encode_peer(w: &mut Writer, p: &Peer, remaining: impl Fn(usize) -> f64) {
     match p.phase {
         Phase::Downloading => w.u8(0),
         Phase::SeedingFile(slot) => {
@@ -772,10 +772,10 @@ pub(crate) fn encode_peer(w: &mut Writer, p: &Peer) {
     w.f64(p.active_since);
     w.u64(p.expiry_stamp);
     w.u64(p.slots.len() as u64);
-    for s in &p.slots {
+    for (i, s) in p.slots.iter().enumerate() {
         w.u32(u32::from(s.file));
         w.u32(s.order);
-        w.f64(s.remaining);
+        w.f64(remaining(i));
         w.opt_f64(s.completed_at);
         w.opt_f64(s.seed_until);
         w.f64(s.seed_duration);
@@ -1232,8 +1232,9 @@ mod tests {
     fn unsupported_version_rejected() {
         // Version sits right after the magic; change it and re-seal. The
         // retired per-peer (2), aggregate (3) and hybrid (4) versions are
-        // refused like any other.
-        for version in [2, 3, 4, 99] {
+        // refused like any other, and so is 7, whose layout is this one's
+        // but whose per-member rate sums a restore would not reproduce.
+        for version in [2, 3, 4, 7, 99] {
             let mut body = mid_run_sim().snapshot_body();
             body[4..8].copy_from_slice(&u32::to_le_bytes(version));
             assert_eq!(
@@ -1255,7 +1256,7 @@ mod tests {
             .expect("a live multi-file peer");
         let encoded = |p: &Peer| {
             let mut w = Writer::default();
-            encode_peer(&mut w, p);
+            encode_peer(&mut w, p, |s| p.slots[s].remaining);
             w.into_bytes()
         };
         let good = encoded(peer);

@@ -368,3 +368,60 @@ fn incremental_rate_work_per_event_is_bounded_by_groups() {
         );
     }
 }
+
+/// Steps the incremental engine through `scheme`'s scaling point at
+/// `lambda0`, with service ten times faster than the paper's (μ = 0.2,
+/// γ = 0.5) so that seeds and source sets form within the short horizons
+/// at both swarm sizes, draining the rate cache's summed weight, demand
+/// and pool terms after every event. Asserts after every event that the
+/// terms stay within the occupied groups plus `2·K` per live source set
+/// (a set over `m` files costs at most `m` demand and `m` pool terms).
+/// Returns `(terms per event, mean live source sets)`.
+fn rate_terms(scheme: SchemeKind, lambda0: f64) -> (f64, f64) {
+    let mut cfg = scale_config(scheme, lambda0, false);
+    cfg.params = FluidParams::new(0.2, 0.5, 0.5).expect("valid");
+    let mut sim = Simulation::new(cfg).expect("valid");
+    let (mut terms, mut sets) = (0u64, 0usize);
+    while sim.step().expect("step") {
+        let (now, live) = sim.take_rate_terms();
+        let groups = sim.rate_groups();
+        assert!(
+            now as usize <= groups + 2 * 10 * live,
+            "{} λ₀ = {lambda0}: {now} terms with {groups} groups and {live} sets at t = {}",
+            scheme.name(),
+            sim.sim_time()
+        );
+        terms += now;
+        sets += live;
+    }
+    let events = sim.events() as f64;
+    (terms as f64 / events, sets as f64 / events)
+}
+
+/// The incremental engine's aggregates are sums over counts: the weight,
+/// demand and pool terms it sums per event stay within 2× from λ₀ = 32 to
+/// λ₀ = 512 under MTSD, MTCD and MFCD while the swarm grows about
+/// fivefold, and under CMFSD they are bounded by the live source sets,
+/// not by the swarm.
+#[test]
+fn incremental_rate_terms_are_counts_not_swarm_size() {
+    for scheme in [SchemeKind::Mtsd, SchemeKind::Mtcd, SchemeKind::Mfcd] {
+        let (per_event_32, sets_32) = rate_terms(scheme, 32.0);
+        let (per_event_512, sets_512) = rate_terms(scheme, 512.0);
+        println!(
+            "{}: terms per event {per_event_32:.2} (λ₀ = 32, {sets_32:.1} sets) → \
+             {per_event_512:.2} (λ₀ = 512, {sets_512:.1} sets)",
+            scheme.name()
+        );
+        assert!(sets_32 > 1.0 && sets_512 > 1.0, "no seeds formed");
+        let ratio = per_event_512 / per_event_32;
+        assert!(
+            ratio <= 2.0,
+            "{}: terms per event went {per_event_32:.2} → {per_event_512:.2} between \
+             λ₀ = 32 and λ₀ = 512 (claim is within 2×)",
+            scheme.name()
+        );
+    }
+    let (per_event, sets) = rate_terms(SchemeKind::Cmfsd { rho: 0.5 }, 32.0);
+    println!("CMFSD: terms per event {per_event:.1} over {sets:.1} live sets (λ₀ = 32)");
+}

@@ -158,6 +158,116 @@ fn population() -> impl Strategy<Value = Vec<Peer>> {
     })
 }
 
+/// Downloads as `(peer, slot, rate, vs_rate)`.
+type Downloads = Vec<(usize, usize, f64, f64)>;
+
+/// The allocator as it summed before it worked from counts: weights
+/// accumulate download by download in peer order, and every seed source
+/// adds its own share, in peer order, with its demand summed in its
+/// files' order. The views mirror `rate::visit`. Kept as an independent
+/// check that summing counts in canonical order moves the rates by
+/// rounding only. Returns the downloads and the donations.
+fn per_member_rates(
+    peers: &[Peer],
+    scheme: SchemeKind,
+    params: &FluidParams,
+    origin: usize,
+) -> (Downloads, Vec<f64>) {
+    let mu = params.mu();
+    let mut active = Vec::new();
+    let mut sources: Vec<(usize, f64, bool, Vec<usize>)> = Vec::new();
+    for (idx, p) in peers.iter().enumerate() {
+        let file = |s: usize| p.slots[s].file as usize;
+        let class = p.class() as f64;
+        match scheme {
+            SchemeKind::Mtsd => match p.phase {
+                Phase::Downloading => active.push((idx, p.current_slot(), mu, 1.0)),
+                Phase::SeedingFile(s) => sources.push((idx, mu, false, vec![file(s)])),
+                _ => {}
+            },
+            SchemeKind::Mtcd | SchemeKind::Mfcd if p.phase != Phase::Departed => {
+                for s in 0..p.class() {
+                    if !p.finished(s) {
+                        active.push((idx, s, mu / class, 1.0 / class));
+                    } else if p.slots[s].seed_until.is_some() {
+                        sources.push((idx, mu / class, false, vec![file(s)]));
+                    }
+                }
+            }
+            SchemeKind::Cmfsd { .. } => match p.phase {
+                Phase::Downloading if p.done_count() >= 1 => {
+                    active.push((idx, p.current_slot(), p.rho * mu, 1.0));
+                    let donated = (1.0 - p.rho) * mu;
+                    if donated > 0.0 {
+                        let done = (0..p.class()).filter(|&s| p.finished(s)).map(file);
+                        sources.push((idx, donated, true, done.collect()));
+                    }
+                }
+                Phase::Downloading => active.push((idx, p.current_slot(), mu, 1.0)),
+                Phase::SeedingAll => {
+                    sources.push((idx, mu, false, (0..p.class()).map(file).collect()))
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+    let mut weight = [0.0; K];
+    for &(idx, s, _, w) in &active {
+        weight[peers[idx].slots[s].file as usize] += w;
+    }
+    let mut pool_real = [0.0; K];
+    let mut pool_virtual = [0.0; K];
+    let bw = origin as f64 * mu;
+    if origin > 0 {
+        if matches!(scheme, SchemeKind::Mtsd | SchemeKind::Mtcd) {
+            pool_real.iter_mut().for_each(|p| *p += bw);
+        } else {
+            let demand: f64 = weight.iter().sum();
+            for f in 0..K {
+                if demand > 0.0 && weight[f] > 0.0 {
+                    pool_real[f] += bw * weight[f] / demand;
+                }
+            }
+        }
+    }
+    let mut donations = vec![0.0; peers.len()];
+    for (idx, bandwidth, is_virtual, files) in &sources {
+        let demand: f64 = files.iter().map(|&f| weight[f]).sum();
+        if demand <= 0.0 {
+            continue;
+        }
+        for &f in files {
+            if weight[f] > 0.0 {
+                let pool = if *is_virtual {
+                    &mut pool_virtual
+                } else {
+                    &mut pool_real
+                };
+                pool[f] += bandwidth * weight[f] / demand;
+            }
+        }
+        if *is_virtual {
+            donations[*idx] += bandwidth;
+        }
+    }
+    let downloads = active
+        .iter()
+        .map(|&(idx, s, u, w)| {
+            let f = peers[idx].slots[s].file as usize;
+            let share = if weight[f] > 0.0 { w / weight[f] } else { 0.0 };
+            let vs = share * pool_virtual[f];
+            (idx, s, params.eta() * u + share * pool_real[f] + vs, vs)
+        })
+        .collect();
+    (downloads, donations)
+}
+
+/// `a` and `b` agree to 1e-12 relative.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -234,9 +344,9 @@ proptest! {
 
     #[test]
     fn cache_tracks_mutation_cycles(peers in population(), origin in 0usize..3) {
-        // Deregister → mutate (complete the current file) → re-register →
-        // refresh must keep the cache in lockstep with a full recompute at
-        // every step.
+        // Mutate (complete the current file) → re-register (the diff moves
+        // what changed) → refresh must keep the cache in lockstep with a
+        // full recompute at every step.
         let params = FluidParams::paper();
         let scheme = SchemeKind::Cmfsd { rho: 0.5 };
         let mut peers = peers.clone();
@@ -245,7 +355,6 @@ proptest! {
             if peers[idx].phase != Phase::Downloading {
                 continue;
             }
-            cache.deregister(idx, &mut peers, 0.0);
             let slot = peers[idx].current_slot();
             peers[idx].slots[slot].remaining = 0.0;
             peers[idx].slots[slot].completed_at = Some(2.0);
@@ -253,7 +362,7 @@ proptest! {
             if peers[idx].cursor >= peers[idx].class() {
                 peers[idx].phase = Phase::SeedingAll;
             }
-            cache.register(idx, &peers, 0.0);
+            cache.register(idx, &mut peers, 0.0);
             cache.refresh(&mut peers, 0.0, false);
             cache.clear_changed();
             assert_matches_full(&cache, &peers, scheme, &params, origin)?;
@@ -267,10 +376,10 @@ proptest! {
         rho in 0.0f64..1.0,
     ) {
         // One refresh round that retires a real seed, registers a partial
-        // seed whose virtual source reuses the retired source's table slot
-        // with a different file set, and re-registers a real seed whose
-        // files kept their weights. The recycled slot must get a fresh
-        // demand and the re-registered one an equal demand.
+        // seed whose virtual source set reuses the retired set's slab slot
+        // with a different file set, and re-registers an unchanged real
+        // seed. The recycled set must get a fresh demand, and the
+        // re-registration, which moves nothing, keeps its set's demand.
         let params = FluidParams::paper();
         let scheme = SchemeKind::Cmfsd { rho: 0.5 };
         for origin in [0, 2] {
@@ -283,15 +392,13 @@ proptest! {
             peers.push(cmfsd_finished(kept_idx as u64, kept, n_kept, 1.0));
             let mut cache = build_incrementally(&mut peers, scheme, &params, origin);
 
-            cache.deregister(retired, &mut peers, 0.0);
             peers[retired].phase = Phase::Departed;
-            cache.register(retired, &peers, 0.0);
+            cache.register(retired, &mut peers, 0.0);
             let partial = peers.len();
             peers.push(cmfsd_finished(partial as u64, vec![3, 4, 5], 2, rho));
             cache.grow(peers.len());
-            cache.register(partial, &peers, 0.0);
-            cache.deregister(kept_idx, &mut peers, 0.0);
-            cache.register(kept_idx, &peers, 0.0);
+            cache.register(partial, &mut peers, 0.0);
+            cache.register(kept_idx, &mut peers, 0.0);
             cache.refresh(&mut peers, 0.0, false);
             assert_matches_full(&cache, &peers, scheme, &params, origin)?;
         }
@@ -343,6 +450,44 @@ proptest! {
             let p = &peers[d.peer_idx];
             let floor = params.eta() * params.mu() / p.class() as f64;
             prop_assert!(d.rate >= floor - 1e-12);
+        }
+    }
+
+    #[test]
+    fn count_order_matches_per_member_summation(peers in population(), origin in 0usize..3) {
+        // Every scheme over the same peers (per-peer ρ), with each
+        // finished slot lingering as an MTCD/MFCD seed: the canonical
+        // count order must reproduce the per-member sums to rounding, and
+        // the cache must reproduce the count order bit for bit.
+        let params = FluidParams::paper();
+        let mut peers = peers.clone();
+        for p in &mut peers {
+            for s in 0..p.class() {
+                if p.finished(s) {
+                    p.slots[s].seed_until = Some(100.0);
+                }
+            }
+        }
+        for scheme in ALL_SCHEMES {
+            let snap = compute_rates(&peers, scheme, &params, K, origin);
+            let (old, donations) = per_member_rates(&peers, scheme, &params, origin);
+            prop_assert_eq!(snap.downloads.len(), old.len());
+            for (d, &(idx, s, rate, vs)) in snap.downloads.iter().zip(&old) {
+                prop_assert_eq!((d.peer_idx, d.slot), (idx, s));
+                prop_assert!(
+                    close(d.rate, rate) && close(d.vs_rate, vs),
+                    "{}: peer {idx} slot {s}: ({}, {}) vs per-member ({rate}, {vs})",
+                    scheme.name(),
+                    d.rate,
+                    d.vs_rate
+                );
+            }
+            for (a, b) in snap.donations.iter().zip(&donations) {
+                prop_assert!(close(*a, *b), "{}: donation {a} vs {b}", scheme.name());
+            }
+            let mut seeded = peers.clone();
+            let cache = build_incrementally(&mut seeded, scheme, &params, origin);
+            assert_matches_full(&cache, &seeded, scheme, &params, origin)?;
         }
     }
 }

@@ -21,7 +21,7 @@
 //! `btfluid-harness`), not tallied here.
 
 use crate::flightrec::{FlightKind, FlightRecord, SharedRecorder};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::io;
 
 /// Instrumented write paths. Each site keeps its own operation counter
@@ -181,6 +181,9 @@ struct Armed {
 
 thread_local! {
     static SCOPE: RefCell<Option<Armed>> = const { RefCell::new(None) };
+    /// `SCOPE.is_some()` in a cell without a destructor, so the disarmed
+    /// consult is one plain thread-local read.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn kind_code(kind: FaultKind) -> u64 {
@@ -206,6 +209,7 @@ pub fn scoped<T>(script: FaultScript, flight: Option<SharedRecorder>, f: impl Fn
     struct Restore(Option<Armed>);
     impl Drop for Restore {
         fn drop(&mut self) {
+            ARMED.set(self.0.is_some());
             SCOPE.set(self.0.take());
         }
     }
@@ -214,19 +218,23 @@ pub fn scoped<T>(script: FaultScript, flight: Option<SharedRecorder>, f: impl Fn
         ops: [0; FAULT_SITES],
         flight,
     })));
+    ARMED.set(true);
     f()
 }
 
 /// Whether a script is armed on this thread — the fast path every
 /// instrumented write starts with.
 pub fn armed() -> bool {
-    SCOPE.with_borrow(Option::is_some)
+    ARMED.get()
 }
 
 /// Consults this thread's armed script for `site`, advancing its
 /// operation counter. `None` (always, outside [`scoped`]) means "perform
 /// the real operation".
 pub fn intercept(site: FaultSite) -> Option<FaultKind> {
+    if !ARMED.get() {
+        return None;
+    }
     SCOPE.with_borrow_mut(|scope| {
         let armed = scope.as_mut()?;
         let op = armed.ops[site.index()];
