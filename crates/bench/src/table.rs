@@ -1,5 +1,7 @@
 //! Minimal aligned-text table and CSV rendering (no dependencies).
 
+use std::fmt::Write;
+
 /// A simple right-aligned numeric table with a header row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -68,17 +70,18 @@ impl Table {
             if i > 0 {
                 out.push_str("  ");
             }
-            out.push_str(&format!("{h:>w$}"));
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{h:>w$}");
         }
         out.push('\n');
-        out.push_str(&"-".repeat(sep));
+        out.extend(std::iter::repeat_n('-', sep));
         out.push('\n');
         for row in &self.rows {
             for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
                 if i > 0 {
                     out.push_str("  ");
                 }
-                out.push_str(&format!("{cell:>w$}"));
+                let _ = write!(out, "{cell:>w$}");
             }
             out.push('\n');
         }
@@ -87,10 +90,14 @@ impl Table {
 
     /// Renders the table as CSV (header + rows, comma-separated).
     pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
+        let mut out = String::new();
+        for line in std::iter::once(&self.headers).chain(&self.rows) {
+            for (i, cell) in line.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(cell);
+            }
             out.push('\n');
         }
         out

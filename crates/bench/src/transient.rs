@@ -123,12 +123,13 @@ pub fn run(cfg: &TransientConfig) -> Result<TransientResult, NumError> {
     // Collapse per-class channels into totals.
     let k = mtcd.k();
     let mut mtcd_series = TimeSeries::new(vec!["downloaders", "seeds"])?;
-    for (row, &t) in raw.times().iter().enumerate() {
+    for (i, &t) in raw.times().iter().enumerate() {
+        let (xs, ys) = raw.row(i).split_at(k);
         let mut x_tot = 0.0;
         let mut y_tot = 0.0;
-        for c in 0..k {
-            x_tot += raw.channel(c)[row];
-            y_tot += raw.channel(k + c)[row];
+        for (x, y) in xs.iter().zip(ys) {
+            x_tot += x;
+            y_tot += y;
         }
         mtcd_series.push(t, &[x_tot, y_tot])?;
     }

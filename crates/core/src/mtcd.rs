@@ -48,6 +48,10 @@ pub struct Mtcd {
     /// Per-torrent entry rates `λⱼⁱ` (index 0 ↔ class 1). May contain
     /// zeros; at least one entry must be positive.
     lambdas: Vec<f64>,
+    /// Per-class seed upload bandwidth `μ/i` (index 0 ↔ class 1).
+    seed_bw: Vec<f64>,
+    /// Per-class tit-for-tat coefficient `η·μ/i` (index 0 ↔ class 1).
+    tft_coef: Vec<f64>,
 }
 
 /// Closed-form steady state of [`Mtcd`].
@@ -91,7 +95,18 @@ impl Mtcd {
                 detail: "all class entry rates are zero".into(),
             });
         }
-        Ok(Self { params, lambdas })
+        // The right-hand side's per-class constants, as the same
+        // left-associative expressions it would otherwise evaluate per call.
+        let (mu, eta) = (params.mu(), params.eta());
+        let classes = || (1..=lambdas.len()).map(|i| i as f64);
+        let seed_bw = classes().map(|class| mu / class).collect();
+        let tft_coef = classes().map(|class| eta * mu / class).collect();
+        Ok(Self {
+            params,
+            lambdas,
+            seed_bw,
+            tft_coef,
+        })
     }
 
     /// Number of classes `K`.
@@ -194,31 +209,33 @@ impl OdeSystem for Mtcd {
     /// State layout: `[x₁..x_K, y₁..y_K]`.
     fn rhs(&self, _t: f64, state: &[f64], d: &mut [f64]) {
         let k = self.k();
-        let (mu, eta, gamma) = (self.params.mu(), self.params.eta(), self.params.gamma());
+        let gamma = self.params.gamma();
         let (xs, ys) = state.split_at(k);
+        let (dx, dy) = d.split_at_mut(k);
 
-        // Seed service pool Σₗ (μ/l)·yₗ and downloader share weights xᵢ/i.
+        // Seed service pool Σₗ (μ/l)·yₗ and downloader share weights xᵢ/i;
+        // each weight waits in `dx[i]` until the second pass overwrites it.
         let mut seed_pool = 0.0;
         let mut weight_total = 0.0;
         for i in 0..k {
             let class = (i + 1) as f64;
-            seed_pool += mu / class * ys[i].max(0.0);
-            weight_total += xs[i].max(0.0) / class;
+            seed_pool += self.seed_bw[i] * ys[i].max(0.0);
+            let weight = xs[i].max(0.0) / class;
+            dx[i] = weight;
+            weight_total += weight;
         }
 
         for i in 0..k {
-            let class = (i + 1) as f64;
-            let x = xs[i].max(0.0);
-            let tft = eta * mu / class * x;
+            let tft = self.tft_coef[i] * xs[i].max(0.0);
             let from_seeds = if weight_total > 0.0 {
-                (x / class) / weight_total * seed_pool
+                dx[i] / weight_total * seed_pool
             } else {
                 // No downloaders anywhere: seed capacity idles.
                 0.0
             };
             let served = tft + from_seeds;
-            d[i] = self.lambdas[i] - served;
-            d[k + i] = served - gamma * ys[i].max(0.0);
+            dx[i] = self.lambdas[i] - served;
+            dy[i] = served - gamma * ys[i].max(0.0);
         }
     }
 }

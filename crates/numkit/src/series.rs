@@ -3,6 +3,7 @@
 
 use crate::error::NumError;
 use crate::interp::LinearInterp;
+use std::fmt::Write;
 
 /// A time-indexed multi-channel series: one time column, `k` named channels.
 ///
@@ -129,6 +130,9 @@ impl TimeSeries {
 
     /// Copies out channel `ch` as a dense vector.
     ///
+    /// This copies the whole column, O(rows), on every call: a loop over
+    /// rows should read each row through [`TimeSeries::row`] instead.
+    ///
     /// # Panics
     /// Panics when `ch` is out of range (programming error).
     pub fn channel(&self, ch: usize) -> Vec<f64> {
@@ -138,6 +142,15 @@ impl TimeSeries {
             .enumerate()
             .map(|(row, _)| self.values[row * self.channels() + ch])
             .collect()
+    }
+
+    /// Row `i` as a borrowed slice of its `channels()` values.
+    ///
+    /// # Panics
+    /// Panics when `i` is out of range (programming error).
+    pub fn row(&self, i: usize) -> &[f64] {
+        let k = self.channels();
+        &self.values[i * k..(i + 1) * k]
     }
 
     /// Looks a channel up by name.
@@ -154,8 +167,7 @@ impl TimeSeries {
             return None;
         }
         let row = self.len() - 1;
-        let k = self.channels();
-        Some((self.times[row], &self.values[row * k..(row + 1) * k]))
+        Some((self.times[row], self.row(row)))
     }
 
     /// Builds a linear interpolant for one channel (requires ≥ 2 rows with
@@ -190,11 +202,11 @@ impl TimeSeries {
             out.push_str(n);
         }
         out.push('\n');
-        let k = self.channels();
-        for (row, &t) in self.times.iter().enumerate() {
-            out.push_str(&format!("{t}"));
-            for ch in 0..k {
-                out.push_str(&format!(",{}", self.values[row * k + ch]));
+        for (i, &t) in self.times.iter().enumerate() {
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{t}");
+            for v in self.row(i) {
+                let _ = write!(out, ",{v}");
             }
             out.push('\n');
         }
@@ -222,6 +234,18 @@ mod tests {
         assert_eq!(s.channel(0), vec![1.0, 3.0, 5.0]);
         assert_eq!(s.channel(1), vec![2.0, 4.0, 6.0]);
         assert_eq!(s.times(), &[0.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn row_borrows_one_row() {
+        let s = sample();
+        assert_eq!(s.row(0), &[1.0, 2.0]);
+        assert_eq!(s.row(2), &[5.0, 6.0]);
+        for i in 0..s.len() {
+            for ch in 0..s.channels() {
+                assert_eq!(s.row(i)[ch].to_bits(), s.channel(ch)[i].to_bits());
+            }
+        }
     }
 
     #[test]

@@ -333,8 +333,8 @@ pub fn fluid_avg_downloaders(program: &ScenarioProgram, h: f64) -> Result<f64, N
         if t < program.warmup || t > program.horizon {
             continue;
         }
-        for i in 0..k {
-            total += k as f64 * series.channel(i)[idx].max(0.0) / (i + 1) as f64;
+        for (i, &x) in series.row(idx)[..k].iter().enumerate() {
+            total += k as f64 * x.max(0.0) / (i + 1) as f64;
         }
         count += 1;
     }
@@ -395,6 +395,28 @@ mod tests {
     }
 
     #[test]
+    fn avg_downloaders_matches_column_copy_sum_bit_for_bit() {
+        let program = registry::flash_crowd();
+        let got = fluid_avg_downloaders(&program, 0.5).unwrap();
+        // Reference: the same sum with each class's column copied out.
+        let series = transient(&program, 0.5).unwrap();
+        let k = program.k as usize;
+        let columns: Vec<Vec<f64>> = (0..k).map(|i| series.channel(i)).collect();
+        let (mut total, mut count) = (0.0, 0usize);
+        for (idx, &t) in series.times().iter().enumerate() {
+            if t < program.warmup || t > program.horizon {
+                continue;
+            }
+            for (i, column) in columns.iter().enumerate() {
+                total += k as f64 * column[idx].max(0.0) / (i + 1) as f64;
+            }
+            count += 1;
+        }
+        assert!(count > 0);
+        assert_eq!(got.to_bits(), (total / count as f64).to_bits());
+    }
+
+    #[test]
     fn flash_crowd_surge_raises_fluid_population() {
         let program = registry::flash_crowd();
         let series = transient(&program, 0.5).unwrap();
@@ -404,7 +426,7 @@ mod tests {
                 .iter()
                 .position(|&t| t >= t_target)
                 .expect("time in range");
-            (0..10).map(|i| series.channel(i)[idx]).sum::<f64>()
+            series.row(idx)[..10].iter().sum::<f64>()
         };
         let before = total_at(1550.0);
         let peak = total_at(2200.0);
