@@ -296,18 +296,16 @@ fn bench_checkpoint_overhead(_c: &mut Criterion) {
     let reps = if test_mode { 1 } else { 5 };
 
     let drive_events = |plan: Option<&btfluid_harness::CheckpointPlan>| {
+        let sim = Simulation::new(cfg()).expect("valid");
         let report = btfluid_harness::drive(
-            cfg(),
-            None,
+            sim,
             plan,
-            false,
             &btfluid_harness::RunLimits::default(),
-            None,
             None,
             None,
         )
         .expect("drive runs");
-        report.events
+        report.progress
     };
 
     // Interleave plain/driver reps so machine-load drift hits both alike;

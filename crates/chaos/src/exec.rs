@@ -19,8 +19,11 @@
 //!   are nondecreasing, and the final time is finite and nonnegative.
 
 use crate::plan::{ChaosMode, ChaosPlan};
-use btfluid_des::SimOutcome;
-use btfluid_harness::{drive, CheckpointPlan, RetryPolicy, RunEnd, RunLimits};
+use btfluid_des::{Probe, ScenarioHook, SimOutcome};
+use btfluid_harness::{
+    committed_checkpoint, des_engine, drive, CheckpointPlan, Engine, HarnessError, RetryPolicy,
+    RunLimits,
+};
 use btfluid_hybrid::{HybridConfig, HybridOutcome, HybridRunner};
 use btfluid_telemetry::faults;
 use btfluid_telemetry::{
@@ -96,12 +99,56 @@ pub fn run_plan(plan: &ChaosPlan, work_dir: &Path) -> Verdict {
     }
 }
 
-fn ckpt_plan(path: PathBuf) -> CheckpointPlan {
-    CheckpointPlan {
-        path: Some(path),
-        every_events: 128,
+/// One plan's legs on one engine: an unobserved, fault-free `baseline`
+/// run, then, under the armed fault script, a leg checkpointing every
+/// `every` steps until the plan's kill point and a resume from whatever
+/// the faulted checkpointing committed — possibly nothing, so the resume
+/// restarts from scratch and must still land on the identical result.
+/// `build` makes a chaos-leg engine, fresh or restored from checkpoint
+/// bytes, with its observers attached. Returns both outcomes.
+fn kill_and_resume<E: Engine>(
+    plan: &ChaosPlan,
+    flight: &SharedRecorder,
+    checkpoint: PathBuf,
+    every: u64,
+    baseline: Result<E, HarnessError>,
+    build: impl Fn(Option<&[u8]>) -> Result<E, HarnessError>,
+) -> Result<(E::Outcome, E::Outcome), Violation> {
+    let failed =
+        |leg: &str, e: HarnessError| Violation::new("run-completes", format!("{leg}: {e:?}"));
+    let unlimited = RunLimits::default();
+    let baseline = baseline
+        .and_then(|engine| drive(engine, None, &unlimited, None, None))
+        .map_err(|e| failed("baseline", e))?
+        .outcome
+        .expect("an unlimited run completes");
+    let _ = std::fs::remove_file(&checkpoint);
+    let cplan = CheckpointPlan {
+        path: Some(checkpoint),
+        every_events: every,
         retry: RetryPolicy::immediate(),
-    }
+    };
+    let legs = || {
+        let kill = RunLimits {
+            max_events: plan.kill_at,
+            ..Default::default()
+        };
+        let first = build(None)
+            .and_then(|engine| drive(engine, Some(&cplan), &kill, None, None))
+            .map_err(|e| failed("first leg", e))?;
+        if let Some(outcome) = first.outcome {
+            return Ok(outcome);
+        }
+        let resumed = committed_checkpoint(cplan.path.as_deref(), true)
+            .and_then(|bytes| build(bytes.as_deref()))
+            .and_then(|engine| drive(engine, Some(&cplan), &unlimited, None, None))
+            .map_err(|e| failed("resume leg", e))?;
+        resumed
+            .outcome
+            .ok_or_else(|| Violation::new("run-completes", "resume leg ended without completing"))
+    };
+    let chaos = faults::scoped(plan.script.clone(), Some(Arc::clone(flight)), legs)?;
+    Ok((baseline, chaos))
 }
 
 fn run_des(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec<Violation> {
@@ -113,85 +160,28 @@ fn run_des(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec<Vi
         }
         Err(e) => return vec![Violation::new("run-completes", format!("config: {e}"))],
     };
-    let hook_factory = || -> Box<dyn btfluid_des::ScenarioHook> { Box::new(plan.program().hook()) };
-
-    // Baseline: uninterrupted, fault-free, no checkpointing.
-    let baseline = match drive(
-        cfg.clone(),
-        Some(&hook_factory),
-        None,
-        false,
-        &RunLimits::default(),
-        None,
-        None,
-        None,
-    ) {
-        Ok(report) => report.outcome.expect("unlimited drive completes"),
-        Err(e) => return vec![Violation::new("run-completes", format!("baseline: {e:?}"))],
-    };
-
-    // Chaos legs: armed script, checkpointing on, kill then resume.
-    let ckpt = work_dir.join(format!("plan-{}.snap", plan.index));
-    let _ = std::fs::remove_file(&ckpt);
+    let hook = || -> Box<dyn ScenarioHook> { Box::new(program.hook()) };
     let trace_path = work_dir.join(format!("plan-{}.trace.jsonl", plan.index));
     let sink = plan.trace.then(|| {
         let _ = std::fs::remove_file(&trace_path);
         TraceSink::create(&trace_path).map(TraceSink::shared)
     });
-    let sink = match sink {
-        Some(Ok(s)) => Some(s),
-        Some(Err(e)) => return vec![Violation::new("run-completes", format!("trace: {e}"))],
-        None => None,
+    let sink = match sink.transpose() {
+        Ok(sink) => sink,
+        Err(e) => return vec![Violation::new("run-completes", format!("trace: {e}"))],
     };
-
-    let cplan = ckpt_plan(ckpt.clone());
-    let armed = || -> Result<Option<SimOutcome>, Violation> {
-        let first_probe: Box<dyn btfluid_des::Probe> = {
-            let mut probes: Vec<Box<dyn btfluid_des::Probe>> =
-                vec![Box::new(RecorderProbe::new(Arc::clone(flight)))];
-            if let Some(s) = sink.clone() {
-                probes.push(Box::new(SinkProbe::new(s, 10.0)));
-            }
-            Box::new(FanoutProbe::new(probes))
-        };
-        let first = drive(
-            cfg.clone(),
-            Some(&hook_factory),
-            Some(&cplan),
-            false,
-            &RunLimits {
-                max_events: plan.kill_at,
-                ..Default::default()
-            },
-            None,
-            None,
-            Some(first_probe),
-        )
-        .map_err(|e| Violation::new("run-completes", format!("first leg: {e:?}")))?;
-        if first.end == RunEnd::Completed {
-            return Ok(first.outcome);
+    let checkpoint = work_dir.join(format!("plan-{}.snap", plan.index));
+    let baseline = des_engine(cfg.clone(), Some(hook()), None);
+    let outcomes = kill_and_resume(plan, flight, checkpoint, 128, baseline, |bytes| {
+        let mut sim = des_engine(cfg.clone(), Some(hook()), bytes)?;
+        let mut probes: Vec<Box<dyn Probe>> =
+            vec![Box::new(RecorderProbe::new(Arc::clone(flight)))];
+        if let Some(s) = sink.clone() {
+            probes.push(Box::new(SinkProbe::new(s, 10.0)));
         }
-        // Killed at the budget; tear down and resume from whatever the
-        // faulted checkpointing left behind (possibly nothing — then the
-        // resume leg restarts from scratch, which must still land on the
-        // identical result).
-        let resumed = drive(
-            cfg.clone(),
-            Some(&hook_factory),
-            Some(&cplan),
-            true,
-            &RunLimits::default(),
-            None,
-            None,
-            Some(Box::new(RecorderProbe::new(Arc::clone(flight)))),
-        )
-        .map_err(|e| Violation::new("run-completes", format!("resume leg: {e:?}")))?;
-        Ok(resumed.outcome)
-    };
-    let chaos = match faults::scoped(plan.script.clone(), Some(Arc::clone(flight)), armed) {
-        Ok(outcome) => outcome,
-        Err(violation) => return vec![violation],
-    };
+        sim.attach_probe(Box::new(FanoutProbe::new(probes)));
+        Ok(sim)
+    });
     // A trace-site fault surfaces here as a typed, tolerated error: the
     // sink is an observer, so it must not affect the verdict.
     if let Some(sink) = sink {
@@ -199,13 +189,10 @@ fn run_des(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec<Vi
             diag!(Level::Info, "chaos: trace sink failed (tolerated): {e}");
         }
     }
-    let Some(chaos) = chaos else {
-        return vec![Violation::new(
-            "run-completes",
-            "resume leg ended without completing",
-        )];
-    };
-    check_des(&baseline, &chaos)
+    match outcomes {
+        Ok(((baseline, _), (chaos, _))) => check_des(&baseline, &chaos),
+        Err(violation) => vec![violation],
+    }
 }
 
 fn check_des(baseline: &SimOutcome, chaos: &SimOutcome) -> Vec<Violation> {
@@ -265,56 +252,20 @@ fn run_hybrid(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec
         tol: 0.1,
         aggregate: false,
     };
-    let baseline = match HybridRunner::run(cfg.clone()) {
-        Ok(outcome) => outcome,
-        Err(e) => return vec![Violation::new("run-completes", format!("baseline: {e:?}"))],
-    };
-
-    let ckpt = work_dir.join(format!("plan-{}.hsnap", plan.index));
-    let _ = std::fs::remove_file(&ckpt);
-    let armed = || -> Result<HybridOutcome, String> {
-        let mut runner = HybridRunner::new(cfg.clone()).map_err(|e| format!("new: {e:?}"))?;
+    let checkpoint = work_dir.join(format!("plan-{}.hsnap", plan.index));
+    let baseline = HybridRunner::new(cfg.clone()).map_err(HarnessError::from);
+    let outcomes = kill_and_resume(plan, flight, checkpoint, 8, baseline, |bytes| {
+        let mut runner = match bytes {
+            Some(bytes) => HybridRunner::resume(cfg.clone(), bytes)?,
+            None => HybridRunner::new(cfg.clone())?,
+        };
         runner.attach_flight(Arc::clone(flight));
-        let mut boundary = 0u64;
-        let mut killed = false;
-        loop {
-            let more = runner
-                .step_boundary()
-                .map_err(|e| format!("boundary {boundary}: {e:?}"))?;
-            boundary += 1;
-            if !more {
-                break;
-            }
-            if !killed && plan.kill_at == Some(boundary) {
-                killed = true;
-                // Checkpoint through the (faulted) atomic writer; on
-                // persistent failure keep the live runner — degradation,
-                // not death.
-                let bytes = runner.snapshot();
-                let mut wrote = false;
-                for _ in 0..3 {
-                    if btfluid_harness::atomic_write(&ckpt, &bytes).is_ok() {
-                        wrote = true;
-                        break;
-                    }
-                }
-                if wrote {
-                    drop(runner);
-                    let on_disk =
-                        std::fs::read(&ckpt).map_err(|e| format!("read checkpoint: {e}"))?;
-                    runner = HybridRunner::resume(cfg.clone(), &on_disk)
-                        .map_err(|e| format!("resume: {e:?}"))?;
-                    runner.attach_flight(Arc::clone(flight));
-                }
-            }
-        }
-        Ok(runner.finish())
-    };
-    let chaos = match faults::scoped(plan.script.clone(), Some(Arc::clone(flight)), armed) {
-        Ok(outcome) => outcome,
-        Err(detail) => return vec![Violation::new("run-completes", detail)],
-    };
-    check_hybrid(&baseline, &chaos)
+        Ok(runner)
+    });
+    match outcomes {
+        Ok((baseline, chaos)) => check_hybrid(&baseline, &chaos),
+        Err(violation) => vec![violation],
+    }
 }
 
 fn check_hybrid(baseline: &HybridOutcome, chaos: &HybridOutcome) -> Vec<Violation> {

@@ -69,8 +69,9 @@ pub struct ChaosPlan {
     pub tracker_blackout: Option<(f64, f64)>,
     /// I/O fault schedule, armed for the chaos legs only.
     pub script: FaultScript,
-    /// Kill point: DES = stop at this engine event count then resume;
-    /// hybrid = checkpoint-and-resume at this handoff boundary index.
+    /// Kill point: stop the first leg once the engine's progress reaches
+    /// this — an event count (DES) or a decision-boundary count (hybrid)
+    /// — then resume from the committed checkpoint.
     pub kill_at: Option<u64>,
     /// Attach a JSONL trace sink (DES only) so trace-site faults bite.
     pub trace: bool,

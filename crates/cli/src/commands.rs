@@ -11,7 +11,7 @@ use btfluid_core::multiclass::{BandwidthClass, MultiClassFluid};
 use btfluid_core::FluidParams;
 use btfluid_des::{
     estimate_eta, run_single_torrent, ChunkLevelConfig, ClassStats, DesConfig, Probe, SchemeKind,
-    SimOutcome, Simulation, SingleTorrentConfig, Snapshot,
+    SimOutcome, Simulation, SingleTorrentConfig,
 };
 use btfluid_harness as harness;
 use btfluid_hybrid::{HybridConfig, HybridRunner, Regime};
@@ -582,21 +582,9 @@ pub(crate) fn cmd_scenario(opts: &Options) -> Result<(), CliError> {
         Some(spec) => {
             let scheme = parse_scheme(spec)?;
             let probe = make_probe(&scheme.name());
-            if crash_safe {
-                Ok(vec![run_scenario_resumable(
-                    &program, scheme, seed, opts, probe,
-                )?])
-            } else {
-                Ok(vec![runner::run_one_probed(
-                    &program,
-                    scheme,
-                    None,
-                    &scheme.name(),
-                    seed,
-                    mode,
-                    probe,
-                )?])
-            }
+            Ok(vec![run_scenario_resumable(
+                &program, scheme, seed, opts, probe,
+            )?])
         }
         None if crash_safe => Err(
             "scenario: --checkpoint/--records/--resume/--checked need --scheme \
@@ -740,7 +728,17 @@ fn log_fluid_check(
     Ok(())
 }
 
-/// A single-scheme scenario run through the crash-safe driver: honors
+/// `--checkpoint FILE` every `--checkpoint-every` steps of engine progress
+/// (default `every`), retried and degraded under the default policy.
+fn checkpoint_plan(opts: &Options, every: u64) -> Result<harness::CheckpointPlan, CliError> {
+    Ok(harness::CheckpointPlan {
+        path: opts.get("checkpoint").map(PathBuf::from),
+        every_events: opts.get_u64("checkpoint-every", every)?,
+        retry: harness::RetryPolicy::default(),
+    })
+}
+
+/// A single-scheme scenario run, through the crash-safe driver: honors
 /// `--checkpoint`, `--checkpoint-every`, `--resume`, and `--checked`.
 fn run_scenario_resumable(
     program: &btfluid_scenario::ScenarioProgram,
@@ -752,31 +750,22 @@ fn run_scenario_resumable(
     let mut cfg = program.des_config(scheme, seed)?;
     apply_run_flags(opts, &mut cfg);
     cfg.validate()?;
-    let plan = harness::CheckpointPlan {
-        path: opts.get("checkpoint").map(PathBuf::from),
-        every_events: opts.get_u64("checkpoint-every", 5000)?,
-        retry: harness::RetryPolicy::default(),
-    };
-    let hook_factory = || -> Box<dyn btfluid_des::ScenarioHook> { Box::new(program.hook()) };
-    let report = harness::drive(
-        cfg,
-        Some(&hook_factory),
-        Some(&plan),
-        opts.has("resume"),
-        &harness::RunLimits::default(),
-        None,
-        None,
-        probe,
-    )?;
-    if report.resumed {
+    let plan = checkpoint_plan(opts, 5000)?;
+    let committed = harness::committed_checkpoint(plan.path.as_deref(), opts.has("resume"))?;
+    let mut sim = harness::des_engine(cfg, Some(Box::new(program.hook())), committed.as_deref())?;
+    if let Some(probe) = probe {
+        sim.attach_probe(probe);
+    }
+    let report = harness::drive(sim, Some(&plan), &harness::RunLimits::default(), None, None)?;
+    if committed.is_some() {
         diag!(
             Level::Info,
             "resumed from checkpoint; finished at {} events ({} checkpoint(s) this run)",
-            report.events,
+            report.progress,
             report.checkpoints
         );
     }
-    let Some(outcome) = report.outcome else {
+    let Some((outcome, _)) = report.outcome else {
         return Err("internal: unlimited run returned without an outcome".into());
     };
     let phases = runner::phase_stats(program, &outcome);
@@ -793,9 +782,11 @@ fn run_scenario_resumable(
 /// the DES takes over for small/critical windows (DESIGN.md §15).
 ///
 /// Honors `--checkpoint`/`--checkpoint-every`/`--resume` with hybrid
-/// snapshots; `--checkpoint-every` counts decision boundaries, not
-/// events. Per-class means print with shortest-roundtrip formatting, so
-/// byte-identical `--out` files mean bit-identical runs.
+/// snapshots through the same driver as DES runs, so failed checkpoint
+/// writes are retried, then given up on; `--checkpoint-every` counts
+/// decision boundaries, not events. Per-class means print with
+/// shortest-roundtrip formatting, so byte-identical `--out` files mean
+/// bit-identical runs.
 fn run_scenario_hybrid(
     program: &btfluid_scenario::ScenarioProgram,
     seed: u64,
@@ -832,18 +823,11 @@ fn run_scenario_hybrid(
         aggregate,
     };
 
-    let checkpoint = opts.get("checkpoint").map(PathBuf::from);
-    let every = opts.get_u64("checkpoint-every", 8)?.max(1);
-    // Same discipline as the engine driver: a leftover `.tmp` from a kill
-    // mid-rename is never a valid resume source — remove it so the resume
-    // below reads only the committed hybrid checkpoint.
-    if let Some(path) = &checkpoint {
-        harness::clean_stale_tmp(path);
-    }
-    let mut runner = match &checkpoint {
-        Some(path) if opts.has("resume") && path.is_file() => {
-            let bytes = fs::read(path)?;
-            let r = HybridRunner::resume(cfg.clone(), &bytes)?;
+    let plan = checkpoint_plan(opts, 8)?;
+    let committed = harness::committed_checkpoint(plan.path.as_deref(), opts.has("resume"))?;
+    let mut runner = match committed {
+        Some(bytes) => {
+            let r = HybridRunner::resume(cfg, &bytes)?;
             diag!(
                 Level::Info,
                 "resumed hybrid run at t = {:.3} in the {:?} regime \
@@ -854,7 +838,7 @@ fn run_scenario_hybrid(
             );
             r
         }
-        _ => HybridRunner::new(cfg)?,
+        None => HybridRunner::new(cfg)?,
     };
 
     if let Some(sink) = observers.segment(&[
@@ -872,28 +856,23 @@ fn run_scenario_hybrid(
         runner.attach_flight(Arc::clone(flight));
     }
 
-    let mut boundaries = 0u64;
-    observers.guard(|| {
-        while runner.step_boundary()? {
-            boundaries += 1;
-            if let Some(path) = checkpoint
-                .as_ref()
-                .filter(|_| boundaries.is_multiple_of(every))
-            {
-                harness::atomic_write(path, &runner.snapshot())?;
-            }
-        }
-        Ok(())
+    let report = observers.guard(|| {
+        Ok(harness::drive(
+            runner,
+            Some(&plan),
+            &harness::RunLimits::default(),
+            None,
+            None,
+        )?)
     })?;
-    let outcome = runner.finish();
+    let Some(outcome) = report.outcome else {
+        return Err("internal: unlimited run returned without an outcome".into());
+    };
     let counters = Counters {
         events_popped: outcome.des_events,
         ..Default::default()
     };
     observers.finish(|sink| sink.end(outcome.final_t, &counters))?;
-    if let Some(path) = checkpoint.filter(|p| p.is_file()) {
-        fs::remove_file(path)?;
-    }
 
     let mut t = Table::new(
         format!(
@@ -1368,73 +1347,47 @@ pub(crate) fn cmd_repro(opts: &Options) -> Result<(), CliError> {
         .as_ref()
         .map(harness::ScenarioRef::build_hook)
         .transpose()?;
-    let mut sim = match &bundle.checkpoint {
-        Some(bytes) => {
-            let snap = Snapshot::from_bytes(bytes)?;
-            diag!(
-                Level::Info,
-                "restoring checkpoint at t = {:.3} ({} events)",
-                snap.sim_time(),
-                snap.events()
-            );
-            match hook {
-                Some(h) => Simulation::restore_with_hook(bundle.cfg.clone(), &snap, h)?,
-                None => Simulation::restore(bundle.cfg.clone(), &snap)?,
-            }
-        }
-        None => match hook {
-            Some(h) => Simulation::with_hook(bundle.cfg.clone(), h)?,
-            None => Simulation::new(bundle.cfg.clone())?,
-        },
-    };
-    let inject = bundle.inject_panic_at;
-    let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        move || -> Result<SimOutcome, btfluid_des::DesError> {
-            loop {
-                if inject.is_some_and(|n| sim.events() >= n) {
-                    panic!(
-                        "injected panic at event {} (t = {:.3})",
-                        sim.events(),
-                        sim.sim_time()
-                    );
-                }
-                if !sim.step()? {
-                    break;
-                }
-            }
-            Ok(sim.finish())
-        },
-    ));
-    match replay {
-        Err(payload) => Err(CliError::new(
-            EXIT_SWEEP_FAILED,
-            format!(
-                "repro {}: failure reproduced: {}",
-                bundle.cell_id,
-                harness::panic_message(payload.as_ref())
-            ),
-        )),
-        Ok(Err(e)) => {
-            diag!(
-                Level::Info,
-                "repro {}: typed engine failure reproduced",
-                bundle.cell_id
-            );
-            Err(e.into())
-        }
-        Ok(Ok(outcome)) => {
-            diag!(
-                Level::Info,
-                "repro {}: ran to completion without reproducing the failure \
-                 (events {}, arrivals {}, completed {})",
-                bundle.cell_id,
-                outcome.events,
-                outcome.arrivals,
-                outcome.records.len()
-            );
-            Ok(())
-        }
+    let sim = harness::des_engine(bundle.cfg.clone(), hook, bundle.checkpoint.as_deref())?;
+    if bundle.checkpoint.is_some() {
+        diag!(
+            Level::Info,
+            "restored checkpoint at t = {:.3} ({} events)",
+            sim.sim_time(),
+            sim.events()
+        );
     }
+    let limits = harness::RunLimits {
+        inject_panic_at: bundle.inject_panic_at,
+        ..Default::default()
+    };
+    let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        harness::drive(sim, None, &limits, None, None)
+    }))
+    .map_err(|payload| {
+        let msg = harness::panic_message(payload.as_ref());
+        let id = &bundle.cell_id;
+        CliError::new(
+            EXIT_SWEEP_FAILED,
+            format!("repro {id}: failure reproduced: {msg}"),
+        )
+    })?
+    .inspect_err(|_| {
+        let id = &bundle.cell_id;
+        diag!(Level::Info, "repro {id}: typed engine failure reproduced");
+    })?;
+    let (outcome, _) = report
+        .outcome
+        .ok_or("internal: unlimited run returned without an outcome")?;
+    diag!(
+        Level::Info,
+        "repro {}: ran to completion without reproducing the failure \
+         (events {}, arrivals {}, completed {})",
+        bundle.cell_id,
+        outcome.events,
+        outcome.arrivals,
+        outcome.records.len()
+    );
+    Ok(())
 }
 
 /// Scratch directory for chaos executor checkpoints/traces, removed with

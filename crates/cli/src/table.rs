@@ -119,8 +119,10 @@ pub static COMMANDS: &[Command] = &[
                NAME list prints the registry. Without --scheme every scheme runs;\n\
                --smoke is --scale 0.25; --checkpoint/--resume/--records/--checked need\n\
                one --scheme. --hybrid (mtcd|mtsd) runs the fluid/DES driver with error\n\
-               budget --hybrid-tol (default 0.1); its --checkpoint-every counts\n\
-               decision boundaries. --trace streams a btfluid-trace v1 JSONL sampled\n\
+               budget --hybrid-tol (default 0.1). --checkpoint-every counts events\n\
+               (default 5000), or decision boundaries with --hybrid (default 8); a\n\
+               failing checkpoint write is retried, then checkpointing stops and the\n\
+               run goes on. --trace streams a btfluid-trace v1 JSONL sampled\n\
                every --sample-every (default 5) for 'btfluid inspect'; --flightrec\n\
                dumps the last --flightrec-cap (default 256) engine happenings.",
     },

@@ -1,6 +1,6 @@
-//! Flight-recorder crash-recovery contract against the real `btfluid`
-//! binary: the dump a resumed run writes must carry the same record tail
-//! as an uninterrupted twin. The ring only keeps the last `capacity`
+//! Flight-recorder contracts against the real `btfluid` binary. The dump
+//! a resumed run writes must carry the same record tail as an
+//! uninterrupted twin, and a hybrid run's dump records its checkpoints. The ring only keeps the last `capacity`
 //! records, and engine replay after resume is bit-identical, so once the
 //! post-resume leg has produced at least `capacity` records the two rings
 //! hold byte-identical windows — only the meta line (totals and drop
@@ -160,6 +160,44 @@ fn resumed_run_dumps_the_same_flight_tail() {
          reference tail head: {:?}\nresumed tail head: {:?}",
         straight_records.first(),
         resumed_records.first()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hybrid checkpoints land in the flight ring like DES ones, so
+/// `inspect` on a hybrid dump reports the last checkpoint.
+#[test]
+fn hybrid_dump_records_its_checkpoints() {
+    let dir = fresh_dir("btfluid_flightrec_hybrid_test");
+    let dump = dir.join("hybrid.flightrec.jsonl");
+    let status = Command::new(BIN)
+        .args(["scenario", "flash_crowd", "--hybrid", "--scheme", "mtsd"])
+        .args(["--seed", "9", "--csv", "--out"])
+        .arg(dir.join("means.csv"))
+        .arg("--checkpoint")
+        .arg(dir.join("cp.hsnap"))
+        .args(["--checkpoint-every", "4", "--flightrec"])
+        .arg(&dump)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn hybrid run");
+    assert!(status.success(), "hybrid run failed: {status}");
+    let (_, records) = split_dump(&dump);
+    assert!(
+        records.iter().any(|r| r.contains("\"k\":\"checkpoint\"")),
+        "no checkpoint record in the hybrid dump"
+    );
+    let out = Command::new(BIN)
+        .arg("inspect")
+        .arg(&dump)
+        .output()
+        .expect("spawn inspect");
+    assert!(out.status.success(), "inspect failed: {}", out.status);
+    let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+    assert!(
+        text.contains("last checkpoint: t = "),
+        "inspect output:\n{text}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,9 @@
 //! Crash recovery for the hybrid driver, against the real `btfluid`
-//! binary: a hybrid run SIGKILLed mid-flight and resumed from its v4
+//! binary: a hybrid run SIGKILLed mid-flight and resumed from its
 //! checkpoint must emit per-class means byte-identical to an
 //! uninterrupted run (the CLI prints them with shortest-roundtrip
-//! formatting, so byte equality is bit equality).
+//! formatting, so byte equality is bit equality), and a run whose
+//! checkpoints cannot be written must still finish with those means.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -153,5 +154,78 @@ fn corrupt_hybrid_checkpoint_exits_with_snapshot_code() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `scenario flash_crowd --hybrid --scheme mtsd --seed 9` writing its
+/// means to `out`, plus `extra`.
+fn plain_hybrid(out: &Path, extra: &[&str]) -> std::process::Output {
+    Command::new(BIN)
+        .args(["scenario", "flash_crowd", "--hybrid", "--scheme", "mtsd"])
+        .args(["--seed", "9", "--csv", "--out", out.to_str().unwrap()])
+        .args(extra)
+        .stdout(Stdio::null())
+        .output()
+        .expect("spawn run")
+}
+
+/// Checkpointing is an observer: when every checkpoint write fails (its
+/// directory does not exist), the driver retries, gives up on
+/// checkpoints, and the run finishes with the means of a run that never
+/// checkpointed.
+#[test]
+fn unwritable_checkpoint_degrades_to_the_same_means() {
+    let dir = fresh_dir("btfluid_hybrid_unwritable_cp_test");
+    let straight = dir.join("straight.csv");
+    let degraded = dir.join("degraded.csv");
+    let checkpoint = dir.join("missing").join("cp.hsnap");
+    let out = plain_hybrid(&straight, &[]);
+    assert!(out.status.success(), "reference run failed: {}", out.status);
+    let cp = checkpoint.to_str().unwrap();
+    let out = plain_hybrid(&degraded, &["--checkpoint", cp, "--checkpoint-every", "1"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("disabling checkpoints"),
+        "the run must report that it gave up on checkpoints"
+    );
+    assert!(
+        std::fs::read(&straight).unwrap() == std::fs::read(&degraded).unwrap(),
+        "a failed checkpoint write changed the hybrid means"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A zero checkpoint interval is a configuration error (exit 2) in
+/// hybrid and DES mode alike.
+#[test]
+fn zero_checkpoint_interval_exits_with_config_code() {
+    let dir = fresh_dir("btfluid_zero_interval_test");
+    let cp = dir.join("cp.snap");
+    let zero = [
+        "--checkpoint",
+        cp.to_str().unwrap(),
+        "--checkpoint-every",
+        "0",
+    ];
+    let hybrid = plain_hybrid(&dir.join("hybrid.csv"), &zero);
+    let des = Command::new(BIN)
+        .args(["scenario", "flash_crowd", "--scheme", "mtsd", "--seed", "9"])
+        .args(zero)
+        .stdout(Stdio::null())
+        .output()
+        .expect("spawn run");
+    for (mode, out) in [("hybrid", hybrid), ("des", des)] {
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{mode}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,20 +1,24 @@
-//! The resumable run driver: step the engine in chunks, snapshotting
-//! atomically between chunks.
+//! The resumable run driver: step an engine, snapshotting atomically
+//! as it goes.
 //!
-//! The driver owns the loop the CLI and the supervisor both need: create
-//! (or restore) an engine, step it `every_events` at a time, write a
-//! checkpoint after each chunk, and honor cooperative limits — an event
-//! budget, a wall-clock deadline, a cancel flag — checked at chunk
-//! granularity. Checkpoints use the snapshot layer's atomic
+//! [`drive`] is the workspace's one step/checkpoint loop, for both
+//! engines ([`Engine`]): the event-driven [`Simulation`], whose progress
+//! is its event count, and the hybrid [`HybridRunner`], whose progress is
+//! its decision-boundary count. It steps the engine it is given, writes a
+//! checkpoint each time progress crosses the plan's interval, and honors
+//! cooperative limits — a progress budget, a wall-clock deadline, a
+//! cancel flag — checked before every step. Checkpoints use an atomic
 //! temp-file-and-rename write, so a kill at any instant leaves either the
-//! previous checkpoint or the new one, never a torn file. On successful
-//! completion the checkpoint file is deleted: a leftover checkpoint always
-//! means "this run did not finish".
+//! previous checkpoint or the new one, never a torn file; failed writes
+//! are retried and then given up on, never fatal. On successful
+//! completion the checkpoint file is deleted: a leftover checkpoint
+//! always means "this run did not finish".
 
 use crate::error::{io_err, HarnessError};
 use btfluid_des::{
-    Counters, DesConfig, FlightKind, Probe, ScenarioHook, SimOutcome, Simulation, Snapshot,
+    Counters, DesConfig, FlightKind, ScenarioHook, SimOutcome, Simulation, Snapshot,
 };
+use btfluid_hybrid::{HybridOutcome, HybridRunner};
 use btfluid_numkit::rng::{RngCore, SplitMix64};
 use btfluid_telemetry::faults::{self, FaultSite, WritePlan};
 use btfluid_telemetry::profiler::Phase as ProfPhase;
@@ -77,12 +81,12 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// Removes a leftover `<path>.tmp` from a write interrupted between the
 /// temp-file write and the rename (checkpoints, traces, hybrid
 /// snapshots — every atomic writer in the workspace uses the same
-/// discipline). Returns whether a stale file was actually removed.
+/// discipline).
 ///
 /// The temp file is never a valid resume source (the rename is the commit
 /// point), so cleaning it up beats letting the next atomic write trip
 /// over it or an operator mistaking it for state.
-pub fn clean_stale_tmp(path: &Path) -> bool {
+pub fn clean_stale_tmp(path: &Path) {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -93,9 +97,7 @@ pub fn clean_stale_tmp(path: &Path) -> bool {
             tmp.display()
         );
         let _ = std::fs::remove_file(&tmp);
-        return true;
     }
-    false
 }
 
 /// Bounded retry with exponential backoff for transient checkpoint I/O
@@ -160,27 +162,22 @@ impl RetryPolicy {
     /// Runs one checkpoint write cycle: up to `max_attempts` tries with
     /// backed-off sleeps between them.
     fn write_cycle(&self, path: &Path, bytes: &[u8], salt: u64) -> std::io::Result<()> {
-        let mut attempt = 0u32;
+        let attempts = self.max_attempts.max(1);
+        let mut attempt = 1;
         loop {
             match atomic_write(path, bytes) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= self.max_attempts.max(1) {
-                        return Err(e);
-                    }
+                Err(e) if attempt < attempts => {
                     let pause = self.backoff(attempt, salt);
                     diag!(
                         Level::Warn,
-                        "checkpoint write to {} failed ({e}); retry {attempt}/{} in {:?}",
+                        "checkpoint write to {} failed ({e}); retry {attempt}/{} in {pause:?}",
                         path.display(),
-                        self.max_attempts.max(1) - 1,
-                        pause
+                        attempts - 1
                     );
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
+                    std::thread::sleep(pause);
+                    attempt += 1;
                 }
+                done => return done,
             }
         }
     }
@@ -192,23 +189,24 @@ pub struct CheckpointPlan {
     /// Checkpoint file; `None` disables on-disk checkpoints (the
     /// in-memory observer still fires).
     pub path: Option<PathBuf>,
-    /// Snapshot after this many engine events (> 0).
+    /// Snapshot after this many steps of engine progress (> 0): events
+    /// for [`Simulation`], decision boundaries for [`HybridRunner`].
     pub every_events: u64,
     /// Retry/backoff/degradation policy for checkpoint write failures.
     pub retry: RetryPolicy,
 }
 
-/// Cooperative limits, checked between chunks (and the panic injection,
-/// checked per event so it is exact).
+/// Cooperative limits, checked before every step (so the panic
+/// injection fires exactly where asked).
 #[derive(Debug, Default)]
 pub struct RunLimits {
-    /// Stop once the engine's *total* event count (which survives resume)
-    /// reaches this.
+    /// Stop once the engine's progress (which survives resume) reaches
+    /// this.
     pub max_events: Option<u64>,
     /// Stop after this instant.
     pub deadline: Option<Instant>,
-    /// Deterministically panic when the event count reaches this value —
-    /// fault injection for the crash-recovery tests and CI smoke.
+    /// Deterministically panic when the progress count reaches this
+    /// value — fault injection for the crash-recovery tests and CI smoke.
     pub inject_panic_at: Option<u64>,
 }
 
@@ -217,7 +215,7 @@ pub struct RunLimits {
 pub enum RunEnd {
     /// The simulation ran to completion; the outcome is final.
     Completed,
-    /// The event budget was reached first.
+    /// The progress budget was reached first.
     EventBudget,
     /// The wall-clock deadline passed first.
     WallBudget,
@@ -227,15 +225,14 @@ pub enum RunEnd {
 
 /// The driver's result.
 #[derive(Debug)]
-pub struct RunReport {
+pub struct RunReport<O> {
     /// The finished outcome — `None` unless [`RunEnd::Completed`].
-    pub outcome: Option<SimOutcome>,
+    pub outcome: Option<O>,
     /// How the run ended.
     pub end: RunEnd,
-    /// Total engine events executed (including any resumed-from prefix).
-    pub events: u64,
-    /// Whether the run started from an existing checkpoint.
-    pub resumed: bool,
+    /// The engine's progress where the run stopped (including any
+    /// resumed-from prefix).
+    pub progress: u64,
     /// Checkpoints written to disk.
     pub checkpoints: u64,
     /// Checkpoint write cycles that failed even after retries. Failures
@@ -244,155 +241,253 @@ pub struct RunReport {
     /// Whether checkpointing was disabled mid-run after
     /// [`RetryPolicy::degrade_after`] consecutive failed cycles.
     pub degraded: bool,
-    /// The engine's counters where the run stopped: on completion, the
-    /// same values an attached probe's `on_finish` receives.
-    pub counters: Counters,
 }
 
 /// Receives the unsealed body of each snapshot [`drive`] takes.
 pub type SnapshotObserver<'a> = &'a mut dyn FnMut(&[u8]);
 
-/// Runs `cfg` under the plan and limits.
-///
-/// `hooks` supplies the scenario hook: called once for a fresh start or a
-/// restore (the engine consumes the box), so pass a factory, not a value.
-/// With `resume` set and the plan's path present on disk, the run picks up
-/// from that checkpoint; otherwise it starts fresh. On a non-`Completed`
-/// end a final checkpoint is written (when a path is configured) so the
-/// next invocation loses no work.
-///
-/// `on_snapshot` sees the unsealed body ([`Simulation::snapshot_body`]) of
-/// every snapshot the driver takes; each is encoded once, whether it goes
-/// to the observer, to disk, or both.
-///
-/// `probe` attaches a telemetry probe to the engine. The driver feeds it
-/// `checkpoint` spans and per-checkpoint byte/time accounting (via
-/// [`Simulation::note_snapshot`]) on top of the engine's own samples, and
-/// an `engine` span covering the whole drive on completion. Probes only
-/// observe — attaching one never changes the run's results.
+/// An engine [`drive`] can step and checkpoint: the event-driven
+/// [`Simulation`] and the hybrid [`HybridRunner`].
+pub trait Engine {
+    /// What a finished run yields.
+    type Outcome;
+    /// Advances one step; `false` once the run is over.
+    fn step(&mut self) -> Result<bool, HarnessError>;
+    /// Steps taken since `t = 0`, counting any resumed-from prefix.
+    fn progress(&self) -> u64;
+    /// The current simulated time.
+    fn sim_time(&self) -> f64;
+    /// The unsealed snapshot body; [`Snapshot::seal`] makes it a file
+    /// the engine's own restore reads.
+    fn snapshot_body(&self) -> Vec<u8>;
+    /// Accounts a committed checkpoint of `bytes`, encoded in
+    /// `encode_ns` and written in `micros` all told.
+    fn note_checkpoint(&mut self, bytes: u64, encode_ns: u64, micros: u64);
+    /// Writes a timing span to the engine's observers.
+    fn emit_span(&mut self, name: &str, micros: u64);
+    /// Ends the run.
+    fn finish(self) -> Self::Outcome;
+}
+
+/// Events are the progress; the outcome carries the counters read just
+/// before `finish`, which are what an attached probe's `on_finish` sees.
+impl Engine for Simulation {
+    type Outcome = (SimOutcome, Counters);
+
+    #[inline]
+    fn step(&mut self) -> Result<bool, HarnessError> {
+        Ok(Simulation::step(self)?)
+    }
+
+    #[inline]
+    fn progress(&self) -> u64 {
+        self.events()
+    }
+
+    fn sim_time(&self) -> f64 {
+        Simulation::sim_time(self)
+    }
+
+    fn snapshot_body(&self) -> Vec<u8> {
+        Simulation::snapshot_body(self)
+    }
+
+    fn note_checkpoint(&mut self, bytes: u64, encode_ns: u64, micros: u64) {
+        self.profiler_add(ProfPhase::SnapshotEncode, encode_ns);
+        self.note_snapshot(bytes, micros);
+        self.emit_flight(FlightKind::Checkpoint, bytes, 0);
+    }
+
+    fn emit_span(&mut self, name: &str, micros: u64) {
+        Simulation::emit_span(self, name, micros);
+    }
+
+    fn finish(self) -> Self::Outcome {
+        let counters = self.counters();
+        (Simulation::finish(self), counters)
+    }
+}
+
+/// Decision boundaries are the progress.
+impl Engine for HybridRunner {
+    type Outcome = HybridOutcome;
+
+    fn step(&mut self) -> Result<bool, HarnessError> {
+        Ok(self.step_boundary()?)
+    }
+
+    fn progress(&self) -> u64 {
+        self.boundaries()
+    }
+
+    fn sim_time(&self) -> f64 {
+        HybridRunner::sim_time(self)
+    }
+
+    fn snapshot_body(&self) -> Vec<u8> {
+        HybridRunner::snapshot_body(self)
+    }
+
+    fn note_checkpoint(&mut self, bytes: u64, _encode_ns: u64, _micros: u64) {
+        self.emit_flight(FlightKind::Checkpoint, bytes, 0);
+    }
+
+    fn emit_span(&mut self, name: &str, micros: u64) {
+        HybridRunner::emit_span(self, name, micros);
+    }
+
+    fn finish(self) -> HybridOutcome {
+        HybridRunner::finish(self)
+    }
+}
+
+/// The bytes of the committed checkpoint at `path` when `resume` is set
+/// and the file exists; `None` means start fresh. A leftover
+/// `<path>.tmp` from a kill mid-write is removed first either way: the
+/// rename is the commit point, so the temp file is never a resume source.
 ///
 /// # Errors
-/// Engine and snapshot errors ([`HarnessError::Engine`]), filesystem
-/// failures ([`HarnessError::Io`]), and invalid plans
+/// A checkpoint that exists but cannot be read ([`HarnessError::Io`]).
+pub fn committed_checkpoint(
+    path: Option<&Path>,
+    resume: bool,
+) -> Result<Option<Vec<u8>>, HarnessError> {
+    let Some(path) = path else { return Ok(None) };
+    clean_stale_tmp(path);
+    if !resume || !path.exists() {
+        return Ok(None);
+    }
+    std::fs::read(path).map(Some).map_err(|e| io_err(path, e))
+}
+
+/// Builds the event-driven engine for `cfg` under an optional scenario
+/// `hook`: restored from the sealed snapshot `checkpoint` when one is
+/// given, fresh otherwise.
+///
+/// # Errors
+/// Invalid configurations, and snapshots that fail to decode or were
+/// taken under another config or hook.
+pub fn des_engine(
+    cfg: DesConfig,
+    hook: Option<Box<dyn ScenarioHook>>,
+    checkpoint: Option<&[u8]>,
+) -> Result<Simulation, HarnessError> {
+    let snap = checkpoint.map(Snapshot::from_bytes).transpose()?;
+    Ok(match (snap, hook) {
+        (Some(snap), Some(hook)) => Simulation::restore_with_hook(cfg, &snap, hook)?,
+        (Some(snap), None) => Simulation::restore(cfg, &snap)?,
+        (None, Some(hook)) => Simulation::with_hook(cfg, hook)?,
+        (None, None) => Simulation::new(cfg)?,
+    })
+}
+
+/// The checkpoint side of one drive: where snapshots go and how writing
+/// them has fared.
+struct Checkpointer<'p, 'o> {
+    path: Option<&'p Path>,
+    retry: RetryPolicy,
+    on_snapshot: Option<SnapshotObserver<'o>>,
+    written: u64,
+    failures: u64,
+    consecutive: u32,
+    degraded: bool,
+}
+
+impl Checkpointer<'_, '_> {
+    /// Hands a snapshot of `engine` to the observer and, unless
+    /// degraded, to disk. A failed write cycle only warns: it must never
+    /// change the result or kill the run. Nothing is encoded when nobody
+    /// would read it.
+    fn take<E: Engine>(&mut self, engine: &mut E) {
+        let path = self.path.filter(|_| !self.degraded);
+        if path.is_none() && self.on_snapshot.is_none() {
+            return;
+        }
+        let started = Instant::now();
+        let body = engine.snapshot_body();
+        if let Some(cb) = self.on_snapshot.as_mut() {
+            cb(&body);
+        }
+        let Some(path) = path else { return };
+        let bytes = Snapshot::seal(body);
+        let encode_ns = started.elapsed().as_nanos() as u64;
+        let salt = engine.progress() ^ 0x5eed_c0de;
+        match self.retry.write_cycle(path, &bytes, salt) {
+            Ok(()) => {
+                self.consecutive = 0;
+                self.written += 1;
+                let micros = started.elapsed().as_micros() as u64;
+                engine.emit_span("checkpoint", micros);
+                engine.note_checkpoint(bytes.len() as u64, encode_ns, micros);
+            }
+            Err(e) => {
+                self.failures += 1;
+                self.consecutive += 1;
+                diag!(
+                    Level::Warn,
+                    "checkpoint cycle at step {} failed after {} attempt(s): {e}; run continues",
+                    engine.progress(),
+                    self.retry.max_attempts.max(1)
+                );
+                if self.consecutive >= self.retry.degrade_after.max(1) {
+                    self.degraded = true;
+                    diag!(
+                        Level::Warn,
+                        "disabling checkpoints after {} consecutive failed cycles; \
+                         run continues without crash protection",
+                        self.consecutive
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Steps `engine` to completion or to a limit, checkpointing under
+/// `plan`.
+///
+/// Build the engine fresh, or restore it from the bytes
+/// [`committed_checkpoint`] returns, and attach its observers first: the
+/// driver feeds them a `checkpoint` span and flight record per committed
+/// checkpoint and an `engine` span for the whole drive. On an interrupted
+/// end a final checkpoint is written so the next invocation loses no
+/// work; on completion the checkpoint file is removed. `on_snapshot` sees
+/// the unsealed body of every snapshot taken, encoded once for it and
+/// the disk.
+///
+/// # Errors
+/// Engine errors, a failure to remove the finished run's checkpoint
+/// ([`HarnessError::Io`]), and a zero checkpoint interval
 /// ([`HarnessError::Config`]).
 ///
 /// # Panics
 /// Panics deliberately when `limits.inject_panic_at` fires; engine bugs
 /// outside `checked` mode may also panic. Callers that must survive either
 /// wrap the call in `catch_unwind` (the supervisor does).
-#[allow(clippy::too_many_arguments)]
-pub fn drive(
-    cfg: DesConfig,
-    hook_factory: Option<&dyn Fn() -> Box<dyn ScenarioHook>>,
+pub fn drive<E: Engine>(
+    mut engine: E,
     plan: Option<&CheckpointPlan>,
-    resume: bool,
     limits: &RunLimits,
     cancel: Option<&AtomicBool>,
-    mut on_snapshot: Option<SnapshotObserver<'_>>,
-    probe: Option<Box<dyn Probe>>,
-) -> Result<RunReport, HarnessError> {
-    if let Some(plan) = plan {
-        if plan.every_events == 0 {
-            return Err(HarnessError::Config(
-                "checkpoint interval must be at least 1 event".into(),
-            ));
-        }
+    on_snapshot: Option<SnapshotObserver<'_>>,
+) -> Result<RunReport<E::Outcome>, HarnessError> {
+    if plan.is_some_and(|p| p.every_events == 0) {
+        return Err(HarnessError::Config(
+            "checkpoint interval must be at least 1 step".into(),
+        ));
     }
-    let checkpoint_path = plan.and_then(|p| p.path.as_deref());
-    // A crash between "write <path>.tmp" and "rename over <path>" leaves a
-    // partial temp file behind. It is never a valid resume source (the
-    // rename is the commit point), so clean it up rather than letting the
-    // next atomic write trip over it or an operator mistake it for state.
-    if let Some(path) = checkpoint_path {
-        clean_stale_tmp(path);
-    }
-    let existing = resume
-        .then(|| checkpoint_path.filter(|p| p.exists()))
-        .flatten();
-
-    let mut sim = match existing {
-        Some(path) => {
-            let snap = Snapshot::read_file(path)?;
-            match hook_factory {
-                Some(make) => Simulation::restore_with_hook(cfg, &snap, make())?,
-                None => Simulation::restore(cfg, &snap)?,
-            }
-        }
-        None => match hook_factory {
-            Some(make) => Simulation::with_hook(cfg, make())?,
-            None => Simulation::new(cfg)?,
-        },
+    let mut ckpt = Checkpointer {
+        path: plan.and_then(|p| p.path.as_deref()),
+        retry: plan.map_or_else(RetryPolicy::default, |p| p.retry),
+        on_snapshot,
+        written: 0,
+        failures: 0,
+        consecutive: 0,
+        degraded: false,
     };
-    if let Some(probe) = probe {
-        sim.attach_probe(probe);
-    }
-    let resumed = existing.is_some();
     let chunk = plan.map_or(u64::MAX, |p| p.every_events);
-    let retry = plan.map_or_else(RetryPolicy::default, |p| p.retry);
-    let mut checkpoints = 0u64;
-    let mut checkpoint_failures = 0u64;
-    let mut consecutive_failures = 0u32;
-    let mut degraded = false;
-    let mut next_checkpoint = sim.events().saturating_add(chunk);
+    let mut next_checkpoint = engine.progress().saturating_add(chunk);
     let drive_start = Instant::now();
-
-    // Checkpointing is a pure observer of the run: a failed write must
-    // never change the result, so write failures warn (after the retry
-    // policy's backed-off attempts) instead of propagating, and after
-    // `degrade_after` consecutive failed cycles the driver gives up on
-    // disk entirely and lets the run finish on in-memory state.
-    let take_snapshot = |sim: &mut Simulation,
-                         on_snapshot: &mut Option<SnapshotObserver<'_>>,
-                         checkpoint_failures: &mut u64,
-                         consecutive_failures: &mut u32,
-                         degraded: &mut bool| {
-        let started = Instant::now();
-        let body = sim.snapshot_body();
-        let mut encode_ns = started.elapsed().as_nanos() as u64;
-        if let Some(cb) = on_snapshot.as_mut() {
-            cb(&body);
-        }
-        if *degraded {
-            return false;
-        }
-        if let Some(path) = checkpoint_path {
-            let seal_started = Instant::now();
-            let bytes = Snapshot::seal(body);
-            encode_ns += seal_started.elapsed().as_nanos() as u64;
-            sim.profiler_add(ProfPhase::SnapshotEncode, encode_ns);
-            let salt = sim.events() ^ 0x5eed_c0de;
-            match retry.write_cycle(path, &bytes, salt) {
-                Ok(()) => {
-                    *consecutive_failures = 0;
-                    let micros = started.elapsed().as_micros() as u64;
-                    sim.note_snapshot(bytes.len() as u64, micros);
-                    sim.emit_span("checkpoint", micros);
-                    sim.emit_flight(FlightKind::Checkpoint, bytes.len() as u64, 0);
-                    return true;
-                }
-                Err(e) => {
-                    *checkpoint_failures += 1;
-                    *consecutive_failures += 1;
-                    diag!(
-                        Level::Warn,
-                        "checkpoint cycle at event {} failed after {} attempt(s): {e}; run continues",
-                        sim.events(),
-                        retry.max_attempts.max(1)
-                    );
-                    if *consecutive_failures >= retry.degrade_after.max(1) {
-                        *degraded = true;
-                        diag!(
-                            Level::Warn,
-                            "disabling checkpoints after {} consecutive failed cycles; \
-                             run continues without crash protection",
-                            consecutive_failures
-                        );
-                    }
-                }
-            }
-        }
-        false
-    };
 
     let end = loop {
         if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
@@ -401,79 +496,55 @@ pub fn drive(
         if limits.deadline.is_some_and(|d| Instant::now() >= d) {
             break RunEnd::WallBudget;
         }
-        if limits.max_events.is_some_and(|n| sim.events() >= n) {
+        if limits.max_events.is_some_and(|n| engine.progress() >= n) {
             break RunEnd::EventBudget;
         }
-        if limits.inject_panic_at.is_some_and(|n| sim.events() >= n) {
+        if limits
+            .inject_panic_at
+            .is_some_and(|n| engine.progress() >= n)
+        {
             panic!(
                 "injected panic at event {} (t = {:.3})",
-                sim.events(),
-                sim.sim_time()
+                engine.progress(),
+                engine.sim_time()
             );
         }
-        if !sim.step()? {
+        if !engine.step()? {
             break RunEnd::Completed;
         }
-        if sim.events() >= next_checkpoint {
-            if take_snapshot(
-                &mut sim,
-                &mut on_snapshot,
-                &mut checkpoint_failures,
-                &mut consecutive_failures,
-                &mut degraded,
-            ) {
-                checkpoints += 1;
-            }
-            next_checkpoint = sim.events().saturating_add(chunk);
+        if engine.progress() >= next_checkpoint {
+            ckpt.take(&mut engine);
+            next_checkpoint = engine.progress().saturating_add(chunk);
         }
     };
 
-    if end == RunEnd::Completed {
-        let events = sim.events();
-        sim.emit_span("engine", drive_start.elapsed().as_micros() as u64);
-        let counters = sim.counters();
-        let outcome = sim.finish();
+    let progress = engine.progress();
+    let outcome = if end == RunEnd::Completed {
+        engine.emit_span("engine", drive_start.elapsed().as_micros() as u64);
+        let outcome = engine.finish();
         // A finished run must not leave a checkpoint behind: its presence
         // is the "work remains" signal for `--resume`.
-        if let Some(path) = checkpoint_path {
+        if let Some(path) = ckpt.path {
             match std::fs::remove_file(path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(io_err(path, e)),
             }
         }
-        return Ok(RunReport {
-            outcome: Some(outcome),
-            end,
-            events,
-            resumed,
-            checkpoints,
-            checkpoint_failures,
-            degraded,
-            counters,
-        });
-    }
-
-    // Interrupted: persist the frontier so nothing is lost.
-    if take_snapshot(
-        &mut sim,
-        &mut on_snapshot,
-        &mut checkpoint_failures,
-        &mut consecutive_failures,
-        &mut degraded,
-    ) {
-        checkpoints += 1;
-    }
-    sim.emit_span("engine", drive_start.elapsed().as_micros() as u64);
+        Some(outcome)
+    } else {
+        // Interrupted: persist the frontier so nothing is lost.
+        ckpt.take(&mut engine);
+        engine.emit_span("engine", drive_start.elapsed().as_micros() as u64);
+        None
+    };
     Ok(RunReport {
-        outcome: None,
+        outcome,
         end,
-        events: sim.events(),
-        resumed,
-        checkpoints,
-        checkpoint_failures,
-        degraded,
-        counters: sim.counters(),
+        progress,
+        checkpoints: ckpt.written,
+        checkpoint_failures: ckpt.failures,
+        degraded: ckpt.degraded,
     })
 }
 
@@ -490,47 +561,55 @@ mod tests {
         cfg
     }
 
+    fn sim(seed: u64) -> Simulation {
+        Simulation::new(cfg(seed)).unwrap()
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("btfs-driver-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }
 
+    fn plan(path: Option<PathBuf>, every_events: u64) -> CheckpointPlan {
+        CheckpointPlan {
+            path,
+            every_events,
+            retry: RetryPolicy::immediate(),
+        }
+    }
+
+    /// Drives `cfg(seed)` from whatever `plan` committed, to the end.
+    fn resume(seed: u64, plan: &CheckpointPlan) -> RunReport<(SimOutcome, Counters)> {
+        let committed = committed_checkpoint(plan.path.as_deref(), true).unwrap();
+        assert!(
+            committed.is_some(),
+            "must resume from the committed checkpoint"
+        );
+        let engine = des_engine(cfg(seed), None, committed.as_deref()).unwrap();
+        drive(engine, Some(plan), &RunLimits::default(), None, None).unwrap()
+    }
+
     #[test]
     fn budget_stop_then_resume_is_bit_identical() {
-        let straight = Simulation::new(cfg(5)).unwrap().run();
+        let straight = sim(5).run();
 
         let path = tmp("budget.snap");
         let _ = std::fs::remove_file(&path);
-        let plan = CheckpointPlan {
-            path: Some(path.clone()),
-            every_events: 64,
-            retry: RetryPolicy::immediate(),
-        };
+        let plan = plan(Some(path.clone()), 64);
         let limits = RunLimits {
             max_events: Some(333),
             ..Default::default()
         };
-        let first = drive(cfg(5), None, Some(&plan), true, &limits, None, None, None).unwrap();
+        let first = drive(sim(5), Some(&plan), &limits, None, None).unwrap();
         assert_eq!(first.end, RunEnd::EventBudget);
         assert!(first.outcome.is_none());
         assert!(path.exists(), "interrupted run must leave a checkpoint");
 
-        let second = drive(
-            cfg(5),
-            None,
-            Some(&plan),
-            true,
-            &RunLimits::default(),
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let second = resume(5, &plan);
         assert_eq!(second.end, RunEnd::Completed);
-        assert!(second.resumed);
         assert!(!path.exists(), "completion must remove the checkpoint");
-        let resumed = second.outcome.unwrap();
+        let (resumed, _) = second.outcome.unwrap();
         assert_eq!(straight.events, resumed.events);
         assert_eq!(straight.records, resumed.records);
         assert_eq!(straight.aborts, resumed.aborts);
@@ -542,20 +621,16 @@ mod tests {
         // temp file on disk next to the (older, still-valid) checkpoint.
         // Resume must ignore the partial temp file, clean it up, and
         // continue bit-identically from the committed checkpoint.
-        let straight = Simulation::new(cfg(11)).unwrap().run();
+        let straight = sim(11).run();
 
         let path = tmp("stale-tmp.snap");
         let _ = std::fs::remove_file(&path);
-        let plan = CheckpointPlan {
-            path: Some(path.clone()),
-            every_events: 64,
-            retry: RetryPolicy::immediate(),
-        };
+        let plan = plan(Some(path.clone()), 64);
         let limits = RunLimits {
             max_events: Some(333),
             ..Default::default()
         };
-        let first = drive(cfg(11), None, Some(&plan), true, &limits, None, None, None).unwrap();
+        let first = drive(sim(11), Some(&plan), &limits, None, None).unwrap();
         assert_eq!(first.end, RunEnd::EventBudget);
         assert!(path.exists());
 
@@ -565,22 +640,11 @@ mod tests {
         let stale = PathBuf::from(stale);
         std::fs::write(&stale, b"partial snapshot, crash before rename").unwrap();
 
-        let second = drive(
-            cfg(11),
-            None,
-            Some(&plan),
-            true,
-            &RunLimits::default(),
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let second = resume(11, &plan);
         assert_eq!(second.end, RunEnd::Completed);
-        assert!(second.resumed, "must resume from the committed checkpoint");
         assert!(!stale.exists(), "leftover .tmp must be cleaned up");
         assert!(!path.exists(), "completion must remove the checkpoint");
-        let resumed = second.outcome.unwrap();
+        let (resumed, _) = second.outcome.unwrap();
         assert_eq!(straight.events, resumed.events);
         assert_eq!(straight.records, resumed.records);
     }
@@ -588,17 +652,7 @@ mod tests {
     #[test]
     fn cancel_flag_stops_promptly() {
         let cancel = AtomicBool::new(true);
-        let report = drive(
-            cfg(6),
-            None,
-            None,
-            false,
-            &RunLimits::default(),
-            Some(&cancel),
-            None,
-            None,
-        )
-        .unwrap();
+        let report = drive(sim(6), None, &RunLimits::default(), Some(&cancel), None).unwrap();
         assert_eq!(report.end, RunEnd::Cancelled);
     }
 
@@ -606,24 +660,17 @@ mod tests {
     fn snapshot_observer_sees_chunks() {
         let mut seen = 0u64;
         let mut last_events = 0u64;
-        let plan = CheckpointPlan {
-            path: None,
-            every_events: 100,
-            retry: RetryPolicy::immediate(),
-        };
+        let plan = plan(None, 100);
         let mut observe = |body: &[u8]| {
             seen += 1;
             last_events = Snapshot::from_body(body).unwrap().events();
         };
         let report = drive(
-            cfg(7),
-            None,
+            sim(7),
             Some(&plan),
-            false,
             &RunLimits::default(),
             None,
             Some(&mut observe),
-            None,
         )
         .unwrap();
         assert_eq!(report.end, RunEnd::Completed);
@@ -639,7 +686,7 @@ mod tests {
             ..Default::default()
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive(cfg(8), None, None, false, &limits, None, None, None)
+            drive(sim(8), None, &limits, None, None)
         }));
         let msg = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("injected panic at event 50"), "{msg}");
@@ -647,19 +694,11 @@ mod tests {
 
     #[test]
     fn zero_interval_is_refused() {
-        let plan = CheckpointPlan {
-            path: None,
-            every_events: 0,
-            retry: RetryPolicy::immediate(),
-        };
         assert!(matches!(
             drive(
-                cfg(9),
-                None,
-                Some(&plan),
-                false,
+                sim(9),
+                Some(&plan(None, 0)),
                 &RunLimits::default(),
-                None,
                 None,
                 None
             ),
@@ -674,21 +713,15 @@ mod tests {
 
         let path = tmp("probed.snap");
         let _ = std::fs::remove_file(&path);
-        let plan = CheckpointPlan {
-            path: Some(path.clone()),
-            every_events: 64,
-            retry: RetryPolicy::immediate(),
-        };
         let shared = Arc::new(Mutex::new(MemoryProbe::new(10.0)));
+        let mut engine = sim(11);
+        engine.attach_probe(Box::new(Arc::clone(&shared)));
         let report = drive(
-            cfg(11),
-            None,
-            Some(&plan),
-            false,
+            engine,
+            Some(&plan(Some(path), 64)),
             &RunLimits::default(),
             None,
             None,
-            Some(Box::new(Arc::clone(&shared))),
         )
         .unwrap();
         assert_eq!(report.end, RunEnd::Completed);
@@ -705,7 +738,8 @@ mod tests {
             "completed drive emits an engine span"
         );
         let counters = shared.finished.expect("probe sees finish");
-        assert_eq!(report.counters, counters);
+        let (_, report_counters) = report.outcome.unwrap();
+        assert_eq!(report_counters, counters);
         assert_eq!(counters.snapshots_taken, report.checkpoints);
         assert!(counters.snapshot_bytes > 0);
         assert!(counters.events_popped > 0);

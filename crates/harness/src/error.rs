@@ -7,6 +7,7 @@
 //! the CLI can map each class to its own exit code.
 
 use btfluid_des::{DesError, SnapshotError};
+use btfluid_hybrid::HybridError;
 use btfluid_numkit::NumError;
 use std::fmt;
 
@@ -70,6 +71,17 @@ impl From<DesError> for HarnessError {
 impl From<SnapshotError> for HarnessError {
     fn from(e: SnapshotError) -> Self {
         HarnessError::Engine(DesError::Snapshot(e))
+    }
+}
+
+/// A hybrid snapshot refusal stays a snapshot error (CLI exit 5).
+impl From<HybridError> for HarnessError {
+    fn from(e: HybridError) -> Self {
+        match e {
+            HybridError::Num(e) => HarnessError::Num(e),
+            HybridError::Des(e) => HarnessError::Engine(e),
+            HybridError::Snapshot(msg) => SnapshotError::Corrupt(format!("hybrid: {msg}")).into(),
+        }
     }
 }
 

@@ -4,9 +4,11 @@
 //! run is bit-identical to an uninterrupted run. This crate turns that
 //! guarantee into operational robustness:
 //!
-//! * [`checkpoint::drive`] — a resumable run driver: step in chunks,
-//!   checkpoint atomically between chunks, pick up from the checkpoint
-//!   after a crash, and honor event/wall-clock budgets cooperatively.
+//! * [`checkpoint::drive`] — the resumable run driver for both engines
+//!   (the DES and the hybrid runner): step, checkpoint atomically every
+//!   N steps with retry and graceful degradation, pick up from the
+//!   checkpoint after a crash, and honor progress/wall-clock budgets
+//!   cooperatively.
 //! * [`supervisor::run_sweep`] — replicate/parameter-grid sweeps where
 //!   every cell runs behind `catch_unwind` with a watchdog; panicking
 //!   cells are retried with bounded backoff and then **quarantined**
@@ -39,8 +41,8 @@ pub use btfluid_telemetry::json;
 
 pub use bundle::{config_from_json, config_to_json, load_trace, ReproBundle, ScenarioRef};
 pub use checkpoint::{
-    atomic_write, clean_stale_tmp, drive, CheckpointPlan, RetryPolicy, RunEnd, RunLimits,
-    RunReport, SnapshotObserver,
+    atomic_write, clean_stale_tmp, committed_checkpoint, des_engine, drive, CheckpointPlan, Engine,
+    RetryPolicy, RunEnd, RunLimits, RunReport, SnapshotObserver,
 };
 pub use error::HarnessError;
 pub use manifest::{CellRecord, CellStatus, ManifestWriter};

@@ -21,14 +21,13 @@
 //! same pool without a journal, checkpoints or retries.
 
 use crate::bundle::{ReproBundle, ScenarioRef};
-use crate::checkpoint::{drive, CheckpointPlan, RunEnd, RunLimits};
+use crate::checkpoint::{des_engine, drive, CheckpointPlan, RunEnd, RunLimits};
 use crate::error::HarnessError;
 use crate::manifest::{self, CellRecord, CellStatus, ManifestWriter};
-use btfluid_des::{Counters, DesConfig, ScenarioHook, SimOutcome, Snapshot};
+use btfluid_des::{Counters, DesConfig, SimOutcome, Simulation, Snapshot};
 use btfluid_telemetry::{
     diag, shared_recorder, Level, RecorderProbe, SharedRecorder, DEFAULT_FLIGHT_CAPACITY,
 };
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -108,26 +107,6 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    fn from_outcome(
-        id: &str,
-        events: u64,
-        outcome: &SimOutcome,
-        wall_s: f64,
-        counters: Counters,
-    ) -> Self {
-        CellResult {
-            id: id.to_string(),
-            events,
-            arrivals: outcome.arrivals,
-            completed: outcome.records.len(),
-            censored: outcome.censored,
-            aborted: outcome.aborts.len(),
-            avg_online_per_file: outcome.avg_online_per_file().ok(),
-            wall_s,
-            counters,
-        }
-    }
-
     /// Engine events per wall-clock second (0 when the attempt was too
     /// fast to time).
     pub fn events_per_sec(&self) -> f64 {
@@ -327,17 +306,13 @@ pub fn run_batch(cfgs: Vec<DesConfig>) -> Result<Vec<(SimOutcome, Counters)>, Ha
     let workers = std::thread::available_parallelism().map_or(1, usize::from);
     pool(workers, cfgs, |cfg| {
         let report = drive(
-            cfg,
+            Simulation::new(cfg)?,
             None,
-            None,
-            false,
             &RunLimits::default(),
             None,
             None,
-            None,
         )?;
-        let outcome = report.outcome.expect("a run without limits completes");
-        Ok((outcome, report.counters))
+        Ok(report.outcome.expect("a run without limits completes"))
     })
     .into_iter()
     .collect()
@@ -381,7 +356,7 @@ fn supervise_cell(
                 std::thread::sleep(sup.backoff.saturating_mul(attempt));
             }
             Attempt::Panicked(reason) | Attempt::Fatal(reason) => {
-                let bundle_dir = sup.bundle_dir.join(sanitize_id(&cell.id));
+                let bundle_dir = bundle_path(&sup.bundle_dir, &cell.id);
                 let flight_dump = {
                     let ring = flight.lock().unwrap_or_else(|e| e.into_inner());
                     (!ring.is_empty()).then(|| ring.dump_string(parse_failure_t(&reason)))
@@ -452,33 +427,21 @@ fn run_attempt(
         };
         move || {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // Resolve eagerly so a bad reference is a typed error. The
-                // fresh start takes this hook; any later call rebuilds it.
-                let first = Cell::new(
-                    cell.scenario
-                        .as_ref()
-                        .map(ScenarioRef::build_hook)
-                        .transpose()?,
-                );
-                let build_hook = || {
-                    first.take().unwrap_or_else(|| {
-                        let sref = cell.scenario.as_ref().expect("scenario cell");
-                        sref.build_hook().expect("reference resolved above")
-                    })
-                };
-                let hook_factory: Option<&dyn Fn() -> Box<dyn ScenarioHook>> =
-                    cell.scenario.is_some().then_some(&build_hook);
+                let hook = cell
+                    .scenario
+                    .as_ref()
+                    .map(ScenarioRef::build_hook)
+                    .transpose()?;
+                let mut sim = des_engine(cell.cfg.clone(), hook, None)?;
+                sim.attach_probe(Box::new(RecorderProbe::new(Arc::clone(&flight))));
                 drive(
-                    cell.cfg.clone(),
-                    hook_factory,
+                    sim,
                     Some(&plan),
-                    false,
                     &limits,
                     Some(&cancel),
                     Some(&mut |body: &[u8]| {
                         *last_snap.lock().unwrap() = Some(body.to_vec());
                     }),
-                    Some(Box::new(RecorderProbe::new(Arc::clone(&flight)))),
                 )
             }));
             // The receiver may have given up (watchdog); ignore send errors.
@@ -496,22 +459,26 @@ fn run_attempt(
     match verdict {
         Ok(Ok(Ok(report))) => match report.end {
             RunEnd::Completed => {
-                let outcome = report.outcome.expect("completed run has an outcome");
-                Attempt::Done(CellResult::from_outcome(
-                    &cell.id,
-                    report.events,
-                    &outcome,
-                    started.elapsed().as_secs_f64(),
-                    report.counters,
-                ))
+                let (outcome, counters) = report.outcome.expect("completed run has an outcome");
+                Attempt::Done(CellResult {
+                    id: cell.id.clone(),
+                    events: report.progress,
+                    arrivals: outcome.arrivals,
+                    completed: outcome.records.len(),
+                    censored: outcome.censored,
+                    aborted: outcome.aborts.len(),
+                    avg_online_per_file: outcome.avg_online_per_file().ok(),
+                    wall_s: started.elapsed().as_secs_f64(),
+                    counters,
+                })
             }
             RunEnd::EventBudget => Attempt::Fatal(format!(
                 "event budget exhausted after {} events",
-                report.events
+                report.progress
             )),
             RunEnd::WallBudget => Attempt::Fatal(format!(
                 "wall-clock budget exceeded after {} events",
-                report.events
+                report.progress
             )),
             RunEnd::Cancelled => Attempt::Fatal("cancelled".into()),
         },

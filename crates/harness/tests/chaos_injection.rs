@@ -1,12 +1,14 @@
 //! End-to-end exercises of the fault-injection seam against the harness
 //! write paths. Each script is armed only on its test's thread, so the
-//! cases run as separate tests.
+//! cases run as separate tests. The checkpoint cases run both engines
+//! `drive` steps: the DES and the hybrid runner.
 
 use btfluid_des::{DesConfig, SchemeKind, Simulation};
 use btfluid_harness::{
     checkpoint, drive, manifest, CellRecord, CellStatus, CheckpointPlan, HarnessError,
     ManifestWriter, ReproBundle, RetryPolicy, RunEnd, RunLimits, RunReport,
 };
+use btfluid_hybrid::{amplified_flash_crowd, HybridConfig, HybridOutcome, HybridRunner, Regime};
 use btfluid_telemetry::faults::{self, FaultKind, FaultRule, FaultScript, FaultSite};
 use std::path::{Path, PathBuf};
 
@@ -16,6 +18,16 @@ fn cfg(seed: u64) -> DesConfig {
     cfg.warmup = 100.0;
     cfg.drain = 400.0;
     cfg
+}
+
+fn hybrid_cfg(seed: u64) -> HybridConfig {
+    HybridConfig {
+        program: amplified_flash_crowd(512.0, 0.005),
+        scheme: SchemeKind::Mtcd,
+        seed,
+        tol: 0.1,
+        aggregate: true,
+    }
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -37,62 +49,108 @@ fn armed<T>(rules: Vec<FaultRule>, f: impl FnOnce() -> T) -> T {
     faults::scoped(FaultScript { rules }, None, f)
 }
 
-fn drive_checkpointed(seed: u64, path: &Path) -> Result<RunReport, HarnessError> {
-    let _ = std::fs::remove_file(path);
-    drive(
-        cfg(seed),
-        None,
-        Some(&plan(Some(path.to_path_buf()))),
-        false,
-        &RunLimits::default(),
-        None,
-        None,
-        None,
-    )
+/// The two engines `drive` steps.
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    Des,
+    Hybrid,
 }
 
-fn plan(path: Option<PathBuf>) -> CheckpointPlan {
-    CheckpointPlan {
-        path,
-        every_events: 64,
-        retry: RetryPolicy::immediate(),
+const ENGINES: [Engine; 2] = [Engine::Des, Engine::Hybrid];
+
+/// Every bit of a hybrid outcome the resume contract covers.
+fn hybrid_bits(o: &HybridOutcome) -> Vec<u64> {
+    let mut bits: Vec<u64> = o.class_means.iter().map(|v| v.to_bits()).collect();
+    bits.push(o.final_t.to_bits());
+    for h in &o.handoffs {
+        bits.extend([
+            h.t.to_bits(),
+            u64::from(h.to == Regime::Discrete),
+            h.pop.to_bits(),
+        ]);
     }
+    bits
+}
+
+/// `report` with its outcome replaced by whether it matches `straight`.
+fn matching<O>(report: RunReport<O>, same: impl FnOnce(&O) -> bool) -> RunReport<bool> {
+    RunReport {
+        outcome: report.outcome.as_ref().map(same),
+        end: report.end,
+        progress: report.progress,
+        checkpoints: report.checkpoints,
+        checkpoint_failures: report.checkpoint_failures,
+        degraded: report.degraded,
+    }
+}
+
+/// Drives `engine` checkpointed to a fresh `path`; the report's outcome
+/// says whether the result is bit-identical to an unobserved run.
+fn drive_checkpointed(
+    engine: Engine,
+    seed: u64,
+    path: &Path,
+) -> Result<RunReport<bool>, HarnessError> {
+    let _ = std::fs::remove_file(path);
+    let plan = |every_events| CheckpointPlan {
+        path: Some(path.to_path_buf()),
+        every_events,
+        retry: RetryPolicy::immediate(),
+    };
+    let limits = RunLimits::default();
+    Ok(match engine {
+        Engine::Des => {
+            let straight = Simulation::new(cfg(seed)).unwrap().run();
+            let sim = Simulation::new(cfg(seed)).unwrap();
+            matching(
+                drive(sim, Some(&plan(64)), &limits, None, None)?,
+                |(o, _)| {
+                    (o.events, &o.records, &o.aborts)
+                        == (straight.events, &straight.records, &straight.aborts)
+                },
+            )
+        }
+        Engine::Hybrid => {
+            let straight = HybridRunner::run(hybrid_cfg(seed)).unwrap();
+            let runner = HybridRunner::new(hybrid_cfg(seed)).unwrap();
+            matching(drive(runner, Some(&plan(4)), &limits, None, None)?, |o| {
+                hybrid_bits(o) == hybrid_bits(&straight)
+            })
+        }
+    })
 }
 
 #[test]
 fn injected_faults_degrade_gracefully_and_never_change_results() {
     // Permanent ENOSPC on every checkpoint write: the run must degrade
     // (disable checkpointing, count failures in its report) and still
-    // finish with results bit-identical to an
-    // uninterrupted run.
-    let straight = Simulation::new(cfg(21)).unwrap().run();
-    let path = tmp("degrade.snap");
-    let report = armed(
-        vec![rule(
-            FaultSite::CheckpointWrite,
-            FaultKind::Enospc,
-            0,
-            u64::MAX,
-        )],
-        || drive_checkpointed(21, &path),
-    )
-    .unwrap();
-    assert_eq!(report.end, RunEnd::Completed);
-    assert!(
-        report.degraded,
-        "permanent failure must disable checkpoints"
-    );
-    assert_eq!(
-        report.checkpoint_failures,
-        u64::from(RetryPolicy::immediate().degrade_after),
-        "a degraded run stops writing, so it fails exactly degrade_after cycles"
-    );
-    assert_eq!(report.checkpoints, 0);
-    let outcome = report.outcome.unwrap();
-    assert_eq!(straight.events, outcome.events);
-    assert_eq!(straight.records, outcome.records);
-    assert_eq!(straight.aborts, outcome.aborts);
-    assert!(!path.exists());
+    // finish with results bit-identical to an uninterrupted run.
+    for engine in ENGINES {
+        let path = tmp(&format!("degrade-{engine:?}.snap"));
+        let report = armed(
+            vec![rule(
+                FaultSite::CheckpointWrite,
+                FaultKind::Enospc,
+                0,
+                u64::MAX,
+            )],
+            || drive_checkpointed(engine, 21, &path),
+        )
+        .unwrap();
+        assert_eq!(report.end, RunEnd::Completed, "{engine:?}");
+        assert!(
+            report.degraded,
+            "{engine:?}: permanent failure must disable checkpoints"
+        );
+        assert_eq!(
+            report.checkpoint_failures,
+            u64::from(RetryPolicy::immediate().degrade_after),
+            "{engine:?}: a degraded run stops writing, so it fails exactly degrade_after cycles"
+        );
+        assert_eq!(report.checkpoints, 0, "{engine:?}");
+        assert_eq!(report.outcome, Some(true), "{engine:?}: results changed");
+        assert!(!path.exists());
+    }
 }
 
 #[test]
@@ -100,42 +158,50 @@ fn transient_eio_is_absorbed_by_retries() {
     // Two failed attempts, the third succeeds: the retry policy absorbs
     // it inside one cycle — no recorded failures, no degradation,
     // checkpoints written as normal.
-    let path = tmp("transient.snap");
-    let report = armed(
-        vec![rule(FaultSite::CheckpointWrite, FaultKind::Eio, 0, 2)],
-        || drive_checkpointed(22, &path),
-    )
-    .unwrap();
-    assert_eq!(report.end, RunEnd::Completed);
-    assert!(!report.degraded);
-    assert_eq!(report.checkpoint_failures, 0, "retries absorb transients");
-    assert!(report.checkpoints > 0);
+    for engine in ENGINES {
+        let path = tmp(&format!("transient-{engine:?}.snap"));
+        let report = armed(
+            vec![rule(FaultSite::CheckpointWrite, FaultKind::Eio, 0, 2)],
+            || drive_checkpointed(engine, 22, &path),
+        )
+        .unwrap();
+        assert_eq!(report.end, RunEnd::Completed, "{engine:?}");
+        assert!(!report.degraded, "{engine:?}");
+        assert_eq!(
+            report.checkpoint_failures, 0,
+            "{engine:?}: retries absorb transients"
+        );
+        assert!(report.checkpoints > 0, "{engine:?}");
+        assert_eq!(report.outcome, Some(true), "{engine:?}: results changed");
+    }
 }
 
 #[test]
 fn rename_failure_degrades_and_cleans_the_temp_file() {
     // Behaves like a write failure: the temp file is cleaned up and the
     // committed checkpoint (if any) is untouched.
-    let path = tmp("rename.snap");
-    let report = armed(
-        vec![rule(
-            FaultSite::CheckpointRename,
-            FaultKind::RenameFail,
-            0,
-            u64::MAX,
-        )],
-        || drive_checkpointed(23, &path),
-    )
-    .unwrap();
-    assert_eq!(report.end, RunEnd::Completed);
-    assert!(report.degraded);
-    assert!(report.checkpoint_failures > 0);
-    let mut stale = path.as_os_str().to_owned();
-    stale.push(".tmp");
-    assert!(
-        !PathBuf::from(stale).exists(),
-        "failed rename must not leave the temp file behind"
-    );
+    for engine in ENGINES {
+        let path = tmp(&format!("rename-{engine:?}.snap"));
+        let report = armed(
+            vec![rule(
+                FaultSite::CheckpointRename,
+                FaultKind::RenameFail,
+                0,
+                u64::MAX,
+            )],
+            || drive_checkpointed(engine, 23, &path),
+        )
+        .unwrap();
+        assert_eq!(report.end, RunEnd::Completed, "{engine:?}");
+        assert!(report.degraded, "{engine:?}");
+        assert!(report.checkpoint_failures > 0, "{engine:?}");
+        let mut stale = path.as_os_str().to_owned();
+        stale.push(".tmp");
+        assert!(
+            !PathBuf::from(stale).exists(),
+            "{engine:?}: failed rename must not leave the temp file behind"
+        );
+    }
 }
 
 #[test]

@@ -267,11 +267,6 @@ impl HybridRunner {
         &self.cfg
     }
 
-    /// The switching policy in force.
-    pub fn policy(&self) -> &SwitchPolicy {
-        &self.policy
-    }
-
     /// Current simulated time (a decision boundary, between steps).
     pub fn sim_time(&self) -> f64 {
         self.t
@@ -287,16 +282,52 @@ impl HybridRunner {
         &self.handoffs
     }
 
-    /// Attaches a telemetry sink for handoff spans. Observer-only: the
-    /// sink is excluded from snapshots and never affects results.
+    /// Attaches a telemetry sink for handoff and checkpoint spans.
+    /// Observer-only: the sink is excluded from snapshots and never
+    /// affects results.
     pub fn attach_sink(&mut self, sink: SharedSink) {
         self.sink = Some(sink);
     }
 
     /// Attaches a flight recorder that receives a [`FlightKind::Handoff`]
-    /// record at every regime switch. Observer-only, like the sink.
+    /// record at every regime switch (and a checkpoint record for each
+    /// checkpoint a driver commits). Observer-only, like the sink.
     pub fn attach_flight(&mut self, flight: SharedRecorder) {
         self.flight = Some(flight);
+    }
+
+    /// Writes a span timing record, anchored at the current simulated
+    /// time, to the attached sink (if any).
+    pub fn emit_span(&self, name: &str, micros: u64) {
+        if let Some(sink) = &self.sink {
+            sink.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .span_at(name, micros, self.t);
+        }
+    }
+
+    /// Records a flight record at the current time and DES event count
+    /// (every segment so far, the live one included) in the attached
+    /// recorder (if any).
+    pub fn emit_flight(&self, kind: FlightKind, a: u64, b: u64) {
+        if let Some(flight) = &self.flight {
+            let live = self.sim.as_ref().map_or(0, Simulation::events);
+            flight
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .record(FlightRecord {
+                    t: self.t,
+                    events: self.des_events + live,
+                    kind,
+                    a,
+                    b,
+                });
+        }
+    }
+
+    /// Decision boundaries passed since `t = 0` (restored on resume).
+    pub fn boundaries(&self) -> u64 {
+        self.next_boundary as u64
     }
 
     /// Total downloading users under the active engine.
@@ -441,34 +472,15 @@ impl HybridRunner {
             to: decided,
             pop,
         });
-        if let Some(sink) = &self.sink {
-            let name = match decided {
-                Regime::Fluid => "handoff:des->fluid",
-                Regime::Discrete => "handoff:fluid->des",
-            };
-            sink.lock().expect("trace sink poisoned").span_at(
-                name,
-                started.elapsed().as_micros() as u64,
-                self.t,
-            );
-        }
-        if let Some(flight) = &self.flight {
-            // Direction code 0 = DES->fluid, 1 = fluid->DES; payload `b`
-            // carries the population at the membrane, rounded.
-            flight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(FlightRecord {
-                    t: self.t,
-                    events: self.des_events,
-                    kind: FlightKind::Handoff,
-                    a: match decided {
-                        Regime::Fluid => 0,
-                        Regime::Discrete => 1,
-                    },
-                    b: pop.round() as u64,
-                });
-        }
+        let name = match decided {
+            Regime::Fluid => "handoff:des->fluid",
+            Regime::Discrete => "handoff:fluid->des",
+        };
+        self.emit_span(name, started.elapsed().as_micros() as u64);
+        // Direction code 0 = DES->fluid, 1 = fluid->DES; payload `b`
+        // carries the population at the membrane, rounded.
+        let direction = u64::from(decided == Regime::Discrete);
+        self.emit_flight(FlightKind::Handoff, direction, pop.round() as u64);
         Ok(())
     }
 

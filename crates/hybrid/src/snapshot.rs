@@ -50,8 +50,15 @@ fn regime_of(discrete: bool) -> Regime {
 }
 
 impl HybridRunner {
-    /// Serializes the full driver state (between decision boundaries).
+    /// Serializes the full driver state (between decision boundaries)
+    /// as a sealed snapshot file.
     pub fn snapshot(&self) -> Vec<u8> {
+        Snapshot::seal(self.snapshot_body())
+    }
+
+    /// The snapshot minus its trailing checksum, which
+    /// [`Snapshot::seal`] appends.
+    pub fn snapshot_body(&self) -> Vec<u8> {
         let mut w = Writer::with_header(HYBRID_SNAPSHOT_VERSION, 256);
         w.u64(config_digest(self.config()));
         w.f64(self.t);
@@ -77,7 +84,7 @@ impl HybridRunner {
         if let Some(sim) = &self.sim {
             w.bytes(&sim.snapshot_body());
         }
-        Snapshot::seal(w.into_bytes())
+        w.into_bytes()
     }
 
     /// Rebuilds a runner from `cfg` and a snapshot taken by an identical
