@@ -327,8 +327,7 @@ fn bench_checkpoint_overhead(_c: &mut Criterion) {
     }
 
     // Per-checkpoint cost at the end-of-run state (largest snapshot).
-    let dir = std::env::temp_dir().join("btfluid_bench_checkpoint");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let dir = btfluid_telemetry::ScratchDir::new("bench-checkpoint").expect("tmp dir");
     let cp = dir.join("cp.snap");
     let mut sim = Simulation::new(cfg()).expect("valid");
     while sim.step().expect("step") {}
@@ -352,7 +351,6 @@ fn bench_checkpoint_overhead(_c: &mut Criterion) {
     let coarse_events = drive_events(Some(&plan));
     let coarse_s = start.elapsed().as_secs_f64();
     assert_eq!(base_events, coarse_events, "checkpointing changed the run");
-    let _ = std::fs::remove_dir_all(&dir);
 
     let disabled_pct = (disabled_s / base_s - 1.0) * 100.0;
     let coarse_pct = 5.0 * ckpt_s / disabled_s * 100.0;
@@ -464,8 +462,8 @@ fn median_spread(samples: &mut [f64]) -> (f64, f64, f64) {
 /// per-variant *median* kept and printed with its min/max spread (see
 /// [`median_spread`]).
 fn bench_telemetry_overhead(_c: &mut Criterion) {
-    use btfluid_des::{shared_recorder, NoopProbe, RecorderProbe, SinkProbe, TraceSink};
-    use btfluid_telemetry::{DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_EVERY};
+    use btfluid_des::{shared_recorder, NoopProbe, TelemetryProbe, TraceSink};
+    use btfluid_telemetry::{ScratchDir, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_EVERY};
 
     let test_mode = std::env::args().any(|a| a == "--test");
     let (lambda0, horizon, warmup, drain) = if test_mode {
@@ -476,8 +474,7 @@ fn bench_telemetry_overhead(_c: &mut Criterion) {
     let cfg = || scale_config(lambda0, horizon, warmup, drain);
     let reps = if test_mode { 1 } else { 9 };
 
-    let dir = std::env::temp_dir().join("btfluid_bench_telemetry");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let dir = ScratchDir::new("bench-telemetry").expect("tmp dir");
     let trace = dir.join("overhead.jsonl");
 
     let mut bare_samples = Vec::with_capacity(reps);
@@ -502,7 +499,10 @@ fn bench_telemetry_overhead(_c: &mut Criterion) {
         let _ = std::fs::remove_file(&trace);
         let sink = TraceSink::create(&trace).expect("sink").shared();
         let mut sim = Simulation::new(cfg()).expect("valid");
-        sim.attach_probe(Box::new(SinkProbe::new(sink.clone(), DEFAULT_SAMPLE_EVERY)));
+        sim.attach_probe(Box::new(TelemetryProbe {
+            sink: Some((sink.clone(), DEFAULT_SAMPLE_EVERY)),
+            flight: None,
+        }));
         let start = Instant::now();
         let sink_events = sim.run().events;
         sink_samples.push(start.elapsed().as_secs_f64());
@@ -513,7 +513,10 @@ fn bench_telemetry_overhead(_c: &mut Criterion) {
 
         let ring = shared_recorder(DEFAULT_FLIGHT_CAPACITY);
         let mut sim = Simulation::new(cfg()).expect("valid");
-        sim.attach_probe(Box::new(RecorderProbe::new(ring.clone())));
+        sim.attach_probe(Box::new(TelemetryProbe {
+            flight: Some(ring.clone()),
+            sink: None,
+        }));
         let start = Instant::now();
         let flight_events = sim.run().events;
         flight_samples.push(start.elapsed().as_secs_f64());
@@ -524,7 +527,6 @@ fn bench_telemetry_overhead(_c: &mut Criterion) {
         flight_total = ring.lock().unwrap_or_else(|e| e.into_inner()).total();
         assert!(flight_total >= bare_events, "recorder missed event pops");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 
     let (bare_s, bare_lo, bare_hi) = median_spread(&mut bare_samples);
     let (noop_s, noop_lo, noop_hi) = median_spread(&mut noop_samples);

@@ -22,7 +22,7 @@ pub struct ChaosBundle {
     pub violations: Vec<Violation>,
     /// Plan evaluations the shrinker spent.
     pub shrink_evals: u32,
-    /// Flight-recorder dump (`flightrec v1` JSONL) from the violating
+    /// Flight-recorder dump (a btfluid-trace run) from the violating
     /// run, written as a sibling `flightrec.jsonl` when present.
     pub flight: Option<String>,
 }
@@ -142,13 +142,7 @@ impl ChaosBundle {
 mod tests {
     use super::*;
     use crate::plan;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("btfs-chaos-bundle-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
+    use btfluid_telemetry::ScratchDir;
 
     #[test]
     fn bundle_round_trips() {
@@ -161,12 +155,14 @@ mod tests {
             }],
             shrink_evals: 17,
             flight: Some(
-                "{\"schema\":\"flightrec\",\"version\":1,\"capacity\":4,\"total\":1,\"dropped\":0}\n\
-                 {\"k\":\"pop\",\"t\":1.5,\"ev\":1,\"a\":1,\"b\":0}\n"
+                "{\"schema\":\"btfluid-trace\",\"version\":1,\"kind\":\"meta\",\"capacity\":4,\
+                 \"total\":1,\"dropped\":0}\n\
+                 {\"kind\":\"flight\",\"k\":\"pop\",\"t\":1.5,\"ev\":1,\"a\":1,\"b\":0}\n"
                     .into(),
             ),
         };
-        let dir = tmp("roundtrip");
+        let scratch = ScratchDir::new("chaos-bundle").unwrap();
+        let dir = scratch.join("roundtrip");
         bundle.write(&dir).unwrap();
         assert!(ChaosBundle::is_chaos_dir(&dir));
         let back = ChaosBundle::read(&dir).unwrap();
@@ -179,18 +175,16 @@ mod tests {
         bare.write(&dir).unwrap();
         assert!(!dir.join("flightrec.jsonl").exists());
         assert_eq!(ChaosBundle::read(&dir).unwrap().flight, None);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_and_corrupt_bundles_are_typed() {
-        let dir = tmp("nope");
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = ScratchDir::new("chaos-bundle").unwrap();
+        let dir = scratch.join("nope");
         assert!(!ChaosBundle::is_chaos_dir(&dir));
         assert!(ChaosBundle::read(&dir).is_err());
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("chaos.json"), "{not json").unwrap();
         assert!(ChaosBundle::read(&dir).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

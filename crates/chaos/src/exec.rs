@@ -19,7 +19,7 @@
 //!   are nondecreasing, and the final time is finite and nonnegative.
 
 use crate::plan::{ChaosMode, ChaosPlan};
-use btfluid_des::{Probe, ScenarioHook, SimOutcome};
+use btfluid_des::{ScenarioHook, SimOutcome};
 use btfluid_harness::{
     committed_checkpoint, des_engine, drive, CheckpointPlan, Engine, HarnessError, RetryPolicy,
     RunLimits,
@@ -27,7 +27,7 @@ use btfluid_harness::{
 use btfluid_hybrid::{HybridConfig, HybridOutcome, HybridRunner};
 use btfluid_telemetry::faults;
 use btfluid_telemetry::{
-    diag, shared_recorder, FanoutProbe, Level, RecorderProbe, SharedRecorder, SinkProbe, TraceSink,
+    diag, shared_recorder, Level, SharedRecorder, TelemetryProbe, TraceSink,
     DEFAULT_FLIGHT_CAPACITY,
 };
 use std::path::{Path, PathBuf};
@@ -58,7 +58,7 @@ pub struct Verdict {
     pub index: u64,
     /// Violations found (empty = the plan was survived correctly).
     pub violations: Vec<Violation>,
-    /// Flight-recorder dump (`flightrec v1` JSONL) of the chaos legs'
+    /// Flight-recorder dump (a btfluid-trace run) of the chaos legs'
     /// last happenings — populated only on a non-clean verdict.
     pub flight: Option<String>,
 }
@@ -171,15 +171,14 @@ fn run_des(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec<Vi
         Err(e) => return vec![Violation::new("run-completes", format!("trace: {e}"))],
     };
     let checkpoint = work_dir.join(format!("plan-{}.snap", plan.index));
+    let probe = TelemetryProbe {
+        sink: sink.clone().map(|s| (s, 10.0)),
+        flight: Some(Arc::clone(flight)),
+    };
     let baseline = des_engine(cfg.clone(), Some(hook()), None);
     let outcomes = kill_and_resume(plan, flight, checkpoint, 128, baseline, |bytes| {
         let mut sim = des_engine(cfg.clone(), Some(hook()), bytes)?;
-        let mut probes: Vec<Box<dyn Probe>> =
-            vec![Box::new(RecorderProbe::new(Arc::clone(flight)))];
-        if let Some(s) = sink.clone() {
-            probes.push(Box::new(SinkProbe::new(s, 10.0)));
-        }
-        sim.attach_probe(Box::new(FanoutProbe::new(probes)));
+        sim.attach_probe(Box::new(probe.clone()));
         Ok(sim)
     });
     // A trace-site fault surfaces here as a typed, tolerated error: the
@@ -259,7 +258,10 @@ fn run_hybrid(plan: &ChaosPlan, work_dir: &Path, flight: &SharedRecorder) -> Vec
             Some(bytes) => HybridRunner::resume(cfg.clone(), bytes)?,
             None => HybridRunner::new(cfg.clone())?,
         };
-        runner.attach_flight(Arc::clone(flight));
+        runner.attach_probe(TelemetryProbe {
+            flight: Some(Arc::clone(flight)),
+            sink: None,
+        });
         Ok(runner)
     });
     match outcomes {
@@ -303,17 +305,12 @@ fn check_hybrid(baseline: &HybridOutcome, chaos: &HybridOutcome) -> Vec<Violatio
 mod tests {
     use super::*;
     use crate::plan;
-    use btfluid_telemetry::FaultScript;
-
-    fn work() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("btfs-chaos-exec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use btfluid_telemetry::{FaultScript, ScratchDir};
 
     #[test]
     fn clean_plans_pass_and_the_canary_is_caught() {
-        let dir = work();
+        let scratch = ScratchDir::new("chaos-exec").unwrap();
+        let dir = &scratch;
 
         // A fault-free DES plan with kill/resume survives cleanly.
         let mut plans = plan::generate(11, 8);
@@ -323,7 +320,7 @@ mod tests {
             .expect("generator emits DES plans");
         des.script.rules.clear();
         des.kill_at = Some(300);
-        let verdict = run_plan(des, &dir);
+        let verdict = run_plan(des, dir);
         assert!(verdict.clean(), "violations: {:?}", verdict.violations);
 
         // Permanent checkpoint ENOSPC + kill: degradation means the resume
@@ -336,12 +333,12 @@ mod tests {
                 count: plan::PERMANENT,
             }],
         };
-        let verdict = run_plan(des, &dir);
+        let verdict = run_plan(des, dir);
         assert!(verdict.clean(), "violations: {:?}", verdict.violations);
 
         // The canary (silent checkpoint corruption) must be caught as a
         // typed run-completes violation, never a panic.
-        let verdict = run_plan(&plan::canary(11), &dir);
+        let verdict = run_plan(&plan::canary(11), dir);
         assert!(!verdict.clean(), "canary must be caught");
         assert!(verdict.violations.iter().all(|v| v.invariant != "no-panic"));
         assert!(verdict
@@ -349,6 +346,6 @@ mod tests {
             .iter()
             .any(|v| v.invariant == "run-completes"));
         // Same plan, same verdict: the executor is deterministic.
-        assert_eq!(verdict, run_plan(&plan::canary(11), &dir));
+        assert_eq!(verdict, run_plan(&plan::canary(11), dir));
     }
 }

@@ -6,13 +6,11 @@
 use btfluid_chaos::{canary, run_plan, shrink, ChaosMode, ChaosPlan, Verdict};
 use btfluid_des::SchemeKind;
 use btfluid_harness::pool;
-use btfluid_telemetry::{FaultKind, FaultRule, FaultScript, FaultSite};
-use std::path::{Path, PathBuf};
+use btfluid_telemetry::{FaultKind, FaultRule, FaultScript, FaultSite, ScratchDir};
+use std::path::Path;
 
-fn work(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("btfs-chaos-par-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn work(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("chaos-par-{tag}")).unwrap()
 }
 
 fn rule(site: FaultSite, kind: FaultKind, from_op: u64, count: u64) -> FaultRule {
@@ -88,7 +86,6 @@ fn pool_verdicts_equal_serial_verdicts() {
         "a caught plan carries its flight dump"
     );
     assert!(serial[1..].iter().all(Verdict::clean), "{serial:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -109,7 +106,4 @@ fn canary_shrinks_to_the_same_repro_on_two_threads_at_once() {
     assert_eq!(evals, 4);
     assert!(small.script.rules[0].count < canary(2006).script.rules[0].count);
     assert!(!verdict.clean() && verdict.flight.is_some());
-    for dir in dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }

@@ -17,15 +17,14 @@ use btfluid_harness as harness;
 use btfluid_hybrid::{HybridConfig, HybridRunner, Regime};
 use btfluid_scenario::{registry, runner, trace_program, RateMode, TraceHook, TraceShaper};
 use btfluid_telemetry::{
-    diag, read_trace, shared_recorder, Counters, DumpRecord, FanoutProbe, FlightDump, Level,
-    MetaField, Profiler, RecorderProbe, SharedRecorder, SharedSink, SinkProbe, TraceRun, TraceSink,
-    DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_EVERY, FLIGHTREC_VERSION, TRACE_VERSION,
+    diag, read_trace, shared_recorder, Counters, Json, Level, PhaseStats, Profiler, ScratchDir,
+    SharedRecorder, TelemetryProbe, TraceFlight, TraceRun, TraceSink, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_SAMPLE_EVERY, TRACE_VERSION,
 };
 use btfluid_workload::{fit_model, ArrivalTrace, CorrelationModel};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 thread_local! {
@@ -338,7 +337,8 @@ pub(crate) fn cmd_sim(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Writes a flight recorder's `flightrec v1` dump to `path` atomically.
+/// Writes a flight recorder's dump (a btfluid-trace run) to `path`
+/// atomically.
 fn write_flight_dump(path: &Path, flight: &SharedRecorder) -> Result<(), CliError> {
     let dump = flight
         .lock()
@@ -352,11 +352,10 @@ fn write_flight_dump(path: &Path, flight: &SharedRecorder) -> Result<(), CliErro
 /// The optional observers of one run, shared by `profile`, `scenario` and
 /// `scenario --hybrid`: the `--trace` JSONL sink, sampled every
 /// `--sample-every`, and the `--flightrec` ring of the last
-/// `--flightrec-cap` happenings.
+/// `--flightrec-cap` happenings, dumped to `dump`.
 struct Observers {
-    sink: Option<SharedSink>,
-    sample_every: f64,
-    flight: Option<(SharedRecorder, PathBuf)>,
+    probe: TelemetryProbe,
+    dump: Option<PathBuf>,
 }
 
 impl Observers {
@@ -372,51 +371,34 @@ impl Observers {
                 // rename leaves `<trace>.tmp` behind; clear it like
                 // checkpoint tmps.
                 harness::clean_stale_tmp(Path::new(path));
-                Some(TraceSink::create(Path::new(path))?.shared())
+                Some((TraceSink::create(Path::new(path))?.shared(), sample_every))
             }
             None => None,
         };
-        let flight = match opts.get("flightrec") {
+        let (flight, dump) = match opts.get("flightrec") {
             Some(path) => {
                 check_clobber(path, opts)?;
                 let cap = opts.get_usize("flightrec-cap", DEFAULT_FLIGHT_CAPACITY)?;
                 if cap == 0 {
                     return Err("--flightrec-cap must be at least 1".into());
                 }
-                Some((shared_recorder(cap), PathBuf::from(path)))
+                (Some(shared_recorder(cap)), Some(PathBuf::from(path)))
             }
-            None => None,
+            None => (None, None),
         };
         Ok(Self {
-            sink,
-            sample_every,
-            flight,
+            probe: TelemetryProbe { sink, flight },
+            dump,
         })
     }
 
-    /// Starts a trace segment (one engine run) with its `meta` record;
-    /// returns the sink for drivers that stream into it themselves.
-    fn segment(&self, meta: &[(&str, MetaField)]) -> Option<&SharedSink> {
-        let sink = self.sink.as_ref()?;
-        sink.lock().unwrap_or_else(|e| e.into_inner()).meta(meta);
-        Some(sink)
-    }
-
-    /// Starts a trace segment and returns the engine probe feeding every
-    /// open observer.
-    fn probe(&self, meta: &[(&str, MetaField)]) -> Option<Box<dyn Probe>> {
-        let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-        if let Some(sink) = self.segment(meta) {
-            probes.push(Box::new(SinkProbe::new(sink.clone(), self.sample_every)));
+    /// Starts a trace segment (one engine run) with its `meta` record
+    /// and returns the probe feeding every open observer.
+    fn probe(&self, meta: &[(&str, Json)]) -> TelemetryProbe {
+        if let Some((sink, _)) = &self.probe.sink {
+            sink.lock().unwrap_or_else(|e| e.into_inner()).meta(meta);
         }
-        if let Some((flight, _)) = &self.flight {
-            probes.push(Box::new(RecorderProbe::new(Arc::clone(flight))));
-        }
-        match probes.len() {
-            0 => None,
-            1 => probes.pop(),
-            _ => Some(Box::new(FanoutProbe::new(probes))),
-        }
+        self.probe.clone()
     }
 
     /// Runs `run`; when it fails, the flight ring still ships its last-N
@@ -424,7 +406,7 @@ impl Observers {
     /// and an empty ring (the error fired before any run) writes nothing.
     fn guard<T>(&self, run: impl FnOnce() -> Result<T, CliError>) -> Result<T, CliError> {
         let result = run();
-        if let (Err(_), Some((flight, path))) = (&result, &self.flight) {
+        if let (Err(_), Some(flight), Some(path)) = (&result, &self.probe.flight, &self.dump) {
             if !flight.lock().unwrap_or_else(|e| e.into_inner()).is_empty() {
                 if let Err(e) = write_flight_dump(path, flight) {
                     diag!(Level::Warn, "flight dump on the error path failed: {e}");
@@ -437,59 +419,32 @@ impl Observers {
     /// Closes the observers: `close` writes the sink's last records before
     /// the trace is renamed into place, then the flight ring is dumped.
     fn finish(self, close: impl FnOnce(&mut TraceSink)) -> Result<(), CliError> {
-        if let Some(sink) = self.sink {
+        if let Some((sink, _)) = &self.probe.sink {
             let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
             close(&mut guard);
             let path = guard.finish()?;
             diag!(Level::Info, "wrote trace {}", path.display());
         }
-        if let Some((flight, path)) = &self.flight {
+        if let (Some(flight), Some(path)) = (&self.probe.flight, &self.dump) {
             write_flight_dump(path, flight)?;
         }
         Ok(())
     }
 }
 
-/// `btfluid profile` — run one engine configuration with the hierarchical
-/// self-profiler enabled and render the per-phase cost tables.
-pub(crate) fn cmd_profile(opts: &Options) -> Result<(), CliError> {
-    let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtcd"))?;
-    let cfg = des_config(opts, scheme, opts.get_u64("seed", 1)?, 2000.0)?;
-    let (p, seed) = (cfg.model.p(), cfg.seed);
-    let observers = Observers::open(opts)?;
-    let mut sim = Simulation::new(cfg)?;
-    sim.enable_profiler(Profiler::calibrated());
-    let label = format!("profile-{}", scheme.name());
-    if let Some(probe) = observers.probe(&[
-        ("label", MetaField::Str(label)),
-        ("seed", MetaField::U64(seed)),
-    ]) {
-        sim.attach_probe(probe);
-    }
-    let started = std::time::Instant::now();
-    while sim.step()? {}
-    let wall = started.elapsed();
-    let table = sim
-        .profiler_table()
-        .ok_or_else(|| CliError::from("internal: profiler vanished".to_string()))?;
-    let outcome = sim.finish();
-    observers.finish(|sink| sink.profile(&table))?;
-
-    let events = table.events.max(1);
-    let accounted = table.accounted_ns();
+/// The per-phase cost table: `btfluid profile` prints it for the run it
+/// profiled, `inspect` for each `profile` record of a trace.
+fn profile_table<N: AsRef<str>>(title: String, phases: &[(N, PhaseStats)], events: u64) -> Table {
+    let events = events.max(1);
+    // `accounted` sums the `self_ns` column, so it is 0 only when all are.
+    let accounted: u64 = phases.iter().map(|(_, s)| s.self_ns).sum();
     let mut t = Table::new(
-        format!(
-            "profile — {} (p = {p}, {} events, {:.1} ms wall)",
-            scheme.name(),
-            table.events,
-            wall.as_secs_f64() * 1e3
-        ),
+        title,
         vec![
             "phase", "calls", "self ms", "total ms", "ns/call", "ns/event", "self %",
         ],
     );
-    for (name, stats) in &table.phases {
-        // `accounted` sums the `self_ns` column, so it is 0 only when all are.
+    for (name, stats) in phases {
         let pct = 100.0 * stats.self_ns as f64 / accounted.max(1) as f64;
         let per_call = if stats.calls > 0 {
             format!("{:.0}", stats.self_ns as f64 / stats.calls as f64)
@@ -497,7 +452,7 @@ pub(crate) fn cmd_profile(opts: &Options) -> Result<(), CliError> {
             "-".into()
         };
         t.push_row(vec![
-            (*name).to_string(),
+            name.as_ref().to_string(),
             format!("{}", stats.calls),
             format!("{:.3}", stats.self_ns as f64 / 1e6),
             format!("{:.3}", stats.total_ns as f64 / 1e6),
@@ -515,13 +470,44 @@ pub(crate) fn cmd_profile(opts: &Options) -> Result<(), CliError> {
         format!("{:.0}", accounted as f64 / events as f64),
         "100.0".into(),
     ]);
-    emit(&t, opts)?;
+    t
+}
+
+/// `btfluid profile` — run one engine configuration with the hierarchical
+/// self-profiler enabled and render the per-phase cost tables.
+pub(crate) fn cmd_profile(opts: &Options) -> Result<(), CliError> {
+    let scheme = parse_scheme(opts.get("scheme").unwrap_or("mtcd"))?;
+    let cfg = des_config(opts, scheme, opts.get_u64("seed", 1)?, 2000.0)?;
+    let (p, seed) = (cfg.model.p(), cfg.seed);
+    let observers = Observers::open(opts)?;
+    let mut sim = Simulation::new(cfg)?;
+    sim.enable_profiler(Profiler::calibrated());
+    let label = format!("profile-{}", scheme.name());
+    sim.attach_probe(Box::new(
+        observers.probe(&[("label", Json::Str(label)), ("seed", Json::num_u64(seed))]),
+    ));
+    let started = std::time::Instant::now();
+    while sim.step()? {}
+    let wall = started.elapsed();
+    let table = sim
+        .profiler_table()
+        .ok_or_else(|| CliError::from("internal: profiler vanished".to_string()))?;
+    let outcome = sim.finish();
+    observers.finish(|sink| sink.profile(&table))?;
+
+    let title = format!(
+        "profile — {} (p = {p}, {} events, {:.1} ms wall)",
+        scheme.name(),
+        table.events,
+        wall.as_secs_f64() * 1e3
+    );
+    emit(&profile_table(title, &table.phases, table.events), opts)?;
     diag!(
         Level::Info,
         "profile: pair overhead {} ns (subtracted per scope); {:.1}% of wall \
          accounted to phases; arrivals {}, completed {}",
         table.pair_overhead_ns,
-        100.0 * accounted as f64 / (wall.as_nanos().max(1) as f64),
+        100.0 * table.accounted_ns() as f64 / (wall.as_nanos().max(1) as f64),
         outcome.arrivals,
         outcome.records.len()
     );
@@ -567,15 +553,18 @@ pub(crate) fn cmd_scenario(opts: &Options) -> Result<(), CliError> {
     // Each scheme run gets its own meta record (a trace "segment") and a
     // fresh probe streaming into the shared sink, so one file holds the
     // whole line-up and `btfluid inspect` can tell the runs apart.
-    let mut make_probe = |label: &str| {
-        observers.probe(&[
-            ("scenario", MetaField::Str(name.to_string())),
-            ("label", MetaField::Str(label.to_string())),
-            ("seed", MetaField::U64(seed)),
-            ("scale", MetaField::F64(scale)),
-            ("aggregate", MetaField::Bool(mode == RateMode::Aggregate)),
-            ("sample_every", MetaField::F64(observers.sample_every)),
-        ])
+    let mut make_probe = |label: &str| -> Option<Box<dyn Probe>> {
+        Some(Box::new(observers.probe(&[
+            ("scenario", Json::Str(name.to_string())),
+            ("label", Json::Str(label.to_string())),
+            ("seed", Json::num_u64(seed)),
+            ("scale", Json::num_f64(scale)),
+            ("aggregate", Json::Bool(mode == RateMode::Aggregate)),
+            (
+                "sample_every",
+                Json::num_f64(observers.probe.sample_every()),
+            ),
+        ])))
     };
 
     let runs = observers.guard(|| match opts.get("scheme") {
@@ -841,20 +830,15 @@ fn run_scenario_hybrid(
         None => HybridRunner::new(cfg)?,
     };
 
-    if let Some(sink) = observers.segment(&[
-        ("scenario", MetaField::Str(name.to_string())),
-        ("label", MetaField::Str(format!("hybrid-{}", scheme.name()))),
-        ("seed", MetaField::U64(seed)),
-        ("scale", MetaField::F64(scale)),
-        ("hybrid", MetaField::Bool(true)),
-        ("hybrid_tol", MetaField::F64(tol)),
-        ("aggregate", MetaField::Bool(aggregate)),
-    ]) {
-        runner.attach_sink(sink.clone());
-    }
-    if let Some((flight, _)) = &observers.flight {
-        runner.attach_flight(Arc::clone(flight));
-    }
+    runner.attach_probe(observers.probe(&[
+        ("scenario", Json::Str(name.to_string())),
+        ("label", Json::Str(format!("hybrid-{}", scheme.name()))),
+        ("seed", Json::num_u64(seed)),
+        ("scale", Json::num_f64(scale)),
+        ("hybrid", Json::Bool(true)),
+        ("hybrid_tol", Json::num_f64(tol)),
+        ("aggregate", Json::Bool(aggregate)),
+    ]));
 
     let report = observers.guard(|| {
         Ok(harness::drive(
@@ -1390,24 +1374,6 @@ pub(crate) fn cmd_repro(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Scratch directory for chaos executor checkpoints/traces, removed with
-/// everything in it when the command ends, on success or error.
-struct ChaosWorkDir(PathBuf);
-
-impl ChaosWorkDir {
-    fn create() -> Result<Self, CliError> {
-        let work = std::env::temp_dir().join(format!("btfluid-chaos-{}", std::process::id()));
-        fs::create_dir_all(&work)?;
-        Ok(ChaosWorkDir(work))
-    }
-}
-
-impl Drop for ChaosWorkDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
 /// `btfluid chaos` — the deterministic chaos sweep: generate seeded
 /// random plans, execute each against the invariant catalog, shrink any
 /// violation to a minimal failing plan, and write replayable bundles.
@@ -1415,8 +1381,9 @@ pub(crate) fn cmd_chaos(opts: &Options) -> Result<(), CliError> {
     let seed = opts.get_u64("seed", 2006)?;
     let cells = opts.get_u64("cells", 100)?;
     let bundles = opts.get("bundles").unwrap_or("chaos-bundles").to_string();
-    let scratch = ChaosWorkDir::create()?;
-    let work = scratch.0.as_path();
+    // Plan checkpoints and traces, removed when the command ends.
+    let scratch = ScratchDir::new("chaos")?;
+    let work: &Path = &scratch;
 
     let plans = if opts.has("expect-fail") {
         diag!(
@@ -1535,7 +1502,7 @@ fn repro_chaos(dir: &Path) -> Result<(), CliError> {
         bundle.violations.len(),
         bundle.shrink_evals
     );
-    let verdict = btfluid_chaos::run_plan(&bundle.plan, &ChaosWorkDir::create()?.0);
+    let verdict = btfluid_chaos::run_plan(&bundle.plan, &ScratchDir::new("chaos")?);
     if verdict.clean() {
         println!(
             "chaos plan {}: ran clean; the recorded violation did not reproduce",
@@ -1567,7 +1534,7 @@ fn repro_chaos(dir: &Path) -> Result<(), CliError> {
 
 /// A run's label as `inspect` shows it.
 fn run_label(run: &TraceRun) -> &str {
-    run.label.as_deref().unwrap_or("?")
+    run.meta.str_at("label").unwrap_or("?")
 }
 
 /// A trace clock, with a non-finite one (written as `null`) as NaN so it
@@ -1589,7 +1556,8 @@ fn handoff_times(run: &TraceRun) -> Vec<f64> {
 /// Appends human-readable anomaly descriptions for one traced run.
 fn detect_anomalies(run: &TraceRun, out: &mut Vec<String>) {
     let label = run_label(run);
-    if run.end.is_none() {
+    // A flight ring has no end record by design.
+    if run.end.is_none() && !run.is_flight_dump() {
         out.push(format!(
             "{label}: truncated trace (no end record — the run did not finish)"
         ));
@@ -1608,7 +1576,7 @@ fn detect_anomalies(run: &TraceRun, out: &mut Vec<String>) {
     if ts.windows(2).any(|w| !ordered(w)) {
         out.push(format!("{label}: non-monotone clock across samples"));
     }
-    if run.aggregate {
+    if run.meta.get("aggregate").and_then(|a| a.as_bool()) == Some(true) {
         // Aggregate-mode cost health: per-peer rate recomputes are
         // structurally absent (the whole point of the mode), so the
         // incremental heuristic below would see zero recomputes and
@@ -1777,25 +1745,16 @@ fn trajectories_csv(segments: &[TraceRun]) -> String {
     out
 }
 
-/// Summarizes a `flightrec v1` dump: record mix, last handoff, last
+/// Summarizes a flight dump: record mix, event mix, last handoff, last
 /// checkpoint, and a staleness flag when the newest record predates the
-/// failure time stamped into the meta line.
-fn inspect_flightrec(path: &str, dump: &FlightDump, opts: &Options) -> Result<(), CliError> {
-    if dump.version != u64::from(FLIGHTREC_VERSION) {
-        diag!(
-            Level::Warn,
-            "inspect: {path}: flightrec version {}; this build reads \
-             v{FLIGHTREC_VERSION}",
-            dump.version
-        );
-    }
-
+/// failure time stamped into the meta record.
+fn inspect_flight(path: &str, run: &TraceRun, opts: &Options) -> Result<(), CliError> {
     // (kind, count, last record) per record kind, in first-seen order;
     // the dump is oldest-first so "last" is newest.
-    let mut mix: Vec<(&str, u64, &DumpRecord)> = Vec::new();
+    let mut mix: Vec<(&str, u64, &TraceFlight)> = Vec::new();
     let mut newest_t = f64::NEG_INFINITY;
     let mut pop_codes: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for rec in &dump.records {
+    for rec in &run.flights {
         if let Some(t) = rec.t.filter(|&t| t.is_finite() && t > newest_t) {
             newest_t = t;
         }
@@ -1811,14 +1770,15 @@ fn inspect_flightrec(path: &str, dump: &FlightDump, opts: &Options) -> Result<()
         }
     }
 
+    let meta = |key| run.meta.u64_at(key);
     let mut t = Table::new(
         format!(
             "flight recording {path} — {} of {} record(s) \
              retained (capacity {}, dropped {})",
-            dump.records.len(),
-            dump.total,
-            dump.capacity,
-            dump.dropped
+            run.flights.len(),
+            meta("total"),
+            meta("capacity"),
+            meta("dropped")
         ),
         vec!["kind", "count", "last t", "last events", "last a", "last b"],
     );
@@ -1870,7 +1830,7 @@ fn inspect_flightrec(path: &str, dump: &FlightDump, opts: &Options) -> Result<()
             last.a
         );
     }
-    if let Some(ft) = dump.failure_t {
+    if let Some(ft) = run.meta.f64_at("failure_t") {
         // `failure_t` is parsed from a message formatted at 3 decimals,
         // so allow half an ulp of that rounding before calling it stale.
         if newest_t.is_finite() && newest_t < ft - 5e-4 {
@@ -1889,26 +1849,21 @@ fn inspect_flightrec(path: &str, dump: &FlightDump, opts: &Options) -> Result<()
     Ok(())
 }
 
-/// `btfluid inspect <trace.jsonl>` — summarize a telemetry trace.
+/// `btfluid inspect <trace.jsonl>` — summarize a telemetry trace or a
+/// flight dump (one schema, one reader).
 pub(crate) fn cmd_inspect(opts: &Options) -> Result<(), CliError> {
     let path = opts.arg();
     let body = fs::read_to_string(path)?;
-    // A flight-recorder dump leads with its own schema marker; route it
-    // to the dedicated summarizer before assuming a telemetry trace.
-    let located = |e: String| format!("inspect: {path}:{e}");
-    if let Some(dump) = FlightDump::read(&body).map_err(located)? {
-        return inspect_flightrec(path, &dump, opts);
-    }
-    let segments = read_trace(&body).map_err(located)?;
+    let segments = read_trace(&body).map_err(|e| format!("inspect: {path}:{e}"))?;
     if segments.is_empty() {
         return Err(format!("inspect: {path}: no meta records — not a btfluid trace").into());
     }
     for seg in &segments {
-        if seg.version != u64::from(TRACE_VERSION) {
+        let version = seg.meta.u64_at("version");
+        if version != u64::from(TRACE_VERSION) {
             diag!(
                 Level::Warn,
-                "inspect: {path}: trace version {}; this build reads v{TRACE_VERSION}",
-                seg.version
+                "inspect: {path}: trace version {version}; this build reads v{TRACE_VERSION}"
             );
         }
         for (line, kind) in &seg.skipped {
@@ -1918,52 +1873,52 @@ pub(crate) fn cmd_inspect(opts: &Options) -> Result<(), CliError> {
             );
         }
         for profile in &seg.profiles {
-            let events = profile.events.max(1);
-            for (name, stats) in &profile.phases {
-                diag!(
-                    Level::Info,
-                    "{}: profile {name}: {} call(s), self {:.3} ms, {:.0} ns/event",
-                    run_label(seg),
-                    stats.calls,
-                    stats.self_ns as f64 / 1e6,
-                    stats.self_ns as f64 / events as f64
-                );
-            }
+            let title = format!(
+                "{}: profile ({} events, pair overhead {} ns subtracted per scope)",
+                run_label(seg),
+                profile.events,
+                profile.pair_overhead_ns
+            );
+            emit(&profile_table(title, &profile.phases, profile.events), opts)?;
+        }
+        if seg.is_flight_dump() {
+            inspect_flight(path, seg, opts)?;
         }
     }
-
-    let mut t = Table::new(
-        format!("trace {path} — {} run(s)", segments.len()),
-        vec![
-            "run",
-            "samples",
-            "spans",
-            "events",
-            "stale",
-            "heap peak",
-            "recomputes",
-            "recomp/ev",
-            "snapshots",
-        ],
-    );
-    for seg in &segments {
-        let c = seg.final_counters();
-        let per_event = c.rate_recomputes as f64 / c.events_popped.max(1) as f64;
-        t.push_row(vec![
-            run_label(seg).to_string(),
-            format!("{}", seg.samples.len()),
-            format!("{}", seg.spans.len()),
-            format!("{}", c.events_popped),
-            format!("{}", c.stale_discards),
-            format!("{}", c.heap_peak),
-            format!("{}", c.rate_recomputes),
-            format!("{per_event:.1}"),
-            format!("{}", c.snapshots_taken),
-        ]);
+    let traces: Vec<&TraceRun> = segments.iter().filter(|s| !s.is_flight_dump()).collect();
+    if !traces.is_empty() {
+        let mut t = Table::new(
+            format!("trace {path} — {} run(s)", traces.len()),
+            vec![
+                "run",
+                "samples",
+                "spans",
+                "events",
+                "stale",
+                "heap peak",
+                "recomputes",
+                "recomp/ev",
+                "snapshots",
+            ],
+        );
+        for seg in &traces {
+            let c = seg.final_counters();
+            let per_event = c.rate_recomputes as f64 / c.events_popped.max(1) as f64;
+            t.push_row(vec![
+                run_label(seg).to_string(),
+                format!("{}", seg.samples.len()),
+                format!("{}", seg.spans.len()),
+                format!("{}", c.events_popped),
+                format!("{}", c.stale_discards),
+                format!("{}", c.heap_peak),
+                format!("{}", c.rate_recomputes),
+                format!("{per_event:.1}"),
+                format!("{}", c.snapshots_taken),
+            ]);
+        }
+        emit(&t, opts)?;
     }
-    emit(&t, opts)?;
-
-    for seg in &segments {
+    for seg in &traces {
         let mut totals: Vec<(String, u64, u64)> = Vec::new();
         for span in &seg.spans {
             match totals.iter_mut().find(|row| row.0 == span.name) {
@@ -2189,6 +2144,14 @@ mod tests {
     use crate::table::dispatch;
     use btfluid_telemetry::{TraceSample, TraceSpan};
 
+    /// A run's meta record with a label and a rate mode.
+    fn meta(label: &str, aggregate: bool) -> Json {
+        Json::parse(&format!(
+            "{{\"label\":\"{label}\",\"aggregate\":{aggregate}}}"
+        ))
+        .unwrap()
+    }
+
     #[test]
     fn scheme_parsing() {
         assert_eq!(parse_scheme("mtsd").unwrap(), SchemeKind::Mtsd);
@@ -2293,9 +2256,7 @@ mod tests {
     /// a stale manifest without `--resume` is refused (exit 7).
     #[test]
     fn sweep_quarantine_repro_resume_cycle() {
-        let dir = std::env::temp_dir().join("btfluid_cli_sweep_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-sweep-test").unwrap();
         let manifest = dir.join("sweep.jsonl");
         let bundles = dir.join("bundles");
         let base = vec![
@@ -2343,16 +2304,13 @@ mod tests {
             1,
             "the finished cell must not rerun:\n{journal}"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `--inject-panic` must name a cell of the sweep; under `--resume` a
     /// cell the manifest records as done still counts.
     #[test]
     fn inject_panic_naming_no_cell_is_a_usage_error() {
-        let dir = std::env::temp_dir().join("btfluid_cli_inject_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-inject-test").unwrap();
         let manifest = dir.join("sweep.jsonl");
         let sweep = |extra: &[&str]| {
             let mut argv: Vec<String> = [
@@ -2389,7 +2347,6 @@ mod tests {
         sweep(&["--resume", "--inject-panic", "mtsd-s42@5"]).unwrap();
         let err = sweep(&["--resume", "--inject-panic", "mtsd-s99@5"]).unwrap_err();
         assert_eq!(err.code, EXIT_USAGE, "{}", err.message);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// End-to-end observability: a traced scenario line-up writes one
@@ -2397,9 +2354,7 @@ mod tests {
     /// exports the per-class trajectories.
     #[test]
     fn scenario_trace_then_inspect_roundtrip() {
-        let dir = std::env::temp_dir().join("btfluid_cli_trace_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-trace-test").unwrap();
         let trace = dir.join("out.jsonl");
         let argv = vec![
             "scenario".into(),
@@ -2455,7 +2410,36 @@ mod tests {
                 "no trajectory rows for {label}"
             );
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A trace's `profile` record, read back, renders as the very table
+    /// `btfluid profile` printed for the run.
+    #[test]
+    fn inspect_renders_a_profile_record_as_the_profile_table() {
+        let stats = |calls, self_ns, total_ns| PhaseStats {
+            calls,
+            self_ns,
+            total_ns,
+        };
+        let table = btfluid_telemetry::ProfileTable {
+            phases: vec![
+                ("heap_ops", stats(7, 1_234, 2_000)),
+                ("rate_maint", stats(0, 0, 0)),
+                ("sink_write", stats(2, 999_999, 1_000_000)),
+            ],
+            events: 7,
+            pair_overhead_ns: 40,
+        };
+        let dir = ScratchDir::new("cli-profile-record").unwrap();
+        let mut sink = TraceSink::create(&dir.join("p.jsonl")).unwrap();
+        sink.meta(&[]);
+        sink.profile(&table);
+        let body = std::fs::read_to_string(sink.finish().unwrap()).unwrap();
+        let read = &read_trace(&body).unwrap()[0].profiles[0];
+        let printed = profile_table("t".into(), &table.phases, table.events);
+        let inspected = profile_table("t".into(), &read.phases, read.events);
+        assert_eq!(printed.to_csv(), inspected.to_csv());
+        assert_eq!(read.phases.len(), table.phases.len());
     }
 
     /// `inspect` rejects non-trace input instead of mis-summarizing it.
@@ -2463,9 +2447,7 @@ mod tests {
     fn inspect_rejects_non_traces() {
         assert!(dispatch(&["inspect".into()]).is_err());
         assert!(dispatch(&["inspect".into(), "/nonexistent/trace.jsonl".into()]).is_err());
-        let dir = std::env::temp_dir().join("btfluid_cli_inspect_reject");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-inspect-reject").unwrap();
         let bogus = dir.join("bogus.jsonl");
         std::fs::write(&bogus, "{\"kind\":\"sample\",\"t\":1}\n").unwrap();
         let err = dispatch(&["inspect".into(), bogus.to_str().unwrap().to_string()]).unwrap_err();
@@ -2477,7 +2459,6 @@ mod tests {
         .unwrap();
         let err = dispatch(&["inspect".into(), bogus.to_str().unwrap().to_string()]).unwrap_err();
         assert!(err.message.contains("schema"), "{}", err.message);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The anomaly heuristics flag truncation, clock regressions, cache
@@ -2514,8 +2495,7 @@ mod tests {
             })
             .collect();
         let seg = TraceRun {
-            label: Some("X".into()),
-            aggregate: false,
+            meta: meta("X", false),
             samples: bad_samples,
             ..Default::default()
         };
@@ -2538,8 +2518,7 @@ mod tests {
             })
             .collect();
         let healthy = TraceRun {
-            label: Some("Y".into()),
-            aggregate: false,
+            meta: meta("Y", false),
             samples: healthy_samples,
             end: Some((Some(150.0), Counters::default())),
             ..Default::default()
@@ -2579,8 +2558,7 @@ mod tests {
             })
             .collect();
         let seg = TraceRun {
-            label: Some("A".into()),
-            aggregate: true,
+            meta: meta("A", true),
             samples: drifting,
             end: Some((
                 Some(150.0),
@@ -2607,8 +2585,7 @@ mod tests {
             })
             .collect();
         let healthy = TraceRun {
-            label: Some("B".into()),
-            aggregate: true,
+            meta: meta("B", true),
             samples: flat,
             end: Some((
                 Some(150.0),
@@ -2633,8 +2610,7 @@ mod tests {
             })
             .collect();
         let leaky = TraceRun {
-            label: Some("C".into()),
-            aggregate: true,
+            meta: meta("C", true),
             samples: leaking,
             end: Some((
                 Some(150.0),
@@ -2659,9 +2635,7 @@ mod tests {
     /// `inspect` can read back, and rejects the unsupported knobs.
     #[test]
     fn scenario_hybrid_smoke_and_guards() {
-        let dir = std::env::temp_dir().join("btfluid_cli_hybrid_smoke");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-hybrid-smoke").unwrap();
         let trace = dir.join("hybrid.jsonl");
         let argv = vec![
             "scenario".into(),
@@ -2699,7 +2673,6 @@ mod tests {
         assert!(dispatch(&base(&["--scheme", "mtsd", "--checked"])).is_err());
         let err = dispatch(&base(&["--scheme", "mtsd", "--hybrid-tol", "3"])).unwrap_err();
         assert_eq!(err.code, EXIT_CONFIG, "{}", err.message);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The thrash heuristic flags a burst of regime switches measured
@@ -2713,8 +2686,7 @@ mod tests {
             t: Some(t),
         };
         let segment = |spans: Vec<TraceSpan>| TraceRun {
-            label: Some("H".into()),
-            aggregate: true,
+            meta: meta("H", true),
             spans,
             end: Some((Some(2000.0), Counters::default())),
             ..Default::default()
@@ -2748,9 +2720,7 @@ mod tests {
     /// Result-writing commands refuse to clobber without `--force`.
     #[test]
     fn clobber_needs_force() {
-        let dir = std::env::temp_dir().join("btfluid_cli_clobber_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-clobber-test").unwrap();
         let path = dir.join("fig2.csv");
         std::fs::write(&path, "old").unwrap();
         let argv = vec![
@@ -2768,13 +2738,11 @@ mod tests {
         forced.push("--force".into());
         dispatch(&forced).unwrap();
         assert!(std::fs::read_to_string(&path).unwrap().starts_with("p,"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn out_file_written() {
-        let dir = std::env::temp_dir().join("btfluid_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-test").unwrap();
         let path = dir.join("fig2.csv");
         let argv = vec![
             "fig2".into(),
@@ -2786,6 +2754,5 @@ mod tests {
         dispatch(&argv).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with("p,MTCD,MTSD"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -124,14 +124,16 @@ pub static COMMANDS: &[Command] = &[
                failing checkpoint write is retried, then checkpointing stops and the\n\
                run goes on. --trace streams a btfluid-trace v1 JSONL sampled\n\
                every --sample-every (default 5) for 'btfluid inspect'; --flightrec\n\
-               dumps the last --flightrec-cap (default 256) engine happenings.",
+               dumps the last --flightrec-cap (default 256) engine happenings as a\n\
+               btfluid-trace v1 run of flight records, also read by 'btfluid inspect'.",
     },
     Command {
         name: "inspect", arg: Arg::Named("TRACE"), run: cmd_inspect,
         flags: &[text("csv-out", "FILE"), CSV, OUT, FORCE],
         help: "summarize a telemetry trace or a flight-recorder dump\n\
-               counters, anomaly flags, per-class trajectories (--csv-out); for a\n\
-               flight dump, its event mix and staleness against the failure time",
+               (both btfluid-trace v1): counters, anomaly flags, profile tables,\n\
+               per-class trajectories (--csv-out); for a flight dump, its record and\n\
+               event mix and staleness against the failure time",
     },
     Command {
         name: "profile", arg: Arg::None, run: cmd_profile,

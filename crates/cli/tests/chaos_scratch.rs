@@ -7,15 +7,12 @@ const BIN: &str = env!("CARGO_BIN_EXE_btfluid");
 
 #[test]
 fn chaos_removes_its_scratch_directory() {
-    let tmp =
-        std::env::temp_dir().join(format!("btfluid_chaos_scratch_test_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    std::fs::create_dir_all(&tmp).unwrap();
+    let tmp = btfluid_telemetry::ScratchDir::new("chaos-scratch-test").unwrap();
     let bundles = tmp.join("bundles");
     let out = Command::new(BIN)
         .args(["chaos", "--cells", "2", "--seed", "2006", "--bundles"])
         .arg(&bundles)
-        .env("TMPDIR", &tmp)
+        .env("TMPDIR", &*tmp)
         .output()
         .expect("spawn btfluid");
     assert_eq!(
@@ -25,11 +22,10 @@ fn chaos_removes_its_scratch_directory() {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-    let left: Vec<String> = std::fs::read_dir(&tmp)
+    let left: Vec<String> = std::fs::read_dir(&*tmp)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .filter(|name| name.starts_with("btfluid-chaos-"))
         .collect();
     assert!(left.is_empty(), "left behind in TMPDIR: {left:?}");
-    std::fs::remove_dir_all(&tmp).unwrap();
 }

@@ -1,12 +1,15 @@
 //! Flight-recorder contracts against the real `btfluid` binary. The dump
 //! a resumed run writes must carry the same record tail as an
-//! uninterrupted twin, and a hybrid run's dump records its checkpoints. The ring only keeps the last `capacity`
-//! records, and engine replay after resume is bit-identical, so once the
-//! post-resume leg has produced at least `capacity` records the two rings
-//! hold byte-identical windows — only the meta line (totals and drop
-//! counts, which are per-process) may differ.
+//! uninterrupted twin, a hybrid run's dump records its checkpoints, and
+//! `inspect` reads a dump as the btfluid-trace run it is. The ring only
+//! keeps the last `capacity` records, and engine replay after resume is
+//! bit-identical, so once the post-resume leg has produced at least
+//! `capacity` records the two rings hold byte-identical windows — only
+//! the meta line (totals and drop counts, which are per-process) may
+//! differ.
 
-use std::path::{Path, PathBuf};
+use btfluid_telemetry::ScratchDir;
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -36,14 +39,7 @@ fn scenario_args(records: &Path, flightrec: &Path) -> Vec<String> {
     .collect()
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Splits a flightrec dump into its meta line and record lines.
+/// Splits a flight dump into its meta line and record lines.
 fn split_dump(path: &Path) -> (String, Vec<String>) {
     let body = std::fs::read_to_string(path).expect("read flightrec dump");
     let mut lines = body.lines().map(str::to_string);
@@ -53,7 +49,7 @@ fn split_dump(path: &Path) -> (String, Vec<String>) {
 
 #[test]
 fn resumed_run_dumps_the_same_flight_tail() {
-    let dir = fresh_dir("btfluid_flightrec_tail_test");
+    let dir = ScratchDir::new("flightrec-tail").unwrap();
     let straight = dir.join("straight.csv");
     let straight_fr = dir.join("straight.flightrec.jsonl");
     let resumed = dir.join("resumed.csv");
@@ -142,8 +138,9 @@ fn resumed_run_dumps_the_same_flight_tail() {
     let (resumed_meta, resumed_records) = split_dump(&resumed_fr);
     for meta in [&straight_meta, &resumed_meta] {
         assert!(
-            meta.contains("\"schema\":\"flightrec\"") && meta.contains("\"version\":1"),
-            "meta line is not a flightrec v1 header: {meta}"
+            meta.starts_with("{\"schema\":\"btfluid-trace\",\"version\":1,\"kind\":\"meta\"")
+                && meta.contains(&format!("\"capacity\":{CAP}")),
+            "meta line is not a btfluid-trace v1 flight-dump header: {meta}"
         );
     }
     // The post-resume leg of flash_crowd produces far more than `CAP`
@@ -161,14 +158,13 @@ fn resumed_run_dumps_the_same_flight_tail() {
         straight_records.first(),
         resumed_records.first()
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Hybrid checkpoints land in the flight ring like DES ones, so
 /// `inspect` on a hybrid dump reports the last checkpoint.
 #[test]
 fn hybrid_dump_records_its_checkpoints() {
-    let dir = fresh_dir("btfluid_flightrec_hybrid_test");
+    let dir = ScratchDir::new("flightrec-hybrid").unwrap();
     let dump = dir.join("hybrid.flightrec.jsonl");
     let status = Command::new(BIN)
         .args(["scenario", "flash_crowd", "--hybrid", "--scheme", "mtsd"])
@@ -199,5 +195,54 @@ fn hybrid_dump_records_its_checkpoints() {
         text.contains("last checkpoint: t = "),
         "inspect output:\n{text}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `inspect` reads a DES dump through the one trace reader: it prints the
+/// record mix and finds nothing wrong (a ring has no end record by
+/// design, so it is not "truncated"). A dump in the retired `flightrec`
+/// schema is refused, naming that schema.
+#[test]
+fn inspect_reads_a_des_dump_and_refuses_the_retired_schema() {
+    let dir = ScratchDir::new("flightrec-inspect").unwrap();
+    let dump = dir.join("des.flightrec.jsonl");
+    let status = Command::new(BIN)
+        .args(["scenario", "flash_crowd", "--smoke", "--scheme", "mtcd"])
+        .args(["--seed", "1", "--csv", "--flightrec"])
+        .arg(&dump)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn DES run");
+    assert!(status.success(), "DES run failed: {status}");
+    let out = Command::new(BIN)
+        .arg("inspect")
+        .arg(&dump)
+        .output()
+        .expect("spawn inspect");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "inspect failed: {}", out.status);
+    assert!(
+        stdout.contains("flight recording") && stdout.contains("pop"),
+        "no record mix:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("no anomalies detected") && !stdout.contains("anomaly:"),
+        "inspect output:\n{stdout}"
+    );
+
+    let old = dir.join("old.flightrec.jsonl");
+    std::fs::write(
+        &old,
+        "{\"schema\":\"flightrec\",\"version\":1,\"capacity\":4,\"total\":1,\"dropped\":0}\n\
+         {\"k\":\"pop\",\"t\":1.5,\"ev\":1,\"a\":1,\"b\":0}\n",
+    )
+    .unwrap();
+    let out = Command::new(BIN)
+        .arg("inspect")
+        .arg(&old)
+        .output()
+        .expect("spawn inspect");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a flightrec v1 dump was accepted");
+    assert!(stderr.contains("'flightrec'"), "stderr:\n{stderr}");
 }

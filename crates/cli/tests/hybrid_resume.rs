@@ -5,7 +5,8 @@
 //! formatting, so byte equality is bit equality), and a run whose
 //! checkpoints cannot be written must still finish with those means.
 
-use std::path::{Path, PathBuf};
+use btfluid_telemetry::ScratchDir;
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -30,16 +31,9 @@ fn hybrid_args(out: &Path) -> Vec<String> {
     .collect()
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn sigkill_then_resume_is_bit_identical() {
-    let dir = fresh_dir("btfluid_hybrid_kill_resume_test");
+    let dir = ScratchDir::new("hybrid-kill-resume").unwrap();
     let straight = dir.join("straight.csv");
     let resumed = dir.join("resumed.csv");
     let checkpoint = dir.join("cp.hsnap");
@@ -121,14 +115,13 @@ fn sigkill_then_resume_is_bit_identical() {
         "resumed hybrid means diverged from the uninterrupted run \
          (killed mid-run: {killed})"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A corrupt hybrid checkpoint must die with the documented snapshot
 /// exit code (5), not a generic failure.
 #[test]
 fn corrupt_hybrid_checkpoint_exits_with_snapshot_code() {
-    let dir = fresh_dir("btfluid_hybrid_corrupt_cp_test");
+    let dir = ScratchDir::new("hybrid-corrupt-cp").unwrap();
     let checkpoint = dir.join("cp.hsnap");
     std::fs::write(&checkpoint, b"BTFSgarbage").unwrap();
     let out = dir.join("means.csv");
@@ -154,7 +147,6 @@ fn corrupt_hybrid_checkpoint_exits_with_snapshot_code() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `scenario flash_crowd --hybrid --scheme mtsd --seed 9` writing its
@@ -175,7 +167,7 @@ fn plain_hybrid(out: &Path, extra: &[&str]) -> std::process::Output {
 /// checkpointed.
 #[test]
 fn unwritable_checkpoint_degrades_to_the_same_means() {
-    let dir = fresh_dir("btfluid_hybrid_unwritable_cp_test");
+    let dir = ScratchDir::new("hybrid-unwritable-cp").unwrap();
     let straight = dir.join("straight.csv");
     let degraded = dir.join("degraded.csv");
     let checkpoint = dir.join("missing").join("cp.hsnap");
@@ -197,14 +189,13 @@ fn unwritable_checkpoint_degrades_to_the_same_means() {
         std::fs::read(&straight).unwrap() == std::fs::read(&degraded).unwrap(),
         "a failed checkpoint write changed the hybrid means"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A zero checkpoint interval is a configuration error (exit 2) in
 /// hybrid and DES mode alike.
 #[test]
 fn zero_checkpoint_interval_exits_with_config_code() {
-    let dir = fresh_dir("btfluid_zero_interval_test");
+    let dir = ScratchDir::new("zero-interval").unwrap();
     let cp = dir.join("cp.snap");
     let zero = [
         "--checkpoint",
@@ -227,5 +218,4 @@ fn zero_checkpoint_interval_exits_with_config_code() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,8 @@
 //! a run SIGKILLed mid-flight and resumed from its checkpoint must emit a
 //! record stream byte-identical to an uninterrupted run.
 
-use std::path::{Path, PathBuf};
+use btfluid_telemetry::ScratchDir;
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -25,16 +26,9 @@ fn scenario_args(records: &Path) -> Vec<String> {
     .collect()
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn sigkill_then_resume_is_bit_identical() {
-    let dir = fresh_dir("btfluid_kill_resume_test");
+    let dir = ScratchDir::new("kill-resume").unwrap();
     let straight = dir.join("straight.csv");
     let resumed = dir.join("resumed.csv");
     let checkpoint = dir.join("cp.snap");
@@ -118,14 +112,13 @@ fn sigkill_then_resume_is_bit_identical() {
         "resumed record stream diverged from the uninterrupted run \
          (killed mid-run: {killed})"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Exit codes are part of the CLI contract: a corrupt checkpoint must die
 /// with the documented snapshot code, not a generic failure.
 #[test]
 fn corrupt_checkpoint_exits_with_snapshot_code() {
-    let dir = fresh_dir("btfluid_corrupt_cp_test");
+    let dir = ScratchDir::new("corrupt-cp").unwrap();
     let checkpoint = dir.join("cp.snap");
     std::fs::write(&checkpoint, b"BTFSgarbage").unwrap();
     let records = dir.join("records.csv");
@@ -151,5 +144,4 @@ fn corrupt_checkpoint_exits_with_snapshot_code() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

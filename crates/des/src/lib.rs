@@ -83,7 +83,6 @@ pub use snapshot::{Snapshot, SnapshotError};
 // Observability surface, re-exported so downstream crates can attach
 // probes without depending on `btfluid-telemetry` directly.
 pub use btfluid_telemetry::{
-    shared_recorder, Counters, FanoutProbe, FlightKind, FlightRecord, FlightRecorder, MemoryProbe,
-    NoopProbe, OwnedSample, Probe, ProfileTable, Profiler, RecorderProbe, Sample, SharedRecorder,
-    SinkProbe, TraceSink,
+    shared_recorder, Counters, FlightKind, FlightRecord, FlightRecorder, MemoryProbe, NoopProbe,
+    OwnedSample, Probe, ProfileTable, Profiler, Sample, SharedRecorder, TelemetryProbe, TraceSink,
 };

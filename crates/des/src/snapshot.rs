@@ -1105,6 +1105,7 @@ mod tests {
     use crate::config::DesConfig;
     use crate::engine::Simulation;
     use crate::DesError;
+    use btfluid_telemetry::ScratchDir;
 
     fn cfg() -> DesConfig {
         let mut cfg = DesConfig::paper_small(SchemeKind::Mtsd, 0.5, 7).unwrap();
@@ -1403,14 +1404,12 @@ mod tests {
     #[test]
     fn atomic_file_roundtrip() {
         let snap = mid_run_snapshot();
-        let dir = std::env::temp_dir().join(format!("btfs-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("snap-test").unwrap();
         let path = dir.join("ckpt.snap");
         snap.write_file(&path).unwrap();
         // The temp file must not linger after the rename.
         assert!(!dir.join("ckpt.snap.tmp").exists());
         let back = Snapshot::read_file(&path).unwrap();
         assert_eq!(snap.to_bytes(), back.to_bytes());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,6 +15,7 @@ use btfluid_des::engine::Simulation;
 use btfluid_des::observer::SimOutcome;
 use btfluid_des::snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
 use btfluid_des::DesError;
+use btfluid_telemetry::ScratchDir;
 use proptest::prelude::*;
 
 /// The seven engine configurations the contract must hold for (5 and 6
@@ -165,8 +166,7 @@ fn resume_from_disk_file() {
     for _ in 0..200 {
         assert!(sim.step().unwrap());
     }
-    let dir = std::env::temp_dir().join(format!("btfs-resume-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("resume-test").unwrap();
     let path = dir.join("mid.snap");
     sim.snapshot().write_file(&path).unwrap();
     drop(sim);
@@ -175,7 +175,6 @@ fn resume_from_disk_file() {
     let mut resumed = Simulation::restore(cfg, &snap).unwrap();
     while resumed.step().unwrap() {}
     assert_bit_identical(&straight, &resumed.finish());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -210,8 +209,7 @@ fn aggregate_snapshot_resumes_from_disk() {
         assert!(sim.step().unwrap());
     }
     let bytes = sim.snapshot().to_bytes();
-    let dir = std::env::temp_dir().join(format!("btfs-agg-resume-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("agg-resume").unwrap();
     let path = dir.join("mid.snap");
     Snapshot::write_file_bytes(&path, &bytes).unwrap();
     drop(sim);
@@ -220,7 +218,6 @@ fn aggregate_snapshot_resumes_from_disk() {
     let mut resumed = Simulation::restore(cfg, &snap).unwrap();
     while resumed.step().unwrap() {}
     assert_bit_identical(&straight, &resumed.finish());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

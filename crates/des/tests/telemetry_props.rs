@@ -17,9 +17,10 @@ use btfluid_des::engine::Simulation;
 use btfluid_des::observer::SimOutcome;
 use btfluid_des::snapshot::Snapshot;
 use btfluid_des::{
-    shared_recorder, Counters, FanoutProbe, FlightKind, FlightRecord, FlightRecorder, MemoryProbe,
-    OwnedSample, Probe, RecorderProbe,
+    shared_recorder, Counters, FlightKind, FlightRecord, FlightRecorder, MemoryProbe, OwnedSample,
+    Probe, TelemetryProbe, TraceSink,
 };
+use btfluid_telemetry::{read_trace, ScratchDir};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -124,9 +125,9 @@ fn deterministic_view(s: &OwnedSample) -> OwnedSample {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Attaching a sampling probe — with the flight recorder armed — never
-    /// changes the run, in the incremental, forced-full-recompute, and
-    /// aggregate modes alike.
+    /// Attaching a telemetry probe — sampling into a trace sink, with the
+    /// flight recorder armed — never changes the run, in the incremental,
+    /// forced-full-recompute, and aggregate modes alike.
     #[test]
     fn telemetry_never_perturbs_the_run(
         variant in 0usize..5,
@@ -137,22 +138,27 @@ proptest! {
         prop_assume!(!(mode == 2 && variant == 4));
         let cfg = variant_cfg(variant, seed);
         let bare = engine(cfg.clone(), mode).run();
-        let (shared, probe) = memory_probe(7.5);
+        let dir = ScratchDir::new("telemetry-props").unwrap();
+        let mut sink = TraceSink::create(&dir.join("probed.jsonl")).unwrap();
+        sink.meta(&[]);
+        let sink = sink.shared();
         let flight = shared_recorder(64);
         let probed = engine(cfg, mode)
-            .with_probe(Box::new(FanoutProbe::new(vec![
-                probe,
-                Box::new(RecorderProbe::new(Arc::clone(&flight))),
-            ])))
+            .with_probe(Box::new(TelemetryProbe {
+                sink: Some((Arc::clone(&sink), 7.5)),
+                flight: Some(Arc::clone(&flight)),
+            }))
             .run();
         assert_bit_identical(&bare, &probed);
 
-        let mem = shared.lock().unwrap();
-        prop_assert!(!mem.samples.is_empty(), "sampler never fired");
-        let c = mem.finished.expect("on_finish not called");
+        let path = sink.lock().unwrap().finish().unwrap();
+        let runs = read_trace(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let [run] = runs.as_slice() else { panic!("one run, read {}", runs.len()) };
+        prop_assert!(!run.samples.is_empty(), "sampler never fired");
+        let (_, c) = run.end.expect("on_finish not called");
         prop_assert!(c.events_popped > 0);
         // Samples carry a monotone clock and monotone counters.
-        for w in mem.samples.windows(2) {
+        for w in run.samples.windows(2) {
             prop_assert!(w[1].t >= w[0].t);
             prop_assert!(w[1].events >= w[0].events);
             prop_assert!(w[1].counters.events_popped >= w[0].counters.events_popped);
@@ -204,10 +210,25 @@ proptest! {
             prop_assert_eq!(got.events, want.events);
             prop_assert_eq!(got.t.to_bits(), want.t.to_bits());
         }
-        // The dump round-trips the same window: one meta line plus one
-        // line per retained record.
-        let dump = ring.dump_string(None);
+        // The dump round-trips the same window through the trace reader:
+        // one meta line plus one line per retained record, the totals
+        // reconcile, and `failure_t` is there exactly when it was given.
+        let failure_t = (n % 2 == 1).then_some(n as f64);
+        let dump = ring.dump_string(failure_t);
         prop_assert_eq!(dump.lines().count(), 1 + ring.len());
+        let runs = read_trace(&dump).unwrap();
+        let [run] = runs.as_slice() else { panic!("one run, read {}", runs.len()) };
+        let (total, dropped) = (run.meta.u64_at("total"), run.meta.u64_at("dropped"));
+        prop_assert_eq!(total, n as u64);
+        prop_assert_eq!(total, run.flights.len() as u64 + dropped);
+        prop_assert_eq!(run.meta.u64_at("capacity"), capacity as u64);
+        prop_assert_eq!(run.meta.f64_at("failure_t"), failure_t);
+        prop_assert_eq!(run.flights.len(), expect.len());
+        for (got, want) in run.flights.iter().zip(expect) {
+            prop_assert_eq!(got.kind.as_str(), want.kind.name());
+            prop_assert_eq!(got.t, Some(want.t));
+            prop_assert_eq!((got.events, got.a, got.b), (want.events, want.a, want.b));
+        }
     }
 }
 

@@ -124,7 +124,7 @@ pub struct ReproBundle {
     pub inject_panic_at: Option<u64>,
     /// Raw bytes of the last checkpoint taken before the failure.
     pub checkpoint: Option<Vec<u8>>,
-    /// The cell's `flightrec v1` dump (JSONL text): the last-N engine
+    /// The cell's flight dump (a btfluid-trace run): the last-N engine
     /// happenings before the failure, captured by the supervisor's
     /// always-on flight recorder.
     pub flight: Option<String>,
@@ -420,6 +420,7 @@ pub fn config_from_json(doc: &Json) -> Result<DesConfig, HarnessError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btfluid_telemetry::ScratchDir;
 
     fn sample_cfg() -> DesConfig {
         DesConfig {
@@ -477,7 +478,7 @@ mod tests {
 
     #[test]
     fn bundle_roundtrips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("btfs-bundle-{}", std::process::id()));
+        let dir = ScratchDir::new("bundle").unwrap();
         let bundle = ReproBundle {
             cell_id: "cmfsd:0.3-s42".into(),
             reason: "injected panic at event 50".into(),
@@ -486,8 +487,9 @@ mod tests {
             inject_panic_at: Some(50),
             checkpoint: Some(vec![1, 2, 3, 4]),
             flight: Some(
-                "{\"schema\":\"flightrec\",\"version\":1,\"capacity\":4,\"total\":1,\"dropped\":0}\n\
-                 {\"k\":\"pop\",\"t\":1.5,\"ev\":1,\"a\":1,\"b\":0}\n"
+                "{\"schema\":\"btfluid-trace\",\"version\":1,\"kind\":\"meta\",\"capacity\":4,\
+                 \"total\":1,\"dropped\":0}\n\
+                 {\"kind\":\"flight\",\"k\":\"pop\",\"t\":1.5,\"ev\":1,\"a\":1,\"b\":0}\n"
                     .into(),
             ),
         };
@@ -514,7 +516,6 @@ mod tests {
         let reread = ReproBundle::read(&dir).unwrap();
         assert_eq!(reread.checkpoint, None);
         assert_eq!(reread.flight, None);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -527,8 +528,7 @@ mod tests {
     fn trace_ref_roundtrips_and_builds_a_replay_hook() {
         use btfluid_numkit::rng::Xoshiro256StarStar;
         use btfluid_workload::{ArrivalTrace, CorrelationModel};
-        let dir = std::env::temp_dir().join(format!("btfs-traceref-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("traceref").unwrap();
         let path = dir.join("workload.csv");
         let model = CorrelationModel::new(5, 0.5, 0.5).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
@@ -557,18 +557,15 @@ mod tests {
             bundle.scenario.clone().unwrap().build_hook(),
             Err(HarnessError::Bundle(_))
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn bad_version_is_refused() {
-        let dir = std::env::temp_dir().join(format!("btfs-bundle-v-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("bundle-v").unwrap();
         std::fs::write(dir.join("repro.json"), "{\"version\":99}").unwrap();
         assert!(matches!(
             ReproBundle::read(&dir),
             Err(HarnessError::Bundle(_))
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -552,6 +552,7 @@ pub fn drive<E: Engine>(
 mod tests {
     use super::*;
     use btfluid_des::SchemeKind;
+    use btfluid_telemetry::ScratchDir;
 
     fn cfg(seed: u64) -> DesConfig {
         let mut cfg = DesConfig::paper_small(SchemeKind::Mtcd, 0.5, seed).unwrap();
@@ -563,12 +564,6 @@ mod tests {
 
     fn sim(seed: u64) -> Simulation {
         Simulation::new(cfg(seed)).unwrap()
-    }
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("btfs-driver-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
     }
 
     fn plan(path: Option<PathBuf>, every_events: u64) -> CheckpointPlan {
@@ -594,7 +589,8 @@ mod tests {
     fn budget_stop_then_resume_is_bit_identical() {
         let straight = sim(5).run();
 
-        let path = tmp("budget.snap");
+        let dir = ScratchDir::new("driver").unwrap();
+        let path = dir.join("budget.snap");
         let _ = std::fs::remove_file(&path);
         let plan = plan(Some(path.clone()), 64);
         let limits = RunLimits {
@@ -623,7 +619,8 @@ mod tests {
         // continue bit-identically from the committed checkpoint.
         let straight = sim(11).run();
 
-        let path = tmp("stale-tmp.snap");
+        let dir = ScratchDir::new("driver").unwrap();
+        let path = dir.join("stale-tmp.snap");
         let _ = std::fs::remove_file(&path);
         let plan = plan(Some(path.clone()), 64);
         let limits = RunLimits {
@@ -711,7 +708,8 @@ mod tests {
         use btfluid_des::MemoryProbe;
         use std::sync::{Arc, Mutex};
 
-        let path = tmp("probed.snap");
+        let dir = ScratchDir::new("driver").unwrap();
+        let path = dir.join("probed.snap");
         let _ = std::fs::remove_file(&path);
         let shared = Arc::new(Mutex::new(MemoryProbe::new(10.0)));
         let mut engine = sim(11);

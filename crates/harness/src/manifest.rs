@@ -245,12 +245,7 @@ impl ManifestWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("btfs-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
+    use btfluid_telemetry::ScratchDir;
 
     fn rec(id: &str, status: CellStatus) -> CellRecord {
         CellRecord {
@@ -270,7 +265,8 @@ mod tests {
 
     #[test]
     fn telemetry_fields_roundtrip_and_stay_optional() {
-        let path = tmp("telemetry.jsonl");
+        let dir = ScratchDir::new("manifest").unwrap();
+        let path = dir.join("telemetry.jsonl");
         let _ = std::fs::remove_file(&path);
         let mut w = ManifestWriter::open(&path).unwrap();
         w.append(&rec("a", CellStatus::Done)).unwrap();
@@ -292,7 +288,8 @@ mod tests {
 
     #[test]
     fn roundtrip_and_skip_set() {
-        let path = tmp("roundtrip.jsonl");
+        let dir = ScratchDir::new("manifest").unwrap();
+        let path = dir.join("roundtrip.jsonl");
         let _ = std::fs::remove_file(&path);
         let mut w = ManifestWriter::open(&path).unwrap();
         w.append(&rec("a", CellStatus::Done)).unwrap();
@@ -317,7 +314,8 @@ mod tests {
 
     #[test]
     fn torn_final_line_is_dropped() {
-        let path = tmp("torn.jsonl");
+        let dir = ScratchDir::new("manifest").unwrap();
+        let path = dir.join("torn.jsonl");
         let mut w = ManifestWriter::open(&path).unwrap();
         w.append(&rec("a", CellStatus::Done)).unwrap();
         drop(w);
@@ -335,7 +333,8 @@ mod tests {
         // A torn append can persist any prefix of the line — including one
         // that ends in a newline. The final line must be skipped with a
         // warning, not fail the whole sweep resume.
-        let path = tmp("torn-newline.jsonl");
+        let dir = ScratchDir::new("manifest").unwrap();
+        let path = dir.join("torn-newline.jsonl");
         let _ = std::fs::remove_file(&path);
         let mut w = ManifestWriter::open(&path).unwrap();
         w.append(&rec("a", CellStatus::Done)).unwrap();
@@ -354,16 +353,17 @@ mod tests {
         // Corruption before the final line is not a torn append — the
         // journal is damaged and resuming over it silently would lose
         // cells.
-        let path = tmp("bad.jsonl");
+        let dir = ScratchDir::new("manifest").unwrap();
+        let path = dir.join("bad.jsonl");
         let mut text = String::from("{\"id\":\"a\"}\n");
-        let mut w = ManifestWriter::open(&tmp("bad-donor.jsonl")).unwrap();
+        let mut w = ManifestWriter::open(&dir.join("bad-donor.jsonl")).unwrap();
         w.append(&rec("b", CellStatus::Done)).unwrap();
         drop(w);
-        text.push_str(&std::fs::read_to_string(tmp("bad-donor.jsonl")).unwrap());
+        text.push_str(&std::fs::read_to_string(dir.join("bad-donor.jsonl")).unwrap());
         std::fs::write(&path, text).unwrap();
         assert!(matches!(load(&path), Err(HarnessError::Manifest { .. })));
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(tmp("bad-donor.jsonl")).unwrap();
+        std::fs::remove_file(dir.join("bad-donor.jsonl")).unwrap();
     }
 
     #[test]
@@ -371,7 +371,8 @@ mod tests {
         // Appending after a torn tail must not weld the new record onto
         // the garbage — open() repairs the file back to its last complete
         // line first.
-        let path = tmp("reopen-torn.jsonl");
+        let dir = ScratchDir::new("manifest").unwrap();
+        let path = dir.join("reopen-torn.jsonl");
         let _ = std::fs::remove_file(&path);
         let mut w = ManifestWriter::open(&path).unwrap();
         w.append(&rec("a", CellStatus::Done)).unwrap();

@@ -26,7 +26,7 @@ use crate::error::HarnessError;
 use crate::manifest::{self, CellRecord, CellStatus, ManifestWriter};
 use btfluid_des::{Counters, DesConfig, SimOutcome, Simulation, Snapshot};
 use btfluid_telemetry::{
-    diag, shared_recorder, Level, RecorderProbe, SharedRecorder, DEFAULT_FLIGHT_CAPACITY,
+    diag, shared_recorder, Level, SharedRecorder, TelemetryProbe, DEFAULT_FLIGHT_CAPACITY,
 };
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -414,7 +414,10 @@ fn run_attempt(
         let cell = cell.clone();
         let cancel = Arc::clone(&cancel);
         let last_snap = Arc::clone(last_snap);
-        let flight = Arc::clone(flight);
+        let probe = TelemetryProbe {
+            flight: Some(Arc::clone(flight)),
+            sink: None,
+        };
         let plan = CheckpointPlan {
             path: None,
             every_events: sup.checkpoint_every,
@@ -433,7 +436,7 @@ fn run_attempt(
                     .map(ScenarioRef::build_hook)
                     .transpose()?;
                 let mut sim = des_engine(cell.cfg.clone(), hook, None)?;
-                sim.attach_probe(Box::new(RecorderProbe::new(Arc::clone(&flight))));
+                sim.attach_probe(Box::new(probe));
                 drive(
                     sim,
                     Some(&plan),
@@ -540,6 +543,7 @@ pub fn bundle_path(bundle_dir: &Path, cell_id: &str) -> PathBuf {
 mod tests {
     use super::*;
     use btfluid_des::SchemeKind;
+    use btfluid_telemetry::ScratchDir;
 
     fn small_cfg(seed: u64) -> DesConfig {
         let mut cfg = DesConfig::paper_small(SchemeKind::Mtcd, 0.5, seed).unwrap();
@@ -571,12 +575,8 @@ mod tests {
         }
     }
 
-    fn fresh_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("btfs-supervisor-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn fresh_dir(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("supervisor-{name}")).unwrap()
     }
 
     #[test]
@@ -612,7 +612,6 @@ mod tests {
         assert_eq!(report.completed.len(), 1);
         assert_eq!(report.completed[0].id, "boom");
         assert!(report.all_done());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -626,7 +625,6 @@ mod tests {
         let snap_bytes = bundle.checkpoint.expect("cadence 10 < panic at 60");
         let snap = btfluid_des::Snapshot::from_bytes(&snap_bytes).unwrap();
         assert!(snap.events() <= 60, "snapshot predates the injected panic");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -639,7 +637,6 @@ mod tests {
         let journal = manifest::load(&config.manifest).unwrap();
         assert_eq!(journal[0].attempts, 3);
         assert_eq!(journal[0].status, CellStatus::Failed);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -652,7 +649,6 @@ mod tests {
         let fail = &report.failed[0];
         assert_eq!(fail.attempts, 1, "budget exhaustion must not retry");
         assert!(fail.reason.contains("event budget"), "{}", fail.reason);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -664,7 +660,6 @@ mod tests {
             run_sweep(&sup(&dir, false), vec![cell("a", 1, None)]),
             Err(HarnessError::Config(_))
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -676,7 +671,6 @@ mod tests {
         let report = run_sweep(&sup(&dir, false), vec![long, cell("short", 2, None)]).unwrap();
         let ids: Vec<&str> = report.completed.iter().map(|c| c.id.as_str()).collect();
         assert_eq!(ids, ["long", "short"]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -780,6 +774,5 @@ mod tests {
             ),
             Err(HarnessError::Config(_))
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

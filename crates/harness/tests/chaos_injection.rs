@@ -10,6 +10,7 @@ use btfluid_harness::{
 };
 use btfluid_hybrid::{amplified_flash_crowd, HybridConfig, HybridOutcome, HybridRunner, Regime};
 use btfluid_telemetry::faults::{self, FaultKind, FaultRule, FaultScript, FaultSite};
+use btfluid_telemetry::ScratchDir;
 use std::path::{Path, PathBuf};
 
 fn cfg(seed: u64) -> DesConfig {
@@ -28,12 +29,6 @@ fn hybrid_cfg(seed: u64) -> HybridConfig {
         tol: 0.1,
         aggregate: true,
     }
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("btfs-chaos-inj-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 fn rule(site: FaultSite, kind: FaultKind, from_op: u64, count: u64) -> FaultRule {
@@ -126,7 +121,8 @@ fn injected_faults_degrade_gracefully_and_never_change_results() {
     // (disable checkpointing, count failures in its report) and still
     // finish with results bit-identical to an uninterrupted run.
     for engine in ENGINES {
-        let path = tmp(&format!("degrade-{engine:?}.snap"));
+        let dir = ScratchDir::new("chaos-inj").unwrap();
+        let path = dir.join(format!("degrade-{engine:?}.snap"));
         let report = armed(
             vec![rule(
                 FaultSite::CheckpointWrite,
@@ -159,7 +155,8 @@ fn transient_eio_is_absorbed_by_retries() {
     // it inside one cycle — no recorded failures, no degradation,
     // checkpoints written as normal.
     for engine in ENGINES {
-        let path = tmp(&format!("transient-{engine:?}.snap"));
+        let dir = ScratchDir::new("chaos-inj").unwrap();
+        let path = dir.join(format!("transient-{engine:?}.snap"));
         let report = armed(
             vec![rule(FaultSite::CheckpointWrite, FaultKind::Eio, 0, 2)],
             || drive_checkpointed(engine, 22, &path),
@@ -181,7 +178,8 @@ fn rename_failure_degrades_and_cleans_the_temp_file() {
     // Behaves like a write failure: the temp file is cleaned up and the
     // committed checkpoint (if any) is untouched.
     for engine in ENGINES {
-        let path = tmp(&format!("rename-{engine:?}.snap"));
+        let dir = ScratchDir::new("chaos-inj").unwrap();
+        let path = dir.join(format!("rename-{engine:?}.snap"));
         let report = armed(
             vec![rule(
                 FaultSite::CheckpointRename,
@@ -208,7 +206,8 @@ fn rename_failure_degrades_and_cleans_the_temp_file() {
 fn torn_manifest_line_is_skipped_and_repaired() {
     // A short write creates a real torn line; load tolerates it and
     // reopening repairs the tail before appending.
-    let journal = tmp("torn-manifest.jsonl");
+    let dir = ScratchDir::new("chaos-inj").unwrap();
+    let journal = dir.join("torn-manifest.jsonl");
     let _ = std::fs::remove_file(&journal);
     let record = CellRecord {
         id: "cell-a".into(),
@@ -253,7 +252,8 @@ fn torn_manifest_line_is_skipped_and_repaired() {
 
 #[test]
 fn bundle_enospc_is_a_typed_io_error() {
-    let dir = tmp("bundle-enospc");
+    let scratch = ScratchDir::new("chaos-inj").unwrap();
+    let dir = scratch.join("bundle-enospc");
     let bundle = ReproBundle {
         cell_id: "cell-x".into(),
         reason: "test".into(),
@@ -274,7 +274,8 @@ fn bundle_enospc_is_a_typed_io_error() {
 fn corrupt_write_commits_poisoned_bytes_silently() {
     // atomic_write + CorruptWrite commits silently-poisoned bytes (no
     // error): the lying-disk case only read-time checksums catch.
-    let path = tmp("corrupt.bin");
+    let dir = ScratchDir::new("chaos-inj").unwrap();
+    let path = dir.join("corrupt.bin");
     armed(
         vec![rule(
             FaultSite::CheckpointWrite,

@@ -2,20 +2,18 @@
 //! be a valid JSON document per line (non-finite encodes as `null`), and
 //! the downgrade counter must record each one.
 
-use btfluid_telemetry::{read_trace, Counters, MetaField, Sample, TraceSink};
+use btfluid_telemetry::{read_trace, Counters, Json, Sample, ScratchDir, TraceSink};
 
 #[test]
 fn trace_with_non_finite_sample_round_trips_as_valid_json() {
-    let dir = std::env::temp_dir().join("btfluid_trace_nan_roundtrip");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("trace-nan-roundtrip").unwrap();
     let path = dir.join("t.jsonl");
 
     let before = btfluid_telemetry::non_finite_null_count();
     let mut sink = TraceSink::create(&path).unwrap();
     sink.meta(&[
-        ("scheme", MetaField::Str("MTCD".into())),
-        ("sample_every", MetaField::F64(f64::NAN)),
+        ("scheme", Json::Str("MTCD".into())),
+        ("sample_every", Json::num_f64(f64::NAN)),
     ]);
     // A sample whose adapt means blew up to NaN/∞ — the failure mode this
     // guards against is the sink writing literal `NaN` and breaking every
@@ -55,5 +53,4 @@ fn trace_with_non_finite_sample_round_trips_as_valid_json() {
         5,
         "every non-finite downgrade is counted once"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

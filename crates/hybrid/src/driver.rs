@@ -24,7 +24,7 @@ use btfluid_numkit::ode::StepScratch;
 use btfluid_numkit::rng::{SplitMix64, Xoshiro256StarStar};
 use btfluid_numkit::NumError;
 use btfluid_scenario::{registry, ProgramHook, ScenarioProgram};
-use btfluid_telemetry::{FlightKind, FlightRecord, SharedRecorder, SharedSink};
+use btfluid_telemetry::{FlightKind, FlightRecord, TelemetryProbe};
 use std::fmt;
 use std::time::Instant;
 
@@ -202,8 +202,7 @@ pub struct HybridRunner {
     pub(crate) des_events: u64,
     pub(crate) fluid_steps: u64,
     pub(crate) handoffs: Vec<HandoffRecord>,
-    sink: Option<SharedSink>,
-    flight: Option<SharedRecorder>,
+    telemetry: TelemetryProbe,
     fluid_h: f64,
     scratch: Vec<f64>,
     /// RK4 stage buffers, kept across fluid steps.
@@ -244,8 +243,7 @@ impl HybridRunner {
             des_events: 0,
             fluid_steps: 0,
             handoffs: Vec::new(),
-            sink: None,
-            flight: None,
+            telemetry: TelemetryProbe::default(),
             fluid_h,
             scratch: vec![0.0; k],
             stages: StepScratch::new(),
@@ -282,47 +280,34 @@ impl HybridRunner {
         &self.handoffs
     }
 
-    /// Attaches a telemetry sink for handoff and checkpoint spans.
-    /// Observer-only: the sink is excluded from snapshots and never
-    /// affects results.
-    pub fn attach_sink(&mut self, sink: SharedSink) {
-        self.sink = Some(sink);
-    }
-
-    /// Attaches a flight recorder that receives a [`FlightKind::Handoff`]
-    /// record at every regime switch (and a checkpoint record for each
-    /// checkpoint a driver commits). Observer-only, like the sink.
-    pub fn attach_flight(&mut self, flight: SharedRecorder) {
-        self.flight = Some(flight);
+    /// Attaches the run's telemetry: its sink receives handoff and
+    /// checkpoint spans, its ring a [`FlightKind::Handoff`] record at
+    /// every regime switch (and a checkpoint record for each checkpoint a
+    /// driver commits). The sink's cadence is unused: the runner emits no
+    /// samples. Observer-only: excluded from snapshots, never affects
+    /// results.
+    pub fn attach_probe(&mut self, probe: TelemetryProbe) {
+        self.telemetry = probe;
     }
 
     /// Writes a span timing record, anchored at the current simulated
     /// time, to the attached sink (if any).
     pub fn emit_span(&self, name: &str, micros: u64) {
-        if let Some(sink) = &self.sink {
-            sink.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .span_at(name, micros, self.t);
-        }
+        self.telemetry.span_at(name, micros, self.t);
     }
 
     /// Records a flight record at the current time and DES event count
     /// (every segment so far, the live one included) in the attached
-    /// recorder (if any).
+    /// ring (if any).
     pub fn emit_flight(&self, kind: FlightKind, a: u64, b: u64) {
-        if let Some(flight) = &self.flight {
-            let live = self.sim.as_ref().map_or(0, Simulation::events);
-            flight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(FlightRecord {
-                    t: self.t,
-                    events: self.des_events + live,
-                    kind,
-                    a,
-                    b,
-                });
-        }
+        let live = self.sim.as_ref().map_or(0, Simulation::events);
+        self.telemetry.record(FlightRecord {
+            t: self.t,
+            events: self.des_events + live,
+            kind,
+            a,
+            b,
+        });
     }
 
     /// Decision boundaries passed since `t = 0` (restored on resume).

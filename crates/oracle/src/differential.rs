@@ -14,6 +14,7 @@ use btfluid_harness::{run_batch, run_sweep, Budget, CellSpec, SupervisorConfig};
 use btfluid_scenario::{
     des_avg_downloaders, fluid_avg_downloaders, runner, RateMode, ScenarioProgram,
 };
+use btfluid_telemetry::ScratchDir;
 use std::time::Duration;
 
 /// DES-vs-fluid tolerance: finite-size effects at `λ₀ = 0.25` leave the
@@ -310,13 +311,7 @@ pub fn des_vs_fluid_transient(cfg: &OracleConfig) -> Result<String, String> {
 /// and report a finite per-file online time. Exercises the supervisor's
 /// manifest/bundle machinery on a throwaway directory as a side effect.
 pub fn supervised_scheme_cells(cfg: &OracleConfig) -> Result<String, String> {
-    let dir = std::env::temp_dir().join(format!(
-        "btfluid_oracle_sweep_{}_{}",
-        std::process::id(),
-        cfg.seed
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("temp dir: {e}"))?;
+    let dir = ScratchDir::new("oracle-sweep").map_err(|e| format!("temp dir: {e}"))?;
 
     let schemes = [
         ("mtsd", SchemeKind::Mtsd),
@@ -347,28 +342,24 @@ pub fn supervised_scheme_cells(cfg: &OracleConfig) -> Result<String, String> {
         checkpoint_every: 5000,
     };
     let report = run_sweep(&sup, cells).map_err(|e| e.to_string())?;
-    let result = (|| {
-        if !report.all_done() {
-            let failed: Vec<&str> = report.failed.iter().map(|f| f.id.as_str()).collect();
-            return Err(format!("cells quarantined: {failed:?}"));
+    if !report.all_done() {
+        let failed: Vec<&str> = report.failed.iter().map(|f| f.id.as_str()).collect();
+        return Err(format!("cells quarantined: {failed:?}"));
+    }
+    let mut events = 0u64;
+    for cell in &report.completed {
+        if cell.completed == 0 {
+            return Err(format!("{}: no users completed", cell.id));
         }
-        let mut events = 0u64;
-        for cell in &report.completed {
-            if cell.completed == 0 {
-                return Err(format!("{}: no users completed", cell.id));
-            }
-            match cell.avg_online_per_file {
-                Some(v) if v.is_finite() && v > 0.0 => {}
-                other => return Err(format!("{}: bad online/file {other:?}", cell.id)),
-            }
-            events += cell.events;
+        match cell.avg_online_per_file {
+            Some(v) if v.is_finite() && v > 0.0 => {}
+            other => return Err(format!("{}: bad online/file {other:?}", cell.id)),
         }
-        Ok(format!(
-            "4 scheme cells supervised to completion ({events} events total)"
-        ))
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+        events += cell.events;
+    }
+    Ok(format!(
+        "4 scheme cells supervised to completion ({events} events total)"
+    ))
 }
 
 /// DES against the closed-form steady state: MTSD's per-file online time

@@ -113,7 +113,7 @@ pub fn registry() -> Vec<Check> {
         },
         Check {
             name: "flightrec-round-trip",
-            paper_ref: "flightrec v1 contract (last-capacity window, parseable)",
+            paper_ref: "flight dump contract (last-capacity window, read by read_trace)",
             tier: Tier::Quick,
             run: structural::flightrec_round_trip,
         },

@@ -7,8 +7,8 @@ use crate::report::OracleConfig;
 use btfluid_des::{DesConfig, SchemeKind, Simulation};
 use btfluid_numkit::rng::{RngCore, Xoshiro256StarStar};
 use btfluid_telemetry::{
-    read_trace, Counters, FlightDump, FlightKind, FlightRecord, FlightRecorder, MetaField, Sample,
-    TraceSink, FLIGHTREC_VERSION,
+    read_trace, Counters, FlightKind, FlightRecord, FlightRecorder, Json, Sample, ScratchDir,
+    TraceSink, TRACE_VERSION,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -78,70 +78,60 @@ pub fn snapshot_fuzz(cfg: &OracleConfig) -> Result<String, String> {
 /// the trace reader accepts whole (every line parses as JSON), the
 /// non-finite fields must read back as absent, and this thread's
 /// downgrade counter must advance by exactly the 16 poisoned fields.
-pub fn trace_jsonl_round_trip(cfg: &OracleConfig) -> Result<String, String> {
-    let dir = std::env::temp_dir().join(format!(
-        "btfluid_oracle_trace_{}_{}",
-        std::process::id(),
-        cfg.seed
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("temp dir: {e}"))?;
-    let result = (|| {
-        let before = btfluid_telemetry::non_finite_null_count();
-        let mut sink = TraceSink::create(&dir.join("oracle.jsonl")).map_err(|e| e.to_string())?;
-        sink.meta(&[
-            ("scheme", MetaField::Str("CMFSD".into())),
-            ("rho", MetaField::F64(0.5)),
-        ]);
-        for i in 0..8u64 {
-            let poison = if i % 2 == 0 { f64::NAN } else { f64::INFINITY };
-            sink.sample(&Sample {
-                t: i as f64 * 10.0,
-                events: i * 100,
-                downloaders: &[3, 1],
-                download_pairs: &[3, 1],
-                seed_pairs: &[1, 0],
-                weight: &[1.0, poison],
-                pool_real: &[0.25, 0.25],
-                pool_virtual: &[0.0, 0.0],
-                rho_mean: poison,
-                delta_mean: 0.1,
-                counters: Counters::default(),
-            });
-        }
-        sink.end(80.0, &Counters::default());
-        let path = sink.finish().map_err(|e| e.to_string())?;
-        let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
-        let runs = read_trace(&text).map_err(|e| format!("trace line {e}"))?;
-        let [run] = runs.as_slice() else {
-            return Err(format!("expected one run, read {}", runs.len()));
-        };
-        let lines = text.lines().count();
-        let null_fields = run.samples.iter().filter(|s| s.rho_mean.is_none()).count();
-        if null_fields != 8 || run.end.is_none() {
-            return Err(format!(
-                "expected 8 null rho_mean fields, found {null_fields}"
-            ));
-        }
-        let after = btfluid_telemetry::non_finite_null_count();
-        if after - before != 16 {
-            return Err(format!(
-                "downgrade counter advanced by {} — expected 16",
-                after - before
-            ));
-        }
-        Ok(format!(
-            "{lines} JSONL lines all parse; 16 non-finite fields downgraded to null and counted"
-        ))
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+pub fn trace_jsonl_round_trip(_cfg: &OracleConfig) -> Result<String, String> {
+    let dir = ScratchDir::new("oracle-trace").map_err(|e| format!("temp dir: {e}"))?;
+    let before = btfluid_telemetry::non_finite_null_count();
+    let mut sink = TraceSink::create(&dir.join("oracle.jsonl")).map_err(|e| e.to_string())?;
+    sink.meta(&[
+        ("scheme", Json::Str("CMFSD".into())),
+        ("rho", Json::num_f64(0.5)),
+    ]);
+    for i in 0..8u64 {
+        let poison = if i % 2 == 0 { f64::NAN } else { f64::INFINITY };
+        sink.sample(&Sample {
+            t: i as f64 * 10.0,
+            events: i * 100,
+            downloaders: &[3, 1],
+            download_pairs: &[3, 1],
+            seed_pairs: &[1, 0],
+            weight: &[1.0, poison],
+            pool_real: &[0.25, 0.25],
+            pool_virtual: &[0.0, 0.0],
+            rho_mean: poison,
+            delta_mean: 0.1,
+            counters: Counters::default(),
+        });
+    }
+    sink.end(80.0, &Counters::default());
+    let path = sink.finish().map_err(|e| e.to_string())?;
+    let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
+    let runs = read_trace(&text).map_err(|e| format!("trace line {e}"))?;
+    let [run] = runs.as_slice() else {
+        return Err(format!("expected one run, read {}", runs.len()));
+    };
+    let lines = text.lines().count();
+    let null_fields = run.samples.iter().filter(|s| s.rho_mean.is_none()).count();
+    if null_fields != 8 || run.end.is_none() {
+        return Err(format!(
+            "expected 8 null rho_mean fields, found {null_fields}"
+        ));
+    }
+    let after = btfluid_telemetry::non_finite_null_count();
+    if after - before != 16 {
+        return Err(format!(
+            "downgrade counter advanced by {} — expected 16",
+            after - before
+        ));
+    }
+    Ok(format!(
+        "{lines} JSONL lines all parse; 16 non-finite fields downgraded to null and counted"
+    ))
 }
 
 /// Flight-recorder dump contract: for seeded random record streams and
-/// ring capacities, the dump reader must accept what `dump_string` emits,
-/// its meta fields must reconcile (`total = retained + dropped`), every
-/// record must carry a known kind, and the retained records must be
+/// ring capacities, `read_trace` must accept what `dump_string` emits as
+/// one run, its meta fields must reconcile (`total = retained + dropped`),
+/// every record must carry a known kind, and the retained records must be
 /// **exactly the last `min(capacity, total)`** of the stream, in order.
 pub fn flightrec_round_trip(cfg: &OracleConfig) -> Result<String, String> {
     let mut rng = Xoshiro256StarStar::stream(cfg.seed, 9);
@@ -173,16 +163,18 @@ pub fn flightrec_round_trip(cfg: &OracleConfig) -> Result<String, String> {
         }
         let failure_t = (trial % 2 == 0).then_some(n as f64);
         let dump = rec.dump_string(failure_t);
-        let read = FlightDump::read(&dump)
-            .map_err(|e| format!("dump line {e}\n{dump}"))?
-            .ok_or_else(|| format!("not a flightrec dump: {dump}"))?;
-        if read.version != u64::from(FLIGHTREC_VERSION) {
-            return Err(format!("bad version in meta: {dump}"));
+        let runs = read_trace(&dump).map_err(|e| format!("dump line {e}\n{dump}"))?;
+        let [read] = runs.as_slice() else {
+            return Err(format!("expected one run, read {}: {dump}", runs.len()));
+        };
+        if !read.is_flight_dump() || read.meta.u64_at("version") != u64::from(TRACE_VERSION) {
+            return Err(format!("bad meta: {dump}"));
         }
-        if read.failure_t.is_some() != failure_t.is_some() {
+        if read.meta.f64_at("failure_t").is_some() != failure_t.is_some() {
             return Err("failure_t presence mismatch".into());
         }
-        let (total, dropped, records) = (read.total, read.dropped, &read.records);
+        let (total, dropped) = (read.meta.u64_at("total"), read.meta.u64_at("dropped"));
+        let records = &read.flights;
         if total != n as u64 || total != records.len() as u64 + dropped {
             return Err(format!(
                 "accounting mismatch: total {total}, retained {}, dropped {dropped} (n = {n})",

@@ -196,7 +196,7 @@ pub fn run_all(
 
 /// [`run_all`] with a per-scheme telemetry probe: `make_probe` is called
 /// with each run's label and may return a probe for it (e.g. one
-/// [`btfluid_des::SinkProbe`] per scheme sharing a trace sink).
+/// [`btfluid_des::TelemetryProbe`] per scheme sharing a trace sink).
 ///
 /// In [`RateMode::Aggregate`] the CMFSD+Adapt cell is omitted: Adapt
 /// steers individual ρ from per-peer progress, which the aggregate engine

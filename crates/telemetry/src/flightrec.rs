@@ -1,34 +1,34 @@
 //! The flight recorder: a fixed-capacity, allocation-free ring buffer of
-//! recent engine happenings, dumped as a versioned JSONL artifact when a
-//! run fails.
+//! recent engine happenings, dumped as a btfluid-trace run when a run
+//! fails.
 //!
-//! The recorder sits behind the same [`Probe`] seam as the sampler, so it
-//! inherits the crate's zero-perturbation contract: records are built
-//! from values the engine already computed (clock, event count, counter
-//! deltas) and the recorder has nowhere to write back. When no probe
-//! wants flight records the engine pays one cached boolean test per
-//! event; when one does, each record is a fixed-size `Copy` struct
-//! written into a preallocated ring — no allocation on the hot path
-//! either way.
+//! The ring is fed through the same [`Probe`] seam as the sampler (the
+//! [`TelemetryProbe`]'s optional ring), so it inherits the crate's
+//! zero-perturbation contract: records are built from values the engine
+//! already computed (clock, event count, counter deltas) and the recorder
+//! has nowhere to write back. When no probe wants flight records the
+//! engine pays one cached boolean test per event; when one does, each
+//! record is a fixed-size `Copy` struct written into a preallocated ring
+//! — no allocation on the hot path either way. Records are encoded only
+//! at dump time.
 //!
 //! On failure (supervisor quarantine, chaos invariant violation, typed
-//! engine error) the ring is serialized oldest-first as a `flightrec v1`
-//! JSONL dump: one meta line carrying schema/version/capacity/totals
-//! (and, when known, the failure time), then one compact line per
-//! surviving record. The dump answers "what were the last N things the
-//! engine did" without anyone having had to enable tracing in advance.
-//! [`FlightDump::read`] is the format's one reader.
+//! engine error) [`FlightRecorder::dump_string`] serializes the ring as
+//! one btfluid-trace v1 run: a schema-stamped `meta` record carrying the
+//! ring's `capacity`, `total`, `dropped` and (when known) `failure_t`,
+//! then one `flight` record per surviving entry, oldest first. The dump
+//! answers "what were the last N things the engine did" without anyone
+//! having had to enable tracing in advance, and [`read_trace`] reads it
+//! back like any trace.
+//!
+//! [`Probe`]: crate::Probe
+//! [`TelemetryProbe`]: crate::TelemetryProbe
+//! [`read_trace`]: crate::read_trace
 
-use crate::counters::Counters;
-use crate::json::{self, Json};
-use crate::probe::Probe;
-use std::fmt::Write as _;
+use crate::json::Json;
+use crate::sink;
 use std::sync::{Arc, Mutex};
 
-/// Schema tag on the dump's meta line.
-pub const FLIGHTREC_SCHEMA: &str = "flightrec";
-/// Current dump format version.
-pub const FLIGHTREC_VERSION: u32 = 1;
 /// Ring capacity used when the caller does not choose one.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
@@ -109,25 +109,6 @@ pub struct FlightRecord {
     pub b: u64,
 }
 
-impl FlightRecord {
-    /// Encodes the record as one compact JSONL line (no trailing
-    /// newline). Floats use shortest-roundtrip formatting, so encoding is
-    /// deterministic given bit-identical inputs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64);
-        out.push_str("{\"k\":\"");
-        out.push_str(self.kind.name());
-        out.push_str("\",\"t\":");
-        json::push_f64(&mut out, self.t);
-        let _ = write!(
-            out,
-            ",\"ev\":{},\"a\":{},\"b\":{}}}",
-            self.events, self.a, self.b
-        );
-        out
-    }
-}
-
 /// The ring buffer: holds exactly the last `capacity` records.
 ///
 /// Construction preallocates the full ring; `record` never allocates.
@@ -191,29 +172,24 @@ impl FlightRecorder {
         tail.iter().chain(wrapped.iter())
     }
 
-    /// Serializes the ring as a `flightrec v1` JSONL dump: a meta line,
-    /// then one line per held record, oldest first. `failure_t` stamps
-    /// the failure's simulated time into the meta line when the caller
-    /// knows it, so readers can flag a dump whose newest record predates
-    /// the failure it claims to explain.
+    /// Serializes the ring as one btfluid-trace run: the meta record
+    /// (`capacity`, `total`, `dropped`), then one `flight` record per held
+    /// entry, oldest first. `failure_t` stamps the failure's simulated
+    /// time into the meta record when the caller knows it, so readers can
+    /// flag a dump whose newest record predates the failure it claims to
+    /// explain.
     pub fn dump_string(&self, failure_t: Option<f64>) -> String {
-        let mut out = String::with_capacity(64 + self.buf.len() * 64);
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{}\",\"version\":{},\"capacity\":{},\"total\":{},\"dropped\":{}",
-            FLIGHTREC_SCHEMA,
-            FLIGHTREC_VERSION,
-            self.capacity,
-            self.total,
-            self.total.saturating_sub(self.buf.len() as u64),
-        );
-        if let Some(t) = failure_t {
-            out.push_str(",\"failure_t\":");
-            json::push_f64(&mut out, t);
-        }
-        out.push_str("}\n");
+        let mut meta = vec![
+            ("capacity", Json::num_u64(self.capacity as u64)),
+            ("total", Json::num_u64(self.total)),
+            ("dropped", Json::num_u64(self.total - self.buf.len() as u64)),
+        ];
+        meta.extend(failure_t.map(|t| ("failure_t", Json::num_f64(t))));
+        let mut out = sink::meta_line(&meta);
+        out.reserve(1 + self.buf.len() * 80);
+        out.push('\n');
         for rec in self.iter() {
-            out.push_str(&rec.to_json());
+            sink::push_flight_line(&mut out, rec);
             out.push('\n');
         }
         out
@@ -234,161 +210,10 @@ pub fn shared_recorder(capacity: usize) -> SharedRecorder {
     Arc::new(Mutex::new(FlightRecorder::new(capacity)))
 }
 
-/// A probe that feeds every flight record into a [`SharedRecorder`] and
-/// observes nothing else. Sampling stays disabled (`sample_every` = 0),
-/// so attaching it never makes the engine build a [`Sample`].
-///
-/// [`Sample`]: crate::probe::Sample
-#[derive(Debug)]
-pub struct RecorderProbe(SharedRecorder);
-
-impl RecorderProbe {
-    /// Wraps a shared recorder as a probe.
-    pub fn new(recorder: SharedRecorder) -> Self {
-        Self(recorder)
-    }
-}
-
-impl Probe for RecorderProbe {
-    fn wants_flight(&self) -> bool {
-        true
-    }
-
-    fn on_flight(&mut self, rec: &FlightRecord) {
-        self.0.lock().unwrap().record(*rec);
-    }
-}
-
-/// A probe that fans every callback out to several child probes, for
-/// call sites that need e.g. both a counter capture and a flight
-/// recorder on the engine's single probe slot. The cadence is the
-/// fastest child's (a child with a slower cadence simply sees extra
-/// samples — observation only, so nothing perturbs).
-pub struct FanoutProbe(Vec<Box<dyn Probe>>);
-
-impl FanoutProbe {
-    /// Combines `probes` into one.
-    pub fn new(probes: Vec<Box<dyn Probe>>) -> Self {
-        Self(probes)
-    }
-}
-
-impl Probe for FanoutProbe {
-    fn sample_every(&self) -> f64 {
-        self.0
-            .iter()
-            .map(|p| p.sample_every())
-            .filter(|&c| c > 0.0)
-            .fold(0.0, |acc, c| if acc == 0.0 { c } else { acc.min(c) })
-    }
-
-    fn wants_flight(&self) -> bool {
-        self.0.iter().any(|p| p.wants_flight())
-    }
-
-    fn on_sample(&mut self, sample: &crate::probe::Sample<'_>) {
-        for p in &mut self.0 {
-            p.on_sample(sample);
-        }
-    }
-
-    fn on_span(&mut self, name: &str, micros: u64) {
-        for p in &mut self.0 {
-            p.on_span(name, micros);
-        }
-    }
-
-    fn on_flight(&mut self, rec: &FlightRecord) {
-        for p in &mut self.0 {
-            p.on_flight(rec);
-        }
-    }
-
-    fn on_finish(&mut self, t: f64, counters: &Counters) {
-        for p in &mut self.0 {
-            p.on_finish(t, counters);
-        }
-    }
-}
-
-/// One dump record as read back, its kind kept as written so a newer
-/// writer's kinds survive (see [`FlightKind::parse`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DumpRecord {
-    /// Wire name of the kind (`"pop"`, `"rate"`, …).
-    pub kind: String,
-    /// Simulated time; `None` when written as `null` (non-finite).
-    pub t: Option<f64>,
-    /// Engine event count at the record point.
-    pub events: u64,
-    /// First kind-specific payload.
-    pub a: u64,
-    /// Second kind-specific payload.
-    pub b: u64,
-}
-
-/// A `flightrec` dump as read back: the meta line's fields (zero when an
-/// older writer omitted one) and the records, oldest first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightDump {
-    /// Dump format version (compare with [`FLIGHTREC_VERSION`]).
-    pub version: u64,
-    /// Ring capacity of the recorder that wrote the dump.
-    pub capacity: u64,
-    /// Records ever offered to the ring.
-    pub total: u64,
-    /// Records overwritten before the dump.
-    pub dropped: u64,
-    /// Simulated failure time, when the writer knew it.
-    pub failure_t: Option<f64>,
-    /// The retained records, oldest first.
-    pub records: Vec<DumpRecord>,
-}
-
-impl FlightDump {
-    /// Reads a dump written by [`FlightRecorder::dump_string`]; blank
-    /// lines are ignored. `Ok(None)` when the first line is not a
-    /// `flightrec` meta line, i.e. the text is not a dump at all.
-    ///
-    /// # Errors
-    /// `"<line>: <detail>"`, numbering non-blank lines from 1, for a
-    /// record line that is not JSON or has no `k`.
-    pub fn read(text: &str) -> Result<Option<Self>, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let meta = lines.next().and_then(|first| Json::parse(first).ok());
-        let Some(meta) = meta.filter(|m| m.str_at("schema") == Some(FLIGHTREC_SCHEMA)) else {
-            return Ok(None);
-        };
-        let records = (2..)
-            .zip(lines)
-            .map(|(lineno, line)| {
-                let v = Json::parse(line).map_err(|e| format!("{lineno}: {e}"))?;
-                let kind = v
-                    .str_at("k")
-                    .ok_or_else(|| format!("{lineno}: record without 'k'"))?;
-                Ok(DumpRecord {
-                    kind: kind.to_string(),
-                    t: v.f64_at("t"),
-                    events: v.u64_at("ev"),
-                    a: v.u64_at("a"),
-                    b: v.u64_at("b"),
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(Some(Self {
-            version: meta.u64_at("version"),
-            capacity: meta.u64_at("capacity"),
-            total: meta.u64_at("total"),
-            dropped: meta.u64_at("dropped"),
-            failure_t: meta.f64_at("failure_t"),
-            records,
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Probe, TelemetryProbe};
 
     fn rec(i: u64) -> FlightRecord {
         FlightRecord {
@@ -430,14 +255,15 @@ mod tests {
         r.record(rec(3));
         let dump = r.dump_string(Some(7.25));
         let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"schema\":\"flightrec\""));
-        assert!(lines[0].contains("\"version\":1"));
-        assert!(lines[0].contains("\"total\":3"));
-        assert!(lines[0].contains("\"dropped\":1"));
-        assert!(lines[0].contains("\"failure_t\":7.25"));
-        assert!(lines[1].contains("\"ev\":2"));
-        assert!(lines[2].contains("\"ev\":3"));
+        assert_eq!(
+            lines,
+            [
+                "{\"schema\":\"btfluid-trace\",\"version\":1,\"kind\":\"meta\",\"capacity\":2,\
+                 \"total\":3,\"dropped\":1,\"failure_t\":7.25}",
+                "{\"kind\":\"flight\",\"k\":\"pop\",\"t\":1,\"ev\":2,\"a\":2,\"b\":0}",
+                "{\"kind\":\"flight\",\"k\":\"pop\",\"t\":1.5,\"ev\":3,\"a\":3,\"b\":0}",
+            ]
+        );
     }
 
     #[test]
@@ -454,17 +280,20 @@ mod tests {
                 .collect();
             stream.iter().for_each(|&x| r.record(x));
             let failure_t = (n % 2 == 1).then_some(0.3);
-            let dump = FlightDump::read(&r.dump_string(failure_t))
-                .unwrap()
-                .unwrap();
-            assert_eq!(dump.version, u64::from(FLIGHTREC_VERSION));
-            assert_eq!((dump.capacity, dump.total), (capacity as u64, n));
-            assert_eq!(dump.failure_t, failure_t);
+            let runs = crate::read_trace(&r.dump_string(failure_t)).unwrap();
+            let [run] = runs.as_slice() else {
+                panic!("one run per dump, read {}", runs.len());
+            };
+            assert!(run.is_flight_dump() && run.end.is_none());
+            assert_eq!(run.meta.u64_at("version"), u64::from(crate::TRACE_VERSION));
+            let meta = |key| run.meta.u64_at(key);
+            assert_eq!((meta("capacity"), meta("total")), (capacity as u64, n));
+            assert_eq!(run.meta.f64_at("failure_t"), failure_t);
             let kept = n.min(capacity as u64) as usize;
-            assert_eq!(dump.dropped, n - kept as u64);
+            assert_eq!(meta("dropped"), n - kept as u64);
             let want = &stream[stream.len() - kept..];
-            assert_eq!(dump.records.len(), want.len());
-            for (got, want) in dump.records.iter().zip(want) {
+            assert_eq!(run.flights.len(), want.len());
+            for (got, want) in run.flights.iter().zip(want) {
                 assert_eq!(FlightKind::parse(&got.kind), Some(want.kind));
                 assert_eq!(got.t, Some(want.t).filter(|t| t.is_finite()));
                 assert_eq!((got.events, got.a, got.b), (want.events, want.a, want.b));
@@ -475,25 +304,23 @@ mod tests {
     #[test]
     fn dump_reader_keeps_unknown_kinds_and_locates_errors() {
         let text =
-            "{\"schema\":\"flightrec\",\"version\":1}\n\n{\"k\":\"warp\",\"t\":1,\"ev\":2}\n";
-        let dump = FlightDump::read(text).unwrap().unwrap();
-        assert_eq!(dump.records[0].kind, "warp");
-        assert_eq!((dump.capacity, dump.records[0].a), (0, 0));
-        for other in [
-            "",
-            "\n{\"schema\":\"btfluid-trace\"}",
-            "not json\n{\"k\":1}",
-        ] {
-            assert_eq!(FlightDump::read(other), Ok(None), "{other:?}");
-        }
+            "{\"schema\":\"btfluid-trace\",\"version\":1,\"kind\":\"meta\",\"capacity\":2}\n\n\
+                    {\"kind\":\"flight\",\"k\":\"warp\",\"t\":1,\"ev\":2}\n";
+        let runs = crate::read_trace(text).unwrap();
+        assert_eq!(runs[0].flights[0].kind, "warp");
+        assert_eq!((runs[0].meta.u64_at("total"), runs[0].flights[0].a), (0, 0));
         for (bad, prefix) in [
             (
-                "{\"schema\":\"flightrec\"}\n{\"t\":1}",
-                "2: record without 'k'",
+                "{\"schema\":\"flightrec\",\"version\":1}\n{\"k\":\"pop\",\"t\":1}",
+                "1: schema 'flightrec' is not 'btfluid-trace'",
             ),
-            ("{\"schema\":\"flightrec\"}\n\n{\"k\":\"pop\"}\nnope", "3: "),
+            ("{\"k\":\"pop\",\"t\":1}", "1: record without a kind"),
+            (
+                "{\"schema\":\"btfluid-trace\",\"kind\":\"meta\"}\n\n{\"kind\":\"flight\"}\nnope",
+                "4: ",
+            ),
         ] {
-            let err = FlightDump::read(bad).unwrap_err();
+            let err = crate::read_trace(bad).unwrap_err();
             assert!(err.starts_with(prefix), "{bad:?}: {err}");
         }
     }
@@ -513,10 +340,15 @@ mod tests {
         assert_eq!(FlightKind::parse("warp"), None);
     }
 
+    /// A ring-only probe feeds the shared ring and never asks the engine
+    /// for a sample.
     #[test]
     fn recorder_probe_feeds_shared_ring() {
         let shared = shared_recorder(3);
-        let mut probe = RecorderProbe::new(Arc::clone(&shared));
+        let mut probe = TelemetryProbe {
+            flight: Some(Arc::clone(&shared)),
+            ..TelemetryProbe::default()
+        };
         assert!(probe.wants_flight());
         assert_eq!(probe.sample_every(), 0.0);
         for i in 0..5 {
@@ -528,31 +360,30 @@ mod tests {
         assert_eq!(held, vec![2, 3, 4]);
     }
 
+    /// A probe holding both a sink and a ring sends each callback to the
+    /// observer that records it: spans and the end to the sink, flight
+    /// records to the ring, and the sink's cadence to the engine.
     #[test]
     fn fanout_forwards_to_all_children() {
-        let a = shared_recorder(4);
-        let b = shared_recorder(4);
-        let mut fan = FanoutProbe::new(vec![
-            Box::new(RecorderProbe::new(Arc::clone(&a))),
-            Box::new(RecorderProbe::new(Arc::clone(&b))),
-        ]);
-        assert!(fan.wants_flight());
-        fan.on_flight(&rec(9));
-        assert_eq!(a.lock().unwrap().len(), 1);
-        assert_eq!(b.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn fanout_cadence_is_fastest_child() {
-        struct C(f64);
-        impl Probe for C {
-            fn sample_every(&self) -> f64 {
-                self.0
-            }
-        }
-        let fan = FanoutProbe::new(vec![Box::new(C(0.0)), Box::new(C(10.0)), Box::new(C(2.5))]);
-        assert_eq!(fan.sample_every(), 2.5);
-        let silent = FanoutProbe::new(vec![Box::new(C(0.0))]);
-        assert_eq!(silent.sample_every(), 0.0);
+        let dir = crate::ScratchDir::new("telemetry").unwrap();
+        let mut sink = crate::TraceSink::create(&dir.join("both.jsonl")).unwrap();
+        sink.meta(&[]);
+        let sink = sink.shared();
+        let ring = shared_recorder(4);
+        let mut probe = TelemetryProbe {
+            sink: Some((Arc::clone(&sink), 2.5)),
+            flight: Some(Arc::clone(&ring)),
+        };
+        assert_eq!((probe.sample_every(), probe.wants_flight()), (2.5, true));
+        probe.on_flight(&rec(9));
+        probe.on_span("engine", 3);
+        probe.on_finish(1.0, &crate::Counters::default());
+        assert_eq!(ring.lock().unwrap().len(), 1);
+        let path = sink.lock().unwrap().finish().unwrap();
+        let run = &crate::read_trace(&std::fs::read_to_string(path).unwrap()).unwrap()[0];
+        assert_eq!(
+            (run.spans.len(), run.end.is_some(), run.flights.len()),
+            (1, true, 0)
+        );
     }
 }

@@ -97,9 +97,10 @@ fn push_arr<T>(out: &mut String, xs: &[T], mut item: impl FnMut(&mut String, &T)
 }
 
 /// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum Json {
     /// `null`.
+    #[default]
     Null,
     /// `true` / `false`.
     Bool(bool),

@@ -4,9 +4,11 @@
 //! hot-loop counters, a versioned JSONL trace sink, the flight recorder,
 //! and the `diag!` leveled stderr diagnostics macro. It also holds the
 //! workspace's one JSON codec, [`json`], and each record format's one
-//! reader beside its writer: [`read_trace`] for traces,
-//! [`FlightDump::read`] for flight dumps, [`Counters::from_json`] for
-//! the counters both embed.
+//! reader beside its writer: [`read_trace`] for traces and flight dumps
+//! (one btfluid-trace schema), [`Counters::from_json`] for the counters
+//! traces and sweep manifests embed. One observer, [`TelemetryProbe`],
+//! feeds a run's trace sink and flight ring; [`ScratchDir`] is the
+//! self-removing working directory of commands and tests.
 //!
 //! The crate depends on nothing and sits *below* `btfluid-des` and
 //! `btfluid-workload` in the dependency graph (the engine calls into it),
@@ -35,21 +37,23 @@ pub mod flightrec;
 pub mod json;
 pub mod probe;
 pub mod profiler;
+pub mod scratch;
 pub mod sink;
 
 pub use counters::Counters;
 pub use diag::{enabled, level, set_level, Level};
 pub use faults::{FaultKind, FaultRule, FaultScript, FaultSite};
 pub use flightrec::{
-    shared_recorder, DumpRecord, FanoutProbe, FlightDump, FlightKind, FlightRecord, FlightRecorder,
-    RecorderProbe, SharedRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHTREC_SCHEMA, FLIGHTREC_VERSION,
+    shared_recorder, FlightKind, FlightRecord, FlightRecorder, SharedRecorder,
+    DEFAULT_FLIGHT_CAPACITY,
 };
-pub use json::non_finite_null_count;
-pub use probe::{MemoryProbe, NoopProbe, OwnedSample, Probe, Sample};
+pub use json::{non_finite_null_count, Json};
+pub use probe::{MemoryProbe, NoopProbe, OwnedSample, Probe, Sample, TelemetryProbe};
 pub use profiler::{Phase, PhaseStats, ProfileTable, Profiler, PHASES};
+pub use scratch::ScratchDir;
 pub use sink::{
-    read_trace, MetaField, SharedSink, SinkProbe, TraceProfile, TraceRun, TraceSample, TraceSink,
-    TraceSpan, TRACE_SCHEMA, TRACE_VERSION,
+    read_trace, SharedSink, TraceFlight, TraceProfile, TraceRun, TraceSample, TraceSink, TraceSpan,
+    TRACE_SCHEMA, TRACE_VERSION,
 };
 
 /// Default sampling cadence (simulated time units) for trace-producing

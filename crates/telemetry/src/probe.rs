@@ -3,12 +3,15 @@
 //! A [`Probe`] is attached to a simulation the way a scenario hook is:
 //! explicitly, outside the config (so config digests and snapshots are
 //! unaffected). The engine calls it at a fixed simulated-time cadence
-//! with a borrowed [`Sample`] of its public aggregates, plus span timings
-//! and a final counter flush. Probes must never influence the run — they
-//! receive shared borrows of engine state and have nowhere to write back.
+//! with a borrowed [`Sample`] of its public aggregates, plus span timings,
+//! flight records and a final counter flush. Probes must never influence
+//! the run — they receive shared borrows of engine state and have nowhere
+//! to write back. [`TelemetryProbe`] is the one observer the commands
+//! attach: a trace sink, a flight ring, or both.
 
 use crate::counters::Counters;
-use crate::flightrec::FlightRecord;
+use crate::flightrec::{FlightRecord, SharedRecorder};
+use crate::sink::{SharedSink, TraceSink};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One cadence-point observation of the engine, borrowed from live
@@ -131,6 +134,68 @@ pub struct NoopProbe;
 
 impl Probe for NoopProbe {}
 
+/// The telemetry observer of one run: samples, spans and the end record
+/// stream into an optional trace sink, every flight record into an
+/// optional ring. Without a sink it reports `sample_every` = 0, so the
+/// engine never builds a [`Sample`] for it; without a ring it wants no
+/// flight records. The hybrid driver, which has no probe slot, writes
+/// through [`TelemetryProbe::span_at`] and [`TelemetryProbe::record`].
+#[derive(Debug, Clone, Default)]
+pub struct TelemetryProbe {
+    /// The trace sink and its sampling cadence in simulated time units.
+    pub sink: Option<(SharedSink, f64)>,
+    /// The flight ring.
+    pub flight: Option<SharedRecorder>,
+}
+
+impl TelemetryProbe {
+    fn with_sink(&self, write: impl FnOnce(&mut TraceSink)) {
+        if let Some((sink, _)) = &self.sink {
+            write(&mut locked(sink));
+        }
+    }
+
+    /// Writes a span anchored at simulated time `t` to the sink, if any.
+    pub fn span_at(&self, name: &str, micros: u64, t: f64) {
+        self.with_sink(|sink| sink.span_at(name, micros, t));
+    }
+
+    /// Records `rec` in the ring, if any (the per-event path of a
+    /// flight-armed run).
+    #[inline]
+    pub fn record(&self, rec: FlightRecord) {
+        if let Some(ring) = &self.flight {
+            locked(ring).record(rec);
+        }
+    }
+}
+
+impl Probe for TelemetryProbe {
+    fn sample_every(&self) -> f64 {
+        self.sink.as_ref().map_or(0.0, |(_, cadence)| *cadence)
+    }
+
+    fn on_sample(&mut self, sample: &Sample<'_>) {
+        self.with_sink(|sink| sink.sample(sample));
+    }
+
+    fn wants_flight(&self) -> bool {
+        self.flight.is_some()
+    }
+
+    fn on_flight(&mut self, rec: &FlightRecord) {
+        self.record(*rec);
+    }
+
+    fn on_span(&mut self, name: &str, micros: u64) {
+        self.with_sink(|sink| sink.span(name, micros));
+    }
+
+    fn on_finish(&mut self, t: f64, counters: &Counters) {
+        self.with_sink(|sink| sink.end(t, counters));
+    }
+}
+
 /// A buffering probe that keeps every sample and the final counters in
 /// memory — the test harness's view of a run's telemetry.
 #[derive(Debug, Default)]
@@ -174,10 +239,11 @@ impl Probe for MemoryProbe {
     }
 }
 
-fn locked<P>(probe: &Mutex<P>) -> MutexGuard<'_, P> {
-    probe
-        .lock()
-        .expect("a shared probe's holder panicked mid-callback")
+/// Locks a shared observer, recovering it from a holder that panicked:
+/// observation outlives a failed callback (the dump after a panic is the
+/// point of the ring).
+fn locked<P>(shared: &Mutex<P>) -> MutexGuard<'_, P> {
+    shared.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A probe shared between the engine, which consumes its probe box, and a

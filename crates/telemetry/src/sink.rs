@@ -1,11 +1,17 @@
-//! The versioned JSONL trace sink.
+//! The versioned JSONL trace sink, and the schema's one reader.
 //!
-//! One trace file is a sequence of newline-delimited JSON objects:
+//! One trace file is a sequence of newline-delimited JSON objects, in
+//! one or more runs, each made of:
 //!
 //! 1. a `meta` record stamped with the schema name and version (plus
 //!    caller-supplied run parameters),
-//! 2. any number of `sample` and `span` records,
+//! 2. any number of `sample`, `span`, `profile` and `flight` records,
 //! 3. a final `end` record with the closing clock and counters.
+//!
+//! A flight-recorder dump ([`FlightRecorder::dump_string`]) is a run of
+//! the same schema: its meta record carries the ring's `capacity`,
+//! `total`, `dropped` and optional `failure_t`, and its `flight` records
+//! are the retained window, oldest first. A ring has no `end` record.
 //!
 //! Writes follow the snapshot layer's atomic discipline: everything goes
 //! to `<path>.tmp` and is renamed over the final path by
@@ -13,13 +19,16 @@
 //! complete one — a lingering `.tmp` always means "this run did not
 //! finish".
 //!
-//! [`read_trace`] is the schema's one reader: it decodes a trace file
-//! back into typed [`TraceRun`]s for `btfluid inspect`, the self-check
-//! oracle and the tests.
+//! [`read_trace`] is the schema's one reader: it decodes traces and
+//! flight dumps back into typed [`TraceRun`]s for `btfluid inspect`, the
+//! self-check oracle and the tests.
+//!
+//! [`FlightRecorder::dump_string`]: crate::FlightRecorder::dump_string
 
 use crate::counters::Counters;
+use crate::flightrec::FlightRecord;
 use crate::json::{self, Json};
-use crate::probe::{Probe, Sample};
+use crate::probe::Sample;
 use crate::profiler::PhaseStats;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -32,17 +41,32 @@ pub const TRACE_SCHEMA: &str = "btfluid-trace";
 /// Current trace schema version.
 pub const TRACE_VERSION: u32 = 1;
 
-/// A typed value for one meta-record field.
-#[derive(Debug, Clone)]
-pub enum MetaField {
-    /// A string field.
-    Str(String),
-    /// A float field (non-finite encodes as `null`).
-    F64(f64),
-    /// An unsigned integer field (seeds survive exactly).
-    U64(u64),
-    /// A boolean field.
-    Bool(bool),
+/// Encodes a schema-stamped `meta` record (no trailing newline).
+pub(crate) fn meta_line(fields: &[(&str, Json)]) -> String {
+    let mut s =
+        format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"version\":{TRACE_VERSION},\"kind\":\"meta\"");
+    for (key, value) in fields {
+        s.push(',');
+        json::push_str_lit(&mut s, key);
+        let _ = write!(s, ":{value}");
+    }
+    s.push('}');
+    s
+}
+
+/// Appends one `flight` record (no trailing newline). Floats use
+/// shortest-roundtrip formatting, so the line is deterministic given
+/// bit-identical inputs.
+pub(crate) fn push_flight_line(out: &mut String, rec: &FlightRecord) {
+    out.push_str("{\"kind\":\"flight\",\"k\":\"");
+    out.push_str(rec.kind.name());
+    out.push_str("\",\"t\":");
+    json::push_f64(out, rec.t);
+    let _ = write!(
+        out,
+        ",\"ev\":{},\"a\":{},\"b\":{}}}",
+        rec.events, rec.a, rec.b
+    );
 }
 
 /// An append-only JSONL trace writer (see module docs for the record
@@ -114,28 +138,9 @@ impl TraceSink {
         }
     }
 
-    /// Writes the schema-stamped meta record; call once, first.
-    pub fn meta(&mut self, fields: &[(&str, MetaField)]) {
-        let mut s = format!(
-            "{{\"schema\":\"{TRACE_SCHEMA}\",\"version\":{TRACE_VERSION},\"kind\":\"meta\""
-        );
-        for (key, value) in fields {
-            s.push(',');
-            json::push_str_lit(&mut s, key);
-            s.push(':');
-            match value {
-                MetaField::Str(x) => json::push_str_lit(&mut s, x),
-                MetaField::F64(x) => json::push_f64(&mut s, *x),
-                MetaField::U64(x) => {
-                    let _ = write!(s, "{x}");
-                }
-                MetaField::Bool(x) => {
-                    let _ = write!(s, "{x}");
-                }
-            }
-        }
-        s.push('}');
-        self.write_line(&s);
+    /// Writes the schema-stamped meta record; call once per run, first.
+    pub fn meta(&mut self, fields: &[(&str, Json)]) {
+        self.write_line(&meta_line(fields));
     }
 
     /// Writes one sample record.
@@ -261,45 +266,11 @@ impl TraceSink {
     }
 }
 
-/// A trace sink shared between a [`SinkProbe`] and the caller that will
-/// [`TraceSink::finish`] it after the run.
+/// A trace sink shared between a [`TelemetryProbe`] and the caller that
+/// will [`TraceSink::finish`] it after the run.
+///
+/// [`TelemetryProbe`]: crate::TelemetryProbe
 pub type SharedSink = Arc<Mutex<TraceSink>>;
-
-/// The probe that streams every observation into a shared [`TraceSink`].
-#[derive(Debug)]
-pub struct SinkProbe {
-    sink: SharedSink,
-    cadence: f64,
-}
-
-impl SinkProbe {
-    /// Creates a probe sampling every `cadence` time units into `sink`.
-    pub fn new(sink: SharedSink, cadence: f64) -> Self {
-        Self { sink, cadence }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceSink> {
-        self.sink.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl Probe for SinkProbe {
-    fn sample_every(&self) -> f64 {
-        self.cadence
-    }
-
-    fn on_sample(&mut self, sample: &Sample<'_>) {
-        self.lock().sample(sample);
-    }
-
-    fn on_span(&mut self, name: &str, micros: u64) {
-        self.lock().span(name, micros);
-    }
-
-    fn on_finish(&mut self, t: f64, counters: &Counters) {
-        self.lock().end(t, counters);
-    }
-}
 
 /// One `sample` record as read back, field for field as in [`Sample`].
 /// Floats JSON cannot carry (NaN, ±∞) were written as `null` and read back
@@ -352,23 +323,42 @@ pub struct TraceProfile {
     pub phases: Vec<(String, PhaseStats)>,
 }
 
+/// One `flight` record as read back, its kind kept as written so a newer
+/// writer's kinds survive (see [`FlightKind::parse`]).
+///
+/// [`FlightKind::parse`]: crate::FlightKind::parse
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceFlight {
+    /// Wire name of the kind (`"pop"`, `"rate"`, …).
+    pub kind: String,
+    /// Simulated time; `None` when written as `null` (non-finite).
+    pub t: Option<f64>,
+    /// Engine event count at the record point.
+    pub events: u64,
+    /// First kind-specific payload.
+    pub a: u64,
+    /// Second kind-specific payload.
+    pub b: u64,
+}
+
 /// One engine run of a trace: a `meta` record and every record up to the
 /// next `meta`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceRun {
-    /// The meta record's schema version.
-    pub version: u64,
-    /// The meta record's `label`, when written.
-    pub label: Option<String>,
-    /// The meta record's `aggregate` flag.
-    pub aggregate: bool,
+    /// The meta record as written: `version`, the writer's run parameters
+    /// (`label`, `aggregate`, …) and a flight dump's `capacity`, `total`,
+    /// `dropped` and `failure_t`.
+    pub meta: Json,
     /// Sample records, in order.
     pub samples: Vec<TraceSample>,
     /// Span records, in order.
     pub spans: Vec<TraceSpan>,
     /// Profile records, in order.
     pub profiles: Vec<TraceProfile>,
-    /// The end record's clock and counters (`None`: the run did not finish).
+    /// Flight records, oldest first.
+    pub flights: Vec<TraceFlight>,
+    /// The end record's clock and counters (`None`: the run did not
+    /// finish, or the run is a flight ring, which has no end by design).
     pub end: Option<(Option<f64>, Counters)>,
     /// `(line, kind)` of records of kinds this build does not know.
     pub skipped: Vec<(usize, String)>,
@@ -383,16 +373,23 @@ impl TraceRun {
             .or_else(|| self.samples.last().map(|s| s.counters))
             .unwrap_or_default()
     }
+
+    /// Whether the run is a flight-recorder dump (its meta carries the
+    /// ring's `capacity`).
+    pub fn is_flight_dump(&self) -> bool {
+        self.meta.get("capacity").is_some()
+    }
 }
 
 /// Reads a `btfluid-trace` JSONL file into its runs, one per `meta`
 /// record (none for text without one). Blank lines are ignored, unknown
 /// record kinds are skipped into [`TraceRun::skipped`], and the schema
-/// version is reported, not checked.
+/// version is reported in [`TraceRun::meta`], not checked.
 ///
 /// # Errors
-/// `"<line>: <detail>"` for a line that is not JSON, a record without a
-/// `kind`, a meta record of another schema, or a record before any meta.
+/// `"<line>: <detail>"` for a line that is not JSON, a record of another
+/// schema (an old `flightrec` dump among them), a record without a
+/// `kind`, or a record before any meta.
 pub fn read_trace(text: &str) -> Result<Vec<TraceRun>, String> {
     let mut runs: Vec<TraceRun> = Vec::new();
     for (lineno, line) in (1..)
@@ -400,7 +397,17 @@ pub fn read_trace(text: &str) -> Result<Vec<TraceRun>, String> {
         .filter(|(_, l)| !l.trim().is_empty())
     {
         let v = Json::parse(line.trim()).map_err(|e| format!("{lineno}: {e}"))?;
+        // A meta record, or any record naming a schema (an old
+        // `flightrec` dump's header among them), must name this one.
         let kind = v.str_at("kind");
+        if kind == Some("meta") || v.get("schema").is_some() {
+            let schema = v.str_at("schema").unwrap_or("?");
+            if schema != TRACE_SCHEMA {
+                return Err(format!(
+                    "{lineno}: schema '{schema}' is not '{TRACE_SCHEMA}'"
+                ));
+            }
+        }
         let kind = kind.ok_or_else(|| format!("{lineno}: record without a kind"))?;
         let u64s = |key| {
             v.arr_at(key)
@@ -415,16 +422,8 @@ pub fn read_trace(text: &str) -> Result<Vec<TraceRun>, String> {
                 .unwrap_or_default()
         };
         if kind == "meta" {
-            let schema = v.str_at("schema").unwrap_or("?");
-            if schema != TRACE_SCHEMA {
-                return Err(format!(
-                    "{lineno}: schema '{schema}' is not '{TRACE_SCHEMA}'"
-                ));
-            }
             runs.push(TraceRun {
-                version: v.u64_at("version"),
-                label: v.str_at("label").map(str::to_string),
-                aggregate: v.get("aggregate").and_then(Json::as_bool).unwrap_or(false),
+                meta: v,
                 ..TraceRun::default()
             });
             continue;
@@ -469,6 +468,13 @@ pub fn read_trace(text: &str) -> Result<Vec<TraceRun>, String> {
                     })
                     .collect(),
             }),
+            "flight" => run.flights.push(TraceFlight {
+                kind: v.str_at("k").unwrap_or("?").into(),
+                t: v.f64_at("t"),
+                events: v.u64_at("ev"),
+                a: v.u64_at("a"),
+                b: v.u64_at("b"),
+            }),
             "end" => run.end = Some((v.f64_at("t"), counters())),
             other => run.skipped.push((lineno, other.to_string())),
         }
@@ -479,12 +485,7 @@ pub fn read_trace(text: &str) -> Result<Vec<TraceRun>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("btfs-telemetry-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
+    use crate::{Probe, ScratchDir};
 
     fn sample_bufs() -> ([usize; 2], [f64; 2]) {
         ([3, 1], [1.5, 0.0])
@@ -508,14 +509,14 @@ mod tests {
 
     #[test]
     fn full_trace_is_atomic_and_well_formed() {
-        let path = tmp("full.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("telemetry").unwrap();
+        let path = dir.join("full.jsonl");
         let mut sink = TraceSink::create(&path).unwrap();
         sink.meta(&[
-            ("scheme", MetaField::Str("MTCD".into())),
-            ("seed", MetaField::U64(u64::MAX)),
-            ("sample_every", MetaField::F64(5.0)),
-            ("aggregate", MetaField::Bool(false)),
+            ("scheme", Json::Str("MTCD".into())),
+            ("seed", Json::num_u64(u64::MAX)),
+            ("sample_every", Json::num_f64(5.0)),
+            ("aggregate", Json::Bool(false)),
         ]);
         let bufs = sample_bufs();
         sink.sample(&sample(&bufs));
@@ -539,13 +540,18 @@ mod tests {
         assert!(lines[3].contains("\"kind\":\"end\""));
     }
 
+    /// A sink-only probe streams samples and the end record into the
+    /// shared sink at its cadence, and asks for no flight records.
     #[test]
     fn sink_probe_streams_through_shared_sink() {
-        let path = tmp("probe.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("telemetry").unwrap();
+        let path = dir.join("probe.jsonl");
         let shared = TraceSink::create(&path).unwrap().shared();
-        let mut probe = SinkProbe::new(shared.clone(), 2.5);
-        assert_eq!(probe.sample_every(), 2.5);
+        let mut probe = crate::TelemetryProbe {
+            sink: Some((shared.clone(), 2.5)),
+            flight: None,
+        };
+        assert_eq!((probe.sample_every(), probe.wants_flight()), (2.5, false));
         let bufs = sample_bufs();
         probe.on_sample(&sample(&bufs));
         probe.on_finish(80.0, &Counters::default());
@@ -561,12 +567,12 @@ mod tests {
 
     #[test]
     fn reader_decodes_what_the_sink_wrote() {
-        let path = tmp("read.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("telemetry").unwrap();
+        let path = dir.join("read.jsonl");
         let mut sink = TraceSink::create(&path).unwrap();
         sink.meta(&[
-            ("label", MetaField::Str("MTCD".into())),
-            ("aggregate", MetaField::Bool(true)),
+            ("label", Json::Str("MTCD".into())),
+            ("aggregate", Json::Bool(true)),
         ]);
         let weight = [f64::INFINITY, 0.25];
         let pool = [0.1 + 0.2, f64::NAN];
@@ -623,9 +629,10 @@ mod tests {
         let runs = read_trace(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
-        assert_eq!(run.version, u64::from(TRACE_VERSION));
-        assert_eq!(run.label.as_deref(), Some("MTCD"));
-        assert!(run.aggregate);
+        assert_eq!(run.meta.u64_at("version"), u64::from(TRACE_VERSION));
+        assert_eq!(run.meta.str_at("label"), Some("MTCD"));
+        assert_eq!(run.meta.get("aggregate"), Some(&Json::Bool(true)));
+        assert!(!run.is_flight_dump());
         assert_eq!(
             run.samples,
             vec![TraceSample {
@@ -685,11 +692,20 @@ mod tests {
             4,
             "truncated: last sample's"
         );
-        assert_eq!((runs[1].version, runs[1].label.as_deref()), (2, Some("B")));
+        let meta = &runs[1].meta;
+        assert_eq!(
+            (meta.u64_at("version"), meta.str_at("label")),
+            (2, Some("B"))
+        );
         assert!(read_trace("").unwrap().is_empty());
         for (bad, line) in [
             ("{\"kind\":\"sample\"}", "1: "),
-            ("{\"schema\":\"x\",\"kind\":\"meta\"}", "1: schema"),
+            ("{\"schema\":\"x\",\"kind\":\"meta\"}", "1: schema 'x'"),
+            ("{\"kind\":\"meta\"}", "1: schema '?'"),
+            (
+                "{\"schema\":\"flightrec\",\"version\":1,\"capacity\":4}",
+                "1: schema 'flightrec' is not 'btfluid-trace'",
+            ),
             (
                 "{\"schema\":\"btfluid-trace\",\"kind\":\"meta\"}\n{}",
                 "2: record without",
@@ -706,8 +722,8 @@ mod tests {
 
     #[test]
     fn unfinished_trace_leaves_only_tmp() {
-        let path = tmp("crash.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let dir = ScratchDir::new("telemetry").unwrap();
+        let path = dir.join("crash.jsonl");
         let tmp_path = {
             let mut sink = TraceSink::create(&path).unwrap();
             sink.span("engine", 1);
@@ -716,6 +732,5 @@ mod tests {
         };
         assert!(!path.exists());
         assert!(tmp_path.exists(), "the torn .tmp is the crash marker");
-        let _ = std::fs::remove_file(&tmp_path);
     }
 }
